@@ -1,23 +1,63 @@
-//! Criterion bench for the ILP substrate: exact rational simplex and the
-//! difference-constraint fast path on scheduling-shaped systems.
+//! Criterion bench for the ILP substrate on scheduling-shaped systems: the
+//! min-cost-flow difference-LP solver against the exact rational simplex
+//! (with branch and bound) on the same LPs, plus the longest-path fast
+//! path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use imagen_ilp::{DiffSystem, LinExpr, Model, Sense};
+use imagen_algos::synthetic_pipeline;
+use imagen_ilp::DiffSystem;
+use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
+use imagen_schedule::{
+    delay_lp, formulate, plan_design, DiffGe, FormulationOptions, ScheduleOptions, SpecBufferParams,
+};
 
-/// Builds a chain-scheduling ILP with `n` stages and aux retire vars.
-fn chain_model(n: usize, w: i64) -> Model {
-    let mut m = Model::new("chain");
-    let s: Vec<_> = (0..n).map(|i| m.add_int_var(format!("s{i}"))).collect();
-    let mut obj = LinExpr::zero();
+/// A chain-scheduling LP with `n` stages and aux retire vars: variables
+/// `s_0..s_{n-1}`, then `t_1..t_{n-1}`; minimizes `Σ (t_i − s_{i−1})`.
+fn chain_lp(n: usize, w: i64) -> (DiffSystem, Vec<i64>) {
+    let mut sys = DiffSystem::new(2 * n - 1);
+    let mut costs = vec![0i64; 2 * n - 1];
     for i in 1..n {
-        m.add_diff_ge(s[i], s[i - 1], 2 * w + 1, "dep");
-        let t = m.add_int_var(format!("t{i}"));
-        m.add_diff_ge(t, s[i], 0, "retire");
-        m.add_diff_ge(t, s[i - 1], w, "minrow");
-        obj = obj + LinExpr::from(t) - LinExpr::from(s[i - 1]);
+        let t = n + i - 1;
+        sys.add_ge(i, i - 1, 2 * w + 1); // dep
+        sys.add_ge(t, i, 0); // retire
+        sys.add_ge(t, i - 1, w); // minrow
+        costs[t] += 1;
+        costs[i - 1] -= 1;
     }
-    m.set_objective(Sense::Minimize, obj);
-    m
+    (sys, costs)
+}
+
+/// The first OR-group leaf of a 60-stage synthetic DAG's coalesced
+/// schedule at 640x480 on dual-port 32 Kbit macros: the heaviest leaf
+/// class a cold compile solves.
+fn coalesced_60_stage_leaf() -> (DiffSystem, Vec<i64>) {
+    let geom = ImageGeometry {
+        width: 640,
+        height: 480,
+        pixel_bits: 16,
+    };
+    let spec = MemorySpec::new(MemBackend::Asic { block_bits: 32768 }, 2).with_coalescing();
+    let dag = synthetic_pipeline(60, 60 << 32);
+    let plan = plan_design(
+        &dag,
+        &geom,
+        &spec,
+        ScheduleOptions::default(),
+        DesignStyle::OursLc,
+    )
+    .expect("the synthetic pool schedules");
+    let params = SpecBufferParams {
+        spec: &spec,
+        geom: &geom,
+    };
+    let set = formulate(
+        &plan.dag,
+        geom.width,
+        &params,
+        FormulationOptions::default(),
+    );
+    let chosen: Vec<DiffGe> = set.groups.iter().map(|g| g.alternatives[0]).collect();
+    delay_lp(&plan.dag, geom.width, &set.hard, &chosen)
 }
 
 fn bench_ilp(c: &mut Criterion) {
@@ -25,11 +65,23 @@ fn bench_ilp(c: &mut Criterion) {
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(5));
     for n in [8usize, 16, 32] {
-        let m = chain_model(n, 480);
+        let (sys, costs) = chain_lp(n, 480);
+        let (m, _) = sys.to_model("chain", &costs);
         group.bench_function(format!("simplex_bnb_{n}_stages"), |b| {
             b.iter(|| std::hint::black_box(&m).solve().unwrap())
         });
+        group.bench_function(format!("flow_{n}_stages"), |b| {
+            b.iter(|| std::hint::black_box(&sys).minimize(&costs).unwrap())
+        });
     }
+    let (sys, costs) = coalesced_60_stage_leaf();
+    let (m, _) = sys.to_model("synthetic60", &costs);
+    group.bench_function("simplex_bnb_synthetic60_lc_leaf", |b| {
+        b.iter(|| std::hint::black_box(&m).solve().unwrap())
+    });
+    group.bench_function("flow_synthetic60_lc_leaf", |b| {
+        b.iter(|| std::hint::black_box(&sys).minimize(&costs).unwrap())
+    });
     let mut sys = DiffSystem::new(64);
     for i in 1..64 {
         sys.add_ge(i, i - 1, 961);

@@ -206,7 +206,7 @@ pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
             );
         }
     }
-    println!("  simplex pivots : {pivots}");
+    println!("  solver pivots  : {pivots}");
     if let Some(path) = &opts.trace_out {
         let trace = collector.chrome_trace_json(&format!("imagen {cmd}"));
         std::fs::write(path, trace)
@@ -467,7 +467,7 @@ pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
             100.0 * s.cache_hits as f64 / s.points_priced as f64
         };
         text.push_str(&format!(
-            "\n## Sweep work\n\n  points priced  : {}\n  cache hits     : {} ({hit_rate:.1}%)\n  cache misses   : {}\n  simplex pivots : {}\n",
+            "\n## Sweep work\n\n  points priced  : {}\n  cache hits     : {} ({hit_rate:.1}%)\n  cache misses   : {}\n  solver pivots  : {}\n",
             s.points_priced, s.cache_hits, s.cache_misses, s.simplex_pivots
         ));
     }

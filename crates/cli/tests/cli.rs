@@ -288,6 +288,32 @@ fn certify_proves_an_example_in_both_formats() {
     assert!(line.contains("\"obligations\":["), "{line}");
 }
 
+/// `--profile` reports the solver's work: every "solver pivots" line of
+/// a run (one pivot per min-cost-flow augmenting path) shows the same
+/// nonzero count, and a second run repeats it exactly.
+#[test]
+fn profile_pivot_count_is_nonzero_and_repeats() {
+    let counts = |args: &[&str]| -> Vec<u64> {
+        let text = stdout_of(&imagen(args));
+        text.lines()
+            .filter_map(|l| l.trim_start().strip_prefix("solver pivots"))
+            .map(|rest| rest.trim_start_matches([' ', ':']).parse().unwrap())
+            .collect()
+    };
+    for args in [
+        ["compile", "examples/canny_s.imagen", "--profile"],
+        ["dse", "examples/unsharp_m.imagen", "--profile"],
+    ] {
+        let first = counts(&args);
+        assert!(!first.is_empty(), "{args:?}: no pivot line");
+        assert!(
+            first.iter().all(|&c| c > 0 && c == first[0]),
+            "{args:?}: {first:?}"
+        );
+        assert_eq!(first, counts(&args), "{args:?}");
+    }
+}
+
 /// `imagen lint --prove` folds the certificate into the lint report and
 /// stays clean (exit 0) on the paper corpus.
 #[test]

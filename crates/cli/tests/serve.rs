@@ -226,29 +226,42 @@ fn stats_cmd_answers_after_a_concurrent_batch() {
 #[test]
 fn metrics_registry_survives_concurrent_hammering() {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    const WRITERS: usize = 4;
     let metrics = imagen_obs::Metrics::new();
     let stop = AtomicBool::new(false);
+    // Every writer finishes one full round before the reader starts, so
+    // the reader overlaps live writers and `stop` can never win the race
+    // to a writer's first iteration, however the threads are scheduled.
+    let started = Barrier::new(WRITERS + 1);
     std::thread::scope(|scope| {
-        for _ in 0..4 {
+        for _ in 0..WRITERS {
             let metrics = &metrics;
             let stop = &stop;
+            let started = &started;
             scope.spawn(move || {
                 // Get-or-create races registration on purpose: all four
                 // threads must end up sharing the same cells.
                 let c = metrics.counter("hammer.count");
                 let g = metrics.gauge("hammer.gauge");
                 let h = metrics.histogram("hammer.hist");
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let round = |i: u64| {
                     c.add(1);
                     g.add(1);
                     h.record(i % 10_000);
                     g.sub(1);
+                };
+                round(0);
+                started.wait();
+                let mut i = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    round(i);
                     i += 1;
                 }
             });
         }
         let metrics = &metrics;
+        started.wait();
         for _ in 0..50 {
             let snap = metrics.snapshot();
             // Quantiles computed from one frozen bucket read are
@@ -263,7 +276,7 @@ fn metrics_registry_survives_concurrent_hammering() {
         stop.store(true, Ordering::Relaxed);
     });
     let snap = metrics.snapshot();
-    assert!(snap.counter("hammer.count") > 0);
+    assert!(snap.counter("hammer.count") >= WRITERS as u64);
     let gauge = snap
         .gauges
         .iter()

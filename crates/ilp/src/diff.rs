@@ -9,12 +9,19 @@
 //! In ImaGen this solver serves three roles:
 //! 1. fast feasibility checks for candidate constraint subsets,
 //! 2. the minimum-latency ("ASAP") schedule used for latency reporting, and
-//! 3. an independent cross-check of the simplex solver on difference systems.
+//! 3. the buffer-minimal schedule itself, through [`DiffSystem::minimize`].
 //!
-//! Note that the *buffer-minimal* schedule is not in general the
-//! componentwise-minimal one (delaying a producer can shrink its own buffer
-//! while growing upstream ones), which is why the full ILP exists.
+//! The *buffer-minimal* schedule is not in general the componentwise-minimal
+//! feasible point (delaying a producer can shrink its own buffer while
+//! growing upstream ones), so it takes a linear objective. A difference LP
+//! `min Σ c_i·x_i` has a min-cost flow as its dual: each constraint
+//! `x_u − x_v >= k` is an uncapacitated arc `u → v` of cost `−k`, each
+//! lower bound `x_i >= l_i` an arc `i → z` of cost `−l_i` into a zero node
+//! `z`, and node `i` has net outflow `c_i`. [`DiffSystem::minimize`] solves
+//! that flow in `i64` and reads the primal optimum back off it.
 
+use crate::flow::{Network, Overflow, UNCAPACITATED};
+use crate::{LinExpr, Model, Sense, VarId};
 use std::fmt;
 
 /// Error returned when a difference system is infeasible.
@@ -34,6 +41,52 @@ impl fmt::Display for PositiveCycle {
 }
 
 impl std::error::Error for PositiveCycle {}
+
+/// Why [`DiffSystem::minimize`] has no optimum.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MinimizeError {
+    /// The constraints are infeasible.
+    Infeasible(PositiveCycle),
+    /// The objective decreases without bound over the feasible set: the
+    /// dual flow cannot route all of its demand.
+    Unbounded,
+    /// An intermediate flow, cost, potential or objective value left the
+    /// `i64` range.
+    Overflow,
+}
+
+impl fmt::Display for MinimizeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MinimizeError::Infeasible(e) => e.fmt(f),
+            MinimizeError::Unbounded => write!(f, "objective is unbounded below"),
+            MinimizeError::Overflow => write!(f, "difference LP exceeds the i64 range"),
+        }
+    }
+}
+
+impl std::error::Error for MinimizeError {}
+
+impl From<PositiveCycle> for MinimizeError {
+    fn from(e: PositiveCycle) -> Self {
+        MinimizeError::Infeasible(e)
+    }
+}
+
+impl From<Overflow> for MinimizeError {
+    fn from(_: Overflow) -> Self {
+        MinimizeError::Overflow
+    }
+}
+
+/// An optimum of [`DiffSystem::minimize`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DiffOptimum {
+    /// The minimal objective value `Σ c_i·x_i`.
+    pub objective: i64,
+    /// The componentwise-minimal point attaining it.
+    pub x: Vec<i64>,
+}
 
 /// A system of difference constraints over `n` nonnegative variables.
 ///
@@ -128,6 +181,141 @@ impl DiffSystem {
         Ok(x)
     }
 
+    /// Minimizes `Σ costs[i]·x_i` over the system and returns the
+    /// componentwise-minimal optimal point.
+    ///
+    /// The dual min-cost flow (see the module docs) is solved by
+    /// successive shortest paths, starting from potentials given by the
+    /// longest-path fixpoint of [`DiffSystem::minimal_solution`]. For that
+    /// optimal flow, the primal optima are exactly the feasible points
+    /// tight on every arc that carries flow (complementary slackness).
+    /// They form a difference system again, whose minimal solution is
+    /// returned: unique, and no later than any other optimal point.
+    ///
+    /// # Errors
+    ///
+    /// [`MinimizeError::Infeasible`] on a positive cycle,
+    /// [`MinimizeError::Unbounded`] when the objective has no minimum, and
+    /// [`MinimizeError::Overflow`] when a value leaves the `i64` range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `costs` does not hold one entry per variable.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use imagen_ilp::DiffSystem;
+    ///
+    /// // A buffer retires at x2 >= x1 + 5 and x2 >= x0 + 3; minimize its
+    /// // lifetime x2 - x1 with x1 >= x0 + 1.
+    /// let mut sys = DiffSystem::new(3);
+    /// sys.add_ge(1, 0, 1);
+    /// sys.add_ge(2, 1, 5);
+    /// sys.add_ge(2, 0, 3);
+    /// let opt = sys.minimize(&[0, -1, 1]).unwrap();
+    /// assert_eq!(opt.objective, 5);
+    /// assert_eq!(opt.x, vec![0, 1, 6]);
+    /// ```
+    #[track_caller]
+    pub fn minimize(&self, costs: &[i64]) -> Result<DiffOptimum, MinimizeError> {
+        assert_eq!(costs.len(), self.n, "one cost per variable");
+        let x0 = self.minimal_solution()?;
+        let n = self.n;
+        let (z, s, t) = (n, n + 1, n + 2);
+
+        // Node i has net outflow c_i and the zero node z takes up the rest.
+        // z can only absorb flow (its arcs all point into it), so a
+        // positive rest is unbounded: raising every variable by one keeps
+        // the system feasible and changes the objective by Σ c_i < 0.
+        // Without a rest the lower-bound arcs carry no flow at all.
+        let rest = costs
+            .iter()
+            .try_fold(0i64, |acc, &c| acc.checked_sub(c))
+            .ok_or(Overflow)?;
+        if rest > 0 {
+            return Err(MinimizeError::Unbounded);
+        }
+        let mut net = Network::with_arcs(self.edges.len() + 2 * n + 1);
+        let mut arcs = Vec::with_capacity(self.edges.len());
+        for &(v, u, c) in &self.edges {
+            let cost = c.checked_neg().ok_or(Overflow)?;
+            arcs.push(net.add_arc(u, v, UNCAPACITATED, cost)?);
+        }
+        if rest < 0 {
+            for (i, &lo) in self.lower.iter().enumerate() {
+                net.add_arc(i, z, UNCAPACITATED, -lo)?;
+            }
+        }
+        let mut supply = 0i64;
+        for (node, c) in costs.iter().copied().enumerate().chain([(z, rest)]) {
+            if c > 0 {
+                net.add_arc(s, node, c, 0)?;
+                supply = supply.checked_add(c).ok_or(Overflow)?;
+            } else if c < 0 {
+                net.add_arc(node, t, c.checked_neg().ok_or(Overflow)?, 0)?;
+            }
+        }
+
+        // x0 is primal feasible, so as potentials (z at 0, s above and t
+        // below every node) it prices every arc nonnegatively.
+        let top = x0.iter().copied().max().unwrap_or(0).max(0);
+        let mut pi = x0;
+        pi.extend([0, top, 0]);
+        if net.send(s, t, supply, &mut pi)? < supply {
+            return Err(MinimizeError::Unbounded);
+        }
+
+        let mut face = self.clone();
+        for (&(v, u, c), &e) in self.edges.iter().zip(&arcs) {
+            if net.flow(e) > 0 {
+                face.edges.push((u, v, -c));
+            }
+        }
+        // The face holds every optimum, so only saturated arithmetic in
+        // the fixpoint can make it look empty.
+        let x = face
+            .minimal_solution()
+            .map_err(|_| MinimizeError::Overflow)?;
+        let objective = x
+            .iter()
+            .zip(costs)
+            .try_fold(0i64, |acc, (&xi, &c)| acc.checked_add(xi.checked_mul(c)?))
+            .ok_or(Overflow)?;
+        Ok(DiffOptimum { objective, x })
+    }
+
+    /// The same LP as a general [`Model`] (variable `i` is the `i`-th
+    /// returned [`VarId`], integral, bounded below by its lower bound),
+    /// minimizing `Σ costs[i]·x_i` — the simplex oracle for
+    /// [`DiffSystem::minimize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `costs` does not hold one entry per variable.
+    #[track_caller]
+    pub fn to_model(&self, name: &str, costs: &[i64]) -> (Model, Vec<VarId>) {
+        assert_eq!(costs.len(), self.n, "one cost per variable");
+        let mut m = Model::new(name);
+        let vars: Vec<VarId> = (0..self.n)
+            .map(|i| m.add_int_var(format!("x{i}")))
+            .collect();
+        for (&v, &lo) in vars.iter().zip(&self.lower) {
+            if lo != 0 {
+                m.set_bounds(v, lo, None);
+            }
+        }
+        for &(v, u, c) in &self.edges {
+            m.add_diff_ge(vars[u], vars[v], c, "c");
+        }
+        let obj = vars
+            .iter()
+            .zip(costs)
+            .fold(LinExpr::zero(), |acc, (&v, &c)| acc + LinExpr::from(v) * c);
+        m.set_objective(Sense::Minimize, obj);
+        (m, vars)
+    }
+
     /// Checks whether an assignment satisfies every constraint and bound.
     pub fn is_feasible(&self, x: &[i64]) -> bool {
         if x.len() != self.n {
@@ -201,5 +389,53 @@ mod tests {
     fn empty_system() {
         let s = DiffSystem::new(0);
         assert_eq!(s.minimal_solution().unwrap(), Vec::<i64>::new());
+    }
+
+    #[test]
+    fn minimize_is_held_by_lower_bounds() {
+        // min x0 + x1 with x0 >= 5 and x1 >= x0 + 2: both lower-bound
+        // arcs carry flow into the zero node.
+        let mut s = DiffSystem::new(2);
+        s.set_lower(0, 5);
+        s.add_ge(1, 0, 2);
+        let opt = s.minimize(&[1, 1]).unwrap();
+        assert_eq!((opt.objective, opt.x), (12, vec![5, 7]));
+    }
+
+    #[test]
+    fn minimize_picks_the_earliest_optimum() {
+        // min x2 - x0 is 10 at x0 = 0 whatever x1 does in [3, 4]; the
+        // componentwise minimum puts x1 at its earliest.
+        let mut s = DiffSystem::new(3);
+        s.add_ge(1, 0, 3);
+        s.add_ge(2, 1, 6);
+        s.add_ge(2, 0, 10);
+        let opt = s.minimize(&[-1, 0, 1]).unwrap();
+        assert_eq!((opt.objective, opt.x), (10, vec![0, 3, 10]));
+    }
+
+    #[test]
+    fn minimize_reports_each_failure() {
+        let mut cycle = DiffSystem::new(2);
+        cycle.add_ge(1, 0, 1);
+        cycle.add_ge(0, 1, 0);
+        assert_eq!(
+            cycle.minimize(&[0, 0]),
+            Err(MinimizeError::Infeasible(PositiveCycle))
+        );
+
+        // Net cost below zero: raising everything lowers the objective.
+        let free = DiffSystem::new(2);
+        assert_eq!(free.minimize(&[-1, 0]), Err(MinimizeError::Unbounded));
+        // Net cost zero but nothing holds x1 above x0: the flow cannot
+        // route x1's supply.
+        assert_eq!(free.minimize(&[-1, 1]), Err(MinimizeError::Unbounded));
+
+        let mut huge = DiffSystem::new(2);
+        huge.add_ge(1, 0, i64::MAX);
+        assert_eq!(huge.minimize(&[0, 2]), Err(MinimizeError::Overflow));
+        let mut tiny = DiffSystem::new(2);
+        tiny.add_ge(1, 0, i64::MIN);
+        assert_eq!(tiny.minimize(&[0, 1]), Err(MinimizeError::Overflow));
     }
 }

@@ -1,8 +1,92 @@
 //! Property-based cross-checks of the ILP substrate:
-//! simplex vs. the difference-constraint solver vs. brute-force enumeration.
+//! simplex vs. the difference-constraint solvers (longest path and min-cost
+//! flow) vs. brute-force enumeration.
 
-use imagen_ilp::{Cmp, DiffSystem, LinExpr, Model, Rational, Sense};
+use imagen_ilp::{Cmp, DiffSystem, LinExpr, MinimizeError, Model, Rational, Sense, SolveError};
 use proptest::prelude::*;
+
+/// Variables in the random difference LPs.
+const LP_VARS: usize = 6;
+
+/// Weight of the objective in the lexicographic oracle `M·obj + Σx`:
+/// above `LP_VARS` times the largest vertex coordinate the generated
+/// systems can reach, so one unit of objective outweighs any `Σx`.
+const LEX_WEIGHT: i64 = 100_000;
+
+/// Strategy: the edges of a random difference LP. Forward edges (higher
+/// index minus lower) carry gaps up to 60 and backward ones gaps of at
+/// most −30, except one edge in sixteen, whose backward gap keeps its
+/// drawn value: those, and long forward paths, close the positive cycles
+/// of infeasible systems.
+fn lp_edges() -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
+    let edge = (0..LP_VARS, 0..LP_VARS, -20i64..60, 0u8..16);
+    proptest::collection::vec(edge, 0..14).prop_map(|edges| {
+        edges
+            .into_iter()
+            .filter(|(u, v, _, _)| u != v)
+            .map(|(u, v, c, wild)| {
+                if u > v || wild == 0 {
+                    (u, v, c)
+                } else {
+                    (u, v, c.min(0) - 30)
+                }
+            })
+            .collect()
+    })
+}
+
+/// Builds the system: `edges`, one edge `x_a − x_b >= k` per cost pair,
+/// `x_u = x_v` as two `k = 0` edges per tie (the zero cycles sync groups
+/// emit), and raised lower bounds.
+fn lp_system(
+    edges: &[(usize, usize, i64)],
+    pairs: &[(usize, usize, i64, i64)],
+    ties: &[(usize, usize)],
+    lower: &[(usize, i64)],
+) -> DiffSystem {
+    let mut sys = DiffSystem::new(LP_VARS);
+    for &(u, v, c) in edges {
+        sys.add_ge(u, v, c);
+    }
+    for &(a, b, _, k) in pairs {
+        sys.add_ge(a, b, k);
+    }
+    for &(u, v) in ties.iter().filter(|(u, v)| u != v) {
+        sys.add_ge(u, v, 0);
+        sys.add_ge(v, u, 0);
+    }
+    for &(i, b) in lower {
+        sys.set_lower(i, b);
+    }
+    sys
+}
+
+/// Objective coefficients: `+w` at `a` and `−w` at `b` per pair (the
+/// scheduler's weighted `T_p − S_p`, held below by the pair's forward
+/// edge `x_a − x_b >= k` in [`lp_system`]), then a drift at one variable.
+/// Negative drift makes the objective unbounded (shifting every variable
+/// up lowers it); positive drift is held by the lower bounds.
+fn lp_costs(pairs: &[(usize, usize, i64, i64)], (at, drift): (usize, i64)) -> Vec<i64> {
+    let mut costs = vec![0i64; LP_VARS];
+    for &(a, b, w, _) in pairs {
+        costs[a] += w;
+        costs[b] -= w;
+    }
+    costs[at] += drift;
+    costs
+}
+
+/// The cost pairs, each ordered so that `a > b`.
+fn lp_pairs() -> impl Strategy<Value = Vec<(usize, usize, i64, i64)>> {
+    let pair = (0..LP_VARS, 0..LP_VARS, 1i64..4, 0i64..10);
+    proptest::collection::vec(pair, 0..5).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .filter(|(a, b, _, _)| a != b)
+            .map(|(a, b, w, k)| (a.max(b), a.min(b), w, k))
+            .collect()
+    })
+}
 
 /// Strategy: a random difference system over `n` variables, biased toward
 /// feasible DAG-like systems (edges from lower to higher index).
@@ -57,6 +141,41 @@ proptest! {
                 return Err(TestCaseError::fail(format!(
                     "solvers disagree on feasibility: diff={a:?} simplex-ok={}",
                     b.is_ok()
+                )));
+            }
+        }
+    }
+
+    /// The min-cost-flow solver agrees with the simplex on status and
+    /// objective, returns a feasible point, and that point is the
+    /// componentwise minimum of the optimal face: the unique optimum of
+    /// the lexicographic objective `M·obj + Σx`.
+    #[test]
+    fn flow_minimize_matches_simplex(
+        edges in lp_edges(),
+        ties in proptest::collection::vec((0..LP_VARS, 0..LP_VARS), 0..2),
+        lower in proptest::collection::vec((0..LP_VARS, 0i64..25), 0..3),
+        pairs in lp_pairs(),
+        drift in (0..LP_VARS, -1i64..4),
+    ) {
+        let sys = lp_system(&edges, &pairs, &ties, &lower);
+        let costs = lp_costs(&pairs, drift);
+        let (model, _) = sys.to_model("prop", &costs);
+        match (sys.minimize(&costs), model.solve()) {
+            (Ok(opt), Ok(sol)) => {
+                prop_assert_eq!(Rational::from(opt.objective), sol.objective_value());
+                prop_assert!(sys.is_feasible(&opt.x));
+                let lex_costs: Vec<i64> = costs.iter().map(|c| c * LEX_WEIGHT + 1).collect();
+                let (lex, vars) = sys.to_model("lex", &lex_costs);
+                let lex = lex.solve().expect("bounded whenever obj is");
+                let lex_x: Vec<i64> = vars.iter().map(|&v| lex.int_value(v)).collect();
+                prop_assert_eq!(opt.x, lex_x);
+            }
+            (Err(MinimizeError::Infeasible(_)), Err(SolveError::Infeasible))
+            | (Err(MinimizeError::Unbounded), Err(SolveError::Unbounded)) => {}
+            (flow, simplex) => {
+                return Err(TestCaseError::fail(format!(
+                    "solvers disagree: flow={flow:?} simplex={simplex:?}"
                 )));
             }
         }

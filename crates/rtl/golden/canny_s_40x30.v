@@ -549,36 +549,36 @@ module imagen_top_Canny_s (
     wire [63:0] k_raw = cycle - 64'd0;
     wire [31:0] y_raw = k_raw / 40;
     wire [31:0] x_raw = k_raw % 40;
-    wire en_blur_h = (cycle >= 64'd40) && (cycle < 64'd1240);
-    wire [63:0] k_blur_h = cycle - 64'd40;
+    wire en_blur_h = (cycle >= 64'd1) && (cycle < 64'd1201);
+    wire [63:0] k_blur_h = cycle - 64'd1;
     wire [31:0] y_blur_h = k_blur_h / 40;
     wire [31:0] x_blur_h = k_blur_h % 40;
-    wire en_blur_v = (cycle >= 64'd121) && (cycle < 64'd1321);
-    wire [63:0] k_blur_v = cycle - 64'd121;
+    wire en_blur_v = (cycle >= 64'd82) && (cycle < 64'd1282);
+    wire [63:0] k_blur_v = cycle - 64'd82;
     wire [31:0] y_blur_v = k_blur_v / 40;
     wire [31:0] x_blur_v = k_blur_v % 40;
-    wire en_gmag = (cycle >= 64'd202) && (cycle < 64'd1402);
-    wire [63:0] k_gmag = cycle - 64'd202;
+    wire en_gmag = (cycle >= 64'd163) && (cycle < 64'd1363);
+    wire [63:0] k_gmag = cycle - 64'd163;
     wire [31:0] y_gmag = k_gmag / 40;
     wire [31:0] x_gmag = k_gmag % 40;
-    wire en_nms = (cycle >= 64'd283) && (cycle < 64'd1483);
-    wire [63:0] k_nms = cycle - 64'd283;
+    wire en_nms = (cycle >= 64'd244) && (cycle < 64'd1444);
+    wire [63:0] k_nms = cycle - 64'd244;
     wire [31:0] y_nms = k_nms / 40;
     wire [31:0] x_nms = k_nms % 40;
-    wire en_thresh = (cycle >= 64'd323) && (cycle < 64'd1523);
-    wire [63:0] k_thresh = cycle - 64'd323;
+    wire en_thresh = (cycle >= 64'd245) && (cycle < 64'd1445);
+    wire [63:0] k_thresh = cycle - 64'd245;
     wire [31:0] y_thresh = k_thresh / 40;
     wire [31:0] x_thresh = k_thresh % 40;
-    wire en_hyst1 = (cycle >= 64'd404) && (cycle < 64'd1604);
-    wire [63:0] k_hyst1 = cycle - 64'd404;
+    wire en_hyst1 = (cycle >= 64'd326) && (cycle < 64'd1526);
+    wire [63:0] k_hyst1 = cycle - 64'd326;
     wire [31:0] y_hyst1 = k_hyst1 / 40;
     wire [31:0] x_hyst1 = k_hyst1 % 40;
-    wire en_hyst2 = (cycle >= 64'd485) && (cycle < 64'd1685);
-    wire [63:0] k_hyst2 = cycle - 64'd485;
+    wire en_hyst2 = (cycle >= 64'd407) && (cycle < 64'd1607);
+    wire [63:0] k_hyst2 = cycle - 64'd407;
     wire [31:0] y_hyst2 = k_hyst2 / 40;
     wire [31:0] x_hyst2 = k_hyst2 % 40;
-    wire en_edges = (cycle >= 64'd525) && (cycle < 64'd1725);
-    wire [63:0] k_edges = cycle - 64'd525;
+    wire en_edges = (cycle >= 64'd408) && (cycle < 64'd1608);
+    wire [63:0] k_edges = cycle - 64'd408;
     wire [31:0] y_edges = k_edges / 40;
     wire [31:0] x_edges = k_edges % 40;
     wire signed [15:0] out_raw = stream_in_0;
@@ -695,5 +695,5 @@ module imagen_top_Canny_s (
     reg signed [15:0] sra_edges_0 [0:0];
     stage_edges u_edges (.clk(clk), .en(en_edges), .win0(sra_edges_0), .pixel_out(out_edges));
     assign stream_out_0 = out_edges;
-    assign frame_done = (cycle >= 64'd1725);
+    assign frame_done = (cycle >= 64'd1608);
 endmodule

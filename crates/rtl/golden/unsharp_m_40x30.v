@@ -363,8 +363,8 @@ module imagen_top_Unsharp_m (
     wire [63:0] k_sharp = cycle - 64'd163;
     wire [31:0] y_sharp = k_sharp / 40;
     wire [31:0] x_sharp = k_sharp % 40;
-    wire en_sharpened = (cycle >= 64'd203) && (cycle < 64'd1403);
-    wire [63:0] k_sharpened = cycle - 64'd203;
+    wire en_sharpened = (cycle >= 64'd164) && (cycle < 64'd1364);
+    wire [63:0] k_sharpened = cycle - 64'd164;
     wire [31:0] y_sharpened = k_sharpened / 40;
     wire [31:0] x_sharpened = k_sharpened % 40;
     wire signed [15:0] out_raw = stream_in_0;
@@ -426,5 +426,5 @@ module imagen_top_Unsharp_m (
     reg signed [15:0] sra_sharpened_0 [0:0];
     stage_sharpened u_sharpened (.clk(clk), .en(en_sharpened), .win0(sra_sharpened_0), .pixel_out(out_sharpened));
     assign stream_out_0 = out_sharpened;
-    assign frame_done = (cycle >= 64'd1403);
+    assign frame_done = (cycle >= 64'd1364);
 endmodule

@@ -2,7 +2,10 @@
 //! reproduce the pinned output byte for byte at default bit widths.
 //!
 //! * `unsharp_m_40x30.v` / `canny_s_40x30.v` were written by the *seed*
-//!   emitter (before the netlist IR existed) — the refactor pin;
+//!   emitter (before the netlist IR existed) — the refactor pin — and
+//!   re-blessed once when the scheduler started returning the
+//!   componentwise-minimal optimal schedule: only stage start cycles
+//!   (and `frame_done`) moved;
 //! * `denoise_m_40x30.v` and its clock-gated variant
 //!   `denoise_m_40x30_gated.v` anchor the gating emitter path
 //!   (`imagen_power::gate_clocks` → `emit_verilog`) at the byte level.

@@ -8,8 +8,9 @@
 //!   contention expressed through access sets and transformed into exact
 //!   linear difference constraints (Equ. 8–12); Sec. 5.4 constraint
 //!   pruning over the DAG's partial order.
-//! * [`solve_schedule`] — the ILP (Sec. 5.5) plus depth-first resolution
-//!   of surviving OR-groups.
+//! * [`solve_schedule`] — the ILP (Sec. 5.5), solved as the min-cost-flow
+//!   dual of its difference LP, plus depth-first resolution of surviving
+//!   OR-groups.
 //! * [`checker`] — exact per-buffer port-discipline verification at both
 //!   absolute-row and physical-block granularity (rotation aliasing).
 //! * [`plan_design`] — the full Fig. 5 "Optimizer": coalescing rewrite,
@@ -38,6 +39,6 @@ pub use plan::{
     SpecBufferParams,
 };
 pub use solve::{
-    asap_schedule, size_buffers, solve_schedule, Schedule, ScheduleError, ScheduleOptions,
-    SizeObjective, SolveReport,
+    asap_schedule, delay_lp, size_buffers, solve_schedule, Schedule, ScheduleError,
+    ScheduleOptions, SizeObjective, SolveReport,
 };

@@ -5,18 +5,22 @@
 //! auxiliary "retire" variable `T_p` per buffered producer with
 //! `T_p ≥ S_c − lag_e·W` for each consumer edge; the objective
 //! `Σ (T_p − S_p)` is the paper's Equ. 1a with the ceiling dropped
-//! (footnote 7). Every constraint is a difference constraint, so the ILP's
-//! LP relaxation is integral and branch-and-bound terminates at the root.
-//! The optional exact-rows objective ([`SizeObjective::TotalRows`])
+//! (footnote 7). Every constraint is a difference constraint, so the
+//! problem is a difference LP ([`delay_lp`]) with an integral optimum. Its
+//! dual is a min-cost flow, which [`DiffSystem::minimize`] solves in `i64`
+//! arithmetic; the schedule is the componentwise-minimal optimum, so it
+//! does not depend on which optimal vertex a solver happens to reach. The
+//! optional exact-rows objective ([`SizeObjective::TotalRows`])
 //! re-introduces the ceiling through integer row-count variables — a
-//! genuinely integer program — and is used as an ablation.
+//! genuinely integer program, solved by the simplex and branch and bound —
+//! and is used as an ablation.
 //!
 //! OR-groups that survive pruning are resolved by depth-first search over
 //! alternative choices with incumbent-based pruning (the paper's
 //! "sub-optimization problems", Sec. 5.4).
 
 use crate::constraints::{row_periods, to_diff_system, ConstraintSet, DiffGe, FormulationStats};
-use imagen_ilp::{LinExpr, Model, Sense, SolveError};
+use imagen_ilp::{Cmp, DiffSystem, LinExpr, MinimizeError, Sense, SolveError};
 use imagen_ir::{Dag, StageId};
 use std::fmt;
 
@@ -61,6 +65,8 @@ pub enum ScheduleError {
     TooManySubproblems(usize),
     /// Internal solver failure.
     Solver(SolveError),
+    /// The schedule LP's start cycles or costs leave the `i64` range.
+    Overflow,
 }
 
 impl fmt::Display for ScheduleError {
@@ -71,6 +77,7 @@ impl fmt::Display for ScheduleError {
                 write!(f, "OR-group search exceeded {n} sub-problems")
             }
             ScheduleError::Solver(e) => write!(f, "ILP solver failed: {e}"),
+            ScheduleError::Overflow => write!(f, "schedule LP exceeds the i64 range"),
         }
     }
 }
@@ -86,6 +93,16 @@ impl From<SolveError> for ScheduleError {
     }
 }
 
+impl From<MinimizeError> for ScheduleError {
+    fn from(e: MinimizeError) -> Self {
+        match e {
+            MinimizeError::Infeasible(_) => ScheduleError::Infeasible,
+            MinimizeError::Unbounded => ScheduleError::Solver(SolveError::Unbounded),
+            MinimizeError::Overflow => ScheduleError::Overflow,
+        }
+    }
+}
+
 /// Search and solver statistics for the Sec. 8.2 experiments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SolveReport {
@@ -97,6 +114,10 @@ pub struct SolveReport {
     pub ilp_vars: usize,
     /// Constraints in each ILP.
     pub ilp_constraints: usize,
+    /// Optimal objective of the chosen leaf: weighted total delay for
+    /// [`SizeObjective::TotalDelay`], total rows for
+    /// [`SizeObjective::TotalRows`].
+    pub objective: i64,
 }
 
 /// An optimal pipeline schedule.
@@ -146,7 +167,6 @@ pub fn solve_schedule(
     opts: ScheduleOptions,
 ) -> Result<Schedule, ScheduleError> {
     let n = dag.num_stages();
-    let periods = row_periods(dag, width);
 
     if set.groups.iter().any(|g| g.alternatives.is_empty()) {
         return Err(ScheduleError::Infeasible);
@@ -174,7 +194,7 @@ pub fn solve_schedule(
             if subproblems > opts.max_subproblems {
                 return Err(ScheduleError::TooManySubproblems(opts.max_subproblems));
             }
-            match solve_leaf(dag, &periods, &set.hard, &chosen, opts.objective, &mut report) {
+            match solve_leaf(dag, width, &set.hard, &chosen, opts.objective, &mut report) {
                 Ok((obj, starts)) => {
                     if best.as_ref().is_none_or(|(b, _)| obj < *b) {
                         best = Some((obj, starts));
@@ -204,7 +224,8 @@ pub fn solve_schedule(
     }
 
     report.subproblems = subproblems;
-    let (_, mut starts) = best.ok_or(ScheduleError::Infeasible)?;
+    let (objective, mut starts) = best.ok_or(ScheduleError::Infeasible)?;
+    report.objective = objective;
 
     // Normalize so the earliest stage starts at cycle 0.
     let min = starts.iter().copied().min().unwrap_or(0);
@@ -241,37 +262,32 @@ fn advance(
     false
 }
 
-/// Builds and solves one ILP leaf; returns (objective, starts).
+/// The default-objective LP of one OR-group resolution: the `hard`
+/// constraints plus the `chosen` alternatives over the stage starts
+/// (variable `i` is `S_i`), one retire variable `T_p` per buffered stage
+/// after them (in [`Dag::buffered_stages`] order), and the objective
+/// coefficients of `Σ (L/P_p)·(T_p − S_p)`.
 ///
-/// `periods` are the per-stage buffer row periods (`pcy·W`). The
-/// `TotalDelay` objective weights each buffer's delay by `L / P_p`
-/// (`L` = lcm of the periods), so that the weighted delay counts *rows*
-/// in a common unit — for rate-1 pipelines every weight is 1 and the
-/// model is identical to the seed's.
-fn solve_leaf(
+/// The row periods `P_p` come from [`row_periods`] at `width`; weighting
+/// each buffer's delay by `L / P_p` (`L` = lcm of the periods) counts
+/// *rows* in a common unit — for rate-1 pipelines every weight is 1.
+pub fn delay_lp(
     dag: &Dag,
-    periods: &[i64],
+    width: u32,
     hard: &[DiffGe],
     chosen: &[DiffGe],
-    objective: SizeObjective,
-    report: &mut SolveReport,
-) -> Result<(i64, Vec<i64>), ScheduleError> {
-    let mut m = Model::new(format!("{}-schedule", dag.name()));
-    let svars: Vec<_> = dag
-        .stages()
-        .map(|(id, s)| m.add_int_var(format!("S_{}_{}", id.index(), s.name())))
-        .collect();
-
+) -> (DiffSystem, Vec<i64>) {
+    let periods = row_periods(dag, width);
+    let n = dag.num_stages();
+    let buffered = dag.buffered_stages();
+    let mut sys = DiffSystem::new(n + buffered.len());
     for c in hard.iter().chain(chosen) {
         if c.a == c.b {
             continue; // trivially-true marker constraints
         }
-        m.add_diff_ge(svars[c.a.index()], svars[c.b.index()], c.k, "c");
+        sys.add_ge(c.a.index(), c.b.index(), c.k);
     }
 
-    // Retire variables and the objective.
-    let mut obj = LinExpr::zero();
-    let buffered = dag.buffered_stages();
     // Common delay unit for mixed-period buffers (lcm of the buffered
     // periods; 1-buffer lcm = that period). Rate-1: L = W, weights = 1.
     let lcm_period = buffered
@@ -281,10 +297,9 @@ fn solve_leaf(
             let g = gcd(acc, p);
             (acc / g).saturating_mul(p)
         });
-    let mut rvars = Vec::new();
-    for &p in &buffered {
+    let mut costs = vec![0i64; sys.num_vars()];
+    for (t, &p) in (n..).zip(&buffered) {
         let pw = periods[p.index()];
-        let t = m.add_int_var(format!("T_{}", p.index()));
         for (_, e) in dag.consumer_edges(p) {
             let lag = e.window().lag as i64;
             // T_p >= S_c - lag * P_p + max(0, P_p - P_c). The extra term
@@ -292,37 +307,60 @@ fn solve_leaf(
             // row for P_p - P_c base cycles past the rate-1 model's last
             // access, so the row retires that much later.
             let extra = (pw - periods[e.consumer().index()]).max(0);
-            m.add_diff_ge(t, svars[e.consumer().index()], -lag * pw + extra, "retire");
+            sys.add_ge(t, e.consumer().index(), -lag * pw + extra);
         }
         // Buffers hold at least one row.
-        m.add_diff_ge(t, svars[p.index()], pw, "minrow");
-        match objective {
-            SizeObjective::TotalDelay => {
-                let weight = lcm_period / pw;
-                obj = obj + (LinExpr::from(t) - LinExpr::from(svars[p.index()])) * weight;
-            }
-            SizeObjective::TotalRows => {
+        sys.add_ge(t, p.index(), pw);
+        let weight = lcm_period / pw;
+        costs[t] = weight;
+        costs[p.index()] -= weight;
+    }
+    (sys, costs)
+}
+
+/// Builds and solves one leaf; returns (objective, starts).
+fn solve_leaf(
+    dag: &Dag,
+    width: u32,
+    hard: &[DiffGe],
+    chosen: &[DiffGe],
+    objective: SizeObjective,
+    report: &mut SolveReport,
+) -> Result<(i64, Vec<i64>), ScheduleError> {
+    let n = dag.num_stages();
+    let (sys, costs) = delay_lp(dag, width, hard, chosen);
+    match objective {
+        SizeObjective::TotalDelay => {
+            report.ilp_vars = sys.num_vars();
+            report.ilp_constraints = sys.num_constraints();
+            let mut opt = sys.minimize(&costs)?;
+            opt.x.truncate(n);
+            Ok((opt.objective, opt.x))
+        }
+        SizeObjective::TotalRows => {
+            let (mut m, vars) = sys.to_model(&format!("{}-schedule", dag.name()), &costs);
+            let periods = row_periods(dag, width);
+            let mut obj = LinExpr::zero();
+            for (&t, p) in vars[n..].iter().zip(dag.buffered_stages()) {
                 let r = m.add_int_var(format!("R_{}", p.index()));
                 // P_p * R_p + S_p - T_p >= 0.
-                let expr =
-                    LinExpr::from(r) * pw + LinExpr::from(svars[p.index()]) - LinExpr::from(t);
-                m.add_constraint(expr, imagen_ilp::Cmp::Ge, 0, "rows");
+                let expr = LinExpr::from(r) * periods[p.index()] + LinExpr::from(vars[p.index()])
+                    - LinExpr::from(t);
+                m.add_constraint(expr, Cmp::Ge, 0, "rows");
                 obj = obj + LinExpr::from(r);
-                rvars.push(r);
             }
+            m.set_objective(Sense::Minimize, obj);
+            report.ilp_vars = m.num_vars();
+            report.ilp_constraints = m.num_constraints();
+            let sol = m.solve()?;
+            let starts = vars[..n].iter().map(|&v| sol.int_value(v)).collect();
+            let obj = sol
+                .objective_value()
+                .to_integer()
+                .expect("integral objective") as i64;
+            Ok((obj, starts))
         }
     }
-    m.set_objective(Sense::Minimize, obj);
-    report.ilp_vars = m.num_vars();
-    report.ilp_constraints = m.num_constraints();
-
-    let sol = m.solve()?;
-    let starts: Vec<i64> = svars.iter().map(|&v| sol.int_value(v)).collect();
-    let obj = sol
-        .objective_value()
-        .to_integer()
-        .expect("integral objective") as i64;
-    Ok((obj, starts))
 }
 
 /// Sizes every line buffer from a concrete schedule (Equ. 2, per-edge lag

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`dsl`] | `imagen-dsl` | the language front end |
 //! | [`ir`] | `imagen-ir` | pipeline DAG, windows, transforms |
-//! | [`ilp`] | `imagen-ilp` | exact rational simplex + branch & bound |
+//! | [`ilp`] | `imagen-ilp` | difference-LP min-cost flow, exact rational simplex + branch & bound |
 //! | [`schedule`] | `imagen-schedule` | the constrained-optimization core |
 //! | [`mem`] | `imagen-mem` | memory specs, cost models, `Design` |
 //! | [`sim`] | `imagen-sim` | golden executor + cycle-level simulator |

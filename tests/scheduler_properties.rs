@@ -3,9 +3,11 @@
 //! schedule the optimizer emits is verified by independent machinery.
 
 use imagen::algos::synthetic_pipeline;
+use imagen::ilp::SolveError;
 use imagen::schedule::{
-    formulate, plan_design, schedule_satisfies, size_buffers, solve_schedule, BufferParams,
-    FormulationOptions, ScheduleOptions, SizeObjective,
+    delay_lp, formulate, plan_design, schedule_satisfies, size_buffers, solve_schedule,
+    BufferParams, ConstraintSet, DiffGe, FormulationOptions, ScheduleOptions, SizeObjective,
+    SpecBufferParams,
 };
 use imagen::sim::{simulate, Image};
 use imagen::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
@@ -116,6 +118,122 @@ fn exact_rows_objective_matches_brute_force() {
     .unwrap();
     let brute = brute_force_rows(&dag, w, 2, 30).unwrap();
     assert_eq!(sched.total_rows, brute);
+}
+
+/// `solve_schedule`'s OR-group search with every leaf handed to the
+/// general simplex instead of the flow solver: the leaves in the same
+/// depth-first order (groups smallest-first, the last group varying
+/// fastest), keeping the first strictly best. Returns that leaf's
+/// objective and its starts, normalized like the scheduler's.
+fn simplex_search(dag: &Dag, width: u32, set: &ConstraintSet) -> (i64, Vec<i64>) {
+    let mut groups: Vec<_> = set.groups.iter().collect();
+    groups.sort_by_key(|g| g.alternatives.len());
+    let leaves: usize = groups.iter().map(|g| g.alternatives.len()).product();
+    assert!(leaves <= 64, "{}: {leaves} leaves", dag.name());
+    let n = dag.num_stages();
+    let mut pick = vec![0usize; groups.len()];
+    let mut best: Option<(i64, Vec<i64>)> = None;
+    for _ in 0..leaves {
+        let chosen: Vec<DiffGe> = groups
+            .iter()
+            .zip(&pick)
+            .map(|(g, &i)| g.alternatives[i])
+            .collect();
+        let (sys, costs) = delay_lp(dag, width, &set.hard, &chosen);
+        let (model, vars) = sys.to_model("oracle", &costs);
+        match model.solve() {
+            Ok(sol) => {
+                let obj = sol.objective_value().to_integer().expect("integral") as i64;
+                if best.as_ref().is_none_or(|(b, _)| obj < *b) {
+                    best = Some((obj, vars[..n].iter().map(|&v| sol.int_value(v)).collect()));
+                }
+            }
+            Err(SolveError::Infeasible) => {}
+            Err(e) => panic!("{}: simplex failed: {e}", dag.name()),
+        }
+        for d in (0..groups.len()).rev() {
+            pick[d] += 1;
+            if pick[d] < groups[d].alternatives.len() {
+                break;
+            }
+            pick[d] = 0;
+        }
+    }
+    let (obj, mut starts) = best.expect("some leaf is feasible");
+    let min = starts.iter().copied().min().unwrap_or(0);
+    for s in &mut starts {
+        *s -= min;
+    }
+    (obj, starts)
+}
+
+/// The scheduler's min-cost-flow leaves against the simplex: on all 10
+/// examples and on synthetic DAGs of 9–60 stages, plain and coalesced,
+/// the schedule has the simplex's optimal objective, and its starts are
+/// the componentwise-minimal optimum, so never later than the simplex's.
+#[test]
+fn flow_schedule_matches_simplex_oracle() {
+    let examples = [
+        "canny_m",
+        "canny_s",
+        "denoise_m",
+        "gaussian_pyramid",
+        "harris_m",
+        "harris_s",
+        "laplacian_pyramid",
+        "sobel",
+        "unsharp_m",
+        "xcorr_m",
+    ];
+    let mut dags: Vec<Dag> = examples
+        .iter()
+        .map(|name| {
+            let path = format!("{}/examples/{name}.imagen", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(&path).unwrap();
+            imagen::dsl::compile(name, &src).unwrap()
+        })
+        .collect();
+    for n in [9u64, 17, 24, 33, 45, 60] {
+        dags.extend((0..2).map(|i| synthetic_pipeline(n as usize, n << 32 | i)));
+    }
+
+    let geom = ImageGeometry {
+        width: 64,
+        height: 48,
+        pixel_bits: 16,
+    };
+    for dag in &dags {
+        for (coalesce, style) in [(false, DesignStyle::Ours), (true, DesignStyle::OursLc)] {
+            let mut spec = MemorySpec::new(MemBackend::Asic { block_bits: 32768 }, 2);
+            if coalesce {
+                spec = spec.with_coalescing();
+            }
+            let plan = plan_design(dag, &geom, &spec, ScheduleOptions::default(), style)
+                .unwrap_or_else(|e| panic!("{}: {e}", dag.name()));
+            let params = SpecBufferParams {
+                spec: &spec,
+                geom: &geom,
+            };
+            let set = formulate(
+                &plan.dag,
+                geom.width,
+                &params,
+                FormulationOptions::default(),
+            );
+            let flow =
+                solve_schedule(&plan.dag, geom.width, &set, ScheduleOptions::default()).unwrap();
+            assert_eq!(flow.starts, plan.schedule.starts, "{}", dag.name());
+
+            let (obj, starts) = simplex_search(&plan.dag, geom.width, &set);
+            let label = format!("{} (coalesce={coalesce})", dag.name());
+            assert_eq!(flow.report.objective, obj, "{label}: objective");
+            assert!(
+                flow.starts.iter().zip(&starts).all(|(f, s)| f <= s),
+                "{label}: flow starts {:?} not below simplex starts {starts:?}",
+                flow.starts
+            );
+        }
+    }
 }
 
 proptest! {
