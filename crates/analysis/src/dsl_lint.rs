@@ -173,25 +173,23 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
                 }
                 let own = match *rate {
                     AstRate::Unit => Some(base),
-                    AstRate::Down { fx, fy, .. } => {
-                        (fx > 0 && fy > 0 && fx as u64 <= MAX_RATE_FACTOR
-                            && fy as u64 <= MAX_RATE_FACTOR)
-                            .then(|| (base.0 * fx as u64, base.1 * fy as u64))
-                            .filter(|&(cx, cy)| cx <= MAX_RATE_FACTOR && cy <= MAX_RATE_FACTOR)
-                    }
-                    AstRate::Up { fx, fy, .. } => (fx > 0
+                    AstRate::Down { fx, fy, .. } => (fx > 0
                         && fy > 0
-                        && base.0 % fx as u64 == 0
-                        && base.1 % fy as u64 == 0)
-                        .then(|| (base.0 / fx as u64, base.1 / fy as u64)),
+                        && fx as u64 <= MAX_RATE_FACTOR
+                        && fy as u64 <= MAX_RATE_FACTOR)
+                        .then(|| (base.0 * fx as u64, base.1 * fy as u64))
+                        .filter(|&(cx, cy)| cx <= MAX_RATE_FACTOR && cy <= MAX_RATE_FACTOR),
+                    AstRate::Up { fx, fy, .. } => {
+                        (fx > 0 && fy > 0 && base.0 % fx as u64 == 0 && base.1 % fy as u64 == 0)
+                            .then(|| (base.0 / fx as u64, base.1 / fy as u64))
+                    }
                 };
                 let Some((cx, cy)) = own else { continue };
                 scales.insert(name.as_str(), (cx, cy));
                 // Report indivisible extents once, at the modifier that
                 // introduces the offending scale — inherited unit-rate
                 // stages downstream share the same root cause.
-                let divides =
-                    u64::from(geom.width) % cx == 0 && u64::from(geom.height) % cy == 0;
+                let divides = u64::from(geom.width) % cx == 0 && u64::from(geom.height) % cy == 0;
                 let inherited =
                     u64::from(geom.width) % base.0 == 0 && u64::from(geom.height) % base.1 == 0;
                 if !divides && inherited {

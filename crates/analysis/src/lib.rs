@@ -260,7 +260,9 @@ pub fn analyze(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport 
         }
     };
 
-    report.diagnostics.extend(dsl_lint::lint_program(&program, &opts.geom));
+    report
+        .diagnostics
+        .extend(dsl_lint::lint_program(&program, &opts.geom));
 
     let dag = match imagen_dsl::lower(name, &program) {
         Ok(dag) => dag,
@@ -315,7 +317,9 @@ pub fn front_lints(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisRep
             return report;
         }
     };
-    report.diagnostics.extend(dsl_lint::lint_program(&program, &opts.geom));
+    report
+        .diagnostics
+        .extend(dsl_lint::lint_program(&program, &opts.geom));
     let dag = match imagen_dsl::lower(name, &program) {
         Ok(dag) => dag,
         Err(e) => {

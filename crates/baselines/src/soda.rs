@@ -24,7 +24,9 @@ use imagen_mem::{
     BlockRole, BufferPlan, Design, DesignStyle, ImageGeometry, MemBackend, PeModel, PhysBlock,
     CLOCK_MHZ,
 };
-use imagen_schedule::{asap_schedule, dependency_gap, row_periods, DiffGe, Plan, PlanError, Schedule};
+use imagen_schedule::{
+    asap_schedule, dependency_gap, row_periods, DiffGe, Plan, PlanError, Schedule,
+};
 
 /// Generates a SODA-style FIFO design.
 ///

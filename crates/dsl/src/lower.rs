@@ -145,8 +145,14 @@ fn lower_rate(rate: &AstRate) -> Rate {
     let f = |v: i64| u32::try_from(v).unwrap_or(u32::MAX);
     match *rate {
         AstRate::Unit => Rate::Unit,
-        AstRate::Down { fx, fy, .. } => Rate::Down { fx: f(fx), fy: f(fy) },
-        AstRate::Up { fx, fy, .. } => Rate::Up { fx: f(fx), fy: f(fy) },
+        AstRate::Down { fx, fy, .. } => Rate::Down {
+            fx: f(fx),
+            fy: f(fy),
+        },
+        AstRate::Up { fx, fy, .. } => Rate::Up {
+            fx: f(fx),
+            fy: f(fy),
+        },
     }
 }
 

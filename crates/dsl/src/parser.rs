@@ -772,7 +772,10 @@ mod tests {
         .unwrap();
         match &p.items[1] {
             Item::Stage { rate, .. } => {
-                assert!(matches!(rate, crate::ast::AstRate::Down { fx: 2, fy: 2, .. }));
+                assert!(matches!(
+                    rate,
+                    crate::ast::AstRate::Down { fx: 2, fy: 2, .. }
+                ));
             }
             _ => panic!("expected stage"),
         }

@@ -189,7 +189,7 @@ proptest! {
 #[test]
 fn audit_corpus_is_total() {
     let cases: &[&str] = &[
-        "",                                                                // empty program
+        "",                                                                         // empty program
         ";",                                                               // lone separator
         "input",                                                           // cut off mid-item
         "input a; output b = im(x,y) a(x,y)",                              // missing `end`

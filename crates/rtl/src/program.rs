@@ -1237,28 +1237,25 @@ impl EvalProgram {
                         let yb = yc * ccy;
                         for xc in 0..cw {
                             let xb = xc * ccx;
-                            let root =
-                                eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
-                                    let vrow = vrow as usize;
-                                    let ep = edges
-                                        .iter()
-                                        .find(|e| {
-                                            vrow >= e.vrow_base && vrow < e.vrow_base + e.height
-                                        })
-                                        .expect("tap vrow maps to an edge window");
-                                    let j = (vrow - ep.vrow_base) as u64;
-                                    let (pcx, pcy) = self.scale_of[ep.prod_stage];
-                                    let (pw, ph) = (w / pcx, h / pcy);
-                                    let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
-                                    let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
-                                    if let Some((gs, ge)) = ep.gate {
-                                        let t = st.start + yb * w + col * pcx;
-                                        if t < gs || t >= ge {
-                                            return 0;
-                                        }
+                            let root = eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
+                                let vrow = vrow as usize;
+                                let ep = edges
+                                    .iter()
+                                    .find(|e| vrow >= e.vrow_base && vrow < e.vrow_base + e.height)
+                                    .expect("tap vrow maps to an edge window");
+                                let j = (vrow - ep.vrow_base) as u64;
+                                let (pcx, pcy) = self.scale_of[ep.prod_stage];
+                                let (pw, ph) = (w / pcx, h / pcy);
+                                let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
+                                let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
+                                if let Some((gs, ge)) = ep.gate {
+                                    let t = st.start + yb * w + col * pcx;
+                                    if t < gs || t >= ge {
+                                        return 0;
                                     }
-                                    images[ep.prod_stage][(row * pw + col) as usize]
-                                });
+                                }
+                                images[ep.prod_stage][(row * pw + col) as usize]
+                            });
                             out[(yc * cw + xc) as usize] = trunc(root, pixel);
                         }
                     }

@@ -246,7 +246,10 @@ pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String
             )
         };
         let _ = writeln!(v, "        if ({guard}) begin");
-        let _ = writeln!(v, "            if (stream_out_{i} !== exp_mem_{i}[{idx}]) begin");
+        let _ = writeln!(
+            v,
+            "            if (stream_out_{i} !== exp_mem_{i}[{idx}]) begin"
+        );
         let _ = writeln!(
             v,
             "                errors = errors + 1;\n                $display(\"MISMATCH out{i} k=%0d got=%0d want=%0d\", {idx}, stream_out_{i}, exp_mem_{i}[{idx}]);"

@@ -29,9 +29,9 @@ mod plan;
 mod solve;
 
 pub use constraints::{
-    dependency_gap, formulate, formulate_skeleton, formulate_with, row_periods,
-    schedule_satisfies, BufferParams, ConstraintSet, ConstraintSkeleton, DiffBounds, DiffGe,
-    FormulationOptions, FormulationStats, OrGroup,
+    dependency_gap, formulate, formulate_skeleton, formulate_with, row_periods, schedule_satisfies,
+    BufferParams, ConstraintSet, ConstraintSkeleton, DiffBounds, DiffGe, FormulationOptions,
+    FormulationStats, OrGroup,
 };
 pub use entity::{buffer_entities, AccessEntity};
 pub use plan::{

@@ -378,8 +378,7 @@ pub fn size_buffers(dag: &Dag, width: u32, starts: &[i64]) -> (Vec<u32>, u64) {
         let mut q = 1i64;
         for (_, e) in dag.consumer_edges(p) {
             let extra = (w - periods[e.consumer().index()]).max(0);
-            let d = starts[e.consumer().index()] - starts[p.index()]
-                - e.window().lag as i64 * w
+            let d = starts[e.consumer().index()] - starts[p.index()] - e.window().lag as i64 * w
                 + extra;
             debug_assert!(d >= 1, "dependency constraints guarantee d >= 1");
             q = q.max((d + w - 1).div_euclid(w));

@@ -137,14 +137,12 @@ pub fn execute(dag: &Dag, inputs: &[Image]) -> Result<GoldenRun, GoldenError> {
                         // Anchor in the producer grid; taps offset from it.
                         let (bx, by) = match stage.rate() {
                             Rate::Unit => (i64::from(x), i64::from(y)),
-                            Rate::Down { fx, fy } => (
-                                i64::from(fx) * i64::from(x),
-                                i64::from(fy) * i64::from(y),
-                            ),
-                            Rate::Up { fx, fy } => (
-                                i64::from(x) / i64::from(fx),
-                                i64::from(y) / i64::from(fy),
-                            ),
+                            Rate::Down { fx, fy } => {
+                                (i64::from(fx) * i64::from(x), i64::from(fy) * i64::from(y))
+                            }
+                            Rate::Up { fx, fy } => {
+                                (i64::from(x) / i64::from(fx), i64::from(y) / i64::from(fy))
+                            }
                         };
                         let v = kernel.eval(&mut |slot, dx, dy| {
                             images[producers[slot].index()]

@@ -194,7 +194,12 @@ fn pyramid_buffer_sizing_is_minimal() {
 #[test]
 fn pyramids_wide_widths_bit_exact() {
     for (i, file) in PYRAMIDS.iter().enumerate() {
-        four_way(file, &BitWidths::wide(), noise_frame(11 + i as u64, 8), "wide");
+        four_way(
+            file,
+            &BitWidths::wide(),
+            noise_frame(11 + i as u64, 8),
+            "wide",
+        );
     }
 }
 
