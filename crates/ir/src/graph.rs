@@ -666,7 +666,7 @@ impl Dag {
                 Rate::Unit => base,
                 Rate::Down { .. } => (base.0 * fx as u64, base.1 * fy as u64),
                 Rate::Up { .. } => {
-                    if base.0 % fx as u64 != 0 || base.1 % fy as u64 != 0 {
+                    if !base.0.is_multiple_of(fx as u64) || !base.1.is_multiple_of(fy as u64) {
                         return Err(IrError::UpsampleAboveBase { stage: name });
                     }
                     (base.0 / fx as u64, base.1 / fy as u64)

@@ -178,7 +178,7 @@ pub fn plan_design_with(
     let scales = dag.stage_scales();
     for (id, _) in dag.stages() {
         let (fx, fy) = scales[id.index()];
-        if geom.width as u64 % fx != 0 || geom.height as u64 % fy != 0 {
+        if !(geom.width as u64).is_multiple_of(fx) || !(geom.height as u64).is_multiple_of(fy) {
             return Err(PlanError::IndivisibleExtent {
                 stage: id,
                 fx,
