@@ -1,20 +1,23 @@
 //! Criterion bench for activity tracking: the cost of interpreting a
 //! netlist with the [`ActivityTrace`] sink attached versus plain
 //! interpretation, and of the clock-gated netlist — the overhead the
-//! measured-power path pays on top of the verification loop.
+//! measured-power path pays on top of the verification loop — next to
+//! the trace built without a frame ([`ScheduleActivity`]), which is what
+//! measured DSE pays per point.
 //!
 //! The companion unit test (`imagen_rtl::interp::tests::
 //! tracing_changes_nothing`) pins that the sink changes no interpreter
 //! outputs; this bench quantifies what it costs.
 //!
 //! [`ActivityTrace`]: imagen_rtl::ActivityTrace
+//! [`ScheduleActivity`]: imagen_rtl::ScheduleActivity
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::{sample_pattern, Algorithm, TestPattern};
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
-use imagen_power::gate_clocks;
-use imagen_rtl::{build_netlist, interpret, interpret_with_trace, BitWidths};
+use imagen_power::{gate_clocks, gating_plan};
+use imagen_rtl::{build_netlist, interpret, interpret_with_trace, BitWidths, ScheduleActivity};
 use imagen_sim::Image;
 
 fn bench_activity(c: &mut Criterion) {
@@ -60,6 +63,16 @@ fn bench_activity(c: &mut Criterion) {
                 std::hint::black_box(std::slice::from_ref(&input)),
             )
             .unwrap()
+        })
+    });
+    // Both traces of the same netlist without a frame: one block sweep
+    // shared by the ungated and the gated trace.
+    group.bench_function("schedule_traces", |b| {
+        b.iter(|| {
+            let net = std::hint::black_box(&net);
+            let activity = ScheduleActivity::derive(net).unwrap();
+            let gated = activity.trace_gated(&gating_plan(net)).unwrap();
+            (activity.trace(), gated)
         })
     });
     group.finish();

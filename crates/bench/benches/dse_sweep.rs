@@ -11,7 +11,8 @@
 //! * `session_parallel` — the same engine fanned out over all available
 //!   cores;
 //! * `session_parallel_measured` — the shipping default: measured energy
-//!   (two netlist interpretations per point) folded into the sweep.
+//!   (each point's netlist elaborated and its ungated and gated activity
+//!   priced from the schedule) folded into the sweep.
 //!
 //! A summary line prints the measured end-to-end speedup of the parallel
 //! memoized engine over the per-point compiler loop.
@@ -91,9 +92,10 @@ fn bench_dse_sweep(c: &mut Criterion) {
     group.bench_function("session_parallel", |b| {
         b.iter(|| engine_sweep(&dag, geom, backend, 0, MeasureMode::Off))
     });
-    // The shipping default: every point's netlist interpreted (ungated +
-    // gated) during the sweep — affordable because the interpreter
-    // compiles each netlist to a flat evaluation program.
+    // The shipping default: every point's netlist measured (ungated +
+    // gated) during the sweep — affordable because a rate-1 point's
+    // activity comes from its schedule, in work proportional to frame
+    // rows, without interpreting a frame.
     group.bench_function("session_parallel_measured", |b| {
         b.iter(|| engine_sweep(&dag, geom, backend, 0, MeasureMode::default()))
     });

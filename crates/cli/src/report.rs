@@ -436,7 +436,7 @@ pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    // The measured-energy axis (netlist-interpreted, default-on) has its
+    // The measured-energy axis (netlist activity, default-on) has its
     // own frontier: area vs measured energy per frame.
     let measured_front = res.pareto_front_by(|p| {
         (

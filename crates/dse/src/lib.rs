@@ -28,6 +28,18 @@
 //! per-point allocation cost. Results
 //! are byte-identical to a sequential walk regardless of thread count.
 //!
+//! By default every point also carries measured energy
+//! ([`MeasureMode::Noise`]): the point's netlist is elaborated and
+//! `imagen_power::measure_schedule` prices its ungated and clock-gated
+//! activity from the schedule alone. No frame is interpreted, so a
+//! measured point costs work in proportion to frame rows, not to pixels
+//! times kernel operations. Netlists that still need a frame for their
+//! trace — multirate pipelines such as the pyramids, and schedules that
+//! violate the streaming margins — are interpreted on the seeded noise
+//! stimulus through `imagen_power::measure_netlist`. Measured energy
+//! prices only schedule-determined activity, so it does not depend on
+//! the stimulus either way.
+//!
 //! [`pareto_front`] / [`ParetoFront`] extract the non-dominated designs —
 //! incrementally, not by the quadratic post-hoc scan. The paper's
 //! headline observation — the Pareto frontier is *algorithm-specific*
@@ -43,7 +55,10 @@
 use imagen_core::{CompileError, Session};
 use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
-use imagen_rtl::{build_netlist, report_resources_for, BitWidths, InterpError, ResourceReport};
+use imagen_power::EnergyReport;
+use imagen_rtl::{
+    build_netlist, report_resources_for, BitWidths, InterpError, Netlist, ResourceReport,
+};
 use imagen_schedule::Plan;
 use imagen_sim::Image;
 use rand::rngs::StdRng;
@@ -87,7 +102,7 @@ pub struct DsePoint {
     /// to the analytic area/power models. Derived from the same netlist
     /// the RTL is printed from, without generating any Verilog text.
     pub resources: ResourceReport,
-    /// Measured (netlist-interpreted) energy. Populated during the sweep
+    /// Measured (netlist-activity) energy. Populated during the sweep
     /// itself under the default [`MeasureMode::Noise`]; `None` only when
     /// the sweep ran with [`MeasureMode::Off`] and nobody has paid for an
     /// on-demand [`DseResult::measure_point`] yet.
@@ -96,9 +111,10 @@ pub struct DsePoint {
     pub design: Design,
 }
 
-/// Measured energy/power of one design point, from interpreting the
-/// point's cached netlist (`imagen_power`): the analytic `power_mw`
-/// axis's activity-measured counterpart.
+/// Measured energy/power of one design point, priced by `imagen_power`
+/// from the activity of the point's netlist: the analytic `power_mw`
+/// axis's activity-measured counterpart. It does not depend on the
+/// [`MeasureMode::Noise`] stimulus.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasuredEnergy {
     /// Total (dynamic + static) energy per frame, pJ, ungated.
@@ -107,11 +123,20 @@ pub struct MeasuredEnergy {
     pub power_mw: f64,
     /// Total measured power of the clock-gated netlist, mW.
     pub gated_power_mw: f64,
-    /// Read-port cycles the gating pass removed (interpreter-counted).
+    /// Read-port cycles the gating pass removed.
     pub gated_off_cycles: u64,
 }
 
 impl MeasuredEnergy {
+    fn from_reports(ungated: &EnergyReport, gated: &EnergyReport) -> Self {
+        MeasuredEnergy {
+            energy_pj_per_frame: ungated.energy_pj_per_frame(),
+            power_mw: ungated.total_mw(),
+            gated_power_mw: gated.total_mw(),
+            gated_off_cycles: gated.gated_off_cycles,
+        }
+    }
+
     /// Power saving of clock gating, percent of the ungated power.
     pub fn gating_saving_pct(&self) -> f64 {
         if self.power_mw <= 0.0 {
@@ -225,14 +250,17 @@ impl DseResult {
         spec_for(backend, &self.buffered_stages, &point.choices)
     }
 
-    /// Populates (and returns) the measured energy of point `index` by
-    /// interpreting its netlist — fetched from `session`'s cache, built
-    /// without Verilog if absent — on `input`, under both the ungated
-    /// and the clock-gated variants. Memoized on the point: a second
-    /// call is free.
+    /// Populates (and returns) the measured energy of point `index` from
+    /// its netlist — fetched from `session`'s cache, built without
+    /// Verilog if absent — under both the ungated and the clock-gated
+    /// variants, as the sweep measures ([`MeasureMode`]). Memoized on the
+    /// point: a second call is free.
     ///
     /// `session` must be a session for the same DAG/geometry the sweep
-    /// ran on, and `input` one frame of that geometry per input stream.
+    /// ran on, and `inputs` one frame of that geometry per input stream.
+    /// Only netlists that still need a frame (multirate or
+    /// non-streamable schedules) are interpreted on `inputs`; the energy
+    /// does not depend on them.
     ///
     /// # Errors
     ///
@@ -249,13 +277,7 @@ impl DseResult {
         let point = &self.points[index];
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
         let net = session.netlist(&spec, Some(point.design.style))?;
-        let pm = imagen_power::measure_netlist(&net, &point.design, inputs)?;
-        let m = MeasuredEnergy {
-            energy_pj_per_frame: pm.ungated.energy_pj_per_frame(),
-            power_mw: pm.ungated.total_mw(),
-            gated_power_mw: pm.gated.total_mw(),
-            gated_off_cycles: pm.gated_off_cycles(),
-        };
+        let m = measure_energy(&net, &point.design, inputs)?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -285,18 +307,23 @@ pub enum ExploreStrategy {
 
 /// Whether [`explore`] measures each point's energy while sweeping.
 ///
-/// The netlist interpreter compiles each point to a flat evaluation
-/// program and streams the frame through it, which makes full measured
-/// sweeps cheap enough to be the default: every [`DsePoint`] comes back
-/// with [`DsePoint::measured`] populated, so the measured-energy
-/// frontier (`pareto_front_by` over `(area, energy)`) is available
-/// without a second pass.
+/// Measured energy prices only activity the netlist's structure and
+/// schedule fix, so a rate-1 point is measured from its schedule
+/// (`imagen_power::measure_schedule`) in work proportional to frame
+/// rows, without interpreting a frame. That makes full measured sweeps
+/// cheap enough to be the default: every [`DsePoint`] comes back with
+/// [`DsePoint::measured`] populated, so the measured-energy frontier
+/// (`pareto_front_by` over `(area, energy)`) is available without a
+/// second pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MeasureMode {
-    /// Interpret every point's netlist (ungated and clock-gated) on
-    /// deterministic seeded noise frames — one frame per input stream,
+    /// Measure every point (ungated and clock-gated). Netlists that
+    /// still need a frame for their trace — multirate pipelines and
+    /// schedules that violate the streaming margins — are interpreted on
+    /// deterministic seeded noise frames: one frame per input stream,
     /// stream `i` seeded with `seed + i` (the `imagen_algos::noise_bits`
-    /// stimulus convention shared with the CLI).
+    /// stimulus convention shared with the CLI). The measured values do
+    /// not depend on `seed` or `bits`.
     Noise {
         /// Base seed of the per-input noise streams.
         seed: u64,
@@ -366,25 +393,35 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
         .collect()
 }
 
+/// Measures `net` and its clock-gated variant: from the schedule when the
+/// netlist allows it, otherwise by interpreting `inputs`.
+fn measure_energy(
+    net: &Netlist,
+    design: &Design,
+    inputs: &[Image],
+) -> Result<MeasuredEnergy, InterpError> {
+    let _s = imagen_obs::span("measure");
+    if let Ok(p) = imagen_power::measure_schedule(net, design) {
+        return Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated));
+    }
+    let pm = imagen_power::measure_netlist(net, design, inputs)?;
+    Ok(MeasuredEnergy::from_reports(&pm.ungated, &pm.gated))
+}
+
 fn point_from(plan: &Plan, choices: Vec<StageChoice>, inputs: Option<&[Image]>) -> DsePoint {
     let design = plan.design.clone();
     // The fast path: same numbers as walking the full netlist (pinned by
     // test in imagen-rtl), no per-point elaboration in the pricing loop.
     let resources = report_resources_for(&plan.dag, &design, &BitWidths::default());
-    // Measured-energy default-on: elaborate and interpret the point's
-    // netlist right here in the pricing loop. The interpreter's compiled
-    // evaluation program makes this cheap; the netlist is transient (not
-    // cached), so a 2^N sweep does not pin 2^N netlists.
+    // Measured-energy default-on: elaborate the point's netlist right
+    // here in the pricing loop and price its schedule. The netlist is
+    // transient (not cached), so a 2^N sweep does not pin 2^N netlists.
     let measured = inputs.map(|inputs| {
-        let net = build_netlist(&plan.dag, &design, &BitWidths::default());
-        let pm = imagen_power::measure_netlist(&net, &design, inputs)
-            .expect("sweep inputs are built to the sweep geometry");
-        MeasuredEnergy {
-            energy_pj_per_frame: pm.ungated.energy_pj_per_frame(),
-            power_mw: pm.ungated.total_mw(),
-            gated_power_mw: pm.gated.total_mw(),
-            gated_off_cycles: pm.gated_off_cycles(),
-        }
+        let net = {
+            let _s = imagen_obs::span("netlist.build");
+            build_netlist(&plan.dag, &design, &BitWidths::default())
+        };
+        measure_energy(&net, &design, inputs).expect("sweep inputs are built to the sweep geometry")
     });
     DsePoint {
         choices,

@@ -2,12 +2,19 @@
 //!
 //! * fanning a sweep out over worker threads returns *byte-identical*
 //!   points (order and values) to the sequential walk;
-//! * recompiling a cached point equals the cold compile.
+//! * recompiling a cached point equals the cold compile;
+//! * every swept point's measured energy equals a per-point frame
+//!   measurement (`imagen_power::measure_netlist`) bit for bit, on the
+//!   whole example corpus, and does not depend on the noise stimulus.
 
 use imagen_core::Session;
-use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy};
+use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
+use imagen_ir::Dag;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
+use imagen_rtl::ScheduleActivity;
+use imagen_sim::Image;
 use proptest::prelude::*;
+use std::path::Path;
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -133,5 +140,132 @@ proptest! {
         prop_assert_eq!(&cold.plan.schedule, &fresh.plan.schedule);
         prop_assert_eq!(&cold.plan.design, &fresh.plan.design);
         prop_assert_eq!(&cold.verilog, &fresh.verilog);
+    }
+}
+
+/// The 10 example programs, `examples/*.imagen`: the seven Tbl. 3
+/// pipelines, Sobel and both pyramids.
+fn corpus() -> Vec<(String, Dag)> {
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut files: Vec<_> = std::fs::read_dir(&examples)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "imagen"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 10, "the example corpus");
+    files
+        .iter()
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            let dag = imagen_dsl::compile(&name, &std::fs::read_to_string(p).unwrap()).unwrap();
+            (name, dag)
+        })
+        .collect()
+}
+
+fn measured_sweep(dag: &Dag, threads: usize, measure: MeasureMode) -> DseResult {
+    explore(
+        dag,
+        &geom(),
+        backend(),
+        ExploreOptions {
+            strategy: ExploreStrategy::Exhaustive,
+            threads,
+            measure,
+        },
+    )
+    .unwrap()
+}
+
+/// The default sweep stimulus, rebuilt outside the sweep.
+fn noise_frames(dag: &Dag, seed: u64, bits: u32) -> Vec<Image> {
+    let g = geom();
+    let n = dag.stages().filter(|(_, s)| s.is_input()).count();
+    (0..n as u64)
+        .map(|i| {
+            Image::from_fn(g.width, g.height, move |x, y| {
+                imagen_algos::noise_bits(seed + i, x, y, bits)
+            })
+        })
+        .collect()
+}
+
+/// Every swept point's measured energy equals `measure_netlist` on the
+/// point's netlist and the default noise frame, bit for bit, at 1 and 3
+/// workers. Rate-1 points are priced from their schedule; the pyramids
+/// need a frame and take the fallback.
+#[test]
+fn measured_energy_matches_frame_measurement_on_corpus() {
+    let MeasureMode::Noise { seed, bits } = MeasureMode::default() else {
+        unreachable!("the default sweep measures");
+    };
+    for (name, dag) in corpus() {
+        let sweeps = [1, 3].map(|threads| measured_sweep(&dag, threads, MeasureMode::default()));
+        let session = Session::new(&dag, geom());
+        let inputs = noise_frames(&dag, seed, bits);
+        let multirate = dag.stage_scales().iter().any(|&s| s != (1, 1));
+        for (i, p) in sweeps[0].points.iter().enumerate() {
+            let spec = sweeps[0].spec_of(p, backend());
+            let net = session.netlist(&spec, Some(p.design.style)).unwrap();
+            assert_eq!(
+                ScheduleActivity::derive(&net).is_err(),
+                multirate,
+                "{name} point {i}: only multirate points need a frame"
+            );
+            let pm = imagen_power::measure_netlist(&net, &p.design, &inputs).unwrap();
+            for res in &sweeps {
+                let m = res.points[i].measured.unwrap();
+                assert_eq!(
+                    m.energy_pj_per_frame.to_bits(),
+                    pm.ungated.energy_pj_per_frame().to_bits(),
+                    "{name} point {i}: energy"
+                );
+                assert_eq!(
+                    m.power_mw.to_bits(),
+                    pm.ungated.total_mw().to_bits(),
+                    "{name} point {i}: power"
+                );
+                assert_eq!(
+                    m.gated_power_mw.to_bits(),
+                    pm.gated.total_mw().to_bits(),
+                    "{name} point {i}: gated power"
+                );
+                assert_eq!(
+                    m.gated_off_cycles,
+                    pm.gated_off_cycles(),
+                    "{name} point {i}: gated-off cycles"
+                );
+            }
+        }
+    }
+}
+
+/// Measured values do not depend on the noise stimulus: a different seed
+/// and bit depth measure the same energy, pyramids included.
+#[test]
+fn measured_energy_ignores_the_stimulus() {
+    for (name, dag) in corpus() {
+        let a = measured_sweep(&dag, 2, MeasureMode::default());
+        let b = measured_sweep(&dag, 2, MeasureMode::Noise { seed: 77, bits: 11 });
+        for (i, (pa, pb)) in a.points.iter().zip(&b.points).enumerate() {
+            let (ma, mb) = (pa.measured.unwrap(), pb.measured.unwrap());
+            assert_eq!(
+                ma.energy_pj_per_frame.to_bits(),
+                mb.energy_pj_per_frame.to_bits(),
+                "{name} point {i}"
+            );
+            assert_eq!(
+                ma.power_mw.to_bits(),
+                mb.power_mw.to_bits(),
+                "{name} point {i}"
+            );
+            assert_eq!(
+                ma.gated_power_mw.to_bits(),
+                mb.gated_power_mw.to_bits(),
+                "{name} point {i}"
+            );
+            assert_eq!(ma.gated_off_cycles, mb.gated_off_cycles, "{name} point {i}");
+        }
     }
 }

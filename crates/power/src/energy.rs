@@ -126,6 +126,14 @@ pub fn measure(net: &Netlist, design: &Design, trace: &ActivityTrace) -> EnergyR
 /// sizes, port counts — the same configurations the analytic model
 /// prices); `net` supplies the datapath widths and stage kernels;
 /// `trace` supplies the measured event counts.
+///
+/// Only counts the netlist's structure and schedule determine are
+/// priced: per-block SRAM reads and writes, read-port enabled, idle and
+/// gated-off cycles, SRA cell writes, stage active cycles and
+/// output-register writes. The two pixel-dependent toggle fields
+/// (`out_reg_toggles`, `bit_toggles`) are never read, so a trace built
+/// without a frame (`imagen_rtl::ScheduleActivity`) prices the same as
+/// one from an interpreted frame.
 pub fn measure_at(
     net: &Netlist,
     design: &Design,

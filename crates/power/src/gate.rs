@@ -29,12 +29,48 @@
 //! interpreter honors the gate (a gated-off read port supplies no
 //! data), so the gated netlist is run through the same bit-exact
 //! differential suite as the ungated one, and a wrong window corrupts
-//! the output stream instead of silently under-reporting energy.
+//! the output stream instead of silently under-reporting energy. The
+//! frame-free measurement path checks the plan directly instead: every
+//! gate must cover each of its consumers' whole enable windows, which
+//! proves on *every* input that the gated netlist loads exactly the
+//! words the ungated one loads.
 
 use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist};
 
+/// Derives the clock-gating plan of `net`: every line buffer's read port
+/// is gated to the union of its consumers' ILP windows, from the first
+/// consumer's start to the last consumer's start plus one frame.
+///
+/// FIFO buffers (SODA) and pure-DFF buffers get no gate — their clocking
+/// is dataflow-driven, not scheduled. [`gate_clocks`] attaches this plan
+/// to a copy of the netlist; [`measure_schedule`](crate::measure_schedule)
+/// prices it without one.
+pub fn gating_plan(net: &Netlist) -> GatingPlan {
+    let frame = net.frame;
+    let mut gates: Vec<BufferGate> = Vec::new();
+    for (bi, buf) in net.buffers.iter().enumerate() {
+        if buf.fifo || buf.phys_blocks == 0 {
+            continue;
+        }
+        let windows = net
+            .edges
+            .iter()
+            .filter(|e| e.producer == buf.stage)
+            .map(|e| net.stages[e.consumer].start_cycle);
+        let (Some(first), Some(last)) = (windows.clone().min(), windows.max()) else {
+            continue;
+        };
+        gates.push(BufferGate {
+            buffer: bi,
+            read_start: first,
+            read_end: last + frame,
+        });
+    }
+    GatingPlan { gates }
+}
+
 /// Attaches a clock-gating plan to `net`: every line buffer's read port
-/// is gated to the union of its consumers' ILP windows.
+/// is gated to the union of its consumers' ILP windows ([`gating_plan`]).
 ///
 /// The returned netlist is a full copy with:
 ///
@@ -45,39 +81,16 @@ use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist};
 ///   constant `1'b1` to that net,
 ///
 /// so emission, interpretation and structural verification all see the
-/// same gated hardware. FIFO buffers (SODA) and pure-DFF buffers are
-/// left ungated — their clocking is dataflow-driven, not scheduled.
+/// same gated hardware.
 ///
 /// Gating an already-gated netlist re-derives the same plan (the pass
 /// is idempotent).
 pub fn gate_clocks(net: &Netlist) -> Netlist {
+    let plan = gating_plan(net);
     let mut out = net.clone();
-    let frame = net.frame;
-
-    let mut gates: Vec<BufferGate> = Vec::new();
-    for (bi, buf) in net.buffers.iter().enumerate() {
-        if buf.fifo || buf.phys_blocks == 0 {
-            continue;
-        }
-        let windows: Vec<u64> = net
-            .edges
-            .iter()
-            .filter(|e| e.producer == buf.stage)
-            .map(|e| net.stages[e.consumer].start_cycle)
-            .collect();
-        if windows.is_empty() {
-            continue;
-        }
-        gates.push(BufferGate {
-            buffer: bi,
-            read_start: *windows.iter().min().expect("non-empty"),
-            read_end: windows.iter().max().expect("non-empty") + frame,
-        });
-    }
-
     let top = out.top;
     let module = &mut out.modules[top];
-    for g in &gates {
+    for g in &plan.gates {
         let pname = net.stages[net.buffers[g.buffer].stage].sanitized.clone();
         let gate_net = format!("ren_lb_{pname}");
         if module.net(&gate_net).is_none() {
@@ -106,6 +119,6 @@ pub fn gate_clocks(net: &Netlist) -> Netlist {
         }
     }
 
-    out.gating = Some(GatingPlan { gates });
+    out.gating = Some(plan);
     out
 }

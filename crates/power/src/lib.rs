@@ -12,7 +12,10 @@
 //! ```text
 //! Netlist ──interpret_with_trace()──▶ ActivityTrace ──measure()──▶ EnergyReport
 //!    │                                                                 ▲
-//!    └──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┘
+//!    ├──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┤
+//!    │                                                                 │
+//!    └──ScheduleActivity::derive()──┬─ trace() ────────────────────────┤
+//!        (rate-1, no frame)         └─ trace_gated(gating_plan()) ─────┘
 //! ```
 //!
 //! * [`measure`] converts an [`ActivityTrace`](imagen_rtl::ActivityTrace)
@@ -21,17 +24,25 @@
 //!   technology constants of `imagen_mem::tech` into an [`EnergyReport`]:
 //!   pJ per frame, mW at a target clock, static vs dynamic split, and a
 //!   per-buffer breakdown — cross-checkable against the analytic
-//!   `Design::total_power_mw`;
-//! * [`gate_clocks`] is a netlist→netlist pass deriving clock-gating
-//!   conditions from the ILP-scheduled enables: each line buffer's read
-//!   port, held at `1'b1` by the ungated emitter, is gated to the union
-//!   of its consumers' schedule windows. The gated netlist emits real
-//!   Verilog (`imagen_rtl::emit_verilog` renders the gate wires) and
-//!   runs through the same differential suite as the ungated one — the
-//!   interpreter counts the gated-off cycles, so the energy saving is
-//!   measured, not asserted;
+//!   `Design::total_power_mw`. It prices only counts the netlist's
+//!   structure and schedule fix; the trace's two data-toggle fields are
+//!   never read;
+//! * [`gating_plan`] derives clock-gating conditions from the
+//!   ILP-scheduled enables: each line buffer's read port, held at `1'b1`
+//!   by the ungated emitter, is gated to the union of its consumers'
+//!   schedule windows. [`gate_clocks`] is the netlist→netlist pass
+//!   attaching that plan: the gated netlist emits real Verilog
+//!   (`imagen_rtl::emit_verilog` renders the gate wires) and runs through
+//!   the same differential suite as the ungated one — the interpreter
+//!   counts the gated-off cycles, so the energy saving is measured, not
+//!   asserted;
 //! * [`measure_pipeline`] / [`measure_netlist`] run both netlists on one
-//!   frame and return the paired reports ([`PowerMeasurement`]).
+//!   frame and return the paired reports ([`PowerMeasurement`]);
+//! * [`measure_schedule`] prices the same pair without a frame or a
+//!   gated copy: the ungated and gated traces share one
+//!   [`ScheduleActivity`] block sweep and differ only in the read-port
+//!   closed forms. Multirate and non-streamable netlists report
+//!   [`NeedsFrame`] and keep [`measure_netlist`].
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -42,12 +53,13 @@ mod energy;
 mod gate;
 
 pub use energy::{measure, measure_at, BufferEnergy, EnergyReport};
-pub use gate::gate_clocks;
+pub use gate::{gate_clocks, gating_plan};
 
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
-    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, Netlist,
+    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, NeedsFrame, Netlist,
+    ScheduleActivity,
 };
 use imagen_sim::Image;
 
@@ -118,6 +130,47 @@ pub fn measure_netlist(
         gated: measure(&gated, design, &gated_trace),
         ungated_report,
         gated_report,
+    })
+}
+
+/// Paired ungated/gated energy of one design, priced from the activity
+/// its schedule fixes ([`measure_schedule`]).
+#[derive(Clone, Debug)]
+pub struct SchedulePower {
+    /// Energy of the netlist as emitted today (read ports always on).
+    pub ungated: EnergyReport,
+    /// Energy of the netlist clock-gated by [`gating_plan`].
+    pub gated: EnergyReport,
+}
+
+/// Prices `net` (which must be ungated) and its clock-gated variant
+/// without running a frame or copying the netlist: one
+/// [`ScheduleActivity`] supplies both traces, which share its block
+/// counts and differ only in the read-port closed forms of the
+/// [`gating_plan`]. The reports are bit-identical to
+/// [`measure_netlist`]'s, whose traces carry the same counts and whose
+/// toggle fields [`measure`] never reads.
+///
+/// # Errors
+///
+/// [`NeedsFrame`] when the netlist's activity needs a frame (multirate
+/// or non-streamable schedules): measure those with [`measure_netlist`].
+///
+/// # Panics
+///
+/// If a gate misses part of a consumer's enable window `[start, start +
+/// frame)` (a gating-pass bug). This replaces [`measure_netlist`]'s
+/// output comparison with a stronger check: a gate that covers every
+/// consumer window changes no loaded word on any input, not just on one
+/// frame.
+pub fn measure_schedule(net: &Netlist, design: &Design) -> Result<SchedulePower, NeedsFrame> {
+    let activity = ScheduleActivity::derive(net)?;
+    let gated = activity
+        .trace_gated(&gating_plan(net))
+        .unwrap_or_else(|gap| panic!("clock gating would change the outputs: {gap}"));
+    Ok(SchedulePower {
+        ungated: measure(net, design, &activity.trace()),
+        gated: measure(net, design, &gated),
     })
 }
 
@@ -250,6 +303,69 @@ mod tests {
             a.output_images, b.output_images,
             "truncated window must be observable"
         );
+        // The frame-free path refuses the same plan before pricing it.
+        let narrowed = gated.gating.as_ref().unwrap();
+        let gap = ScheduleActivity::derive(&net)
+            .unwrap()
+            .trace_gated(narrowed)
+            .unwrap_err();
+        assert_eq!(gap.buffer, narrowed.gates[0].buffer);
+        assert!(gap.window.1 > gap.gate.1, "the window outlives the gate");
+        // So does a gated netlist carrying it: its block counts are not
+        // the ungated ones.
+        let own = ScheduleActivity::derive(&gated).unwrap();
+        assert!(own.trace_gated(&gating_plan(&net)).is_err());
+    }
+
+    /// Bit-exact equality of two reports (`Debug` prints every `f64` in
+    /// its shortest round-trip form, so equal text means equal bits).
+    fn assert_identical(tag: &str, a: &EnergyReport, b: &EnergyReport) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}");
+    }
+
+    #[test]
+    fn toggle_fields_do_not_affect_pricing() {
+        for alg in [Algorithm::CannyM, Algorithm::HarrisS] {
+            let p = plan_for(alg);
+            let net = gate_clocks(&build_netlist(&p.dag, &p.design, &BitWidths::default()));
+            let (_, trace) = interpret_with_trace(&net, &[frame(4)]).unwrap();
+            assert!(trace.stages.iter().any(|s| s.out_reg_toggles > 0));
+            assert!(trace.sras.iter().any(|s| s.bit_toggles > 0));
+            let mut zeroed = trace.clone();
+            zeroed.stages.iter_mut().for_each(|s| s.out_reg_toggles = 0);
+            zeroed.sras.iter_mut().for_each(|s| s.bit_toggles = 0);
+            assert_identical(
+                alg.name(),
+                &measure(&net, &p.design, &trace),
+                &measure(&net, &p.design, &zeroed),
+            );
+        }
+    }
+
+    #[test]
+    fn schedule_pricing_matches_frame_measurement() {
+        let g = geom();
+        for (backend, alg) in [
+            (MemBackend::Fpga, Algorithm::UnsharpM),
+            (MemBackend::asic_default(), Algorithm::DenoiseM),
+            (MemBackend::Asic { block_bits: 256 }, Algorithm::CannyM),
+        ] {
+            let p = plan_design(
+                &alg.build(),
+                &g,
+                &MemorySpec::new(backend, 2),
+                ScheduleOptions::default(),
+                DesignStyle::Ours,
+            )
+            .unwrap();
+            let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
+            let framed = measure_netlist(&net, &p.design, &[frame(7)]).unwrap();
+            let priced = measure_schedule(&net, &p.design).unwrap();
+            assert_identical(alg.name(), &priced.ungated, &framed.ungated);
+            assert_identical(alg.name(), &priced.gated, &framed.gated);
+            assert_eq!(priced.gated.gated_off_cycles, framed.gated_off_cycles());
+            assert!(priced.gated.gated_off_cycles > 0);
+        }
     }
 
     #[test]

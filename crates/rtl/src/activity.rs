@@ -21,9 +21,33 @@
 //! outputs, latency and legacy access totals are identical with and
 //! without a sink (pinned by test and by the `activity_interp` bench).
 //!
+//! # Which fields need data
+//!
+//! Only two fields depend on pixel values: [`StageActivity::out_reg_toggles`]
+//! and [`SraActivity::bit_toggles`]. Every other field is fixed by the
+//! netlist's structure and schedule:
+//!
+//! * `run_cycles` and `frame`;
+//! * per buffer: `block_reads`, `block_writes` and `block_peaks` (which
+//!   rows and columns each consumer loads in each cycle, and which bank
+//!   holds them), `read_enabled_cycles`, `idle_read_cycles` and
+//!   `gated_off_cycles` (the gate window against the consumers' enable
+//!   windows);
+//! * per stage: `active_cycles` and `out_reg_writes`;
+//! * per SRA: `shift_cycles` and `cell_writes`.
+//!
+//! For a rate-1 netlist whose schedule allows streaming,
+//! [`ScheduleActivity`](crate::ScheduleActivity) computes exactly those
+//! without running a frame, and leaves the two toggles at zero. The
+//! traced interpreter builds its trace through the same code and adds
+//! only the toggles from the frame. Multirate netlists still take their
+//! whole trace from the rate-aware cycle walker.
+//!
 //! `imagen_power` converts a trace plus the technology constants in
 //! `imagen_mem::tech` into an `EnergyReport` — measured pJ/frame and mW
-//! instead of the scheduled-rate analytic estimate.
+//! instead of the scheduled-rate analytic estimate. It prices only the
+//! schedule-determined fields, so a trace built without a frame prices
+//! the same as an interpreted one.
 
 use crate::netlist::Netlist;
 

@@ -4,11 +4,12 @@
 //! Fig. 5), built around a typed structural netlist IR:
 //!
 //! ```text
-//! Design ──build_netlist()──▶ Netlist ──┬─ emit_verilog()          → .v text
-//!                                       ├─ interpret()             → executed frames
-//!                                       ├─ interpret_with_trace()  → frames + ActivityTrace
-//!                                       ├─ verify_structure()      → arity/width/driver checks
-//!                                       └─ report_resources()      → SRAM/FF/operator inventory
+//! Design ──build_netlist()──▶ Netlist ──┬─ emit_verilog()              → .v text
+//!                                       ├─ interpret()                 → executed frames
+//!                                       ├─ interpret_with_trace()      → frames + ActivityTrace
+//!                                       ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
+//!                                       ├─ verify_structure()          → arity/width/driver checks
+//!                                       └─ report_resources()          → SRAM/FF/operator inventory
 //! ```
 //!
 //! * [`build_netlist`] elaborates a scheduled [`imagen_mem::Design`] into
@@ -31,6 +32,11 @@
 //!   cycles) that `imagen-power` prices into measured energy — and the
 //!   interpreter honors an attached clock-[`GatingPlan`], counting the
 //!   gated-off read-port cycles;
+//! * [`ScheduleActivity`] derives the same trace without running a frame
+//!   — every count the schedule fixes, with the two data toggles left at
+//!   zero — for rate-1 netlists whose schedule allows streaming (others
+//!   report [`NeedsFrame`]), and re-derives it under another gating plan
+//!   that covers every consumer window;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
 //!   every problem into an [`RtlReport`]; [`verify_structure`] is its
@@ -66,7 +72,7 @@ pub use netlist::{
     Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge, NetStage, Netlist,
     StagePayload,
 };
-pub use program::EvalProgram;
+pub use program::{EvalProgram, GateGap, NeedsFrame, ScheduleActivity};
 pub use resources::{report_resources, report_resources_for, ResourceReport};
 pub use testbench::{generate_testbench, TestVectors};
 pub use verify::{verify_all, verify_structure, RtlError, RtlReport, RtlSummary};

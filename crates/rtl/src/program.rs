@@ -23,16 +23,20 @@
 //!   kernel tape then runs op-by-op over column tiles, so each bytecode
 //!   instruction becomes a tight (auto-vectorizable) loop instead of a
 //!   per-pixel dispatch;
-//! * **closed-form + single-pass activity** — every trace quantity is
-//!   either precomputed at compile time (enable duty, gated-off cycles,
-//!   shift/write totals, SRAM access totals) or recovered from the dense
-//!   images in one linear pass: output-register toggles walk the output
-//!   stream, shift-register toggles use the delay-line identity (each
-//!   consecutive-load toggle re-appears once per column as it shifts
-//!   through, so the per-cycle sum telescopes into a windowed sum over
-//!   the load stream), and per-block SRAM read/write/peak counters come
-//!   from an event sweep over spans where every participant's row,
-//!   bank segment and gate state are constant;
+//! * **closed-form + single-pass activity** — the compiler splits into a
+//!   pixel-free *layout* (stage order, window-load edges, gate windows,
+//!   the streaming-margin proof) and the kernel tapes. Every trace
+//!   quantity but the two data toggles comes from the layout: enable
+//!   duty, gated-off cycles, shift/write totals and SRAM access totals
+//!   are closed forms, and per-block SRAM read/write/peak counters come
+//!   from an event sweep over spans where every participant's row, bank
+//!   segment and gate state are constant. [`ScheduleActivity`] exposes
+//!   exactly that part without lowering a tape or running a frame. The
+//!   toggles are recovered from the dense images in one linear pass:
+//!   output-register toggles walk the output stream, and shift-register
+//!   toggles use the delay-line identity (each consecutive-load toggle
+//!   re-appears once per column as it shifts through, so the per-cycle
+//!   sum telescopes into a windowed sum over the load stream);
 //! * **multirate strided stepping** — pipelines with `downsample`/
 //!   `upsample` stages keep the frame-at-a-time streaming order but run
 //!   each stage over its *own* grid (`W/cx × H/cy`), stepping taps
@@ -60,12 +64,13 @@
 //! legacy path on the whole algorithm corpus at both width regimes,
 //! gated and ungated.
 
-use crate::activity::ActivityTrace;
+use crate::activity::{ActivityTrace, BufferActivity};
 use crate::interp::{trunc, InterpError, InterpReport};
-use crate::netlist::{sra_columns, ModuleKind, NetBuffer, Netlist};
+use crate::netlist::{sra_columns, GatingPlan, ModuleKind, NetBuffer, Netlist};
 use imagen_ir::{BinOp, CmpOp, Expr};
 use imagen_sim::Image;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Column-tile width of the vectorized tape evaluator: one bytecode
 /// dispatch covers this many raster columns, and the per-op inner loops
@@ -612,6 +617,8 @@ fn eval_scalar(
 struct EdgeProg {
     /// Netlist edge index (trace attribution).
     edge: usize,
+    /// Consumer input slot the edge feeds (kernel tap resolution).
+    slot: usize,
     /// Producer's netlist buffer index (gating, trace attribution).
     buf: usize,
     /// Producer's netlist stage index (dense-image source).
@@ -629,7 +636,7 @@ struct EdgeProg {
     gate: Option<(u64, u64)>,
 }
 
-/// Compiled form of one pipeline stage.
+/// One pipeline stage of the [`Layout`].
 #[derive(Clone, Debug)]
 struct StageProg {
     /// Netlist stage index.
@@ -641,63 +648,67 @@ struct StageProg {
     /// Whether the stage owns a compute module (output register).
     has_module: bool,
     /// This stage's consumer edges: a contiguous range of
-    /// [`EvalProgram::edges`].
+    /// [`Layout::edges`].
     edges: std::ops::Range<usize>,
-    /// Linearized kernel.
-    tape: Tape,
-    /// Virtual rows consumed by the tape (sum of edge window heights).
+    /// Virtual rows consumed by the kernel tape (sum of edge window
+    /// heights).
     n_vrows: usize,
 }
 
-/// Per-buffer metadata plus the closed-form activity quantities
-/// precomputed at compile time.
+/// Per-buffer metadata for the block sweep.
 #[derive(Clone, Debug)]
 struct BufMeta {
     nb: NetBuffer,
-    read_enabled_cycles: u64,
-    idle_read_cycles: u64,
-    gated_off_cycles: u64,
     /// Columns at which the bank segment changes (only populated when
     /// `blocks_per_row > 1`), used as span cuts by the block sweep.
     seg_cuts: Vec<u64>,
 }
 
-/// A [`Netlist`] lowered to a flat evaluation program.
-///
-/// Compile once with [`EvalProgram::compile`], then execute frames with
-/// [`EvalProgram::run`] / [`EvalProgram::run_with_trace`] — both produce
-/// bit-identical results to the reference interpreter
-/// ([`crate::interpret_legacy`]), at a fraction of the cost. The
-/// public entry points [`crate::interpret`] and
-/// [`crate::interpret_with_trace`] compile-and-run internally; hold an
-/// `EvalProgram` directly to amortize compilation over repeated frames
-/// (the DSE measurement loop does).
+/// Closed-form read-port duty of one buffer under one gate window.
+#[derive(Clone, Copy, Debug, Default)]
+struct ReadDuty {
+    /// Cycles the read port is enabled.
+    enabled: u64,
+    /// Enabled cycles in which no consumer loads.
+    idle: u64,
+    /// Cycles the gate holds the port off.
+    gated_off: u64,
+}
+
+/// Per-block SRAM access counters of every buffer, from the block sweep.
 #[derive(Clone, Debug)]
-pub struct EvalProgram {
+struct BlockCounts {
+    reads: Vec<Vec<u64>>,
+    writes: Vec<Vec<u64>>,
+    peaks: Vec<Vec<u32>>,
+}
+
+/// The pixel-free half of an [`EvalProgram`]: stage order, window-load
+/// edges, gate windows, the streaming-margin proof and every activity
+/// count the schedule fixes — the closed forms computed here, and the
+/// per-block SRAM counters of [`Layout::block_counts`]. Building it
+/// lowers no kernel tape.
+#[derive(Clone, Debug)]
+struct Layout {
     w: i64,
     h: i64,
-    width_px: u32,
-    height_px: u32,
     frame: u64,
     end: u64,
-    done_cycle: u64,
-    pixel: u32,
-    acc: u32,
     geom_pixel_bits: u32,
-    n_inputs: usize,
     /// Stages sorted by start cycle (ties by netlist index).
     stages: Vec<StageProg>,
     /// Consumer edges grouped per stage, in sorted-stage order.
     edges: Vec<EdgeProg>,
     /// Netlist-buffer metadata, in netlist buffer order.
     buffers: Vec<BufMeta>,
+    /// Read-enable window per netlist buffer, `None` when ungated.
+    gates: Vec<Option<(u64, u64)>>,
+    /// Read-port duty per netlist buffer under [`Layout::gates`].
+    duty: Vec<ReadDuty>,
     /// Start cycle per netlist stage index (block-sweep writer lookup).
     start_of: Vec<u64>,
     n_net_stages: usize,
     n_net_edges: usize,
-    /// Output stages in netlist order (slot -> netlist stage index).
-    outputs: Vec<usize>,
-    max_regs: usize,
     /// Closed-form totals (identical to what the legacy interpreter
     /// counts cycle by cycle).
     sram_reads: u64,
@@ -709,11 +720,6 @@ pub struct EvalProgram {
     multirate: bool,
     /// Whether the schedule satisfies the streaming margins.
     streamable: bool,
-    /// Reference netlist kept when the streaming executor cannot cover
-    /// every path: schedules that violate the streaming margins (all
-    /// execution falls back to the cycle-accurate interpreter) and
-    /// multirate pipelines (only *traced* runs fall back).
-    fallback: Option<Box<Netlist>>,
 }
 
 /// Total length of `[lo, hi)` clipped against the merged union of
@@ -734,16 +740,31 @@ fn overlap_with_union(lo: u64, hi: u64, windows: &mut [(u64, u64)]) -> u64 {
     covered
 }
 
-impl EvalProgram {
-    /// Lowers `net` into a flat evaluation program.
+/// Per-buffer read-enable windows of `plan`, in buffer order. FIFO
+/// chains are dataflow-clocked, so their gates are never applied (the
+/// gating pass never targets them — same filter as the legacy path).
+fn gate_windows(
+    plan: Option<&GatingPlan>,
+    fifo: impl Iterator<Item = bool>,
+) -> Vec<Option<(u64, u64)>> {
+    fifo.enumerate()
+        .map(|(i, fifo)| {
+            plan.and_then(|g| g.gate_for(i))
+                .filter(|_| !fifo)
+                .map(|g| (g.read_start, g.read_end))
+        })
+        .collect()
+}
+
+impl Layout {
+    /// Derives the layout of `net` under its own gating plan.
     ///
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
     /// line buffer (the same structural check the reference interpreter
     /// performs up front).
-    pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
-        let _s = imagen_obs::span("program.build");
+    fn new(net: &Netlist) -> Result<Layout, InterpError> {
         let geom = net.geometry;
         let (w, h) = (geom.width as i64, geom.height as i64);
         let frame = net.frame;
@@ -758,37 +779,13 @@ impl EvalProgram {
             }
         }
 
-        // Per-buffer gate windows (FIFO chains are dataflow-clocked; the
-        // gating pass never targets them — same filter as the legacy
-        // path).
-        let gates: Vec<Option<(u64, u64)>> = (0..net.buffers.len())
-            .map(|i| {
-                net.gating
-                    .as_ref()
-                    .and_then(|g| g.gate_for(i))
-                    .filter(|_| !net.buffers[i].fifo)
-                    .map(|g| (g.read_start, g.read_end))
-            })
-            .collect();
+        let gates = gate_windows(net.gating.as_ref(), net.buffers.iter().map(|b| b.fifo));
 
         // Stage order: sorted by ILP start cycle, so producers stream
         // before their consumers (the write-lead margin below proves the
         // starts are strictly ordered along every edge).
         let mut order: Vec<usize> = (0..net.stages.len()).collect();
         order.sort_by_key(|&i| (net.stages[i].start_cycle, i));
-
-        let streams = net.input_streams();
-        let mut input_of: Vec<Option<usize>> = vec![None; net.stages.len()];
-        for (k, stage, _) in &streams {
-            input_of[*stage] = Some(*k);
-        }
-
-        let outputs: Vec<usize> = net
-            .stages
-            .iter()
-            .filter(|s| s.is_output)
-            .map(|s| s.index)
-            .collect();
 
         let end = net
             .stages
@@ -832,15 +829,11 @@ impl EvalProgram {
 
         let mut stages = Vec::with_capacity(net.stages.len());
         let mut edges: Vec<EdgeProg> = Vec::with_capacity(net.edges.len());
-        let mut max_regs = 0usize;
         let mut sram_reads = 0u64;
 
         for &si in &order {
             let s = &net.stages[si];
             let first_edge = edges.len();
-            // This stage's consumer edges, with slot -> local index for
-            // kernel taps.
-            let mut slot_local: Vec<usize> = Vec::new();
             let mut n_vrows = 0usize;
             for (eidx, e) in net.edges.iter().enumerate() {
                 if e.consumer != si {
@@ -849,10 +842,6 @@ impl EvalProgram {
                 let width = sra_columns(&e.window) as usize;
                 let height = e.window.height as usize;
                 let bufidx = bufidx_of_stage[e.producer].expect("checked above");
-                if slot_local.len() <= e.slot {
-                    slot_local.resize(e.slot + 1, usize::MAX);
-                }
-                slot_local[e.slot] = edges.len() - first_edge;
                 let gate = gates[bufidx];
                 // Closed-form SRAM read total: `height` words per
                 // non-gated *edge-active* cycle of this edge. An edge is
@@ -882,6 +871,7 @@ impl EvalProgram {
                 sram_reads += height as u64 * enabled;
                 edges.push(EdgeProg {
                     edge: eidx,
+                    slot: e.slot,
                     buf: bufidx,
                     prod_stage: e.producer,
                     height,
@@ -892,39 +882,12 @@ impl EvalProgram {
                 });
                 n_vrows += height;
             }
-            let edge_range = first_edge..edges.len();
-
-            // Linearize the kernel; taps resolve to (virtual row, dx).
-            let kernel = s.module.map(|m| match &net.modules[m].kind {
-                ModuleKind::Stage(p) => &p.kernel,
-                other => unreachable!("stage module of wrong kind: {other:?}"),
-            });
-            let tape = match kernel {
-                Some(k) => {
-                    let mut tb = TapeBuilder::default();
-                    let root = tb.lower(k, &|slot, dx, dy| {
-                        let le = &edges[edge_range.start + slot_local[slot]];
-                        // Same row selection as the legacy fetch closure.
-                        let j = (dy as u32).saturating_sub(le.lag) as usize;
-                        assert!(j < le.height, "tap dy={dy} reaches outside the edge window");
-                        TapeOp::Load {
-                            vrow: (le.vrow_base + j) as u32,
-                            dx,
-                        }
-                    });
-                    tb.finish(root)
-                }
-                None => Tape::default(),
-            };
-            max_regs = max_regs.max(tape.ops.len());
-
             stages.push(StageProg {
                 stage: si,
                 start: s.start_cycle,
-                input: input_of[si],
+                input: s.input_stream,
                 has_module: s.module.is_some(),
-                edges: edge_range,
-                tape,
+                edges: first_edge..edges.len(),
                 n_vrows,
             });
         }
@@ -940,35 +903,11 @@ impl EvalProgram {
                 frame / (sx * sy)
             })
             .sum();
-        let gated_off_cycles: u64 = gates
-            .iter()
-            .flatten()
-            .map(|&(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end)))
-            .sum();
 
-        // Per-buffer closed-form read-port duty: enabled cycles are the
-        // gate window (whole run when ungated); a cycle is *idle* when
-        // the port is enabled but no consumer edge loads — exactly the
-        // legacy `consumed` bookkeeping, folded into interval arithmetic.
         let buffers: Vec<BufMeta> = net
             .buffers
             .iter()
-            .enumerate()
-            .map(|(i, nb)| {
-                let track = nb.phys_blocks > 0 && !nb.fifo;
-                let (en_lo, en_hi) = match gates[i] {
-                    Some((gs, ge)) => (gs.min(end), ge.min(end)),
-                    None => (0, end),
-                };
-                let read_enabled_cycles = en_hi - en_lo;
-                let mut consumers: Vec<(u64, u64)> = Vec::new();
-                for e in &net.edges {
-                    if bufidx_of_stage[e.producer] == Some(i) {
-                        let cs = net.stages[e.consumer].start_cycle;
-                        consumers.push((cs, cs + frame));
-                    }
-                }
-                let consumed = overlap_with_union(en_lo, en_hi, &mut consumers);
+            .map(|nb| {
                 let mut seg_cuts = Vec::new();
                 if nb.blocks_per_row > 1 {
                     let cap = nb.block_capacity_bits.max(1);
@@ -983,46 +922,539 @@ impl EvalProgram {
                 }
                 BufMeta {
                     nb: nb.clone(),
-                    read_enabled_cycles: if track { read_enabled_cycles } else { 0 },
-                    idle_read_cycles: if track {
-                        read_enabled_cycles - consumed
-                    } else {
-                        0
-                    },
-                    gated_off_cycles: gates[i]
-                        .map_or(0, |(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end))),
                     seg_cuts,
                 }
             })
             .collect();
 
-        Ok(EvalProgram {
+        let mut layout = Layout {
             w,
             h,
-            width_px: geom.width,
-            height_px: geom.height,
             frame,
             end,
-            done_cycle: net.done_cycle,
-            pixel: net.widths.pixel_bits,
-            acc: net.widths.acc_bits,
             geom_pixel_bits: geom.pixel_bits,
-            n_inputs: streams.len(),
             stages,
             edges,
             buffers,
+            gates,
+            duty: Vec::new(),
             start_of: net.stages.iter().map(|s| s.start_cycle).collect(),
             n_net_stages: net.stages.len(),
             n_net_edges: net.edges.len(),
-            outputs,
-            max_regs,
             sram_reads,
             sram_writes,
-            gated_off_cycles,
+            gated_off_cycles: 0,
             scale_of,
             multirate,
             streamable,
-            fallback: (!streamable || multirate).then(|| Box::new(net.clone())),
+        };
+        layout.duty = layout.duties(&layout.gates);
+        layout.gated_off_cycles = layout.duty.iter().map(|d| d.gated_off).sum();
+        Ok(layout)
+    }
+
+    /// Padded row stride of the dense stage images: raster width rounded
+    /// up to a whole number of evaluation tiles.
+    fn wstride(&self) -> usize {
+        (self.w as usize).next_multiple_of(TILE)
+    }
+
+    /// Columns of row `y` of a consumer active since `start` whose loads
+    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
+    /// ungated). Loaded values outside it are zero.
+    fn gate_cols(&self, gate: Option<(u64, u64)>, start: u64, y: usize) -> (usize, usize) {
+        let w = self.w as usize;
+        match gate {
+            None => (0, w),
+            Some((gs, ge)) => {
+                let base = start + (y * w) as u64;
+                let lo = gs.saturating_sub(base).min(w as u64) as usize;
+                let hi = ge.saturating_sub(base).min(w as u64) as usize;
+                (lo, hi.max(lo))
+            }
+        }
+    }
+
+    /// Per-buffer closed-form read-port duty under `gates`: enabled
+    /// cycles are the gate window (whole run when ungated); a cycle is
+    /// *idle* when the port is enabled but no consumer edge loads —
+    /// exactly the legacy `consumed` bookkeeping, folded into interval
+    /// arithmetic.
+    fn duties(&self, gates: &[Option<(u64, u64)>]) -> Vec<ReadDuty> {
+        let end = self.end;
+        let mut consumers: Vec<(u64, u64)> = Vec::new();
+        self.buffers
+            .iter()
+            .zip(gates)
+            .enumerate()
+            .map(|(bi, (meta, &gate))| {
+                let gated_off =
+                    gate.map_or(0, |(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end)));
+                let nb = &meta.nb;
+                if nb.phys_blocks == 0 || nb.fifo {
+                    return ReadDuty {
+                        gated_off,
+                        ..ReadDuty::default()
+                    };
+                }
+                let (en_lo, en_hi) = match gate {
+                    Some((gs, ge)) => (gs.min(end), ge.min(end)),
+                    None => (0, end),
+                };
+                consumers.clear();
+                for st in &self.stages {
+                    for ep in &self.edges[st.edges.clone()] {
+                        if ep.buf == bi {
+                            consumers.push((st.start, st.start + self.frame));
+                        }
+                    }
+                }
+                let enabled = en_hi - en_lo;
+                ReadDuty {
+                    enabled,
+                    idle: enabled - overlap_with_union(en_lo, en_hi, &mut consumers),
+                    gated_off,
+                }
+            })
+            .collect()
+    }
+
+    /// The first consumer enable window `[start, start + frame)` that a
+    /// gate in `gates` does not cover — the windows [`Layout::gate_cols`]
+    /// applies to that consumer's loads.
+    fn uncovered(&self, gates: &[Option<(u64, u64)>]) -> Option<GateGap> {
+        self.stages.iter().find_map(|st| {
+            self.edges[st.edges.clone()].iter().find_map(|ep| {
+                let (gs, ge) = gates[ep.buf]?;
+                let window = (st.start, st.start + self.frame);
+                (window.0 < gs || window.1 > ge).then_some(GateGap {
+                    buffer: ep.buf,
+                    consumer: st.stage,
+                    gate: (gs, ge),
+                    window,
+                })
+            })
+        })
+    }
+
+    /// Per-block SRAM read/write/peak accounting, reproduced without a
+    /// cycle loop: for each buffer, sweep spans of cycles over which
+    /// every participant (the writer and each consumer edge) keeps its
+    /// raster row, bank segment and gate state — per-cycle counts are
+    /// constant across such a span. Reads merge on identical
+    /// `(block, row, column)` within a cycle, which across edges can
+    /// only collide when two consumers run phase-aligned (start cycles
+    /// congruent mod `w`); each span sorts and dedups its `(column,
+    /// row)` loads before attributing them to blocks.
+    fn block_counts(&self) -> BlockCounts {
+        let w = self.w as u64;
+        let h = self.h as u64;
+        let frame = self.frame;
+        let zeroed = || -> Vec<Vec<u64>> {
+            self.buffers
+                .iter()
+                .map(|b| vec![0; b.nb.phys_blocks])
+                .collect()
+        };
+        let mut counts = BlockCounts {
+            reads: zeroed(),
+            writes: zeroed(),
+            peaks: self
+                .buffers
+                .iter()
+                .map(|b| vec![0u32; b.nb.phys_blocks])
+                .collect(),
+        };
+
+        // Consumer edges per buffer: (consumer start, lag, height, gate).
+        type ReaderEdge = (u64, u32, u64, Option<(u64, u64)>);
+        let mut readers: Vec<Vec<ReaderEdge>> = vec![Vec::new(); self.buffers.len()];
+        for st in &self.stages {
+            for ep in &self.edges[st.edges.clone()] {
+                readers[ep.buf].push((st.start, ep.lag, ep.height as u64, ep.gate));
+            }
+        }
+
+        // Scratch reused across buffers and spans.
+        let mut rcnt: Vec<u32> = Vec::new();
+        let mut wcnt: Vec<u32> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
+        // The span's loads as (column, row), merged by sort + dedup.
+        let mut loads: Vec<(u64, u64)> = Vec::new();
+
+        for (bi, meta) in self.buffers.iter().enumerate() {
+            let nb = &meta.nb;
+            if nb.phys_blocks == 0 || nb.fifo {
+                continue;
+            }
+            let ws = self.start_of[nb.stage];
+            let rd = &readers[bi];
+            let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
+            let tend = rd
+                .iter()
+                .map(|r| r.0 + frame)
+                .max()
+                .unwrap_or(ws + frame)
+                .max(ws + frame);
+
+            rcnt.clear();
+            rcnt.resize(nb.phys_blocks, 0);
+            wcnt.clear();
+            wcnt.resize(nb.phys_blocks, 0);
+
+            // Position of a participant active since `start` at cycle
+            // `t`, shrinking the span end `se` to the next boundary at
+            // which its row / segment / liveness changes.
+            let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
+                if t < start {
+                    *se = (*se).min(start);
+                    return None;
+                }
+                if t >= start + frame {
+                    return None;
+                }
+                let k = t - start;
+                let (y, x) = (k / w, k % w);
+                *se = (*se).min(t + (w - x)).min(start + frame);
+                if nb.blocks_per_row > 1 {
+                    let next = meta.seg_cuts.partition_point(|&c| c <= x);
+                    let cut = meta.seg_cuts.get(next).copied().unwrap_or(w) - x;
+                    *se = (*se).min(t + cut);
+                }
+                Some((y, x))
+            };
+
+            let mut t = t0;
+            while t < tend {
+                let mut se = tend;
+                let writer_at = span_for(ws, t, &mut se);
+                loads.clear();
+                for &(rs, lag, height, gate) in rd {
+                    let pos = span_for(rs, t, &mut se);
+                    let mut enabled = true;
+                    if let Some((gs, ge)) = gate {
+                        if t < gs {
+                            se = se.min(gs);
+                            enabled = false;
+                        } else if t < ge {
+                            se = se.min(ge);
+                        } else {
+                            enabled = false;
+                        }
+                    }
+                    if let Some((y, x)) = pos {
+                        if enabled {
+                            loads.extend((0..height).map(|j| (x, (y + lag as u64 + j).min(h - 1))));
+                        }
+                    }
+                }
+                let len = se - t;
+
+                // Per-cycle counts for this span: merged unique loads,
+                // then the write.
+                loads.sort_unstable();
+                loads.dedup();
+                for &(x, r) in &loads {
+                    if let Some(b) = nb.block_of(r, x as u32, self.geom_pixel_bits) {
+                        if rcnt[b] == 0 && wcnt[b] == 0 {
+                            touched.push(b);
+                        }
+                        rcnt[b] += 1;
+                    }
+                }
+                if let Some((y, x)) = writer_at {
+                    if let Some(b) = nb.block_of(y, x as u32, self.geom_pixel_bits) {
+                        if rcnt[b] == 0 && wcnt[b] == 0 {
+                            touched.push(b);
+                        }
+                        wcnt[b] += 1;
+                    }
+                }
+                for &b in &touched {
+                    counts.reads[bi][b] += rcnt[b] as u64 * len;
+                    counts.writes[bi][b] += wcnt[b] as u64 * len;
+                    let peak = rcnt[b] + wcnt[b];
+                    if peak > counts.peaks[bi][b] {
+                        counts.peaks[bi][b] = peak;
+                    }
+                    rcnt[b] = 0;
+                    wcnt[b] = 0;
+                }
+                touched.clear();
+                t = se;
+            }
+        }
+        counts
+    }
+
+    /// The [`ActivityTrace`] of `blocks` and the read-port `duty`, with
+    /// every field the schedule fixes filled in and the two data toggles
+    /// (`out_reg_toggles`, `bit_toggles`) left at zero.
+    fn trace(&self, blocks: &BlockCounts, duty: &[ReadDuty]) -> ActivityTrace {
+        let mut trace = ActivityTrace {
+            run_cycles: self.end,
+            frame: self.frame,
+            buffers: Vec::with_capacity(self.buffers.len()),
+            stages: vec![Default::default(); self.n_net_stages],
+            sras: vec![Default::default(); self.n_net_edges],
+        };
+        for (bi, (meta, d)) in self.buffers.iter().zip(duty).enumerate() {
+            let nb = &meta.nb;
+            let mut b = BufferActivity {
+                stage: nb.stage,
+                block_reads: blocks.reads[bi].clone(),
+                block_writes: blocks.writes[bi].clone(),
+                block_peaks: blocks.peaks[bi].clone(),
+                read_enabled_cycles: d.enabled,
+                idle_read_cycles: d.idle,
+                gated_off_cycles: d.gated_off,
+                fifo: nb.fifo,
+            };
+            if nb.fifo {
+                // FIFO chains: one push and one pop per segment per live
+                // cycle — the cycle simulator's synthetic SODA accounting.
+                b.block_reads.fill(self.frame);
+                b.block_writes.fill(self.frame);
+                b.block_peaks.fill(2);
+            }
+            trace.buffers.push(b);
+        }
+        for st in &self.stages {
+            let sa = &mut trace.stages[st.stage];
+            sa.active_cycles = self.frame;
+            if st.has_module {
+                sa.out_reg_writes = self.frame;
+            }
+            for ep in &self.edges[st.edges.clone()] {
+                let ea = &mut trace.sras[ep.edge];
+                ea.shift_cycles = self.frame;
+                ea.cell_writes = (ep.height * ep.width) as u64 * self.frame;
+            }
+        }
+        trace
+    }
+}
+
+/// Why a netlist's activity cannot be counted from its schedule alone
+/// ([`ScheduleActivity::derive`]). Such netlists are traced by running
+/// a frame through [`crate::interpret_with_trace`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum NeedsFrame {
+    /// Some stage runs at a non-unit rate; multirate traces come from
+    /// the rate-aware cycle walker.
+    Multirate,
+    /// The schedule violates the streaming margins, so every run falls
+    /// back to the cycle walker.
+    NotStreamable,
+    /// The netlist cannot be interpreted at all; running a frame reports
+    /// the same error.
+    Invalid(InterpError),
+}
+
+impl fmt::Display for NeedsFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NeedsFrame::Multirate => write!(f, "multirate netlists are traced by running a frame"),
+            NeedsFrame::NotStreamable => write!(
+                f,
+                "the schedule violates the streaming margins, so the netlist is traced by running a frame"
+            ),
+            NeedsFrame::Invalid(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for NeedsFrame {}
+
+/// A clock gate whose read window misses part of a consumer's enable
+/// window: the gated netlist would load zeros where the ungated one
+/// loads data.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GateGap {
+    /// Netlist buffer index of the gated read port.
+    pub buffer: usize,
+    /// Netlist stage index of the consumer.
+    pub consumer: usize,
+    /// The gate's read window `[start, end)`.
+    pub gate: (u64, u64),
+    /// The consumer's enable window `[start, start + frame)`.
+    pub window: (u64, u64),
+}
+
+impl fmt::Display for GateGap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the gate [{}, {}) of buffer {} does not cover consumer stage {}'s enable window [{}, {})",
+            self.gate.0, self.gate.1, self.buffer, self.consumer, self.window.0, self.window.1
+        )
+    }
+}
+
+impl std::error::Error for GateGap {}
+
+/// The activity counts a netlist's structure and schedule fix, derived
+/// without running a frame.
+///
+/// For a rate-1 netlist whose schedule satisfies the streaming margins,
+/// every [`ActivityTrace`] field except the two data toggles is a
+/// function of the schedule: SRAM block reads, writes and peaks, read-port
+/// enabled, idle and gated-off cycles, stage active cycles, output-register
+/// writes and SRA shift cycles and cell writes. [`ScheduleActivity`]
+/// computes exactly those, through the same code
+/// [`EvalProgram::run_with_trace`] uses, in work proportional to the
+/// frame's rows rather than its pixels, and lowers no kernel. Its traces
+/// do **not** collect `out_reg_toggles` or `bit_toggles`: both are zero.
+#[derive(Clone, Debug)]
+pub struct ScheduleActivity {
+    layout: Layout,
+    blocks: BlockCounts,
+}
+
+impl ScheduleActivity {
+    /// Derives the schedule-determined activity of `net` under its own
+    /// gating plan.
+    ///
+    /// # Errors
+    ///
+    /// [`NeedsFrame`] for multirate netlists, schedules that violate the
+    /// streaming margins, and netlists that cannot be interpreted.
+    pub fn derive(net: &Netlist) -> Result<ScheduleActivity, NeedsFrame> {
+        let layout = Layout::new(net).map_err(NeedsFrame::Invalid)?;
+        if layout.multirate {
+            return Err(NeedsFrame::Multirate);
+        }
+        if !layout.streamable {
+            return Err(NeedsFrame::NotStreamable);
+        }
+        let blocks = layout.block_counts();
+        Ok(ScheduleActivity { layout, blocks })
+    }
+
+    /// The netlist's trace: equal to [`crate::interpret_with_trace`]'s on
+    /// every field but the two data toggles, which are not collected
+    /// (zero).
+    pub fn trace(&self) -> ActivityTrace {
+        self.layout.trace(&self.blocks, &self.layout.duty)
+    }
+
+    /// The trace of the same netlist clock-gated by `plan` instead of its
+    /// own gating, without re-running the block sweep: the block counts
+    /// are shared and only the read-port closed forms (enabled, idle and
+    /// gated-off cycles) are re-derived under `plan`'s windows. Toggles
+    /// are not collected (zero).
+    ///
+    /// # Errors
+    ///
+    /// [`GateGap`] when a gate of `plan`, or of the netlist's own plan,
+    /// misses part of a consumer's enable window `[start, start +
+    /// frame)`. When every gate covers its consumers, a gated netlist
+    /// loads exactly the words the ungated one loads, on every input, so
+    /// the shared block counts are exact.
+    pub fn trace_gated(&self, plan: &GatingPlan) -> Result<ActivityTrace, GateGap> {
+        let l = &self.layout;
+        let gates = gate_windows(Some(plan), l.buffers.iter().map(|b| b.nb.fifo));
+        if let Some(gap) = l.uncovered(&l.gates).or_else(|| l.uncovered(&gates)) {
+            return Err(gap);
+        }
+        Ok(l.trace(&self.blocks, &l.duties(&gates)))
+    }
+}
+
+/// A [`Netlist`] lowered to a flat evaluation program.
+///
+/// Compile once with [`EvalProgram::compile`], then execute frames with
+/// [`EvalProgram::run`] / [`EvalProgram::run_with_trace`] — both produce
+/// bit-identical results to the reference interpreter
+/// ([`crate::interpret_legacy`]), at a fraction of the cost. The
+/// public entry points [`crate::interpret`] and
+/// [`crate::interpret_with_trace`] compile-and-run internally; hold an
+/// `EvalProgram` directly to amortize compilation over repeated frames.
+#[derive(Clone, Debug)]
+pub struct EvalProgram {
+    /// The pixel-free half: stage order, edges, closed forms.
+    layout: Layout,
+    /// Linearized kernel per [`Layout::stages`] entry.
+    tapes: Vec<Tape>,
+    width_px: u32,
+    height_px: u32,
+    done_cycle: u64,
+    pixel: u32,
+    acc: u32,
+    n_inputs: usize,
+    /// Output stages in netlist order (slot -> netlist stage index).
+    outputs: Vec<usize>,
+    max_regs: usize,
+    /// Reference netlist kept when the streaming executor cannot cover
+    /// every path: schedules that violate the streaming margins (all
+    /// execution falls back to the cycle-accurate interpreter) and
+    /// multirate pipelines (only *traced* runs fall back).
+    fallback: Option<Box<Netlist>>,
+}
+
+impl EvalProgram {
+    /// Lowers `net` into a flat evaluation program.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpError::MissingBuffer`] when a windowed producer owns no
+    /// line buffer (the same structural check the reference interpreter
+    /// performs up front).
+    pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
+        let _s = imagen_obs::span("program.build");
+        let layout = Layout::new(net)?;
+
+        // Linearize each kernel; taps resolve to (virtual row, dx).
+        let tapes: Vec<Tape> = layout
+            .stages
+            .iter()
+            .map(|st| {
+                let Some(m) = net.stages[st.stage].module else {
+                    return Tape::default();
+                };
+                let kernel = match &net.modules[m].kind {
+                    ModuleKind::Stage(p) => &p.kernel,
+                    other => unreachable!("stage module of wrong kind: {other:?}"),
+                };
+                let edges = &layout.edges[st.edges.clone()];
+                let mut tb = TapeBuilder::default();
+                let root = tb.lower(kernel, &|slot, dx, dy| {
+                    let le = edges
+                        .iter()
+                        .find(|e| e.slot == slot)
+                        .expect("every kernel slot has an edge");
+                    // Same row selection as the legacy fetch closure.
+                    let j = (dy as u32).saturating_sub(le.lag) as usize;
+                    assert!(j < le.height, "tap dy={dy} reaches outside the edge window");
+                    TapeOp::Load {
+                        vrow: (le.vrow_base + j) as u32,
+                        dx,
+                    }
+                });
+                tb.finish(root)
+            })
+            .collect();
+        let max_regs = tapes.iter().map(|t| t.ops.len()).max().unwrap_or(0);
+
+        let outputs: Vec<usize> = net
+            .stages
+            .iter()
+            .filter(|s| s.is_output)
+            .map(|s| s.index)
+            .collect();
+
+        Ok(EvalProgram {
+            width_px: net.geometry.width,
+            height_px: net.geometry.height,
+            done_cycle: net.done_cycle,
+            pixel: net.widths.pixel_bits,
+            acc: net.widths.acc_bits,
+            n_inputs: net.input_streams().len(),
+            outputs,
+            max_regs,
+            fallback: (!layout.streamable || layout.multirate).then(|| Box::new(net.clone())),
+            layout,
+            tapes,
         })
     }
 
@@ -1032,20 +1464,22 @@ impl EvalProgram {
     ///
     /// [`InterpError`] on input count/geometry mismatch.
     pub fn run(&self, inputs: &[Image]) -> Result<InterpReport, InterpError> {
-        if !self.streamable {
+        if !self.layout.streamable {
             let net = self.fallback.as_ref().expect("fallback netlist kept");
             return crate::interp::interpret_legacy(net, inputs);
         }
         self.check_inputs(inputs)?;
-        if self.multirate {
+        if self.layout.multirate {
             return Ok(self.exec_multirate(inputs));
         }
-        let mut tr = TraceAcc::empty();
+        let mut tr = TraceAcc::default();
         Ok(self.exec::<false>(inputs, &mut tr))
     }
 
     /// Executes one frame, additionally collecting an [`ActivityTrace`]
-    /// identical to the reference interpreter's.
+    /// identical to the reference interpreter's. Every count but the two
+    /// data toggles comes from the same code as [`ScheduleActivity`];
+    /// the frame supplies only `out_reg_toggles` and `bit_toggles`.
     ///
     /// # Errors
     ///
@@ -1054,14 +1488,24 @@ impl EvalProgram {
         &self,
         inputs: &[Image],
     ) -> Result<(InterpReport, ActivityTrace), InterpError> {
-        if !self.streamable || self.multirate {
+        let l = &self.layout;
+        if !l.streamable || l.multirate {
             let net = self.fallback.as_ref().expect("fallback netlist kept");
             return crate::interp::interpret_with_trace_legacy(net, inputs);
         }
         self.check_inputs(inputs)?;
-        let mut tr = TraceAcc::for_program(self);
+        let mut tr = TraceAcc {
+            sra_toggles: vec![0; l.edges.len()],
+            out_toggles: vec![0; l.n_net_stages],
+        };
         let report = self.exec::<true>(inputs, &mut tr);
-        let trace = self.assemble_trace(tr);
+        let mut trace = l.trace(&l.block_counts(), &l.duty);
+        for (sa, &tg) in trace.stages.iter_mut().zip(&tr.out_toggles) {
+            sa.out_reg_toggles = tg;
+        }
+        for (ep, &tg) in l.edges.iter().zip(&tr.sra_toggles) {
+            trace.sras[ep.edge].bit_toggles = tg;
+        }
         Ok((report, trace))
     }
 
@@ -1081,39 +1525,31 @@ impl EvalProgram {
         Ok(())
     }
 
-    /// Columns of row `y` of a consumer active since `start` whose loads
-    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
-    /// ungated). Loaded values outside it are zero.
-    /// Padded row stride of the dense stage images: raster width rounded
-    /// up to a whole number of evaluation tiles.
-    fn wstride(&self) -> usize {
-        (self.w as usize).next_multiple_of(TILE)
-    }
-
-    fn gate_cols(&self, gate: Option<(u64, u64)>, start: u64, y: usize) -> (usize, usize) {
-        let w = self.w as usize;
-        match gate {
-            None => (0, w),
-            Some((gs, ge)) => {
-                let base = start + (y * w) as u64;
-                let lo = gs.saturating_sub(base).min(w as u64) as usize;
-                let hi = ge.saturating_sub(base).min(w as u64) as usize;
-                (lo, hi.max(lo))
-            }
+    /// The report of a streamed frame: the compile-time closed forms plus
+    /// the output images.
+    fn report(&self, output_images: Vec<(usize, Image)>) -> InterpReport {
+        InterpReport {
+            cycles: self.layout.end,
+            latency: self.done_cycle,
+            output_images,
+            sram_reads: self.layout.sram_reads,
+            sram_writes: self.layout.sram_writes,
+            gated_off_cycles: self.layout.gated_off_cycles,
         }
     }
 
     /// The frame-at-a-time executor. Stages stream whole frames in
     /// start-cycle order into dense images; with `TRACED = true` the
-    /// activity passes run over those images afterwards.
+    /// two toggle passes run over those images afterwards.
     fn exec<const TRACED: bool>(&self, inputs: &[Image], tr: &mut TraceAcc) -> InterpReport {
+        let l = &self.layout;
         let pixel = self.pixel;
-        let (w, h) = (self.w as usize, self.h as usize);
+        let (w, h) = (l.w as usize, l.h as usize);
         // Rows are stored at a stride padded to a whole number of
         // tiles, so every tile evaluation is full-width; the padding
         // lanes hold don't-care values that no in-frame column ever
         // reads back (taps satisfy `dx <= 0`).
-        let ws = self.wstride();
+        let ws = l.wstride();
 
         let in_rast: Vec<Vec<i64>> = inputs
             .iter()
@@ -1130,17 +1566,17 @@ impl EvalProgram {
             .collect();
 
         // Dense per-stage output images, indexed by netlist stage.
-        let mut images: Vec<Vec<i64>> = vec![Vec::new(); self.n_net_stages];
+        let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
         // Shared workspaces across stages.
         let mut regs = vec![0i64; self.max_regs * TILE];
         let mut scratch: Vec<Vec<i64>> = Vec::new();
 
-        for st in &self.stages {
+        for (st, tape) in l.stages.iter().zip(&self.tapes) {
             let img = match st.input {
                 Some(k) => in_rast[k].clone(),
                 None => {
                     let mut out = vec![0i64; h * ws];
-                    self.eval_stage(st, &images, &mut out, &mut regs, &mut scratch);
+                    self.eval_stage(st, tape, &images, &mut out, &mut regs, &mut scratch);
                     out
                 }
             };
@@ -1160,7 +1596,7 @@ impl EvalProgram {
                     }
                     tr.out_toggles[st.stage] = tg;
                 }
-                for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
+                for (lei, ep) in l.edges[st.edges.clone()].iter().enumerate() {
                     tr.sra_toggles[st.edges.start + lei] =
                         self.edge_bit_toggles(st.start, ep, &images);
                 }
@@ -1168,15 +1604,12 @@ impl EvalProgram {
             images[st.stage] = img;
         }
 
-        if TRACED {
-            self.block_sweep(tr);
-        }
         let output_images = self
             .outputs
             .iter()
             .map(|&stage| {
                 let img = &images[stage];
-                let mut dense = vec![0i64; self.frame as usize];
+                let mut dense = vec![0i64; l.frame as usize];
                 for y in 0..h {
                     dense[y * w..(y + 1) * w].copy_from_slice(&img[y * ws..y * ws + w]);
                 }
@@ -1186,15 +1619,7 @@ impl EvalProgram {
                 )
             })
             .collect();
-
-        InterpReport {
-            cycles: self.end,
-            latency: self.done_cycle,
-            output_images,
-            sram_reads: self.sram_reads,
-            sram_writes: self.sram_writes,
-            gated_off_cycles: self.gated_off_cycles,
-        }
+        self.report(output_images)
     }
 
     /// The multirate strided executor: frame-at-a-time streaming in
@@ -1208,18 +1633,19 @@ impl EvalProgram {
     /// would occur (`S_c + y_b·W + col·pcx`). Report totals come from
     /// the rate-aware compile-time closed forms.
     fn exec_multirate(&self, inputs: &[Image]) -> InterpReport {
+        let l = &self.layout;
         let pixel = self.pixel;
-        let (w, h) = (self.w as u64, self.h as u64);
+        let (w, h) = (l.w as u64, l.h as u64);
         let sh = 64 - self.acc.min(64);
 
         // Dense per-stage images in each stage's own grid, unpadded
         // row-major (the scalar path needs no tile alignment).
-        let mut images: Vec<Vec<i64>> = vec![Vec::new(); self.n_net_stages];
-        let mut dims: Vec<(u64, u64)> = vec![(0, 0); self.n_net_stages];
+        let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
+        let mut dims: Vec<(u64, u64)> = vec![(0, 0); l.n_net_stages];
         let mut regs = vec![0i64; self.max_regs];
 
-        for st in &self.stages {
-            let (ccx, ccy) = self.scale_of[st.stage];
+        for (st, tape) in l.stages.iter().zip(&self.tapes) {
+            let (ccx, ccy) = l.scale_of[st.stage];
             let (cw, ch) = (w / ccx, h / ccy);
             dims[st.stage] = (cw, ch);
             let mut out = vec![0i64; (cw * ch) as usize];
@@ -1232,19 +1658,19 @@ impl EvalProgram {
                     }
                 }
                 None => {
-                    let edges = &self.edges[st.edges.clone()];
+                    let edges = &l.edges[st.edges.clone()];
                     for yc in 0..ch {
                         let yb = yc * ccy;
                         for xc in 0..cw {
                             let xb = xc * ccx;
-                            let root = eval_scalar(&st.tape, &mut regs, sh, &mut |vrow, dx| {
+                            let root = eval_scalar(tape, &mut regs, sh, &mut |vrow, dx| {
                                 let vrow = vrow as usize;
                                 let ep = edges
                                     .iter()
                                     .find(|e| vrow >= e.vrow_base && vrow < e.vrow_base + e.height)
                                     .expect("tap vrow maps to an edge window");
                                 let j = (vrow - ep.vrow_base) as u64;
-                                let (pcx, pcy) = self.scale_of[ep.prod_stage];
+                                let (pcx, pcy) = l.scale_of[ep.prod_stage];
                                 let (pw, ph) = (w / pcx, h / pcy);
                                 let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
                                 let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
@@ -1275,28 +1701,22 @@ impl EvalProgram {
                 )
             })
             .collect();
-
-        InterpReport {
-            cycles: self.end,
-            latency: self.done_cycle,
-            output_images,
-            sram_reads: self.sram_reads,
-            sram_writes: self.sram_writes,
-            gated_off_cycles: self.gated_off_cycles,
-        }
+        self.report(output_images)
     }
 
     /// Streams one compute stage's whole frame into `out`.
     fn eval_stage(
         &self,
         st: &StageProg,
+        tape: &Tape,
         images: &[Vec<i64>],
         out: &mut [i64],
         regs: &mut [i64],
         scratch: &mut Vec<Vec<i64>>,
     ) {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
+        let l = &self.layout;
+        let (w, h) = (l.w as usize, l.h as usize);
+        let ws = l.wstride();
         let sh = 64 - self.acc.min(64);
         let pixel = self.pixel;
         if scratch.len() < st.n_vrows {
@@ -1307,8 +1727,8 @@ impl EvalProgram {
             // Resolve the virtual SRA rows: producer image rows with the
             // bottom clamp, gate-zeroed per load column. Scratch copies
             // are only made on partially-gated rows (adversarial plans).
-            for ep in &self.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, st.start, y);
+            for ep in &l.edges[st.edges.clone()] {
+                let (en_lo, en_hi) = l.gate_cols(ep.gate, st.start, y);
                 if en_lo == 0 && en_hi == w {
                     continue;
                 }
@@ -1324,8 +1744,8 @@ impl EvalProgram {
                 }
             }
             let mut vrows: Vec<&[i64]> = Vec::with_capacity(st.n_vrows);
-            for ep in &self.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, st.start, y);
+            for ep in &l.edges[st.edges.clone()] {
+                let (en_lo, en_hi) = l.gate_cols(ep.gate, st.start, y);
                 let prod = &images[ep.prod_stage];
                 for j in 0..ep.height {
                     if en_lo == 0 && en_hi == w {
@@ -1342,8 +1762,8 @@ impl EvalProgram {
             // tile loader handles the left-edge column clamp itself and
             // the padding lanes compute don't-care values.
             for x0 in (0..ws).step_by(TILE) {
-                eval_tile(&st.tape, regs, &vrows, sh, x0);
-                let root = &regs[st.tape.root as usize * TILE..][..TILE];
+                eval_tile(tape, regs, &vrows, sh, x0);
+                let root = &regs[tape.root as usize * TILE..][..TILE];
                 for (o, &v) in orow[x0..x0 + TILE].iter_mut().zip(root) {
                     *o = trunc(v, pixel);
                 }
@@ -1358,9 +1778,10 @@ impl EvalProgram {
     /// `Σ_u T(u) · min(width, frame - u)` over the load stream `T` (the
     /// tail loads retire before completing the full traversal).
     fn edge_bit_toggles(&self, start: u64, ep: &EdgeProg, images: &[Vec<i64>]) -> u64 {
-        let (w, h) = (self.w as usize, self.h as usize);
-        let ws = self.wstride();
-        let frame = self.frame;
+        let l = &self.layout;
+        let (w, h) = (l.w as usize, l.h as usize);
+        let ws = l.wstride();
+        let frame = l.frame;
         let width = ep.width as u64;
         let prod = &images[ep.prod_stage];
         let mask = if self.pixel >= 64 {
@@ -1376,7 +1797,7 @@ impl EvalProgram {
             for y in 0..h {
                 let r = (y + ep.lag as usize + j).min(h - 1);
                 let row = &prod[r * ws..r * ws + w];
-                let (en_lo, en_hi) = self.gate_cols(ep.gate, start, y);
+                let (en_lo, en_hi) = l.gate_cols(ep.gate, start, y);
                 let row_t = (y * w) as u64;
                 let xsplit = (tail_start.saturating_sub(row_t) as usize).min(w);
                 if en_lo == 0 && en_hi == w && xsplit == w {
@@ -1408,204 +1829,6 @@ impl EvalProgram {
         }
         total
     }
-
-    /// Per-block SRAM read/write/peak accounting, reproduced without a
-    /// cycle loop: for each buffer, sweep spans of cycles over which
-    /// every participant (the writer and each consumer edge) keeps its
-    /// raster row, bank segment and gate state — per-cycle counts are
-    /// constant across such a span. Reads merge on identical
-    /// `(block, row, column)` within a cycle, which across edges can
-    /// only collide when two consumers run phase-aligned (start cycles
-    /// congruent mod `w`); the sweep merges their window rows first.
-    fn block_sweep(&self, tr: &mut TraceAcc) {
-        let w = self.w as u64;
-        let h = self.h as u64;
-        let frame = self.frame;
-
-        // Consumer edges per buffer: (consumer start, lag, height, gate).
-        type ReaderEdge = (u64, u32, u64, Option<(u64, u64)>);
-        let mut readers: Vec<Vec<ReaderEdge>> = vec![Vec::new(); self.buffers.len()];
-        for st in &self.stages {
-            for ep in &self.edges[st.edges.clone()] {
-                readers[ep.buf].push((st.start, ep.lag, ep.height as u64, ep.gate));
-            }
-        }
-
-        for (bi, meta) in self.buffers.iter().enumerate() {
-            let nb = &meta.nb;
-            if nb.phys_blocks == 0 || nb.fifo {
-                continue;
-            }
-            let ws = self.start_of[nb.stage];
-            let rd = &readers[bi];
-            let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
-            let tend = rd
-                .iter()
-                .map(|r| r.0 + frame)
-                .max()
-                .unwrap_or(ws + frame)
-                .max(ws + frame);
-
-            let mut rcnt = vec![0u32; nb.phys_blocks];
-            let mut wcnt = vec![0u32; nb.phys_blocks];
-            let mut touched: Vec<usize> = Vec::new();
-            // Merged unique window rows per phase class: (column phase,
-            // rows).
-            let mut classes: Vec<(u64, Vec<u64>)> = Vec::new();
-
-            // Position of a participant active since `start` at cycle
-            // `t`, shrinking the span end `se` to the next boundary at
-            // which its row / segment / liveness changes.
-            let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
-                if t < start {
-                    *se = (*se).min(start);
-                    return None;
-                }
-                if t >= start + frame {
-                    return None;
-                }
-                let k = t - start;
-                let (y, x) = (k / w, k % w);
-                *se = (*se).min(t + (w - x)).min(start + frame);
-                if nb.blocks_per_row > 1 {
-                    let cut = meta.seg_cuts.iter().find(|&&c| c > x).copied().unwrap_or(w) - x;
-                    *se = (*se).min(t + cut);
-                }
-                Some((y, x))
-            };
-
-            let mut t = t0;
-            while t < tend {
-                let mut se = tend;
-                let writer_at = span_for(ws, t, &mut se);
-                let mut live: Vec<(u64, u64, u32, u64)> = Vec::new();
-                for &(rs, lag, height, gate) in rd {
-                    let pos = span_for(rs, t, &mut se);
-                    let mut enabled = true;
-                    if let Some((gs, ge)) = gate {
-                        if t < gs {
-                            se = se.min(gs);
-                            enabled = false;
-                        } else if t < ge {
-                            se = se.min(ge);
-                        } else {
-                            enabled = false;
-                        }
-                    }
-                    if let Some((y, x)) = pos {
-                        if enabled {
-                            live.push((x, y, lag, height));
-                        }
-                    }
-                }
-                let len = se - t;
-
-                // Per-cycle counts for this span: merged unique rows per
-                // phase class, then the write.
-                classes.clear();
-                for &(x, y, lag, height) in &live {
-                    let ci = match classes.iter().position(|(cx, _)| *cx == x) {
-                        Some(i) => i,
-                        None => {
-                            classes.push((x, Vec::new()));
-                            classes.len() - 1
-                        }
-                    };
-                    let class = &mut classes[ci].1;
-                    for j in 0..height {
-                        let r = (y + lag as u64 + j).min(h - 1);
-                        if !class.contains(&r) {
-                            class.push(r);
-                        }
-                    }
-                }
-                for (x, rows) in &classes {
-                    for &r in rows {
-                        if let Some(b) = nb.block_of(r, *x as u32, self.geom_pixel_bits) {
-                            if rcnt[b] == 0 && wcnt[b] == 0 {
-                                touched.push(b);
-                            }
-                            rcnt[b] += 1;
-                        }
-                    }
-                }
-                if let Some((y, x)) = writer_at {
-                    if let Some(b) = nb.block_of(y, x as u32, self.geom_pixel_bits) {
-                        if rcnt[b] == 0 && wcnt[b] == 0 {
-                            touched.push(b);
-                        }
-                        wcnt[b] += 1;
-                    }
-                }
-                for &b in &touched {
-                    tr.block_reads[bi][b] += rcnt[b] as u64 * len;
-                    tr.block_writes[bi][b] += wcnt[b] as u64 * len;
-                    let peak = rcnt[b] + wcnt[b];
-                    if peak > tr.block_peaks[bi][b] {
-                        tr.block_peaks[bi][b] = peak;
-                    }
-                    rcnt[b] = 0;
-                    wcnt[b] = 0;
-                }
-                touched.clear();
-                t = se;
-            }
-        }
-    }
-
-    /// Builds the final [`ActivityTrace`] from the pass results plus the
-    /// compile-time closed forms.
-    fn assemble_trace(&self, tr: TraceAcc) -> ActivityTrace {
-        let mut trace = ActivityTrace {
-            run_cycles: self.end,
-            frame: self.frame,
-            buffers: Vec::with_capacity(self.buffers.len()),
-            stages: vec![Default::default(); self.n_net_stages],
-            sras: vec![Default::default(); self.n_net_edges],
-        };
-        for (bi, meta) in self.buffers.iter().enumerate() {
-            let nb = &meta.nb;
-            let mut b = crate::activity::BufferActivity {
-                stage: nb.stage,
-                block_reads: tr.block_reads[bi].clone(),
-                block_writes: tr.block_writes[bi].clone(),
-                block_peaks: tr.block_peaks[bi].clone(),
-                read_enabled_cycles: meta.read_enabled_cycles,
-                idle_read_cycles: meta.idle_read_cycles,
-                gated_off_cycles: meta.gated_off_cycles,
-                fifo: nb.fifo,
-            };
-            if nb.fifo {
-                // FIFO chains: one push and one pop per segment per live
-                // cycle — the cycle simulator's synthetic SODA accounting.
-                for r in b.block_reads.iter_mut() {
-                    *r = self.frame;
-                }
-                for wr in b.block_writes.iter_mut() {
-                    *wr = self.frame;
-                }
-                for p in b.block_peaks.iter_mut() {
-                    *p = 2;
-                }
-            }
-            trace.buffers.push(b);
-        }
-        for st in &self.stages {
-            let sa = &mut trace.stages[st.stage];
-            sa.active_cycles = self.frame;
-            if st.has_module {
-                sa.out_reg_writes = self.frame;
-                sa.out_reg_toggles = tr.out_toggles[st.stage];
-            }
-            for (lei, ep) in self.edges[st.edges.clone()].iter().enumerate() {
-                let ea = &mut trace.sras[ep.edge];
-                ea.shift_cycles = self.frame;
-                ea.cell_writes = (ep.height * ep.width) as u64 * self.frame;
-                ea.bit_toggles = tr.sra_toggles[st.edges.start + lei];
-            }
-        }
-        trace
-    }
 }
 
 /// Toggled bits between two register values at `bits` width.
@@ -1619,48 +1842,12 @@ fn toggles(old: i64, new: i64, bits: u32) -> u64 {
     (((old ^ new) as u64) & mask).count_ones() as u64
 }
 
-/// Per-run activity accumulators for the traced instantiation. The
+/// The two data toggles a traced run collects from its frame. The
 /// untraced loop carries an empty one that is never touched.
+#[derive(Default)]
 struct TraceAcc {
     /// Bit toggles per edge program (sorted-stage edge order).
     sra_toggles: Vec<u64>,
     /// Output-register toggles per netlist stage.
     out_toggles: Vec<u64>,
-    block_reads: Vec<Vec<u64>>,
-    block_writes: Vec<Vec<u64>>,
-    block_peaks: Vec<Vec<u32>>,
-}
-
-impl TraceAcc {
-    fn empty() -> TraceAcc {
-        TraceAcc {
-            sra_toggles: Vec::new(),
-            out_toggles: Vec::new(),
-            block_reads: Vec::new(),
-            block_writes: Vec::new(),
-            block_peaks: Vec::new(),
-        }
-    }
-
-    fn for_program(p: &EvalProgram) -> TraceAcc {
-        TraceAcc {
-            sra_toggles: vec![0; p.edges.len()],
-            out_toggles: vec![0; p.n_net_stages],
-            block_reads: p
-                .buffers
-                .iter()
-                .map(|b| vec![0u64; b.nb.phys_blocks])
-                .collect(),
-            block_writes: p
-                .buffers
-                .iter()
-                .map(|b| vec![0u64; b.nb.phys_blocks])
-                .collect(),
-            block_peaks: p
-                .buffers
-                .iter()
-                .map(|b| vec![0u32; b.nb.phys_blocks])
-                .collect(),
-        }
-    }
 }

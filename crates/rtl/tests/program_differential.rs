@@ -13,14 +13,20 @@
 //! * randomly generated DAGs exercising every kernel operator (wrapping
 //!   arithmetic, division by zero, out-of-range shifts, comparisons,
 //!   selects, inverted clamps) on random seeds.
+//!
+//! Every case also pins the trace built without a frame
+//! ([`ScheduleActivity`]) to the traced run on every field but the two
+//! data toggles, and multirate netlists to reporting that they need a
+//! frame.
 
 use imagen_algos::{noise_bits, Algorithm};
+use imagen_baselines::generate_soda;
 use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-use imagen_power::gate_clocks;
+use imagen_power::{gate_clocks, gating_plan};
 use imagen_rtl::{
     build_netlist, interpret, interpret_legacy, interpret_with_trace, interpret_with_trace_legacy,
-    ActivityTrace, BitWidths, InterpReport, Netlist,
+    ActivityTrace, BitWidths, InterpReport, NeedsFrame, Netlist, ScheduleActivity,
 };
 use imagen_schedule::{plan_design, ScheduleOptions};
 use imagen_sim::Image;
@@ -95,7 +101,21 @@ fn assert_trace_eq(tag: &str, a: &ActivityTrace, b: &ActivityTrace) {
     }
 }
 
-/// Runs both engines (untraced and traced) on `net` and pins equality.
+/// `trace` with its two data-toggle fields zeroed: what a trace built
+/// without a frame carries.
+fn without_toggles(trace: &ActivityTrace) -> ActivityTrace {
+    let mut t = trace.clone();
+    for s in &mut t.stages {
+        s.out_reg_toggles = 0;
+    }
+    for s in &mut t.sras {
+        s.bit_toggles = 0;
+    }
+    t
+}
+
+/// Runs both engines (untraced and traced) on `net` and pins equality,
+/// then pins the trace built without a frame to the traced run.
 fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     let fast = interpret(net, inputs).expect("program path");
     let slow = interpret_legacy(net, inputs).expect("legacy path");
@@ -108,6 +128,25 @@ fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
 
     // Tracing must not perturb results either.
     assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
+
+    let multirate = net.stages.iter().any(|s| (s.scale_x, s.scale_y) != (1, 1));
+    match ScheduleActivity::derive(net) {
+        Ok(activity) => {
+            assert!(
+                !multirate,
+                "{tag}: multirate netlist derived without a frame"
+            );
+            assert_trace_eq(
+                &format!("{tag} schedule"),
+                &activity.trace(),
+                &without_toggles(&fast_tr),
+            );
+        }
+        Err(e) => {
+            assert!(multirate, "{tag}: {e}");
+            assert_eq!(e, NeedsFrame::Multirate, "{tag}");
+        }
+    }
 }
 
 fn noise_inputs(dag: &Dag, geom: &ImageGeometry, seed: u64, bits: u32) -> Vec<Image> {
@@ -152,6 +191,114 @@ fn program_matches_legacy_on_corpus() {
             differential(&format!("{alg:?} {wname} gated"), &gated, &inputs);
         }
     }
+}
+
+/// The trace built without a frame on the designs the planner's default
+/// ASIC macro does not produce: rows split over several blocks, FPGA
+/// BRAM and SODA FIFO chains, at both widths, ungated and gated. It also
+/// pins [`ScheduleActivity::trace_gated`] on the ungated netlist to the
+/// traced run of the gated copy, and a narrowed gate window to a
+/// [`imagen_rtl::GateGap`].
+#[test]
+fn schedule_activity_matches_traced_run_across_backends() {
+    let geom = ImageGeometry {
+        width: 48,
+        height: 32,
+        pixel_bits: 16,
+    };
+    // 256-bit macros hold a third of a 48 x 16-bit row.
+    let split = MemBackend::Asic { block_bits: 256 };
+    for alg in Algorithm::all() {
+        let dag = alg.build();
+        let mut plans: Vec<(&str, imagen_schedule::Plan)> =
+            [("split-row", split), ("fpga", MemBackend::Fpga)]
+                .into_iter()
+                .map(|(name, backend)| {
+                    let spec = MemorySpec::new(backend, 2);
+                    let plan = plan_design(
+                        &dag,
+                        &geom,
+                        &spec,
+                        ScheduleOptions::default(),
+                        DesignStyle::Ours,
+                    )
+                    .unwrap();
+                    (name, plan)
+                })
+                .collect();
+        plans.push((
+            "soda",
+            generate_soda(&dag, &geom, MemBackend::asic_default()).unwrap(),
+        ));
+        for (name, plan) in &plans {
+            let inputs = noise_inputs(&plan.dag, &geom, 0x5C4E + alg as u64, 4);
+            for (wname, widths) in [
+                ("16/32", BitWidths::default()),
+                ("64/64", BitWidths::wide()),
+            ] {
+                let tag = format!("{alg:?} {name} {wname}");
+                let net = build_netlist(&plan.dag, &plan.design, &widths);
+                if *name == "split-row" {
+                    assert!(
+                        net.buffers.iter().any(|b| b.blocks_per_row > 1),
+                        "{tag}: rows span several blocks"
+                    );
+                }
+                if *name == "soda" {
+                    assert!(net.buffers.iter().any(|b| b.fifo), "{tag}: FIFO buffers");
+                }
+                differential(&format!("{tag} ungated"), &net, &inputs);
+                let gated = gate_clocks(&net);
+                differential(&format!("{tag} gated"), &gated, &inputs);
+
+                let activity = ScheduleActivity::derive(&net).unwrap();
+                let (_, gated_tr) = interpret_with_trace(&gated, &inputs).unwrap();
+                let plan = gating_plan(&net);
+                assert_trace_eq(
+                    &format!("{tag} trace_gated"),
+                    &activity.trace_gated(&plan).unwrap(),
+                    &without_toggles(&gated_tr),
+                );
+                let mut narrowed = plan.clone();
+                if let Some(g) = narrowed.gates.first_mut() {
+                    g.read_start += 1;
+                    let buffer = g.buffer;
+                    let gap = activity.trace_gated(&narrowed).unwrap_err();
+                    assert_eq!(gap.buffer, buffer, "{tag}");
+                }
+            }
+        }
+    }
+}
+
+/// A schedule that violates the streaming margins keeps the cycle walker
+/// for its trace: the frame-free derivation refuses it.
+#[test]
+fn schedule_activity_refuses_unstreamable_schedules() {
+    let geom = ImageGeometry {
+        width: 32,
+        height: 24,
+        pixel_bits: 16,
+    };
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let plan = plan_design(
+        &Algorithm::UnsharpM.build(),
+        &geom,
+        &spec,
+        ScheduleOptions::default(),
+        DesignStyle::Ours,
+    )
+    .unwrap();
+    let mut net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+    assert!(ScheduleActivity::derive(&net).is_ok());
+    // Start a consumer together with its producer: its window rows are
+    // loaded before they are written.
+    let e = net.edges[0].clone();
+    net.stages[e.consumer].start_cycle = net.stages[e.producer].start_cycle;
+    assert_eq!(
+        ScheduleActivity::derive(&net).unwrap_err(),
+        NeedsFrame::NotStreamable
+    );
 }
 
 /// 1-2-1 / 2-4-2 / 1-2-1 smoothing kernel over `slot`, `>> 4`.
