@@ -1,29 +1,31 @@
-//! **Interpreter speedup** — the compiled evaluation program vs the
-//! legacy graph-walking netlist interpreter, per Tbl. 3 pipeline.
+//! **Netlist executor timing** — the compiled evaluation program, per
+//! example pipeline.
 //!
 //! `imagen_rtl::interpret` lowers each netlist once into a flat
-//! evaluation program (`crates/rtl/src/program.rs`) and streams frames
-//! through it; `interpret_legacy` re-walks the netlist graph every
-//! clock edge. This binary measures both paths — untraced, traced, and
-//! clock-gated traced — on every Tbl. 3 pipeline at the acceptance
-//! geometry (120×80 @ 16 bpp; smoke mode shrinks it for CI), plus the
-//! one-time program compile cost, and prints per-pipeline speedups with
-//! a geometric-mean summary. The two engines are pinned bit-identical
-//! by `crates/rtl/tests/program_differential.rs`; this binary reports
-//! only the wall-clock side of that bargain.
+//! evaluation program (`crates/rtl/src/program.rs`), the one netlist
+//! executor, and streams frames through it. This binary times that
+//! program on all 10 example programs (`examples/*.imagen`: the seven
+//! Tbl. 3 pipelines, Sobel and both multirate pyramids) at the
+//! acceptance geometry (120×80 @ 16 bpp; smoke mode shrinks it for CI):
+//! an untraced run, a traced run, a traced run of the clock-gated
+//! netlist, the frame-free `ScheduleActivity` derivation that DSE prices
+//! from, and the one-time program compile. Rate-1 pipelines run the
+//! vectorized tile loop, the pyramids the strided scalar loop. The
+//! program is pinned bit-identical to a per-cycle reference walker by
+//! `crates/rtl/tests/program_differential.rs`; this binary reports only
+//! the wall-clock side.
 //!
 //! EXPERIMENTS.md ("Netlist interpreter") records representative
 //! numbers; machine noise of tens of percent run-to-run is normal.
 
-use imagen_algos::{noise_bits, Algorithm};
+use imagen_algos::noise_bits;
 use imagen_bench::smoke_mode;
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
-use imagen_rtl::{
-    build_netlist, interpret_legacy, interpret_with_trace_legacy, BitWidths, EvalProgram,
-};
+use imagen_rtl::{build_netlist, BitWidths, EvalProgram, ScheduleActivity};
 use imagen_sim::Image;
+use std::path::Path;
 use std::time::Instant;
 
 /// Best-of-`reps` wall clock in milliseconds.
@@ -37,9 +39,28 @@ fn best_ms(reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The example programs, `(name, source)`, sorted by file name.
+fn examples() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "imagen"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(p).unwrap())
+        })
+        .collect()
+}
+
 fn main() {
     let smoke = smoke_mode();
     let reps = if smoke { 3 } else { 7 };
+    // Both extents divisible by the pyramids' 2×2 cumulative scale.
     let geom = if smoke {
         ImageGeometry {
             width: 48,
@@ -53,18 +74,19 @@ fn main() {
             pixel_bits: 16,
         }
     };
-    println!("# Netlist interpreter speedup (compiled program vs legacy walker)");
-    println!("geometry {geom}, best of {reps} reps\n");
+    println!("# Netlist executor timing (compiled evaluation program)");
+    println!("geometry {geom}, best of {reps} reps, ms\n");
     println!(
-        "{:<10} {:>18} {:>18} {:>18} {:>12}",
-        "pipeline", "untraced", "traced", "gated traced", "compile ms"
+        "{:<18} {:>9} {:>9} {:>13} {:>9} {:>9}",
+        "pipeline", "untraced", "traced", "gated traced", "schedule", "compile"
     );
 
-    let mut ratios: Vec<f64> = Vec::new();
-    for alg in Algorithm::all() {
-        let dag = alg.build();
+    let mut overheads: Vec<f64> = Vec::new();
+    for (name, src) in examples() {
         let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-        let out = Compiler::new(geom, spec).compile_dag(&dag).unwrap();
+        let out = Compiler::new(geom, spec)
+            .compile_source(&name, &src)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let net = build_netlist(&out.plan.dag, &out.plan.design, &BitWidths::default());
         let gated = gate_clocks(&net);
         let inputs: Vec<Image> = (0..net.input_streams().len())
@@ -78,48 +100,31 @@ fn main() {
         let prog = EvalProgram::compile(&net).unwrap();
         let gprog = EvalProgram::compile(&gated).unwrap();
 
-        let l_u = best_ms(reps, || {
-            interpret_legacy(&net, &inputs).unwrap();
-        });
-        let p_u = best_ms(reps, || {
+        let untraced = best_ms(reps, || {
             prog.run(&inputs).unwrap();
         });
-        let l_t = best_ms(reps, || {
-            interpret_with_trace_legacy(&net, &inputs).unwrap();
-        });
-        let p_t = best_ms(reps, || {
+        let traced = best_ms(reps, || {
             prog.run_with_trace(&inputs).unwrap();
         });
-        let l_g = best_ms(reps, || {
-            interpret_with_trace_legacy(&gated, &inputs).unwrap();
-        });
-        let p_g = best_ms(reps, || {
+        let gated_traced = best_ms(reps, || {
             gprog.run_with_trace(&inputs).unwrap();
         });
-        let compile_ms = best_ms(reps, || {
+        let schedule = best_ms(reps, || {
+            ScheduleActivity::derive(&net).unwrap().trace();
+        });
+        let compile = best_ms(reps, || {
             EvalProgram::compile(&net).unwrap();
         });
 
-        ratios.extend([l_u / p_u, l_t / p_t, l_g / p_g]);
+        overheads.push(traced / untraced);
         println!(
-            "{:<10} {:>7.3}->{:>5.3} {:>4.1}x {:>7.3}->{:>5.3} {:>4.1}x {:>7.3}->{:>5.3} {:>4.1}x {:>12.4}",
-            alg.name(),
-            l_u,
-            p_u,
-            l_u / p_u,
-            l_t,
-            p_t,
-            l_t / p_t,
-            l_g,
-            p_g,
-            l_g / p_g,
-            compile_ms
+            "{name:<18} {untraced:>9.3} {traced:>9.3} {gated_traced:>13.3} {schedule:>9.3} {compile:>9.4}"
         );
     }
 
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    let geomean = (overheads.iter().map(|r| r.ln()).sum::<f64>() / overheads.len() as f64).exp();
     println!(
-        "\ninterpreter speedup geomean: {geomean:.1}x over {} measurements",
-        ratios.len()
+        "\nprogram timing geomean: traced/untraced {geomean:.2}x over {} pipelines",
+        overheads.len()
     );
 }

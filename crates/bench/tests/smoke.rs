@@ -39,7 +39,7 @@ smoke_tests! {
     tbl3 => "Tbl. 3";
     exp_bench_snapshot => "imagen-bench-snapshot/1";
     exp_energy => "analytic vs measured";
-    exp_interp_speedup => "interpreter speedup geomean";
+    exp_interp_speedup => "program timing geomean";
     exp_throughput => "Sec. 8.1";
     exp_compile_speed => "Sec. 8.2";
     exp_scalability => "Sec. 8.2";

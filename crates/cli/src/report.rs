@@ -361,7 +361,6 @@ pub(crate) fn check_exhaustive_size(
 pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
     let strategy = parse_strategy(&opts.strategy, opts.samples, opts.seed)?;
     check_exhaustive_size(strategy, dag.buffered_stages().len())?;
-    let bits = opts.input_bits.unwrap_or(4);
     let res = explore(
         dag,
         &opts.geometry(),
@@ -369,10 +368,7 @@ pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
         ExploreOptions {
             strategy,
             threads: opts.threads,
-            measure: MeasureMode::Noise {
-                seed: opts.seed,
-                bits,
-            },
+            measure: MeasureMode::default(),
         },
     )
     .map_err(|e| e.to_string())?;

@@ -107,7 +107,7 @@ pub struct CompileOutput {
     pub plan: Plan,
     /// The elaborated netlist the Verilog is printed from (shared with
     /// the session cache; also the input to `imagen_rtl::interpret` and
-    /// `imagen_rtl::verify_structure`).
+    /// `imagen_rtl::verify_all`).
     pub netlist: std::sync::Arc<imagen_rtl::Netlist>,
     /// Synthesizable Verilog for the design.
     pub verilog: String,

@@ -29,16 +29,12 @@
 //! are byte-identical to a sequential walk regardless of thread count.
 //!
 //! By default every point also carries measured energy
-//! ([`MeasureMode::Noise`]): the point's netlist is elaborated and
+//! ([`MeasureMode::Schedule`]): the point's netlist is elaborated and
 //! `imagen_power::measure_schedule` prices its ungated and clock-gated
-//! activity from the schedule alone. No frame is interpreted, so a
-//! measured point costs work in proportion to frame rows, not to pixels
-//! times kernel operations. Netlists that still need a frame for their
-//! trace — multirate pipelines such as the pyramids, and schedules that
-//! violate the streaming margins — are interpreted on the seeded noise
-//! stimulus through `imagen_power::measure_netlist`. Measured energy
-//! prices only schedule-determined activity, so it does not depend on
-//! the stimulus either way.
+//! activity from the schedule alone, at any rate — the pyramids
+//! included. No frame is interpreted, so a measured point costs work in
+//! proportion to frame rows, not to pixels times kernel operations, and
+//! the sweep needs no stimulus.
 //!
 //! [`pareto_front`] / [`ParetoFront`] extract the non-dominated designs —
 //! incrementally, not by the quadratic post-hoc scan. The paper's
@@ -60,7 +56,6 @@ use imagen_rtl::{
     build_netlist, report_resources_for, BitWidths, InterpError, Netlist, ResourceReport,
 };
 use imagen_schedule::Plan;
-use imagen_sim::Image;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -103,7 +98,7 @@ pub struct DsePoint {
     /// the RTL is printed from, without generating any Verilog text.
     pub resources: ResourceReport,
     /// Measured (netlist-activity) energy. Populated during the sweep
-    /// itself under the default [`MeasureMode::Noise`]; `None` only when
+    /// itself under the default [`MeasureMode::Schedule`]; `None` only when
     /// the sweep ran with [`MeasureMode::Off`] and nobody has paid for an
     /// on-demand [`DseResult::measure_point`] yet.
     pub measured: Option<MeasuredEnergy>,
@@ -112,9 +107,9 @@ pub struct DsePoint {
 }
 
 /// Measured energy/power of one design point, priced by `imagen_power`
-/// from the activity of the point's netlist: the analytic `power_mw`
-/// axis's activity-measured counterpart. It does not depend on the
-/// [`MeasureMode::Noise`] stimulus.
+/// from the activity the point's netlist and schedule fix: the analytic
+/// `power_mw` axis's activity-measured counterpart. No frame is run, so
+/// it depends on no stimulus.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasuredEnergy {
     /// Total (dynamic + static) energy per frame, pJ, ungated.
@@ -152,7 +147,8 @@ impl MeasuredEnergy {
 pub enum MeasureError {
     /// Planning/compiling the point's netlist failed.
     Compile(CompileError),
-    /// Interpreting the netlist failed (e.g. input frame geometry).
+    /// The executor refused the point's netlist (e.g. a schedule that
+    /// violates the streaming margins).
     Interp(InterpError),
 }
 
@@ -257,19 +253,16 @@ impl DseResult {
     /// point: a second call is free.
     ///
     /// `session` must be a session for the same DAG/geometry the sweep
-    /// ran on, and `inputs` one frame of that geometry per input stream.
-    /// Only netlists that still need a frame (multirate or
-    /// non-streamable schedules) are interpreted on `inputs`; the energy
-    /// does not depend on them.
+    /// ran on.
     ///
     /// # Errors
     ///
-    /// [`MeasureError`] on planning or interpretation failure.
+    /// [`MeasureError`] on planning failure or when the executor refuses
+    /// the netlist.
     pub fn measure_point(
         &mut self,
         session: &Session,
         index: usize,
-        inputs: &[Image],
     ) -> Result<MeasuredEnergy, MeasureError> {
         if let Some(m) = self.points[index].measured {
             return Ok(m);
@@ -277,7 +270,7 @@ impl DseResult {
         let point = &self.points[index];
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
         let net = session.netlist(&spec, Some(point.design.style))?;
-        let m = measure_energy(&net, &point.design, inputs)?;
+        let m = measure_energy(&net, &point.design)?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -308,37 +301,21 @@ pub enum ExploreStrategy {
 /// Whether [`explore`] measures each point's energy while sweeping.
 ///
 /// Measured energy prices only activity the netlist's structure and
-/// schedule fix, so a rate-1 point is measured from its schedule
+/// schedule fix, so every point is measured from its schedule
 /// (`imagen_power::measure_schedule`) in work proportional to frame
 /// rows, without interpreting a frame. That makes full measured sweeps
 /// cheap enough to be the default: every [`DsePoint`] comes back with
 /// [`DsePoint::measured`] populated, so the measured-energy frontier
 /// (`pareto_front_by` over `(area, energy)`) is available without a
 /// second pass.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MeasureMode {
-    /// Measure every point (ungated and clock-gated). Netlists that
-    /// still need a frame for their trace — multirate pipelines and
-    /// schedules that violate the streaming margins — are interpreted on
-    /// deterministic seeded noise frames: one frame per input stream,
-    /// stream `i` seeded with `seed + i` (the `imagen_algos::noise_bits`
-    /// stimulus convention shared with the CLI). The measured values do
-    /// not depend on `seed` or `bits`.
-    Noise {
-        /// Base seed of the per-input noise streams.
-        seed: u64,
-        /// Unsigned bits per noise pixel.
-        bits: u32,
-    },
+    /// Measure every point (ungated and clock-gated) from its schedule.
+    #[default]
+    Schedule,
     /// Skip measurement: points carry `measured: None` until someone
     /// pays for an on-demand [`DseResult::measure_point`].
     Off,
-}
-
-impl Default for MeasureMode {
-    fn default() -> Self {
-        MeasureMode::Noise { seed: 1, bits: 4 }
-    }
 }
 
 /// Options for [`explore`].
@@ -349,8 +326,8 @@ pub struct ExploreOptions {
     /// Worker threads for fan-out; `0` uses the machine's available
     /// parallelism. Results do not depend on this value.
     pub threads: usize,
-    /// Measured-energy policy; [`MeasureMode::Noise`] (default) measures
-    /// every point during the sweep.
+    /// Measured-energy policy; [`MeasureMode::Schedule`] (default)
+    /// measures every point during the sweep.
     pub measure: MeasureMode,
 }
 
@@ -393,22 +370,14 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
         .collect()
 }
 
-/// Measures `net` and its clock-gated variant: from the schedule when the
-/// netlist allows it, otherwise by interpreting `inputs`.
-fn measure_energy(
-    net: &Netlist,
-    design: &Design,
-    inputs: &[Image],
-) -> Result<MeasuredEnergy, InterpError> {
+/// Measures `net` and its clock-gated variant from the schedule.
+fn measure_energy(net: &Netlist, design: &Design) -> Result<MeasuredEnergy, InterpError> {
     let _s = imagen_obs::span("measure");
-    if let Ok(p) = imagen_power::measure_schedule(net, design) {
-        return Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated));
-    }
-    let pm = imagen_power::measure_netlist(net, design, inputs)?;
-    Ok(MeasuredEnergy::from_reports(&pm.ungated, &pm.gated))
+    let p = imagen_power::measure_schedule(net, design)?;
+    Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated))
 }
 
-fn point_from(plan: &Plan, choices: Vec<StageChoice>, inputs: Option<&[Image]>) -> DsePoint {
+fn point_from(plan: &Plan, choices: Vec<StageChoice>, measure: bool) -> DsePoint {
     let design = plan.design.clone();
     // The fast path: same numbers as walking the full netlist (pinned by
     // test in imagen-rtl), no per-point elaboration in the pricing loop.
@@ -416,12 +385,12 @@ fn point_from(plan: &Plan, choices: Vec<StageChoice>, inputs: Option<&[Image]>) 
     // Measured-energy default-on: elaborate the point's netlist right
     // here in the pricing loop and price its schedule. The netlist is
     // transient (not cached), so a 2^N sweep does not pin 2^N netlists.
-    let measured = inputs.map(|inputs| {
+    let measured = measure.then(|| {
         let net = {
             let _s = imagen_obs::span("netlist.build");
             build_netlist(&plan.dag, &design, &BitWidths::default())
         };
-        measure_energy(&net, &design, inputs).expect("sweep inputs are built to the sweep geometry")
+        measure_energy(&net, &design).expect("the planner emits streamable netlists")
     });
     DsePoint {
         choices,
@@ -444,7 +413,7 @@ fn evaluate_masks(
     buffered: &[usize],
     masks: &[u64],
     threads: usize,
-    inputs: Option<&[Image]>,
+    measure: bool,
 ) -> Result<Vec<DsePoint>, CompileError> {
     let n = buffered.len();
     // Exhaustive/random mask lists never repeat, so memoizing every plan
@@ -453,7 +422,7 @@ fn evaluate_masks(
         let choices = choices_for(mask, n);
         let spec = spec_for(backend, buffered, &choices);
         let plan = session.price_transient(&spec, None)?;
-        Ok(point_from(&plan, choices, inputs))
+        Ok(point_from(&plan, choices, measure))
     };
 
     let threads = if threads == 0 {
@@ -509,20 +478,19 @@ pub fn explore(
     // walk's dedup keys, sample_masks).
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
 
-    let inputs = measure_inputs(dag, geom, opts.measure);
-    let inputs = inputs.as_deref();
+    let measure = opts.measure == MeasureMode::Schedule;
 
     let points = match opts.strategy {
         ExploreStrategy::Exhaustive => {
             assert!(n <= 20, "sweep of 2^{n} points is impractical");
             let masks: Vec<u64> = (0..(1u64 << n)).collect();
-            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, inputs)?
+            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, measure)?
         }
         ExploreStrategy::Random { samples, seed } => {
             let masks = sample_masks(n, samples, seed);
-            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, inputs)?
+            evaluate_masks(&session, backend, &buffered, &masks, opts.threads, measure)?
         }
-        ExploreStrategy::Greedy => greedy_walk(&session, backend, &buffered, inputs)?.points,
+        ExploreStrategy::Greedy => greedy_walk(&session, backend, &buffered, measure)?.points,
     };
 
     let (hits, misses) = session.cache().stats();
@@ -536,27 +504,6 @@ pub fn explore(
             simplex_pivots: imagen_ilp::stats::pivot_count() - pivots_before,
         },
     })
-}
-
-/// The sweep's measurement stimulus: one seeded noise frame per input
-/// stream (`None` under [`MeasureMode::Off`]).
-fn measure_inputs(dag: &Dag, geom: &ImageGeometry, mode: MeasureMode) -> Option<Vec<Image>> {
-    match mode {
-        MeasureMode::Off => None,
-        MeasureMode::Noise { seed, bits } => {
-            let n_inputs = dag.stages().filter(|(_, s)| s.is_input()).count();
-            Some(
-                (0..n_inputs)
-                    .map(|i| {
-                        let seed = seed.wrapping_add(i as u64);
-                        Image::from_fn(geom.width, geom.height, move |x, y| {
-                            imagen_algos::noise_bits(seed, x, y, bits)
-                        })
-                    })
-                    .collect(),
-            )
-        }
-    }
 }
 
 /// Budget-capped deterministic mask sample: the all-DP and all-DPLC
@@ -619,7 +566,7 @@ fn greedy_walk(
     session: &Session,
     backend: MemBackend,
     buffered: &[usize],
-    inputs: Option<&[Image]>,
+    measure: bool,
 ) -> Result<GreedyOutcome, CompileError> {
     let n = buffered.len();
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
@@ -638,7 +585,7 @@ fn greedy_walk(
         let spec = spec_for(backend, buffered, choices);
         let plan = session.price(&spec, Some(DesignStyle::OursLc))?;
         if recorded.insert(mask_of(choices)) {
-            points.push(point_from(&plan, choices.to_vec(), inputs));
+            points.push(point_from(&plan, choices.to_vec(), measure));
         }
         Ok(plan)
     };
@@ -691,7 +638,7 @@ pub fn judicious_lc(
     let session = Session::new(dag, *geom);
     let buffered: Vec<usize> = dag.buffered_stages().iter().map(|s| s.index()).collect();
     // Probe points are pricing-only; nobody reads their measured energy.
-    let outcome = greedy_walk(&session, backend, &buffered, None)?;
+    let outcome = greedy_walk(&session, backend, &buffered, false)?;
     // The winner's plan is a cache hit; this only adds codegen.
     let out = session.compile(
         &spec_for(backend, &buffered, &outcome.choices),
@@ -915,7 +862,7 @@ mod tests {
         // The measured frontier is available straight off the sweep.
         let front = res.pareto_front_by(|p| (p.area_mm2, p.measured.unwrap().energy_pj_per_frame));
         assert!(!front.is_empty());
-        // The stimulus is deterministic: a second sweep measures
+        // Measurement is deterministic: a second sweep measures
         // identically, bit for bit.
         let again = sweep(&dag, &geom(), backend()).unwrap();
         for (a, b) in res.points.iter().zip(&again.points) {
@@ -947,13 +894,9 @@ mod tests {
             res.points.iter().all(|p| p.measured.is_none()),
             "MeasureMode::Off defers measurement"
         );
-        let input = Image::from_fn(geom().width, geom().height, |x, y| {
-            ((x * 3 + y * 7) % 97) as i64
-        });
-        let inputs = [input];
         let n = res.points.len();
         for i in 0..n {
-            let m = res.measure_point(&session, i, &inputs).unwrap();
+            let m = res.measure_point(&session, i).unwrap();
             assert!(m.energy_pj_per_frame > 0.0);
             assert!(m.power_mw > 0.0);
             assert!(
@@ -965,7 +908,7 @@ mod tests {
         }
         // Memoized: a second call returns the same value without work.
         let (hits_before, _) = session.cache().stats();
-        let again = res.measure_point(&session, 0, &inputs).unwrap();
+        let again = res.measure_point(&session, 0).unwrap();
         assert_eq!(
             again.energy_pj_per_frame,
             res.points[0].measured.unwrap().energy_pj_per_frame
@@ -1163,7 +1106,7 @@ mod tests {
             ];
             let spec = spec_for(backend(), &buffered, &choices);
             let plan = session.price(&spec, None).unwrap();
-            points.push(point_from(&plan, choices, None));
+            points.push(point_from(&plan, choices, false));
         }
         DseResult {
             buffered_stages: buffered,

@@ -3,9 +3,10 @@
 //! * fanning a sweep out over worker threads returns *byte-identical*
 //!   points (order and values) to the sequential walk;
 //! * recompiling a cached point equals the cold compile;
-//! * every swept point's measured energy equals a per-point frame
-//!   measurement (`imagen_power::measure_netlist`) bit for bit, on the
-//!   whole example corpus, and does not depend on the noise stimulus.
+//! * every swept point's measured energy, priced from its schedule,
+//!   equals a per-point frame measurement
+//!   (`imagen_power::measure_netlist`) bit for bit, on the whole example
+//!   corpus, pyramids included.
 
 use imagen_core::Session;
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
@@ -62,8 +63,7 @@ fn assert_byte_identical(a: &DseResult, b: &DseResult) -> Result<(), TestCaseErr
             i
         );
         // Measured energy is default-on and part of the determinism
-        // contract: the interpreter stimulus is seeded, so the measured
-        // values must be bit-identical too.
+        // contract: the measured values must be bit-identical too.
         let (ma, mb) = (pa.measured.unwrap(), pb.measured.unwrap());
         prop_assert_eq!(
             ma.energy_pj_per_frame.to_bits(),
@@ -164,7 +164,7 @@ fn corpus() -> Vec<(String, Dag)> {
         .collect()
 }
 
-fn measured_sweep(dag: &Dag, threads: usize, measure: MeasureMode) -> DseResult {
+fn measured_sweep(dag: &Dag, threads: usize) -> DseResult {
     explore(
         dag,
         &geom(),
@@ -172,13 +172,13 @@ fn measured_sweep(dag: &Dag, threads: usize, measure: MeasureMode) -> DseResult 
         ExploreOptions {
             strategy: ExploreStrategy::Exhaustive,
             threads,
-            measure,
+            measure: MeasureMode::default(),
         },
     )
     .unwrap()
 }
 
-/// The default sweep stimulus, rebuilt outside the sweep.
+/// One seeded noise frame per input stream.
 fn noise_frames(dag: &Dag, seed: u64, bits: u32) -> Vec<Image> {
     let g = geom();
     let n = dag.stages().filter(|(_, s)| s.is_input()).count();
@@ -192,26 +192,22 @@ fn noise_frames(dag: &Dag, seed: u64, bits: u32) -> Vec<Image> {
 }
 
 /// Every swept point's measured energy equals `measure_netlist` on the
-/// point's netlist and the default noise frame, bit for bit, at 1 and 3
-/// workers. Rate-1 points are priced from their schedule; the pyramids
-/// need a frame and take the fallback.
+/// point's netlist and a noise frame, bit for bit, at 1 and 3 workers.
+/// Every point, pyramids included, is priced from its schedule; the
+/// frame measurement runs the traced program on the point's netlist and
+/// its clock-gated copy.
 #[test]
 fn measured_energy_matches_frame_measurement_on_corpus() {
-    let MeasureMode::Noise { seed, bits } = MeasureMode::default() else {
-        unreachable!("the default sweep measures");
-    };
     for (name, dag) in corpus() {
-        let sweeps = [1, 3].map(|threads| measured_sweep(&dag, threads, MeasureMode::default()));
+        let sweeps = [1, 3].map(|threads| measured_sweep(&dag, threads));
         let session = Session::new(&dag, geom());
-        let inputs = noise_frames(&dag, seed, bits);
-        let multirate = dag.stage_scales().iter().any(|&s| s != (1, 1));
+        let inputs = noise_frames(&dag, 1, 4);
         for (i, p) in sweeps[0].points.iter().enumerate() {
             let spec = sweeps[0].spec_of(p, backend());
             let net = session.netlist(&spec, Some(p.design.style)).unwrap();
-            assert_eq!(
-                ScheduleActivity::derive(&net).is_err(),
-                multirate,
-                "{name} point {i}: only multirate points need a frame"
+            assert!(
+                ScheduleActivity::derive(&net).is_ok(),
+                "{name} point {i}: priced from its schedule"
             );
             let pm = imagen_power::measure_netlist(&net, &p.design, &inputs).unwrap();
             for res in &sweeps {
@@ -237,35 +233,6 @@ fn measured_energy_matches_frame_measurement_on_corpus() {
                     "{name} point {i}: gated-off cycles"
                 );
             }
-        }
-    }
-}
-
-/// Measured values do not depend on the noise stimulus: a different seed
-/// and bit depth measure the same energy, pyramids included.
-#[test]
-fn measured_energy_ignores_the_stimulus() {
-    for (name, dag) in corpus() {
-        let a = measured_sweep(&dag, 2, MeasureMode::default());
-        let b = measured_sweep(&dag, 2, MeasureMode::Noise { seed: 77, bits: 11 });
-        for (i, (pa, pb)) in a.points.iter().zip(&b.points).enumerate() {
-            let (ma, mb) = (pa.measured.unwrap(), pb.measured.unwrap());
-            assert_eq!(
-                ma.energy_pj_per_frame.to_bits(),
-                mb.energy_pj_per_frame.to_bits(),
-                "{name} point {i}"
-            );
-            assert_eq!(
-                ma.power_mw.to_bits(),
-                mb.power_mw.to_bits(),
-                "{name} point {i}"
-            );
-            assert_eq!(
-                ma.gated_power_mw.to_bits(),
-                mb.gated_power_mw.to_bits(),
-                "{name} point {i}"
-            );
-            assert_eq!(ma.gated_off_cycles, mb.gated_off_cycles, "{name} point {i}");
         }
     }
 }

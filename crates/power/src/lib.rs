@@ -15,7 +15,7 @@
 //!    ├──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┤
 //!    │                                                                 │
 //!    └──ScheduleActivity::derive()──┬─ trace() ────────────────────────┤
-//!        (rate-1, no frame)         └─ trace_gated(gating_plan()) ─────┘
+//!        (any rate, no frame)       └─ trace_gated(gating_plan()) ─────┘
 //! ```
 //!
 //! * [`measure`] converts an [`ActivityTrace`](imagen_rtl::ActivityTrace)
@@ -41,8 +41,8 @@
 //! * [`measure_schedule`] prices the same pair without a frame or a
 //!   gated copy: the ungated and gated traces share one
 //!   [`ScheduleActivity`] block sweep and differ only in the read-port
-//!   closed forms. Multirate and non-streamable netlists report
-//!   [`NeedsFrame`] and keep [`measure_netlist`].
+//!   closed forms. It prices every netlist the compiler emits, rate-1
+//!   and multirate alike.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -58,7 +58,7 @@ pub use gate::{gate_clocks, gating_plan};
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
-    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, NeedsFrame, Netlist,
+    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, Netlist,
     ScheduleActivity,
 };
 use imagen_sim::Image;
@@ -153,8 +153,9 @@ pub struct SchedulePower {
 ///
 /// # Errors
 ///
-/// [`NeedsFrame`] when the netlist's activity needs a frame (multirate
-/// or non-streamable schedules): measure those with [`measure_netlist`].
+/// [`InterpError`] when the executor refuses the netlist (a windowed
+/// producer without a line buffer, or a schedule that violates the
+/// streaming margins); the compiler emits neither.
 ///
 /// # Panics
 ///
@@ -163,7 +164,7 @@ pub struct SchedulePower {
 /// output comparison with a stronger check: a gate that covers every
 /// consumer window changes no loaded word on any input, not just on one
 /// frame.
-pub fn measure_schedule(net: &Netlist, design: &Design) -> Result<SchedulePower, NeedsFrame> {
+pub fn measure_schedule(net: &Netlist, design: &Design) -> Result<SchedulePower, InterpError> {
     let activity = ScheduleActivity::derive(net)?;
     let gated = activity
         .trace_gated(&gating_plan(net))

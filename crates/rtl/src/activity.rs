@@ -18,8 +18,8 @@
 //!   bit toggles) and per-stage enable duty and output-register toggles.
 //!
 //! The trace never changes interpretation results: the interpreter's
-//! outputs, latency and legacy access totals are identical with and
-//! without a sink (pinned by test and by the `activity_interp` bench).
+//! outputs, latency and access totals are identical with and without a
+//! sink (pinned by test and by the `activity_interp` bench).
 //!
 //! # Which fields need data
 //!
@@ -36,20 +36,17 @@
 //! * per stage: `active_cycles` and `out_reg_writes`;
 //! * per SRA: `shift_cycles` and `cell_writes`.
 //!
-//! For a rate-1 netlist whose schedule allows streaming,
+//! For every netlist the executor accepts, rate-1 and multirate alike,
 //! [`ScheduleActivity`](crate::ScheduleActivity) computes exactly those
 //! without running a frame, and leaves the two toggles at zero. The
 //! traced interpreter builds its trace through the same code and adds
-//! only the toggles from the frame. Multirate netlists still take their
-//! whole trace from the rate-aware cycle walker.
+//! only the toggles from the frame's stage images.
 //!
 //! `imagen_power` converts a trace plus the technology constants in
 //! `imagen_mem::tech` into an `EnergyReport` — measured pJ/frame and mW
 //! instead of the scheduled-rate analytic estimate. It prices only the
 //! schedule-determined fields, so a trace built without a frame prices
 //! the same as an interpreted one.
-
-use crate::netlist::Netlist;
 
 /// Per-line-buffer activity over one interpreted frame.
 #[derive(Clone, Debug, Default)]
@@ -139,7 +136,7 @@ pub struct SraActivity {
 }
 
 /// Activity collected over one interpreted frame, structurally parallel
-/// to the interpreted [`Netlist`]: `buffers[i]` ↔ `net.buffers[i]`,
+/// to the interpreted [`Netlist`](crate::Netlist): `buffers[i]` ↔ `net.buffers[i]`,
 /// `stages[i]` ↔ `net.stages[i]`, `sras[i]` ↔ `net.edges[i]`.
 #[derive(Clone, Debug, Default)]
 pub struct ActivityTrace {
@@ -156,29 +153,6 @@ pub struct ActivityTrace {
 }
 
 impl ActivityTrace {
-    /// An empty trace shaped for `net`, ready to be filled by
-    /// [`interpret_with_trace`](crate::interpret_with_trace).
-    pub fn for_netlist(net: &Netlist) -> ActivityTrace {
-        ActivityTrace {
-            run_cycles: 0,
-            frame: net.frame,
-            buffers: net
-                .buffers
-                .iter()
-                .map(|b| BufferActivity {
-                    stage: b.stage,
-                    block_reads: vec![0; b.phys_blocks],
-                    block_writes: vec![0; b.phys_blocks],
-                    block_peaks: vec![0; b.phys_blocks],
-                    fifo: b.fifo,
-                    ..BufferActivity::default()
-                })
-                .collect(),
-            stages: vec![StageActivity::default(); net.stages.len()],
-            sras: vec![SraActivity::default(); net.edges.len()],
-        }
-    }
-
     /// Total gated-off read-port cycles over all buffers.
     pub fn gated_off_cycles(&self) -> u64 {
         self.buffers.iter().map(|b| b.gated_off_cycles).sum()

@@ -1,11 +1,15 @@
-//! The executable-netlist interpreter.
+//! The executable-netlist interpreter's entry points and semantics.
 //!
-//! [`interpret`] runs a [`Netlist`] clock edge by clock edge: the cycle
-//! counter advances, per-stage enables fire at the ILP start cycles, the
-//! window-load paths shift the SRA register arrays and read the rotating
-//! line-buffer SRAMs, the stage compute modules evaluate their kernels at
-//! the declared accumulator width, and the output registers truncate to
-//! the pixel width — exactly the hardware the netlist describes.
+//! [`interpret`] executes a [`Netlist`] over one frame: per-stage enables
+//! fire at the ILP start cycles, the window-load paths shift the SRA
+//! register arrays and read the rotating line-buffer SRAMs, the stage
+//! compute modules evaluate their kernels at the declared accumulator
+//! width, and the output registers truncate to the pixel width — exactly
+//! the hardware the netlist describes. Both entry points compile the
+//! netlist into an [`EvalProgram`], the one netlist executor, and stream
+//! the frame through it; this module also pins the datapath arithmetic
+//! that executor and the symbolic certifier share ([`trunc`],
+//! [`eval_acc`]).
 //!
 //! This closes the verification loop the repository previously lacked
 //! (no synthesis or Verilog simulation tool exists in this environment):
@@ -24,7 +28,8 @@
 //! `s + k` — the cycle-level simulator's convention.
 
 use crate::activity::ActivityTrace;
-use crate::netlist::{BufferGate, ModuleKind, Netlist};
+use crate::netlist::Netlist;
+use crate::program::EvalProgram;
 use imagen_ir::Expr;
 use imagen_sim::Image;
 use std::fmt;
@@ -48,6 +53,19 @@ pub enum InterpError {
         /// The buffer-less producer stage.
         stage: usize,
     },
+    /// The schedule violates the streaming margins on an edge: a window
+    /// row is loaded before its producer writes it, or after the
+    /// rotating buffer has reused its slot. The planner and the baseline
+    /// generators never emit such a schedule, and `imagen certify`
+    /// refutes one (E0504/E0505).
+    NotStreamable {
+        /// Netlist edge index.
+        edge: usize,
+        /// Producer stage index.
+        producer: usize,
+        /// Consumer stage index.
+        consumer: usize,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -66,6 +84,14 @@ impl fmt::Display for InterpError {
             InterpError::MissingBuffer { stage } => {
                 write!(f, "stage {stage} is windowed but owns no line buffer")
             }
+            InterpError::NotStreamable {
+                edge,
+                producer,
+                consumer,
+            } => write!(
+                f,
+                "edge {edge} (stage {producer} -> stage {consumer}) violates the streaming margins: a window row is loaded before it is written or after its slot is reused"
+            ),
         }
     }
 }
@@ -87,10 +113,9 @@ pub struct InterpReport {
     /// SRAM words written through the line-buffer write ports.
     pub sram_writes: u64,
     /// Read-port cycles suppressed by the netlist's clock-gating plan,
-    /// summed over all line buffers (0 for ungated netlists). This is
-    /// *measured* by the interpreter cycle by cycle, not derived from
-    /// the plan, so the energy saving the gating pass claims is backed
-    /// by execution.
+    /// summed over all line buffers (0 for ungated netlists). The
+    /// differential suite pins it to a per-cycle count, so the energy
+    /// saving the gating pass claims is backed by execution.
     pub gated_off_cycles: u64,
 }
 
@@ -181,38 +206,20 @@ pub fn eval_acc(e: &Expr, acc: u32, fetch: &mut impl FnMut(usize, i32, i32) -> i
     trunc(v, acc)
 }
 
-/// Rotating line-buffer storage for one producer stage.
-struct BufState {
-    rows: u32,
-    data: Vec<i64>,
-}
-
-/// One shift-register array (window registers of one edge).
-struct SraState {
-    height: u32,
-    width: u32,
-    lag: u32,
-    data: Vec<i64>,
-}
-
 /// Executes `net` on `inputs` (one image per input stream, in stream
 /// order), returning the streamed output frames and netlist-level memory
 /// access totals.
 ///
-/// Since the program compiler landed this routes through
-/// [`EvalProgram`](crate::EvalProgram): the netlist is lowered once into
-/// a flat evaluation program, which then streams the frame. Results are
-/// bit-identical to the reference graph-walking path
-/// ([`interpret_legacy`]), pinned by the program differential suite. To
-/// amortize compilation over many frames of the same netlist, hold an
-/// [`EvalProgram`](crate::EvalProgram) directly.
+/// The netlist is lowered once into an [`EvalProgram`], which then
+/// streams the frame. To amortize compilation over many frames of the
+/// same netlist, hold an [`EvalProgram`] directly.
 ///
 /// # Errors
 ///
 /// [`InterpError`] for structural problems; the interpretation itself
 /// cannot fail (the netlist is a closed system once inputs are bound).
 pub fn interpret(net: &Netlist, inputs: &[Image]) -> Result<InterpReport, InterpError> {
-    crate::program::EvalProgram::compile(net)?.run(inputs)
+    EvalProgram::compile(net)?.run(inputs)
 }
 
 /// Like [`interpret`], but additionally collects an [`ActivityTrace`]:
@@ -220,8 +227,7 @@ pub fn interpret(net: &Netlist, inputs: &[Image]) -> Result<InterpReport, Interp
 /// read-port enable duty, register-array shift/toggle totals and stage
 /// enable duty. The returned [`InterpReport`] is identical to the
 /// untraced one — tracing observes the execution, it never changes it
-/// (pinned by test). Routes through the compiled program, like
-/// [`interpret`].
+/// (pinned by test).
 ///
 /// # Errors
 ///
@@ -230,479 +236,7 @@ pub fn interpret_with_trace(
     net: &Netlist,
     inputs: &[Image],
 ) -> Result<(InterpReport, ActivityTrace), InterpError> {
-    crate::program::EvalProgram::compile(net)?.run_with_trace(inputs)
-}
-
-/// The reference graph-walking interpreter — executes the netlist by
-/// re-traversing its structure every cycle, with no compiled program in
-/// between.
-///
-/// This is the semantic baseline the program path is differentially
-/// pinned against (`crates/rtl/tests/program_differential.rs`); prefer
-/// [`interpret`] everywhere else — it is an order of magnitude faster
-/// and bit-identical.
-///
-/// # Errors
-///
-/// See [`interpret`].
-pub fn interpret_legacy(net: &Netlist, inputs: &[Image]) -> Result<InterpReport, InterpError> {
-    run(net, inputs, None)
-}
-
-/// The reference traced interpreter — [`interpret_with_trace`]'s
-/// graph-walking baseline, see [`interpret_legacy`].
-///
-/// # Errors
-///
-/// See [`interpret`].
-pub fn interpret_with_trace_legacy(
-    net: &Netlist,
-    inputs: &[Image],
-) -> Result<(InterpReport, ActivityTrace), InterpError> {
-    let mut trace = ActivityTrace::for_netlist(net);
-    let report = run(net, inputs, Some(&mut trace))?;
-    Ok((report, trace))
-}
-
-/// Per-cycle activity scratch, one slot per netlist buffer.
-///
-/// Historically `cycle_reads` was deduplicated with a linear scan per
-/// read and the per-block counters were an associative list scanned per
-/// bump — O(accesses²) per cycle. Reads are now collected unchecked and
-/// merged with one sort+dedup at end of cycle (the unique set is
-/// order-independent, so the result is identical), and the counters are
-/// dense per-block arrays with a touched list for O(1) bump and reset.
-struct TraceScratch {
-    /// Same-address merge candidates for the current cycle:
-    /// `(block, row, x)` — the cycle simulator's merge key, deduplicated
-    /// at end of cycle.
-    cycle_reads: Vec<Vec<(usize, i64, i64)>>,
-    /// Dense per-block access counters for the current cycle.
-    cycle_counts: Vec<Vec<u32>>,
-    /// Blocks touched this cycle (reset list for `cycle_counts`).
-    touched: Vec<Vec<usize>>,
-    /// Whether any consumer loaded from the buffer this cycle.
-    consumed: Vec<bool>,
-    /// Previous output-register value per stage (toggle counting).
-    prev_out: Vec<i64>,
-}
-
-fn bump(counts: &mut [u32], touched: &mut Vec<usize>, block: usize) {
-    if counts[block] == 0 {
-        touched.push(block);
-    }
-    counts[block] += 1;
-}
-
-/// Toggled bits between two register values at `bits` width.
-fn toggles(old: i64, new: i64, bits: u32) -> u64 {
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    (((old ^ new) as u64) & mask).count_ones() as u64
-}
-
-fn run(
-    net: &Netlist,
-    inputs: &[Image],
-    mut trace: Option<&mut ActivityTrace>,
-) -> Result<InterpReport, InterpError> {
-    let geom = net.geometry;
-    let (w, h) = (geom.width as i64, geom.height as i64);
-    let frame = net.frame as i64;
-    let pixel = net.widths.pixel_bits;
-    let acc = net.widths.acc_bits;
-
-    let streams = net.input_streams();
-    if streams.len() != inputs.len() {
-        return Err(InterpError::InputCount {
-            expected: streams.len(),
-            provided: inputs.len(),
-        });
-    }
-    if inputs
-        .iter()
-        .any(|i| i.width() != geom.width || i.height() != geom.height)
-    {
-        return Err(InterpError::GeometryMismatch);
-    }
-
-    // Per-stage cumulative rate scales (1,1 for rate-1 stages).
-    let scales: Vec<(i64, i64)> = net
-        .stages
-        .iter()
-        .map(|s| (s.scale_x as i64, s.scale_y as i64))
-        .collect();
-
-    // Per-stage rotating buffers (from the netlist's line-buffer roster).
-    // A multirate producer's buffer holds its own grid: w / scale_x words
-    // per row.
-    let mut buffers: Vec<Option<BufState>> = (0..net.stages.len()).map(|_| None).collect();
-    for buf in &net.buffers {
-        let (sx, _) = scales[buf.stage];
-        buffers[buf.stage] = Some(BufState {
-            rows: buf.storage_rows,
-            data: vec![0; buf.storage_rows as usize * (w / sx) as usize],
-        });
-    }
-    // Every windowed producer must own a buffer for the load path to read.
-    for e in &net.edges {
-        if buffers[e.producer].is_none() {
-            return Err(InterpError::MissingBuffer { stage: e.producer });
-        }
-    }
-
-    // Netlist-buffer index per stage and per-buffer gating condition.
-    let mut buf_of_stage: Vec<Option<usize>> = vec![None; net.stages.len()];
-    for (i, b) in net.buffers.iter().enumerate() {
-        buf_of_stage[b.stage] = Some(i);
-    }
-    let gates: Vec<Option<BufferGate>> = (0..net.buffers.len())
-        .map(|i| {
-            net.gating
-                .as_ref()
-                .and_then(|g| g.gate_for(i))
-                .copied()
-                // FIFO chains are dataflow-clocked; the gating pass never
-                // targets them.
-                .filter(|_| !net.buffers[i].fifo)
-        })
-        .collect();
-
-    let mut scratch = trace.as_ref().map(|_| TraceScratch {
-        cycle_reads: vec![Vec::new(); net.buffers.len()],
-        cycle_counts: net
-            .buffers
-            .iter()
-            .map(|b| vec![0u32; b.phys_blocks])
-            .collect(),
-        touched: vec![Vec::new(); net.buffers.len()],
-        consumed: vec![false; net.buffers.len()],
-        prev_out: vec![0; net.stages.len()],
-    });
-
-    // Shift-register arrays, one per edge — exactly the register arrays
-    // the netlist declares (`sra_cells` sizes both).
-    let mut sras: Vec<SraState> = net
-        .edges
-        .iter()
-        .map(|e| {
-            let width = crate::netlist::sra_columns(&e.window);
-            SraState {
-                height: e.window.height,
-                width,
-                lag: e.window.lag,
-                data: vec![0; (e.window.height * width) as usize],
-            }
-        })
-        .collect();
-
-    // Input-stream binding and kernel lookup per stage.
-    let mut input_of: Vec<Option<usize>> = vec![None; net.stages.len()];
-    for (k, stage, _) in &streams {
-        input_of[*stage] = Some(*k);
-    }
-    let kernels: Vec<Option<&Expr>> = net
-        .stages
-        .iter()
-        .map(|s| {
-            s.module.map(|m| match &net.modules[m].kind {
-                ModuleKind::Stage(p) => &p.kernel,
-                other => unreachable!("stage module of wrong kind: {other:?}"),
-            })
-        })
-        .collect();
-    // Per-stage slot -> edge index lookup for kernel taps.
-    let slot_edge: Vec<Vec<usize>> = net
-        .stages
-        .iter()
-        .map(|s| {
-            let mut v: Vec<usize> = Vec::new();
-            for (i, e) in net.edges.iter().enumerate() {
-                if e.consumer == s.index {
-                    if v.len() <= e.slot {
-                        v.resize(e.slot + 1, usize::MAX);
-                    }
-                    v[e.slot] = i;
-                }
-            }
-            v
-        })
-        .collect();
-
-    let starts: Vec<i64> = net.stages.iter().map(|s| s.start_cycle as i64).collect();
-    let end = starts.iter().map(|s| s + frame).max().unwrap_or(frame);
-
-    let mut outputs: Vec<(usize, Image)> = net
-        .stages
-        .iter()
-        .filter(|s| s.is_output)
-        .map(|s| {
-            let (sx, sy) = scales[s.index];
-            (s.index, Image::new((w / sx) as u32, (h / sy) as u32))
-        })
-        .collect();
-    let mut computed: Vec<i64> = vec![0; net.stages.len()];
-    let mut sram_reads = 0u64;
-    let mut sram_writes = 0u64;
-    let mut gated_off_cycles = 0u64;
-
-    for t in 0..end {
-        // ---- Read phase: window-load paths fill the SRAs, stage
-        // modules evaluate. SRAMs are read-first: reads see the data
-        // written on previous edges.
-        for s in &net.stages {
-            let start = starts[s.index];
-            if t < start || t >= start + frame {
-                continue;
-            }
-            let k = t - start;
-            let y = k.div_euclid(w);
-            let x = k.rem_euclid(w);
-            let (ccx, ccy) = scales[s.index];
-
-            for (eidx, e) in net.edges.iter().enumerate() {
-                if e.consumer != s.index {
-                    continue;
-                }
-                let (pcx, pcy) = scales[e.producer];
-                // Edge-active cadence: once per consumer-active row, at
-                // every producer-grid column.
-                if y % ccy != 0 || x % pcx != 0 {
-                    continue;
-                }
-                let pw = w / pcx;
-                let ph = h / pcy;
-                let xp = x / pcx;
-                let r0 = y / pcy;
-                let bufidx = buf_of_stage[e.producer].expect("checked above");
-                let gated_off = gates[bufidx].is_some_and(|g| !g.enabled_at(t as u64));
-                let sra = &mut sras[eidx];
-                // Shift left one column.
-                let tracing = scratch.is_some();
-                let mut sra_toggles = 0u64;
-                for r in 0..sra.height as usize {
-                    let base = r * sra.width as usize;
-                    for c in 0..sra.width as usize - 1 {
-                        if tracing {
-                            sra_toggles +=
-                                toggles(sra.data[base + c], sra.data[base + c + 1], pixel);
-                        }
-                        sra.data[base + c] = sra.data[base + c + 1];
-                    }
-                }
-                let pb = buffers[e.producer].as_ref().expect("checked above");
-                let nb = &net.buffers[bufidx];
-                for j in 0..sra.height {
-                    // Clamp-to-edge on the bottom rows: rows past the
-                    // frame hold their last written value.
-                    let row = (r0 + sra.lag as i64 + j as i64).min(ph - 1);
-                    let cell = (j * sra.width + sra.width - 1) as usize;
-                    let v = if gated_off {
-                        // A gated-off read port supplies no data: a plan
-                        // that gates a live consumer corrupts the output
-                        // and fails the differential suite — semantics
-                        // preservation is checked, not assumed.
-                        0
-                    } else {
-                        let slot = (row.rem_euclid(pb.rows as i64) * pw + xp) as usize;
-                        sram_reads += 1;
-                        pb.data[slot]
-                    };
-                    if let Some(ts) = scratch.as_mut() {
-                        sra_toggles += toggles(sra.data[cell], v, pixel);
-                        if !gated_off {
-                            ts.consumed[bufidx] = true;
-                            if !nb.fifo {
-                                if let Some(block) =
-                                    nb.block_of(row as u64, xp as u32, geom.pixel_bits)
-                                {
-                                    // Reads merge on identical (block,
-                                    // row, column) within one cycle —
-                                    // the cycle simulator's convention.
-                                    // Candidates are collected here and
-                                    // deduplicated once at end of cycle.
-                                    ts.cycle_reads[bufidx].push((block, row, xp));
-                                }
-                            }
-                        }
-                    }
-                    sra.data[cell] = v;
-                }
-                if let Some(tr) = trace.as_deref_mut() {
-                    let sa = &mut tr.sras[eidx];
-                    sa.shift_cycles += 1;
-                    sa.cell_writes += (sra.height * sra.width) as u64;
-                    sa.bit_toggles += sra_toggles;
-                }
-            }
-
-            // Compute fires on the stage's own cadence only.
-            if y % ccy != 0 || x % ccx != 0 {
-                continue;
-            }
-            computed[s.index] = match input_of[s.index] {
-                Some(idx) => trunc(inputs[idx].get(x as u32, y as u32), pixel),
-                None => {
-                    let kernel = kernels[s.index].expect("compute stage has a kernel");
-                    let slots = &slot_edge[s.index];
-                    let edges = &net.edges;
-                    let wide = eval_acc(kernel, acc, &mut |slot, dx, dy| {
-                        let eidx = slots[slot];
-                        let sra = &sras[eidx];
-                        let (pcx, _) = scales[edges[eidx].producer];
-                        // Newest SRA column holds producer column x/pcx.
-                        let newest = x / pcx;
-                        let j = (dy as u32).saturating_sub(sra.lag);
-                        let col = (newest + dx as i64).max(0);
-                        let c = (sra.width as i64 - 1 - (newest - col)).max(0) as u32;
-                        sra.data[(j * sra.width + c) as usize]
-                    });
-                    // The stage output register truncates the wide result
-                    // to the pixel datapath.
-                    trunc(wide, pixel)
-                }
-            };
-            if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
-                let sa = &mut tr.stages[s.index];
-                sa.active_cycles += 1;
-                if s.module.is_some() {
-                    // Compute stages own a clocked output register.
-                    sa.out_reg_writes += 1;
-                    sa.out_reg_toggles += toggles(ts.prev_out[s.index], computed[s.index], pixel);
-                    ts.prev_out[s.index] = computed[s.index];
-                }
-            }
-        }
-
-        // ---- Write phase: line-buffer write ports and output streams
-        // commit at the clock edge.
-        for s in &net.stages {
-            let start = starts[s.index];
-            if t < start || t >= start + frame {
-                continue;
-            }
-            let k = t - start;
-            let y = k.div_euclid(w);
-            let x = k.rem_euclid(w);
-            let (cx, cy) = scales[s.index];
-            // A stage only produces on its own cadence.
-            if y % cy != 0 || x % cx != 0 {
-                continue;
-            }
-            let (yc, xc) = (y / cy, x / cx);
-            let value = computed[s.index];
-
-            if let Some(sb) = buffers[s.index].as_mut() {
-                let slot = (yc.rem_euclid(sb.rows as i64) * (w / cx) + xc) as usize;
-                sb.data[slot] = value;
-                sram_writes += 1;
-                if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
-                    let bufidx = buf_of_stage[s.index].expect("writer owns a buffer");
-                    let nb = &net.buffers[bufidx];
-                    if !nb.fifo {
-                        if let Some(block) = nb.block_of(yc as u64, xc as u32, geom.pixel_bits) {
-                            tr.buffers[bufidx].block_writes[block] += 1;
-                            bump(&mut ts.cycle_counts[bufidx], &mut ts.touched[bufidx], block);
-                        }
-                    }
-                }
-            }
-
-            if s.is_output {
-                if let Some((_, img)) = outputs.iter_mut().find(|(i, _)| *i == s.index) {
-                    img.set(xc as u32, yc as u32, value);
-                }
-            }
-        }
-
-        // ---- End of cycle: gated-off counting, per-block peaks, read
-        // port enable duty.
-        if net.gating.is_some() {
-            for (i, g) in gates.iter().enumerate() {
-                if let Some(g) = g {
-                    if !g.enabled_at(t as u64) {
-                        gated_off_cycles += 1;
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.buffers[i].gated_off_cycles += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
-            for (i, gate) in gates.iter().enumerate() {
-                if !ts.cycle_reads[i].is_empty() {
-                    ts.cycle_reads[i].sort_unstable();
-                    ts.cycle_reads[i].dedup();
-                    for k in 0..ts.cycle_reads[i].len() {
-                        let (block, _, _) = ts.cycle_reads[i][k];
-                        tr.buffers[i].block_reads[block] += 1;
-                        bump(&mut ts.cycle_counts[i], &mut ts.touched[i], block);
-                    }
-                    ts.cycle_reads[i].clear();
-                }
-                for k in 0..ts.touched[i].len() {
-                    let block = ts.touched[i][k];
-                    let count = ts.cycle_counts[i][block];
-                    if count > tr.buffers[i].block_peaks[block] {
-                        tr.buffers[i].block_peaks[block] = count;
-                    }
-                    ts.cycle_counts[i][block] = 0;
-                }
-                ts.touched[i].clear();
-                let nb = &net.buffers[i];
-                if nb.phys_blocks > 0 && !nb.fifo {
-                    let enabled = gate.is_none_or(|g| g.enabled_at(t as u64));
-                    if enabled {
-                        tr.buffers[i].read_enabled_cycles += 1;
-                        if !ts.consumed[i] {
-                            tr.buffers[i].idle_read_cycles += 1;
-                        }
-                    }
-                }
-                ts.consumed[i] = false;
-            }
-        }
-    }
-
-    if let Some(tr) = trace {
-        tr.run_cycles = end as u64;
-        tr.frame = net.frame;
-        // FIFO chains: one push and one pop per segment per live cycle —
-        // the cycle simulator's synthetic SODA accounting (Sec. 3.1), so
-        // the two counting paths stay comparable on FIFO designs too.
-        // Multirate producers push one stage-grid frame, not a base frame.
-        for (i, b) in tr.buffers.iter_mut().enumerate() {
-            if b.fifo {
-                let s = net.buffers[i].stage;
-                let live = net.frame / (net.stages[s].scale_x * net.stages[s].scale_y);
-                for r in b.block_reads.iter_mut() {
-                    *r = live;
-                }
-                for wr in b.block_writes.iter_mut() {
-                    *wr = live;
-                }
-                for p in b.block_peaks.iter_mut() {
-                    *p = 2;
-                }
-            }
-        }
-    }
-
-    Ok(InterpReport {
-        cycles: end as u64,
-        // The cycle after the last output pixel is the netlist's own
-        // done-cycle (the `frame_done` comparator), derived once by the
-        // builder.
-        latency: net.done_cycle,
-        output_images: outputs,
-        sram_reads,
-        sram_writes,
-        gated_off_cycles,
-    })
+    EvalProgram::compile(net)?.run_with_trace(inputs)
 }
 
 #[cfg(test)]
@@ -854,7 +388,7 @@ mod tests {
         assert_eq!(e.window().dx_max, -1, "normalization keeps dx_max < 0");
 
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        crate::verify_structure(&net).unwrap();
+        crate::verify_all(&net).into_result().unwrap();
         let sra = net
             .top_module()
             .net("sra_K1_0")
@@ -890,7 +424,7 @@ mod tests {
     #[test]
     fn tracing_changes_nothing() {
         // The activity sink observes; it must not perturb: same pixels,
-        // same latency, same legacy access totals with and without it.
+        // same latency, same access totals with and without it.
         let (dag, design, geom) = blur_plan();
         let input = Image::from_fn(geom.width, geom.height, |x, y| {
             ((x * 11 + y * 5) % 89) as i64

@@ -5,10 +5,11 @@
 //!
 //! ```text
 //! Design ──build_netlist()──▶ Netlist ──┬─ emit_verilog()              → .v text
-//!                                       ├─ interpret()                 → executed frames
-//!                                       ├─ interpret_with_trace()      → frames + ActivityTrace
+//!                                       ├─ EvalProgram::compile() ──┬─ run()            → executed frames
+//!                                       │   (interpret(),            └─ run_with_trace() → frames + ActivityTrace
+//!                                       │    interpret_with_trace())
 //!                                       ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
-//!                                       ├─ verify_structure()          → arity/width/driver checks
+//!                                       ├─ verify_all()                → arity/width/driver checks
 //!                                       └─ report_resources()          → SRAM/FF/operator inventory
 //! ```
 //!
@@ -19,14 +20,14 @@
 //! * [`emit_verilog`] prints the netlist as self-contained synthesizable
 //!   Verilog (byte-identical to the original string emitter at default
 //!   widths, pinned by golden files);
-//! * [`interpret`] **executes** the netlist cycle by cycle — the
-//!   verification loop no synthesis tool in this environment could close:
-//!   the emitted design itself is run and checked bit-exact against the
-//!   golden executor and the cycle-level simulator. It compiles the
-//!   netlist once into a flat evaluation program ([`EvalProgram`]) and
-//!   streams the frame through that — an order of magnitude faster than
-//!   the reference graph-walking path ([`interpret_legacy`]), which
-//!   remains available as the differential baseline;
+//! * [`interpret`] **executes** the netlist — the verification loop no
+//!   synthesis tool in this environment could close: the emitted design
+//!   itself is run and checked bit-exact against the golden executor and
+//!   the cycle-level simulator. It compiles the netlist once into a flat
+//!   evaluation program ([`EvalProgram`]), the crate's one executor, and
+//!   streams the frame through that, rate-1 and multirate pipelines
+//!   alike. A netlist whose schedule violates the streaming margins is
+//!   refused with [`InterpError::NotStreamable`];
 //! * [`interpret_with_trace`] additionally collects an [`ActivityTrace`]
 //!   (per-SRAM-bank access counts, register toggle totals, enable duty
 //!   cycles) that `imagen-power` prices into measured energy — and the
@@ -34,13 +35,13 @@
 //!   gated-off read-port cycles;
 //! * [`ScheduleActivity`] derives the same trace without running a frame
 //!   — every count the schedule fixes, with the two data toggles left at
-//!   zero — for rate-1 netlists whose schedule allows streaming (others
-//!   report [`NeedsFrame`]), and re-derives it under another gating plan
-//!   that covers every consumer window;
+//!   zero — for every netlist the executor accepts, pyramids included,
+//!   and re-derives it under another gating plan that covers every
+//!   consumer window;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
-//!   every problem into an [`RtlReport`]; [`verify_structure`] is its
-//!   first-error `Result` facade;
+//!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]
+//!   yields the first error);
 //! * [`report_resources`] inventories the instantiated hardware for
 //!   design-space exploration;
 //! * [`generate_testbench`] emits a self-checking testbench wired to the
@@ -63,19 +64,16 @@ mod verify;
 
 pub use activity::{ActivityTrace, BufferActivity, SraActivity, StageActivity};
 pub use emit::emit_verilog;
-pub use interp::{
-    eval_acc, interpret, interpret_legacy, interpret_with_trace, interpret_with_trace_legacy,
-    trunc, InterpError, InterpReport,
-};
+pub use interp::{eval_acc, interpret, interpret_with_trace, trunc, InterpError, InterpReport};
 pub use netlist::{
     build_netlist, sra_cells, sra_columns, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance,
     Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge, NetStage, Netlist,
     StagePayload,
 };
-pub use program::{EvalProgram, GateGap, NeedsFrame, ScheduleActivity};
+pub use program::{EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, report_resources_for, ResourceReport};
 pub use testbench::{generate_testbench, TestVectors};
-pub use verify::{verify_all, verify_structure, RtlError, RtlReport, RtlSummary};
+pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};
 
 use imagen_ir::Dag;
 use imagen_mem::Design;
@@ -138,7 +136,7 @@ mod tests {
     fn generated_netlist_verifies() {
         let (dag, design) = plan();
         let net = build_netlist(&dag, &design, &BitWidths::default());
-        let summary = verify_structure(&net).unwrap();
+        let summary = verify_all(&net).into_result().unwrap();
         // 2 SRAM primitives + 2 stage modules + 2 linebuf modules + top.
         assert_eq!(summary.modules, 7);
         assert!(summary.sram_instances > 0);
@@ -197,7 +195,7 @@ mod tests {
         )
         .unwrap();
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        verify_structure(&net).unwrap();
+        verify_all(&net).into_result().unwrap();
         let v = emit_verilog(&net);
         assert!(v.contains("imagen_sram_1p"));
     }

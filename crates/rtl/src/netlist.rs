@@ -7,10 +7,10 @@
 //!
 //! * [`emit_verilog`](crate::emit_verilog) prints it as the synthesizable
 //!   Verilog the seed emitter produced (byte-identical at default widths);
-//! * [`interpret`](crate::interpret) executes it cycle by cycle, closing
+//! * [`interpret`](crate::interpret) executes it over a frame, closing
 //!   the verification loop against the golden executor and the
 //!   cycle-level simulator;
-//! * [`verify_structure`](crate::verify_structure) checks it structurally
+//! * [`verify_all`](crate::verify_all) checks it structurally
 //!   (port arity/width of every instantiation, driver analysis);
 //! * [`report_resources`](crate::report_resources) derives SRAM/flip-flop
 //!   and operator inventories for design-space exploration.
@@ -116,7 +116,7 @@ pub struct Instance {
 
 /// A structural item of a module: every item names the net(s) it drives,
 /// which is what the driver analysis in
-/// [`verify_structure`](crate::verify_structure) walks.
+/// [`verify_all`](crate::verify_all) walks.
 #[derive(Clone, Debug)]
 pub enum Item {
     /// A continuous assignment driving `net` from a combinational

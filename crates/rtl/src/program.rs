@@ -1,11 +1,12 @@
-//! One-time netlist → flat evaluation program compiler.
+//! One-time netlist → flat evaluation program compiler: the netlist
+//! executor.
 //!
-//! The reference interpreter ([`crate::interpret_legacy`]) re-walks the
-//! netlist graph every cycle: it scans every stage against every edge,
-//! recomputes `x`/`y` with `div_euclid`/`rem_euclid` per access, and
-//! evaluates kernels by recursing over the [`Expr`] tree behind a fetch
-//! closure. [`EvalProgram::compile`] pays all of that once, lowering a
-//! [`Netlist`] into a flat program the executor streams through:
+//! A per-cycle walker would re-traverse the netlist graph every clock
+//! edge: scan every stage against every edge, recompute `x`/`y` per
+//! access, and evaluate kernels by recursing over the [`Expr`] tree
+//! behind a fetch closure. [`EvalProgram::compile`] pays all of that
+//! once, lowering a [`Netlist`] into a flat program the executor streams
+//! through:
 //!
 //! * **register-tape bytecode** — each kernel tree is linearized into a
 //!   [`TapeOp`] sequence evaluated into a dense register file, with
@@ -23,20 +24,6 @@
 //!   kernel tape then runs op-by-op over column tiles, so each bytecode
 //!   instruction becomes a tight (auto-vectorizable) loop instead of a
 //!   per-pixel dispatch;
-//! * **closed-form + single-pass activity** — the compiler splits into a
-//!   pixel-free *layout* (stage order, window-load edges, gate windows,
-//!   the streaming-margin proof) and the kernel tapes. Every trace
-//!   quantity but the two data toggles comes from the layout: enable
-//!   duty, gated-off cycles, shift/write totals and SRAM access totals
-//!   are closed forms, and per-block SRAM read/write/peak counters come
-//!   from an event sweep over spans where every participant's row, bank
-//!   segment and gate state are constant. [`ScheduleActivity`] exposes
-//!   exactly that part without lowering a tape or running a frame. The
-//!   toggles are recovered from the dense images in one linear pass:
-//!   output-register toggles walk the output stream, and shift-register
-//!   toggles use the delay-line identity (each consecutive-load toggle
-//!   re-appears once per column as it shifts through, so the per-cycle
-//!   sum telescopes into a windowed sum over the load stream);
 //! * **multirate strided stepping** — pipelines with `downsample`/
 //!   `upsample` stages keep the frame-at-a-time streaming order but run
 //!   each stage over its *own* grid (`W/cx × H/cy`), stepping taps
@@ -45,24 +32,39 @@
 //!   dx, 0)`), which is exactly the value the rate-scheduled SRA holds
 //!   at the stage's compute-enable cycles. The streaming-margin proof
 //!   generalizes with rows re-measured in producer row periods. This
-//!   path evaluates the same tape scalarly; the vectorized tile path
-//!   and its closed forms are reserved for the (common) rate-1 case
-//!   and are byte-for-byte unchanged by the multirate extension.
-//! * **pathology fallback** — a netlist whose schedule violates the
-//!   streaming margins (never produced by the planner, but representable)
-//!   keeps a copy of itself and routes execution through the reference
-//!   interpreter, trading speed for unconditional exactness. Multirate
-//!   netlists also keep the copy: their *traced* runs route through the
-//!   rate-aware reference interpreter (the activity passes assume the
-//!   one-pixel-per-cycle raster), while plain runs use the strided
-//!   scalar path above.
+//!   frame loop evaluates the same tape scalarly; the netlist's rates
+//!   select it over the vectorized tile loop;
+//! * **closed-form + single-pass activity, at every rate** — the
+//!   compiler splits into a pixel-free *layout* (stage order,
+//!   window-load edges, gate windows, the streaming-margin proof) and
+//!   the kernel tapes. Every trace quantity but the two data toggles
+//!   comes from the layout: enable duty, gated-off cycles, shift/write
+//!   totals and SRAM access totals are closed forms, and per-block SRAM
+//!   read/write/peak counters and the cycles some consumer loads come
+//!   from an event sweep over spans where every participant's row, bank
+//!   segment and gate state are constant. Each participant steps the
+//!   producer's grid at its own cadence, so within a span the per-cycle
+//!   counts repeat with the producer's column stride (1 at rate 1) and
+//!   each residue class is counted once. [`ScheduleActivity`] exposes
+//!   exactly that part without lowering a tape or running a frame. The
+//!   toggles are recovered from the dense stage images in one linear
+//!   pass: output-register toggles walk each stage's own raster, and
+//!   shift-register toggles use the delay-line identity (each
+//!   consecutive-load toggle re-appears once per column as it shifts
+//!   through, so the per-cycle sum telescopes into a windowed sum over
+//!   the edge's load stream);
+//! * **streamable schedules only** — a netlist whose schedule violates
+//!   the streaming margins (never produced by the planner or the
+//!   baseline generators, and refuted by `imagen certify`) is refused
+//!   at compile time with [`InterpError::NotStreamable`].
 //!
 //! The program is *semantics-preserving by construction and pinned by
 //! test*: [`crate::interpret`] routes through it, and the differential
 //! suite (`crates/rtl/tests/program_differential.rs`) checks report,
-//! images and the full [`ActivityTrace`] field-for-field against the
-//! legacy path on the whole algorithm corpus at both width regimes,
-//! gated and ungated.
+//! images and the full [`ActivityTrace`] field-for-field against a
+//! per-cycle reference walker kept in the test tree, on the whole
+//! example corpus (pyramids included) at both width regimes, gated and
+//! ungated.
 
 use crate::activity::{ActivityTrace, BufferActivity};
 use crate::interp::{trunc, InterpError, InterpReport};
@@ -659,20 +661,11 @@ struct StageProg {
 #[derive(Clone, Debug)]
 struct BufMeta {
     nb: NetBuffer,
-    /// Columns at which the bank segment changes (only populated when
-    /// `blocks_per_row > 1`), used as span cuts by the block sweep.
+    /// Base-raster columns at which the bank segment changes (only
+    /// populated when `blocks_per_row > 1`), used as span cuts by the
+    /// block sweep. Participants address the producer's grid, so the
+    /// segment of producer column `c` starts at base column `c·pcx`.
     seg_cuts: Vec<u64>,
-}
-
-/// Closed-form read-port duty of one buffer under one gate window.
-#[derive(Clone, Copy, Debug, Default)]
-struct ReadDuty {
-    /// Cycles the read port is enabled.
-    enabled: u64,
-    /// Enabled cycles in which no consumer loads.
-    idle: u64,
-    /// Cycles the gate holds the port off.
-    gated_off: u64,
 }
 
 /// Per-block SRAM access counters of every buffer, from the block sweep.
@@ -681,6 +674,18 @@ struct BlockCounts {
     reads: Vec<Vec<u64>>,
     writes: Vec<Vec<u64>>,
     peaks: Vec<Vec<u32>>,
+    /// Cycles in which some consumer edge loads from the buffer (the
+    /// read port's busy cycles).
+    loading: Vec<u64>,
+}
+
+/// Extent of one stage's dense frame image: the stage's own `W/cx ×
+/// H/cy` grid, rows `stride` words apart.
+#[derive(Clone, Copy, Debug)]
+struct Grid {
+    cols: usize,
+    rows: usize,
+    stride: usize,
 }
 
 /// The pixel-free half of an [`EvalProgram`]: stage order, window-load
@@ -703,46 +708,24 @@ struct Layout {
     buffers: Vec<BufMeta>,
     /// Read-enable window per netlist buffer, `None` when ungated.
     gates: Vec<Option<(u64, u64)>>,
-    /// Read-port duty per netlist buffer under [`Layout::gates`].
-    duty: Vec<ReadDuty>,
     /// Start cycle per netlist stage index (block-sweep writer lookup).
     start_of: Vec<u64>,
     n_net_stages: usize,
     n_net_edges: usize,
-    /// Closed-form totals (identical to what the legacy interpreter
-    /// counts cycle by cycle).
+    /// Closed-form totals (identical to what a per-cycle walk counts).
     sram_reads: u64,
     sram_writes: u64,
     gated_off_cycles: u64,
     /// Cumulative rate scale per netlist stage (`(1, 1)` for rate-1).
     scale_of: Vec<(u64, u64)>,
-    /// Whether any stage runs at a non-unit cumulative rate.
+    /// Whether any stage runs at a non-unit cumulative rate: selects the
+    /// strided scalar frame loop over the tile loop.
     multirate: bool,
-    /// Whether the schedule satisfies the streaming margins.
-    streamable: bool,
-}
-
-/// Total length of `[lo, hi)` clipped against the merged union of
-/// `windows` (each `[start, end)`), used for the closed-form idle-read
-/// accounting.
-fn overlap_with_union(lo: u64, hi: u64, windows: &mut [(u64, u64)]) -> u64 {
-    windows.sort_unstable();
-    let mut covered = 0u64;
-    let mut cursor = lo;
-    for &(s, e) in windows.iter() {
-        let s = s.max(cursor).min(hi);
-        let e = e.min(hi);
-        if e > s {
-            covered += e - s;
-            cursor = e;
-        }
-    }
-    covered
 }
 
 /// Per-buffer read-enable windows of `plan`, in buffer order. FIFO
 /// chains are dataflow-clocked, so their gates are never applied (the
-/// gating pass never targets them — same filter as the legacy path).
+/// gating pass never targets them).
 fn gate_windows(
     plan: Option<&GatingPlan>,
     fifo: impl Iterator<Item = bool>,
@@ -756,14 +739,60 @@ fn gate_windows(
         .collect()
 }
 
+/// Cycles of a run of `end` cycles in which `gate` holds its read port
+/// off (0 when ungated).
+fn gated_off(gate: Option<(u64, u64)>, end: u64) -> u64 {
+    gate.map_or(0, |(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end)))
+}
+
+/// `(a / d, a % d)`. `UNIT` promises `d == 1` — every stride at rate
+/// 1 — so the division compiles away.
+#[inline]
+fn div_rem<const UNIT: bool>(a: u64, d: u64) -> (u64, u64) {
+    if UNIT {
+        (a, 0)
+    } else {
+        (a / d, a % d)
+    }
+}
+
+/// For a participant at base column `x` stepping a grid of column stride
+/// `pcx`: the cycle offset (`0..pcx`) of its next grid column, and that
+/// column.
+#[inline]
+fn grid_step<const UNIT: bool>(x: u64, pcx: u64) -> (u64, u64) {
+    match div_rem::<UNIT>(x, pcx) {
+        (col, 0) => (0, col),
+        (col, off) => (pcx - off, col + 1),
+    }
+}
+
+/// A consumer edge as the block sweep sees it: (consumer start, consumer
+/// row step `ccy`, lag, height, gate).
+type ReaderEdge = (u64, u64, u64, u64, Option<(u64, u64)>);
+
+/// The loads of a row of `n`, issued at cycles `base + c·step` for `c` in
+/// `0..n`, that fall inside the gate window: `[lo, hi)` (the whole row
+/// when ungated). Loaded values outside it are zero.
+fn gate_cols(gate: Option<(u64, u64)>, base: u64, n: usize, step: u64) -> (usize, usize) {
+    match gate {
+        None => (0, n),
+        Some((gs, ge)) => {
+            let first_at = |t: u64| t.saturating_sub(base).div_ceil(step).min(n as u64) as usize;
+            let (lo, hi) = (first_at(gs), first_at(ge));
+            (lo, hi.max(lo))
+        }
+    }
+}
+
 impl Layout {
     /// Derives the layout of `net` under its own gating plan.
     ///
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
-    /// line buffer (the same structural check the reference interpreter
-    /// performs up front).
+    /// line buffer, and [`InterpError::NotStreamable`] when the schedule
+    /// violates the streaming margins on an edge.
     fn new(net: &Netlist) -> Result<Layout, InterpError> {
         let geom = net.geometry;
         let (w, h) = (geom.width as i64, geom.height as i64);
@@ -806,12 +835,10 @@ impl Layout {
         // readers re-read a producer row for `P_p - P_c` base cycles
         // past the rate-1 model's last access, hence the extra reuse
         // slack term. Every planner schedule satisfies both; a
-        // hand-built netlist that does not falls back to the reference
-        // interpreter.
+        // hand-built netlist that does not is refused.
         let scale_of: Vec<(u64, u64)> = net.stages.iter().map(|s| (s.scale_x, s.scale_y)).collect();
         let multirate = scale_of.iter().any(|&s| s != (1, 1));
-        let mut streamable = true;
-        for e in &net.edges {
+        for (edge, e) in net.edges.iter().enumerate() {
             let sc = net.stages[e.consumer].start_cycle as i64;
             let sp = net.stages[e.producer].start_cycle as i64;
             let lag = e.window.lag as i64;
@@ -823,7 +850,11 @@ impl Layout {
             let write_lead = sc - sp - (lag + height - 1) * pp;
             let reuse = (lag + rows) * pp - (sc - sp) - (pp - pc).max(0);
             if write_lead < 1 || reuse < 0 {
-                streamable = false;
+                return Err(InterpError::NotStreamable {
+                    edge,
+                    producer: e.producer,
+                    consumer: e.consumer,
+                });
             }
         }
 
@@ -908,14 +939,15 @@ impl Layout {
             .buffers
             .iter()
             .map(|nb| {
+                let pcx = scale_of[nb.stage].0;
                 let mut seg_cuts = Vec::new();
                 if nb.blocks_per_row > 1 {
                     let cap = nb.block_capacity_bits.max(1);
                     let mut prev_seg = 0u64;
-                    for x in 1..geom.width as u64 {
-                        let seg = x * geom.pixel_bits as u64 / cap;
+                    for c in 1..geom.width as u64 / pcx {
+                        let seg = c * geom.pixel_bits as u64 / cap;
                         if seg != prev_seg {
-                            seg_cuts.push(x);
+                            seg_cuts.push(c * pcx);
                             prev_seg = seg;
                         }
                     }
@@ -927,7 +959,7 @@ impl Layout {
             })
             .collect();
 
-        let mut layout = Layout {
+        Ok(Layout {
             w,
             h,
             frame,
@@ -936,92 +968,40 @@ impl Layout {
             stages,
             edges,
             buffers,
+            gated_off_cycles: gates.iter().map(|&g| gated_off(g, end)).sum(),
             gates,
-            duty: Vec::new(),
             start_of: net.stages.iter().map(|s| s.start_cycle).collect(),
             n_net_stages: net.stages.len(),
             n_net_edges: net.edges.len(),
             sram_reads,
             sram_writes,
-            gated_off_cycles: 0,
             scale_of,
             multirate,
-            streamable,
-        };
-        layout.duty = layout.duties(&layout.gates);
-        layout.gated_off_cycles = layout.duty.iter().map(|d| d.gated_off).sum();
-        Ok(layout)
+        })
     }
 
-    /// Padded row stride of the dense stage images: raster width rounded
-    /// up to a whole number of evaluation tiles.
+    /// Padded row stride of the rate-1 dense stage images: raster width
+    /// rounded up to a whole number of evaluation tiles.
     fn wstride(&self) -> usize {
         (self.w as usize).next_multiple_of(TILE)
     }
 
-    /// Columns of row `y` of a consumer active since `start` whose loads
-    /// fall inside the gate window: `[en_lo, en_hi)` (the whole row when
-    /// ungated). Loaded values outside it are zero.
-    fn gate_cols(&self, gate: Option<(u64, u64)>, start: u64, y: usize) -> (usize, usize) {
-        let w = self.w as usize;
-        match gate {
-            None => (0, w),
-            Some((gs, ge)) => {
-                let base = start + (y * w) as u64;
-                let lo = gs.saturating_sub(base).min(w as u64) as usize;
-                let hi = ge.saturating_sub(base).min(w as u64) as usize;
-                (lo, hi.max(lo))
-            }
+    /// The extent of netlist stage `stage`'s dense frame image. The
+    /// rate-1 tile loop pads every row to [`Layout::wstride`]; the
+    /// strided loop stores each grid unpadded.
+    fn grid(&self, stage: usize) -> Grid {
+        let (cx, cy) = self.scale_of[stage];
+        let cols = (self.w as u64 / cx) as usize;
+        Grid {
+            cols,
+            rows: (self.h as u64 / cy) as usize,
+            stride: if self.multirate { cols } else { self.wstride() },
         }
     }
 
-    /// Per-buffer closed-form read-port duty under `gates`: enabled
-    /// cycles are the gate window (whole run when ungated); a cycle is
-    /// *idle* when the port is enabled but no consumer edge loads —
-    /// exactly the legacy `consumed` bookkeeping, folded into interval
-    /// arithmetic.
-    fn duties(&self, gates: &[Option<(u64, u64)>]) -> Vec<ReadDuty> {
-        let end = self.end;
-        let mut consumers: Vec<(u64, u64)> = Vec::new();
-        self.buffers
-            .iter()
-            .zip(gates)
-            .enumerate()
-            .map(|(bi, (meta, &gate))| {
-                let gated_off =
-                    gate.map_or(0, |(gs, ge)| end - ge.min(end).saturating_sub(gs.min(end)));
-                let nb = &meta.nb;
-                if nb.phys_blocks == 0 || nb.fifo {
-                    return ReadDuty {
-                        gated_off,
-                        ..ReadDuty::default()
-                    };
-                }
-                let (en_lo, en_hi) = match gate {
-                    Some((gs, ge)) => (gs.min(end), ge.min(end)),
-                    None => (0, end),
-                };
-                consumers.clear();
-                for st in &self.stages {
-                    for ep in &self.edges[st.edges.clone()] {
-                        if ep.buf == bi {
-                            consumers.push((st.start, st.start + self.frame));
-                        }
-                    }
-                }
-                let enabled = en_hi - en_lo;
-                ReadDuty {
-                    enabled,
-                    idle: enabled - overlap_with_union(en_lo, en_hi, &mut consumers),
-                    gated_off,
-                }
-            })
-            .collect()
-    }
-
     /// The first consumer enable window `[start, start + frame)` that a
-    /// gate in `gates` does not cover — the windows [`Layout::gate_cols`]
-    /// applies to that consumer's loads.
+    /// gate in `gates` does not cover — the windows in which the gate
+    /// zeroes some of that consumer's loads.
     fn uncovered(&self, gates: &[Option<(u64, u64)>]) -> Option<GateGap> {
         self.stages.iter().find_map(|st| {
             self.edges[st.edges.clone()].iter().find_map(|ep| {
@@ -1037,19 +1017,21 @@ impl Layout {
         })
     }
 
-    /// Per-block SRAM read/write/peak accounting, reproduced without a
-    /// cycle loop: for each buffer, sweep spans of cycles over which
-    /// every participant (the writer and each consumer edge) keeps its
-    /// raster row, bank segment and gate state — per-cycle counts are
-    /// constant across such a span. Reads merge on identical
-    /// `(block, row, column)` within a cycle, which across edges can
-    /// only collide when two consumers run phase-aligned (start cycles
-    /// congruent mod `w`); each span sorts and dedups its `(column,
-    /// row)` loads before attributing them to blocks.
+    /// Per-block SRAM read/write/peak accounting and the read ports'
+    /// busy cycles, reproduced without a cycle loop: for each buffer,
+    /// sweep spans of cycles over which every participant (the writer and
+    /// each consumer edge) keeps its raster row, bank segment and gate
+    /// state. Every participant steps the producer's grid — the writer
+    /// commits on rows `y % pcy == 0`, a reader loads on rows `y % ccy ==
+    /// 0`, both at columns `x % pcx == 0` — so within a span the
+    /// per-cycle counts repeat with period `pcx` (1 at rate 1). Each
+    /// residue class is counted once and multiplied by its cycles; the
+    /// peak is the largest class. Reads merge on identical `(block, row,
+    /// column)` within a cycle, which across edges can only collide when
+    /// two consumers run phase-aligned (start cycles congruent mod `w`);
+    /// each class sorts and dedups its `(column, row)` loads before
+    /// attributing them to blocks.
     fn block_counts(&self) -> BlockCounts {
-        let w = self.w as u64;
-        let h = self.h as u64;
-        let frame = self.frame;
         let zeroed = || -> Vec<Vec<u64>> {
             self.buffers
                 .iter()
@@ -1064,133 +1046,194 @@ impl Layout {
                 .iter()
                 .map(|b| vec![0u32; b.nb.phys_blocks])
                 .collect(),
+            loading: vec![0; self.buffers.len()],
         };
 
-        // Consumer edges per buffer: (consumer start, lag, height, gate).
-        type ReaderEdge = (u64, u32, u64, Option<(u64, u64)>);
         let mut readers: Vec<Vec<ReaderEdge>> = vec![Vec::new(); self.buffers.len()];
         for st in &self.stages {
+            let ccy = self.scale_of[st.stage].1;
             for ep in &self.edges[st.edges.clone()] {
-                readers[ep.buf].push((st.start, ep.lag, ep.height as u64, ep.gate));
+                readers[ep.buf].push((st.start, ccy, ep.lag as u64, ep.height as u64, ep.gate));
             }
         }
 
-        // Scratch reused across buffers and spans.
-        let mut rcnt: Vec<u32> = Vec::new();
-        let mut wcnt: Vec<u32> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        // The span's loads as (column, row), merged by sort + dedup.
-        let mut loads: Vec<(u64, u64)> = Vec::new();
-
         for (bi, meta) in self.buffers.iter().enumerate() {
-            let nb = &meta.nb;
-            if nb.phys_blocks == 0 || nb.fifo {
+            if meta.nb.phys_blocks == 0 || meta.nb.fifo {
                 continue;
             }
-            let ws = self.start_of[nb.stage];
             let rd = &readers[bi];
-            let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
-            let tend = rd
-                .iter()
-                .map(|r| r.0 + frame)
-                .max()
-                .unwrap_or(ws + frame)
-                .max(ws + frame);
+            // At unit stride every participant acts on every cycle of its
+            // live rows, and the stride arithmetic compiles away.
+            if self.scale_of[meta.nb.stage] == (1, 1) && rd.iter().all(|r| r.1 == 1) {
+                self.sweep::<true>(bi, rd, &mut counts);
+            } else {
+                self.sweep::<false>(bi, rd, &mut counts);
+            }
+        }
+        counts
+    }
 
-            rcnt.clear();
-            rcnt.resize(nb.phys_blocks, 0);
-            wcnt.clear();
-            wcnt.resize(nb.phys_blocks, 0);
+    /// The block sweep of buffer `bi` read by `rd` (see
+    /// [`Layout::block_counts`]), accumulated into `counts`. `UNIT`
+    /// promises that every participant's strides are 1.
+    fn sweep<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge], counts: &mut BlockCounts) {
+        let w = self.w as u64;
+        let frame = self.frame;
+        let meta = &self.buffers[bi];
+        let nb = &meta.nb;
+        let (pcx, pcy) = self.scale_of[nb.stage];
+        let classes = if UNIT { 1 } else { pcx as usize };
+        let ph = self.h as u64 / pcy;
+        let ws = self.start_of[nb.stage];
+        let t0 = rd.iter().map(|r| r.0).min().unwrap_or(ws).min(ws);
+        let tend = rd
+            .iter()
+            .map(|r| r.0 + frame)
+            .max()
+            .unwrap_or(ws + frame)
+            .max(ws + frame);
 
-            // Position of a participant active since `start` at cycle
-            // `t`, shrinking the span end `se` to the next boundary at
-            // which its row / segment / liveness changes.
-            let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
-                if t < start {
-                    *se = (*se).min(start);
-                    return None;
-                }
-                if t >= start + frame {
-                    return None;
-                }
-                let k = t - start;
-                let (y, x) = (k / w, k % w);
-                *se = (*se).min(t + (w - x)).min(start + frame);
-                if nb.blocks_per_row > 1 {
-                    let next = meta.seg_cuts.partition_point(|&c| c <= x);
-                    let cut = meta.seg_cuts.get(next).copied().unwrap_or(w) - x;
-                    *se = (*se).min(t + cut);
-                }
-                Some((y, x))
-            };
+        // Per-block reads and writes of the current residue class, the
+        // blocks they touch, and the span's loads per residue class as
+        // (producer column, row), merged by sort + dedup.
+        let mut rcnt: Vec<u32> = vec![0; nb.phys_blocks];
+        let mut wcnt: Vec<u32> = vec![0; nb.phys_blocks];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut loads: Vec<Vec<(u64, u64)>> = vec![Vec::new(); classes];
+        // The block of each producer row, tabulated once when rows do not
+        // split over blocks (the column then does not matter).
+        let split = nb.blocks_per_row > 1;
+        let row_block: Vec<Option<usize>> = if split {
+            Vec::new()
+        } else {
+            (0..ph)
+                .map(|r| nb.block_of(r, 0, self.geom_pixel_bits))
+                .collect()
+        };
+        let block_of = |row: u64, xp: u64| {
+            if split {
+                nb.block_of(row, xp as u32, self.geom_pixel_bits)
+            } else {
+                row_block[row as usize]
+            }
+        };
 
-            let mut t = t0;
-            while t < tend {
-                let mut se = tend;
-                let writer_at = span_for(ws, t, &mut se);
-                loads.clear();
-                for &(rs, lag, height, gate) in rd {
-                    let pos = span_for(rs, t, &mut se);
-                    let mut enabled = true;
-                    if let Some((gs, ge)) = gate {
-                        if t < gs {
-                            se = se.min(gs);
-                            enabled = false;
-                        } else if t < ge {
-                            se = se.min(ge);
-                        } else {
-                            enabled = false;
-                        }
+        // Position of a participant active since `start` at cycle `t`,
+        // shrinking the span end `se` to the next boundary at which its
+        // row / segment / liveness changes.
+        let span_for = |start: u64, t: u64, se: &mut u64| -> Option<(u64, u64)> {
+            if t < start {
+                *se = (*se).min(start);
+                return None;
+            }
+            if t >= start + frame {
+                return None;
+            }
+            let k = t - start;
+            let (y, x) = (k / w, k % w);
+            *se = (*se).min(t + (w - x)).min(start + frame);
+            if split {
+                let next = meta.seg_cuts.partition_point(|&c| c <= x);
+                let cut = meta.seg_cuts.get(next).copied().unwrap_or(w) - x;
+                *se = (*se).min(t + cut);
+            }
+            Some((y, x))
+        };
+
+        let reads = &mut counts.reads[bi];
+        let writes = &mut counts.writes[bi];
+        let peaks = &mut counts.peaks[bi];
+        let mut loading = 0u64;
+        let mut t = t0;
+        while t < tend {
+            let mut se = tend;
+            // The writer commits only on its own grid's rows: (residue
+            // class, row, column).
+            let writer = span_for(ws, t, &mut se).and_then(|(y, x)| {
+                let (row, off) = div_rem::<UNIT>(y, pcy);
+                let (class, xp) = grid_step::<UNIT>(x, pcx);
+                (off == 0).then_some((class, row, xp))
+            });
+            for &(rs, ccy, lag, height, gate) in rd {
+                let pos = span_for(rs, t, &mut se);
+                let mut enabled = true;
+                if let Some((gs, ge)) = gate {
+                    if t < gs {
+                        se = se.min(gs);
+                        enabled = false;
+                    } else if t < ge {
+                        se = se.min(ge);
+                    } else {
+                        enabled = false;
                     }
-                    if let Some((y, x)) = pos {
-                        if enabled {
-                            loads.extend((0..height).map(|j| (x, (y + lag as u64 + j).min(h - 1))));
-                        }
+                }
+                if let Some((y, x)) = pos {
+                    if enabled && div_rem::<UNIT>(y, ccy).1 == 0 {
+                        let (class, xp) = grid_step::<UNIT>(x, pcx);
+                        let row0 = div_rem::<UNIT>(y, pcy).0 + lag;
+                        loads[class as usize]
+                            .extend((0..height).map(|j| (xp, (row0 + j).min(ph - 1))));
                     }
                 }
-                let len = se - t;
+            }
+            let len = se - t;
 
-                // Per-cycle counts for this span: merged unique loads,
-                // then the write.
-                loads.sort_unstable();
-                loads.dedup();
-                for &(x, r) in &loads {
-                    if let Some(b) = nb.block_of(r, x as u32, self.geom_pixel_bits) {
+            // Per-cycle counts of each residue class the span reaches:
+            // merged unique loads, then the write.
+            for (r, class_loads) in loads[..classes].iter_mut().enumerate() {
+                let r = r as u64;
+                if r >= len {
+                    class_loads.clear();
+                    continue;
+                }
+                let (whole, part) = div_rem::<UNIT>(len - r, pcx);
+                let cycles = whole + u64::from(part != 0);
+                class_loads.sort_unstable();
+                class_loads.dedup();
+                for &(xp, row) in class_loads.iter() {
+                    if let Some(b) = block_of(row, xp) {
                         if rcnt[b] == 0 && wcnt[b] == 0 {
                             touched.push(b);
                         }
                         rcnt[b] += 1;
                     }
                 }
-                if let Some((y, x)) = writer_at {
-                    if let Some(b) = nb.block_of(y, x as u32, self.geom_pixel_bits) {
-                        if rcnt[b] == 0 && wcnt[b] == 0 {
-                            touched.push(b);
+                if !class_loads.is_empty() {
+                    loading += cycles;
+                }
+                class_loads.clear();
+                if let Some((class, row, xp)) = writer {
+                    if class == r {
+                        if let Some(b) = block_of(row, xp) {
+                            if rcnt[b] == 0 && wcnt[b] == 0 {
+                                touched.push(b);
+                            }
+                            wcnt[b] += 1;
                         }
-                        wcnt[b] += 1;
                     }
                 }
                 for &b in &touched {
-                    counts.reads[bi][b] += rcnt[b] as u64 * len;
-                    counts.writes[bi][b] += wcnt[b] as u64 * len;
-                    let peak = rcnt[b] + wcnt[b];
-                    if peak > counts.peaks[bi][b] {
-                        counts.peaks[bi][b] = peak;
-                    }
+                    reads[b] += rcnt[b] as u64 * cycles;
+                    writes[b] += wcnt[b] as u64 * cycles;
+                    peaks[b] = peaks[b].max(rcnt[b] + wcnt[b]);
                     rcnt[b] = 0;
                     wcnt[b] = 0;
                 }
                 touched.clear();
-                t = se;
             }
+            t = se;
         }
-        counts
+        counts.loading[bi] = loading;
     }
 
-    /// The [`ActivityTrace`] of `blocks` and the read-port `duty`, with
-    /// every field the schedule fixes filled in and the two data toggles
-    /// (`out_reg_toggles`, `bit_toggles`) left at zero.
-    fn trace(&self, blocks: &BlockCounts, duty: &[ReadDuty]) -> ActivityTrace {
+    /// The [`ActivityTrace`] of `blocks` with the read ports gated by
+    /// `gates`: every field the schedule fixes filled in, and the two
+    /// data toggles (`out_reg_toggles`, `bit_toggles`) left at zero.
+    /// `blocks` must come from a sweep whose gates zero exactly the loads
+    /// `gates` zeroes (the same gates, or two plans that both cover every
+    /// consumer window and so zero none).
+    fn trace(&self, blocks: &BlockCounts, gates: &[Option<(u64, u64)>]) -> ActivityTrace {
+        let (w, h) = (self.w as u64, self.h as u64);
         let mut trace = ActivityTrace {
             run_cycles: self.end,
             frame: self.frame,
@@ -1198,73 +1241,55 @@ impl Layout {
             stages: vec![Default::default(); self.n_net_stages],
             sras: vec![Default::default(); self.n_net_edges],
         };
-        for (bi, (meta, d)) in self.buffers.iter().zip(duty).enumerate() {
+        for (bi, (meta, &gate)) in self.buffers.iter().zip(gates).enumerate() {
             let nb = &meta.nb;
             let mut b = BufferActivity {
                 stage: nb.stage,
                 block_reads: blocks.reads[bi].clone(),
                 block_writes: blocks.writes[bi].clone(),
                 block_peaks: blocks.peaks[bi].clone(),
-                read_enabled_cycles: d.enabled,
-                idle_read_cycles: d.idle,
-                gated_off_cycles: d.gated_off,
+                read_enabled_cycles: 0,
+                idle_read_cycles: 0,
+                gated_off_cycles: gated_off(gate, self.end),
                 fifo: nb.fifo,
             };
             if nb.fifo {
                 // FIFO chains: one push and one pop per segment per live
-                // cycle — the cycle simulator's synthetic SODA accounting.
-                b.block_reads.fill(self.frame);
-                b.block_writes.fill(self.frame);
+                // cycle of the producer's grid — the cycle simulator's
+                // synthetic SODA accounting.
+                let (sx, sy) = self.scale_of[nb.stage];
+                let live = self.frame / (sx * sy);
+                b.block_reads.fill(live);
+                b.block_writes.fill(live);
                 b.block_peaks.fill(2);
+            } else if nb.phys_blocks > 0 {
+                // The port is enabled whenever the gate is open and idle
+                // when no consumer loads.
+                b.read_enabled_cycles = self.end - b.gated_off_cycles;
+                b.idle_read_cycles = b.read_enabled_cycles - blocks.loading[bi];
             }
             trace.buffers.push(b);
         }
         for st in &self.stages {
+            // A stage fires once per point of its own grid; an edge's
+            // register array shifts once per load, on every consumer row
+            // at every producer-grid column (gated-off loads included).
+            let (cx, cy) = self.scale_of[st.stage];
             let sa = &mut trace.stages[st.stage];
-            sa.active_cycles = self.frame;
+            sa.active_cycles = self.frame / (cx * cy);
             if st.has_module {
-                sa.out_reg_writes = self.frame;
+                sa.out_reg_writes = sa.active_cycles;
             }
             for ep in &self.edges[st.edges.clone()] {
+                let pcx = self.scale_of[ep.prod_stage].0;
                 let ea = &mut trace.sras[ep.edge];
-                ea.shift_cycles = self.frame;
-                ea.cell_writes = (ep.height * ep.width) as u64 * self.frame;
+                ea.shift_cycles = (h / cy) * (w / pcx);
+                ea.cell_writes = (ep.height * ep.width) as u64 * ea.shift_cycles;
             }
         }
         trace
     }
 }
-
-/// Why a netlist's activity cannot be counted from its schedule alone
-/// ([`ScheduleActivity::derive`]). Such netlists are traced by running
-/// a frame through [`crate::interpret_with_trace`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum NeedsFrame {
-    /// Some stage runs at a non-unit rate; multirate traces come from
-    /// the rate-aware cycle walker.
-    Multirate,
-    /// The schedule violates the streaming margins, so every run falls
-    /// back to the cycle walker.
-    NotStreamable,
-    /// The netlist cannot be interpreted at all; running a frame reports
-    /// the same error.
-    Invalid(InterpError),
-}
-
-impl fmt::Display for NeedsFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NeedsFrame::Multirate => write!(f, "multirate netlists are traced by running a frame"),
-            NeedsFrame::NotStreamable => write!(
-                f,
-                "the schedule violates the streaming margins, so the netlist is traced by running a frame"
-            ),
-            NeedsFrame::Invalid(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for NeedsFrame {}
 
 /// A clock gate whose read window misses part of a consumer's enable
 /// window: the gated netlist would load zeros where the ungated one
@@ -1296,10 +1321,11 @@ impl std::error::Error for GateGap {}
 /// The activity counts a netlist's structure and schedule fix, derived
 /// without running a frame.
 ///
-/// For a rate-1 netlist whose schedule satisfies the streaming margins,
-/// every [`ActivityTrace`] field except the two data toggles is a
-/// function of the schedule: SRAM block reads, writes and peaks, read-port
-/// enabled, idle and gated-off cycles, stage active cycles, output-register
+/// For every netlist the executor accepts — any rate, any backend, as
+/// long as the schedule satisfies the streaming margins — every
+/// [`ActivityTrace`] field except the two data toggles is a function of
+/// the schedule: SRAM block reads, writes and peaks, read-port enabled,
+/// idle and gated-off cycles, stage active cycles, output-register
 /// writes and SRA shift cycles and cell writes. [`ScheduleActivity`]
 /// computes exactly those, through the same code
 /// [`EvalProgram::run_with_trace`] uses, in work proportional to the
@@ -1317,16 +1343,11 @@ impl ScheduleActivity {
     ///
     /// # Errors
     ///
-    /// [`NeedsFrame`] for multirate netlists, schedules that violate the
-    /// streaming margins, and netlists that cannot be interpreted.
-    pub fn derive(net: &Netlist) -> Result<ScheduleActivity, NeedsFrame> {
-        let layout = Layout::new(net).map_err(NeedsFrame::Invalid)?;
-        if layout.multirate {
-            return Err(NeedsFrame::Multirate);
-        }
-        if !layout.streamable {
-            return Err(NeedsFrame::NotStreamable);
-        }
+    /// [`InterpError`] exactly when [`EvalProgram::compile`] refuses the
+    /// netlist: a windowed producer without a line buffer, or a schedule
+    /// that violates the streaming margins.
+    pub fn derive(net: &Netlist) -> Result<ScheduleActivity, InterpError> {
+        let layout = Layout::new(net)?;
         let blocks = layout.block_counts();
         Ok(ScheduleActivity { layout, blocks })
     }
@@ -1335,14 +1356,14 @@ impl ScheduleActivity {
     /// every field but the two data toggles, which are not collected
     /// (zero).
     pub fn trace(&self) -> ActivityTrace {
-        self.layout.trace(&self.blocks, &self.layout.duty)
+        self.layout.trace(&self.blocks, &self.layout.gates)
     }
 
     /// The trace of the same netlist clock-gated by `plan` instead of its
     /// own gating, without re-running the block sweep: the block counts
-    /// are shared and only the read-port closed forms (enabled, idle and
-    /// gated-off cycles) are re-derived under `plan`'s windows. Toggles
-    /// are not collected (zero).
+    /// and the read ports' busy cycles are shared, and only the enabled,
+    /// idle and gated-off cycles are re-derived under `plan`'s windows.
+    /// Toggles are not collected (zero).
     ///
     /// # Errors
     ///
@@ -1350,26 +1371,24 @@ impl ScheduleActivity {
     /// misses part of a consumer's enable window `[start, start +
     /// frame)`. When every gate covers its consumers, a gated netlist
     /// loads exactly the words the ungated one loads, on every input, so
-    /// the shared block counts are exact.
+    /// the shared counts are exact.
     pub fn trace_gated(&self, plan: &GatingPlan) -> Result<ActivityTrace, GateGap> {
         let l = &self.layout;
         let gates = gate_windows(Some(plan), l.buffers.iter().map(|b| b.nb.fifo));
         if let Some(gap) = l.uncovered(&l.gates).or_else(|| l.uncovered(&gates)) {
             return Err(gap);
         }
-        Ok(l.trace(&self.blocks, &l.duties(&gates)))
+        Ok(l.trace(&self.blocks, &gates))
     }
 }
 
 /// A [`Netlist`] lowered to a flat evaluation program.
 ///
 /// Compile once with [`EvalProgram::compile`], then execute frames with
-/// [`EvalProgram::run`] / [`EvalProgram::run_with_trace`] — both produce
-/// bit-identical results to the reference interpreter
-/// ([`crate::interpret_legacy`]), at a fraction of the cost. The
-/// public entry points [`crate::interpret`] and
-/// [`crate::interpret_with_trace`] compile-and-run internally; hold an
-/// `EvalProgram` directly to amortize compilation over repeated frames.
+/// [`EvalProgram::run`] / [`EvalProgram::run_with_trace`]. The public
+/// entry points [`crate::interpret`] and [`crate::interpret_with_trace`]
+/// compile-and-run internally; hold an `EvalProgram` directly to
+/// amortize compilation over repeated frames.
 #[derive(Clone, Debug)]
 pub struct EvalProgram {
     /// The pixel-free half: stage order, edges, closed forms.
@@ -1385,11 +1404,6 @@ pub struct EvalProgram {
     /// Output stages in netlist order (slot -> netlist stage index).
     outputs: Vec<usize>,
     max_regs: usize,
-    /// Reference netlist kept when the streaming executor cannot cover
-    /// every path: schedules that violate the streaming margins (all
-    /// execution falls back to the cycle-accurate interpreter) and
-    /// multirate pipelines (only *traced* runs fall back).
-    fallback: Option<Box<Netlist>>,
 }
 
 impl EvalProgram {
@@ -1398,8 +1412,8 @@ impl EvalProgram {
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
-    /// line buffer (the same structural check the reference interpreter
-    /// performs up front).
+    /// line buffer, and [`InterpError::NotStreamable`] when the schedule
+    /// violates the streaming margins on an edge.
     pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
         let _s = imagen_obs::span("program.build");
         let layout = Layout::new(net)?;
@@ -1423,7 +1437,7 @@ impl EvalProgram {
                         .iter()
                         .find(|e| e.slot == slot)
                         .expect("every kernel slot has an edge");
-                    // Same row selection as the legacy fetch closure.
+                    // The window row the register array holds tap `dy` in.
                     let j = (dy as u32).saturating_sub(le.lag) as usize;
                     assert!(j < le.height, "tap dy={dy} reaches outside the edge window");
                     TapeOp::Load {
@@ -1452,7 +1466,6 @@ impl EvalProgram {
             n_inputs: net.input_streams().len(),
             outputs,
             max_regs,
-            fallback: (!layout.streamable || layout.multirate).then(|| Box::new(net.clone())),
             layout,
             tapes,
         })
@@ -1464,22 +1477,14 @@ impl EvalProgram {
     ///
     /// [`InterpError`] on input count/geometry mismatch.
     pub fn run(&self, inputs: &[Image]) -> Result<InterpReport, InterpError> {
-        if !self.layout.streamable {
-            let net = self.fallback.as_ref().expect("fallback netlist kept");
-            return crate::interp::interpret_legacy(net, inputs);
-        }
         self.check_inputs(inputs)?;
-        if self.layout.multirate {
-            return Ok(self.exec_multirate(inputs));
-        }
-        let mut tr = TraceAcc::default();
-        Ok(self.exec::<false>(inputs, &mut tr))
+        Ok(self.report(&self.frame(inputs)))
     }
 
-    /// Executes one frame, additionally collecting an [`ActivityTrace`]
-    /// identical to the reference interpreter's. Every count but the two
-    /// data toggles comes from the same code as [`ScheduleActivity`];
-    /// the frame supplies only `out_reg_toggles` and `bit_toggles`.
+    /// Executes one frame, additionally collecting an [`ActivityTrace`].
+    /// Every count but the two data toggles comes from the same code as
+    /// [`ScheduleActivity`]; the frame's stage images supply only
+    /// `out_reg_toggles` and `bit_toggles`.
     ///
     /// # Errors
     ///
@@ -1488,25 +1493,21 @@ impl EvalProgram {
         &self,
         inputs: &[Image],
     ) -> Result<(InterpReport, ActivityTrace), InterpError> {
-        let l = &self.layout;
-        if !l.streamable || l.multirate {
-            let net = self.fallback.as_ref().expect("fallback netlist kept");
-            return crate::interp::interpret_with_trace_legacy(net, inputs);
-        }
         self.check_inputs(inputs)?;
-        let mut tr = TraceAcc {
-            sra_toggles: vec![0; l.edges.len()],
-            out_toggles: vec![0; l.n_net_stages],
-        };
-        let report = self.exec::<true>(inputs, &mut tr);
-        let mut trace = l.trace(&l.block_counts(), &l.duty);
-        for (sa, &tg) in trace.stages.iter_mut().zip(&tr.out_toggles) {
-            sa.out_reg_toggles = tg;
+        let images = self.frame(inputs);
+        let l = &self.layout;
+        let mut trace = l.trace(&l.block_counts(), &l.gates);
+        for st in &l.stages {
+            if st.has_module {
+                trace.stages[st.stage].out_reg_toggles =
+                    self.out_reg_toggles(st.stage, &images[st.stage]);
+            }
+            for ep in &l.edges[st.edges.clone()] {
+                trace.sras[ep.edge].bit_toggles =
+                    self.edge_bit_toggles(st, ep, &images[ep.prod_stage]);
+            }
         }
-        for (ep, &tg) in l.edges.iter().zip(&tr.sra_toggles) {
-            trace.sras[ep.edge].bit_toggles = tg;
-        }
-        Ok((report, trace))
+        Ok((self.report(&images), trace))
     }
 
     fn check_inputs(&self, inputs: &[Image]) -> Result<(), InterpError> {
@@ -1525,104 +1526,81 @@ impl EvalProgram {
         Ok(())
     }
 
-    /// The report of a streamed frame: the compile-time closed forms plus
-    /// the output images.
-    fn report(&self, output_images: Vec<(usize, Image)>) -> InterpReport {
-        InterpReport {
-            cycles: self.layout.end,
-            latency: self.done_cycle,
-            output_images,
-            sram_reads: self.layout.sram_reads,
-            sram_writes: self.layout.sram_writes,
-            gated_off_cycles: self.layout.gated_off_cycles,
+    /// The dense image of every stage over one frame, indexed by netlist
+    /// stage, each on its [`Layout::grid`]. The netlist's rates select
+    /// the frame loop.
+    fn frame(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
+        if self.layout.multirate {
+            self.exec_multirate(inputs)
+        } else {
+            self.exec(inputs)
         }
     }
 
-    /// The frame-at-a-time executor. Stages stream whole frames in
-    /// start-cycle order into dense images; with `TRACED = true` the
-    /// two toggle passes run over those images afterwards.
-    fn exec<const TRACED: bool>(&self, inputs: &[Image], tr: &mut TraceAcc) -> InterpReport {
+    /// The report of a streamed frame: the compile-time closed forms plus
+    /// the output stages' images.
+    fn report(&self, images: &[Vec<i64>]) -> InterpReport {
+        let l = &self.layout;
+        let output_images = self
+            .outputs
+            .iter()
+            .map(|&stage| {
+                let g = l.grid(stage);
+                let mut raster = Vec::with_capacity(g.cols * g.rows);
+                for y in 0..g.rows {
+                    raster.extend_from_slice(&images[stage][y * g.stride..][..g.cols]);
+                }
+                (
+                    stage,
+                    Image::from_raster(g.cols as u32, g.rows as u32, raster),
+                )
+            })
+            .collect();
+        InterpReport {
+            cycles: l.end,
+            latency: self.done_cycle,
+            output_images,
+            sram_reads: l.sram_reads,
+            sram_writes: l.sram_writes,
+            gated_off_cycles: l.gated_off_cycles,
+        }
+    }
+
+    /// The rate-1 frame loop. Stages stream whole frames in start-cycle
+    /// order into dense images whose rows are padded to a whole number
+    /// of tiles, so every tile evaluation is full-width; the padding
+    /// lanes hold don't-care values that no in-frame column ever reads
+    /// back (taps satisfy `dx <= 0`).
+    fn exec(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
         let l = &self.layout;
         let pixel = self.pixel;
         let (w, h) = (l.w as usize, l.h as usize);
-        // Rows are stored at a stride padded to a whole number of
-        // tiles, so every tile evaluation is full-width; the padding
-        // lanes hold don't-care values that no in-frame column ever
-        // reads back (taps satisfy `dx <= 0`).
         let ws = l.wstride();
 
-        let in_rast: Vec<Vec<i64>> = inputs
-            .iter()
-            .map(|img| {
-                let mut r = vec![0i64; h * ws];
-                let mut it = img.raster();
-                for y in 0..h {
-                    for v in r[y * ws..y * ws + w].iter_mut() {
-                        *v = trunc(it.next().unwrap_or(0), pixel);
-                    }
-                }
-                r
-            })
-            .collect();
-
-        // Dense per-stage output images, indexed by netlist stage.
         let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
         // Shared workspaces across stages.
         let mut regs = vec![0i64; self.max_regs * TILE];
         let mut scratch: Vec<Vec<i64>> = Vec::new();
 
         for (st, tape) in l.stages.iter().zip(&self.tapes) {
-            let img = match st.input {
-                Some(k) => in_rast[k].clone(),
-                None => {
-                    let mut out = vec![0i64; h * ws];
-                    self.eval_stage(st, tape, &images, &mut out, &mut regs, &mut scratch);
-                    out
-                }
-            };
-            if TRACED {
-                if st.has_module {
-                    // Adjacent-pair form of the toggle chain (vectorizes).
-                    let mut tg = 0u64;
-                    let mut prev = 0i64;
+            let mut img = vec![0i64; h * ws];
+            match st.input {
+                Some(k) => {
+                    let mut it = inputs[k].raster();
                     for y in 0..h {
-                        let row = &img[y * ws..y * ws + w];
-                        tg += toggles(prev, row[0], pixel);
-                        tg += row
-                            .windows(2)
-                            .map(|p| toggles(p[0], p[1], pixel))
-                            .sum::<u64>();
-                        prev = row[w - 1];
+                        for v in img[y * ws..y * ws + w].iter_mut() {
+                            *v = trunc(it.next().unwrap_or(0), pixel);
+                        }
                     }
-                    tr.out_toggles[st.stage] = tg;
                 }
-                for (lei, ep) in l.edges[st.edges.clone()].iter().enumerate() {
-                    tr.sra_toggles[st.edges.start + lei] =
-                        self.edge_bit_toggles(st.start, ep, &images);
-                }
+                None => self.eval_stage(st, tape, &images, &mut img, &mut regs, &mut scratch),
             }
             images[st.stage] = img;
         }
-
-        let output_images = self
-            .outputs
-            .iter()
-            .map(|&stage| {
-                let img = &images[stage];
-                let mut dense = vec![0i64; l.frame as usize];
-                for y in 0..h {
-                    dense[y * w..(y + 1) * w].copy_from_slice(&img[y * ws..y * ws + w]);
-                }
-                (
-                    stage,
-                    Image::from_raster(self.width_px, self.height_px, dense),
-                )
-            })
-            .collect();
-        self.report(output_images)
+        images
     }
 
-    /// The multirate strided executor: frame-at-a-time streaming in
+    /// The multirate strided frame loop: frame-at-a-time streaming in
     /// start-cycle order, each stage evaluated over its own `W/cx ×
     /// H/cy` grid with taps stepping through the producer's grid at the
     /// cumulative-scale stride. Under the (generalized) streaming
@@ -1630,9 +1608,8 @@ impl EvalProgram {
     /// ph-1)][max(⌊x_b/pcx⌋ + dx, 0)]` is exactly the word the
     /// rate-scheduled SRA holds at the stage's compute-enable cycle;
     /// gate windows are applied per load at the base cycle the load
-    /// would occur (`S_c + y_b·W + col·pcx`). Report totals come from
-    /// the rate-aware compile-time closed forms.
-    fn exec_multirate(&self, inputs: &[Image]) -> InterpReport {
+    /// would occur (`S_c + y_b·W + col·pcx`).
+    fn exec_multirate(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
         let l = &self.layout;
         let pixel = self.pixel;
         let (w, h) = (l.w as u64, l.h as u64);
@@ -1641,13 +1618,11 @@ impl EvalProgram {
         // Dense per-stage images in each stage's own grid, unpadded
         // row-major (the scalar path needs no tile alignment).
         let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
-        let mut dims: Vec<(u64, u64)> = vec![(0, 0); l.n_net_stages];
         let mut regs = vec![0i64; self.max_regs];
 
         for (st, tape) in l.stages.iter().zip(&self.tapes) {
             let (ccx, ccy) = l.scale_of[st.stage];
             let (cw, ch) = (w / ccx, h / ccy);
-            dims[st.stage] = (cw, ch);
             let mut out = vec![0i64; (cw * ch) as usize];
             match st.input {
                 Some(k) => {
@@ -1689,19 +1664,7 @@ impl EvalProgram {
             }
             images[st.stage] = out;
         }
-
-        let output_images = self
-            .outputs
-            .iter()
-            .map(|&stage| {
-                let (cw, ch) = dims[stage];
-                (
-                    stage,
-                    Image::from_raster(cw as u32, ch as u32, images[stage].clone()),
-                )
-            })
-            .collect();
-        self.report(output_images)
+        images
     }
 
     /// Streams one compute stage's whole frame into `out`.
@@ -1724,11 +1687,12 @@ impl EvalProgram {
         }
 
         for y in 0..h {
+            let base = st.start + (y * w) as u64;
             // Resolve the virtual SRA rows: producer image rows with the
             // bottom clamp, gate-zeroed per load column. Scratch copies
             // are only made on partially-gated rows (adversarial plans).
             for ep in &l.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = l.gate_cols(ep.gate, st.start, y);
+                let (en_lo, en_hi) = gate_cols(ep.gate, base, w, 1);
                 if en_lo == 0 && en_hi == w {
                     continue;
                 }
@@ -1745,7 +1709,7 @@ impl EvalProgram {
             }
             let mut vrows: Vec<&[i64]> = Vec::with_capacity(st.n_vrows);
             for ep in &l.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = l.gate_cols(ep.gate, st.start, y);
+                let (en_lo, en_hi) = gate_cols(ep.gate, base, w, 1);
                 let prod = &images[ep.prod_stage];
                 for j in 0..ep.height {
                     if en_lo == 0 && en_hi == w {
@@ -1771,39 +1735,65 @@ impl EvalProgram {
         }
     }
 
-    /// Total shift-register bit toggles of one edge, recovered from the
-    /// load stream. The SRA is a delay line: every toggle between two
-    /// consecutively loaded values re-appears once per column as it
-    /// shifts through, so the legacy per-cycle sum telescopes to
-    /// `Σ_u T(u) · min(width, frame - u)` over the load stream `T` (the
-    /// tail loads retire before completing the full traversal).
-    fn edge_bit_toggles(&self, start: u64, ep: &EdgeProg, images: &[Vec<i64>]) -> u64 {
+    /// Total output-register bit toggles of one compute stage: the
+    /// register loads the stage's own grid in raster order, starting
+    /// from 0.
+    fn out_reg_toggles(&self, stage: usize, img: &[i64]) -> u64 {
+        let g = self.layout.grid(stage);
+        let mut tg = 0u64;
+        let mut prev = 0i64;
+        for y in 0..g.rows {
+            let row = &img[y * g.stride..][..g.cols];
+            // Adjacent-pair form of the toggle chain (vectorizes).
+            tg += toggles(prev, row[0], self.pixel);
+            tg += row
+                .windows(2)
+                .map(|p| toggles(p[0], p[1], self.pixel))
+                .sum::<u64>();
+            prev = row[g.cols - 1];
+        }
+        tg
+    }
+
+    /// Total shift-register bit toggles of one edge, recovered from its
+    /// load stream. The edge loads on every consumer row (`y % ccy ==
+    /// 0`), one word per producer-grid column, so the stream holds `N =
+    /// (H/ccy)·(W/pcx)` loads (`frame` at rate 1); a load is zero when
+    /// its cycle `start + y·W + xp·pcx` falls outside the gate. The SRA
+    /// is a delay line: every toggle between two consecutively loaded
+    /// values re-appears once per column as it shifts through, so the
+    /// per-cycle sum telescopes to `Σ_u T(u) · min(width, N - u)` over
+    /// the load stream `T` (the tail loads retire before completing the
+    /// full traversal).
+    fn edge_bit_toggles(&self, st: &StageProg, ep: &EdgeProg, prod: &[i64]) -> u64 {
         let l = &self.layout;
-        let (w, h) = (l.w as usize, l.h as usize);
-        let ws = l.wstride();
-        let frame = l.frame;
+        let ccy = l.scale_of[st.stage].1;
+        let (pcx, pcy) = l.scale_of[ep.prod_stage];
+        let g = l.grid(ep.prod_stage);
+        let rows = (l.h as u64 / ccy) as usize;
+        let n = (rows * g.cols) as u64;
         let width = ep.width as u64;
-        let prod = &images[ep.prod_stage];
         let mask = if self.pixel >= 64 {
             u64::MAX
         } else {
             (1u64 << self.pixel) - 1
         };
-        let tail_start = frame.saturating_sub(width - 1);
+        let tail_start = n.saturating_sub(width - 1);
         let mut total = 0u64;
         for j in 0..ep.height {
             let mut prev = 0i64;
             let mut full_sum = 0u64;
-            for y in 0..h {
-                let r = (y + ep.lag as usize + j).min(h - 1);
-                let row = &prod[r * ws..r * ws + w];
-                let (en_lo, en_hi) = l.gate_cols(ep.gate, start, y);
-                let row_t = (y * w) as u64;
-                let xsplit = (tail_start.saturating_sub(row_t) as usize).min(w);
-                if en_lo == 0 && en_hi == w && xsplit == w {
+            for yi in 0..rows {
+                let y = yi as u64 * ccy;
+                let r = ((y / pcy) as usize + ep.lag as usize + j).min(g.rows - 1);
+                let row = &prod[r * g.stride..][..g.cols];
+                let (en_lo, en_hi) = gate_cols(ep.gate, st.start + y * l.w as u64, g.cols, pcx);
+                let row_t = (yi * g.cols) as u64;
+                let xsplit = (tail_start.saturating_sub(row_t) as usize).min(g.cols);
+                if en_lo == 0 && en_hi == g.cols && xsplit == g.cols {
                     // Fully enabled, fully ahead of the retirement tail
                     // (the common case: every row but the frame's last
-                    // few cycles, ungated or inside the gate window).
+                    // few loads, ungated or inside the gate window).
                     // The chain against `prev` reduces to adjacent
                     // pairs, which vectorizes.
                     full_sum += (((prev ^ row[0]) as u64) & mask).count_ones() as u64;
@@ -1811,7 +1801,7 @@ impl EvalProgram {
                         .windows(2)
                         .map(|p| (((p[0] ^ p[1]) as u64) & mask).count_ones() as u64)
                         .sum::<u64>();
-                    prev = row[w - 1];
+                    prev = row[g.cols - 1];
                 } else {
                     for (x, &cell) in row.iter().enumerate() {
                         let v = if x >= en_lo && x < en_hi { cell } else { 0 };
@@ -1820,7 +1810,7 @@ impl EvalProgram {
                         if x < xsplit {
                             full_sum += tg;
                         } else {
-                            total += tg * (frame - (row_t + x as u64));
+                            total += tg * (n - (row_t + x as u64));
                         }
                     }
                 }
@@ -1840,14 +1830,4 @@ fn toggles(old: i64, new: i64, bits: u32) -> u64 {
         (1u64 << bits) - 1
     };
     (((old ^ new) as u64) & mask).count_ones() as u64
-}
-
-/// The two data toggles a traced run collects from its frame. The
-/// untraced loop carries an empty one that is never touched.
-#[derive(Default)]
-struct TraceAcc {
-    /// Bit toggles per edge program (sorted-stage edge order).
-    sra_toggles: Vec<u64>,
-    /// Output-register toggles per netlist stage.
-    out_toggles: Vec<u64>,
 }

@@ -19,9 +19,8 @@
 //!   once per array element.
 //!
 //! [`verify_all`] accumulates *every* problem into an [`RtlReport`] (the
-//! static analyzer's netlist pass builds on it); [`verify_structure`] is
-//! the original first-error `Result` facade, kept so existing callers
-//! stay source-compatible.
+//! static analyzer's netlist pass builds on it);
+//! [`RtlReport::into_result`] collapses it to the first error.
 //!
 //! Functional verification is the interpreter's job
 //! ([`interpret`](crate::interpret)); this pass guarantees the structure
@@ -387,17 +386,6 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
     }
 }
 
-/// Verifies the structure of a netlist.
-///
-/// First-error facade over [`verify_all`], kept for source compatibility.
-///
-/// # Errors
-///
-/// The first [`RtlError`] found.
-pub fn verify_structure(net: &Netlist) -> Result<RtlSummary, RtlError> {
-    verify_all(net).into_result()
-}
-
 fn verify_instance(
     m: &Module,
     inst: &crate::netlist::Instance,
@@ -569,7 +557,7 @@ mod tests {
     #[test]
     fn accepts_generated_netlists() {
         let net = netlist();
-        let s = verify_structure(&net).unwrap();
+        let s = verify_all(&net).into_result().unwrap();
         assert_eq!(s.modules, net.modules.len());
         assert!(s.instances > 0);
         assert!(s.sram_instances > 0);
@@ -583,7 +571,7 @@ mod tests {
         let dup = net.modules[2].clone();
         net.modules.push(dup);
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::DuplicateModule { .. })
         ));
     }
@@ -598,7 +586,7 @@ mod tests {
             conns: vec![],
         }));
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::UndefinedModule { .. })
         ));
     }
@@ -610,7 +598,7 @@ mod tests {
         let dup = net.modules[top].nets[5].clone();
         net.modules[top].nets.push(dup);
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::DuplicateSignal { .. })
         ));
     }
@@ -629,7 +617,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::UnknownPort { .. })
         ));
     }
@@ -647,7 +635,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::UnconnectedInput { .. })
         ));
     }
@@ -670,7 +658,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::WidthMismatch { .. })
         ));
     }
@@ -684,7 +672,7 @@ mod tests {
             .items
             .retain(|i| !matches!(i, Item::Assign { net } if net == "frame_done"));
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::UndrivenNet { .. })
         ));
     }
@@ -697,7 +685,7 @@ mod tests {
             net: "frame_done".to_string(),
         });
         assert!(matches!(
-            verify_structure(&net),
+            verify_all(&net).into_result(),
             Err(RtlError::MultipleDrivers { .. })
         ));
     }
@@ -731,7 +719,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, RtlError::UndrivenNet { .. })));
         // The shim surfaces the first of them.
-        assert!(verify_structure(&net).is_err());
+        assert!(verify_all(&net).into_result().is_err());
         // Summary counting still works on broken netlists.
         assert_eq!(report.summary.modules, net.modules.len());
     }
@@ -764,7 +752,7 @@ mod tests {
             }
         }
         assert!(rewired, "found an SRAM address port to rewire");
-        match verify_structure(&net) {
+        match verify_all(&net).into_result() {
             Err(RtlError::WidthMismatch {
                 port,
                 expected,

@@ -1,36 +1,41 @@
-//! Differential suite: the compiled evaluation program vs the legacy
-//! graph-walking interpreter.
+//! Differential suite: the compiled evaluation program vs the per-cycle
+//! reference walker kept in this test tree (`walker/mod.rs`).
 //!
 //! [`interpret`] / [`interpret_with_trace`] route through the one-time
-//! netlist→program compiler; [`interpret_legacy`] /
-//! [`interpret_with_trace_legacy`] re-walk the netlist graph every
-//! cycle. The two must be **bit-identical** — same [`InterpReport`]
-//! (cycles, latency, access totals, every output pixel) and same
+//! netlist→program compiler, the crate's one executor; the walker
+//! re-walks the netlist graph every cycle. The two must be
+//! **bit-identical** — same [`InterpReport`] (cycles, latency, access
+//! totals, gated-off cycles, every output pixel) and same
 //! [`ActivityTrace`] field for field — on:
 //!
-//! * the full Tbl. 3 corpus (all 7 pipelines), at both width regimes
-//!   (16/32 default and 64/64 wide), ungated and clock-gated;
+//! * the full Tbl. 3 corpus (all 7 pipelines) and both pyramid examples,
+//!   at both width regimes (16/32 default and 64/64 wide), ungated and
+//!   clock-gated, on the planner's default ASIC macro, rows split over
+//!   several blocks, FPGA BRAM and SODA FIFO chains;
 //! * randomly generated DAGs exercising every kernel operator (wrapping
 //!   arithmetic, division by zero, out-of-range shifts, comparisons,
 //!   selects, inverted clamps) on random seeds.
 //!
 //! Every case also pins the trace built without a frame
 //! ([`ScheduleActivity`]) to the traced run on every field but the two
-//! data toggles, and multirate netlists to reporting that they need a
-//! frame.
+//! data toggles, and a second, walker-free oracle recomputes those two
+//! toggles from the golden executor's stage images.
+
+mod walker;
 
 use imagen_algos::{noise_bits, Algorithm};
 use imagen_baselines::generate_soda;
-use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
+use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate, StageId};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::{gate_clocks, gating_plan};
 use imagen_rtl::{
-    build_netlist, interpret, interpret_legacy, interpret_with_trace, interpret_with_trace_legacy,
-    ActivityTrace, BitWidths, InterpReport, NeedsFrame, Netlist, ScheduleActivity,
+    build_netlist, interpret, interpret_with_trace, sra_columns, ActivityTrace, BitWidths,
+    InterpError, InterpReport, Netlist, ScheduleActivity,
 };
 use imagen_schedule::{plan_design, ScheduleOptions};
-use imagen_sim::Image;
+use imagen_sim::{execute, Image};
 use proptest::prelude::*;
+use walker::{walk, walk_with_trace};
 
 fn assert_report_eq(tag: &str, a: &InterpReport, b: &InterpReport) {
     assert_eq!(a.cycles, b.cycles, "{tag}: cycles");
@@ -114,39 +119,28 @@ fn without_toggles(trace: &ActivityTrace) -> ActivityTrace {
     t
 }
 
-/// Runs both engines (untraced and traced) on `net` and pins equality,
-/// then pins the trace built without a frame to the traced run.
+/// Runs the program and the walker (untraced and traced) on `net` and
+/// pins equality, then pins the trace built without a frame — which
+/// every netlist here must allow — to the traced run.
 fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     let fast = interpret(net, inputs).expect("program path");
-    let slow = interpret_legacy(net, inputs).expect("legacy path");
+    let slow = walk(net, inputs).expect("walker");
     assert_report_eq(tag, &fast, &slow);
 
     let (fast_rep, fast_tr) = interpret_with_trace(net, inputs).expect("program traced");
-    let (slow_rep, slow_tr) = interpret_with_trace_legacy(net, inputs).expect("legacy traced");
+    let (slow_rep, slow_tr) = walk_with_trace(net, inputs).expect("walker traced");
     assert_report_eq(&format!("{tag} traced"), &fast_rep, &slow_rep);
     assert_trace_eq(tag, &fast_tr, &slow_tr);
 
     // Tracing must not perturb results either.
     assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
 
-    let multirate = net.stages.iter().any(|s| (s.scale_x, s.scale_y) != (1, 1));
-    match ScheduleActivity::derive(net) {
-        Ok(activity) => {
-            assert!(
-                !multirate,
-                "{tag}: multirate netlist derived without a frame"
-            );
-            assert_trace_eq(
-                &format!("{tag} schedule"),
-                &activity.trace(),
-                &without_toggles(&fast_tr),
-            );
-        }
-        Err(e) => {
-            assert!(multirate, "{tag}: {e}");
-            assert_eq!(e, NeedsFrame::Multirate, "{tag}");
-        }
-    }
+    let activity = ScheduleActivity::derive(net).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    assert_trace_eq(
+        &format!("{tag} schedule"),
+        &activity.trace(),
+        &without_toggles(&fast_tr),
+    );
 }
 
 fn noise_inputs(dag: &Dag, geom: &ImageGeometry, seed: u64, bits: u32) -> Vec<Image> {
@@ -161,62 +155,85 @@ fn noise_inputs(dag: &Dag, geom: &ImageGeometry, seed: u64, bits: u32) -> Vec<Im
         .collect()
 }
 
-/// The full Tbl. 3 corpus × {16/32, 64/64} × {ungated, gated}.
-#[test]
-fn program_matches_legacy_on_corpus() {
-    let geom = ImageGeometry {
+/// A pyramid example from `examples/`, compiled from its DSL source.
+fn pyramid(name: &str) -> Dag {
+    let path = format!(
+        "{}/../../examples/{name}.imagen",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    imagen_dsl::compile(name, &src).unwrap()
+}
+
+/// The Tbl. 3 corpus and both multirate pyramid examples, by name.
+fn corpus() -> Vec<(String, Dag)> {
+    Algorithm::all()
+        .into_iter()
+        .map(|alg| (format!("{alg:?}"), alg.build()))
+        .chain(
+            ["gaussian_pyramid", "laplacian_pyramid"]
+                .into_iter()
+                .map(|name| (name.to_string(), pyramid(name))),
+        )
+        .collect()
+}
+
+/// Both extents divisible by the pyramids' 2 × 2 cumulative scale.
+fn geom() -> ImageGeometry {
+    ImageGeometry {
         width: 48,
         height: 32,
         pixel_bits: 16,
-    };
+    }
+}
+
+/// The corpus × {16/32, 64/64} × {ungated, gated} on the planner's
+/// default ASIC macro.
+#[test]
+fn program_matches_walker_on_corpus() {
+    let geom = geom();
     let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-    for alg in Algorithm::all() {
-        let dag = alg.build();
+    for (i, (name, dag)) in corpus().iter().enumerate() {
         let plan = plan_design(
-            &dag,
+            dag,
             &geom,
             &spec,
             ScheduleOptions::default(),
             DesignStyle::Ours,
         )
         .unwrap();
-        let inputs = noise_inputs(&plan.dag, &geom, 0xD1FF + alg as u64, 4);
+        let inputs = noise_inputs(&plan.dag, &geom, 0xD1FF + i as u64, 4);
         for (wname, widths) in [
             ("16/32", BitWidths::default()),
             ("64/64", BitWidths::wide()),
         ] {
             let net = build_netlist(&plan.dag, &plan.design, &widths);
-            differential(&format!("{alg:?} {wname} ungated"), &net, &inputs);
+            differential(&format!("{name} {wname} ungated"), &net, &inputs);
             let gated = gate_clocks(&net);
-            differential(&format!("{alg:?} {wname} gated"), &gated, &inputs);
+            differential(&format!("{name} {wname} gated"), &gated, &inputs);
         }
     }
 }
 
-/// The trace built without a frame on the designs the planner's default
-/// ASIC macro does not produce: rows split over several blocks, FPGA
-/// BRAM and SODA FIFO chains, at both widths, ungated and gated. It also
-/// pins [`ScheduleActivity::trace_gated`] on the ungated netlist to the
+/// The corpus on the designs the planner's default ASIC macro does not
+/// produce: rows split over several blocks, FPGA BRAM and SODA FIFO
+/// chains, at both widths, ungated and gated. It also pins
+/// [`ScheduleActivity::trace_gated`] on the ungated netlist to the
 /// traced run of the gated copy, and a narrowed gate window to a
 /// [`imagen_rtl::GateGap`].
 #[test]
 fn schedule_activity_matches_traced_run_across_backends() {
-    let geom = ImageGeometry {
-        width: 48,
-        height: 32,
-        pixel_bits: 16,
-    };
+    let geom = geom();
     // 256-bit macros hold a third of a 48 x 16-bit row.
     let split = MemBackend::Asic { block_bits: 256 };
-    for alg in Algorithm::all() {
-        let dag = alg.build();
+    for (i, (alg, dag)) in corpus().iter().enumerate() {
         let mut plans: Vec<(&str, imagen_schedule::Plan)> =
             [("split-row", split), ("fpga", MemBackend::Fpga)]
                 .into_iter()
                 .map(|(name, backend)| {
                     let spec = MemorySpec::new(backend, 2);
                     let plan = plan_design(
-                        &dag,
+                        dag,
                         &geom,
                         &spec,
                         ScheduleOptions::default(),
@@ -228,15 +245,15 @@ fn schedule_activity_matches_traced_run_across_backends() {
                 .collect();
         plans.push((
             "soda",
-            generate_soda(&dag, &geom, MemBackend::asic_default()).unwrap(),
+            generate_soda(dag, &geom, MemBackend::asic_default()).unwrap(),
         ));
         for (name, plan) in &plans {
-            let inputs = noise_inputs(&plan.dag, &geom, 0x5C4E + alg as u64, 4);
+            let inputs = noise_inputs(&plan.dag, &geom, 0x5C4E + i as u64, 4);
             for (wname, widths) in [
                 ("16/32", BitWidths::default()),
                 ("64/64", BitWidths::wide()),
             ] {
-                let tag = format!("{alg:?} {name} {wname}");
+                let tag = format!("{alg} {name} {wname}");
                 let net = build_netlist(&plan.dag, &plan.design, &widths);
                 if *name == "split-row" {
                     assert!(
@@ -265,16 +282,26 @@ fn schedule_activity_matches_traced_run_across_backends() {
                     let buffer = g.buffer;
                     let gap = activity.trace_gated(&narrowed).unwrap_err();
                     assert_eq!(gap.buffer, buffer, "{tag}");
+
+                    // Gates that cut into live consumers zero the same
+                    // loads in the walker and the program.
+                    if let Some(g) = narrowed.gates.last_mut() {
+                        g.read_end -= net.frame / 3;
+                    }
+                    let mut cut = net.clone();
+                    cut.gating = Some(narrowed);
+                    differential(&format!("{tag} cut gates"), &cut, &inputs);
                 }
             }
         }
     }
 }
 
-/// A schedule that violates the streaming margins keeps the cycle walker
-/// for its trace: the frame-free derivation refuses it.
+/// A schedule that violates the streaming margins is refused, naming the
+/// edge, by the plain run, the traced run and the frame-free derivation
+/// alike.
 #[test]
-fn schedule_activity_refuses_unstreamable_schedules() {
+fn unstreamable_schedules_are_refused() {
     let geom = ImageGeometry {
         width: 32,
         height: 24,
@@ -290,15 +317,94 @@ fn schedule_activity_refuses_unstreamable_schedules() {
     )
     .unwrap();
     let mut net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
-    assert!(ScheduleActivity::derive(&net).is_ok());
+    let inputs = noise_inputs(&plan.dag, &geom, 7, 4);
+    assert!(interpret(&net, &inputs).is_ok());
     // Start a consumer together with its producer: its window rows are
     // loaded before they are written.
     let e = net.edges[0].clone();
     net.stages[e.consumer].start_cycle = net.stages[e.producer].start_cycle;
-    assert_eq!(
-        ScheduleActivity::derive(&net).unwrap_err(),
-        NeedsFrame::NotStreamable
-    );
+    let refused = InterpError::NotStreamable {
+        edge: 0,
+        producer: e.producer,
+        consumer: e.consumer,
+    };
+    assert_eq!(interpret(&net, &inputs).unwrap_err(), refused);
+    assert_eq!(interpret_with_trace(&net, &inputs).unwrap_err(), refused);
+    assert_eq!(ScheduleActivity::derive(&net).unwrap_err(), refused);
+}
+
+/// A second, walker-free oracle for the two data toggles, recomputed
+/// from the golden executor's stage images at 64/64 widths (where every
+/// stage register holds the software model's value), ungated, on the
+/// corpus and both pyramids. Each compute stage's output register loads
+/// the stage's own raster starting from 0; each edge's `height × width`
+/// register array shifts once per load of the edge-active stream — every
+/// consumer row (`y % ccy == 0`), every producer-grid column — taking
+/// window rows clamped to the producer's last row.
+#[test]
+fn data_toggles_match_golden_image_oracle() {
+    let geom = geom();
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let flips = |a: i64, b: i64| u64::from((a ^ b).count_ones());
+    for (i, (name, dag)) in corpus().iter().enumerate() {
+        let plan = plan_design(
+            dag,
+            &geom,
+            &spec,
+            ScheduleOptions::default(),
+            DesignStyle::Ours,
+        )
+        .unwrap();
+        let inputs = noise_inputs(&plan.dag, &geom, 0x7066 + i as u64, 8);
+        let golden = execute(&plan.dag, &inputs).unwrap();
+        let image = |stage: usize| golden.stage(StageId::from_index(stage));
+        let net = build_netlist(&plan.dag, &plan.design, &BitWidths::wide());
+        let (_, trace) = interpret_with_trace(&net, &inputs).unwrap();
+
+        for s in &net.stages {
+            let mut expected = 0u64;
+            if s.module.is_some() {
+                let mut prev = 0i64;
+                for v in image(s.index).raster() {
+                    expected += flips(prev, v);
+                    prev = v;
+                }
+            }
+            assert_eq!(
+                trace.stages[s.index].out_reg_toggles, expected,
+                "{name} stage {}: out_reg_toggles",
+                s.index
+            );
+        }
+
+        for (ei, e) in net.edges.iter().enumerate() {
+            let prod = image(e.producer);
+            let pcy = net.stages[e.producer].scale_y as u32;
+            let ccy = net.stages[e.consumer].scale_y as usize;
+            let height = e.window.height as usize;
+            let width = sra_columns(&e.window) as usize;
+            let mut sra = vec![0i64; height * width];
+            let mut expected = 0u64;
+            for y in (0..geom.height).step_by(ccy) {
+                for xp in 0..prod.width() {
+                    for (j, cells) in sra.chunks_mut(width).enumerate() {
+                        for c in 0..width - 1 {
+                            expected += flips(cells[c], cells[c + 1]);
+                            cells[c] = cells[c + 1];
+                        }
+                        let r = (y / pcy + e.window.lag + j as u32).min(prod.height() - 1);
+                        let v = prod.get(xp, r);
+                        expected += flips(cells[width - 1], v);
+                        cells[width - 1] = v;
+                    }
+                }
+            }
+            assert_eq!(
+                trace.sras[ei].bit_toggles, expected,
+                "{name} edge {ei}: bit_toggles"
+            );
+        }
+    }
 }
 
 /// 1-2-1 / 2-4-2 / 1-2-1 smoothing kernel over `slot`, `>> 4`.
@@ -328,14 +434,13 @@ fn gauss3(slot: usize) -> Expr {
     Expr::bin(BinOp::Shr, sum, Expr::Const(4))
 }
 
-/// A pyramid pipeline — blur, decimate 2×2, half-rate blur, replicate
-/// back up, and a unit-rate band stage subtracting the reconstruction
-/// from the full-rate input — through the strided multirate program
-/// path vs the legacy interpreter, both width regimes, ungated and
-/// gated. This is the one corpus entry whose program takes the
-/// `exec_multirate` scalar path instead of the tile loop.
+/// A hand-built pyramid pipeline — blur, decimate 2×2, half-rate blur,
+/// replicate back up, and a unit-rate band stage subtracting the
+/// reconstruction from the full-rate input — through the strided
+/// multirate frame loop vs the walker, both width regimes, ungated and
+/// gated.
 #[test]
-fn program_matches_legacy_on_pyramid() {
+fn program_matches_walker_on_hand_built_pyramid() {
     let geom = ImageGeometry {
         width: 48,
         height: 32,
@@ -500,10 +605,10 @@ fn rand_dag(seed: u64, n_stages: usize) -> Dag {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random DAGs, random input seeds: program ≡ legacy, ungated and
+    /// Random DAGs, random input seeds: program ≡ walker, ungated and
     /// gated, report and trace.
     #[test]
-    fn program_matches_legacy_on_random_dags(
+    fn program_matches_walker_on_random_dags(
         seed in 0u64..u64::MAX,
         n_stages in 1usize..4,
         input_seed in 0u64..u64::MAX,

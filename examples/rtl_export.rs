@@ -9,7 +9,7 @@
 //! ```
 
 use imagen::algos::Algorithm;
-use imagen::rtl::verify_structure;
+use imagen::rtl::verify_all;
 use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
 use std::fs;
 use std::path::PathBuf;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for alg in Algorithm::all() {
         let out = compiler.compile_dag(&alg.build())?;
-        let summary = verify_structure(&out.netlist)?;
+        let summary = verify_all(&out.netlist).into_result()?;
         let path = out_dir.join(format!("{}.v", alg.name().to_lowercase()));
         fs::write(&path, &out.verilog)?;
         println!(

@@ -9,11 +9,12 @@
 //! at the synthetic one-push-one-pop rate), but through entirely
 //! separate code paths: the simulator walks the `Design`'s block plans,
 //! the interpreter walks the elaborated `Netlist`. They must agree
-//! block for block, for the three `exp_power_breakdown` algorithms ×
-//! three styles.
+//! block for block, for the three `exp_power_breakdown` algorithms and
+//! both multirate pyramid examples × three styles.
 
 use imagen::algos::Algorithm;
 use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
+use imagen::ir::Dag;
 use imagen::mem::{DesignStyle, ImageGeometry, MemBackend};
 use imagen::rtl::{build_netlist, interpret_with_trace, BitWidths};
 use imagen::sim::{simulate_and_annotate, Image};
@@ -27,86 +28,107 @@ fn geom() -> ImageGeometry {
     }
 }
 
-fn backend() -> MemBackend {
-    MemBackend::Asic {
-        block_bits: 2 * geom().row_bits(),
+/// Both extents divisible by 4, past the pyramids' 2×2 cumulative scale.
+fn pyramid_geom() -> ImageGeometry {
+    ImageGeometry {
+        width: 48,
+        height: 32,
+        pixel_bits: 16,
     }
 }
 
-fn plan_for(alg: Algorithm, style: DesignStyle) -> imagen::Plan {
-    let dag = alg.build();
-    let g = geom();
+fn backend(g: &ImageGeometry) -> MemBackend {
+    MemBackend::Asic {
+        block_bits: 2 * g.row_bits(),
+    }
+}
+
+fn plan_for(dag: &Dag, g: &ImageGeometry, style: DesignStyle) -> imagen::Plan {
     match style {
-        DesignStyle::Soda => generate_soda(&dag, &g, backend()).unwrap(),
-        DesignStyle::FixyNn => generate_fixynn(&dag, &g, backend()).unwrap(),
-        DesignStyle::Darkroom => generate_darkroom(&dag, &g, backend()).unwrap(),
+        DesignStyle::Soda => generate_soda(dag, g, backend(g)).unwrap(),
+        DesignStyle::FixyNn => generate_fixynn(dag, g, backend(g)).unwrap(),
+        DesignStyle::Darkroom => generate_darkroom(dag, g, backend(g)).unwrap(),
         _ => {
-            Compiler::new(g, MemorySpec::new(backend(), 2))
-                .compile_dag(&dag)
+            Compiler::new(*g, MemorySpec::new(backend(g), 2))
+                .compile_dag(dag)
                 .unwrap()
                 .plan
         }
     }
 }
 
+/// Annotates `dag`'s plan under `style` with the cycle simulator, traces
+/// its netlist, and pins every block's reads, writes and peak equal.
+fn crosscheck(name: &str, dag: &Dag, g: &ImageGeometry, style: DesignStyle) {
+    let input = Image::from_fn(g.width, g.height, |x, y| ((x * 13 + y * 31) % 199) as i64);
+    let mut plan = plan_for(dag, g, style);
+    let report =
+        simulate_and_annotate(&plan.dag, &mut plan.design, std::slice::from_ref(&input)).unwrap();
+    assert!(
+        report.port_violations.is_empty(),
+        "{name} {style:?}: {:?}",
+        report.port_violations
+    );
+
+    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+    let (_, trace) = interpret_with_trace(&net, std::slice::from_ref(&input)).unwrap();
+
+    let frame = plan.design.geometry.pixels();
+    assert_eq!(
+        plan.design.buffers.len(),
+        trace.buffers.len(),
+        "{name} {style:?}: trace parallels the design"
+    );
+    for (bp, ba) in plan.design.buffers.iter().zip(&trace.buffers) {
+        assert_eq!(bp.stage, ba.stage);
+        assert_eq!(bp.blocks.len(), ba.block_reads.len());
+        for (i, blk) in bp.blocks.iter().enumerate() {
+            let interp_rate = ba.avg_accesses_per_cycle(i, frame);
+            let interp_writes = ba.avg_writes_per_cycle(i, frame);
+            assert!(
+                (blk.avg_accesses_per_cycle - interp_rate).abs() < 1e-12,
+                "{name} {style:?} stage {} block {i}: sim {} vs interp {}",
+                bp.stage,
+                blk.avg_accesses_per_cycle,
+                interp_rate
+            );
+            assert!(
+                (blk.avg_writes_per_cycle - interp_writes).abs() < 1e-12,
+                "{name} {style:?} stage {} block {i}: sim writes {} vs interp {}",
+                bp.stage,
+                blk.avg_writes_per_cycle,
+                interp_writes
+            );
+            assert_eq!(
+                blk.peak_accesses, ba.block_peaks[i],
+                "{name} {style:?} stage {} block {i}: peak mismatch",
+                bp.stage
+            );
+        }
+    }
+}
+
+const STYLES: [DesignStyle; 3] = [DesignStyle::Soda, DesignStyle::Ours, DesignStyle::FixyNn];
+
 #[test]
 fn interpreter_access_counts_match_simulator_annotations() {
-    let g = geom();
-    let input = Image::from_fn(g.width, g.height, |x, y| ((x * 13 + y * 31) % 199) as i64);
     for alg in [Algorithm::UnsharpM, Algorithm::DenoiseM, Algorithm::CannyM] {
-        for style in [DesignStyle::Soda, DesignStyle::Ours, DesignStyle::FixyNn] {
-            let mut plan = plan_for(alg, style);
-            let report =
-                simulate_and_annotate(&plan.dag, &mut plan.design, std::slice::from_ref(&input))
-                    .unwrap();
-            assert!(
-                report.port_violations.is_empty(),
-                "{} {style:?}: {:?}",
-                alg.name(),
-                report.port_violations
-            );
+        for style in STYLES {
+            crosscheck(alg.name(), &alg.build(), &geom(), style);
+        }
+    }
+}
 
-            let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
-            let (_, trace) = interpret_with_trace(&net, std::slice::from_ref(&input)).unwrap();
-
-            let frame = plan.design.geometry.pixels();
-            assert_eq!(
-                plan.design.buffers.len(),
-                trace.buffers.len(),
-                "{} {style:?}: trace parallels the design",
-                alg.name()
-            );
-            for (bp, ba) in plan.design.buffers.iter().zip(&trace.buffers) {
-                assert_eq!(bp.stage, ba.stage);
-                assert_eq!(bp.blocks.len(), ba.block_reads.len());
-                for (i, blk) in bp.blocks.iter().enumerate() {
-                    let interp_rate = ba.avg_accesses_per_cycle(i, frame);
-                    let interp_writes = ba.avg_writes_per_cycle(i, frame);
-                    assert!(
-                        (blk.avg_accesses_per_cycle - interp_rate).abs() < 1e-12,
-                        "{} {style:?} stage {} block {i}: sim {} vs interp {}",
-                        alg.name(),
-                        bp.stage,
-                        blk.avg_accesses_per_cycle,
-                        interp_rate
-                    );
-                    assert!(
-                        (blk.avg_writes_per_cycle - interp_writes).abs() < 1e-12,
-                        "{} {style:?} stage {} block {i}: sim writes {} vs interp {}",
-                        alg.name(),
-                        bp.stage,
-                        blk.avg_writes_per_cycle,
-                        interp_writes
-                    );
-                    assert_eq!(
-                        blk.peak_accesses,
-                        ba.block_peaks[i],
-                        "{} {style:?} stage {} block {i}: peak mismatch",
-                        alg.name(),
-                        bp.stage
-                    );
-                }
-            }
+/// The pyramids' strided cadences: reads, writes and peaks of every
+/// multirate block, pinned by the cycle simulator alone.
+#[test]
+fn pyramid_access_counts_match_simulator_annotations() {
+    for name in ["gaussian_pyramid", "laplacian_pyramid"] {
+        let path = format!("{}/examples/{name}.imagen", env!("CARGO_MANIFEST_DIR"));
+        let dag = imagen::dsl::compile(name, &std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(dag.is_multirate(), "{name}");
+        for style in STYLES {
+            crosscheck(name, &dag, &pyramid_geom(), style);
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use imagen::algos::{sample_pattern, Algorithm, TestPattern};
 use imagen::dsl::{compile, DslError};
-use imagen::rtl::verify_structure;
+use imagen::rtl::verify_all;
 use imagen::sim::{execute, Image};
 use imagen::{Compiler, ImageGeometry, MemBackend, MemorySpec};
 
@@ -96,7 +96,7 @@ fn rtl_respects_memory_spec() {
         );
         let out = Compiler::new(geom, spec).compile_dag(&dag).unwrap();
         let v = &out.verilog;
-        verify_structure(&out.netlist).unwrap();
+        verify_all(&out.netlist).into_result().unwrap();
         assert!(
             v.matches(macro_kind).count() >= 2,
             "P={ports} instantiates {macro_kind}"

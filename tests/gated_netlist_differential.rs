@@ -87,7 +87,8 @@ fn gated_differential(alg: Algorithm, widths: &BitWidths, input: Image, label: &
     let net = build_netlist(&out.plan.dag, &out.plan.design, widths);
     let gated = gate_clocks(&net);
     assert!(gated.is_gated(), "{} ({label})", alg.name());
-    imagen::rtl::verify_structure(&gated)
+    imagen::rtl::verify_all(&gated)
+        .into_result()
         .unwrap_or_else(|e| panic!("{} ({label}): gated netlist unsound: {e}", alg.name()));
 
     let plain = interpret(&net, std::slice::from_ref(&input))
