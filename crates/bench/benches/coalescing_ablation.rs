@@ -1,12 +1,10 @@
-//! Ablation bench for the Sec. 6 line-coalescing rewrite and the exact
-//! (`TotalRows`) vs. paper (`TotalDelay`) objective: compile-time cost of
-//! each design choice DESIGN.md calls out.
+//! Ablation bench for the Sec. 6 line-coalescing rewrite: the
+//! compile-time cost of coalescing every line buffer of Canny-s.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::Algorithm;
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
-use imagen_schedule::{ScheduleOptions, SizeObjective};
 
 fn bench_coalescing(c: &mut Criterion) {
     let geom = ImageGeometry::p320();
@@ -26,17 +24,6 @@ fn bench_coalescing(c: &mut Criterion) {
     group.bench_function("canny_s_coalesced", |b| {
         b.iter(|| {
             Compiler::new(geom, lc.clone())
-                .compile_dag(std::hint::black_box(&dag))
-                .unwrap()
-        })
-    });
-    group.bench_function("canny_s_exact_rows_objective", |b| {
-        b.iter(|| {
-            Compiler::new(geom, plain.clone())
-                .with_options(ScheduleOptions {
-                    objective: SizeObjective::TotalRows,
-                    ..Default::default()
-                })
                 .compile_dag(std::hint::black_box(&dag))
                 .unwrap()
         })

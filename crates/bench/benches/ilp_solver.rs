@@ -1,7 +1,6 @@
-//! Criterion bench for the ILP substrate on scheduling-shaped systems: the
-//! min-cost-flow difference-LP solver against the exact rational simplex
-//! (with branch and bound) on the same LPs, plus the longest-path fast
-//! path.
+//! Criterion bench for the difference-constraint solvers on
+//! scheduling-shaped systems: the min-cost-flow LP solver on chain LPs and
+//! on a 60-stage coalesced schedule leaf, plus the longest-path fast path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imagen_algos::synthetic_pipeline;
@@ -66,19 +65,11 @@ fn bench_ilp(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(5));
     for n in [8usize, 16, 32] {
         let (sys, costs) = chain_lp(n, 480);
-        let (m, _) = sys.to_model("chain", &costs);
-        group.bench_function(format!("simplex_bnb_{n}_stages"), |b| {
-            b.iter(|| std::hint::black_box(&m).solve().unwrap())
-        });
         group.bench_function(format!("flow_{n}_stages"), |b| {
             b.iter(|| std::hint::black_box(&sys).minimize(&costs).unwrap())
         });
     }
     let (sys, costs) = coalesced_60_stage_leaf();
-    let (m, _) = sys.to_model("synthetic60", &costs);
-    group.bench_function("simplex_bnb_synthetic60_lc_leaf", |b| {
-        b.iter(|| std::hint::black_box(&m).solve().unwrap())
-    });
     group.bench_function("flow_synthetic60_lc_leaf", |b| {
         b.iter(|| std::hint::black_box(&sys).minimize(&costs).unwrap())
     });

@@ -26,10 +26,7 @@ fn bench_pruning(c: &mut Criterion) {
         group.bench_function(format!("{}_unpruned", alg.name()), |b| {
             b.iter(|| {
                 Compiler::new(geom, spec.clone())
-                    .with_options(ScheduleOptions {
-                        pruning: false,
-                        ..Default::default()
-                    })
+                    .with_options(ScheduleOptions { pruning: false })
                     .compile_dag(std::hint::black_box(&dag))
                     .unwrap()
             })

@@ -50,10 +50,7 @@ fn main() {
             t.elapsed().as_secs_f64() * 1e6
         };
         let t_nopruning = time_ms(|| {
-            let opts = ScheduleOptions {
-                pruning: false,
-                ..Default::default()
-            };
+            let opts = ScheduleOptions { pruning: false };
             let _ = Compiler::new(geom, spec.clone())
                 .with_options(opts)
                 .compile_dag(&dag)

@@ -72,7 +72,7 @@ COMPILE OPTIONS:
     --timing         print compile-phase timings (non-deterministic output)
 
 PROFILE OPTIONS (compile, dse):
-    --profile        print a per-phase breakdown (span timings, simplex
+    --profile        print a per-phase breakdown (span timings, solver
                      pivots, cache traffic) after the normal output
     --trace-out FILE write the profile as Chrome trace_event JSON (load in
                      chrome://tracing or Perfetto); implies --profile

@@ -48,8 +48,6 @@ use imagen_schedule::{plan_design, Plan, PlanError, ScheduleOptions};
 use std::fmt;
 use std::time::Instant;
 
-pub use imagen_schedule::SizeObjective;
-
 /// Compilation failure: front end or optimizer.
 #[derive(Clone, PartialEq, Debug)]
 pub enum CompileError {
@@ -141,7 +139,7 @@ impl Compiler {
         }
     }
 
-    /// Overrides the scheduling options (pruning, objective, budgets).
+    /// Overrides the scheduling options (constraint pruning).
     pub fn with_options(mut self, opts: ScheduleOptions) -> Compiler {
         self.opts = opts;
         self

@@ -22,8 +22,9 @@ use crate::{CompileError, CompileOutput, CompileTiming};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::Counter;
-use imagen_schedule::{formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan};
-use imagen_schedule::{ScheduleOptions, SizeObjective};
+use imagen_schedule::{
+    formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan, ScheduleOptions,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,8 +42,6 @@ struct PointKey {
     /// resolve identically compile identically.
     stages: Vec<(u32, u32)>,
     pruning: bool,
-    objective: SizeObjective,
-    max_subproblems: usize,
     style: DesignStyle,
 }
 
@@ -252,8 +251,6 @@ impl Session {
                 .map(|i| (spec.ports_for(i), spec.coalesce_factor(i, &self.geom)))
                 .collect(),
             pruning: self.opts.pruning,
-            objective: self.opts.objective,
-            max_subproblems: self.opts.max_subproblems,
             style,
         }
     }

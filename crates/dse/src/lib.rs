@@ -196,11 +196,10 @@ pub struct ExploreStats {
     pub cache_hits: u64,
     /// Pricing requests that ran the planner.
     pub cache_misses: u64,
-    /// Solver pivots performed process-wide during the sweep — simplex
-    /// pivots plus min-cost-flow augmenting paths (a delta of
-    /// [`imagen_ilp::stats::pivot_count`]; with concurrent sweeps in one
-    /// process the delta covers all of them). The name predates the flow
-    /// solver and is kept for API stability.
+    /// Solver pivots performed process-wide during the sweep: min-cost-flow
+    /// augmenting paths (a delta of [`imagen_ilp::stats::pivot_count`];
+    /// with concurrent sweeps in one process the delta covers all of them).
+    /// The name predates the flow solver and is kept for API stability.
     pub simplex_pivots: u64,
 }
 

@@ -21,7 +21,6 @@
 //! that flow in `i64` and reads the primal optimum back off it.
 
 use crate::flow::{Network, Overflow, UNCAPACITATED};
-use crate::{LinExpr, Model, Sense, VarId};
 use std::fmt;
 
 /// Error returned when a difference system is infeasible.
@@ -127,6 +126,14 @@ impl DiffSystem {
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.edges.len()
+    }
+
+    /// The system as added: every constraint `x_u - x_v >= k` as a
+    /// `(u, v, k)` triple, in insertion order, and the lower bound of
+    /// every variable.
+    pub fn constraints(&self) -> (impl Iterator<Item = (usize, usize, i64)> + '_, &[i64]) {
+        let triples = self.edges.iter().map(|&(v, u, k)| (u, v, k));
+        (triples, &self.lower)
     }
 
     /// Adds the constraint `x_u - x_v >= c`.
@@ -283,37 +290,6 @@ impl DiffSystem {
             .try_fold(0i64, |acc, (&xi, &c)| acc.checked_add(xi.checked_mul(c)?))
             .ok_or(Overflow)?;
         Ok(DiffOptimum { objective, x })
-    }
-
-    /// The same LP as a general [`Model`] (variable `i` is the `i`-th
-    /// returned [`VarId`], integral, bounded below by its lower bound),
-    /// minimizing `Σ costs[i]·x_i` — the simplex oracle for
-    /// [`DiffSystem::minimize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs` does not hold one entry per variable.
-    #[track_caller]
-    pub fn to_model(&self, name: &str, costs: &[i64]) -> (Model, Vec<VarId>) {
-        assert_eq!(costs.len(), self.n, "one cost per variable");
-        let mut m = Model::new(name);
-        let vars: Vec<VarId> = (0..self.n)
-            .map(|i| m.add_int_var(format!("x{i}")))
-            .collect();
-        for (&v, &lo) in vars.iter().zip(&self.lower) {
-            if lo != 0 {
-                m.set_bounds(v, lo, None);
-            }
-        }
-        for &(v, u, c) in &self.edges {
-            m.add_diff_ge(vars[u], vars[v], c, "c");
-        }
-        let obj = vars
-            .iter()
-            .zip(costs)
-            .fold(LinExpr::zero(), |acc, (&v, &c)| acc + LinExpr::from(v) * c);
-        m.set_objective(Sense::Minimize, obj);
-        (m, vars)
     }
 
     /// Checks whether an assignment satisfies every constraint and bound.

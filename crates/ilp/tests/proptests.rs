@@ -1,9 +1,13 @@
-//! Property-based cross-checks of the ILP substrate:
-//! simplex vs. the difference-constraint solvers (longest path and min-cost
-//! flow) vs. brute-force enumeration.
+//! Property-based cross-checks of the difference-constraint solvers
+//! (longest path and min-cost flow) against the exact rational simplex,
+//! a test-only oracle kept in this test tree (`simplex/mod.rs`), plus the
+//! oracle's own checks.
 
-use imagen_ilp::{Cmp, DiffSystem, LinExpr, MinimizeError, Model, Rational, Sense, SolveError};
+mod simplex;
+
+use imagen_ilp::{DiffSystem, MinimizeError};
 use proptest::prelude::*;
+use simplex::{to_model, LinExpr, Model, Rational, Sense, SolveError};
 
 /// Variables in the random difference LPs.
 const LP_VARS: usize = 6;
@@ -126,7 +130,7 @@ proptest! {
             m.add_diff_ge(vars[u], vars[v], c, "e");
         }
         m.set_objective(Sense::Minimize, obj);
-        let lp = m.solve();
+        let lp = m.solve_lp();
 
         match (minimal, lp) {
             (Ok(xs), Ok(sol)) => {
@@ -160,14 +164,14 @@ proptest! {
     ) {
         let sys = lp_system(&edges, &pairs, &ties, &lower);
         let costs = lp_costs(&pairs, drift);
-        let (model, _) = sys.to_model("prop", &costs);
-        match (sys.minimize(&costs), model.solve()) {
+        let (model, _) = to_model(&sys, "prop", &costs);
+        match (sys.minimize(&costs), model.solve_lp()) {
             (Ok(opt), Ok(sol)) => {
                 prop_assert_eq!(Rational::from(opt.objective), sol.objective_value());
                 prop_assert!(sys.is_feasible(&opt.x));
                 let lex_costs: Vec<i64> = costs.iter().map(|c| c * LEX_WEIGHT + 1).collect();
-                let (lex, vars) = sys.to_model("lex", &lex_costs);
-                let lex = lex.solve().expect("bounded whenever obj is");
+                let (lex, vars) = to_model(&sys, "lex", &lex_costs);
+                let lex = lex.solve_lp().expect("bounded whenever obj is");
                 let lex_x: Vec<i64> = vars.iter().map(|&v| lex.int_value(v)).collect();
                 prop_assert_eq!(opt.x, lex_x);
             }
@@ -176,51 +180,6 @@ proptest! {
             (flow, simplex) => {
                 return Err(TestCaseError::fail(format!(
                     "solvers disagree: flow={flow:?} simplex={simplex:?}"
-                )));
-            }
-        }
-    }
-
-    /// Branch-and-bound must agree with brute-force enumeration on tiny
-    /// bounded integer programs.
-    #[test]
-    fn bnb_matches_bruteforce(
-        a in proptest::array::uniform4(-4i64..5),
-        b in 0i64..30,
-        c in proptest::array::uniform2(-3i64..4),
-    ) {
-        let ub = 6i64;
-        let mut m = Model::new("bf");
-        let x = m.add_int_var("x");
-        let y = m.add_int_var("y");
-        m.set_bounds(x, 0, Some(ub));
-        m.set_bounds(y, 0, Some(ub));
-        let e1 = LinExpr::from(x) * a[0] + LinExpr::from(y) * a[1];
-        let e2 = LinExpr::from(x) * a[2] + LinExpr::from(y) * a[3];
-        m.add_constraint(e1, Cmp::Le, b, "c1");
-        m.add_constraint(e2, Cmp::Ge, -b, "c2");
-        m.set_objective(Sense::Maximize, LinExpr::from(x) * c[0] + LinExpr::from(y) * c[1]);
-
-        // Brute force over the (ub+1)^2 grid.
-        let mut best: Option<i64> = None;
-        for xv in 0..=ub {
-            for yv in 0..=ub {
-                let ok1 = a[0] * xv + a[1] * yv <= b;
-                let ok2 = a[2] * xv + a[3] * yv >= -b;
-                if ok1 && ok2 {
-                    let obj = c[0] * xv + c[1] * yv;
-                    best = Some(best.map_or(obj, |cur| cur.max(obj)));
-                }
-            }
-        }
-
-        match (best, m.solve()) {
-            (Some(bf), Ok(sol)) => prop_assert_eq!(Rational::from(bf), sol.objective_value()),
-            (None, Err(_)) => {}
-            (bf, sol) => {
-                return Err(TestCaseError::fail(format!(
-                    "feasibility mismatch: brute={bf:?} solver-ok={}",
-                    sol.is_ok()
                 )));
             }
         }
@@ -288,22 +247,285 @@ proptest! {
         if a.is_negative() {
             prop_assert!(a < Rational::ZERO);
         }
+    }
+}
 
-        // floor/ceil stay in range and bracket the value.
-        prop_assert!(Rational::from(a.floor()) <= a);
-        prop_assert!(Rational::from(a.ceil()) >= a);
-        prop_assert!(a.ceil() - a.floor() <= 1);
+/// The oracle's own checks: the simplex on small LPs with known optima,
+/// the model builder, and exact rational arithmetic.
+mod oracle {
+    use crate::simplex::{Cmp, LinExpr, Model, Rational, Sense, SolveError};
+    use std::cmp::Ordering;
+
+    #[test]
+    fn basic_maximize() {
+        // max 3x + 2y s.t. x + y <= 4; x + 3y <= 6 -> x=4, y=0, obj=12.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Le, 4, "c1");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y) * 3, Cmp::Le, 6, "c2");
+        m.set_objective(Sense::Maximize, LinExpr::from(x) * 3 + LinExpr::from(y) * 2);
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.objective_value(), Rational::from(12));
+        assert_eq!(s.value(x), Rational::from(4));
+        assert_eq!(s.value(y), Rational::from(0));
     }
 
-    /// floor/ceil/fract are consistent.
     #[test]
-    fn rational_floor_ceil(n in -500i128..500, d in 1i128..40) {
-        let r = Rational::new(n, d);
-        prop_assert!(Rational::from(r.floor()) <= r);
-        prop_assert!(Rational::from(r.ceil()) >= r);
-        prop_assert!(r.ceil() - r.floor() <= 1);
-        let fr = r.fract();
-        prop_assert!(fr >= Rational::ZERO && fr < Rational::ONE);
-        prop_assert_eq!(Rational::from(r.floor()) + fr, r);
+    fn basic_minimize_with_ge() {
+        // min x + y s.t. x + 2y >= 4; 3x + y >= 6 -> x=8/5, y=6/5, obj=14/5.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y) * 2, Cmp::Ge, 4, "c1");
+        m.add_constraint(LinExpr::from(x) * 3 + LinExpr::from(y), Cmp::Ge, 6, "c2");
+        m.set_objective(Sense::Minimize, LinExpr::from(x) + LinExpr::from(y));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.objective_value(), Rational::new(14, 5));
+    }
+
+    #[test]
+    fn infeasible_detected() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 1, "c1");
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 2, "c2");
+        assert_eq!(m.solve_lp().unwrap_err(), SolveError::Infeasible);
+    }
+
+    #[test]
+    fn unbounded_detected() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        assert_eq!(m.solve_lp().unwrap_err(), SolveError::Unbounded);
+    }
+
+    #[test]
+    fn equality_constraints() {
+        // min x + y s.t. x + y == 10, x - y == 2 -> x=6, y=4.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Eq, 10, "sum");
+        m.add_constraint(LinExpr::from(x) - LinExpr::from(y), Cmp::Eq, 2, "diff");
+        m.set_objective(Sense::Minimize, LinExpr::from(x) + LinExpr::from(y));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.value(x), Rational::from(6));
+        assert_eq!(s.value(y), Rational::from(4));
+    }
+
+    #[test]
+    fn lower_bounds_shifted_correctly() {
+        // min x with x >= 5 (bound) and x >= 3 (constraint) -> 5.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        m.set_bounds(x, 5, None);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 3, "c");
+        m.set_objective(Sense::Minimize, LinExpr::from(x));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.value(x), Rational::from(5));
+    }
+
+    #[test]
+    fn upper_bounds_respected() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        m.set_bounds(x, 0, Some(7));
+        m.set_objective(Sense::Maximize, LinExpr::from(x));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.value(x), Rational::from(7));
+    }
+
+    #[test]
+    fn degenerate_problem_terminates() {
+        // Klee-Minty-flavored degeneracy; Bland's rule must terminate.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        let z = m.add_var("z");
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 1, "c1");
+        m.add_constraint(LinExpr::from(x) * 4 + LinExpr::from(y), Cmp::Le, 8, "c2");
+        m.add_constraint(
+            LinExpr::from(x) * 8 + LinExpr::from(y) * 4 + LinExpr::from(z),
+            Cmp::Le,
+            64,
+            "c3",
+        );
+        m.set_objective(
+            Sense::Maximize,
+            LinExpr::from(x) * 4 + LinExpr::from(y) * 2 + LinExpr::from(z),
+        );
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.objective_value(), Rational::from(64));
+    }
+
+    #[test]
+    fn redundant_equalities_ok() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Eq, 4, "c1");
+        m.add_constraint(
+            LinExpr::from(x) * 2 + LinExpr::from(y) * 2,
+            Cmp::Eq,
+            8,
+            "c2-redundant",
+        );
+        m.set_objective(Sense::Minimize, LinExpr::from(x));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.value(x), Rational::ZERO);
+        assert_eq!(s.value(y), Rational::from(4));
+    }
+
+    #[test]
+    fn negative_rhs_normalization() {
+        // x - y <= -2 means y >= x + 2.
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        m.add_constraint(LinExpr::from(x) - LinExpr::from(y), Cmp::Le, -2, "c");
+        m.set_objective(Sense::Minimize, LinExpr::from(y));
+        let s = m.solve_lp().unwrap();
+        assert_eq!(s.value(y), Rational::from(2));
+    }
+
+    #[test]
+    fn expr_algebra() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        let y = m.add_var("y");
+        let e = (LinExpr::from(x) * 2 + LinExpr::from(y)) - LinExpr::from(x);
+        assert_eq!(e.coeff(x), Rational::ONE);
+        assert_eq!(e.coeff(y), Rational::ONE);
+    }
+
+    #[test]
+    fn eval_and_feasibility() {
+        let mut m = Model::new("t");
+        let x = m.add_int_var("x");
+        let y = m.add_int_var("y");
+        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Le, 5, "c0");
+        let a = vec![Rational::from(2), Rational::from(3)];
+        assert!(m.is_feasible(&a));
+        let b = vec![Rational::from(3), Rational::from(3)];
+        assert!(!m.is_feasible(&b));
+        let frac = vec![Rational::new(1, 2), Rational::from(0)];
+        assert!(!m.is_feasible(&frac), "integrality must be enforced");
+    }
+
+    #[test]
+    fn constraint_constant_folding() {
+        let mut m = Model::new("t");
+        let x = m.add_var("x");
+        m.add_constraint(LinExpr::from(x) + 3, Cmp::Ge, 5, "c");
+        assert_eq!(m.constraints()[0].rhs, Rational::from(2));
+    }
+
+    #[test]
+    fn lp_dump_contains_pieces() {
+        let mut m = Model::new("dump");
+        let x = m.add_int_var("start_0");
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 1, "dep");
+        m.set_objective(Sense::Minimize, LinExpr::from(x));
+        let s = m.to_lp_string();
+        assert!(s.contains("Minimize"));
+        assert!(s.contains("dep:"));
+        assert!(s.contains("start_0"));
+        assert!(s.contains("General"));
+    }
+
+    #[test]
+    fn construction_reduces() {
+        let r = Rational::new(6, -4);
+        assert_eq!(r.numer(), -3);
+        assert_eq!(r.denom(), 2);
+    }
+
+    #[test]
+    fn zero_numerator_normalizes() {
+        let r = Rational::new(0, -7);
+        assert_eq!(r, Rational::ZERO);
+        assert_eq!(r.denom(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero denominator")]
+    fn zero_denominator_panics() {
+        let _ = Rational::new(1, 0);
+    }
+
+    #[test]
+    fn arithmetic_basics() {
+        let a = Rational::new(1, 2);
+        let b = Rational::new(1, 3);
+        assert_eq!(a + b, Rational::new(5, 6));
+        assert_eq!(a - b, Rational::new(1, 6));
+        assert_eq!(a * b, Rational::new(1, 6));
+        assert_eq!(a / b, Rational::new(3, 2));
+        assert_eq!(-a, Rational::new(-1, 2));
+    }
+
+    #[test]
+    fn ordering() {
+        assert!(Rational::new(1, 3) < Rational::new(1, 2));
+        assert!(Rational::new(-1, 2) < Rational::ZERO);
+        assert!(Rational::new(7, 7) == Rational::ONE);
+    }
+
+    #[test]
+    fn integrality() {
+        assert!(Rational::new(4, 2).is_integer());
+        assert_eq!(Rational::new(4, 2).to_integer(), Some(2));
+        assert_eq!(Rational::new(1, 2).to_integer(), None);
+    }
+
+    #[test]
+    fn display() {
+        assert_eq!(Rational::new(3, 6).to_string(), "1/2");
+        assert_eq!(Rational::from(5).to_string(), "5");
+    }
+
+    #[test]
+    fn i128_min_constructs_and_compares() {
+        let min = Rational::new(i128::MIN, 1);
+        assert_eq!(min.numer(), i128::MIN);
+        assert_eq!(min.denom(), 1);
+        assert_eq!(Rational::new(0, i128::MIN), Rational::ZERO);
+        assert_eq!(Rational::new(i128::MIN, i128::MIN), Rational::ONE);
+        assert!(min < Rational::ZERO);
+        assert!(min < Rational::new(i128::MIN, 2));
+        assert_eq!(min.cmp(&min), Ordering::Equal);
+        // Even halves reduce without negating the raw i128::MIN.
+        let half = Rational::new(i128::MIN, 2);
+        assert_eq!(half.numer(), i128::MIN / 2);
+        assert_eq!(half.denom(), 1);
+        assert_eq!(min - min, Rational::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "negation overflow")]
+    fn i128_min_negation_panics() {
+        let _ = -Rational::new(i128::MIN, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "abs overflow")]
+    fn i128_min_abs_panics() {
+        let _ = Rational::new(i128::MIN, 1).abs();
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow normalizing")]
+    fn i128_min_denominator_panics() {
+        let _ = Rational::new(1, i128::MIN);
+    }
+
+    #[test]
+    fn checked_overflow_detected() {
+        let big = Rational::from(i128::MAX / 2);
+        assert!(big.checked_add(&big).is_none() || big.checked_add(&big).is_some());
+        let huge = Rational::new(i128::MAX, 1);
+        assert!(huge.checked_mul(&Rational::from(3)).is_none());
     }
 }

@@ -1,23 +1,38 @@
-//! Two-phase primal simplex over exact rationals.
+//! The exact rational simplex: a test-only oracle for the flow solver.
+//!
+//! `imagen_ilp` ships one LP solver, [`DiffSystem::minimize`], an integer
+//! min-cost flow on the dual of a difference LP. This module keeps the
+//! general machinery it replaced, as an independent reference: a
+//! mixed-integer [`Model`] builder with [`LinExpr`] expressions, exact
+//! [`Rational`] arithmetic on `i128`, and a two-phase primal simplex
+//! ([`Model::solve_lp`]). [`to_model`] states a [`DiffSystem`] LP as a
+//! [`Model`].
+//!
+//! The oracle solves LP relaxations only. Difference LPs are totally
+//! unimodular, so the simplex vertex of one is already integral, and
+//! [`Solution::int_value`] asserts that it is.
 //!
 //! The solver is deliberately straightforward (dense tableau, Bland's rule)
 //! because the ImaGen scheduling problems are small — tens of variables,
 //! hundreds of constraints — and exactness matters more than raw speed.
 //! Bland's rule guarantees termination in the presence of degeneracy.
 
-use crate::model::{Cmp, Model, Sense};
-use crate::Rational;
+mod model;
+mod rational;
+
+pub use model::{Cmp, LinExpr, Model, Sense, VarId};
+pub use rational::Rational;
+
+use imagen_ilp::DiffSystem;
 use std::fmt;
 
-/// Errors produced by the LP/ILP solvers.
+/// Errors produced by the simplex.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SolveError {
     /// The constraint system has no feasible point.
     Infeasible,
     /// The objective is unbounded in the optimization direction.
     Unbounded,
-    /// Branch-and-bound exceeded its node budget.
-    NodeLimit(usize),
 }
 
 impl fmt::Display for SolveError {
@@ -25,16 +40,13 @@ impl fmt::Display for SolveError {
         match self {
             SolveError::Infeasible => write!(f, "model is infeasible"),
             SolveError::Unbounded => write!(f, "objective is unbounded"),
-            SolveError::NodeLimit(n) => {
-                write!(f, "branch-and-bound node limit of {n} exceeded")
-            }
         }
     }
 }
 
 impl std::error::Error for SolveError {}
 
-/// An optimal assignment returned by the solvers.
+/// An optimal assignment returned by the simplex.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Solution {
     pub(crate) values: Vec<Rational>,
@@ -43,7 +55,7 @@ pub struct Solution {
 
 impl Solution {
     /// Value of a variable.
-    pub fn value(&self, v: crate::VarId) -> Rational {
+    pub fn value(&self, v: VarId) -> Rational {
         self.values[v.index()]
     }
 
@@ -51,12 +63,12 @@ impl Solution {
     ///
     /// # Panics
     ///
-    /// Panics if the value is not integral (cannot happen for solutions
-    /// returned by [`Model::solve`] on integer variables) or does not fit
-    /// in an `i64` — a silent wrapping cast here would hand the scheduler
+    /// Panics if the value is not integral (cannot happen at a vertex of a
+    /// difference LP, which is totally unimodular) or does not fit in an
+    /// `i64` — a silent wrapping cast here would hand the comparison
     /// garbage start cycles.
     #[track_caller]
-    pub fn int_value(&self, v: crate::VarId) -> i64 {
+    pub fn int_value(&self, v: VarId) -> i64 {
         let value = self.values[v.index()]
             .to_integer()
             .expect("variable value is not integral");
@@ -67,11 +79,6 @@ impl Solution {
     /// The optimal objective value.
     pub fn objective_value(&self) -> Rational {
         self.objective
-    }
-
-    /// All variable values, indexed by [`crate::VarId::index`].
-    pub fn values(&self) -> &[Rational] {
-        &self.values
     }
 }
 
@@ -100,7 +107,6 @@ enum RunOutcome {
 
 impl Tableau {
     fn pivot(&mut self, r: usize, c: usize) {
-        crate::stats::record_pivot();
         let piv = self.rows[r][c];
         debug_assert!(!piv.is_zero());
         let inv = piv.recip();
@@ -205,10 +211,21 @@ impl Tableau {
     }
 }
 
+impl Model {
+    /// Solves the LP relaxation (integrality constraints ignored).
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
+    pub fn solve_lp(&self) -> Result<Solution, SolveError> {
+        solve_lp(self)
+    }
+}
+
 /// Solves the LP relaxation of `model` (integrality dropped).
 ///
 /// Returns variable values in original (unshifted) space.
-pub(crate) fn solve_lp(model: &Model) -> Result<Solution, SolveError> {
+fn solve_lp(model: &Model) -> Result<Solution, SolveError> {
     let n = model.vars.len();
 
     // Shift variables by their lower bound so every structural column is >= 0.
@@ -374,141 +391,34 @@ pub(crate) fn solve_lp(model: &Model) -> Result<Solution, SolveError> {
     Ok(Solution { values, objective })
 }
 
-#[cfg(test)]
-mod tests {
-    use crate::{Cmp, LinExpr, Model, Rational, Sense, SolveError};
-
-    #[test]
-    fn basic_maximize() {
-        // max 3x + 2y s.t. x + y <= 4; x + 3y <= 6 -> x=4, y=0, obj=12.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Le, 4, "c1");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y) * 3, Cmp::Le, 6, "c2");
-        m.set_objective(Sense::Maximize, LinExpr::from(x) * 3 + LinExpr::from(y) * 2);
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.objective_value(), Rational::from(12));
-        assert_eq!(s.value(x), Rational::from(4));
-        assert_eq!(s.value(y), Rational::from(0));
+/// The LP of `sys` as a general [`Model`] (variable `i` is the `i`-th
+/// returned [`VarId`], integral, bounded below by its lower bound),
+/// minimizing `Σ costs[i]·x_i`: the simplex oracle for
+/// [`DiffSystem::minimize`].
+///
+/// # Panics
+///
+/// Panics if `costs` does not hold one entry per variable.
+#[track_caller]
+pub fn to_model(sys: &DiffSystem, name: &str, costs: &[i64]) -> (Model, Vec<VarId>) {
+    assert_eq!(costs.len(), sys.num_vars(), "one cost per variable");
+    let (constraints, lower) = sys.constraints();
+    let mut m = Model::new(name);
+    let vars: Vec<VarId> = (0..sys.num_vars())
+        .map(|i| m.add_int_var(format!("x{i}")))
+        .collect();
+    for (&v, &lo) in vars.iter().zip(lower) {
+        if lo != 0 {
+            m.set_bounds(v, lo, None);
+        }
     }
-
-    #[test]
-    fn basic_minimize_with_ge() {
-        // min x + y s.t. x + 2y >= 4; 3x + y >= 6 -> x=8/5, y=6/5, obj=14/5.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y) * 2, Cmp::Ge, 4, "c1");
-        m.add_constraint(LinExpr::from(x) * 3 + LinExpr::from(y), Cmp::Ge, 6, "c2");
-        m.set_objective(Sense::Minimize, LinExpr::from(x) + LinExpr::from(y));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.objective_value(), Rational::new(14, 5));
+    for (u, v, k) in constraints {
+        m.add_diff_ge(vars[u], vars[v], k, "c");
     }
-
-    #[test]
-    fn infeasible_detected() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        m.add_constraint(LinExpr::from(x), Cmp::Le, 1, "c1");
-        m.add_constraint(LinExpr::from(x), Cmp::Ge, 2, "c2");
-        assert_eq!(m.solve_lp().unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
-    fn unbounded_detected() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        m.set_objective(Sense::Maximize, LinExpr::from(x));
-        assert_eq!(m.solve_lp().unwrap_err(), SolveError::Unbounded);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // min x + y s.t. x + y == 10, x - y == 2 -> x=6, y=4.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Eq, 10, "sum");
-        m.add_constraint(LinExpr::from(x) - LinExpr::from(y), Cmp::Eq, 2, "diff");
-        m.set_objective(Sense::Minimize, LinExpr::from(x) + LinExpr::from(y));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.value(x), Rational::from(6));
-        assert_eq!(s.value(y), Rational::from(4));
-    }
-
-    #[test]
-    fn lower_bounds_shifted_correctly() {
-        // min x with x >= 5 (bound) and x >= 3 (constraint) -> 5.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        m.set_bounds(x, 5, None);
-        m.add_constraint(LinExpr::from(x), Cmp::Ge, 3, "c");
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.value(x), Rational::from(5));
-    }
-
-    #[test]
-    fn upper_bounds_respected() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        m.set_bounds(x, 0, Some(7));
-        m.set_objective(Sense::Maximize, LinExpr::from(x));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.value(x), Rational::from(7));
-    }
-
-    #[test]
-    fn degenerate_problem_terminates() {
-        // Klee-Minty-flavored degeneracy; Bland's rule must terminate.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        let z = m.add_var("z");
-        m.add_constraint(LinExpr::from(x), Cmp::Le, 1, "c1");
-        m.add_constraint(LinExpr::from(x) * 4 + LinExpr::from(y), Cmp::Le, 8, "c2");
-        m.add_constraint(
-            LinExpr::from(x) * 8 + LinExpr::from(y) * 4 + LinExpr::from(z),
-            Cmp::Le,
-            64,
-            "c3",
-        );
-        m.set_objective(
-            Sense::Maximize,
-            LinExpr::from(x) * 4 + LinExpr::from(y) * 2 + LinExpr::from(z),
-        );
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.objective_value(), Rational::from(64));
-    }
-
-    #[test]
-    fn redundant_equalities_ok() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Eq, 4, "c1");
-        m.add_constraint(
-            LinExpr::from(x) * 2 + LinExpr::from(y) * 2,
-            Cmp::Eq,
-            8,
-            "c2-redundant",
-        );
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.value(x), Rational::ZERO);
-        assert_eq!(s.value(y), Rational::from(4));
-    }
-
-    #[test]
-    fn negative_rhs_normalization() {
-        // x - y <= -2 means y >= x + 2.
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(LinExpr::from(x) - LinExpr::from(y), Cmp::Le, -2, "c");
-        m.set_objective(Sense::Minimize, LinExpr::from(y));
-        let s = m.solve_lp().unwrap();
-        assert_eq!(s.value(y), Rational::from(2));
-    }
+    let obj = vars
+        .iter()
+        .zip(costs)
+        .fold(LinExpr::zero(), |acc, (&v, &c)| acc + LinExpr::from(v) * c);
+    m.set_objective(Sense::Minimize, obj);
+    (m, vars)
 }

@@ -1,6 +1,6 @@
 //! Optimization model builder: variables, linear expressions, constraints.
 
-use crate::Rational;
+use super::Rational;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -47,21 +47,8 @@ pub enum Sense {
     Maximize,
 }
 
-/// A linear expression `sum(coeff_i * var_i) + constant`.
-///
-/// Built with operator overloading:
-///
-/// ```
-/// use imagen_ilp::{LinExpr, Model};
-///
-/// let mut m = Model::new("demo");
-/// let x = m.add_var("x");
-/// let y = m.add_var("y");
-/// let e = LinExpr::from(x) * 3 - LinExpr::from(y) + 7;
-/// assert_eq!(e.coeff(x), 3.into());
-/// assert_eq!(e.coeff(y), (-1).into());
-/// assert_eq!(e.constant(), 7.into());
-/// ```
+/// A linear expression `sum(coeff_i * var_i) + constant`, built with
+/// operator overloading: `LinExpr::from(x) * 3 - LinExpr::from(y) + 7`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LinExpr {
     terms: Vec<(VarId, Rational)>,
@@ -82,14 +69,6 @@ impl LinExpr {
         }
     }
 
-    /// A constant expression.
-    pub fn constant_expr(c: impl Into<Rational>) -> LinExpr {
-        LinExpr {
-            terms: Vec::new(),
-            constant: c.into(),
-        }
-    }
-
     /// Adds `coeff * var` to the expression.
     pub fn add_term(&mut self, v: VarId, coeff: impl Into<Rational>) -> &mut LinExpr {
         let coeff = coeff.into();
@@ -98,12 +77,6 @@ impl LinExpr {
         } else {
             self.terms.push((v, coeff));
         }
-        self
-    }
-
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, c: impl Into<Rational>) -> &mut LinExpr {
-        self.constant += c.into();
         self
     }
 
@@ -224,11 +197,6 @@ pub struct Constraint {
 }
 
 impl Constraint {
-    /// Human-readable constraint label (for diagnostics).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Checks the constraint under an assignment.
     pub fn is_satisfied(&self, assignment: &[Rational]) -> bool {
         let lhs = self.expr.eval(assignment);
@@ -245,20 +213,6 @@ impl Constraint {
 /// All variables are nonnegative by default (matching the ImaGen
 /// formulation where start cycles are nonnegative integers); bounds can be
 /// adjusted per variable.
-///
-/// # Examples
-///
-/// ```
-/// use imagen_ilp::{Cmp, LinExpr, Model, Sense};
-///
-/// let mut m = Model::new("tiny");
-/// let x = m.add_int_var("x");
-/// let y = m.add_int_var("y");
-/// m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Le, 7, "cap");
-/// m.set_objective(Sense::Maximize, LinExpr::from(x) * 3 + LinExpr::from(y) * 2);
-/// let sol = m.solve().unwrap();
-/// assert_eq!(sol.objective_value().to_integer(), Some(21));
-/// ```
 #[derive(Clone, Debug)]
 pub struct Model {
     name: String,
@@ -278,11 +232,6 @@ impl Model {
             sense: Sense::Minimize,
             objective: LinExpr::zero(),
         }
-    }
-
-    /// The model name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Adds a continuous variable with bounds `[0, +inf)`.
@@ -317,26 +266,6 @@ impl Model {
         self.vars[v.0].upper = upper.map(Rational::from);
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.0].name
-    }
-
-    /// Whether a variable is integer-constrained.
-    pub fn is_integer(&self, v: VarId) -> bool {
-        self.vars[v.0].integer
-    }
-
     /// Adds the linear constraint `expr cmp rhs`.
     pub fn add_constraint(
         &mut self,
@@ -366,11 +295,6 @@ impl Model {
     pub fn set_objective(&mut self, sense: Sense, expr: LinExpr) {
         self.sense = sense;
         self.objective = expr;
-    }
-
-    /// Returns the objective expression.
-    pub fn objective(&self) -> &LinExpr {
-        &self.objective
     }
 
     /// Returns the constraints (for inspection and diagnostics).
@@ -451,55 +375,5 @@ impl Model {
             parts.push(e.constant().to_string());
         }
         parts.join(" + ")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn expr_algebra() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        let e = (LinExpr::from(x) * 2 + LinExpr::from(y)) - LinExpr::from(x);
-        assert_eq!(e.coeff(x), Rational::ONE);
-        assert_eq!(e.coeff(y), Rational::ONE);
-    }
-
-    #[test]
-    fn eval_and_feasibility() {
-        let mut m = Model::new("t");
-        let x = m.add_int_var("x");
-        let y = m.add_int_var("y");
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Cmp::Le, 5, "c0");
-        let a = vec![Rational::from(2), Rational::from(3)];
-        assert!(m.is_feasible(&a));
-        let b = vec![Rational::from(3), Rational::from(3)];
-        assert!(!m.is_feasible(&b));
-        let frac = vec![Rational::new(1, 2), Rational::from(0)];
-        assert!(!m.is_feasible(&frac), "integrality must be enforced");
-    }
-
-    #[test]
-    fn constraint_constant_folding() {
-        let mut m = Model::new("t");
-        let x = m.add_var("x");
-        m.add_constraint(LinExpr::from(x) + 3, Cmp::Ge, 5, "c");
-        assert_eq!(m.constraints()[0].rhs, Rational::from(2));
-    }
-
-    #[test]
-    fn lp_dump_contains_pieces() {
-        let mut m = Model::new("dump");
-        let x = m.add_int_var("start_0");
-        m.add_constraint(LinExpr::from(x), Cmp::Ge, 1, "dep");
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let s = m.to_lp_string();
-        assert!(s.contains("Minimize"));
-        assert!(s.contains("dep:"));
-        assert!(s.contains("start_0"));
-        assert!(s.contains("General"));
     }
 }

@@ -1,9 +1,9 @@
 //! Exact rational arithmetic on `i128`.
 //!
-//! The simplex solver in this crate works over exact rationals so that
-//! optimality and integrality decisions are never subject to floating-point
-//! noise. Values are kept normalized (reduced by their gcd, denominator
-//! strictly positive), which keeps intermediate magnitudes small for the
+//! The simplex oracle works over exact rationals so that optimality and
+//! integrality decisions are never subject to floating-point noise. Values
+//! are kept normalized (reduced by their gcd, denominator strictly
+//! positive), which keeps intermediate magnitudes small for the
 //! near-totally-unimodular systems produced by the ImaGen scheduler.
 
 use std::cmp::Ordering;
@@ -11,17 +11,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// An exact rational number `num / den` with `den > 0`, always reduced.
-///
-/// # Examples
-///
-/// ```
-/// use imagen_ilp::Rational;
-///
-/// let a = Rational::new(1, 3);
-/// let b = Rational::new(1, 6);
-/// assert_eq!(a + b, Rational::new(1, 2));
-/// assert!(Rational::from(2) > a);
-/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
@@ -112,28 +101,6 @@ impl Rational {
         self.num < 0
     }
 
-    /// The largest integer less than or equal to this value.
-    pub fn floor(&self) -> i128 {
-        self.num.div_euclid(self.den)
-    }
-
-    /// The smallest integer greater than or equal to this value.
-    pub fn ceil(&self) -> i128 {
-        // Remainder form rather than `-((-num).div_euclid(den))`: negating
-        // an `i128::MIN` numerator overflows.
-        let q = self.num.div_euclid(self.den);
-        if self.num.rem_euclid(self.den) == 0 {
-            q
-        } else {
-            q + 1
-        }
-    }
-
-    /// The fractional part `self - self.floor()`, in `[0, 1)`.
-    pub fn fract(&self) -> Rational {
-        *self - Rational::from(self.floor())
-    }
-
     /// Absolute value.
     ///
     /// # Panics
@@ -164,12 +131,12 @@ impl Rational {
     }
 
     /// Converts to `f64` (approximately; for reporting only).
-    pub fn to_f64(&self) -> f64 {
+    pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
     }
 
     /// Returns the integer value if the rational is integral.
-    pub fn to_integer(&self) -> Option<i128> {
+    pub fn to_integer(self) -> Option<i128> {
         if self.den == 1 {
             Some(self.num)
         } else {
@@ -399,119 +366,5 @@ impl fmt::Debug for Rational {
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn construction_reduces() {
-        let r = Rational::new(6, -4);
-        assert_eq!(r.numer(), -3);
-        assert_eq!(r.denom(), 2);
-    }
-
-    #[test]
-    fn zero_numerator_normalizes() {
-        let r = Rational::new(0, -7);
-        assert_eq!(r, Rational::ZERO);
-        assert_eq!(r.denom(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero denominator")]
-    fn zero_denominator_panics() {
-        let _ = Rational::new(1, 0);
-    }
-
-    #[test]
-    fn arithmetic_basics() {
-        let a = Rational::new(1, 2);
-        let b = Rational::new(1, 3);
-        assert_eq!(a + b, Rational::new(5, 6));
-        assert_eq!(a - b, Rational::new(1, 6));
-        assert_eq!(a * b, Rational::new(1, 6));
-        assert_eq!(a / b, Rational::new(3, 2));
-        assert_eq!(-a, Rational::new(-1, 2));
-    }
-
-    #[test]
-    fn ordering() {
-        assert!(Rational::new(1, 3) < Rational::new(1, 2));
-        assert!(Rational::new(-1, 2) < Rational::ZERO);
-        assert!(Rational::new(7, 7) == Rational::ONE);
-    }
-
-    #[test]
-    fn floor_ceil_fract() {
-        assert_eq!(Rational::new(7, 2).floor(), 3);
-        assert_eq!(Rational::new(7, 2).ceil(), 4);
-        assert_eq!(Rational::new(-7, 2).floor(), -4);
-        assert_eq!(Rational::new(-7, 2).ceil(), -3);
-        assert_eq!(Rational::new(4, 2).floor(), 2);
-        assert_eq!(Rational::new(4, 2).ceil(), 2);
-        assert_eq!(Rational::new(7, 2).fract(), Rational::new(1, 2));
-        assert_eq!(Rational::new(-7, 2).fract(), Rational::new(1, 2));
-    }
-
-    #[test]
-    fn integrality() {
-        assert!(Rational::new(4, 2).is_integer());
-        assert_eq!(Rational::new(4, 2).to_integer(), Some(2));
-        assert_eq!(Rational::new(1, 2).to_integer(), None);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(Rational::new(3, 6).to_string(), "1/2");
-        assert_eq!(Rational::from(5).to_string(), "5");
-    }
-
-    #[test]
-    fn i128_min_constructs_and_compares() {
-        let min = Rational::new(i128::MIN, 1);
-        assert_eq!(min.numer(), i128::MIN);
-        assert_eq!(min.denom(), 1);
-        assert_eq!(Rational::new(0, i128::MIN), Rational::ZERO);
-        assert_eq!(Rational::new(i128::MIN, i128::MIN), Rational::ONE);
-        assert!(min < Rational::ZERO);
-        assert!(min < Rational::new(i128::MIN, 2));
-        assert_eq!(min.cmp(&min), Ordering::Equal);
-        // Even halves reduce without negating the raw i128::MIN.
-        let half = Rational::new(i128::MIN, 2);
-        assert_eq!(half.numer(), i128::MIN / 2);
-        assert_eq!(half.denom(), 1);
-        assert_eq!(min.floor(), i128::MIN);
-        assert_eq!(min.ceil(), i128::MIN);
-        assert_eq!(min.fract(), Rational::ZERO);
-        assert_eq!(min - min, Rational::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "negation overflow")]
-    fn i128_min_negation_panics() {
-        let _ = -Rational::new(i128::MIN, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "abs overflow")]
-    fn i128_min_abs_panics() {
-        let _ = Rational::new(i128::MIN, 1).abs();
-    }
-
-    #[test]
-    #[should_panic(expected = "rational overflow normalizing")]
-    fn i128_min_denominator_panics() {
-        let _ = Rational::new(1, i128::MIN);
-    }
-
-    #[test]
-    fn checked_overflow_detected() {
-        let big = Rational::from(i128::MAX / 2);
-        assert!(big.checked_add(&big).is_none() || big.checked_add(&big).is_some());
-        let huge = Rational::new(i128::MAX, 1);
-        assert!(huge.checked_mul(&Rational::from(3)).is_none());
     }
 }

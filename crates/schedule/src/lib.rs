@@ -40,5 +40,5 @@ pub use plan::{
 };
 pub use solve::{
     asap_schedule, delay_lp, size_buffers, solve_schedule, Schedule, ScheduleError,
-    ScheduleOptions, SizeObjective, SolveReport,
+    ScheduleOptions, SolveReport, MAX_SUBPROBLEMS,
 };

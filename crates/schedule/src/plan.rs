@@ -215,7 +215,7 @@ pub fn plan_design_with(
     };
     let schedule = {
         let _s = imagen_obs::span("ilp.solve");
-        solve_schedule(&working, geom.width, &set, opts)?
+        solve_schedule(&working, geom.width, &set)?
     };
 
     let design = {

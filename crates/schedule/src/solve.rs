@@ -9,50 +9,32 @@
 //! problem is a difference LP ([`delay_lp`]) with an integral optimum. Its
 //! dual is a min-cost flow, which [`DiffSystem::minimize`] solves in `i64`
 //! arithmetic; the schedule is the componentwise-minimal optimum, so it
-//! does not depend on which optimal vertex a solver happens to reach. The
-//! optional exact-rows objective ([`SizeObjective::TotalRows`])
-//! re-introduces the ceiling through integer row-count variables — a
-//! genuinely integer program, solved by the simplex and branch and bound —
-//! and is used as an ablation.
+//! does not depend on which optimal vertex a solver happens to reach.
 //!
 //! OR-groups that survive pruning are resolved by depth-first search over
 //! alternative choices with incumbent-based pruning (the paper's
-//! "sub-optimization problems", Sec. 5.4).
+//! "sub-optimization problems", Sec. 5.4), at most [`MAX_SUBPROBLEMS`]
+//! leaves per schedule.
 
 use crate::constraints::{row_periods, to_diff_system, ConstraintSet, DiffGe, FormulationStats};
-use imagen_ilp::{Cmp, DiffSystem, LinExpr, MinimizeError, Sense, SolveError};
+use imagen_ilp::{DiffSystem, MinimizeError};
 use imagen_ir::{Dag, StageId};
 use std::fmt;
 
-/// Which buffer-size objective to minimize.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SizeObjective {
-    /// The paper's linear objective: total delay `Σ (T_p - S_p)`
-    /// (ceilings dropped per footnote 7).
-    #[default]
-    TotalDelay,
-    /// Exact total rows `Σ ⌈(T_p - S_p) / W⌉` via integer row variables.
-    TotalRows,
-}
+/// Maximum OR-group sub-problems (leaf LPs) one schedule solve explores
+/// before it gives up with [`ScheduleError::TooManySubproblems`].
+pub const MAX_SUBPROBLEMS: usize = 4096;
 
 /// Scheduling options.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ScheduleOptions {
     /// Apply Sec. 5.4 constraint pruning.
     pub pruning: bool,
-    /// Buffer-size objective.
-    pub objective: SizeObjective,
-    /// Maximum OR-group sub-problems to explore.
-    pub max_subproblems: usize,
 }
 
 impl Default for ScheduleOptions {
     fn default() -> Self {
-        ScheduleOptions {
-            pruning: true,
-            objective: SizeObjective::TotalDelay,
-            max_subproblems: 4096,
-        }
+        ScheduleOptions { pruning: true }
     }
 }
 
@@ -63,8 +45,8 @@ pub enum ScheduleError {
     Infeasible,
     /// The sub-problem budget was exhausted before proving optimality.
     TooManySubproblems(usize),
-    /// Internal solver failure.
-    Solver(SolveError),
+    /// The schedule LP's objective decreases without bound.
+    Unbounded,
     /// The schedule LP's start cycles or costs leave the `i64` range.
     Overflow,
 }
@@ -76,7 +58,7 @@ impl fmt::Display for ScheduleError {
             ScheduleError::TooManySubproblems(n) => {
                 write!(f, "OR-group search exceeded {n} sub-problems")
             }
-            ScheduleError::Solver(e) => write!(f, "ILP solver failed: {e}"),
+            ScheduleError::Unbounded => write!(f, "schedule LP objective is unbounded below"),
             ScheduleError::Overflow => write!(f, "schedule LP exceeds the i64 range"),
         }
     }
@@ -84,20 +66,11 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-impl From<SolveError> for ScheduleError {
-    fn from(e: SolveError) -> Self {
-        match e {
-            SolveError::Infeasible => ScheduleError::Infeasible,
-            other => ScheduleError::Solver(other),
-        }
-    }
-}
-
 impl From<MinimizeError> for ScheduleError {
     fn from(e: MinimizeError) -> Self {
         match e {
             MinimizeError::Infeasible(_) => ScheduleError::Infeasible,
-            MinimizeError::Unbounded => ScheduleError::Solver(SolveError::Unbounded),
+            MinimizeError::Unbounded => ScheduleError::Unbounded,
             MinimizeError::Overflow => ScheduleError::Overflow,
         }
     }
@@ -114,9 +87,8 @@ pub struct SolveReport {
     pub ilp_vars: usize,
     /// Constraints in each ILP.
     pub ilp_constraints: usize,
-    /// Optimal objective of the chosen leaf: weighted total delay for
-    /// [`SizeObjective::TotalDelay`], total rows for
-    /// [`SizeObjective::TotalRows`].
+    /// Optimal objective of the chosen leaf: the weighted total delay of
+    /// [`delay_lp`].
     pub objective: i64,
 }
 
@@ -157,14 +129,18 @@ impl Schedule {
 ///
 /// # Errors
 ///
-/// [`ScheduleError::Infeasible`] when the constraint system (or every
-/// OR-group resolution) is unsatisfiable; [`ScheduleError::TooManySubproblems`]
-/// when the group search exceeds its budget.
+/// * [`ScheduleError::Infeasible`] when the constraint system (or every
+///   OR-group resolution) is unsatisfiable;
+/// * [`ScheduleError::Overflow`] when a leaf LP's start cycles or costs
+///   leave the `i64` range;
+/// * [`ScheduleError::Unbounded`] when a leaf LP's objective has no
+///   minimum;
+/// * [`ScheduleError::TooManySubproblems`] when the group search would
+///   solve more than [`MAX_SUBPROBLEMS`] leaves.
 pub fn solve_schedule(
     dag: &Dag,
     width: u32,
     set: &ConstraintSet,
-    opts: ScheduleOptions,
 ) -> Result<Schedule, ScheduleError> {
     let n = dag.num_stages();
 
@@ -191,10 +167,10 @@ pub fn solve_schedule(
         if stack.len() == groups.len() {
             // Leaf: solve the ILP for this resolution.
             subproblems += 1;
-            if subproblems > opts.max_subproblems {
-                return Err(ScheduleError::TooManySubproblems(opts.max_subproblems));
+            if subproblems > MAX_SUBPROBLEMS {
+                return Err(ScheduleError::TooManySubproblems(MAX_SUBPROBLEMS));
             }
-            match solve_leaf(dag, width, &set.hard, &chosen, opts.objective, &mut report) {
+            match solve_leaf(dag, width, &set.hard, &chosen, &mut report) {
                 Ok((obj, starts)) => {
                     if best.as_ref().is_none_or(|(b, _)| obj < *b) {
                         best = Some((obj, starts));
@@ -324,43 +300,14 @@ fn solve_leaf(
     width: u32,
     hard: &[DiffGe],
     chosen: &[DiffGe],
-    objective: SizeObjective,
     report: &mut SolveReport,
 ) -> Result<(i64, Vec<i64>), ScheduleError> {
-    let n = dag.num_stages();
     let (sys, costs) = delay_lp(dag, width, hard, chosen);
-    match objective {
-        SizeObjective::TotalDelay => {
-            report.ilp_vars = sys.num_vars();
-            report.ilp_constraints = sys.num_constraints();
-            let mut opt = sys.minimize(&costs)?;
-            opt.x.truncate(n);
-            Ok((opt.objective, opt.x))
-        }
-        SizeObjective::TotalRows => {
-            let (mut m, vars) = sys.to_model(&format!("{}-schedule", dag.name()), &costs);
-            let periods = row_periods(dag, width);
-            let mut obj = LinExpr::zero();
-            for (&t, p) in vars[n..].iter().zip(dag.buffered_stages()) {
-                let r = m.add_int_var(format!("R_{}", p.index()));
-                // P_p * R_p + S_p - T_p >= 0.
-                let expr = LinExpr::from(r) * periods[p.index()] + LinExpr::from(vars[p.index()])
-                    - LinExpr::from(t);
-                m.add_constraint(expr, Cmp::Ge, 0, "rows");
-                obj = obj + LinExpr::from(r);
-            }
-            m.set_objective(Sense::Minimize, obj);
-            report.ilp_vars = m.num_vars();
-            report.ilp_constraints = m.num_constraints();
-            let sol = m.solve()?;
-            let starts = vars[..n].iter().map(|&v| sol.int_value(v)).collect();
-            let obj = sol
-                .objective_value()
-                .to_integer()
-                .expect("integral objective") as i64;
-            Ok((obj, starts))
-        }
-    }
+    report.ilp_vars = sys.num_vars();
+    report.ilp_constraints = sys.num_constraints();
+    let mut opt = sys.minimize(&costs)?;
+    opt.x.truncate(dag.num_stages());
+    Ok((opt.objective, opt.x))
 }
 
 /// Sizes every line buffer from a concrete schedule (Equ. 2, per-edge lag
@@ -465,7 +412,7 @@ mod tests {
                 pruning: opts.pruning,
             },
         );
-        let sched = solve_schedule(dag, 480, &set, opts).unwrap();
+        let sched = solve_schedule(dag, 480, &set).unwrap();
         assert!(schedule_satisfies(&set, &sched.starts));
         sched
     }
@@ -516,36 +463,12 @@ mod tests {
     fn pruning_does_not_change_optimum() {
         let dag = fig6();
         let with = solve(&dag, 2, 1, ScheduleOptions::default());
-        let without = solve(
-            &dag,
-            2,
-            1,
-            ScheduleOptions {
-                pruning: false,
-                ..Default::default()
-            },
-        );
+        let without = solve(&dag, 2, 1, ScheduleOptions { pruning: false });
         assert_eq!(with.total_rows, without.total_rows);
         assert!(
             without.report.subproblems >= with.report.subproblems,
             "pruning explores fewer sub-problems"
         );
-    }
-
-    #[test]
-    fn exact_rows_objective_never_worse() {
-        let dag = fig6();
-        let linear = solve(&dag, 2, 1, ScheduleOptions::default());
-        let exact = solve(
-            &dag,
-            2,
-            1,
-            ScheduleOptions {
-                objective: SizeObjective::TotalRows,
-                ..Default::default()
-            },
-        );
-        assert!(exact.total_rows <= linear.total_rows);
     }
 
     #[test]
@@ -595,7 +518,7 @@ mod tests {
             stats: Default::default(),
         };
         assert!(matches!(
-            solve_schedule(&dag, 480, &set, ScheduleOptions::default()),
+            solve_schedule(&dag, 480, &set),
             Err(ScheduleError::Infeasible)
         ));
     }

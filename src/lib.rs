@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`dsl`] | `imagen-dsl` | the language front end |
 //! | [`ir`] | `imagen-ir` | pipeline DAG, windows, transforms |
-//! | [`ilp`] | `imagen-ilp` | difference-LP min-cost flow, exact rational simplex + branch & bound |
+//! | [`ilp`] | `imagen-ilp` | difference-constraint solvers: longest path, `i64` min-cost flow for the schedule LP |
 //! | [`schedule`] | `imagen-schedule` | the constrained-optimization core |
 //! | [`mem`] | `imagen-mem` | memory specs, cost models, `Design` |
 //! | [`sim`] | `imagen-sim` | golden executor + cycle-level simulator |
@@ -67,4 +67,4 @@ pub use imagen_core::{
     CompileCache, CompileError, CompileOutput, CompileTiming, Compiler, Session,
 };
 pub use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-pub use imagen_schedule::{Plan, ScheduleOptions, SizeObjective};
+pub use imagen_schedule::{Plan, ScheduleOptions};

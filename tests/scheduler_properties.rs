@@ -1,13 +1,19 @@
 //! Property-based and brute-force cross-checks of the scheduler: the ILP
-//! optimum really is optimal, pruning really is lossless, and every
-//! schedule the optimizer emits is verified by independent machinery.
+//! optimum really is optimal (against brute force and against the exact
+//! rational simplex kept in `crates/ilp/tests/simplex`), pruning really is
+//! lossless, the OR-group search keeps to its budget, and every schedule
+//! the optimizer emits is verified by independent machinery.
+
+// The test-only simplex oracle; this file uses only its LP path.
+#[allow(dead_code)]
+#[path = "../crates/ilp/tests/simplex/mod.rs"]
+mod simplex;
 
 use imagen::algos::synthetic_pipeline;
-use imagen::ilp::SolveError;
 use imagen::schedule::{
     delay_lp, formulate, plan_design, schedule_satisfies, size_buffers, solve_schedule,
-    BufferParams, ConstraintSet, DiffGe, FormulationOptions, ScheduleOptions, SizeObjective,
-    SpecBufferParams,
+    BufferParams, ConstraintSet, DiffGe, FormulationOptions, OrGroup, ScheduleError,
+    ScheduleOptions, SpecBufferParams, MAX_SUBPROBLEMS,
 };
 use imagen::sim::{simulate, Image};
 use imagen::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
@@ -67,12 +73,14 @@ fn brute_force_rows(dag: &Dag, width: u32, ports: u32, bound: i64) -> Option<u64
 
 #[test]
 fn ilp_matches_brute_force_on_small_pipelines() {
-    // 3-stage diamond at tiny width: exhaustive search is feasible.
+    // Tiny width, so exhaustive search is feasible. A 3-stage diamond and
+    // a K0 -> K1 -> K2 chain of 3x3 boxes, each with its start-cycle
+    // bound for the search.
     let w = 4u32;
-    let mut dag = Dag::new("bf");
-    let k0 = dag.add_input("K0");
-    let k1 = dag.add_stage("K1", &[k0], box_k(0, 3)).unwrap();
-    let k2 = dag
+    let mut diamond = Dag::new("bf");
+    let k0 = diamond.add_input("K0");
+    let k1 = diamond.add_stage("K1", &[k0], box_k(0, 3)).unwrap();
+    let k2 = diamond
         .add_stage(
             "K2",
             &[k0, k1],
@@ -83,45 +91,60 @@ fn ilp_matches_brute_force_on_small_pipelines() {
             ),
         )
         .unwrap();
-    dag.mark_output(k2);
+    diamond.mark_output(k2);
 
-    for ports in [1u32, 2] {
-        let set = formulate(&dag, w, &Uniform(ports), FormulationOptions::default());
-        let sched = solve_schedule(&dag, w, &set, ScheduleOptions::default()).unwrap();
-        let brute = brute_force_rows(&dag, w, ports, 40).expect("feasible");
-        assert_eq!(
-            sched.total_rows, brute,
-            "P={ports}: ILP {} vs brute force {}",
-            sched.total_rows, brute
-        );
+    let mut chain = Dag::new("bf2");
+    let k0 = chain.add_input("K0");
+    let k1 = chain.add_stage("K1", &[k0], box_k(0, 3)).unwrap();
+    let k2 = chain.add_stage("K2", &[k1], box_k(0, 3)).unwrap();
+    chain.mark_output(k2);
+
+    for (dag, bound) in [(&diamond, 40), (&chain, 30)] {
+        for ports in [1u32, 2] {
+            let set = formulate(dag, w, &Uniform(ports), FormulationOptions::default());
+            let sched = solve_schedule(dag, w, &set).unwrap();
+            let brute = brute_force_rows(dag, w, ports, bound).expect("feasible");
+            assert_eq!(
+                sched.total_rows,
+                brute,
+                "{} P={ports}: ILP {} vs brute force {}",
+                dag.name(),
+                sched.total_rows,
+                brute
+            );
+        }
     }
 }
 
+/// An OR-group search with more leaves than [`MAX_SUBPROBLEMS`] gives up
+/// with [`ScheduleError::TooManySubproblems`]: 13 groups of two
+/// alternatives that are always feasible make 8,192 leaves.
 #[test]
-fn exact_rows_objective_matches_brute_force() {
-    let w = 4u32;
-    let mut dag = Dag::new("bf2");
+fn or_group_search_stops_at_the_subproblem_budget() {
+    let mut dag = Dag::new("budget");
     let k0 = dag.add_input("K0");
     let k1 = dag.add_stage("K1", &[k0], box_k(0, 3)).unwrap();
-    let k2 = dag.add_stage("K2", &[k1], box_k(0, 3)).unwrap();
-    dag.mark_output(k2);
-    let set = formulate(&dag, w, &Uniform(2), FormulationOptions::default());
-    let sched = solve_schedule(
-        &dag,
-        w,
-        &set,
-        ScheduleOptions {
-            objective: SizeObjective::TotalRows,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let brute = brute_force_rows(&dag, w, 2, 30).unwrap();
-    assert_eq!(sched.total_rows, brute);
+    dag.mark_output(k1);
+    let set = formulate(&dag, 4, &Uniform(2), FormulationOptions::default());
+    assert!(set.groups.is_empty());
+    let free = DiffGe { a: k1, b: k0, k: 0 };
+    let groups = (0..13).map(|_| OrGroup {
+        alternatives: vec![free, free],
+        buffer: k0,
+    });
+    let set = ConstraintSet {
+        groups: groups.collect(),
+        ..set
+    };
+    assert!(2usize.pow(set.groups.len() as u32) > MAX_SUBPROBLEMS);
+    assert_eq!(
+        solve_schedule(&dag, 4, &set),
+        Err(ScheduleError::TooManySubproblems(MAX_SUBPROBLEMS))
+    );
 }
 
 /// `solve_schedule`'s OR-group search with every leaf handed to the
-/// general simplex instead of the flow solver: the leaves in the same
+/// simplex oracle instead of the flow solver: the leaves in the same
 /// depth-first order (groups smallest-first, the last group varying
 /// fastest), keeping the first strictly best. Returns that leaf's
 /// objective and its starts, normalized like the scheduler's.
@@ -140,15 +163,15 @@ fn simplex_search(dag: &Dag, width: u32, set: &ConstraintSet) -> (i64, Vec<i64>)
             .map(|(g, &i)| g.alternatives[i])
             .collect();
         let (sys, costs) = delay_lp(dag, width, &set.hard, &chosen);
-        let (model, vars) = sys.to_model("oracle", &costs);
-        match model.solve() {
+        let (model, vars) = simplex::to_model(&sys, "oracle", &costs);
+        match model.solve_lp() {
             Ok(sol) => {
                 let obj = sol.objective_value().to_integer().expect("integral") as i64;
                 if best.as_ref().is_none_or(|(b, _)| obj < *b) {
                     best = Some((obj, vars[..n].iter().map(|&v| sol.int_value(v)).collect()));
                 }
             }
-            Err(SolveError::Infeasible) => {}
+            Err(simplex::SolveError::Infeasible) => {}
             Err(e) => panic!("{}: simplex failed: {e}", dag.name()),
         }
         for d in (0..groups.len()).rev() {
@@ -220,8 +243,7 @@ fn flow_schedule_matches_simplex_oracle() {
                 &params,
                 FormulationOptions::default(),
             );
-            let flow =
-                solve_schedule(&plan.dag, geom.width, &set, ScheduleOptions::default()).unwrap();
+            let flow = solve_schedule(&plan.dag, geom.width, &set).unwrap();
             assert_eq!(flow.starts, plan.schedule.starts, "{}", dag.name());
 
             let (obj, starts) = simplex_search(&plan.dag, geom.width, &set);
@@ -253,7 +275,7 @@ proptest! {
             &dag,
             &geom,
             &spec,
-            ScheduleOptions { pruning: false, ..Default::default() },
+            ScheduleOptions { pruning: false },
             DesignStyle::Ours,
         )
         .expect("schedulable");
