@@ -311,7 +311,7 @@ impl Certificate {
 /// contributes the declared input range.
 pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Certificate {
     let eff = AnalysisOptions {
-        geom: net.geometry,
+        geom: net.structure.geometry,
         widths: net.widths,
         ..opts.clone()
     };
@@ -328,7 +328,7 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
         // payload and a start cycle. A netlist missing them is not
         // merely wrong — the obligations are unstatable.
         let Some(spec) = stage.kernel() else { continue };
-        let (Some(impl_k), Some(_)) = (net.stage_kernel(i), net.enable_window(i)) else {
+        let (Some(impl_k), Some(_)) = (net.stage_kernel(i), net.structure.enable_window(i)) else {
             obligations.push(Obligation {
                 kind: ObligationKind::Structure {
                     stage: stage.name().to_string(),
@@ -362,17 +362,18 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
             &net.widths,
         ));
 
-        for (_, edge) in net.consumer_edges(i) {
+        for (_, edge) in net.structure.consumer_edges(i) {
             obligations.push(tap_obligation(dag, net, id, edge, impl_k));
         }
     }
 
     if let Some(gating) = &net.gating {
+        let st = &net.structure;
         for gate in &gating.gates {
-            let Some(buf) = net.buffers.get(gate.buffer) else {
+            let Some(buf) = st.buffers.get(gate.buffer) else {
                 continue;
             };
-            let pname = net
+            let pname = st
                 .stages
                 .iter()
                 .find(|s| s.index == buf.stage)
@@ -597,7 +598,8 @@ fn tap_obligation(
         slot: edge.slot,
     };
     let w = &edge.window;
-    let geom = &net.geometry;
+    let st = &net.structure;
+    let geom = &st.geometry;
     let (fw, fh) = (geom.width as u64, geom.height as u64);
     let taps = slot_taps(impl_kernel, edge.slot);
 
@@ -666,8 +668,8 @@ fn tap_obligation(
     // structure obligation for the consumer; the producer may be an
     // input stage, which always has one.
     let (Some((sc, _)), Some((sp, _))) = (
-        net.enable_window(consumer.index()),
-        net.enable_window(edge.producer),
+        st.enable_window(consumer.index()),
+        st.enable_window(edge.producer),
     ) else {
         return Obligation {
             kind,
@@ -701,17 +703,19 @@ fn tap_obligation(
     //    (rows clamped to ph-1 are never overwritten: row ph-1+R is
     //    never written).
     let (pcx_scale, pcy_scale) = {
-        let s = &net.stages[edge.producer];
+        let s = &st.stages[edge.producer];
         (s.scale_x, s.scale_y)
     };
     let _ = pcx_scale; // columns cancel exactly in both inequalities
-    let ccy_scale = net.stages[consumer.index()].scale_y;
+    let ccy_scale = st.stages[consumer.index()].scale_y;
     let pp = pcy_scale * fw;
     let ph = fh / pcy_scale.max(1);
     let extra = pp.saturating_sub(ccy_scale * fw);
-    let storage = net
-        .buffer_of_stage(edge.producer)
-        .map(|(_, b)| b.storage_rows as u64);
+    let storage = st
+        .buffers
+        .iter()
+        .find(|b| b.stage == edge.producer)
+        .map(|b| b.storage_rows as u64);
     let dys: Vec<u64> = {
         let mut v: Vec<u64> = taps.iter().map(|&(_, dy)| dy.max(0) as u64).collect();
         v.sort_unstable();
@@ -772,7 +776,8 @@ fn gate_obligation(
     pname: String,
 ) -> Obligation {
     let kind = ObligationKind::GateLiveness { stage: pname };
-    let fw = net.geometry.width as u64;
+    let st = &net.structure;
+    let fw = st.geometry.width as u64;
     // Every consumer edge of this buffer reads it once per enabled
     // consumer cycle; a gated-off read loads 0 into the SRA. The load
     // at consumer column `x` is *fetched* later only if some tap can
@@ -783,7 +788,7 @@ fn gate_obligation(
     // Uncovered-but-unfetched loads are harmless — reported as a
     // bounded-reasoning caveat, not a refutation.
     let mut unfetched_gap = false;
-    for e in net.edges.iter().filter(|e| e.producer == producer) {
+    for e in st.edges.iter().filter(|e| e.producer == producer) {
         let Some(kernel) = net.stage_kernel(e.consumer) else {
             continue;
         };
@@ -793,14 +798,14 @@ fn gate_obligation(
         }
         let dmax = taps.iter().map(|&(dx, _)| dx).max().unwrap_or(0);
         let dmin = taps.iter().map(|&(dx, _)| dx).min().unwrap_or(0);
-        let Some((sc, end)) = net.enable_window(e.consumer) else {
+        let Some((sc, end)) = st.enable_window(e.consumer) else {
             continue;
         };
         // Multirate edges only load on their edge-active cadence (once
         // per consumer-active row, at every producer-grid column); other
         // cycles carry no load and cannot be starved by the gate.
-        let ccy = net.stages[e.consumer].scale_y;
-        let pcx = net.stages[e.producer].scale_x;
+        let ccy = st.stages[e.consumer].scale_y;
+        let pcx = st.stages[e.producer].scale_x;
         let pw = fw / pcx.max(1);
         // Uncovered cycles of [sc, end): before the gate opens and
         // after it closes.
@@ -818,7 +823,7 @@ fn gate_obligation(
                 let x = x / pcx;
                 let fetched = (x as i64) <= (pw as i64 - 1 + dmax as i64) || (x == 0 && dmin < 0);
                 if fetched {
-                    let cname = net
+                    let cname = st
                         .stages
                         .iter()
                         .find(|s| s.index == e.consumer)

@@ -245,45 +245,9 @@ impl AnalysisReport {
 /// plus `E0002`; a planning error yields everything up to `E0003`.
 pub fn analyze(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport {
     let mut report = AnalysisReport::default();
-
-    let program = match imagen_dsl::parse_program(src) {
-        Ok(p) => p,
-        Err(e) => {
-            let pos = e.pos();
-            report.diagnostics.push(
-                Diagnostic::new(codes::PARSE, Severity::Error, e.to_string()).at(Locus::Source {
-                    line: pos.line,
-                    col: pos.col,
-                }),
-            );
-            return report;
-        }
-    };
-
-    report
-        .diagnostics
-        .extend(dsl_lint::lint_program(&program, &opts.geom));
-
-    let dag = match imagen_dsl::lower(name, &program) {
-        Ok(dag) => dag,
-        Err(e) => {
-            let locus = match e.pos() {
-                Some(p) => Locus::Source {
-                    line: p.line,
-                    col: p.col,
-                },
-                None => Locus::None,
-            };
-            report
-                .diagnostics
-                .push(Diagnostic::new(codes::LOWER, Severity::Error, e.to_string()).at(locus));
-            return report;
-        }
-    };
-
-    report.stages = dag.num_stages();
-    report.diagnostics.extend(width::lint_dag(&dag, opts));
-    analyze_back_end(&dag, opts, &mut report);
+    if let Some(dag) = front_half(name, src, opts, &mut report) {
+        analyze_back_end(&dag, opts, &mut report);
+    }
     report
 }
 
@@ -304,6 +268,19 @@ pub fn analyze_dag(dag: &imagen_ir::Dag, opts: &AnalysisOptions) -> AnalysisRepo
 /// admission pre-check the batch compile server runs per request.
 pub fn front_lints(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport {
     let mut report = AnalysisReport::default();
+    front_half(name, src, opts, &mut report);
+    report
+}
+
+/// Parse, DSL lints, lowering and width lints into `report`, shared by
+/// [`analyze`] and [`front_lints`]. Returns the lowered DAG, or `None`
+/// after a parse (`E0001`) or lowering (`E0002`) error.
+fn front_half(
+    name: &str,
+    src: &str,
+    opts: &AnalysisOptions,
+    report: &mut AnalysisReport,
+) -> Option<imagen_ir::Dag> {
     let program = match imagen_dsl::parse_program(src) {
         Ok(p) => p,
         Err(e) => {
@@ -314,7 +291,7 @@ pub fn front_lints(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisRep
                     col: pos.col,
                 }),
             );
-            return report;
+            return None;
         }
     };
     report
@@ -333,12 +310,12 @@ pub fn front_lints(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisRep
             report
                 .diagnostics
                 .push(Diagnostic::new(codes::LOWER, Severity::Error, e.to_string()).at(locus));
-            return report;
+            return None;
         }
     };
     report.stages = dag.num_stages();
     report.diagnostics.extend(width::lint_dag(&dag, opts));
-    report
+    Some(dag)
 }
 
 /// Schedule + netlist passes, shared by [`analyze`] and [`analyze_dag`].

@@ -276,7 +276,7 @@ fn lint_enable_domain(
 ) {
     let (gate_port, stage_index) = match &target.kind {
         ModuleKind::Stage(p) => ("en", Some(p.stage)),
-        ModuleKind::LineBuffer(p) => ("wen", net.buffers.get(p.buffer).map(|b| b.stage)),
+        ModuleKind::LineBuffer(p) => ("wen", net.structure.buffers.get(p.buffer).map(|b| b.stage)),
         _ => return,
     };
     let Some(stage) = stage_index.and_then(|i| stage_by_index(net, i)) else {
@@ -306,11 +306,11 @@ fn lint_enable_domain(
 }
 
 fn stage_by_index(net: &Netlist, index: usize) -> Option<&NetStage> {
-    net.stages.iter().find(|s| s.index == index)
+    net.structure.stages.iter().find(|s| s.index == index)
 }
 
 fn stage_by_san<'a>(net: &'a Netlist, san: &str) -> Option<&'a NetStage> {
-    net.stages.iter().find(|s| s.sanitized == san)
+    net.structure.stages.iter().find(|s| s.sanitized == san)
 }
 
 /// What a continuous assignment reads, keyed by module kind and driven
@@ -369,7 +369,7 @@ fn top_assign_reads(net: &Netlist, driven: &str) -> Vec<String> {
         .strip_prefix("stream_out_")
         .and_then(|k| k.parse::<usize>().ok())
     {
-        if let Some(s) = net.stages.iter().filter(|s| s.is_output).nth(k) {
+        if let Some(s) = net.structure.stages.iter().filter(|s| s.is_output).nth(k) {
             return vec![
                 format!("out_{}", s.sanitized),
                 format!("en_{}", s.sanitized),
@@ -424,7 +424,7 @@ fn register_reads(module: &Module, driven: &str) -> Vec<String> {
 /// producer's output pixel, and its own shift-register array.
 fn windowload_reads(net: &Netlist, sra: &str, edge: usize) -> Vec<String> {
     let mut deps = vec![sra.to_string()];
-    if let Some(e) = net.edges.get(edge) {
+    if let Some(e) = net.structure.edges.get(edge) {
         if let (Some(p), Some(c)) = (
             stage_by_index(net, e.producer),
             stage_by_index(net, e.consumer),

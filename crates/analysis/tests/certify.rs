@@ -214,6 +214,7 @@ fn shrunk_window_is_refuted_as_uncovered_tap() {
     let (plan, net) = netlist_of(Algorithm::CannyS, &BitWidths::default());
     let mut bad = net.clone();
     let e = bad
+        .structure
         .edges
         .iter_mut()
         .find(|e| e.window.height > 1)
@@ -229,7 +230,7 @@ fn hoisted_consumer_start_is_refuted_as_stale_read() {
     let mut bad = net.clone();
     // Drag every consumer to cycle 0: rows below the anchor are then
     // read before the producer has committed them.
-    for s in &mut bad.stages {
+    for s in &mut bad.structure.stages {
         s.start_cycle = 0;
     }
     let cert = certify_netlist(&plan.dag, &bad, &options());
@@ -241,6 +242,7 @@ fn shrunk_rotation_is_refuted_as_clobbered_row() {
     let (plan, net) = netlist_of(Algorithm::UnsharpM, &BitWidths::default());
     let mut bad = net.clone();
     let b = bad
+        .structure
         .buffers
         .iter_mut()
         .find(|b| b.storage_rows > 1)

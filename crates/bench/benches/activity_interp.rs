@@ -70,8 +70,8 @@ fn bench_activity(c: &mut Criterion) {
     group.bench_function("schedule_traces", |b| {
         b.iter(|| {
             let net = std::hint::black_box(&net);
-            let activity = ScheduleActivity::derive(net).unwrap();
-            let gated = activity.trace_gated(&gating_plan(net)).unwrap();
+            let activity = ScheduleActivity::derive(&net.structure, None).unwrap();
+            let gated = activity.trace_gated(&gating_plan(&net.structure)).unwrap();
             (activity.trace(), gated)
         })
     });

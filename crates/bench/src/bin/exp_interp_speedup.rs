@@ -89,7 +89,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let net = build_netlist(&out.plan.dag, &out.plan.design, &BitWidths::default());
         let gated = gate_clocks(&net);
-        let inputs: Vec<Image> = (0..net.input_streams().len())
+        let inputs: Vec<Image> = (0..net.structure.input_streams().len())
             .map(|k| {
                 let seed = 0x1234 + k as u64;
                 Image::from_fn(geom.width, geom.height, move |x, y| {
@@ -110,7 +110,9 @@ fn main() {
             gprog.run_with_trace(&inputs).unwrap();
         });
         let schedule = best_ms(reps, || {
-            ScheduleActivity::derive(&net).unwrap().trace();
+            ScheduleActivity::derive(&net.structure, None)
+                .unwrap()
+                .trace();
         });
         let compile = best_ms(reps, || {
             EvalProgram::compile(&net).unwrap();

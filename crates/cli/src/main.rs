@@ -281,10 +281,11 @@ pub fn validate_frame_budget(geom: &ImageGeometry) -> Result<(), String> {
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let mut opts = Options::default();
-    let cmd = args
-        .first()
-        .cloned()
-        .ok_or_else(|| "missing command".to_string())?;
+    let cmd = match args.first().map(String::as_str) {
+        None => return Err("missing command".to_string()),
+        Some("-h" | "--help") => "help".to_string(),
+        Some(cmd) => cmd.to_string(),
+    };
     let mut it = args[1..].iter();
     let mut positional: Vec<String> = Vec::new();
 

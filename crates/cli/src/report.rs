@@ -127,7 +127,7 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
         plan.schedule.latency(&plan.dag, opts.width, opts.height)
     ));
 
-    let res = report_resources(&out.netlist);
+    let res = report_resources(&out.netlist.structure, &out.netlist.widths);
     text.push_str("\n## Netlist resources\n\n");
     text.push_str(&format!(
         "  SRAM macros    : {} ({} bits)\n  flip-flops     : {} bits\n  operators      : {} add, {} mul, {} div, {} cmp, {} mux\n",

@@ -31,6 +31,17 @@ fn stdout_of(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).unwrap()
 }
 
+/// `imagen --help` and `imagen -h` are the `help` command: the usage text
+/// on stdout and exit status 0.
+#[test]
+fn leading_help_flags_print_usage() {
+    let usage = stdout_of(&imagen(&["help"]));
+    assert!(usage.contains("USAGE:"), "{usage}");
+    for flag in ["--help", "-h"] {
+        assert_eq!(stdout_of(&imagen(&[flag])), usage, "imagen {flag}");
+    }
+}
+
 /// The seven Tbl. 3 pipelines live on disk as `.imagen` files — the CLI's
 /// example corpus — and must stay verbatim copies of the canonical
 /// sources in `imagen_algos` (modulo the leading blank line).

@@ -21,20 +21,20 @@
 //! repeated configurations (the greedy walk revisits many) are cache
 //! hits, and points are *priced* (area from the SRAM model, power from
 //! the access statistics) without generating RTL text nobody reads. Each
-//! point additionally carries a [`ResourceReport`] (instantiated SRAM
-//! macro bits, flip-flops, datapath operators) as a structural costing
-//! axis, computed by `imagen_rtl`'s fast path — the same numbers a full
-//! netlist elaboration yields (pinned equal by test), with none of its
-//! per-point allocation cost. Results
-//! are byte-identical to a sequential walk regardless of thread count.
+//! point is described once (`imagen_rtl::describe`) and never
+//! elaborated into a netlist; from that [`Structure`] it carries a
+//! [`ResourceReport`] (instantiated SRAM macro bits, flip-flops, datapath
+//! operators) as a structural costing axis. Results are byte-identical
+//! to a sequential walk regardless of thread count, and the workers of a
+//! traced sweep record their spans into the caller's collector.
 //!
 //! By default every point also carries measured energy
-//! ([`MeasureMode::Schedule`]): the point's netlist is elaborated and
-//! `imagen_power::measure_schedule` prices its ungated and clock-gated
-//! activity from the schedule alone, at any rate — the pyramids
-//! included. No frame is interpreted, so a measured point costs work in
-//! proportion to frame rows, not to pixels times kernel operations, and
-//! the sweep needs no stimulus.
+//! ([`MeasureMode::Schedule`]): `imagen_power::measure_schedule` prices
+//! the structure's ungated and clock-gated activity from the schedule
+//! alone, at any rate — the pyramids included. No netlist is built and
+//! no frame is interpreted, so a measured point costs work in proportion
+//! to frame rows, not to pixels times kernel operations, and the sweep
+//! needs no stimulus.
 //!
 //! [`pareto_front`] / [`ParetoFront`] extract the non-dominated designs —
 //! incrementally, not by the quadratic post-hoc scan. The paper's
@@ -52,9 +52,7 @@ use imagen_core::{CompileError, Session};
 use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_power::EnergyReport;
-use imagen_rtl::{
-    build_netlist, report_resources_for, BitWidths, InterpError, Netlist, ResourceReport,
-};
+use imagen_rtl::{describe, report_resources, BitWidths, InterpError, ResourceReport, Structure};
 use imagen_schedule::Plan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,10 +90,10 @@ pub struct DsePoint {
     pub power_mw: f64,
     /// Allocated SRAM, KB.
     pub sram_kb: f64,
-    /// Netlist-derived hardware inventory (instantiated SRAM macro bits,
-    /// flip-flops, datapath operators) — the structural costing axis next
-    /// to the analytic area/power models. Derived from the same netlist
-    /// the RTL is printed from, without generating any Verilog text.
+    /// Hardware inventory (instantiated SRAM macro bits, flip-flops,
+    /// datapath operators) — the structural costing axis next to the
+    /// analytic area/power models: what the point's netlist instantiates,
+    /// counted from its structure without elaborating one.
     pub resources: ResourceReport,
     /// Measured (netlist-activity) energy. Populated during the sweep
     /// itself under the default [`MeasureMode::Schedule`]; `None` only when
@@ -107,7 +105,7 @@ pub struct DsePoint {
 }
 
 /// Measured energy/power of one design point, priced by `imagen_power`
-/// from the activity the point's netlist and schedule fix: the analytic
+/// from the activity the point's structure and schedule fix: the analytic
 /// `power_mw` axis's activity-measured counterpart. No frame is run, so
 /// it depends on no stimulus.
 #[derive(Clone, Copy, Debug)]
@@ -145,9 +143,9 @@ impl MeasuredEnergy {
 /// Failure of an on-demand point measurement.
 #[derive(Debug)]
 pub enum MeasureError {
-    /// Planning/compiling the point's netlist failed.
+    /// Planning the point failed.
     Compile(CompileError),
-    /// The executor refused the point's netlist (e.g. a schedule that
+    /// The executor refused the point's design (e.g. a schedule that
     /// violates the streaming margins).
     Interp(InterpError),
 }
@@ -246,8 +244,8 @@ impl DseResult {
     }
 
     /// Populates (and returns) the measured energy of point `index` from
-    /// its netlist — fetched from `session`'s cache, built without
-    /// Verilog if absent — under both the ungated and the clock-gated
+    /// its structure — described from the plan in `session`'s cache,
+    /// planned if absent — under both the ungated and the clock-gated
     /// variants, as the sweep measures ([`MeasureMode`]). Memoized on the
     /// point: a second call is free.
     ///
@@ -257,7 +255,7 @@ impl DseResult {
     /// # Errors
     ///
     /// [`MeasureError`] on planning failure or when the executor refuses
-    /// the netlist.
+    /// the design.
     pub fn measure_point(
         &mut self,
         session: &Session,
@@ -268,8 +266,8 @@ impl DseResult {
         }
         let point = &self.points[index];
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
-        let net = session.netlist(&spec, Some(point.design.style))?;
-        let m = measure_energy(&net, &point.design)?;
+        let plan = session.price(&spec, Some(point.design.style))?;
+        let m = measure_energy(&describe(&plan.dag, &plan.design), &point.design)?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -369,27 +367,22 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
         .collect()
 }
 
-/// Measures `net` and its clock-gated variant from the schedule.
-fn measure_energy(net: &Netlist, design: &Design) -> Result<MeasuredEnergy, InterpError> {
+/// Measures the design `structure` describes, ungated and clock-gated,
+/// from its schedule, at the default widths.
+fn measure_energy(structure: &Structure, design: &Design) -> Result<MeasuredEnergy, InterpError> {
     let _s = imagen_obs::span("measure");
-    let p = imagen_power::measure_schedule(net, design)?;
+    let p = imagen_power::measure_schedule(structure, &BitWidths::default(), design)?;
     Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated))
 }
 
 fn point_from(plan: &Plan, choices: Vec<StageChoice>, measure: bool) -> DsePoint {
     let design = plan.design.clone();
-    // The fast path: same numbers as walking the full netlist (pinned by
-    // test in imagen-rtl), no per-point elaboration in the pricing loop.
-    let resources = report_resources_for(&plan.dag, &design, &BitWidths::default());
-    // Measured-energy default-on: elaborate the point's netlist right
-    // here in the pricing loop and price its schedule. The netlist is
-    // transient (not cached), so a 2^N sweep does not pin 2^N netlists.
+    // One description per point feeds both the structural axis and the
+    // measured energy; no netlist is elaborated.
+    let structure = describe(&plan.dag, &design);
+    let resources = report_resources(&structure, &BitWidths::default());
     let measured = measure.then(|| {
-        let net = {
-            let _s = imagen_obs::span("netlist.build");
-            build_netlist(&plan.dag, &design, &BitWidths::default())
-        };
-        measure_energy(&net, &design).expect("the planner emits streamable netlists")
+        measure_energy(&structure, &design).expect("the planner emits streamable designs")
     });
     DsePoint {
         choices,
@@ -403,9 +396,9 @@ fn point_from(plan: &Plan, choices: Vec<StageChoice>, measure: bool) -> DsePoint
 }
 
 /// Evaluates `masks` against the session, fanning out over up to
-/// `threads` scoped workers. Output order and values are identical to a
-/// sequential evaluation; on error the first failure in `masks` order is
-/// returned.
+/// `threads` scoped workers, each recording its spans into the caller's
+/// collector. Output order and values are identical to a sequential
+/// evaluation; on error the first failure in `masks` order is returned.
 fn evaluate_masks(
     session: &Session,
     backend: MemBackend,
@@ -440,11 +433,18 @@ fn evaluate_masks(
     let mut slots: Vec<Option<Result<DsePoint, CompileError>>> = Vec::new();
     slots.resize_with(masks.len(), || None);
     let chunk = masks.len().div_ceil(threads);
+    let collector = &imagen_obs::current();
     std::thread::scope(|scope| {
         for (slot_chunk, mask_chunk) in slots.chunks_mut(chunk).zip(masks.chunks(chunk)) {
             scope.spawn(move || {
-                for (slot, &mask) in slot_chunk.iter_mut().zip(mask_chunk) {
-                    *slot = Some(price(mask));
+                let mut work = || {
+                    for (slot, &mask) in slot_chunk.iter_mut().zip(mask_chunk) {
+                        *slot = Some(price(mask));
+                    }
+                };
+                match collector {
+                    Some(c) => imagen_obs::with_collector(c, work),
+                    None => work(),
                 }
             });
         }

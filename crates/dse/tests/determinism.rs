@@ -5,17 +5,22 @@
 //! * recompiling a cached point equals the cold compile;
 //! * every swept point's measured energy, priced from its schedule,
 //!   equals a per-point frame measurement
-//!   (`imagen_power::measure_netlist`) bit for bit, on the whole example
-//!   corpus, pyramids included.
+//!   (`imagen_power::measure_netlist`) bit for bit, and its resources
+//!   equal its netlist's, on the whole example corpus, pyramids
+//!   included;
+//! * a traced parallel sweep records every worker's spans and returns
+//!   what an untraced one does.
 
 use imagen_core::Session;
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_ir::Dag;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
-use imagen_rtl::ScheduleActivity;
+use imagen_obs::{with_collector, Collector};
+use imagen_rtl::{report_resources, ScheduleActivity};
 use imagen_sim::Image;
 use proptest::prelude::*;
 use std::path::Path;
+use std::sync::Arc;
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -192,7 +197,8 @@ fn noise_frames(dag: &Dag, seed: u64, bits: u32) -> Vec<Image> {
 }
 
 /// Every swept point's measured energy equals `measure_netlist` on the
-/// point's netlist and a noise frame, bit for bit, at 1 and 3 workers.
+/// point's netlist and a noise frame, bit for bit, at 1 and 3 workers,
+/// and its resources equal `report_resources` of that netlist.
 /// Every point, pyramids included, is priced from its schedule; the
 /// frame measurement runs the traced program on the point's netlist and
 /// its clock-gated copy.
@@ -206,8 +212,13 @@ fn measured_energy_matches_frame_measurement_on_corpus() {
             let spec = sweeps[0].spec_of(p, backend());
             let net = session.netlist(&spec, Some(p.design.style)).unwrap();
             assert!(
-                ScheduleActivity::derive(&net).is_ok(),
+                ScheduleActivity::derive(&net.structure, None).is_ok(),
                 "{name} point {i}: priced from its schedule"
+            );
+            assert_eq!(
+                p.resources,
+                report_resources(&net.structure, &net.widths),
+                "{name} point {i}: resources are the netlist's"
             );
             let pm = imagen_power::measure_netlist(&net, &p.design, &inputs).unwrap();
             for res in &sweeps {
@@ -235,4 +246,31 @@ fn measured_energy_matches_frame_measurement_on_corpus() {
             }
         }
     }
+}
+
+/// A traced two-worker sweep returns exactly what an untraced one does,
+/// and both workers record their `measure` spans into the caller's
+/// collector.
+#[test]
+fn traced_parallel_sweep_records_every_worker() {
+    let dag = imagen_algos::Algorithm::UnsharpM.build();
+    let untraced = measured_sweep(&dag, 2);
+    let collector = Arc::new(Collector::new());
+    let traced = with_collector(&collector, || measured_sweep(&dag, 2));
+    // `stats.simplex_pivots` is a process-wide counter delta; the points
+    // are the sweep's result.
+    assert_eq!(untraced.buffered_stages, traced.buffered_stages);
+    assert_eq!(
+        format!("{:?}", untraced.points),
+        format!("{:?}", traced.points)
+    );
+    let mut threads: Vec<u64> = collector
+        .spans()
+        .iter()
+        .filter(|s| s.name == "measure")
+        .map(|s| s.tid)
+        .collect();
+    assert_eq!(threads.len(), traced.points.len(), "one span per point");
+    threads.dedup();
+    assert_eq!(threads.len(), 2, "measure spans from both workers");
 }

@@ -57,6 +57,4 @@ mod trace;
 pub use metrics::{
     Counter, Gauge, HistSnapshot, Histogram, Metrics, MetricsSnapshot, SNAPSHOT_SCHEMA,
 };
-pub use trace::{
-    collector_installed, span, with_collector, Collector, PhaseTotal, SpanGuard, SpanRecord,
-};
+pub use trace::{current, span, with_collector, Collector, PhaseTotal, SpanGuard, SpanRecord};

@@ -193,17 +193,17 @@ pub fn with_collector<R>(collector: &Arc<Collector>, f: impl FnOnce() -> R) -> R
     f()
 }
 
-/// Whether a collector is installed on the current thread. Lets
-/// callers skip building expensive span metadata when tracing is off.
-pub fn collector_installed() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
+/// The collector installed on the current thread, if any — what a
+/// caller hands to the worker threads it spawns, so their spans land in
+/// the same collector ([`with_collector`] on each worker).
+pub fn current() -> Option<Arc<Collector>> {
+    COLLECTOR.with(|c| c.borrow().clone())
 }
 
 /// Opens a span named `name`; the span closes when the returned guard
 /// drops. Inert (no clock read) when no collector is installed.
 pub fn span(name: &'static str) -> SpanGuard {
-    let collector = COLLECTOR.with(|c| c.borrow().clone());
-    let active = collector.map(|collector| {
+    let active = current().map(|collector| {
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn no_collector_means_inert_guards() {
-        assert!(!collector_installed());
+        assert!(current().is_none());
         let g = span("free");
         drop(g);
         // Nothing to observe — the point is simply that this ran
@@ -257,12 +257,13 @@ mod tests {
     fn spans_nest_and_aggregate() {
         let c = Arc::new(Collector::new());
         with_collector(&c, || {
+            assert!(Arc::ptr_eq(&current().expect("installed"), &c));
             let _a = span("outer");
             for _ in 0..3 {
                 let _b = span("inner");
             }
         });
-        assert!(!collector_installed());
+        assert!(current().is_none());
         let spans = c.spans();
         assert_eq!(spans.len(), 4);
         assert_eq!(spans[0].name, "outer");

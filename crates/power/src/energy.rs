@@ -16,7 +16,7 @@
 //! the analytic model's per-cycle-rate convention.
 
 use imagen_mem::{BramModel, Design, DffModel, MemBackend, PeModel, SramConfig, SramModel};
-use imagen_rtl::{ActivityTrace, ModuleKind, Netlist};
+use imagen_rtl::{ActivityTrace, BitWidths, Netlist, Structure};
 
 /// Measured energy of one line buffer (banks + FIFO head DFFs).
 #[derive(Clone, Debug)]
@@ -114,20 +114,23 @@ impl EnergyReport {
     }
 }
 
-/// Prices `trace` at the evaluation clock
-/// ([`imagen_mem::CLOCK_MHZ`]) — see [`measure_at`].
+/// Prices `trace` of `net` at the evaluation clock
+/// ([`imagen_mem::CLOCK_MHZ`]) — [`measure_at`] over the netlist's
+/// structure and widths.
 pub fn measure(net: &Netlist, design: &Design, trace: &ActivityTrace) -> EnergyReport {
-    measure_at(net, design, trace, imagen_mem::CLOCK_MHZ)
+    let (structure, widths) = (&net.structure, &net.widths);
+    measure_at(structure, widths, design, trace, imagen_mem::CLOCK_MHZ)
 }
 
 /// Prices an [`ActivityTrace`] into an [`EnergyReport`] at `clock_mhz`.
 ///
 /// `design` supplies the physical block inventory (allocated macro
 /// sizes, port counts — the same configurations the analytic model
-/// prices); `net` supplies the datapath widths and stage kernels;
-/// `trace` supplies the measured event counts.
+/// prices); `structure` supplies the stages' operator census and
+/// `widths` the datapath width; `trace` supplies the measured event
+/// counts.
 ///
-/// Only counts the netlist's structure and schedule determine are
+/// Only counts the design's structure and schedule determine are
 /// priced: per-block SRAM reads and writes, read-port enabled, idle and
 /// gated-off cycles, SRA cell writes, stage active cycles and
 /// output-register writes. The two pixel-dependent toggle fields
@@ -135,12 +138,13 @@ pub fn measure(net: &Netlist, design: &Design, trace: &ActivityTrace) -> EnergyR
 /// without a frame (`imagen_rtl::ScheduleActivity`) prices the same as
 /// one from an interpreted frame.
 pub fn measure_at(
-    net: &Netlist,
+    structure: &Structure,
+    widths: &BitWidths,
     design: &Design,
     trace: &ActivityTrace,
     clock_mhz: f64,
 ) -> EnergyReport {
-    let pixel = net.widths.pixel_bits as u64;
+    let pixel = widths.pixel_bits as u64;
     let word_bits = design.geometry.pixel_bits;
 
     let mut sram_read_pj = 0.0;
@@ -225,14 +229,11 @@ pub fn measure_at(
     // Stage output registers and PE activations.
     let mut outreg_dff_pj = 0.0;
     let mut pe_pj = 0.0;
-    for (stage, sa) in net.stages.iter().zip(&trace.stages) {
+    for (stage, sa) in structure.stages.iter().zip(&trace.stages) {
         outreg_dff_pj += DffModel::shift_energy_pj(sa.out_reg_writes * pixel);
-        if let Some(m) = stage.module {
-            if let ModuleKind::Stage(p) = &net.modules[m].kind {
-                let c = p.kernel.op_census();
-                pe_pj += sa.active_cycles as f64
-                    * PeModel::energy_pj(c.adds, c.muls, c.divs, c.cmps, c.muxes);
-            }
+        if let Some(c) = stage.census {
+            pe_pj += sa.active_cycles as f64
+                * PeModel::energy_pj(c.adds, c.muls, c.divs, c.cmps, c.muxes);
         }
     }
 

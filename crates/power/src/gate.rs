@@ -35,35 +35,35 @@
 //! proves on *every* input that the gated netlist loads exactly the
 //! words the ungated one loads.
 
-use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist};
+use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist, Structure};
 
-/// Derives the clock-gating plan of `net`: every line buffer's read port
-/// is gated to the union of its consumers' ILP windows, from the first
-/// consumer's start to the last consumer's start plus one frame.
+/// Derives the clock-gating plan of a design's structure: every line
+/// buffer's read port is gated to the union of its consumers' ILP
+/// windows, from the first consumer's start to the last consumer's start
+/// plus one frame.
 ///
 /// FIFO buffers (SODA) and pure-DFF buffers get no gate — their clocking
 /// is dataflow-driven, not scheduled. [`gate_clocks`] attaches this plan
-/// to a copy of the netlist; [`measure_schedule`](crate::measure_schedule)
+/// to a copy of a netlist; [`measure_schedule`](crate::measure_schedule)
 /// prices it without one.
-pub fn gating_plan(net: &Netlist) -> GatingPlan {
-    let frame = net.frame;
+pub fn gating_plan(s: &Structure) -> GatingPlan {
     let mut gates: Vec<BufferGate> = Vec::new();
-    for (bi, buf) in net.buffers.iter().enumerate() {
+    for (bi, buf) in s.buffers.iter().enumerate() {
         if buf.fifo || buf.phys_blocks == 0 {
             continue;
         }
-        let windows = net
+        let windows = s
             .edges
             .iter()
             .filter(|e| e.producer == buf.stage)
-            .map(|e| net.stages[e.consumer].start_cycle);
+            .map(|e| s.stages[e.consumer].start_cycle);
         let (Some(first), Some(last)) = (windows.clone().min(), windows.max()) else {
             continue;
         };
         gates.push(BufferGate {
             buffer: bi,
             read_start: first,
-            read_end: last + frame,
+            read_end: last + s.frame,
         });
     }
     GatingPlan { gates }
@@ -86,12 +86,13 @@ pub fn gating_plan(net: &Netlist) -> GatingPlan {
 /// Gating an already-gated netlist re-derives the same plan (the pass
 /// is idempotent).
 pub fn gate_clocks(net: &Netlist) -> Netlist {
-    let plan = gating_plan(net);
+    let s = &net.structure;
+    let plan = gating_plan(s);
     let mut out = net.clone();
     let top = out.top;
     let module = &mut out.modules[top];
     for g in &plan.gates {
-        let pname = net.stages[net.buffers[g.buffer].stage].sanitized.clone();
+        let pname = s.stages[s.buffers[g.buffer].stage].sanitized.clone();
         let gate_net = format!("ren_lb_{pname}");
         if module.net(&gate_net).is_none() {
             module.nets.push(Net {

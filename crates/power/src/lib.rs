@@ -12,10 +12,11 @@
 //! ```text
 //! Netlist ──interpret_with_trace()──▶ ActivityTrace ──measure()──▶ EnergyReport
 //!    │                                                                 ▲
-//!    ├──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┤
-//!    │                                                                 │
-//!    └──ScheduleActivity::derive()──┬─ trace() ────────────────────────┤
-//!        (any rate, no frame)       └─ trace_gated(gating_plan()) ─────┘
+//!    └──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┤
+//!                                                                      │
+//! Structure ──ScheduleActivity::derive()──┬─ trace() ───── measure_at()┤
+//!  (describe(dag, design),                └─ trace_gated(gating_plan())┘
+//!   any rate, no netlist, no frame)
 //! ```
 //!
 //! * [`measure`] converts an [`ActivityTrace`](imagen_rtl::ActivityTrace)
@@ -24,25 +25,26 @@
 //!   technology constants of `imagen_mem::tech` into an [`EnergyReport`]:
 //!   pJ per frame, mW at a target clock, static vs dynamic split, and a
 //!   per-buffer breakdown — cross-checkable against the analytic
-//!   `Design::total_power_mw`. It prices only counts the netlist's
-//!   structure and schedule fix; the trace's two data-toggle fields are
-//!   never read;
+//!   `Design::total_power_mw`. It prices only counts the design's
+//!   structure and schedule fix, reading only the netlist's
+//!   [`Structure`] and widths ([`measure_at`]); the trace's two
+//!   data-toggle fields are never read;
 //! * [`gating_plan`] derives clock-gating conditions from the
-//!   ILP-scheduled enables: each line buffer's read port, held at `1'b1`
-//!   by the ungated emitter, is gated to the union of its consumers'
-//!   schedule windows. [`gate_clocks`] is the netlist→netlist pass
-//!   attaching that plan: the gated netlist emits real Verilog
+//!   ILP-scheduled enables in a structure: each line buffer's read port,
+//!   held at `1'b1` by the ungated emitter, is gated to the union of its
+//!   consumers' schedule windows. [`gate_clocks`] is the netlist→netlist
+//!   pass attaching that plan: the gated netlist emits real Verilog
 //!   (`imagen_rtl::emit_verilog` renders the gate wires) and runs through
 //!   the same differential suite as the ungated one — the interpreter
 //!   counts the gated-off cycles, so the energy saving is measured, not
 //!   asserted;
 //! * [`measure_pipeline`] / [`measure_netlist`] run both netlists on one
 //!   frame and return the paired reports ([`PowerMeasurement`]);
-//! * [`measure_schedule`] prices the same pair without a frame or a
-//!   gated copy: the ungated and gated traces share one
-//!   [`ScheduleActivity`] block sweep and differ only in the read-port
-//!   closed forms. It prices every netlist the compiler emits, rate-1
-//!   and multirate alike.
+//! * [`measure_schedule`] prices the same pair from a design's structure
+//!   alone — no netlist, no gated copy, no frame: the ungated and gated
+//!   traces share one [`ScheduleActivity`] block sweep and differ only in
+//!   the read-port closed forms. It prices every design the compiler
+//!   emits, rate-1 and multirate alike.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -59,7 +61,7 @@ use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
     build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, Netlist,
-    ScheduleActivity,
+    ScheduleActivity, Structure,
 };
 use imagen_sim::Image;
 
@@ -143,17 +145,18 @@ pub struct SchedulePower {
     pub gated: EnergyReport,
 }
 
-/// Prices `net` (which must be ungated) and its clock-gated variant
-/// without running a frame or copying the netlist: one
-/// [`ScheduleActivity`] supplies both traces, which share its block
-/// counts and differ only in the read-port closed forms of the
+/// Prices the design `structure` describes, ungated and clock-gated, at
+/// `widths`, from the structure alone: no netlist, no gated copy and no
+/// frame. One [`ScheduleActivity`] supplies both traces, which share its
+/// block counts and differ only in the read-port closed forms of the
 /// [`gating_plan`]. The reports are bit-identical to
-/// [`measure_netlist`]'s, whose traces carry the same counts and whose
-/// toggle fields [`measure`] never reads.
+/// [`measure_netlist`]'s on the design's netlist at `widths`, whose
+/// traces carry the same counts and whose toggle fields [`measure`]
+/// never reads.
 ///
 /// # Errors
 ///
-/// [`InterpError`] when the executor refuses the netlist (a windowed
+/// [`InterpError`] when the executor would refuse the design (a windowed
 /// producer without a line buffer, or a schedule that violates the
 /// streaming margins); the compiler emits neither.
 ///
@@ -164,14 +167,19 @@ pub struct SchedulePower {
 /// output comparison with a stronger check: a gate that covers every
 /// consumer window changes no loaded word on any input, not just on one
 /// frame.
-pub fn measure_schedule(net: &Netlist, design: &Design) -> Result<SchedulePower, InterpError> {
-    let activity = ScheduleActivity::derive(net)?;
+pub fn measure_schedule(
+    structure: &Structure,
+    widths: &BitWidths,
+    design: &Design,
+) -> Result<SchedulePower, InterpError> {
+    let activity = ScheduleActivity::derive(structure, None)?;
     let gated = activity
-        .trace_gated(&gating_plan(net))
+        .trace_gated(&gating_plan(structure))
         .unwrap_or_else(|gap| panic!("clock gating would change the outputs: {gap}"));
+    let price = |trace| measure_at(structure, widths, design, trace, imagen_mem::CLOCK_MHZ);
     Ok(SchedulePower {
-        ungated: measure(net, design, &activity.trace()),
-        gated: measure(net, design, &gated),
+        ungated: price(&activity.trace()),
+        gated: price(&gated),
     })
 }
 
@@ -270,18 +278,19 @@ mod tests {
         let plan = gated.gating.as_ref().unwrap();
         assert!(!plan.gates.is_empty());
         for g in &plan.gates {
-            let stage = gated.buffers[g.buffer].stage;
-            let consumers: Vec<_> = gated
+            let s = &gated.structure;
+            let stage = s.buffers[g.buffer].stage;
+            let consumers: Vec<_> = s
                 .edges
                 .iter()
                 .filter(|e| e.producer == stage)
-                .map(|e| gated.stages[e.consumer].start_cycle)
+                .map(|e| s.stages[e.consumer].start_cycle)
                 .collect();
             assert!(!consumers.is_empty());
             assert_eq!(g.read_start, *consumers.iter().min().unwrap());
             assert_eq!(
                 g.read_end,
-                consumers.iter().max().unwrap() + gated.frame,
+                consumers.iter().max().unwrap() + s.frame,
                 "window ends after the last consumer's frame"
             );
         }
@@ -296,7 +305,7 @@ mod tests {
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
         let mut gated = gate_clocks(&net);
         let gates = &mut gated.gating.as_mut().unwrap().gates;
-        gates[0].read_end = gates[0].read_end.saturating_sub(gated.frame / 2);
+        gates[0].read_end = gates[0].read_end.saturating_sub(net.structure.frame / 2);
         let input = frame(9);
         let a = interpret(&net, std::slice::from_ref(&input)).unwrap();
         let b = interpret(&gated, std::slice::from_ref(&input)).unwrap();
@@ -306,7 +315,7 @@ mod tests {
         );
         // The frame-free path refuses the same plan before pricing it.
         let narrowed = gated.gating.as_ref().unwrap();
-        let gap = ScheduleActivity::derive(&net)
+        let gap = ScheduleActivity::derive(&net.structure, None)
             .unwrap()
             .trace_gated(narrowed)
             .unwrap_err();
@@ -314,8 +323,8 @@ mod tests {
         assert!(gap.window.1 > gap.gate.1, "the window outlives the gate");
         // So does a gated netlist carrying it: its block counts are not
         // the ungated ones.
-        let own = ScheduleActivity::derive(&gated).unwrap();
-        assert!(own.trace_gated(&gating_plan(&net)).is_err());
+        let own = ScheduleActivity::derive(&gated.structure, gated.gating.as_ref()).unwrap();
+        assert!(own.trace_gated(&gating_plan(&net.structure)).is_err());
     }
 
     /// Bit-exact equality of two reports (`Debug` prints every `f64` in
@@ -361,7 +370,7 @@ mod tests {
             .unwrap();
             let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
             let framed = measure_netlist(&net, &p.design, &[frame(7)]).unwrap();
-            let priced = measure_schedule(&net, &p.design).unwrap();
+            let priced = measure_schedule(&net.structure, &net.widths, &p.design).unwrap();
             assert_identical(alg.name(), &priced.ungated, &framed.ungated);
             assert_identical(alg.name(), &priced.gated, &framed.gated);
             assert_eq!(priced.gated.gated_off_cycles, framed.gated_off_cycles());

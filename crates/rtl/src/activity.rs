@@ -135,9 +135,10 @@ pub struct SraActivity {
     pub bit_toggles: u64,
 }
 
-/// Activity collected over one interpreted frame, structurally parallel
-/// to the interpreted [`Netlist`](crate::Netlist): `buffers[i]` ↔ `net.buffers[i]`,
-/// `stages[i]` ↔ `net.stages[i]`, `sras[i]` ↔ `net.edges[i]`.
+/// Activity collected over one interpreted frame, parallel to the
+/// design's [`Structure`](crate::Structure): `buffers[i]` ↔
+/// `structure.buffers[i]`, `stages[i]` ↔ `structure.stages[i]`, `sras[i]`
+/// ↔ `structure.edges[i]`.
 #[derive(Clone, Debug, Default)]
 pub struct ActivityTrace {
     /// Clock edges of the run.

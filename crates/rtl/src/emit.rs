@@ -43,14 +43,15 @@
 //! emitter revision can render all of these faithfully once the golden
 //! pins are deliberately regenerated.
 
-use crate::netlist::{BitWidths, ModuleKind, NetBuffer, Netlist, StagePayload};
+use crate::netlist::{BitWidths, ModuleKind, Netlist, StagePayload};
+use crate::structure::NetBuffer;
 use imagen_ir::{BinOp, Expr, Window};
 use std::fmt::Write as _;
 
 /// Renders the netlist as self-contained synthesizable Verilog.
 pub fn emit_verilog(net: &Netlist) -> String {
     let mut v = String::new();
-    let geom = net.geometry;
+    let geom = net.structure.geometry;
     let _ = writeln!(
         v,
         "// Auto-generated by imagen-rtl for pipeline `{}` ({}x{} @ {} bpp)",
@@ -71,7 +72,7 @@ pub fn emit_verilog(net: &Netlist) -> String {
         match &m.kind {
             ModuleKind::Stage(payload) => emit_stage_module(&mut v, net, payload),
             ModuleKind::LineBuffer(lb) => {
-                let buf = &net.buffers[lb.buffer];
+                let buf = &net.structure.buffers[lb.buffer];
                 emit_linebuf_module(&mut v, net, buf);
             }
             ModuleKind::SramPrimitive { .. } | ModuleKind::Top => {}
@@ -140,7 +141,7 @@ endmodule
 fn emit_stage_module(v: &mut String, net: &Netlist, payload: &StagePayload) {
     let pixel = net.widths.pixel_bits;
     let acc = net.widths.acc_bits;
-    let name = &net.stages[payload.stage].sanitized;
+    let name = &net.structure.stages[payload.stage].sanitized;
     let _ = writeln!(v, "module stage_{name} (");
     let _ = writeln!(v, "    input  wire clk,");
     let _ = writeln!(v, "    input  wire en,");
@@ -267,10 +268,7 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
 /// bank-select logic.
 fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
     let pixel = net.widths.pixel_bits;
-    // Rows hold the producer's own grid: `W / scale_x` words per row
-    // (the full raster width for rate-1 producers).
-    let width = u64::from(net.geometry.width) / net.stages[buf.stage].scale_x;
-    let name = &net.stages[buf.stage].sanitized;
+    let name = &net.structure.stages[buf.stage].sanitized;
     let rows = buf.phys_rows.max(1);
     let nblocks = buf.blocks;
     let ports = buf.ports;
@@ -303,14 +301,14 @@ fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
         "    wire [{}:0] waddr = (wphys % {}) * {} + wcol;",
         aw - 1,
         g,
-        width
+        buf.width
     );
     let _ = writeln!(
         v,
         "    wire [{}:0] raddr = (rphys % {}) * {} + rcol;",
         aw - 1,
         g,
-        width
+        buf.width
     );
     let _ = writeln!(
         v,
@@ -345,7 +343,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
     let _ = writeln!(v, "module imagen_top_{name} (");
     let _ = writeln!(v, "    input  wire clk,");
     let _ = writeln!(v, "    input  wire rst,");
-    let inputs = net.input_streams();
+    let inputs = net.structure.input_streams();
     for (i, _, _) in &inputs {
         let _ = writeln!(
             v,
@@ -354,7 +352,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
             i
         );
     }
-    let outputs = net.output_streams();
+    let outputs = net.structure.output_streams();
     for (i, _, _) in &outputs {
         let _ = writeln!(
             v,
@@ -366,7 +364,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
     let _ = writeln!(v, "    output wire frame_done");
     let _ = writeln!(v, ");");
 
-    let frame = net.frame;
+    let (frame, width) = (net.structure.frame, net.structure.geometry.width);
     let _ = writeln!(v, "    reg [63:0] cycle;");
     let _ = writeln!(v, "    always @(posedge clk) begin");
     let _ = writeln!(v, "        if (rst) cycle <= 64'd0;");
@@ -377,7 +375,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
     // Multirate stages additionally derive their compute-enable cadence
     // (`ce`) and stage-grid coordinates (`yq`/`xq`) from the base-clock
     // raster; rate-1 stages emit exactly the seed wires.
-    for s in &net.stages {
+    for s in &net.structure.stages {
         let n = &s.sanitized;
         let start = s.start_cycle;
         let _ = writeln!(
@@ -386,8 +384,8 @@ fn emit_top(v: &mut String, net: &Netlist) {
             start + frame
         );
         let _ = writeln!(v, "    wire [63:0] k_{n} = cycle - 64'd{start};");
-        let _ = writeln!(v, "    wire [31:0] y_{n} = k_{n} / {};", net.geometry.width);
-        let _ = writeln!(v, "    wire [31:0] x_{n} = k_{n} % {};", net.geometry.width);
+        let _ = writeln!(v, "    wire [31:0] y_{n} = k_{n} / {width};");
+        let _ = writeln!(v, "    wire [31:0] x_{n} = k_{n} % {width};");
         if s.is_multirate() {
             let (cx, cy) = (s.scale_x, s.scale_y);
             let _ = writeln!(
@@ -401,7 +399,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
 
     // Stage output wires: inputs are fed from the external streams,
     // compute stages from their module instance below.
-    for s in &net.stages {
+    for s in &net.structure.stages {
         let n = &s.sanitized;
         if let Some(in_idx) = s.input_stream {
             let _ = writeln!(
@@ -419,8 +417,8 @@ fn emit_top(v: &mut String, net: &Netlist) {
     // clock-gating plan attached, the read enable is the buffer's
     // ILP-derived consumer window instead of the constant 1'b1: outside
     // it the SRAM banks see no enabled read port.
-    for (bi, buf) in net.buffers.iter().enumerate() {
-        let pname = &net.stages[buf.stage].sanitized;
+    for (bi, buf) in net.structure.buffers.iter().enumerate() {
+        let pname = &net.structure.stages[buf.stage].sanitized;
         let gate = net.gating.as_ref().and_then(|g| g.gate_for(bi));
         let ren = match gate {
             Some(g) => {
@@ -440,7 +438,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
         // Multirate producers commit on their own cadence into their own
         // grid: write (and representative read) ports take the derived
         // `ce`/`yq`/`xq` wires instead of the base raster.
-        let (wen, row, col) = if net.stages[buf.stage].is_multirate() {
+        let (wen, row, col) = if net.structure.stages[buf.stage].is_multirate() {
             (
                 format!("ce_{pname}"),
                 format!("yq_{pname}"),
@@ -460,12 +458,12 @@ fn emit_top(v: &mut String, net: &Netlist) {
     }
 
     // Stage instances with window register arrays.
-    for s in &net.stages {
-        if s.module.is_none() {
+    for s in &net.structure.stages {
+        if s.census.is_none() {
             continue;
         }
         let n = &s.sanitized;
-        for e in net.edges.iter().filter(|e| e.consumer == s.index) {
+        for e in net.structure.edges.iter().filter(|e| e.consumer == s.index) {
             let cells = e.window.height * e.window.width();
             let _ = writeln!(
                 v,
@@ -476,7 +474,7 @@ fn emit_top(v: &mut String, net: &Netlist) {
             );
         }
         let mut conns = String::new();
-        for e in net.edges.iter().filter(|e| e.consumer == s.index) {
+        for e in net.structure.edges.iter().filter(|e| e.consumer == s.index) {
             let _ = write!(conns, ".win{}(sra_{n}_{}), ", e.slot, e.slot);
         }
         let en = if s.is_multirate() {
@@ -491,14 +489,14 @@ fn emit_top(v: &mut String, net: &Netlist) {
     }
 
     for (i, stage, _) in &outputs {
-        let n = &net.stages[*stage].sanitized;
+        let n = &net.structure.stages[*stage].sanitized;
         let _ = writeln!(v, "    assign stream_out_{i} = out_{n};");
     }
 
     let _ = writeln!(
         v,
         "    assign frame_done = (cycle >= 64'd{});",
-        net.done_cycle
+        net.structure.done_cycle
     );
     let _ = writeln!(v, "endmodule");
 }

@@ -449,12 +449,12 @@ mod tests {
         // once per pixel, the consumer is active one frame, and the
         // always-on read port idles before the consumer starts.
         assert_eq!(trace.run_cycles, plain.cycles);
-        assert_eq!(trace.frame, net.frame);
-        assert_eq!(trace.buffers[0].writes(), net.frame);
+        assert_eq!(trace.frame, net.structure.frame);
+        assert_eq!(trace.buffers[0].writes(), net.structure.frame);
         assert!(trace.buffers[0].reads() > 0);
-        assert_eq!(trace.stages[1].active_cycles, net.frame);
-        assert_eq!(trace.stages[1].out_reg_writes, net.frame);
-        assert!(trace.sras[0].shift_cycles == net.frame);
+        assert_eq!(trace.stages[1].active_cycles, net.structure.frame);
+        assert_eq!(trace.stages[1].out_reg_writes, net.structure.frame);
+        assert!(trace.sras[0].shift_cycles == net.structure.frame);
         assert!(trace.sras[0].bit_toggles > 0);
         assert_eq!(trace.buffers[0].read_enabled_cycles, plain.cycles);
         assert!(

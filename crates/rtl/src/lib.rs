@@ -1,21 +1,26 @@
 //! # imagen-rtl
 //!
 //! The RTL backend of [ImaGen] (the "RTL Code Gen" box of the paper's
-//! Fig. 5), built around a typed structural netlist IR:
+//! Fig. 5): one structure per design, and a typed structural netlist IR
+//! elaborated on top of it:
 //!
 //! ```text
-//! Design ──build_netlist()──▶ Netlist ──┬─ emit_verilog()              → .v text
-//!                                       ├─ EvalProgram::compile() ──┬─ run()            → executed frames
-//!                                       │   (interpret(),            └─ run_with_trace() → frames + ActivityTrace
-//!                                       │    interpret_with_trace())
-//!                                       ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
-//!                                       ├─ verify_all()                → arity/width/driver checks
-//!                                       └─ report_resources()          → SRAM/FF/operator inventory
+//! (Dag, Design) ──describe()──▶ Structure ──┬─ report_resources()          → SRAM/FF/operator inventory
+//!                                           ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
+//!                                           └─ build_netlist() elaborates ─┐
+//! Netlist { structure, modules, .. } ◀──────────────────────────────────────┘
+//!    ├─ emit_verilog()              → .v text
+//!    ├─ EvalProgram::compile() ──┬─ run()            → executed frames
+//!    │   (interpret(),            └─ run_with_trace() → frames + ActivityTrace
+//!    │    interpret_with_trace())
+//!    └─ verify_all()                → arity/width/driver checks
 //! ```
 //!
-//! * [`build_netlist`] elaborates a scheduled [`imagen_mem::Design`] into
-//!   a [`Netlist`]: modules, typed ports and nets, instances, registers,
-//!   SRAM primitives and kernel expression nets, at configurable
+//! * [`describe`] derives a scheduled [`imagen_mem::Design`]'s
+//!   [`Structure`] (stages, stencil edges, line buffers) once, and
+//!   [`build_netlist`] elaborates it into a [`Netlist`] that keeps it:
+//!   modules, typed ports and nets, instances, registers, SRAM
+//!   primitives and kernel expression nets, at configurable
 //!   [`BitWidths`];
 //! * [`emit_verilog`] prints the netlist as self-contained synthesizable
 //!   Verilog (byte-identical to the original string emitter at default
@@ -33,17 +38,17 @@
 //!   cycles) that `imagen-power` prices into measured energy — and the
 //!   interpreter honors an attached clock-[`GatingPlan`], counting the
 //!   gated-off read-port cycles;
-//! * [`ScheduleActivity`] derives the same trace without running a frame
-//!   — every count the schedule fixes, with the two data toggles left at
-//!   zero — for every netlist the executor accepts, pyramids included,
-//!   and re-derives it under another gating plan that covers every
-//!   consumer window;
+//! * [`ScheduleActivity`] derives the same trace from the structure and
+//!   a gating plan, without running a frame — every count the schedule
+//!   fixes, with the two data toggles left at zero — for every design
+//!   the executor accepts, pyramids included, and re-derives it under
+//!   another gating plan that covers every consumer window;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
 //!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]
 //!   yields the first error);
-//! * [`report_resources`] inventories the instantiated hardware for
-//!   design-space exploration;
+//! * [`report_resources`] inventories the hardware a structure
+//!   elaborates to, for design-space exploration;
 //! * [`generate_testbench`] emits a self-checking testbench wired to the
 //!   netlist's stream interface, with [`TestVectors::from_golden`]
 //!   deriving stimulus/expectations from the golden executor.
@@ -59,6 +64,7 @@ mod interp;
 mod netlist;
 mod program;
 mod resources;
+mod structure;
 mod testbench;
 mod verify;
 
@@ -66,12 +72,12 @@ pub use activity::{ActivityTrace, BufferActivity, SraActivity, StageActivity};
 pub use emit::emit_verilog;
 pub use interp::{eval_acc, interpret, interpret_with_trace, trunc, InterpError, InterpReport};
 pub use netlist::{
-    build_netlist, sra_cells, sra_columns, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance,
-    Item, LineBufPayload, Module, ModuleKind, Net, NetBuffer, NetEdge, NetStage, Netlist,
-    StagePayload,
+    build_netlist, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item, LineBufPayload,
+    Module, ModuleKind, Net, Netlist, StagePayload,
 };
 pub use program::{EvalProgram, GateGap, ScheduleActivity};
-pub use resources::{report_resources, report_resources_for, ResourceReport};
+pub use resources::{report_resources, ResourceReport};
+pub use structure::{describe, sra_cells, sra_columns, NetBuffer, NetEdge, NetStage, Structure};
 pub use testbench::{generate_testbench, TestVectors};
 pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};
 

@@ -1,9 +1,10 @@
 //! The typed structural netlist IR.
 //!
-//! [`build_netlist`] elaborates a scheduled [`Design`] into a [`Netlist`]:
-//! modules with typed ports and nets, instances with named connections,
-//! registers, SRAM primitives, and combinational expression nets. The
-//! netlist is the single artifact every backend consumer works from:
+//! [`build_netlist`] elaborates a scheduled [`Design`] into a [`Netlist`]
+//! on top of its [`Structure`]: modules with typed ports and nets,
+//! instances with named connections, registers, SRAM primitives, and
+//! combinational expression nets. The netlist is the artifact the
+//! backend's text and execution consumers work from:
 //!
 //! * [`emit_verilog`](crate::emit_verilog) prints it as the synthesizable
 //!   Verilog the seed emitter produced (byte-identical at default widths);
@@ -11,17 +12,16 @@
 //!   the verification loop against the golden executor and the
 //!   cycle-level simulator;
 //! * [`verify_all`](crate::verify_all) checks it structurally
-//!   (port arity/width of every instantiation, driver analysis);
-//! * [`report_resources`](crate::report_resources) derives SRAM/flip-flop
-//!   and operator inventories for design-space exploration.
+//!   (port arity/width of every instantiation, driver analysis).
 //!
-//! Alongside the generic module/net/instance structure, the domain nodes
-//! ([`StagePayload`], [`LineBufPayload`], [`NetStage`], [`NetEdge`],
-//! [`NetBuffer`]) retain the semantic payloads — kernels, stencil
-//! windows, buffer geometry, the ILP start cycles — that make the netlist
-//! executable and analyzable without re-deriving anything from the DAG.
+//! Alongside the generic module/net/instance structure, the stage and
+//! line-buffer payloads ([`StagePayload`], [`LineBufPayload`]) tie each
+//! module to its stage (with the kernel it evaluates) or buffer in
+//! [`Netlist::structure`], so the netlist is executable and analyzable
+//! without re-deriving anything from the DAG.
 
-use imagen_ir::{Dag, Expr, StageId, StageKind, Window};
+use crate::structure::{describe, sanitize, sra_cells, NetBuffer, Structure};
+use imagen_ir::{Dag, Expr, StageKind, Window};
 use imagen_mem::{Design, DesignStyle, ImageGeometry};
 
 /// Datapath bit widths of the generated hardware, set in exactly one
@@ -141,7 +141,7 @@ pub enum Item {
     WindowLoad {
         /// The driven shift-register-array net.
         sra: String,
-        /// Index into [`Netlist::edges`].
+        /// Index into [`Structure::edges`].
         edge: usize,
     },
 }
@@ -160,7 +160,7 @@ pub struct StagePayload {
 /// Semantic payload of a line-buffer module (rotating SRAM banks).
 #[derive(Clone, Debug)]
 pub struct LineBufPayload {
-    /// Index into [`Netlist::buffers`].
+    /// Index into [`Structure::buffers`].
     pub buffer: usize,
 }
 
@@ -214,121 +214,12 @@ impl Module {
     }
 }
 
-/// Per-stage control/schedule information mirrored into the netlist.
-#[derive(Clone, Debug)]
-pub struct NetStage {
-    /// Stage index in the DAG (= topological position).
-    pub index: usize,
-    /// Stage name as authored.
-    pub name: String,
-    /// Identifier-safe stage name used for nets and module names.
-    pub sanitized: String,
-    /// `Some(k)` when this is the `k`-th input stream; `None` for compute
-    /// stages.
-    pub input_stream: Option<usize>,
-    /// Index into [`Netlist::modules`] of the stage compute module
-    /// (`None` for input stages).
-    pub module: Option<usize>,
-    /// Whether the stage drives an output stream.
-    pub is_output: bool,
-    /// ILP start cycle.
-    pub start_cycle: u64,
-    /// Cumulative horizontal rate scale (`1` for rate-1 stages): the
-    /// stage computes only on base cycles with `x % scale_x == 0`.
-    pub scale_x: u64,
-    /// Cumulative vertical rate scale (`1` for rate-1 stages): the stage
-    /// computes only on base rows with `y % scale_y == 0`.
-    pub scale_y: u64,
-}
-
-impl NetStage {
-    /// Whether the stage runs at a non-unit cumulative rate.
-    pub fn is_multirate(&self) -> bool {
-        self.scale_x != 1 || self.scale_y != 1
-    }
-}
-
-/// One producer→consumer stencil edge mirrored into the netlist.
-#[derive(Clone, Debug)]
-pub struct NetEdge {
-    /// Producer stage index.
-    pub producer: usize,
-    /// Consumer stage index.
-    pub consumer: usize,
-    /// Tap slot in the consumer's kernel.
-    pub slot: usize,
-    /// The stencil window (normalized coordinates).
-    pub window: Window,
-}
-
-/// One planned line buffer mirrored into the netlist.
-#[derive(Clone, Debug)]
-pub struct NetBuffer {
-    /// Producer stage index owning the buffer.
-    pub stage: usize,
-    /// Index into [`Netlist::modules`] of the line-buffer module.
-    pub module: usize,
-    /// Rows physically allocated by the plan.
-    pub phys_rows: u32,
-    /// Rows required by the schedule.
-    pub logical_rows: u32,
-    /// Rows of rotating storage the hardware holds
-    /// (`phys_rows.max(logical_rows).max(1)` — the cycle simulator's
-    /// storage model).
-    pub storage_rows: u32,
-    /// Number of SRAM blocks instantiated.
-    pub blocks: usize,
-    /// SRAM blocks the plan actually allocated (`0` for pure-DFF
-    /// buffers, where [`NetBuffer::blocks`] still instantiates one for
-    /// the pinned module shape).
-    pub phys_blocks: usize,
-    /// Ports per block.
-    pub ports: u32,
-    /// Rows sharing one block (the coalescing factor `g`).
-    pub rows_per_block: u32,
-    /// Blocks one row spans when rows exceed block capacity.
-    pub blocks_per_row: u32,
-    /// Allocated capacity of one block, bits (the bank-select segment
-    /// size when rows split across blocks).
-    pub block_capacity_bits: u64,
-    /// Whether the plan allocated FIFO segments (SODA-style) rather than
-    /// rotating line stores.
-    pub fifo: bool,
-    /// Words per SRAM macro (power of two).
-    pub depth: u64,
-    /// Address width of the macros.
-    pub aw: u32,
-}
-
-impl NetBuffer {
-    /// Maps an absolute image row (+ column for split rows) to the index
-    /// of the physical block serving it — the netlist mirror of
-    /// `BufferPlan::block_of`, pinned equal by test so the interpreter's
-    /// activity accounting and the cycle simulator's agree on bank
-    /// attribution.
-    ///
-    /// Returns `None` for buffers with no allocated SRAM blocks.
-    pub fn block_of(&self, abs_row: u64, x: u32, pixel_bits: u32) -> Option<usize> {
-        if self.phys_blocks == 0 || self.phys_rows == 0 {
-            return None;
-        }
-        let phys_row = (abs_row % self.phys_rows as u64) as u32;
-        let idx = if self.blocks_per_row > 1 {
-            let seg = (x as u64 * pixel_bits as u64) / self.block_capacity_bits.max(1);
-            phys_row as u64 * self.blocks_per_row as u64 + seg
-        } else {
-            (phys_row / self.rows_per_block.max(1)) as u64
-        };
-        Some((idx as usize).min(self.phys_blocks - 1))
-    }
-}
-
 /// The temporal clock-gating condition of one line buffer: its read port
 /// is enabled only while some consumer's ILP window is live, instead of
 /// the ungated `ren = 1'b1`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BufferGate {
-    /// Index into [`Netlist::buffers`].
+    /// Index into [`Structure::buffers`].
     pub buffer: usize,
     /// First cycle (inclusive) the read port is enabled.
     pub read_start: u64,
@@ -361,7 +252,9 @@ impl GatingPlan {
     }
 }
 
-/// A fully elaborated accelerator netlist.
+/// A fully elaborated accelerator netlist: the [`Structure`] it was
+/// built from, plus the modules, nets and instances elaborated on top of
+/// it at one set of [`BitWidths`].
 #[derive(Clone, Debug)]
 pub struct Netlist {
     /// Pipeline name as authored.
@@ -370,25 +263,19 @@ pub struct Netlist {
     pub sanitized: String,
     /// Generator style label (carried into the header comment).
     pub style: DesignStyle,
-    /// Frame geometry the design was compiled for.
+    /// Frame geometry the netlist was elaborated for: a copy of
+    /// [`Structure::geometry`], which the crates read instead.
     pub geometry: ImageGeometry,
     /// Datapath widths the netlist was elaborated at.
     pub widths: BitWidths,
-    /// Per-stage control information, in topological order.
-    pub stages: Vec<NetStage>,
-    /// Stencil edges in DAG edge order (slot order per consumer).
-    pub edges: Vec<NetEdge>,
-    /// Line buffers in design order.
-    pub buffers: Vec<NetBuffer>,
+    /// The design's stages, edges and buffers, as [`describe`] derived
+    /// them.
+    pub structure: Structure,
     /// All modules: SRAM primitives, stage modules, line-buffer modules,
     /// then the top module.
     pub modules: Vec<Module>,
     /// Index of the top module in [`Netlist::modules`].
     pub top: usize,
-    /// Pixels per frame (`width * height`).
-    pub frame: u64,
-    /// Cycle at which the last output pixel has streamed out.
-    pub done_cycle: u64,
     /// Clock-gating plan, if the netlist has been through
     /// `imagen_power::gate_clocks` (`None` from [`build_netlist`]).
     pub gating: Option<GatingPlan>,
@@ -410,19 +297,12 @@ impl Netlist {
         self.modules.iter().find(|m| m.name == name)
     }
 
-    /// Input streams: `(stream index, stage index, start cycle)`.
-    pub fn input_streams(&self) -> Vec<(usize, usize, u64)> {
-        self.stages
-            .iter()
-            .filter_map(|s| s.input_stream.map(|k| (k, s.index, s.start_cycle)))
-            .collect()
-    }
-
     /// The compute module of a stage, by DAG stage index (`None` for
     /// input stages).
     pub fn stage_module(&self, stage: usize) -> Option<&Module> {
-        let m = self.stages.iter().find(|s| s.index == stage)?.module?;
-        self.modules.get(m)
+        self.modules
+            .iter()
+            .find(|m| m.stage_payload().is_some_and(|p| p.stage == stage))
     }
 
     /// The kernel expression a stage's datapath evaluates, by DAG stage
@@ -431,75 +311,6 @@ impl Netlist {
     pub fn stage_kernel(&self, stage: usize) -> Option<&Expr> {
         self.stage_module(stage)?.stage_payload().map(|p| &p.kernel)
     }
-
-    /// Edges consumed by a stage: `(edge index, edge)`, in edge order.
-    pub fn consumer_edges(&self, consumer: usize) -> impl Iterator<Item = (usize, &NetEdge)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.consumer == consumer)
-    }
-
-    /// The line buffer owned by a producer stage, with its index into
-    /// [`Netlist::buffers`].
-    pub fn buffer_of_stage(&self, stage: usize) -> Option<(usize, &NetBuffer)> {
-        self.buffers
-            .iter()
-            .enumerate()
-            .find(|(_, b)| b.stage == stage)
-    }
-
-    /// The half-open cycle window `[start, start + frame)` during which a
-    /// stage is enabled — the netlist's mirror of the ILP `Plan` enables,
-    /// which the stream-alignment prover replays symbolically.
-    pub fn enable_window(&self, stage: usize) -> Option<(u64, u64)> {
-        self.stages
-            .iter()
-            .find(|s| s.index == stage)
-            .map(|s| (s.start_cycle, s.start_cycle + self.frame))
-    }
-
-    /// Output streams: `(stream index, stage index, start cycle)`, in
-    /// stage order (the order the `stream_out_*` ports are declared).
-    pub fn output_streams(&self) -> Vec<(usize, usize, u64)> {
-        self.stages
-            .iter()
-            .filter(|s| s.is_output)
-            .enumerate()
-            .map(|(k, s)| (k, s.index, s.start_cycle))
-            .collect()
-    }
-}
-
-/// Replaces non-alphanumeric characters so names are Verilog identifiers.
-pub(crate) fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// Columns of the shift-register array serving one window: the span from
-/// the oldest tap to the *current* raster column (`dx = 0`), even when
-/// `dx_max < 0`, because the load path always shifts the just-read pixel
-/// in at the right edge — the same storage the cycle-level simulator
-/// models. For the common `dx_max = 0` window this equals `width()`.
-///
-/// Public so the symbolic certifier can cross-check declared SRA nets
-/// against the windows they were sized from.
-pub fn sra_columns(w: &Window) -> u32 {
-    (-w.dx_min + 1).max(1) as u32
-}
-
-/// Cells of the shift-register array serving one window
-/// (`height × sra_columns`).
-pub fn sra_cells(w: &Window) -> u32 {
-    w.height * sra_columns(w)
-}
-
-/// Words per SRAM macro of a line buffer coalescing `rows_per_block`
-/// rows at frame width `width` (power of two, as the macros are sized).
-pub(crate) fn macro_depth(rows_per_block: u32, width: u32) -> u64 {
-    (rows_per_block as u64 * width as u64).next_power_of_two()
 }
 
 fn scalar(name: &str, width: u32) -> Net {
@@ -641,7 +452,7 @@ fn stage_module(widths: &BitWidths, name: &str, payload: StagePayload) -> Module
 
 /// Builds one line-buffer module (rotating banks of SRAM blocks plus the
 /// bank-select logic).
-fn linebuf_module(widths: &BitWidths, stage_name: &str, buf: &NetBuffer, buffer: usize) -> Module {
+fn linebuf_module(widths: &BitWidths, sanitized: &str, buf: &NetBuffer, buffer: usize) -> Module {
     let p = widths.pixel_bits;
     let mut nets = vec![
         port("clk", Dir::Input, 1, false),
@@ -744,75 +555,41 @@ fn linebuf_module(widths: &BitWidths, stage_name: &str, buf: &NetBuffer, buffer:
         net: "rdata".to_string(),
     });
     Module {
-        name: format!("linebuf_{}", sanitize(stage_name)),
+        name: format!("linebuf_{sanitized}"),
         kind: ModuleKind::LineBuffer(LineBufPayload { buffer }),
         nets,
         items,
     }
 }
 
-/// Elaborates a scheduled design into a typed netlist.
+/// Elaborates a scheduled design into a typed netlist: [`describe`]s
+/// its structure, then builds the modules, nets and instances on top of
+/// it at `widths`.
 ///
-/// The returned netlist is self-contained: it carries the schedule, the
-/// buffer geometry and the kernels, so every downstream consumer
-/// (emission, interpretation, verification, resource reporting) works
-/// from the netlist alone.
+/// The returned netlist is self-contained: it carries the structure and
+/// the kernels, so every downstream consumer (emission, interpretation,
+/// verification) works from the netlist alone.
 pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist {
-    let geom = design.geometry;
+    let structure = describe(dag, design);
     let p = widths.pixel_bits;
-    let frame = geom.pixels();
-
-    // Stage roster with stream assignments.
-    let scales = dag.stage_scales();
-    let mut stages: Vec<NetStage> = Vec::with_capacity(dag.num_stages());
-    let mut in_idx = 0usize;
-    for (id, stage) in dag.stages() {
-        let input_stream = if stage.is_input() {
-            let k = in_idx;
-            in_idx += 1;
-            Some(k)
-        } else {
-            None
-        };
-        let (scale_x, scale_y) = scales[id.index()];
-        stages.push(NetStage {
-            index: id.index(),
-            name: stage.name().to_string(),
-            sanitized: sanitize(stage.name()),
-            input_stream,
-            module: None,
-            is_output: stage.is_output(),
-            start_cycle: *design.start_cycles.get(id.index()).unwrap_or(&0),
-            scale_x,
-            scale_y,
-        });
-    }
-
-    let edges: Vec<NetEdge> = dag
-        .edges()
-        .map(|(_, e)| NetEdge {
-            producer: e.producer().index(),
-            consumer: e.consumer().index(),
-            slot: e.slot(),
-            window: *e.window(),
-        })
-        .collect();
+    let stages = &structure.stages;
+    let edges = &structure.edges;
 
     let mut modules = vec![sram_primitive(1), sram_primitive(2)];
 
-    // Stage compute modules, in stage order.
+    // Stage compute modules, in stage order: one window per producer
+    // slot, in slot order.
     for (id, stage) in dag.stages() {
         if let StageKind::Compute { kernel } = stage.kind() {
-            let mut windows = Vec::new();
-            for slot in 0..stage.producers().len() {
-                let w = dag
-                    .producer_edges(id)
-                    .find(|(_, e)| e.slot() == slot)
-                    .map(|(_, e)| *e.window())
-                    .expect("edge per slot");
-                windows.push(w);
-            }
-            stages[id.index()].module = Some(modules.len());
+            let windows = (0..stage.producers().len())
+                .map(|slot| {
+                    edges
+                        .iter()
+                        .find(|e| e.consumer == id.index() && e.slot == slot)
+                        .map(|e| e.window)
+                        .expect("edge per slot")
+                })
+                .collect();
             modules.push(stage_module(
                 widths,
                 stage.name(),
@@ -826,45 +603,14 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
     }
 
     // Line-buffer modules, in design order.
-    let mut buffers: Vec<NetBuffer> = Vec::with_capacity(design.buffers.len());
-    for plan in &design.buffers {
-        let stage_name = dag
-            .stage(StageId::from_index(plan.stage))
-            .name()
-            .to_string();
-        // Buffer rows hold the producer's own grid: W / scale_x words.
-        let buf_width = (u64::from(geom.width) / scales[plan.stage].0.max(1)) as u32;
-        let depth = macro_depth(plan.rows_per_block, buf_width);
-        let buf = NetBuffer {
-            stage: plan.stage,
-            module: modules.len(),
-            phys_rows: plan.phys_rows,
-            logical_rows: plan.logical_rows,
-            storage_rows: plan.phys_rows.max(plan.logical_rows).max(1),
-            blocks: plan.blocks.len().max(1),
-            phys_blocks: plan.blocks.len(),
-            ports: plan.blocks.first().map(|b| b.ports).unwrap_or(2),
-            rows_per_block: plan.rows_per_block,
-            blocks_per_row: plan.blocks_per_row,
-            block_capacity_bits: plan.blocks.first().map(|b| b.capacity_bits).unwrap_or(0),
-            fifo: plan
-                .blocks
-                .iter()
-                .any(|b| b.role == imagen_mem::BlockRole::FifoSegment),
-            depth,
-            aw: depth.trailing_zeros().max(1),
-        };
-        let m = linebuf_module(widths, &stage_name, &buf, buffers.len());
-        buffers.push(buf);
-        modules.push(m);
+    for (bi, buf) in structure.buffers.iter().enumerate() {
+        modules.push(linebuf_module(
+            widths,
+            &stages[buf.stage].sanitized,
+            buf,
+            bi,
+        ));
     }
-
-    let done_cycle = stages
-        .iter()
-        .filter(|s| s.is_output)
-        .map(|s| s.start_cycle + frame)
-        .max()
-        .unwrap_or(frame);
 
     // Top module.
     let mut nets = vec![
@@ -891,7 +637,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
     let mut items = vec![Item::Register {
         net: "cycle".to_string(),
     }];
-    for s in &stages {
+    for s in stages {
         let n = &s.sanitized;
         for (name, width) in [
             (format!("en_{n}"), 1),
@@ -916,7 +662,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
             });
         }
     }
-    for buf in &buffers {
+    for buf in &structure.buffers {
         let pname = &stages[buf.stage].sanitized;
         items.push(Item::Inst(Instance {
             module: format!("linebuf_{pname}"),
@@ -935,17 +681,13 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         }));
     }
     // Shift-register arrays and stage instances.
-    for s in &stages {
-        let Some(module) = s.module else { continue };
+    for s in stages.iter().filter(|s| s.census.is_some()) {
         let n = &s.sanitized;
         let mut conns = vec![
             ("clk".to_string(), Conn::Net("clk".to_string())),
             ("en".to_string(), Conn::Net(format!("en_{n}"))),
         ];
-        for (eidx, e) in edges.iter().enumerate() {
-            if e.consumer != s.index {
-                continue;
-            }
+        for (eidx, e) in structure.consumer_edges(s.index) {
             let sra = format!("sra_{n}_{}", e.slot);
             nets.push(Net {
                 name: sra.clone(),
@@ -963,13 +705,12 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         }
         conns.push(("pixel_out".to_string(), Conn::Net(format!("out_{n}"))));
         items.push(Item::Inst(Instance {
-            module: modules[module].name.clone(),
+            module: format!("stage_{n}"),
             name: format!("u_{n}"),
             conns,
         }));
     }
-    for (k, s) in stages.iter().filter(|s| s.is_output).enumerate() {
-        let _ = s;
+    for k in 0..n_outputs {
         items.push(Item::Assign {
             net: format!("stream_out_{k}"),
         });
@@ -989,15 +730,11 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         name: dag.name().to_string(),
         sanitized: sanitize(dag.name()),
         style: design.style,
-        geometry: geom,
+        geometry: structure.geometry,
         widths: *widths,
-        stages,
-        edges,
-        buffers,
+        structure,
         modules,
         top,
-        frame,
-        done_cycle,
         gating: None,
     }
 }
@@ -1044,11 +781,14 @@ mod tests {
         assert_eq!(net.modules.len(), 5);
         assert_eq!(net.top, 4);
         assert!(matches!(net.top_module().kind, ModuleKind::Top));
-        assert_eq!(net.stages.len(), 2);
-        assert_eq!(net.edges.len(), 1);
-        assert_eq!(net.buffers.len(), 1);
-        assert_eq!(net.input_streams(), vec![(0, 0, net.stages[0].start_cycle)]);
-        assert_eq!(net.output_streams().len(), 1);
+        assert_eq!(net.structure.stages.len(), 2);
+        assert_eq!(net.structure.edges.len(), 1);
+        assert_eq!(net.structure.buffers.len(), 1);
+        assert_eq!(
+            net.structure.input_streams(),
+            vec![(0, 0, net.structure.stages[0].start_cycle)]
+        );
+        assert_eq!(net.structure.output_streams().len(), 1);
         // The stage module carries its kernel and window.
         let sm = net.module("stage_K1").unwrap();
         match &sm.kind {
@@ -1065,95 +805,7 @@ mod tests {
             .iter()
             .filter(|i| matches!(i, Item::WindowLoad { .. }))
             .count();
-        assert_eq!(loads, net.edges.len());
-    }
-
-    #[test]
-    fn netbuffer_block_mapping_matches_plan() {
-        // The netlist mirror of `BufferPlan::block_of` must agree with
-        // the plan's own mapping — the interpreter's activity accounting
-        // and the cycle simulator attribute accesses to banks through
-        // these two paths.
-        let geom = ImageGeometry {
-            width: 40,
-            height: 30,
-            pixel_bits: 16,
-        };
-        for alg in imagen_algos::Algorithm::all() {
-            for coalesce in [false, true] {
-                let mut spec = MemorySpec::new(
-                    MemBackend::Asic {
-                        block_bits: 2 * geom.row_bits(),
-                    },
-                    2,
-                );
-                if coalesce {
-                    spec = spec.with_coalescing();
-                }
-                let p = plan_design(
-                    &alg.build(),
-                    &geom,
-                    &spec,
-                    ScheduleOptions::default(),
-                    DesignStyle::Ours,
-                )
-                .unwrap();
-                let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-                for (bp, nb) in p.design.buffers.iter().zip(&net.buffers) {
-                    assert_eq!(bp.stage, nb.stage);
-                    for row in 0..2 * geom.height as u64 {
-                        for x in [0, geom.width / 2, geom.width - 1] {
-                            assert_eq!(
-                                nb.block_of(row, x, geom.pixel_bits),
-                                bp.block_of(row, x, &geom),
-                                "{} coalesce={coalesce} stage={} row={row} x={x}",
-                                alg.name(),
-                                bp.stage
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn netbuffer_block_mapping_matches_plan_on_split_rows() {
-        // Rows wider than a block span several macros (the 1080p
-        // regime); the column-segment decode must agree too.
-        let mut dag = Dag::new("split");
-        let k0 = dag.add_input("K0");
-        let k1 = dag
-            .add_stage("K1", &[k0], Expr::sum((0..3).map(|i| Expr::tap(0, 0, i))))
-            .unwrap();
-        dag.mark_output(k1);
-        let geom = ImageGeometry {
-            width: 120,
-            height: 20,
-            pixel_bits: 16,
-        };
-        let spec = MemorySpec::new(MemBackend::Asic { block_bits: 1024 }, 2);
-        let p = plan_design(
-            &dag,
-            &geom,
-            &spec,
-            ScheduleOptions::default(),
-            DesignStyle::Ours,
-        )
-        .unwrap();
-        let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        let bp = &p.design.buffers[0];
-        let nb = &net.buffers[0];
-        assert!(nb.blocks_per_row > 1, "rows must split for this test");
-        for row in 0..2 * geom.height as u64 {
-            for x in 0..geom.width {
-                assert_eq!(
-                    nb.block_of(row, x, geom.pixel_bits),
-                    bp.block_of(row, x, &geom),
-                    "row={row} x={x}"
-                );
-            }
-        }
+        assert_eq!(loads, net.structure.edges.len());
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //!   select it over the vectorized tile loop;
 //! * **closed-form + single-pass activity, at every rate** — the
 //!   compiler splits into a pixel-free *layout* (stage order,
-//!   window-load edges, gate windows, the streaming-margin proof) and
-//!   the kernel tapes. Every trace quantity but the two data toggles
+//!   window-load edges, gate windows, the streaming-margin proof), read
+//!   from the netlist's [`Structure`] and gating plan alone, and the
+//!   kernel tapes. Every trace quantity but the two data toggles
 //!   comes from the layout: enable duty, gated-off cycles, shift/write
 //!   totals and SRAM access totals are closed forms, and per-block SRAM
 //!   read/write/peak counters and the cycles some consumer loads come
@@ -46,7 +47,7 @@
 //!   producer's grid at its own cadence, so within a span the per-cycle
 //!   counts repeat with the producer's column stride (1 at rate 1) and
 //!   each residue class is counted once. [`ScheduleActivity`] exposes
-//!   exactly that part without lowering a tape or running a frame. The
+//!   exactly that part without a netlist, a tape or a frame. The
 //!   toggles are recovered from the dense stage images in one linear
 //!   pass: output-register toggles walk each stage's own raster, and
 //!   shift-register toggles use the delay-line identity (each
@@ -68,7 +69,8 @@
 
 use crate::activity::{ActivityTrace, BufferActivity};
 use crate::interp::{trunc, InterpError, InterpReport};
-use crate::netlist::{sra_columns, GatingPlan, ModuleKind, NetBuffer, Netlist};
+use crate::netlist::{GatingPlan, Netlist};
+use crate::structure::{sra_columns, NetBuffer, Structure};
 use imagen_ir::{BinOp, CmpOp, Expr};
 use imagen_sim::Image;
 use std::collections::HashMap;
@@ -786,37 +788,38 @@ fn gate_cols(gate: Option<(u64, u64)>, base: u64, n: usize, step: u64) -> (usize
 }
 
 impl Layout {
-    /// Derives the layout of `net` under its own gating plan.
+    /// Derives the layout of `structure` with its read ports gated by
+    /// `gating` (`None`: ungated).
     ///
     /// # Errors
     ///
     /// [`InterpError::MissingBuffer`] when a windowed producer owns no
     /// line buffer, and [`InterpError::NotStreamable`] when the schedule
     /// violates the streaming margins on an edge.
-    fn new(net: &Netlist) -> Result<Layout, InterpError> {
-        let geom = net.geometry;
+    fn new(structure: &Structure, gating: Option<&GatingPlan>) -> Result<Layout, InterpError> {
+        let geom = structure.geometry;
         let (w, h) = (geom.width as i64, geom.height as i64);
-        let frame = net.frame;
+        let frame = structure.frame;
 
-        let mut bufidx_of_stage: Vec<Option<usize>> = vec![None; net.stages.len()];
-        for (i, b) in net.buffers.iter().enumerate() {
+        let mut bufidx_of_stage: Vec<Option<usize>> = vec![None; structure.stages.len()];
+        for (i, b) in structure.buffers.iter().enumerate() {
             bufidx_of_stage[b.stage] = Some(i);
         }
-        for e in &net.edges {
+        for e in &structure.edges {
             if bufidx_of_stage[e.producer].is_none() {
                 return Err(InterpError::MissingBuffer { stage: e.producer });
             }
         }
 
-        let gates = gate_windows(net.gating.as_ref(), net.buffers.iter().map(|b| b.fifo));
+        let gates = gate_windows(gating, structure.buffers.iter().map(|b| b.fifo));
 
         // Stage order: sorted by ILP start cycle, so producers stream
         // before their consumers (the write-lead margin below proves the
         // starts are strictly ordered along every edge).
-        let mut order: Vec<usize> = (0..net.stages.len()).collect();
-        order.sort_by_key(|&i| (net.stages[i].start_cycle, i));
+        let mut order: Vec<usize> = (0..structure.stages.len()).collect();
+        order.sort_by_key(|&i| (structure.stages[i].start_cycle, i));
 
-        let end = net
+        let end = structure
             .stages
             .iter()
             .map(|s| s.start_cycle + frame)
@@ -836,15 +839,19 @@ impl Layout {
         // past the rate-1 model's last access, hence the extra reuse
         // slack term. Every planner schedule satisfies both; a
         // hand-built netlist that does not is refused.
-        let scale_of: Vec<(u64, u64)> = net.stages.iter().map(|s| (s.scale_x, s.scale_y)).collect();
+        let scale_of: Vec<(u64, u64)> = structure
+            .stages
+            .iter()
+            .map(|s| (s.scale_x, s.scale_y))
+            .collect();
         let multirate = scale_of.iter().any(|&s| s != (1, 1));
-        for (edge, e) in net.edges.iter().enumerate() {
-            let sc = net.stages[e.consumer].start_cycle as i64;
-            let sp = net.stages[e.producer].start_cycle as i64;
+        for (edge, e) in structure.edges.iter().enumerate() {
+            let sc = structure.stages[e.consumer].start_cycle as i64;
+            let sp = structure.stages[e.producer].start_cycle as i64;
             let lag = e.window.lag as i64;
             let height = e.window.height as i64;
-            let rows = net.buffers[bufidx_of_stage[e.producer].expect("checked above")].storage_rows
-                as i64;
+            let rows = structure.buffers[bufidx_of_stage[e.producer].expect("checked above")]
+                .storage_rows as i64;
             let pp = scale_of[e.producer].1 as i64 * w;
             let pc = scale_of[e.consumer].1 as i64 * w;
             let write_lead = sc - sp - (lag + height - 1) * pp;
@@ -858,15 +865,15 @@ impl Layout {
             }
         }
 
-        let mut stages = Vec::with_capacity(net.stages.len());
-        let mut edges: Vec<EdgeProg> = Vec::with_capacity(net.edges.len());
+        let mut stages = Vec::with_capacity(structure.stages.len());
+        let mut edges: Vec<EdgeProg> = Vec::with_capacity(structure.edges.len());
         let mut sram_reads = 0u64;
 
         for &si in &order {
-            let s = &net.stages[si];
+            let s = &structure.stages[si];
             let first_edge = edges.len();
             let mut n_vrows = 0usize;
-            for (eidx, e) in net.edges.iter().enumerate() {
+            for (eidx, e) in structure.edges.iter().enumerate() {
                 if e.consumer != si {
                     continue;
                 }
@@ -917,7 +924,7 @@ impl Layout {
                 stage: si,
                 start: s.start_cycle,
                 input: s.input_stream,
-                has_module: s.module.is_some(),
+                has_module: s.census.is_some(),
                 edges: first_edge..edges.len(),
                 n_vrows,
             });
@@ -926,7 +933,7 @@ impl Layout {
         // One write per buffered stage per *write-cadence* cycle: a
         // stage at cumulative scale `(cx, cy)` commits `frame/(cx·cy)`
         // words (the full frame for rate-1 stages).
-        let sram_writes = net
+        let sram_writes = structure
             .buffers
             .iter()
             .map(|b| {
@@ -935,7 +942,7 @@ impl Layout {
             })
             .sum();
 
-        let buffers: Vec<BufMeta> = net
+        let buffers: Vec<BufMeta> = structure
             .buffers
             .iter()
             .map(|nb| {
@@ -944,7 +951,7 @@ impl Layout {
                 if nb.blocks_per_row > 1 {
                     let cap = nb.block_capacity_bits.max(1);
                     let mut prev_seg = 0u64;
-                    for c in 1..geom.width as u64 / pcx {
+                    for c in 1..nb.width as u64 {
                         let seg = c * geom.pixel_bits as u64 / cap;
                         if seg != prev_seg {
                             seg_cuts.push(c * pcx);
@@ -970,9 +977,9 @@ impl Layout {
             buffers,
             gated_off_cycles: gates.iter().map(|&g| gated_off(g, end)).sum(),
             gates,
-            start_of: net.stages.iter().map(|s| s.start_cycle).collect(),
-            n_net_stages: net.stages.len(),
-            n_net_edges: net.edges.len(),
+            start_of: structure.stages.iter().map(|s| s.start_cycle).collect(),
+            n_net_stages: structure.stages.len(),
+            n_net_edges: structure.edges.len(),
             sram_reads,
             sram_writes,
             scale_of,
@@ -1318,19 +1325,20 @@ impl fmt::Display for GateGap {
 
 impl std::error::Error for GateGap {}
 
-/// The activity counts a netlist's structure and schedule fix, derived
+/// The activity counts a design's structure and schedule fix, derived
 /// without running a frame.
 ///
-/// For every netlist the executor accepts — any rate, any backend, as
+/// For every design the executor accepts — any rate, any backend, as
 /// long as the schedule satisfies the streaming margins — every
 /// [`ActivityTrace`] field except the two data toggles is a function of
 /// the schedule: SRAM block reads, writes and peaks, read-port enabled,
 /// idle and gated-off cycles, stage active cycles, output-register
 /// writes and SRA shift cycles and cell writes. [`ScheduleActivity`]
-/// computes exactly those, through the same code
-/// [`EvalProgram::run_with_trace`] uses, in work proportional to the
-/// frame's rows rather than its pixels, and lowers no kernel. Its traces
-/// do **not** collect `out_reg_toggles` or `bit_toggles`: both are zero.
+/// computes exactly those from the [`Structure`] and a gating plan,
+/// through the same code [`EvalProgram::run_with_trace`] uses, in work
+/// proportional to the frame's rows rather than its pixels; it needs no
+/// netlist and lowers no kernel. Its traces do **not** collect
+/// `out_reg_toggles` or `bit_toggles`: both are zero.
 #[derive(Clone, Debug)]
 pub struct ScheduleActivity {
     layout: Layout,
@@ -1338,36 +1346,41 @@ pub struct ScheduleActivity {
 }
 
 impl ScheduleActivity {
-    /// Derives the schedule-determined activity of `net` under its own
-    /// gating plan.
+    /// Derives the schedule-determined activity of `structure` with its
+    /// read ports gated by `gating` (`None`: ungated; a netlist's own is
+    /// `net.gating.as_ref()`).
     ///
     /// # Errors
     ///
     /// [`InterpError`] exactly when [`EvalProgram::compile`] refuses the
     /// netlist: a windowed producer without a line buffer, or a schedule
     /// that violates the streaming margins.
-    pub fn derive(net: &Netlist) -> Result<ScheduleActivity, InterpError> {
-        let layout = Layout::new(net)?;
+    pub fn derive(
+        structure: &Structure,
+        gating: Option<&GatingPlan>,
+    ) -> Result<ScheduleActivity, InterpError> {
+        let layout = Layout::new(structure, gating)?;
         let blocks = layout.block_counts();
         Ok(ScheduleActivity { layout, blocks })
     }
 
-    /// The netlist's trace: equal to [`crate::interpret_with_trace`]'s on
-    /// every field but the two data toggles, which are not collected
-    /// (zero).
+    /// The trace under the derived gating: equal to
+    /// [`crate::interpret_with_trace`]'s on a netlist of the structure
+    /// carrying that gating, on every field but the two data toggles,
+    /// which are not collected (zero).
     pub fn trace(&self) -> ActivityTrace {
         self.layout.trace(&self.blocks, &self.layout.gates)
     }
 
-    /// The trace of the same netlist clock-gated by `plan` instead of its
-    /// own gating, without re-running the block sweep: the block counts
+    /// The trace of the same design clock-gated by `plan` instead of the
+    /// derived gating, without re-running the block sweep: the block counts
     /// and the read ports' busy cycles are shared, and only the enabled,
     /// idle and gated-off cycles are re-derived under `plan`'s windows.
     /// Toggles are not collected (zero).
     ///
     /// # Errors
     ///
-    /// [`GateGap`] when a gate of `plan`, or of the netlist's own plan,
+    /// [`GateGap`] when a gate of `plan`, or of the derived gating,
     /// misses part of a consumer's enable window `[start, start +
     /// frame)`. When every gate covers its consumers, a gated netlist
     /// loads exactly the words the ungated one loads, on every input, so
@@ -1416,19 +1429,15 @@ impl EvalProgram {
     /// violates the streaming margins on an edge.
     pub fn compile(net: &Netlist) -> Result<EvalProgram, InterpError> {
         let _s = imagen_obs::span("program.build");
-        let layout = Layout::new(net)?;
+        let layout = Layout::new(&net.structure, net.gating.as_ref())?;
 
         // Linearize each kernel; taps resolve to (virtual row, dx).
         let tapes: Vec<Tape> = layout
             .stages
             .iter()
             .map(|st| {
-                let Some(m) = net.stages[st.stage].module else {
+                let Some(kernel) = net.stage_kernel(st.stage) else {
                     return Tape::default();
-                };
-                let kernel = match &net.modules[m].kind {
-                    ModuleKind::Stage(p) => &p.kernel,
-                    other => unreachable!("stage module of wrong kind: {other:?}"),
                 };
                 let edges = &layout.edges[st.edges.clone()];
                 let mut tb = TapeBuilder::default();
@@ -1450,7 +1459,8 @@ impl EvalProgram {
             .collect();
         let max_regs = tapes.iter().map(|t| t.ops.len()).max().unwrap_or(0);
 
-        let outputs: Vec<usize> = net
+        let s = &net.structure;
+        let outputs: Vec<usize> = s
             .stages
             .iter()
             .filter(|s| s.is_output)
@@ -1458,12 +1468,12 @@ impl EvalProgram {
             .collect();
 
         Ok(EvalProgram {
-            width_px: net.geometry.width,
-            height_px: net.geometry.height,
-            done_cycle: net.done_cycle,
+            width_px: s.geometry.width,
+            height_px: s.geometry.height,
+            done_cycle: s.done_cycle,
             pixel: net.widths.pixel_bits,
             acc: net.widths.acc_bits,
-            n_inputs: net.input_streams().len(),
+            n_inputs: s.input_streams().len(),
             outputs,
             max_regs,
             layout,

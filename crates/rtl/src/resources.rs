@@ -1,19 +1,21 @@
-//! Netlist-derived resource accounting.
+//! Structure-derived resource accounting.
 //!
-//! [`report_resources`] walks a [`Netlist`] and inventories what the
-//! described hardware is made of: instantiated SRAM macro bits, flip-flop
-//! bits (window shift-register arrays, output registers, control
-//! counters), and datapath operators from the stage kernels. Unlike the
+//! [`report_resources`] inventories what a design's hardware is made of,
+//! from its [`Structure`] at one set of [`BitWidths`]: instantiated SRAM
+//! macro bits, flip-flop bits (window shift-register arrays, stage output
+//! registers, the cycle counter, the line buffers' bank-select
+//! registers), and datapath operators from the stage kernels. Unlike the
 //! analytic cost models in `imagen-mem` (which price the *allocation*,
-//! block-quantum included), this report counts exactly what the netlist
-//! instantiates — `imagen-dse` exposes it as an additional costing axis
-//! next to the area/power models.
+//! block-quantum included), this report counts exactly what
+//! [`build_netlist`](crate::build_netlist) instantiates — a test walks
+//! the elaborated modules' register nets as the reference — and needs no
+//! elaboration, so `imagen-dse` reports it for every point as a costing
+//! axis next to the area/power models.
 
-use crate::netlist::{macro_depth, sra_cells, BitWidths, Item, ModuleKind, Netlist};
-use imagen_ir::{Dag, StageKind};
-use imagen_mem::Design;
+use crate::netlist::BitWidths;
+use crate::structure::{sra_cells, Structure};
 
-/// Inventory of one netlist's hardware resources.
+/// Inventory of one design's hardware resources.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ResourceReport {
     /// Bits of SRAM macro capacity instantiated (`blocks × depth ×
@@ -45,83 +47,34 @@ impl ResourceReport {
     }
 }
 
-/// Derives the resource inventory of a netlist.
-pub fn report_resources(net: &Netlist) -> ResourceReport {
-    let mut r = ResourceReport::default();
-
-    // SRAM: every line buffer instantiates `blocks` macros of
-    // depth × pixel words.
-    for buf in &net.buffers {
-        r.sram_blocks += buf.blocks;
-        r.sram_bits += buf.blocks as u64 * buf.depth * net.widths.pixel_bits as u64;
-    }
-
-    // Flip-flops and operators: walk each non-primitive module once per
-    // instantiation (every stage/linebuf module is instantiated exactly
-    // once from the top, and the top itself once).
-    for m in &net.modules {
-        if matches!(m.kind, ModuleKind::SramPrimitive { .. }) {
-            continue;
-        }
-        for item in &m.items {
-            let (Item::Register { net: name } | Item::WindowLoad { sra: name, .. }) = item else {
-                continue;
-            };
-            // WindowLoad drives the same reg net it names; count the net
-            // once (Register items and WindowLoad items never alias).
-            let n = m.net(name).expect("items drive declared nets");
-            r.flipflop_bits += n.width as u64 * n.array.unwrap_or(1) as u64;
-        }
-        if let ModuleKind::Stage(p) = &m.kind {
-            let census = p.kernel.op_census();
-            r.adders += census.adds;
-            r.multipliers += census.muls;
-            r.dividers += census.divs;
-            r.comparators += census.cmps;
-            r.muxes += census.muxes;
-        }
-    }
-    r
-}
-
-/// Derives the same inventory as [`report_resources`] straight from the
-/// design, without elaborating a netlist.
-///
-/// This is the design-space-exploration fast path: a priced DSE point
-/// needs the structural costing axis but no modules, nets or name
-/// strings, and sweeps evaluate hundreds of points. The two derivations
-/// share the sizing helpers (`sra_cells`, `macro_depth`) and are pinned
-/// equal by test for every evaluation pipeline in both port
-/// configurations.
-pub fn report_resources_for(dag: &Dag, design: &Design, widths: &BitWidths) -> ResourceReport {
+/// Derives the resource inventory of the hardware a design's structure
+/// elaborates to at `widths`.
+pub fn report_resources(structure: &Structure, widths: &BitWidths) -> ResourceReport {
     let pixel = widths.pixel_bits as u64;
-    let mut r = ResourceReport::default();
-
-    for plan in &design.buffers {
-        let blocks = plan.blocks.len().max(1);
-        let depth = macro_depth(plan.rows_per_block, design.geometry.width);
-        r.sram_blocks += blocks;
-        r.sram_bits += blocks as u64 * depth * pixel;
-        // Each line-buffer module pipelines its bank select (rblk_q).
+    // The top module's cycle counter.
+    let mut r = ResourceReport {
+        flipflop_bits: 64,
+        ..ResourceReport::default()
+    };
+    for buf in &structure.buffers {
+        // `blocks` macros of depth × pixel words, plus the line-buffer
+        // module's pipelined bank select (rblk_q).
+        r.sram_blocks += buf.blocks;
+        r.sram_bits += buf.blocks as u64 * buf.depth * pixel;
         r.flipflop_bits += 32;
     }
-    // The top module's cycle counter.
-    r.flipflop_bits += 64;
-    for (_, stage) in dag.stages() {
-        if let StageKind::Compute { kernel } = stage.kind() {
-            // The stage output register.
-            r.flipflop_bits += pixel;
-            let census = kernel.op_census();
-            r.adders += census.adds;
-            r.multipliers += census.muls;
-            r.dividers += census.divs;
-            r.comparators += census.cmps;
-            r.muxes += census.muxes;
-        }
+    for census in structure.stages.iter().filter_map(|s| s.census) {
+        // The stage output register and the kernel's operators.
+        r.flipflop_bits += pixel;
+        r.adders += census.adds;
+        r.multipliers += census.muls;
+        r.dividers += census.divs;
+        r.comparators += census.cmps;
+        r.muxes += census.muxes;
     }
-    for (_, e) in dag.edges() {
+    for e in &structure.edges {
         // One window shift-register array per edge.
-        r.flipflop_bits += sra_cells(e.window()) as u64 * pixel;
+        r.flipflop_bits += sra_cells(&e.window) as u64 * pixel;
     }
     r
 }
@@ -129,7 +82,7 @@ pub fn report_resources_for(dag: &Dag, design: &Design, widths: &BitWidths) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{build_netlist, BitWidths};
+    use crate::netlist::{build_netlist, Item, ModuleKind, Netlist};
     use imagen_ir::{BinOp, Dag, Expr};
     use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
     use imagen_schedule::{plan_design, ScheduleOptions};
@@ -165,8 +118,12 @@ mod tests {
         )
         .unwrap();
         let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-        let r = report_resources(&net);
-        assert_eq!(r.sram_blocks, net.buffers.iter().map(|b| b.blocks).sum());
+        let r = report_resources(&net.structure, &net.widths);
+        assert_eq!(r, module_walk(&net));
+        assert_eq!(
+            r.sram_blocks,
+            net.structure.buffers.iter().map(|b| b.blocks).sum()
+        );
         assert!(r.sram_bits > 0);
         assert!(r.sram_kb() > 0.0);
         // 3x1 window SRA (3 cells x 16b) + pixel_out (16) + cycle (64) +
@@ -177,39 +134,119 @@ mod tests {
         assert_eq!(r.dividers, 0);
     }
 
+    /// The reference inventory: walks the elaborated modules, counting
+    /// every register net each instantiated module drives, the SRAM
+    /// macros each line-buffer module instantiates, and the operators of
+    /// each stage module's kernel.
+    fn module_walk(net: &Netlist) -> ResourceReport {
+        let mut r = ResourceReport::default();
+        // Every stage/linebuf module is instantiated exactly once from
+        // the top, and the top itself once.
+        for m in &net.modules {
+            match &m.kind {
+                ModuleKind::SramPrimitive { .. } => continue,
+                ModuleKind::LineBuffer(lb) => {
+                    let blocks = m
+                        .items
+                        .iter()
+                        .filter(|i| match i {
+                            Item::Inst(inst) => inst.module.starts_with("imagen_sram_"),
+                            _ => false,
+                        })
+                        .count();
+                    r.sram_blocks += blocks;
+                    r.sram_bits += blocks as u64
+                        * net.structure.buffers[lb.buffer].depth
+                        * net.widths.pixel_bits as u64;
+                }
+                ModuleKind::Stage(p) => {
+                    let census = p.kernel.op_census();
+                    r.adders += census.adds;
+                    r.multipliers += census.muls;
+                    r.dividers += census.divs;
+                    r.comparators += census.cmps;
+                    r.muxes += census.muxes;
+                }
+                ModuleKind::Top => {}
+            }
+            for item in &m.items {
+                let (Item::Register { net: name } | Item::WindowLoad { sra: name, .. }) = item
+                else {
+                    continue;
+                };
+                // WindowLoad drives the same reg net it names; count the
+                // net once (Register and WindowLoad items never alias).
+                let n = m.net(name).expect("items drive declared nets");
+                r.flipflop_bits += n.width as u64 * n.array.unwrap_or(1) as u64;
+            }
+        }
+        r
+    }
+
+    /// The ten `examples/*.imagen` programs, pyramids included.
+    fn corpus() -> Vec<Dag> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "imagen"))
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 10, "the example corpus");
+        files
+            .iter()
+            .map(|p| {
+                let name = p.file_stem().unwrap().to_string_lossy();
+                imagen_dsl::compile(&name, &std::fs::read_to_string(p).unwrap()).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
-    fn fast_path_matches_netlist_derivation() {
-        // The DSE fast path and the netlist walk must agree bit for bit,
-        // for every evaluation pipeline, both port styles, both width
-        // regimes.
-        let geom = ImageGeometry {
-            width: 40,
-            height: 30,
-            pixel_bits: 16,
-        };
-        for alg in imagen_algos::Algorithm::all() {
-            for coalesce in [false, true] {
-                let mut spec = MemorySpec::new(
+    fn structure_count_matches_module_walk_on_corpus() {
+        // The structure-based count must equal what the elaborated
+        // modules instantiate, for every example (pyramids included,
+        // whose buffers hold the producer's narrower grid), on two-row,
+        // split-row and FPGA memories, plain and coalesced, at both
+        // width regimes.
+        for dag in corpus() {
+            for (width, height) in [(32, 24), (64, 48), (120, 80)] {
+                let geom = ImageGeometry {
+                    width,
+                    height,
+                    pixel_bits: 16,
+                };
+                let backends = [
                     MemBackend::Asic {
                         block_bits: 2 * geom.row_bits(),
                     },
-                    2,
-                );
-                if coalesce {
-                    spec = spec.with_coalescing();
-                }
-                let p = plan_design(
-                    &alg.build(),
-                    &geom,
-                    &spec,
-                    ScheduleOptions::default(),
-                    DesignStyle::Ours,
-                )
-                .unwrap();
-                for widths in [BitWidths::default(), BitWidths::wide()] {
-                    let fast = report_resources_for(&p.dag, &p.design, &widths);
-                    let full = report_resources(&build_netlist(&p.dag, &p.design, &widths));
-                    assert_eq!(fast, full, "{} coalesce={coalesce}", alg.name());
+                    MemBackend::Asic { block_bits: 256 },
+                    MemBackend::Fpga,
+                ];
+                for backend in backends {
+                    for coalesce in [false, true] {
+                        let mut spec = MemorySpec::new(backend, 2);
+                        if coalesce {
+                            spec = spec.with_coalescing();
+                        }
+                        let p = plan_design(
+                            &dag,
+                            &geom,
+                            &spec,
+                            ScheduleOptions::default(),
+                            DesignStyle::Ours,
+                        )
+                        .unwrap();
+                        for widths in [BitWidths::default(), BitWidths::wide()] {
+                            let net = build_netlist(&p.dag, &p.design, &widths);
+                            assert_eq!(
+                                report_resources(&net.structure, &widths),
+                                module_walk(&net),
+                                "{} {width}x{height} {backend:?} coalesce={coalesce} {widths:?}",
+                                dag.name()
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -237,8 +274,9 @@ mod tests {
             DesignStyle::Ours,
         )
         .unwrap();
-        let narrow = report_resources(&build_netlist(&p.dag, &p.design, &BitWidths::default()));
-        let wide = report_resources(&build_netlist(&p.dag, &p.design, &BitWidths::wide()));
+        let s = crate::describe(&p.dag, &p.design);
+        let narrow = report_resources(&s, &BitWidths::default());
+        let wide = report_resources(&s, &BitWidths::wide());
         assert!(wide.flipflop_bits > narrow.flipflop_bits);
         assert!(wide.sram_bits > narrow.sram_bits);
     }

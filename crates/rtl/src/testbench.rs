@@ -91,10 +91,11 @@ impl TestVectors {
 /// stream interface, [`RtlError::UnknownPort`] if the netlist's top
 /// module is missing a stream port the testbench would reference.
 pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String, RtlError> {
-    let frame = net.frame;
+    let structure = &net.structure;
+    let frame = structure.frame;
     let pixel = net.widths.pixel_bits;
-    let inputs = net.input_streams();
-    let outputs = net.output_streams();
+    let inputs = structure.input_streams();
+    let outputs = structure.output_streams();
 
     if vectors.inputs.len() != inputs.len() {
         return Err(RtlError::VectorShape {
@@ -122,7 +123,7 @@ pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String
     // A multirate output stage produces its own grid: `frame/(cx·cy)`
     // pixels (the full frame for rate-1 stages).
     for ((_, stage, _), data) in outputs.iter().zip(&vectors.outputs) {
-        let st = &net.stages[*stage];
+        let st = &structure.stages[*stage];
         let want = (frame / (st.scale_x * st.scale_y)) as usize;
         if data.len() != want {
             return Err(RtlError::VectorShape {
@@ -176,7 +177,7 @@ pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String
         );
     }
     for (i, stage, _) in &outputs {
-        let st = &net.stages[*stage];
+        let st = &structure.stages[*stage];
         let _ = writeln!(
             v,
             "    reg signed [{w}:0] exp_mem_{i} [0:{n}];",
@@ -222,13 +223,13 @@ pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String
     let _ = writeln!(v, "    always @(posedge clk) begin");
     let _ = writeln!(v, "        if (!rst) cycle <= cycle + 64'd1;");
     for (i, stage, s) in &outputs {
-        let st = &net.stages[*stage];
+        let st = &structure.stages[*stage];
         // A multirate output only updates on its compute cadence; sample
         // those base cycles and index the stage-grid raster. Rate-1
         // stages emit the seed's every-cycle check verbatim.
         let (guard, idx) = if st.is_multirate() {
             let (cx, cy) = (st.scale_x, st.scale_y);
-            let w = u64::from(net.geometry.width);
+            let w = u64::from(structure.geometry.width);
             (
                 format!(
                     "cycle >= 64'd{s} && cycle < 64'd{e} && (((cycle - 64'd{s}) / {w}) % {cy}) == 0 && (((cycle - 64'd{s}) % {w}) % {cx}) == 0",
@@ -257,7 +258,11 @@ pub fn generate_testbench(net: &Netlist, vectors: &TestVectors) -> Result<String
         let _ = writeln!(v, "            end");
         let _ = writeln!(v, "        end");
     }
-    let _ = writeln!(v, "        if (cycle > 64'd{}) begin", net.done_cycle + 4);
+    let _ = writeln!(
+        v,
+        "        if (cycle > 64'd{}) begin",
+        structure.done_cycle + 4
+    );
     let _ = writeln!(
         v,
         "            if (errors == 0) $display(\"IMAGEN TB PASS\");\n            else $display(\"IMAGEN TB FAIL (%0d mismatches)\", errors);"

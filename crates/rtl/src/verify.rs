@@ -265,6 +265,7 @@ impl SramParams {
 
 /// Verifies the structure of a netlist, accumulating every problem.
 pub fn verify_all(net: &Netlist) -> RtlReport {
+    let st = &net.structure;
     let mut errors = Vec::new();
 
     // Unique module names; the first definition wins for lookups.
@@ -301,7 +302,7 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
         // instantiated at the buffer's address width and the pixel
         // datapath width.
         let sram_params = match &m.kind {
-            ModuleKind::LineBuffer(p) => net.buffers.get(p.buffer).map(|b| SramParams {
+            ModuleKind::LineBuffer(p) => st.buffers.get(p.buffer).map(|b| SramParams {
                 aw: b.aw,
                 data_bits: net.widths.pixel_bits,
             }),
@@ -325,7 +326,7 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
                 }
                 Item::WindowLoad { sra, edge } => {
                     registers += 1;
-                    debug_assert!(*edge < net.edges.len(), "window load names a real edge");
+                    debug_assert!(*edge < st.edges.len(), "window load names a real edge");
                     record_drive(&mut errors, &mut drives, m, sra, None);
                 }
                 Item::Inst(inst) => {

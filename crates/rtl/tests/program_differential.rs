@@ -135,7 +135,8 @@ fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     // Tracing must not perturb results either.
     assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
 
-    let activity = ScheduleActivity::derive(net).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let activity = ScheduleActivity::derive(&net.structure, net.gating.as_ref())
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
     assert_trace_eq(
         &format!("{tag} schedule"),
         &activity.trace(),
@@ -257,20 +258,23 @@ fn schedule_activity_matches_traced_run_across_backends() {
                 let net = build_netlist(&plan.dag, &plan.design, &widths);
                 if *name == "split-row" {
                     assert!(
-                        net.buffers.iter().any(|b| b.blocks_per_row > 1),
+                        net.structure.buffers.iter().any(|b| b.blocks_per_row > 1),
                         "{tag}: rows span several blocks"
                     );
                 }
                 if *name == "soda" {
-                    assert!(net.buffers.iter().any(|b| b.fifo), "{tag}: FIFO buffers");
+                    assert!(
+                        net.structure.buffers.iter().any(|b| b.fifo),
+                        "{tag}: FIFO buffers"
+                    );
                 }
                 differential(&format!("{tag} ungated"), &net, &inputs);
                 let gated = gate_clocks(&net);
                 differential(&format!("{tag} gated"), &gated, &inputs);
 
-                let activity = ScheduleActivity::derive(&net).unwrap();
+                let activity = ScheduleActivity::derive(&net.structure, None).unwrap();
                 let (_, gated_tr) = interpret_with_trace(&gated, &inputs).unwrap();
-                let plan = gating_plan(&net);
+                let plan = gating_plan(&net.structure);
                 assert_trace_eq(
                     &format!("{tag} trace_gated"),
                     &activity.trace_gated(&plan).unwrap(),
@@ -286,7 +290,7 @@ fn schedule_activity_matches_traced_run_across_backends() {
                     // Gates that cut into live consumers zero the same
                     // loads in the walker and the program.
                     if let Some(g) = narrowed.gates.last_mut() {
-                        g.read_end -= net.frame / 3;
+                        g.read_end -= net.structure.frame / 3;
                     }
                     let mut cut = net.clone();
                     cut.gating = Some(narrowed);
@@ -321,8 +325,8 @@ fn unstreamable_schedules_are_refused() {
     assert!(interpret(&net, &inputs).is_ok());
     // Start a consumer together with its producer: its window rows are
     // loaded before they are written.
-    let e = net.edges[0].clone();
-    net.stages[e.consumer].start_cycle = net.stages[e.producer].start_cycle;
+    let e = net.structure.edges[0].clone();
+    net.structure.stages[e.consumer].start_cycle = net.structure.stages[e.producer].start_cycle;
     let refused = InterpError::NotStreamable {
         edge: 0,
         producer: e.producer,
@@ -330,7 +334,10 @@ fn unstreamable_schedules_are_refused() {
     };
     assert_eq!(interpret(&net, &inputs).unwrap_err(), refused);
     assert_eq!(interpret_with_trace(&net, &inputs).unwrap_err(), refused);
-    assert_eq!(ScheduleActivity::derive(&net).unwrap_err(), refused);
+    assert_eq!(
+        ScheduleActivity::derive(&net.structure, None).unwrap_err(),
+        refused
+    );
 }
 
 /// A second, walker-free oracle for the two data toggles, recomputed
@@ -361,9 +368,9 @@ fn data_toggles_match_golden_image_oracle() {
         let net = build_netlist(&plan.dag, &plan.design, &BitWidths::wide());
         let (_, trace) = interpret_with_trace(&net, &inputs).unwrap();
 
-        for s in &net.stages {
+        for s in &net.structure.stages {
             let mut expected = 0u64;
-            if s.module.is_some() {
+            if s.census.is_some() {
                 let mut prev = 0i64;
                 for v in image(s.index).raster() {
                     expected += flips(prev, v);
@@ -377,10 +384,10 @@ fn data_toggles_match_golden_image_oracle() {
             );
         }
 
-        for (ei, e) in net.edges.iter().enumerate() {
+        for (ei, e) in net.structure.edges.iter().enumerate() {
             let prod = image(e.producer);
-            let pcy = net.stages[e.producer].scale_y as u32;
-            let ccy = net.stages[e.consumer].scale_y as usize;
+            let pcy = net.structure.stages[e.producer].scale_y as u32;
+            let ccy = net.structure.stages[e.consumer].scale_y as usize;
             let height = e.window.height as usize;
             let width = sra_columns(&e.window) as usize;
             let mut sra = vec![0i64; height * width];

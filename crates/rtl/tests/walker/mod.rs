@@ -16,7 +16,7 @@
 use imagen_ir::Expr;
 use imagen_rtl::{
     eval_acc, sra_columns, trunc, ActivityTrace, BufferActivity, BufferGate, InterpError,
-    InterpReport, ModuleKind, Netlist, SraActivity, StageActivity,
+    InterpReport, Netlist, SraActivity, StageActivity,
 };
 use imagen_sim::Image;
 
@@ -63,8 +63,9 @@ pub fn walk_with_trace(
 fn empty_trace(net: &Netlist) -> ActivityTrace {
     ActivityTrace {
         run_cycles: 0,
-        frame: net.frame,
+        frame: net.structure.frame,
         buffers: net
+            .structure
             .buffers
             .iter()
             .map(|b| BufferActivity {
@@ -76,8 +77,8 @@ fn empty_trace(net: &Netlist) -> ActivityTrace {
                 ..BufferActivity::default()
             })
             .collect(),
-        stages: vec![StageActivity::default(); net.stages.len()],
-        sras: vec![SraActivity::default(); net.edges.len()],
+        stages: vec![StageActivity::default(); net.structure.stages.len()],
+        sras: vec![SraActivity::default(); net.structure.edges.len()],
     }
 }
 
@@ -122,13 +123,13 @@ fn run(
     inputs: &[Image],
     mut trace: Option<&mut ActivityTrace>,
 ) -> Result<InterpReport, InterpError> {
-    let geom = net.geometry;
+    let geom = net.structure.geometry;
     let (w, h) = (geom.width as i64, geom.height as i64);
-    let frame = net.frame as i64;
+    let frame = net.structure.frame as i64;
     let pixel = net.widths.pixel_bits;
     let acc = net.widths.acc_bits;
 
-    let streams = net.input_streams();
+    let streams = net.structure.input_streams();
     if streams.len() != inputs.len() {
         return Err(InterpError::InputCount {
             expected: streams.len(),
@@ -144,6 +145,7 @@ fn run(
 
     // Per-stage cumulative rate scales (1,1 for rate-1 stages).
     let scales: Vec<(i64, i64)> = net
+        .structure
         .stages
         .iter()
         .map(|s| (s.scale_x as i64, s.scale_y as i64))
@@ -152,8 +154,9 @@ fn run(
     // Per-stage rotating buffers (from the netlist's line-buffer roster).
     // A multirate producer's buffer holds its own grid: w / scale_x words
     // per row.
-    let mut buffers: Vec<Option<BufState>> = (0..net.stages.len()).map(|_| None).collect();
-    for buf in &net.buffers {
+    let mut buffers: Vec<Option<BufState>> =
+        (0..net.structure.stages.len()).map(|_| None).collect();
+    for buf in &net.structure.buffers {
         let (sx, _) = scales[buf.stage];
         buffers[buf.stage] = Some(BufState {
             rows: buf.storage_rows,
@@ -161,18 +164,18 @@ fn run(
         });
     }
     // Every windowed producer must own a buffer for the load path to read.
-    for e in &net.edges {
+    for e in &net.structure.edges {
         if buffers[e.producer].is_none() {
             return Err(InterpError::MissingBuffer { stage: e.producer });
         }
     }
 
     // Netlist-buffer index per stage and per-buffer gating condition.
-    let mut buf_of_stage: Vec<Option<usize>> = vec![None; net.stages.len()];
-    for (i, b) in net.buffers.iter().enumerate() {
+    let mut buf_of_stage: Vec<Option<usize>> = vec![None; net.structure.stages.len()];
+    for (i, b) in net.structure.buffers.iter().enumerate() {
         buf_of_stage[b.stage] = Some(i);
     }
-    let gates: Vec<Option<BufferGate>> = (0..net.buffers.len())
+    let gates: Vec<Option<BufferGate>> = (0..net.structure.buffers.len())
         .map(|i| {
             net.gating
                 .as_ref()
@@ -180,25 +183,27 @@ fn run(
                 .copied()
                 // FIFO chains are dataflow-clocked; the gating pass never
                 // targets them.
-                .filter(|_| !net.buffers[i].fifo)
+                .filter(|_| !net.structure.buffers[i].fifo)
         })
         .collect();
 
     let mut scratch = trace.as_ref().map(|_| TraceScratch {
-        cycle_reads: vec![Vec::new(); net.buffers.len()],
+        cycle_reads: vec![Vec::new(); net.structure.buffers.len()],
         cycle_counts: net
+            .structure
             .buffers
             .iter()
             .map(|b| vec![0u32; b.phys_blocks])
             .collect(),
-        touched: vec![Vec::new(); net.buffers.len()],
-        consumed: vec![false; net.buffers.len()],
-        prev_out: vec![0; net.stages.len()],
+        touched: vec![Vec::new(); net.structure.buffers.len()],
+        consumed: vec![false; net.structure.buffers.len()],
+        prev_out: vec![0; net.structure.stages.len()],
     });
 
     // Shift-register arrays, one per edge — exactly the register arrays
     // the netlist declares (`sra_cells` sizes both).
     let mut sras: Vec<SraState> = net
+        .structure
         .edges
         .iter()
         .map(|e| {
@@ -213,27 +218,24 @@ fn run(
         .collect();
 
     // Input-stream binding and kernel lookup per stage.
-    let mut input_of: Vec<Option<usize>> = vec![None; net.stages.len()];
+    let mut input_of: Vec<Option<usize>> = vec![None; net.structure.stages.len()];
     for (k, stage, _) in &streams {
         input_of[*stage] = Some(*k);
     }
     let kernels: Vec<Option<&Expr>> = net
+        .structure
         .stages
         .iter()
-        .map(|s| {
-            s.module.map(|m| match &net.modules[m].kind {
-                ModuleKind::Stage(p) => &p.kernel,
-                other => unreachable!("stage module of wrong kind: {other:?}"),
-            })
-        })
+        .map(|s| net.stage_kernel(s.index))
         .collect();
     // Per-stage slot -> edge index lookup for kernel taps.
     let slot_edge: Vec<Vec<usize>> = net
+        .structure
         .stages
         .iter()
         .map(|s| {
             let mut v: Vec<usize> = Vec::new();
-            for (i, e) in net.edges.iter().enumerate() {
+            for (i, e) in net.structure.edges.iter().enumerate() {
                 if e.consumer == s.index {
                     if v.len() <= e.slot {
                         v.resize(e.slot + 1, usize::MAX);
@@ -245,10 +247,16 @@ fn run(
         })
         .collect();
 
-    let starts: Vec<i64> = net.stages.iter().map(|s| s.start_cycle as i64).collect();
+    let starts: Vec<i64> = net
+        .structure
+        .stages
+        .iter()
+        .map(|s| s.start_cycle as i64)
+        .collect();
     let end = starts.iter().map(|s| s + frame).max().unwrap_or(frame);
 
     let mut outputs: Vec<(usize, Image)> = net
+        .structure
         .stages
         .iter()
         .filter(|s| s.is_output)
@@ -257,7 +265,7 @@ fn run(
             (s.index, Image::new((w / sx) as u32, (h / sy) as u32))
         })
         .collect();
-    let mut computed: Vec<i64> = vec![0; net.stages.len()];
+    let mut computed: Vec<i64> = vec![0; net.structure.stages.len()];
     let mut sram_reads = 0u64;
     let mut sram_writes = 0u64;
     let mut gated_off_cycles = 0u64;
@@ -266,7 +274,7 @@ fn run(
         // ---- Read phase: window-load paths fill the SRAs, stage
         // modules evaluate. SRAMs are read-first: reads see the data
         // written on previous edges.
-        for s in &net.stages {
+        for s in &net.structure.stages {
             let start = starts[s.index];
             if t < start || t >= start + frame {
                 continue;
@@ -276,7 +284,7 @@ fn run(
             let x = k.rem_euclid(w);
             let (ccx, ccy) = scales[s.index];
 
-            for (eidx, e) in net.edges.iter().enumerate() {
+            for (eidx, e) in net.structure.edges.iter().enumerate() {
                 if e.consumer != s.index {
                     continue;
                 }
@@ -307,7 +315,7 @@ fn run(
                     }
                 }
                 let pb = buffers[e.producer].as_ref().expect("checked above");
-                let nb = &net.buffers[bufidx];
+                let nb = &net.structure.buffers[bufidx];
                 for j in 0..sra.height {
                     // Clamp-to-edge on the bottom rows: rows past the
                     // frame hold their last written value.
@@ -361,7 +369,7 @@ fn run(
                 None => {
                     let kernel = kernels[s.index].expect("compute stage has a kernel");
                     let slots = &slot_edge[s.index];
-                    let edges = &net.edges;
+                    let edges = &net.structure.edges;
                     let wide = eval_acc(kernel, acc, &mut |slot, dx, dy| {
                         let eidx = slots[slot];
                         let sra = &sras[eidx];
@@ -381,7 +389,7 @@ fn run(
             if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
                 let sa = &mut tr.stages[s.index];
                 sa.active_cycles += 1;
-                if s.module.is_some() {
+                if kernels[s.index].is_some() {
                     // Compute stages own a clocked output register.
                     sa.out_reg_writes += 1;
                     sa.out_reg_toggles += toggles(ts.prev_out[s.index], computed[s.index], pixel);
@@ -392,7 +400,7 @@ fn run(
 
         // ---- Write phase: line-buffer write ports and output streams
         // commit at the clock edge.
-        for s in &net.stages {
+        for s in &net.structure.stages {
             let start = starts[s.index];
             if t < start || t >= start + frame {
                 continue;
@@ -414,7 +422,7 @@ fn run(
                 sram_writes += 1;
                 if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
                     let bufidx = buf_of_stage[s.index].expect("writer owns a buffer");
-                    let nb = &net.buffers[bufidx];
+                    let nb = &net.structure.buffers[bufidx];
                     if !nb.fifo {
                         if let Some(block) = nb.block_of(yc as u64, xc as u32, geom.pixel_bits) {
                             tr.buffers[bufidx].block_writes[block] += 1;
@@ -466,7 +474,7 @@ fn run(
                     ts.cycle_counts[i][block] = 0;
                 }
                 ts.touched[i].clear();
-                let nb = &net.buffers[i];
+                let nb = &net.structure.buffers[i];
                 if nb.phys_blocks > 0 && !nb.fifo {
                     let enabled = gate.is_none_or(|g| g.enabled_at(t as u64));
                     if enabled {
@@ -483,15 +491,16 @@ fn run(
 
     if let Some(tr) = trace {
         tr.run_cycles = end as u64;
-        tr.frame = net.frame;
+        tr.frame = net.structure.frame;
         // FIFO chains: one push and one pop per segment per live cycle —
         // the cycle simulator's synthetic SODA accounting (Sec. 3.1), so
         // the two counting paths stay comparable on FIFO designs too.
         // Multirate producers push one stage-grid frame, not a base frame.
         for (i, b) in tr.buffers.iter_mut().enumerate() {
             if b.fifo {
-                let s = net.buffers[i].stage;
-                let live = net.frame / (net.stages[s].scale_x * net.stages[s].scale_y);
+                let s = net.structure.buffers[i].stage;
+                let live = net.structure.frame
+                    / (net.structure.stages[s].scale_x * net.structure.stages[s].scale_y);
                 for r in b.block_reads.iter_mut() {
                     *r = live;
                 }
@@ -510,7 +519,7 @@ fn run(
         // The cycle after the last output pixel is the netlist's own
         // done-cycle (the `frame_done` comparator), derived once by the
         // builder.
-        latency: net.done_cycle,
+        latency: net.structure.done_cycle,
         output_images: outputs,
         sram_reads,
         sram_writes,
