@@ -92,10 +92,11 @@ fn bench_dse_sweep(c: &mut Criterion) {
     group.bench_function("session_parallel", |b| {
         b.iter(|| engine_sweep(&dag, geom, backend, 0, MeasureMode::Off))
     });
-    // The shipping default: every point's netlist measured (ungated +
-    // gated) during the sweep — affordable because a rate-1 point's
-    // activity comes from its schedule, in work proportional to frame
-    // rows, without interpreting a frame.
+    // The shipping default: every point priced ungated and clock-gated
+    // during the sweep, from activity its schedule fixes — no netlist is
+    // built and no frame interpreted, at any rate, in work that grows
+    // with each buffer's pipeline depth and steady period rather than
+    // the frame's height.
     group.bench_function("session_parallel_measured", |b| {
         b.iter(|| engine_sweep(&dag, geom, backend, 0, MeasureMode::default()))
     });

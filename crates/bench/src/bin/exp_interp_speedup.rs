@@ -9,9 +9,12 @@
 //! acceptance geometry (120×80 @ 16 bpp; smoke mode shrinks it for CI):
 //! an untraced run, a traced run, a traced run of the clock-gated
 //! netlist, the frame-free `ScheduleActivity` derivation that DSE prices
-//! from, and the one-time program compile. Rate-1 pipelines run the
-//! vectorized tile loop, the pyramids the strided scalar loop. The
-//! program is pinned bit-identical to a per-cycle reference walker by
+//! from, the same derivation at eight times the frame height (its block
+//! sweep counts one steady period of each line buffer for all of them,
+//! so it should cost about the same), and the one-time program compile.
+//! Rate-1 pipelines run the vectorized tile loop, the pyramids the
+//! strided scalar loop. The program is pinned bit-identical to a
+//! per-cycle reference walker by
 //! `crates/rtl/tests/program_differential.rs`; this binary reports only
 //! the wall-clock side.
 //!
@@ -23,7 +26,7 @@ use imagen_bench::smoke_mode;
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
-use imagen_rtl::{build_netlist, BitWidths, EvalProgram, ScheduleActivity};
+use imagen_rtl::{build_netlist, describe, BitWidths, EvalProgram, ScheduleActivity};
 use imagen_sim::Image;
 use std::path::Path;
 use std::time::Instant;
@@ -74,19 +77,26 @@ fn main() {
             pixel_bits: 16,
         }
     };
+    let tall = ImageGeometry {
+        height: 8 * geom.height,
+        ..geom
+    };
     println!("# Netlist executor timing (compiled evaluation program)");
-    println!("geometry {geom}, best of {reps} reps, ms\n");
+    println!("geometry {geom} (tall: {tall}), best of {reps} reps, ms\n");
     println!(
-        "{:<18} {:>9} {:>9} {:>13} {:>9} {:>9}",
-        "pipeline", "untraced", "traced", "gated traced", "schedule", "compile"
+        "{:<18} {:>9} {:>9} {:>13} {:>9} {:>12} {:>9}",
+        "pipeline", "untraced", "traced", "gated traced", "schedule", "schedule 8xH", "compile"
     );
 
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
     let mut overheads: Vec<f64> = Vec::new();
     for (name, src) in examples() {
-        let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-        let out = Compiler::new(geom, spec)
-            .compile_source(&name, &src)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let compile_at = |g: ImageGeometry| {
+            Compiler::new(g, spec.clone())
+                .compile_source(&name, &src)
+                .unwrap_or_else(|e| panic!("{name} at {g}: {e}"))
+        };
+        let out = compile_at(geom);
         let net = build_netlist(&out.plan.dag, &out.plan.design, &BitWidths::default());
         let gated = gate_clocks(&net);
         let inputs: Vec<Image> = (0..net.structure.input_streams().len())
@@ -114,13 +124,20 @@ fn main() {
                 .unwrap()
                 .trace();
         });
+        let tall_plan = compile_at(tall).plan;
+        let tall_structure = describe(&tall_plan.dag, &tall_plan.design);
+        let schedule_tall = best_ms(reps, || {
+            ScheduleActivity::derive(&tall_structure, None)
+                .unwrap()
+                .trace();
+        });
         let compile = best_ms(reps, || {
             EvalProgram::compile(&net).unwrap();
         });
 
         overheads.push(traced / untraced);
         println!(
-            "{name:<18} {untraced:>9.3} {traced:>9.3} {gated_traced:>13.3} {schedule:>9.3} {compile:>9.4}"
+            "{name:<18} {untraced:>9.3} {traced:>9.3} {gated_traced:>13.3} {schedule:>9.3} {schedule_tall:>12.3} {compile:>9.4}"
         );
     }
 

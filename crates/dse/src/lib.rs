@@ -33,8 +33,9 @@
 //! the structure's ungated and clock-gated activity from the schedule
 //! alone, at any rate — the pyramids included. No netlist is built and
 //! no frame is interpreted, so a measured point costs work in proportion
-//! to frame rows, not to pixels times kernel operations, and the sweep
-//! needs no stimulus.
+//! to each line buffer's pipeline depth and steady period in rows, not
+//! to the frame's height, let alone pixels times kernel operations, and
+//! the sweep needs no stimulus.
 //!
 //! [`pareto_front`] / [`ParetoFront`] extract the non-dominated designs —
 //! incrementally, not by the quadratic post-hoc scan. The paper's
@@ -299,8 +300,9 @@ pub enum ExploreStrategy {
 ///
 /// Measured energy prices only activity the netlist's structure and
 /// schedule fix, so every point is measured from its schedule
-/// (`imagen_power::measure_schedule`) in work proportional to frame
-/// rows, without interpreting a frame. That makes full measured sweeps
+/// (`imagen_power::measure_schedule`) in work that grows with each line
+/// buffer's pipeline depth and steady period, not with the frame's
+/// height, without interpreting a frame. That makes full measured sweeps
 /// cheap enough to be the default: every [`DsePoint`] comes back with
 /// [`DsePoint::measured`] populated, so the measured-energy frontier
 /// (`pareto_front_by` over `(area, energy)`) is available without a

@@ -46,8 +46,14 @@
 //!   segment and gate state are constant. Each participant steps the
 //!   producer's grid at its own cadence, so within a span the per-cycle
 //!   counts repeat with the producer's column stride (1 at rate 1) and
-//!   each residue class is counted once. [`ScheduleActivity`] exposes
-//!   exactly that part without a netlist, a tape or a frame. The
+//!   each residue class is counted once. Once every participant of a
+//!   buffer is live, the spans repeat with a period of a few rows (the
+//!   physical rows times the row steps) until the first one stops or
+//!   clamps at the bottom edge: the sweep covers one period and counts
+//!   it once per whole period, so its work grows with the pipeline's
+//!   depth and that period, not with the frame's height.
+//!   [`ScheduleActivity`] exposes exactly that part without a netlist, a
+//!   tape or a frame. The
 //!   toggles are recovered from the dense stage images in one linear
 //!   pass: output-register toggles walk each stage's own raster, and
 //!   shift-register toggles use the delay-line identity (each
@@ -758,6 +764,14 @@ fn div_rem<const UNIT: bool>(a: u64, d: u64) -> (u64, u64) {
     }
 }
 
+/// Greatest common divisor (`gcd(a, 0) == a`).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 /// For a participant at base column `x` stepping a grid of column stride
 /// `pcx`: the cycle offset (`0..pcx`) of its next grid column, and that
 /// column.
@@ -766,6 +780,21 @@ fn grid_step<const UNIT: bool>(x: u64, pcx: u64) -> (u64, u64) {
     match div_rem::<UNIT>(x, pcx) {
         (col, 0) => (0, col),
         (col, off) => (pcx - off, col + 1),
+    }
+}
+
+/// Loads an edge issues in the first `k` cycles of its consumer's `w × h`
+/// raster: one per producer-grid column (`x % pcx == 0`) of each consumer
+/// row (`y % ccy == 0`). Consumer rows start `ccy·w` cycles apart; those
+/// before the one `k` falls in load whole, and that one loads the columns
+/// before `k`.
+fn edge_loads(k: u64, w: u64, h: u64, ccy: u64, pcx: u64) -> u64 {
+    let (rows, per_row) = (h.div_ceil(ccy), w.div_ceil(pcx));
+    let (done, rest) = (k / (ccy * w), k % (ccy * w));
+    if done >= rows {
+        rows * per_row
+    } else {
+        done * per_row + rest.min(w).div_ceil(pcx)
     }
 }
 
@@ -882,30 +911,17 @@ impl Layout {
                 let bufidx = bufidx_of_stage[e.producer].expect("checked above");
                 let gate = gates[bufidx];
                 // Closed-form SRAM read total: `height` words per
-                // non-gated *edge-active* cycle of this edge. An edge is
-                // active once per consumer-active row (`y % ccy == 0`)
-                // at every producer-grid column (`x % pcx == 0`); for a
-                // rate-1 edge every active cycle qualifies and the sum
-                // collapses to the plain clipped-interval length.
-                let ccy = scale_of[si].1;
-                let pcx = scale_of[e.producer].0;
-                let (astart, aend) = (s.start_cycle, s.start_cycle + frame);
-                let (gs, ge) = match gate {
-                    Some((gs, ge)) => (gs.max(astart), ge.min(aend)),
-                    None => (astart, aend),
+                // non-gated *edge-active* cycle of this edge, the loads
+                // the stage issues inside the gate window.
+                let (ccy, pcx) = (scale_of[si].1, scale_of[e.producer].0);
+                let loads_before = |t: u64| {
+                    let k = t.clamp(s.start_cycle, s.start_cycle + frame) - s.start_cycle;
+                    edge_loads(k, w as u64, h as u64, ccy, pcx)
                 };
-                let mut enabled = 0u64;
-                let mut y = 0u64;
-                while y < geom.height as u64 {
-                    let base = astart + y * geom.width as u64;
-                    let lo = gs.max(base);
-                    let hi = ge.min(base + geom.width as u64);
-                    if hi > lo {
-                        let (a, b) = (lo - base, hi - base);
-                        enabled += b.div_ceil(pcx) - a.div_ceil(pcx);
-                    }
-                    y += ccy;
-                }
+                let enabled = match gate {
+                    Some((gs, ge)) => loads_before(ge).saturating_sub(loads_before(gs)),
+                    None => loads_before(u64::MAX),
+                };
                 sram_reads += height as u64 * enabled;
                 edges.push(EdgeProg {
                     edge: eidx,
@@ -1083,6 +1099,18 @@ impl Layout {
     /// The block sweep of buffer `bi` read by `rd` (see
     /// [`Layout::block_counts`]), accumulated into `counts`. `UNIT`
     /// promises that every participant's strides are 1.
+    ///
+    /// Between the buffer's last activation (a participant starts or a
+    /// gate opens) and its first deactivation (a participant stops, a
+    /// gate closes or a reader's window reaches the bottom-edge clamp),
+    /// moving every participant on by `P` base rows — a multiple of the
+    /// writer's row step times the physical rows and of every reader's
+    /// row step — keeps its column, cadence phase, residue class, bank
+    /// segment and block. The per-cycle counts of that steady state
+    /// therefore repeat every `P·w` cycles: the sweep covers one period,
+    /// counts it once per whole period (peaks repeat), and resumes after
+    /// the last. Its work is the pipeline's depth in rows plus `P`, not
+    /// the frame's height.
     fn sweep<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge], counts: &mut BlockCounts) {
         let w = self.w as u64;
         let frame = self.frame;
@@ -1100,6 +1128,25 @@ impl Layout {
             .unwrap_or(ws + frame)
             .max(ws + frame);
 
+        // The steady state `[from, to)` and its period `P` in base rows.
+        let (mut from, mut to) = (ws, ws + frame);
+        let mut period_rows = pcy * u64::from(nb.phys_rows.max(1));
+        for &(rs, ccy, lag, height, gate) in rd {
+            let (gs, ge) = gate.unwrap_or((0, u64::MAX));
+            let clamp = rs + w * pcy * (ph + 1).saturating_sub(lag + height);
+            from = from.max(rs).max(gs);
+            to = to.min(rs + frame).min(ge).min(clamp);
+            period_rows = period_rows / gcd(period_rows, ccy) * ccy;
+        }
+        let period = period_rows * w;
+        let reps = to.saturating_sub(from) / period;
+        // The head, one period standing for all `reps`, and the tail.
+        let segments = [
+            (t0, from, 1),
+            (from, from + reps.min(1) * period, reps),
+            (from + reps * period, tend, 1),
+        ];
+
         // Per-block reads and writes of the current residue class, the
         // blocks they touch, and the span's loads per residue class as
         // (producer column, row), merged by sort + dedup.
@@ -1107,23 +1154,8 @@ impl Layout {
         let mut wcnt: Vec<u32> = vec![0; nb.phys_blocks];
         let mut touched: Vec<usize> = Vec::new();
         let mut loads: Vec<Vec<(u64, u64)>> = vec![Vec::new(); classes];
-        // The block of each producer row, tabulated once when rows do not
-        // split over blocks (the column then does not matter).
         let split = nb.blocks_per_row > 1;
-        let row_block: Vec<Option<usize>> = if split {
-            Vec::new()
-        } else {
-            (0..ph)
-                .map(|r| nb.block_of(r, 0, self.geom_pixel_bits))
-                .collect()
-        };
-        let block_of = |row: u64, xp: u64| {
-            if split {
-                nb.block_of(row, xp as u32, self.geom_pixel_bits)
-            } else {
-                row_block[row as usize]
-            }
-        };
+        let block_of = |row: u64, xp: u64| nb.block_of(row, xp as u32, self.geom_pixel_bits);
 
         // Position of a participant active since `start` at cycle `t`,
         // shrinking the span end `se` to the next boundary at which its
@@ -1151,84 +1183,86 @@ impl Layout {
         let writes = &mut counts.writes[bi];
         let peaks = &mut counts.peaks[bi];
         let mut loading = 0u64;
-        let mut t = t0;
-        while t < tend {
-            let mut se = tend;
-            // The writer commits only on its own grid's rows: (residue
-            // class, row, column).
-            let writer = span_for(ws, t, &mut se).and_then(|(y, x)| {
-                let (row, off) = div_rem::<UNIT>(y, pcy);
-                let (class, xp) = grid_step::<UNIT>(x, pcx);
-                (off == 0).then_some((class, row, xp))
-            });
-            for &(rs, ccy, lag, height, gate) in rd {
-                let pos = span_for(rs, t, &mut se);
-                let mut enabled = true;
-                if let Some((gs, ge)) = gate {
-                    if t < gs {
-                        se = se.min(gs);
-                        enabled = false;
-                    } else if t < ge {
-                        se = se.min(ge);
-                    } else {
-                        enabled = false;
-                    }
-                }
-                if let Some((y, x)) = pos {
-                    if enabled && div_rem::<UNIT>(y, ccy).1 == 0 {
-                        let (class, xp) = grid_step::<UNIT>(x, pcx);
-                        let row0 = div_rem::<UNIT>(y, pcy).0 + lag;
-                        loads[class as usize]
-                            .extend((0..height).map(|j| (xp, (row0 + j).min(ph - 1))));
-                    }
-                }
-            }
-            let len = se - t;
-
-            // Per-cycle counts of each residue class the span reaches:
-            // merged unique loads, then the write.
-            for (r, class_loads) in loads[..classes].iter_mut().enumerate() {
-                let r = r as u64;
-                if r >= len {
-                    class_loads.clear();
-                    continue;
-                }
-                let (whole, part) = div_rem::<UNIT>(len - r, pcx);
-                let cycles = whole + u64::from(part != 0);
-                class_loads.sort_unstable();
-                class_loads.dedup();
-                for &(xp, row) in class_loads.iter() {
-                    if let Some(b) = block_of(row, xp) {
-                        if rcnt[b] == 0 && wcnt[b] == 0 {
-                            touched.push(b);
+        for (lo, hi, times) in segments {
+            let mut t = lo;
+            while t < hi {
+                let mut se = hi;
+                // The writer commits only on its own grid's rows: (residue
+                // class, row, column).
+                let writer = span_for(ws, t, &mut se).and_then(|(y, x)| {
+                    let (row, off) = div_rem::<UNIT>(y, pcy);
+                    let (class, xp) = grid_step::<UNIT>(x, pcx);
+                    (off == 0).then_some((class, row, xp))
+                });
+                for &(rs, ccy, lag, height, gate) in rd {
+                    let pos = span_for(rs, t, &mut se);
+                    let mut enabled = true;
+                    if let Some((gs, ge)) = gate {
+                        if t < gs {
+                            se = se.min(gs);
+                            enabled = false;
+                        } else if t < ge {
+                            se = se.min(ge);
+                        } else {
+                            enabled = false;
                         }
-                        rcnt[b] += 1;
+                    }
+                    if let Some((y, x)) = pos {
+                        if enabled && div_rem::<UNIT>(y, ccy).1 == 0 {
+                            let (class, xp) = grid_step::<UNIT>(x, pcx);
+                            let row0 = div_rem::<UNIT>(y, pcy).0 + lag;
+                            loads[class as usize]
+                                .extend((0..height).map(|j| (xp, (row0 + j).min(ph - 1))));
+                        }
                     }
                 }
-                if !class_loads.is_empty() {
-                    loading += cycles;
-                }
-                class_loads.clear();
-                if let Some((class, row, xp)) = writer {
-                    if class == r {
+                let len = se - t;
+
+                // Per-cycle counts of each residue class the span reaches:
+                // merged unique loads, then the write.
+                for (r, class_loads) in loads[..classes].iter_mut().enumerate() {
+                    let r = r as u64;
+                    if r >= len {
+                        class_loads.clear();
+                        continue;
+                    }
+                    let (whole, part) = div_rem::<UNIT>(len - r, pcx);
+                    let cycles = (whole + u64::from(part != 0)) * times;
+                    class_loads.sort_unstable();
+                    class_loads.dedup();
+                    for &(xp, row) in class_loads.iter() {
                         if let Some(b) = block_of(row, xp) {
                             if rcnt[b] == 0 && wcnt[b] == 0 {
                                 touched.push(b);
                             }
-                            wcnt[b] += 1;
+                            rcnt[b] += 1;
                         }
                     }
+                    if !class_loads.is_empty() {
+                        loading += cycles;
+                    }
+                    class_loads.clear();
+                    if let Some((class, row, xp)) = writer {
+                        if class == r {
+                            if let Some(b) = block_of(row, xp) {
+                                if rcnt[b] == 0 && wcnt[b] == 0 {
+                                    touched.push(b);
+                                }
+                                wcnt[b] += 1;
+                            }
+                        }
+                    }
+                    for &b in &touched {
+                        reads[b] += rcnt[b] as u64 * cycles;
+                        writes[b] += wcnt[b] as u64 * cycles;
+                        peaks[b] = peaks[b].max(rcnt[b] + wcnt[b]);
+                        rcnt[b] = 0;
+                        wcnt[b] = 0;
+                    }
+                    touched.clear();
                 }
-                for &b in &touched {
-                    reads[b] += rcnt[b] as u64 * cycles;
-                    writes[b] += wcnt[b] as u64 * cycles;
-                    peaks[b] = peaks[b].max(rcnt[b] + wcnt[b]);
-                    rcnt[b] = 0;
-                    wcnt[b] = 0;
-                }
-                touched.clear();
+                t = se;
             }
-            t = se;
         }
         counts.loading[bi] = loading;
     }
@@ -1336,9 +1370,10 @@ impl std::error::Error for GateGap {}
 /// writes and SRA shift cycles and cell writes. [`ScheduleActivity`]
 /// computes exactly those from the [`Structure`] and a gating plan,
 /// through the same code [`EvalProgram::run_with_trace`] uses, in work
-/// proportional to the frame's rows rather than its pixels; it needs no
-/// netlist and lowers no kernel. Its traces do **not** collect
-/// `out_reg_toggles` or `bit_toggles`: both are zero.
+/// that grows with each line buffer's pipeline depth and steady period
+/// in rows, not with the frame's height or pixels; it needs no netlist
+/// and lowers no kernel. Its traces do **not** collect `out_reg_toggles`
+/// or `bit_toggles`: both are zero.
 #[derive(Clone, Debug)]
 pub struct ScheduleActivity {
     layout: Layout,

@@ -188,78 +188,121 @@ fn geom() -> ImageGeometry {
     }
 }
 
+/// A frame six times taller than [`geom`]: the activity sweep counts
+/// several steady periods of every buffer from one.
+fn tall() -> ImageGeometry {
+    ImageGeometry {
+        width: 48,
+        height: 192,
+        pixel_bits: 16,
+    }
+}
+
+/// Line coalescing into blocks of two rows each.
+fn coalesced(geom: &ImageGeometry) -> MemorySpec {
+    let backend = MemBackend::Asic {
+        block_bits: 2 * geom.row_bits(),
+    };
+    MemorySpec::new(backend, 2).with_coalescing()
+}
+
 /// The corpus × {16/32, 64/64} × {ungated, gated} on the planner's
-/// default ASIC macro.
+/// default ASIC macro, on two-row coalesced blocks, and on the default
+/// macro at the tall frame.
 #[test]
 fn program_matches_walker_on_corpus() {
-    let geom = geom();
-    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    let asic = MemorySpec::new(MemBackend::asic_default(), 2);
+    let cases = [
+        ("asic", geom(), asic.clone()),
+        ("coalesced", geom(), coalesced(&geom())),
+        ("tall", tall(), asic),
+    ];
     for (i, (name, dag)) in corpus().iter().enumerate() {
-        let plan = plan_design(
-            dag,
-            &geom,
-            &spec,
-            ScheduleOptions::default(),
-            DesignStyle::Ours,
-        )
-        .unwrap();
-        let inputs = noise_inputs(&plan.dag, &geom, 0xD1FF + i as u64, 4);
-        for (wname, widths) in [
-            ("16/32", BitWidths::default()),
-            ("64/64", BitWidths::wide()),
-        ] {
-            let net = build_netlist(&plan.dag, &plan.design, &widths);
-            differential(&format!("{name} {wname} ungated"), &net, &inputs);
-            let gated = gate_clocks(&net);
-            differential(&format!("{name} {wname} gated"), &gated, &inputs);
+        for (case, geom, spec) in &cases {
+            let plan = plan_design(
+                dag,
+                geom,
+                spec,
+                ScheduleOptions::default(),
+                DesignStyle::Ours,
+            )
+            .unwrap();
+            if *case == "coalesced" {
+                assert!(
+                    plan.design.buffers.iter().any(|b| b.rows_per_block == 2),
+                    "{name}: two-row blocks"
+                );
+            }
+            let inputs = noise_inputs(&plan.dag, geom, 0xD1FF + i as u64, 4);
+            for (wname, widths) in [
+                ("16/32", BitWidths::default()),
+                ("64/64", BitWidths::wide()),
+            ] {
+                let tag = format!("{name} {case} {wname}");
+                let net = build_netlist(&plan.dag, &plan.design, &widths);
+                differential(&format!("{tag} ungated"), &net, &inputs);
+                let gated = gate_clocks(&net);
+                differential(&format!("{tag} gated"), &gated, &inputs);
+            }
         }
     }
 }
 
 /// The corpus on the designs the planner's default ASIC macro does not
-/// produce: rows split over several blocks, FPGA BRAM and SODA FIFO
-/// chains, at both widths, ungated and gated. It also pins
+/// produce: rows split over several blocks (also at the tall frame),
+/// two-row coalesced blocks, FPGA BRAM and SODA FIFO chains, at both
+/// widths, ungated and gated. It also pins
 /// [`ScheduleActivity::trace_gated`] on the ungated netlist to the
 /// traced run of the gated copy, and a narrowed gate window to a
 /// [`imagen_rtl::GateGap`].
 #[test]
 fn schedule_activity_matches_traced_run_across_backends() {
-    let geom = geom();
     // 256-bit macros hold a third of a 48 x 16-bit row.
-    let split = MemBackend::Asic { block_bits: 256 };
+    let split = MemorySpec::new(MemBackend::Asic { block_bits: 256 }, 2);
+    let specs = [
+        ("split-row", geom(), split.clone()),
+        ("tall split-row", tall(), split),
+        ("coalesced", geom(), coalesced(&geom())),
+        ("fpga", geom(), MemorySpec::new(MemBackend::Fpga, 2)),
+    ];
     for (i, (alg, dag)) in corpus().iter().enumerate() {
-        let mut plans: Vec<(&str, imagen_schedule::Plan)> =
-            [("split-row", split), ("fpga", MemBackend::Fpga)]
-                .into_iter()
-                .map(|(name, backend)| {
-                    let spec = MemorySpec::new(backend, 2);
-                    let plan = plan_design(
-                        dag,
-                        &geom,
-                        &spec,
-                        ScheduleOptions::default(),
-                        DesignStyle::Ours,
-                    )
-                    .unwrap();
-                    (name, plan)
-                })
-                .collect();
+        let mut plans: Vec<(&str, ImageGeometry, imagen_schedule::Plan)> = specs
+            .iter()
+            .map(|(name, geom, spec)| {
+                let plan = plan_design(
+                    dag,
+                    geom,
+                    spec,
+                    ScheduleOptions::default(),
+                    DesignStyle::Ours,
+                )
+                .unwrap();
+                (*name, *geom, plan)
+            })
+            .collect();
         plans.push((
             "soda",
-            generate_soda(dag, &geom, MemBackend::asic_default()).unwrap(),
+            geom(),
+            generate_soda(dag, &geom(), MemBackend::asic_default()).unwrap(),
         ));
-        for (name, plan) in &plans {
-            let inputs = noise_inputs(&plan.dag, &geom, 0x5C4E + i as u64, 4);
+        for (name, geom, plan) in &plans {
+            let inputs = noise_inputs(&plan.dag, geom, 0x5C4E + i as u64, 4);
             for (wname, widths) in [
                 ("16/32", BitWidths::default()),
                 ("64/64", BitWidths::wide()),
             ] {
                 let tag = format!("{alg} {name} {wname}");
                 let net = build_netlist(&plan.dag, &plan.design, &widths);
-                if *name == "split-row" {
+                if name.ends_with("split-row") {
                     assert!(
                         net.structure.buffers.iter().any(|b| b.blocks_per_row > 1),
                         "{tag}: rows span several blocks"
+                    );
+                }
+                if *name == "coalesced" {
+                    assert!(
+                        net.structure.buffers.iter().any(|b| b.rows_per_block == 2),
+                        "{tag}: two-row blocks"
                     );
                 }
                 if *name == "soda" {

@@ -272,7 +272,6 @@ pub fn realize_design(
     style: DesignStyle,
 ) -> Result<Design, PlanError> {
     let block_bits = spec.backend().block_bits();
-    let frame = geom.pixels();
     let scales = dag.stage_scales();
 
     let mut buffers = Vec::new();
@@ -362,7 +361,6 @@ pub fn realize_design(
             blk.avg_writes_per_cycle = write_fraction / nblocks;
             blk.peak_accesses = blk.peak_accesses.max(ports.min(per_cycle.ceil() as u32));
         }
-        let _ = frame;
         buffers.push(plan);
     }
 

@@ -10,7 +10,8 @@
 //! separate code paths: the simulator walks the `Design`'s block plans,
 //! the interpreter walks the elaborated `Netlist`. They must agree
 //! block for block, for the three `exp_power_breakdown` algorithms and
-//! both multirate pyramid examples × three styles.
+//! both multirate pyramid examples × three styles, and for the Tbl. 3
+//! corpus planned plain and line-coalesced at short and tall frames.
 
 use imagen::algos::Algorithm;
 use imagen::baselines::{generate_darkroom, generate_fixynn, generate_soda};
@@ -18,7 +19,7 @@ use imagen::ir::Dag;
 use imagen::mem::{DesignStyle, ImageGeometry, MemBackend};
 use imagen::rtl::{build_netlist, interpret_with_trace, BitWidths};
 use imagen::sim::{simulate_and_annotate, Image};
-use imagen::{Compiler, MemorySpec};
+use imagen::{Compiler, MemorySpec, Plan};
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -43,7 +44,7 @@ fn backend(g: &ImageGeometry) -> MemBackend {
     }
 }
 
-fn plan_for(dag: &Dag, g: &ImageGeometry, style: DesignStyle) -> imagen::Plan {
+fn plan_for(dag: &Dag, g: &ImageGeometry, style: DesignStyle) -> Plan {
     match style {
         DesignStyle::Soda => generate_soda(dag, g, backend(g)).unwrap(),
         DesignStyle::FixyNn => generate_fixynn(dag, g, backend(g)).unwrap(),
@@ -57,16 +58,28 @@ fn plan_for(dag: &Dag, g: &ImageGeometry, style: DesignStyle) -> imagen::Plan {
     }
 }
 
-/// Annotates `dag`'s plan under `style` with the cycle simulator, traces
-/// its netlist, and pins every block's reads, writes and peak equal.
-fn crosscheck(name: &str, dag: &Dag, g: &ImageGeometry, style: DesignStyle) {
+/// A frame six times taller than [`pyramid_geom`]: the interpreter's
+/// activity sweep counts several steady periods of every buffer from
+/// one.
+fn tall_geom() -> ImageGeometry {
+    ImageGeometry {
+        width: 48,
+        height: 192,
+        pixel_bits: 16,
+    }
+}
+
+/// Annotates `plan` with the cycle simulator, traces its netlist, and
+/// pins every block's reads, writes and peak equal (`tag` names the case
+/// in failure messages).
+fn crosscheck(tag: &str, mut plan: Plan) {
+    let g = plan.design.geometry;
     let input = Image::from_fn(g.width, g.height, |x, y| ((x * 13 + y * 31) % 199) as i64);
-    let mut plan = plan_for(dag, g, style);
     let report =
         simulate_and_annotate(&plan.dag, &mut plan.design, std::slice::from_ref(&input)).unwrap();
     assert!(
         report.port_violations.is_empty(),
-        "{name} {style:?}: {:?}",
+        "{tag}: {:?}",
         report.port_violations
     );
 
@@ -77,7 +90,7 @@ fn crosscheck(name: &str, dag: &Dag, g: &ImageGeometry, style: DesignStyle) {
     assert_eq!(
         plan.design.buffers.len(),
         trace.buffers.len(),
-        "{name} {style:?}: trace parallels the design"
+        "{tag}: trace parallels the design"
     );
     for (bp, ba) in plan.design.buffers.iter().zip(&trace.buffers) {
         assert_eq!(bp.stage, ba.stage);
@@ -87,21 +100,21 @@ fn crosscheck(name: &str, dag: &Dag, g: &ImageGeometry, style: DesignStyle) {
             let interp_writes = ba.avg_writes_per_cycle(i, frame);
             assert!(
                 (blk.avg_accesses_per_cycle - interp_rate).abs() < 1e-12,
-                "{name} {style:?} stage {} block {i}: sim {} vs interp {}",
+                "{tag} stage {} block {i}: sim {} vs interp {}",
                 bp.stage,
                 blk.avg_accesses_per_cycle,
                 interp_rate
             );
             assert!(
                 (blk.avg_writes_per_cycle - interp_writes).abs() < 1e-12,
-                "{name} {style:?} stage {} block {i}: sim writes {} vs interp {}",
+                "{tag} stage {} block {i}: sim writes {} vs interp {}",
                 bp.stage,
                 blk.avg_writes_per_cycle,
                 interp_writes
             );
             assert_eq!(
                 blk.peak_accesses, ba.block_peaks[i],
-                "{name} {style:?} stage {} block {i}: peak mismatch",
+                "{tag} stage {} block {i}: peak mismatch",
                 bp.stage
             );
         }
@@ -114,7 +127,8 @@ const STYLES: [DesignStyle; 3] = [DesignStyle::Soda, DesignStyle::Ours, DesignSt
 fn interpreter_access_counts_match_simulator_annotations() {
     for alg in [Algorithm::UnsharpM, Algorithm::DenoiseM, Algorithm::CannyM] {
         for style in STYLES {
-            crosscheck(alg.name(), &alg.build(), &geom(), style);
+            let plan = plan_for(&alg.build(), &geom(), style);
+            crosscheck(&format!("{} {style:?}", alg.name()), plan);
         }
     }
 }
@@ -128,7 +142,38 @@ fn pyramid_access_counts_match_simulator_annotations() {
         let dag = imagen::dsl::compile(name, &std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(dag.is_multirate(), "{name}");
         for style in STYLES {
-            crosscheck(name, &dag, &pyramid_geom(), style);
+            crosscheck(
+                &format!("{name} {style:?}"),
+                plan_for(&dag, &pyramid_geom(), style),
+            );
+        }
+    }
+}
+
+/// Line-coalesced plans (two rows per block) and a tall frame: the Tbl. 3
+/// corpus planned plain and coalesced at 26, 32 and 192 rows. At 192
+/// rows the interpreter's activity sweep folds several steady periods of
+/// every buffer, and the simulator counts every cycle.
+#[test]
+fn coalesced_and_tall_access_counts_match_simulator_annotations() {
+    for alg in Algorithm::all() {
+        let dag = alg.build();
+        for g in [geom(), pyramid_geom(), tall_geom()] {
+            for coalesce in [false, true] {
+                let mut spec = MemorySpec::new(backend(&g), 2);
+                if coalesce {
+                    spec = spec.with_coalescing();
+                }
+                let plan = Compiler::new(g, spec).compile_dag(&dag).unwrap().plan;
+                if coalesce {
+                    assert!(
+                        plan.design.buffers.iter().any(|b| b.rows_per_block == 2),
+                        "{} {g}: two-row blocks",
+                        alg.name()
+                    );
+                }
+                crosscheck(&format!("{} {g} coalesce={coalesce}", alg.name()), plan);
+            }
         }
     }
 }
