@@ -12,9 +12,9 @@
 //! from, the same derivation at eight times the frame height (its block
 //! sweep counts one steady period of each line buffer for all of them,
 //! so it should cost about the same), and the one-time program compile.
-//! Rate-1 pipelines run the vectorized tile loop, the pyramids the
-//! strided scalar loop. The program is pinned bit-identical to a
-//! per-cycle reference walker by
+//! Every pipeline, the pyramids included, runs the one vectorized tile
+//! loop, each stage on its own grid. The program is pinned
+//! bit-identical to a per-cycle reference walker by
 //! `crates/rtl/tests/program_differential.rs`; this binary reports only
 //! the wall-clock side.
 //!

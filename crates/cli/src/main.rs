@@ -69,7 +69,6 @@ COMMON OPTIONS:
 COMPILE OPTIONS:
     --emit           print the generated Verilog to stdout
     -o FILE          write the generated Verilog to FILE
-    --timing         print compile-phase timings (non-deterministic output)
 
 PROFILE OPTIONS (compile, dse):
     --profile        print a per-phase breakdown (span timings, solver
@@ -154,7 +153,6 @@ pub struct Options {
     pub coalesce: bool,
     pub emit: bool,
     pub output: Option<String>,
-    pub timing: bool,
     pub strategy: String,
     pub samples: usize,
     pub seed: u64,
@@ -195,7 +193,6 @@ impl Default for Options {
             coalesce: false,
             emit: false,
             output: None,
-            timing: false,
             strategy: "exhaustive".into(),
             samples: 64,
             // One seed flag serves both the random DSE strategy and the
@@ -309,7 +306,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
             "--name" => opts.name = Some(value(arg, &mut it)?.clone()),
             "--emit" => opts.emit = true,
             "-o" | "--output" => opts.output = Some(value(arg, &mut it)?.clone()),
-            "--timing" => opts.timing = true,
             "--strategy" => opts.strategy = value(arg, &mut it)?.clone(),
             "--samples" => opts.samples = num(arg, value(arg, &mut it)?)?,
             "--seed" => opts.seed = num(arg, value(arg, &mut it)?)?,

@@ -2,7 +2,7 @@
 //! bodies of the `compile` / `dse` / `sim` / `energy` subcommands.
 //!
 //! Output is deterministic by construction (no timestamps, no pointer
-//! values, no wall-clock durations unless `--timing` asks for them), so
+//! values, no wall-clock durations outside the `--profile` trailer), so
 //! the CLI integration tests pin `compile` and `dse` text against golden
 //! files.
 
@@ -148,15 +148,6 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
     ));
 
     print!("{text}");
-    if opts.timing {
-        println!(
-            "\ncompile time: {:.2} ms (front end {:.2} + optimize {:.2} + codegen {:.2})",
-            out.timing.total_us() as f64 / 1e3,
-            out.timing.frontend_us as f64 / 1e3,
-            out.timing.optimize_us as f64 / 1e3,
-            out.timing.codegen_us as f64 / 1e3
-        );
-    }
     if opts.emit {
         println!("\n{}", out.verilog);
     }
@@ -171,7 +162,7 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
 /// subcommand wrapped in a span collector covering the *whole*
 /// invocation (front end included), with a phase-breakdown trailer and
 /// an optional Chrome trace file. The trailer is non-deterministic by
-/// nature (wall-clock durations), like `--timing`.
+/// nature (wall-clock durations).
 pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
     let collector = Arc::new(Collector::new());
     let pivots_before = imagen_ilp::stats::pivot_count();

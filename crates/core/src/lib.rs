@@ -10,8 +10,7 @@
 //!
 //! The heavy lifting lives in the subsystem crates (`imagen-dsl`,
 //! `imagen-schedule`, `imagen-mem`, `imagen-rtl`); this crate wires them
-//! into a single [`Compiler`] with per-phase timing — the measurements
-//! behind the paper's Sec. 8.2 compilation-speed results.
+//! into a single [`Compiler`], each phase under a span of `imagen-obs`.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 //!
@@ -46,7 +45,6 @@ use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemorySpec};
 use imagen_schedule::{plan_design, Plan, PlanError, ScheduleOptions};
 use std::fmt;
-use std::time::Instant;
 
 /// Compilation failure: front end or optimizer.
 #[derive(Clone, PartialEq, Debug)]
@@ -80,24 +78,6 @@ impl From<PlanError> for CompileError {
     }
 }
 
-/// Per-phase wall-clock times of one compilation, microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CompileTiming {
-    /// DSL parse + lower (zero when compiling a prebuilt DAG).
-    pub frontend_us: u128,
-    /// Constraint formulation + ILP + buffer planning.
-    pub optimize_us: u128,
-    /// Verilog emission.
-    pub codegen_us: u128,
-}
-
-impl CompileTiming {
-    /// Total compilation time, microseconds.
-    pub fn total_us(&self) -> u128 {
-        self.frontend_us + self.optimize_us + self.codegen_us
-    }
-}
-
 /// The result of a compilation.
 #[derive(Clone, Debug)]
 pub struct CompileOutput {
@@ -109,8 +89,6 @@ pub struct CompileOutput {
     pub netlist: std::sync::Arc<imagen_rtl::Netlist>,
     /// Synthesizable Verilog for the design.
     pub verilog: String,
-    /// Per-phase timing.
-    pub timing: CompileTiming,
 }
 
 /// The ImaGen compiler: geometry + memory spec + options.
@@ -167,15 +145,11 @@ impl Compiler {
     ///
     /// [`CompileError`] from the front end or the optimizer.
     pub fn compile_source(&self, name: &str, src: &str) -> Result<CompileOutput, CompileError> {
-        let t0 = Instant::now();
         let dag = {
             let _s = imagen_obs::span("frontend");
             imagen_dsl::compile(name, src)?
         };
-        let frontend_us = t0.elapsed().as_micros();
-        let mut out = self.compile_dag(&dag)?;
-        out.timing.frontend_us = frontend_us;
-        Ok(out)
+        self.compile_dag(&dag)
     }
 
     /// Compiles a prebuilt DAG.
@@ -184,14 +158,10 @@ impl Compiler {
     ///
     /// [`CompileError::Plan`] from the optimizer.
     pub fn compile_dag(&self, dag: &Dag) -> Result<CompileOutput, CompileError> {
-        let t1 = Instant::now();
         let plan = {
             let _s = imagen_obs::span("plan");
             plan_design(dag, &self.geom, &self.spec, self.opts, self.style)?
         };
-        let optimize_us = t1.elapsed().as_micros();
-
-        let t2 = Instant::now();
         let netlist = {
             let _s = imagen_obs::span("netlist.build");
             imagen_rtl::build_netlist(&plan.dag, &plan.design, &imagen_rtl::BitWidths::default())
@@ -200,17 +170,10 @@ impl Compiler {
             let _s = imagen_obs::span("emit");
             imagen_rtl::emit_verilog(&netlist)
         };
-        let codegen_us = t2.elapsed().as_micros();
-
         Ok(CompileOutput {
             plan,
             netlist: std::sync::Arc::new(netlist),
             verilog,
-            timing: CompileTiming {
-                frontend_us: 0,
-                optimize_us,
-                codegen_us,
-            },
         })
     }
 }
@@ -259,20 +222,6 @@ mod tests {
         let c = Compiler::new(geom, spec);
         let out = c.compile_dag(&Algorithm::UnsharpM.build()).unwrap();
         assert_eq!(out.plan.design.style, DesignStyle::Ours);
-    }
-
-    #[test]
-    fn timing_recorded() {
-        let (geom, spec) = small();
-        let c = Compiler::new(geom, spec);
-        let out = c
-            .compile_source(
-                "blur",
-                "input a; output b = im(x,y) (a(x,y-1)+a(x,y)+a(x,y+1))/3 end",
-            )
-            .unwrap();
-        assert!(out.timing.optimize_us > 0);
-        assert!(out.timing.total_us() >= out.timing.optimize_us);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! shared across threads (compilation runs outside the cache lock, so
 //! workers never serialize on the solver).
 
-use crate::{CompileError, CompileOutput, CompileTiming};
+use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::Counter;
@@ -28,7 +28,6 @@ use imagen_schedule::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Cache key identifying one fully-resolved compile point.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -52,7 +51,6 @@ struct CacheEntry {
     plan: Arc<Plan>,
     netlist: Option<Arc<imagen_rtl::Netlist>>,
     verilog: Option<Arc<String>>,
-    timing: CompileTiming,
 }
 
 /// Shared memo store for compiled design points.
@@ -370,7 +368,6 @@ impl Session {
             None => self.compute(spec, style)?,
         };
         if entry.netlist.is_none() || entry.verilog.is_none() {
-            let t = Instant::now();
             let netlist = match entry.netlist.clone() {
                 Some(n) => n,
                 None => {
@@ -386,7 +383,6 @@ impl Session {
                 let _s = imagen_obs::span("emit");
                 imagen_rtl::emit_verilog(&netlist)
             };
-            entry.timing.codegen_us = t.elapsed().as_micros();
             entry.netlist = Some(netlist);
             entry.verilog = Some(Arc::new(verilog));
         }
@@ -402,14 +398,12 @@ impl Session {
             plan: (*entry.plan).clone(),
             netlist: entry.netlist.expect("just generated"),
             verilog: (*entry.verilog.expect("just generated")).clone(),
-            timing: entry.timing,
         })
     }
 
     /// Cold path: plan one configuration (no RTL). Runs outside the cache
     /// lock so parallel workers do not serialize on the solver.
     fn compute(&self, spec: &MemorySpec, style: DesignStyle) -> Result<CacheEntry, CompileError> {
-        let t = Instant::now();
         let plan = plan_design_with(
             &self.dag,
             &self.skeleton,
@@ -418,16 +412,10 @@ impl Session {
             self.opts,
             style,
         )?;
-        let timing = CompileTiming {
-            frontend_us: 0,
-            optimize_us: t.elapsed().as_micros(),
-            codegen_us: 0,
-        };
         Ok(CacheEntry {
             plan: Arc::new(plan),
             netlist: None,
             verilog: None,
-            timing,
         })
     }
 }

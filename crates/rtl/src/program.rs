@@ -24,16 +24,18 @@
 //!   kernel tape then runs op-by-op over column tiles, so each bytecode
 //!   instruction becomes a tight (auto-vectorizable) loop instead of a
 //!   per-pixel dispatch;
-//! * **multirate strided stepping** — pipelines with `downsample`/
-//!   `upsample` stages keep the frame-at-a-time streaming order but run
-//!   each stage over its *own* grid (`W/cx × H/cy`), stepping taps
+//! * **one frame loop for every rate** — pipelines with `downsample`/
+//!   `upsample` stages stream in the same order through the same tile
+//!   loop, each stage over its *own* grid (`W/cx × H/cy`, every row
+//!   padded to whole tiles). Consumer row `y`, column `x` steps taps
 //!   through the producer's grid with the cumulative-scale stride
-//!   (`row = min(⌊y_b/pcy⌋ + lag + j, ph-1)`, `col = max(⌊x_b/pcx⌋ +
+//!   (`row = min(⌊y·cy/pcy⌋ + lag + j, ph-1)`, `col = max(⌊x·cx/pcx⌋ +
 //!   dx, 0)`), which is exactly the value the rate-scheduled SRA holds
 //!   at the stage's compute-enable cycles. The streaming-margin proof
-//!   generalizes with rows re-measured in producer row periods. This
-//!   frame loop evaluates the same tape scalarly; the netlist's rates
-//!   select it over the vectorized tile loop;
+//!   generalizes with rows re-measured in producer row periods. Where
+//!   both ends of an edge share a column scale (every rate-1 edge) a
+//!   tap is a [`TapeOp::Load`], the tile's shift-copy; across a
+//!   column-rate change it is a [`TapeOp::Gather`], one per lane;
 //! * **closed-form + single-pass activity, at every rate** — the
 //!   compiler splits into a pixel-free *layout* (stage order,
 //!   window-load edges, gate windows, the streaming-margin proof), read
@@ -95,13 +97,27 @@ const TILE: usize = 64;
 enum TapeOp {
     /// Integer literal.
     Const(i64),
-    /// Stencil tap: window row `vrow` (stage-local virtual-row index) at
-    /// column `x + dx`, clamped to the left edge.
+    /// Stencil tap on an edge whose ends share a column scale: window
+    /// row `vrow` (stage-local virtual-row index) at column `x + dx`,
+    /// clamped to the left edge.
     Load {
         /// Stage-local virtual-row index (edge window rows, flattened).
         vrow: u32,
         /// Horizontal tap offset (`<= 0` after window normalization).
         dx: i32,
+    },
+    /// Stencil tap across a column-rate change: window row `vrow` at
+    /// producer column `⌊x·num/den⌋ + dx` for consumer column `x`,
+    /// clamped to the left edge.
+    Gather {
+        /// Stage-local virtual-row index (edge window rows, flattened).
+        vrow: u32,
+        /// Horizontal tap offset (`<= 0` after window normalization).
+        dx: i32,
+        /// The consumer's cumulative column scale.
+        num: u32,
+        /// The producer's cumulative column scale.
+        den: u32,
     },
     /// Wrapping negation.
     Neg(u32),
@@ -130,7 +146,7 @@ impl TapeOp {
     /// Calls `f` with each operand register.
     fn for_each_operand(&self, f: &mut impl FnMut(u32)) {
         match *self {
-            TapeOp::Const(_) | TapeOp::Load { .. } => {}
+            TapeOp::Const(_) | TapeOp::Load { .. } | TapeOp::Gather { .. } => {}
             TapeOp::Neg(a) | TapeOp::Abs(a) => f(a),
             TapeOp::Bin(_, a, b) | TapeOp::Cmp(_, a, b) => {
                 f(a);
@@ -153,7 +169,7 @@ impl TapeOp {
     /// Rewrites each operand register through `remap`.
     fn remap_operands(&mut self, remap: &[u32]) {
         match self {
-            TapeOp::Const(_) | TapeOp::Load { .. } => {}
+            TapeOp::Const(_) | TapeOp::Load { .. } | TapeOp::Gather { .. } => {}
             TapeOp::Neg(a) | TapeOp::Abs(a) => *a = remap[*a as usize],
             TapeOp::Bin(_, a, b) | TapeOp::Cmp(_, a, b) => {
                 *a = remap[*a as usize];
@@ -261,6 +277,7 @@ impl TapeBuilder {
             match ops[i] {
                 TapeOp::Const(_)
                 | TapeOp::Load { .. }
+                | TapeOp::Gather { .. }
                 | TapeOp::Neg(_)
                 | TapeOp::Add3(..)
                 | TapeOp::Add4(..) => {}
@@ -371,12 +388,12 @@ fn fuse_adds(ops: Vec<TapeOp>, root: u32) -> (Vec<TapeOp>, u32) {
     (out, root)
 }
 
-/// Evaluates a tape over exactly [`TILE`] consecutive columns starting
-/// at `x0` (rows are padded to a multiple of [`TILE`], so every tile is
-/// full). Each op becomes one tight loop with a compile-time trip
-/// count, which the optimizer turns into branch- and remainder-free
-/// SIMD; `sh` is the truncation shift (`64 - acc`, zero at full width)
-/// applied after every demanded-exact node.
+/// Evaluates a tape over exactly [`TILE`] consecutive columns of the
+/// stage's grid starting at `x0` (rows are padded to a multiple of
+/// [`TILE`], so every tile is full). Each op becomes one tight loop with
+/// a compile-time trip count, which the optimizer turns into branch-
+/// and remainder-free SIMD; `sh` is the truncation shift (`64 - acc`,
+/// zero at full width) applied after every demanded-exact node.
 fn eval_tile(tape: &Tape, regs: &mut [i64], vrows: &[&[i64]], sh: u32, x0: usize) {
     for (i, op) in tape.ops.iter().enumerate() {
         let (done, rest) = regs.split_at_mut(i * TILE);
@@ -405,6 +422,16 @@ fn eval_tile(tape: &Tape, regs: &mut [i64], vrows: &[&[i64]], sh: u32, x0: usize
                     for (d, &s) in dst[k..].iter_mut().zip(src) {
                         *d = (s << sh) >> sh;
                     }
+                }
+            }
+            TapeOp::Gather { vrow, dx, num, den } => {
+                // In-frame lanes stay inside the producer's row; padding
+                // lanes, whose values are never read back, clamp into it.
+                let row = vrows[vrow as usize];
+                let (num, den) = (num as usize, den as usize);
+                for (l, d) in dst.iter_mut().enumerate() {
+                    let col = (((x0 + l) * num / den) as i64 + dx as i64).max(0) as usize;
+                    *d = (row[col.min(row.len() - 1)] << sh) >> sh;
                 }
             }
             TapeOp::Neg(a) => {
@@ -539,89 +566,6 @@ fn eval_tile(tape: &Tape, regs: &mut [i64], vrows: &[&[i64]], sh: u32, x0: usize
     }
 }
 
-/// Evaluates a tape for one pixel, fetching taps through `fetch(vrow,
-/// dx)`. Mirrors [`eval_tile`]'s per-op truncation placement exactly
-/// (demanded-exact registers truncate; `Cmp`/`Select`/`Clamp` pass
-/// already-truncated values through). The multirate executor uses this
-/// path: its taps step through the producer grid at a non-unit stride,
-/// which the lane-shifted tile loader cannot express.
-fn eval_scalar(
-    tape: &Tape,
-    regs: &mut [i64],
-    sh: u32,
-    fetch: &mut impl FnMut(u32, i32) -> i64,
-) -> i64 {
-    for (i, op) in tape.ops.iter().enumerate() {
-        let sh = if tape.exact[i] { sh } else { 0 };
-        let v = match *op {
-            TapeOp::Const(c) => (c << sh) >> sh,
-            TapeOp::Load { vrow, dx } => (fetch(vrow, dx) << sh) >> sh,
-            TapeOp::Neg(a) => (regs[a as usize].wrapping_neg() << sh) >> sh,
-            TapeOp::Abs(a) => (regs[a as usize].wrapping_abs() << sh) >> sh,
-            TapeOp::Bin(op, a, b) => {
-                let (a, b) = (regs[a as usize], regs[b as usize]);
-                let v = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                    BinOp::Shl => a.wrapping_shl(b as u32) * i64::from((b as u64) < 64),
-                    BinOp::Shr => a.wrapping_shr((b as u64).min(63) as u32),
-                    BinOp::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                };
-                (v << sh) >> sh
-            }
-            TapeOp::Add3(a, b, c) => {
-                let v = regs[a as usize]
-                    .wrapping_add(regs[b as usize])
-                    .wrapping_add(regs[c as usize]);
-                (v << sh) >> sh
-            }
-            TapeOp::Add4(a, b, c, d) => {
-                let v = regs[a as usize]
-                    .wrapping_add(regs[b as usize])
-                    .wrapping_add(regs[c as usize].wrapping_add(regs[d as usize]));
-                (v << sh) >> sh
-            }
-            TapeOp::Cmp(op, a, b) => {
-                let (a, b) = (regs[a as usize], regs[b as usize]);
-                i64::from(match op {
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                })
-            }
-            TapeOp::Select(c, t, o) => {
-                if regs[c as usize] != 0 {
-                    regs[t as usize]
-                } else {
-                    regs[o as usize]
-                }
-            }
-            TapeOp::Clamp(v, lo, hi) => {
-                let (v, lo, hi) = (regs[v as usize], regs[lo as usize], regs[hi as usize]);
-                if lo > hi {
-                    lo
-                } else {
-                    v.clamp(lo, hi)
-                }
-            }
-        };
-        regs[i] = v;
-    }
-    regs[tape.root as usize]
-}
-
 /// Compiled window-load path of one consumer edge.
 #[derive(Clone, Debug)]
 struct EdgeProg {
@@ -726,9 +670,6 @@ struct Layout {
     gated_off_cycles: u64,
     /// Cumulative rate scale per netlist stage (`(1, 1)` for rate-1).
     scale_of: Vec<(u64, u64)>,
-    /// Whether any stage runs at a non-unit cumulative rate: selects the
-    /// strided scalar frame loop over the tile loop.
-    multirate: bool,
 }
 
 /// Per-buffer read-enable windows of `plan`, in buffer order. FIFO
@@ -873,7 +814,6 @@ impl Layout {
             .iter()
             .map(|s| (s.scale_x, s.scale_y))
             .collect();
-        let multirate = scale_of.iter().any(|&s| s != (1, 1));
         for (edge, e) in structure.edges.iter().enumerate() {
             let sc = structure.stages[e.consumer].start_cycle as i64;
             let sp = structure.stages[e.producer].start_cycle as i64;
@@ -999,26 +939,18 @@ impl Layout {
             sram_reads,
             sram_writes,
             scale_of,
-            multirate,
         })
     }
 
-    /// Padded row stride of the rate-1 dense stage images: raster width
-    /// rounded up to a whole number of evaluation tiles.
-    fn wstride(&self) -> usize {
-        (self.w as usize).next_multiple_of(TILE)
-    }
-
-    /// The extent of netlist stage `stage`'s dense frame image. The
-    /// rate-1 tile loop pads every row to [`Layout::wstride`]; the
-    /// strided loop stores each grid unpadded.
+    /// The extent of netlist stage `stage`'s dense frame image: its own
+    /// grid, every row padded to a whole number of evaluation tiles.
     fn grid(&self, stage: usize) -> Grid {
         let (cx, cy) = self.scale_of[stage];
         let cols = (self.w as u64 / cx) as usize;
         Grid {
             cols,
             rows: (self.h as u64 / cy) as usize,
-            stride: if self.multirate { cols } else { self.wstride() },
+            stride: cols.next_multiple_of(TILE),
         }
     }
 
@@ -1484,9 +1416,15 @@ impl EvalProgram {
                     // The window row the register array holds tap `dy` in.
                     let j = (dy as u32).saturating_sub(le.lag) as usize;
                     assert!(j < le.height, "tap dy={dy} reaches outside the edge window");
-                    TapeOp::Load {
-                        vrow: (le.vrow_base + j) as u32,
-                        dx,
+                    let vrow = (le.vrow_base + j) as u32;
+                    let (num, den) = (
+                        layout.scale_of[st.stage].0 as u32,
+                        layout.scale_of[le.prod_stage].0 as u32,
+                    );
+                    if num == den {
+                        TapeOp::Load { vrow, dx }
+                    } else {
+                        TapeOp::Gather { vrow, dx, num, den }
                     }
                 });
                 tb.finish(root)
@@ -1572,14 +1510,36 @@ impl EvalProgram {
     }
 
     /// The dense image of every stage over one frame, indexed by netlist
-    /// stage, each on its [`Layout::grid`]. The netlist's rates select
-    /// the frame loop.
+    /// stage, each on its [`Layout::grid`]. Stages stream whole frames in
+    /// start-cycle order, and every tile evaluation is full-width: the
+    /// padding lanes hold don't-care values that no in-frame column ever
+    /// reads back (taps satisfy `dx <= 0`, and an in-frame column of a
+    /// grid maps into its producer's grid at any rate).
     fn frame(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
-        if self.layout.multirate {
-            self.exec_multirate(inputs)
-        } else {
-            self.exec(inputs)
+        let l = &self.layout;
+        let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
+        // Shared workspaces across stages.
+        let mut regs = vec![0i64; self.max_regs * TILE];
+        let mut scratch: Vec<Vec<i64>> = Vec::new();
+
+        for (st, tape) in l.stages.iter().zip(&self.tapes) {
+            let g = l.grid(st.stage);
+            let mut img = vec![0i64; g.rows * g.stride];
+            match st.input {
+                // Input stages are always rate-1.
+                Some(k) => {
+                    let mut it = inputs[k].raster();
+                    for y in 0..g.rows {
+                        for v in img[y * g.stride..][..g.cols].iter_mut() {
+                            *v = trunc(it.next().unwrap_or(0), self.pixel);
+                        }
+                    }
+                }
+                None => self.eval_stage(st, tape, &images, &mut img, &mut regs, &mut scratch),
+            }
+            images[st.stage] = img;
         }
+        images
     }
 
     /// The report of a streamed frame: the compile-time closed forms plus
@@ -1611,108 +1571,10 @@ impl EvalProgram {
         }
     }
 
-    /// The rate-1 frame loop. Stages stream whole frames in start-cycle
-    /// order into dense images whose rows are padded to a whole number
-    /// of tiles, so every tile evaluation is full-width; the padding
-    /// lanes hold don't-care values that no in-frame column ever reads
-    /// back (taps satisfy `dx <= 0`).
-    fn exec(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
-        let l = &self.layout;
-        let pixel = self.pixel;
-        let (w, h) = (l.w as usize, l.h as usize);
-        let ws = l.wstride();
-
-        let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
-        // Shared workspaces across stages.
-        let mut regs = vec![0i64; self.max_regs * TILE];
-        let mut scratch: Vec<Vec<i64>> = Vec::new();
-
-        for (st, tape) in l.stages.iter().zip(&self.tapes) {
-            let mut img = vec![0i64; h * ws];
-            match st.input {
-                Some(k) => {
-                    let mut it = inputs[k].raster();
-                    for y in 0..h {
-                        for v in img[y * ws..y * ws + w].iter_mut() {
-                            *v = trunc(it.next().unwrap_or(0), pixel);
-                        }
-                    }
-                }
-                None => self.eval_stage(st, tape, &images, &mut img, &mut regs, &mut scratch),
-            }
-            images[st.stage] = img;
-        }
-        images
-    }
-
-    /// The multirate strided frame loop: frame-at-a-time streaming in
-    /// start-cycle order, each stage evaluated over its own `W/cx ×
-    /// H/cy` grid with taps stepping through the producer's grid at the
-    /// cumulative-scale stride. Under the (generalized) streaming
-    /// margins the dense producer image at `[min(⌊y_b/pcy⌋ + lag + j,
-    /// ph-1)][max(⌊x_b/pcx⌋ + dx, 0)]` is exactly the word the
-    /// rate-scheduled SRA holds at the stage's compute-enable cycle;
-    /// gate windows are applied per load at the base cycle the load
-    /// would occur (`S_c + y_b·W + col·pcx`).
-    fn exec_multirate(&self, inputs: &[Image]) -> Vec<Vec<i64>> {
-        let l = &self.layout;
-        let pixel = self.pixel;
-        let (w, h) = (l.w as u64, l.h as u64);
-        let sh = 64 - self.acc.min(64);
-
-        // Dense per-stage images in each stage's own grid, unpadded
-        // row-major (the scalar path needs no tile alignment).
-        let mut images: Vec<Vec<i64>> = vec![Vec::new(); l.n_net_stages];
-        let mut regs = vec![0i64; self.max_regs];
-
-        for (st, tape) in l.stages.iter().zip(&self.tapes) {
-            let (ccx, ccy) = l.scale_of[st.stage];
-            let (cw, ch) = (w / ccx, h / ccy);
-            let mut out = vec![0i64; (cw * ch) as usize];
-            match st.input {
-                Some(k) => {
-                    // Input stages are always rate-1: full-frame copy.
-                    let mut it = inputs[k].raster();
-                    for v in out.iter_mut() {
-                        *v = trunc(it.next().unwrap_or(0), pixel);
-                    }
-                }
-                None => {
-                    let edges = &l.edges[st.edges.clone()];
-                    for yc in 0..ch {
-                        let yb = yc * ccy;
-                        for xc in 0..cw {
-                            let xb = xc * ccx;
-                            let root = eval_scalar(tape, &mut regs, sh, &mut |vrow, dx| {
-                                let vrow = vrow as usize;
-                                let ep = edges
-                                    .iter()
-                                    .find(|e| vrow >= e.vrow_base && vrow < e.vrow_base + e.height)
-                                    .expect("tap vrow maps to an edge window");
-                                let j = (vrow - ep.vrow_base) as u64;
-                                let (pcx, pcy) = l.scale_of[ep.prod_stage];
-                                let (pw, ph) = (w / pcx, h / pcy);
-                                let row = (yb / pcy + ep.lag as u64 + j).min(ph - 1);
-                                let col = ((xb / pcx) as i64 + dx as i64).max(0) as u64;
-                                if let Some((gs, ge)) = ep.gate {
-                                    let t = st.start + yb * w + col * pcx;
-                                    if t < gs || t >= ge {
-                                        return 0;
-                                    }
-                                }
-                                images[ep.prod_stage][(row * pw + col) as usize]
-                            });
-                            out[(yc * cw + xc) as usize] = trunc(root, pixel);
-                        }
-                    }
-                }
-            }
-            images[st.stage] = out;
-        }
-        images
-    }
-
-    /// Streams one compute stage's whole frame into `out`.
+    /// Streams one compute stage's whole frame into `out`, one row of
+    /// its grid at a time. Row `y` is enabled at base cycle `start +
+    /// y·cy·W` and loads window row `j` of an edge from producer row
+    /// `min(⌊y·cy/pcy⌋ + lag + j, ph-1)`.
     fn eval_stage(
         &self,
         st: &StageProg,
@@ -1723,54 +1585,66 @@ impl EvalProgram {
         scratch: &mut Vec<Vec<i64>>,
     ) {
         let l = &self.layout;
-        let (w, h) = (l.w as usize, l.h as usize);
-        let ws = l.wstride();
+        let g = l.grid(st.stage);
+        let cy = l.scale_of[st.stage].1;
         let sh = 64 - self.acc.min(64);
         let pixel = self.pixel;
         if scratch.len() < st.n_vrows {
             scratch.resize(st.n_vrows, Vec::new());
         }
+        let edges = &l.edges[st.edges.clone()];
+        let prods: Vec<(Grid, (u64, u64))> = edges
+            .iter()
+            .map(|ep| (l.grid(ep.prod_stage), l.scale_of[ep.prod_stage]))
+            .collect();
 
-        for y in 0..h {
-            let base = st.start + (y * w) as u64;
+        for y in 0..g.rows {
+            let yb = y as u64 * cy;
+            let base = st.start + yb * l.w as u64;
+            // Per edge: the producer row of window row 0 and the producer
+            // columns the gate lets this row load.
+            let window = |ep: &EdgeProg, &(pg, (pcx, pcy)): &(Grid, (u64, u64))| {
+                let (en_lo, en_hi) = gate_cols(ep.gate, base, pg.cols, pcx);
+                ((yb / pcy) as usize + ep.lag as usize, en_lo, en_hi)
+            };
             // Resolve the virtual SRA rows: producer image rows with the
             // bottom clamp, gate-zeroed per load column. Scratch copies
             // are only made on partially-gated rows (adversarial plans).
-            for ep in &l.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = gate_cols(ep.gate, base, w, 1);
-                if en_lo == 0 && en_hi == w {
+            for (ep, prod) in edges.iter().zip(&prods) {
+                let (r0, en_lo, en_hi) = window(ep, prod);
+                let pg = prod.0;
+                if en_lo == 0 && en_hi == pg.cols {
                     continue;
                 }
-                let prod = &images[ep.prod_stage];
+                let img = &images[ep.prod_stage];
                 for j in 0..ep.height {
-                    let r = (y + ep.lag as usize + j).min(h - 1);
+                    let r = (r0 + j).min(pg.rows - 1);
                     let s = &mut scratch[ep.vrow_base + j];
                     s.clear();
-                    s.resize(ws, 0);
-                    if en_hi > en_lo {
-                        s[en_lo..en_hi].copy_from_slice(&prod[r * ws + en_lo..r * ws + en_hi]);
-                    }
+                    s.resize(pg.stride, 0);
+                    s[en_lo..en_hi].copy_from_slice(&img[r * pg.stride..][en_lo..en_hi]);
                 }
             }
             let mut vrows: Vec<&[i64]> = Vec::with_capacity(st.n_vrows);
-            for ep in &l.edges[st.edges.clone()] {
-                let (en_lo, en_hi) = gate_cols(ep.gate, base, w, 1);
-                let prod = &images[ep.prod_stage];
+            for (ep, prod) in edges.iter().zip(&prods) {
+                let (r0, en_lo, en_hi) = window(ep, prod);
+                let pg = prod.0;
+                let img = &images[ep.prod_stage];
                 for j in 0..ep.height {
-                    if en_lo == 0 && en_hi == w {
-                        let r = (y + ep.lag as usize + j).min(h - 1);
-                        vrows.push(&prod[r * ws..(r + 1) * ws]);
+                    if en_lo == 0 && en_hi == pg.cols {
+                        let r = (r0 + j).min(pg.rows - 1);
+                        vrows.push(&img[r * pg.stride..][..pg.stride]);
                     } else {
-                        vrows.push(&scratch[ep.vrow_base + j][..ws]);
+                        vrows.push(&scratch[ep.vrow_base + j]);
                     }
                 }
             }
 
-            let orow = &mut out[y * ws..(y + 1) * ws];
+            let orow = &mut out[y * g.stride..][..g.stride];
             // The whole row runs through the vectorized tile path; the
             // tile loader handles the left-edge column clamp itself and
             // the padding lanes compute don't-care values.
-            for x0 in (0..ws).step_by(TILE) {
+            for x0 in (0..g.stride).step_by(TILE) {
                 eval_tile(tape, regs, &vrows, sh, x0);
                 let root = &regs[tape.root as usize * TILE..][..TILE];
                 for (o, &v) in orow[x0..x0 + TILE].iter_mut().zip(root) {

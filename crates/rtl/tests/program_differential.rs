@@ -198,6 +198,17 @@ fn tall() -> ImageGeometry {
     }
 }
 
+/// A frame wider than one evaluation tile: four 64-lane tiles at full
+/// rate and two at the pyramids' half rate, so strided tap loads gather
+/// from beyond a stage's first tile.
+fn wide() -> ImageGeometry {
+    ImageGeometry {
+        width: 200,
+        height: 24,
+        pixel_bits: 16,
+    }
+}
+
 /// Line coalescing into blocks of two rows each.
 fn coalesced(geom: &ImageGeometry) -> MemorySpec {
     let backend = MemBackend::Asic {
@@ -208,14 +219,15 @@ fn coalesced(geom: &ImageGeometry) -> MemorySpec {
 
 /// The corpus × {16/32, 64/64} × {ungated, gated} on the planner's
 /// default ASIC macro, on two-row coalesced blocks, and on the default
-/// macro at the tall frame.
+/// macro at the tall frame and at a frame wider than one tile.
 #[test]
 fn program_matches_walker_on_corpus() {
     let asic = MemorySpec::new(MemBackend::asic_default(), 2);
     let cases = [
         ("asic", geom(), asic.clone()),
         ("coalesced", geom(), coalesced(&geom())),
-        ("tall", tall(), asic),
+        ("tall", tall(), asic.clone()),
+        ("wide", wide(), asic),
     ];
     for (i, (name, dag)) in corpus().iter().enumerate() {
         for (case, geom, spec) in &cases {
@@ -486,8 +498,8 @@ fn gauss3(slot: usize) -> Expr {
 
 /// A hand-built pyramid pipeline — blur, decimate 2×2, half-rate blur,
 /// replicate back up, and a unit-rate band stage subtracting the
-/// reconstruction from the full-rate input — through the strided
-/// multirate frame loop vs the walker, both width regimes, ungated and
+/// reconstruction from the full-rate input — through the tile loop's
+/// strided tap gathers vs the walker, both width regimes, ungated and
 /// gated.
 #[test]
 fn program_matches_walker_on_hand_built_pyramid() {

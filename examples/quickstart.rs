@@ -73,13 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .schedule
             .latency(&out.plan.dag, geom.width, geom.height)
     );
-    println!(
-        "  compile time   : {:.2} ms (front end {:.2} + optimize {:.2} + codegen {:.2})",
-        out.timing.total_us() as f64 / 1e3,
-        out.timing.frontend_us as f64 / 1e3,
-        out.timing.optimize_us as f64 / 1e3,
-        out.timing.codegen_us as f64 / 1e3,
-    );
 
     println!("\n## Verilog (first 24 lines of {})\n", {
         let lines = out.verilog.lines().count();

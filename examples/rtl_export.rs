@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::create_dir_all(&out_dir)?;
 
     println!(
-        "{:12} {:>8} {:>9} {:>7} {:>9}",
-        "algorithm", "modules", "SRAMs", "lines", "compile"
+        "{:12} {:>8} {:>9} {:>7}",
+        "algorithm", "modules", "SRAMs", "lines"
     );
     for alg in Algorithm::all() {
         let out = compiler.compile_dag(&alg.build())?;
@@ -32,12 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let path = out_dir.join(format!("{}.v", alg.name().to_lowercase()));
         fs::write(&path, &out.verilog)?;
         println!(
-            "{:12} {:>8} {:>9} {:>7} {:>7.1}ms",
+            "{:12} {:>8} {:>9} {:>7}",
             alg.name(),
             summary.modules,
             summary.sram_instances,
-            out.verilog.lines().count(),
-            out.timing.total_us() as f64 / 1e3
+            out.verilog.lines().count()
         );
     }
     println!("\nVerilog written to {}", out_dir.display());

@@ -63,8 +63,6 @@ pub use imagen_rtl as rtl;
 pub use imagen_schedule as schedule;
 pub use imagen_sim as sim;
 
-pub use imagen_core::{
-    CompileCache, CompileError, CompileOutput, CompileTiming, Compiler, Session,
-};
+pub use imagen_core::{CompileCache, CompileError, CompileOutput, Compiler, Session};
 pub use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 pub use imagen_schedule::{Plan, ScheduleOptions};

@@ -13,9 +13,10 @@
 //!
 //! Frame extents are divisible by every cumulative scale in the
 //! pyramids (2×2), as the planner requires. `IMAGEN_SMOKE=1` shrinks
-//! the frame for CI. The program's whole report and activity trace are
-//! pinned against a per-cycle reference walker by
-//! `crates/rtl/tests/program_differential.rs`.
+//! the default frame for CI; a second frame, wider than one 64-lane
+//! evaluation tile at every rate, runs in both modes. The program's
+//! whole report and activity trace are pinned against a per-cycle
+//! reference walker by `crates/rtl/tests/program_differential.rs`.
 
 use imagen::power::gate_clocks;
 use imagen::rtl::{build_netlist, interpret, BitWidths};
@@ -47,15 +48,24 @@ fn geom() -> ImageGeometry {
     }
 }
 
-fn backend() -> MemBackend {
-    MemBackend::Asic {
-        block_bits: 2 * geom().row_bits(),
+/// Four 64-lane tiles at full rate and two at half rate: the program's
+/// strided tap loads gather from beyond a stage's first tile.
+fn wide_frame() -> ImageGeometry {
+    ImageGeometry {
+        width: 200,
+        height: 24,
+        pixel_bits: 16,
     }
 }
 
-/// Deterministic pseudo-random frame with `bits`-bit pixels.
-fn noise_frame(seed: u64, bits: u32) -> Image {
-    let g = geom();
+fn backend(geom: &ImageGeometry) -> MemBackend {
+    MemBackend::Asic {
+        block_bits: 2 * geom.row_bits(),
+    }
+}
+
+/// Deterministic pseudo-random `g`-sized frame with `bits`-bit pixels.
+fn noise_frame(g: &ImageGeometry, seed: u64, bits: u32) -> Image {
     let mask = (1u64 << bits) - 1;
     Image::from_fn(g.width, g.height, |x, y| {
         let mut z = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(
@@ -73,11 +83,14 @@ fn pyramid_dag(file: &str) -> imagen::ir::Dag {
     imagen::dsl::compile(name, &src).unwrap()
 }
 
-/// Compiles one pyramid, runs all three engines on `input`, and pins
-/// every output stream bit-exact across the trio.
-fn three_way(file: &str, widths: &BitWidths, input: Image, label: &str) {
+/// Compiles one pyramid at `geom`, runs all three engines on a noise
+/// frame of `bits`-bit pixels, and pins every output stream bit-exact
+/// across the trio.
+fn three_way(file: &str, widths: &BitWidths, geom: &ImageGeometry, seed: u64, bits: u32) {
+    let label = format!("{geom}, {}/{}", widths.pixel_bits, widths.acc_bits);
+    let input = noise_frame(geom, seed, bits);
     let dag = pyramid_dag(file);
-    let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
+    let out = Compiler::new(*geom, MemorySpec::new(backend(geom), 2))
         .compile_dag(&dag)
         .unwrap_or_else(|e| panic!("{file} ({label}): {e}"));
     assert!(
@@ -139,10 +152,10 @@ const PYRAMIDS: [&str; 2] = ["gaussian_pyramid.imagen", "laplacian_pyramid.image
 /// already at the storage floor and cannot shrink.
 #[test]
 fn pyramid_buffer_sizing_is_minimal() {
-    let input = noise_frame(3, 4);
+    let input = noise_frame(&geom(), 3, 4);
     for file in PYRAMIDS {
         let dag = pyramid_dag(file);
-        let out = Compiler::new(geom(), MemorySpec::new(backend(), 2))
+        let out = Compiler::new(geom(), MemorySpec::new(backend(&geom()), 2))
             .compile_dag(&dag)
             .unwrap();
 
@@ -178,30 +191,24 @@ fn pyramid_buffer_sizing_is_minimal() {
     }
 }
 
-/// Wide widths, full-range 8-bit noise: both pyramids, bit-exact,
-/// gated and ungated.
+/// Wide widths, full-range 8-bit noise: both pyramids at both frames,
+/// bit-exact, gated and ungated.
 #[test]
 fn pyramids_wide_widths_bit_exact() {
-    for (i, file) in PYRAMIDS.iter().enumerate() {
-        three_way(
-            file,
-            &BitWidths::wide(),
-            noise_frame(11 + i as u64, 8),
-            "wide",
-        );
+    for g in [geom(), wide_frame()] {
+        for (i, file) in PYRAMIDS.iter().enumerate() {
+            three_way(file, &BitWidths::wide(), &g, 11 + i as u64, 8);
+        }
     }
 }
 
-/// Default hardware widths, 4-bit inputs: both pyramids, bit-exact,
-/// gated and ungated.
+/// Default hardware widths, 4-bit inputs: both pyramids at both frames,
+/// bit-exact, gated and ungated.
 #[test]
 fn pyramids_default_widths_bit_exact() {
-    for (i, file) in PYRAMIDS.iter().enumerate() {
-        three_way(
-            file,
-            &BitWidths::default(),
-            noise_frame(0xD1F7 + i as u64, 4),
-            "default",
-        );
+    for g in [geom(), wide_frame()] {
+        for (i, file) in PYRAMIDS.iter().enumerate() {
+            three_way(file, &BitWidths::default(), &g, 0xD1F7 + i as u64, 4);
+        }
     }
 }
