@@ -4,8 +4,9 @@
 //! to 60 stages with a third of the stages having multiple consumers;
 //! [`synthetic_pipeline`] reproduces those inputs deterministically.
 //! [`sample_pattern`] provides deterministic synthetic frames for the
-//! simulator (DESIGN.md §5 — memory behaviour is data-independent, so
-//! synthetic frames exercise the same paths as camera captures).
+//! simulator (memory behaviour is data-independent — the schedule fixes
+//! every access — so synthetic frames exercise the same paths as camera
+//! captures).
 
 use imagen_ir::{Dag, Expr, StageId};
 use rand::rngs::StdRng;

@@ -129,7 +129,8 @@ pub fn evaluate(alg: Algorithm, geom: &ImageGeometry, backend: MemBackend) -> Ve
     out
 }
 
-/// The standard ASIC backend of the evaluation (DESIGN.md §7).
+/// The standard ASIC backend of the evaluation: 32 Kbit macros
+/// ([`MemBackend::asic_default`]).
 pub fn asic_backend() -> MemBackend {
     MemBackend::asic_default()
 }

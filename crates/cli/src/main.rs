@@ -72,7 +72,8 @@ COMPILE OPTIONS:
 
 PROFILE OPTIONS (compile, dse):
     --profile        print a per-phase breakdown (span timings, solver
-                     pivots, cache traffic) after the normal output
+                     pivots, cache traffic; for dse also the distinct
+                     line-buffer port checks) after the normal output
     --trace-out FILE write the profile as Chrome trace_event JSON (load in
                      chrome://tracing or Perfetto); implies --profile
 

@@ -3,27 +3,31 @@
 //!
 //! A one-shot [`Compiler`](crate::Compiler) re-derives everything per
 //! call. Design-space exploration (paper Sec. 8.5) instead compiles the
-//! *same* DAG under hundreds of memory configurations, where two phases
-//! are invariant across points:
+//! *same* DAG under hundreds of memory configurations, where three
+//! things are shared across points:
 //!
 //! * the DAG analysis and the spec-independent constraint skeleton
 //!   (data dependencies, sync equalities, longest-path bounds) — built
 //!   once per [`Session`];
+//! * each line buffer's port checks — a [`PortCheckMemo`] the session
+//!   owns for its lifetime runs them once per distinct buffer (frame,
+//!   ports, layout inputs and access streams, starts taken relative to
+//!   the earliest), whichever point or request first needs them;
 //! * any point already compiled — returned from the [`CompileCache`],
 //!   keyed by (DAG fingerprint, geometry, resolved per-stage memory
 //!   config, schedule options, style).
 //!
 //! Sessions are `Sync`: design points can be fanned out over
-//! `std::thread::scope` workers sharing one session, and the cache is
-//! shared across threads (compilation runs outside the cache lock, so
-//! workers never serialize on the solver).
+//! `std::thread::scope` workers sharing one session, and the cache and
+//! the memo are shared across threads (compilation runs outside both
+//! locks, so workers never serialize on the solver or the checks).
 
 use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::Counter;
 use imagen_schedule::{
-    formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan, ScheduleOptions,
+    formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan, PortCheckMemo, ScheduleOptions,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -182,6 +186,7 @@ pub struct Session {
     skeleton: ConstraintSkeleton,
     opts: ScheduleOptions,
     cache: Arc<CompileCache>,
+    port_checks: PortCheckMemo,
 }
 
 impl Session {
@@ -203,6 +208,7 @@ impl Session {
             geom,
             opts: ScheduleOptions::default(),
             cache,
+            port_checks: PortCheckMemo::new(),
         }
     }
 
@@ -225,6 +231,13 @@ impl Session {
     /// The backing cache (shareable across sessions and threads).
     pub fn cache(&self) -> &Arc<CompileCache> {
         &self.cache
+    }
+
+    /// Distinct line-buffer port checks this session has run: the entry
+    /// count of its [`PortCheckMemo`]. It depends only on the plans the
+    /// session computed, not on their order or the worker count.
+    pub fn port_checks(&self) -> usize {
+        self.port_checks.len()
     }
 
     /// The style a spec is labeled with when none is forced: `Ours+LC`
@@ -411,6 +424,7 @@ impl Session {
             spec,
             self.opts,
             style,
+            &self.port_checks,
         )?;
         Ok(CacheEntry {
             plan: Arc::new(plan),

@@ -18,9 +18,12 @@
 //!
 //! Evaluation fans out over `std::thread::scope` workers sharing one
 //! memoized [`Session`]: the constraint skeleton is built once per DAG,
-//! repeated configurations (the greedy walk revisits many) are cache
-//! hits, and points are *priced* (area from the SRAM model, power from
-//! the access statistics) without generating RTL text nobody reads. Each
+//! each distinct line buffer's port checks run once per sweep (Canny-m's
+//! 512 points realize 4,608 buffers and run 12 checks;
+//! [`ExploreStats::port_checks`]), repeated configurations (the greedy
+//! walk revisits many) are cache hits, and points are *priced* (area
+//! from the SRAM model, power from the access statistics) without
+//! generating RTL text nobody reads. Each
 //! point is described once (`imagen_rtl::describe`) and never
 //! elaborated into a netlist; from that [`Structure`] it carries a
 //! [`ResourceReport`] (instantiated SRAM macro bits, flip-flops, datapath
@@ -200,6 +203,10 @@ pub struct ExploreStats {
     /// with concurrent sweeps in one process the delta covers all of them).
     /// The name predates the flow solver and is kept for API stability.
     pub simplex_pivots: u64,
+    /// Distinct line-buffer port checks the sweep ran: the entry count of
+    /// its session's port-check memo at the end. Counting keys, not
+    /// misses, makes it repeat at any worker count.
+    pub port_checks: u64,
 }
 
 /// Result of a sweep: all points plus the ids of the buffered stages the
@@ -503,6 +510,7 @@ pub fn explore(
             cache_hits: hits as u64,
             cache_misses: misses as u64,
             simplex_pivots: imagen_ilp::stats::pivot_count() - pivots_before,
+            port_checks: session.port_checks() as u64,
         },
     })
 }

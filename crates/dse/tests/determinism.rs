@@ -9,14 +9,20 @@
 //!   equal its netlist's, on the whole example corpus, pyramids
 //!   included;
 //! * a traced parallel sweep records every worker's spans and returns
-//!   what an untraced one does.
+//!   what an untraced one does;
+//! * every buffer a sweep's shared port-check memo sized equals the
+//!   checks run directly on its plan, one session serves several
+//!   backends as fresh ones do, a violation keeps its cycle, and the
+//!   sweep's count of distinct checks repeats at any worker count.
 
-use imagen_core::Session;
+use imagen_core::{CompileError, Session};
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
-use imagen_ir::Dag;
-use imagen_mem::{ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
+use imagen_ir::{Dag, StageId};
+use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_obs::{with_collector, Collector};
 use imagen_rtl::{report_resources, ScheduleActivity};
+use imagen_schedule::checker::{check_accesses, required_phys_rows};
+use imagen_schedule::{plan_design, resolve_entities, ScheduleOptions};
 use imagen_sim::Image;
 use proptest::prelude::*;
 use std::path::Path;
@@ -169,11 +175,11 @@ fn corpus() -> Vec<(String, Dag)> {
         .collect()
 }
 
-fn measured_sweep(dag: &Dag, threads: usize) -> DseResult {
+fn sweep_at(dag: &Dag, geom: &ImageGeometry, backend: MemBackend, threads: usize) -> DseResult {
     explore(
         dag,
-        &geom(),
-        backend(),
+        geom,
+        backend,
         ExploreOptions {
             strategy: ExploreStrategy::Exhaustive,
             threads,
@@ -181,6 +187,10 @@ fn measured_sweep(dag: &Dag, threads: usize) -> DseResult {
         },
     )
     .unwrap()
+}
+
+fn measured_sweep(dag: &Dag, threads: usize) -> DseResult {
+    sweep_at(dag, &geom(), backend(), threads)
 }
 
 /// One seeded noise frame per input stream.
@@ -273,4 +283,175 @@ fn traced_parallel_sweep_records_every_worker() {
     assert_eq!(threads.len(), traced.points.len(), "one span per point");
     threads.dedup();
     assert_eq!(threads.len(), 2, "measure spans from both workers");
+}
+
+/// 64×48 frames on 256-bit macros: every buffer row splits over blocks
+/// (four for a full-rate row).
+fn split_row() -> (ImageGeometry, MemBackend) {
+    (
+        ImageGeometry {
+            width: 64,
+            height: 48,
+            pixel_bits: 16,
+        },
+        MemBackend::Asic { block_bits: 256 },
+    )
+}
+
+/// Every buffer of every point a three-worker sweep sizes through its
+/// session's port-check memo equals the checks run directly on the
+/// point's plan: `required_phys_rows` on the plan's resolved streams
+/// returns the buffer's physical rows, and the absolute-row check passes.
+/// All 10 examples, on the two-row macro at 32×24 and on split rows.
+#[test]
+fn memo_served_buffers_equal_direct_checks() {
+    for (geom, backend) in [(geom(), backend()), split_row()] {
+        for (name, dag) in corpus() {
+            let res = sweep_at(&dag, &geom, backend, 3);
+            let session = Session::new(&dag, geom);
+            for (i, p) in res.points.iter().enumerate() {
+                let spec = res.spec_of(p, backend);
+                let plan = session.price(&spec, Some(p.design.style)).unwrap();
+                assert_eq!(
+                    plan.design.start_cycles, p.design.start_cycles,
+                    "{name} point {i}: the plan is the point's schedule"
+                );
+                let scales = plan.dag.stage_scales();
+                for b in &p.design.buffers {
+                    let streams = resolve_entities(
+                        &plan.dag,
+                        StageId::from_index(b.stage),
+                        &scales,
+                        &plan.schedule.starts,
+                    );
+                    let ports = spec.ports_for(b.stage);
+                    let (w, h, px) = (geom.width, geom.height, geom.pixel_bits);
+                    assert_eq!(
+                        check_accesses(w, h, px, &streams, ports, None),
+                        Ok(()),
+                        "{name} point {i} buffer {}: absolute rows",
+                        b.stage
+                    );
+                    assert_eq!(
+                        required_phys_rows(
+                            w,
+                            h,
+                            px,
+                            &streams,
+                            ports,
+                            b.logical_rows,
+                            b.rows_per_block,
+                            b.blocks_per_row,
+                            backend.block_bits(),
+                        ),
+                        Ok(b.phys_rows),
+                        "{name} point {i} buffer {}: physical rows",
+                        b.stage
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One session that prices every point on two backends, alternating,
+/// returns the designs one fresh session per backend does: the memo's
+/// key separates buffers whose streams agree but whose macros do not.
+#[test]
+fn one_session_prices_both_backends_as_fresh_ones_do() {
+    let geom = geom();
+    let backends = [backend(), MemBackend::Asic { block_bits: 256 }];
+    for (name, dag) in corpus() {
+        let fresh = backends.map(|b| sweep_at(&dag, &geom, b, 1));
+        let shared = Session::new(&dag, geom);
+        for i in 0..fresh[0].points.len() {
+            for (res, &b) in fresh.iter().zip(&backends) {
+                let p = &res.points[i];
+                let plan = shared
+                    .price(&res.spec_of(p, b), Some(p.design.style))
+                    .unwrap();
+                assert_eq!(plan.design, p.design, "{name} point {i} on {b:?}");
+            }
+        }
+    }
+}
+
+/// The number of distinct port checks a sweep runs repeats at one and
+/// at three workers on the corpus, and Canny-m's 512-point sweep runs
+/// fewer checks than it has points.
+#[test]
+fn port_checks_repeat_at_any_worker_count() {
+    for (name, dag) in corpus() {
+        let [one, three] = [1, 3].map(|threads| measured_sweep(&dag, threads));
+        assert!(one.stats.port_checks > 0, "{name}");
+        assert_eq!(
+            one.stats.port_checks, three.stats.port_checks,
+            "{name}: port checks at 1 and 3 workers"
+        );
+        if name == "canny_m" {
+            assert_eq!(one.points.len(), 512);
+            assert!(
+                one.stats.port_checks < 512,
+                "canny_m ran {} port checks",
+                one.stats.port_checks
+            );
+        }
+    }
+}
+
+/// A port-violating plan reports the same text, cycle included, from a
+/// one-shot plan and from a session's first and second (memo-hit) try.
+/// `synthetic_pipeline(29, 2710633447341882416)` is a known such DAG:
+/// stage 2's buffer collides on its last row without coalescing.
+#[test]
+fn a_violation_keeps_its_cycle_through_the_memo() {
+    let dag = imagen_algos::synthetic_pipeline(29, 2710633447341882416);
+    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
+    for (width, height, text) in [
+        (
+            64,
+            48,
+            "schedule violates ports on buffer of stage 2: \
+             row 47 receives 3 accesses (> 2 ports) at cycle 3660",
+        ),
+        (
+            352,
+            240,
+            "schedule violates ports on buffer of stage 2: \
+             row 239 receives 3 accesses (> 2 ports) at cycle 87660",
+        ),
+    ] {
+        let geom = ImageGeometry {
+            width,
+            height,
+            pixel_bits: 16,
+        };
+        let one_shot = plan_design(
+            &dag,
+            &geom,
+            &spec,
+            ScheduleOptions::default(),
+            DesignStyle::Ours,
+        )
+        .unwrap_err();
+        assert_eq!(
+            one_shot.to_string(),
+            text,
+            "plan_design at {width}x{height}"
+        );
+        let session = Session::new(&dag, geom);
+        for attempt in 0..2 {
+            match session.price(&spec, None) {
+                Err(CompileError::Plan(e)) => assert_eq!(
+                    e.to_string(),
+                    text,
+                    "Session::price #{attempt} at {width}x{height}"
+                ),
+                other => panic!(
+                    "expected a plan error, got {:?}",
+                    other.map(|p| p.design.name.clone())
+                ),
+            }
+        }
+    }
 }

@@ -5,8 +5,8 @@ use std::fmt;
 /// Frame dimensions and pixel width.
 ///
 /// The paper evaluates 320p (480×320) and 1080p (1920×1080) frames with a
-/// fixed pixel datapath; this reproduction uses 16-bit pixels (documented
-/// in `DESIGN.md` §7).
+/// fixed pixel datapath; this reproduction's evaluation uses 16-bit
+/// pixels.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ImageGeometry {
     /// Frame width in pixels (the scheduler's `W`).

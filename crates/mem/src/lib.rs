@@ -7,7 +7,8 @@
 //! * [`MemorySpec`] / [`MemBackend`] — the compiler's hardware input:
 //!   block sizes, port counts, per-stage DSE overrides (Sec. 4, 8.5);
 //! * [`tech`] — analytical SRAM/BRAM/DFF/PE cost models substituting for
-//!   OpenRAM+FreePDK45 and Vivado (DESIGN.md §5);
+//!   OpenRAM+FreePDK45 and Vivado (their calibration is in its module
+//!   doc);
 //! * [`Design`] / [`BufferPlan`] / [`allocate_buffer`] — the planned
 //!   memory system every generator (ours + baselines) produces, priced
 //!   into the paper's metrics (SRAM KB, block counts, mm², mW).

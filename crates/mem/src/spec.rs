@@ -23,8 +23,8 @@ pub enum MemBackend {
 }
 
 impl MemBackend {
-    /// The paper's ASIC line-buffer macro (32 Kbit; DESIGN.md §7 explains
-    /// the calibration: a 320p row fits 4×, a 1080p row fits 1×).
+    /// The paper's ASIC line-buffer macro: 32 Kbit, so a 320p row of
+    /// 16-bit pixels fits 4× and a 1080p row 1×.
     pub fn asic_default() -> MemBackend {
         MemBackend::Asic { block_bits: 32768 }
     }

@@ -4,7 +4,7 @@
 //! memories with Vivado's power analyzer; neither tool exists in this
 //! environment, so this module provides analytical substitutes calibrated
 //! to reproduce the *relative* behaviours every comparison in the paper
-//! depends on (DESIGN.md §5):
+//! depends on:
 //!
 //! * SRAM cell area grows **quadratically with the port count**
 //!   (Weste–Harris, the paper's citation \[37\]): doubling ports roughly

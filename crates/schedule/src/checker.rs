@@ -5,13 +5,27 @@
 //! buffer additionally maps absolute rows `r` and `r + phys_rows` onto the
 //! same physical block, so the writer can physically alias the oldest
 //! resident reader row — benign on dual-port blocks (write + read = 2),
-//! fatal on single-port ones (DESIGN.md §4). This module verifies both
-//! levels exactly and computes the minimal physical slack.
+//! fatal on single-port ones, which therefore need slack rows. This
+//! module verifies both levels exactly and computes the minimal physical
+//! slack.
 //!
 //! Access patterns are piecewise-constant between *transition cycles*
 //! (stage activations, row advances, and column-segment crossings), so
-//! checking every transition point is exact while costing
-//! `O(entities² · height)` instead of a cycle count.
+//! checking every transition point is exact. [`check_accesses`] does not
+//! visit every row advance either: once every stream is active and no
+//! window clamps at the bottom edge, the pattern repeats every steady
+//! period (the physical rotation times the lcm of the stream cadences).
+//! It scans a head of row advances covering every activation plus one
+//! period, and a tail covering deactivations and the bottom-edge clamp —
+//! each as long as the streams' start span in rows plus the tallest
+//! window plus the period. Each scanned advance costs one transition per
+//! stream (and per column segment when rows split over blocks), each
+//! counted over the streams' rows. A frame shorter than twice that margin
+//! is scanned whole. So a check costs work in proportion to the pipeline
+//! depth and period, not to the frame height. The planner routes every
+//! buffer it realizes through a [`PortCheckMemo`](crate::PortCheckMemo),
+//! which a compile session keeps for its lifetime, so a session checks
+//! each distinct stream set once.
 
 use std::fmt;
 
@@ -22,7 +36,7 @@ use std::fmt;
 /// spans `W·H` cycles for every stage; `row_div` converts a base raster
 /// row into a buffer (producer-grid) row, and `row_active`/`col_div`
 /// gate which base cycles actually touch the memory.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ResolvedEntity {
     /// Start cycle of the governing stage.
     pub start: i64,
@@ -485,6 +499,111 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both checks read only start differences: shifting every start by
+    /// `d` leaves each verdict as it was, except that a violation's cycle
+    /// moves by `d`. The planner's port-check memo keys buffers on starts
+    /// relative to the earliest one, so it rests on this. Random rate-1
+    /// and strided stream sets, every layout kind, on a tall frame (the
+    /// scan prunes to a head and a tail) and one shorter than any scan
+    /// margin (it scans every row).
+    #[test]
+    fn shifted_starts_move_only_the_violation_cycle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0005_41f7_ed57_a275);
+        let mut next = move |n: u64| rng.next_u64() % n;
+        let (w, px) = (32u32, 16u32);
+        let row = (w * px) as u64;
+        let moved = |v: PortViolation, d: i64| PortViolation {
+            cycle: v.cycle + d,
+            ..v
+        };
+        let (mut passed, mut violated) = (0, 0);
+        for round in 0..96 {
+            let h = if round % 2 == 0 { 240 } else { 8 };
+            // Within one buffer every stream shares the producer's grid;
+            // readers keep their own row cadence.
+            let strided = round % 3 != 0;
+            let (row_div, col_div) = if strided {
+                (1 + next(2) as u32, 1 + next(2) as u32)
+            } else {
+                (1, 1)
+            };
+            let entities: Vec<ResolvedEntity> = (0..2 + next(3))
+                .map(|i| ResolvedEntity {
+                    start: next(6) as i64 * w as i64 + next(3) as i64,
+                    row_offset: next(3) as u32,
+                    height: 1 + next(3) as u32,
+                    is_writer: i == 0,
+                    row_div,
+                    col_div,
+                    row_active: if strided { 1 + next(2) as u32 } else { 1 },
+                })
+                .collect();
+            let ports = 1 + next(2) as u32;
+            let logical_rows = 1 + next(4) as u32;
+            // (rows per block, blocks per row, block bits): rotating,
+            // coalesced with g = 2, and split-row.
+            let kinds = [(1, 1, row), (2, 1, 2 * row), (1, 2, row / 2)];
+            let layouts: Vec<Option<BufferLayout>> = std::iter::once(None)
+                .chain(kinds.iter().map(|&(g, blocks_per_row, block_bits)| {
+                    Some(BufferLayout {
+                        phys_rows: g * (1 + next(4) as u32),
+                        rows_per_block: g,
+                        blocks_per_row,
+                        block_bits,
+                    })
+                }))
+                .collect();
+            for d in [1, w as i64 - 1, w as i64, 7 * w as i64 + 3] {
+                let shifted: Vec<ResolvedEntity> = entities
+                    .iter()
+                    .map(|e| ResolvedEntity {
+                        start: e.start + d,
+                        ..*e
+                    })
+                    .collect();
+                for layout in &layouts {
+                    let base = check_accesses(w, h, px, &entities, ports, layout.as_ref());
+                    match base {
+                        Ok(()) => passed += 1,
+                        Err(_) => violated += 1,
+                    }
+                    assert_eq!(
+                        check_accesses(w, h, px, &shifted, ports, layout.as_ref()),
+                        base.map_err(|v| moved(v, d)),
+                        "shift {d} changed the verdict for {entities:?} ports={ports} \
+                         layout={layout:?} height={h}"
+                    );
+                }
+                for &(g, blocks_per_row, block_bits) in &kinds {
+                    let rows = |ents: &[ResolvedEntity]| {
+                        required_phys_rows(
+                            w,
+                            h,
+                            px,
+                            ents,
+                            ports,
+                            logical_rows,
+                            g,
+                            blocks_per_row,
+                            block_bits,
+                        )
+                    };
+                    assert_eq!(
+                        rows(&shifted),
+                        rows(&entities).map_err(|v| moved(v, d)),
+                        "shift {d} changed the physical rows for {entities:?} ports={ports} \
+                         g={g} blocks_per_row={blocks_per_row} height={h}"
+                    );
+                }
+            }
+        }
+        assert!(
+            passed > 0 && violated > 0,
+            "both verdicts occur: {passed} passed, {violated} violated"
+        );
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! S_i - S_j ≥ W · (off_i + h_i - off_j)
 //! ```
 //!
-//! This matches the paper's Equ. 12 (with the trailing stage's stencil
-//! height; see DESIGN.md §2 on the subscript) and, unlike the ceiling
-//! derivation in the paper, is exact rather than merely sufficient — no
-//! optimality is lost.
+//! This matches the paper's Equ. 12, whose stencil height is the trailing
+//! entity's (`h_i` above), and, unlike the ceiling derivation in the
+//! paper, is exact rather than merely sufficient — no optimality is lost.
 //!
 //! # Multirate stages and the common base clock
 //!

@@ -15,7 +15,8 @@
 //!   absolute-row and physical-block granularity (rotation aliasing).
 //! * [`plan_design`] — the full Fig. 5 "Optimizer": coalescing rewrite,
 //!   formulation, solving, buffer sizing (Equ. 2), block allocation and
-//!   pricing into a [`imagen_mem::Design`].
+//!   pricing into a [`imagen_mem::Design`], running each distinct
+//!   buffer's port checks once per [`PortCheckMemo`].
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -35,7 +36,7 @@ pub use constraints::{
 };
 pub use entity::{buffer_entities, AccessEntity};
 pub use plan::{
-    plan_design, plan_design_with, realize_design, resolve_entities, Plan, PlanError,
+    plan_design, plan_design_with, resolve_entities, Plan, PlanError, PortCheckMemo,
     SpecBufferParams,
 };
 pub use solve::{

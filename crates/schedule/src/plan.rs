@@ -3,10 +3,16 @@
 //!
 //! This is the "Optimizer" box of the paper's Fig. 5: line coalescing
 //! (when the spec allows it), constraint formulation, ILP solving, buffer
-//! sizing, physical block allocation (with aliasing slack, DESIGN.md §4)
-//! and analytic access statistics for the power model. The cycle-level
-//! simulator (`imagen-sim`) independently replays the result and verifies
-//! throughput, port discipline and functional correctness.
+//! sizing, physical block allocation (with the aliasing slack that
+//! [`crate::checker`] computes) and analytic access statistics for the
+//! power model. The cycle-level simulator (`imagen-sim`) independently
+//! replays the result and verifies throughput, port discipline and
+//! functional correctness.
+//!
+//! Each buffer's port checks go through a [`PortCheckMemo`], keyed by
+//! the buffer's frame, ports, layout inputs and access streams with
+//! their starts taken relative to the earliest. Design points that share
+//! a buffer's streams — most of a DSE sweep's — check it once per memo.
 
 use crate::checker::{check_accesses, required_phys_rows, PortViolation, ResolvedEntity};
 use crate::constraints::{
@@ -18,7 +24,9 @@ use imagen_ir::{apply_line_coalescing, CoalesceFactor, Dag, StageId, StageKind};
 use imagen_mem::{
     allocate_buffer, Design, DesignStyle, ImageGeometry, MemorySpec, PeModel, CLOCK_MHZ,
 };
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// Planner failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -130,7 +138,9 @@ impl BufferParams for SpecBufferParams<'_> {
 /// Plans a design for `dag` on the given geometry and memory spec.
 ///
 /// `style` labels the output (callers: `Ours`, `Ours+LC`, or a baseline
-/// style when invoked from `imagen-baselines`).
+/// style when invoked from `imagen-baselines`). Port checks go through a
+/// fresh [`PortCheckMemo`], so buffers with identical streams within the
+/// one plan are checked once.
 ///
 /// # Errors
 ///
@@ -149,16 +159,21 @@ pub fn plan_design(
         spec,
         opts,
         style,
+        &PortCheckMemo::new(),
     )
 }
 
-/// [`plan_design`] with a prebuilt [`ConstraintSkeleton`].
+/// [`plan_design`] with a prebuilt [`ConstraintSkeleton`] and a caller's
+/// [`PortCheckMemo`].
 ///
 /// The skeleton must come from [`formulate_skeleton`] on this `dag` (the
 /// *base*, un-coalesced DAG) at this geometry's width. Compile sessions
 /// and the design-space explorer build the skeleton once per DAG and call
 /// this per memory configuration, skipping the spec-independent half of
-/// the formulation.
+/// the formulation. They also pass one memo for all their calls, so a
+/// buffer whose streams an earlier plan already checked — at any
+/// geometry or memory spec — is not checked again. The memo changes no
+/// result: every answer equals the checks run on that buffer.
 ///
 /// # Errors
 ///
@@ -170,6 +185,7 @@ pub fn plan_design_with(
     spec: &MemorySpec,
     opts: ScheduleOptions,
     style: DesignStyle,
+    memo: &PortCheckMemo,
 ) -> Result<Plan, PlanError> {
     let mut working = dag.clone();
 
@@ -220,7 +236,7 @@ pub fn plan_design_with(
 
     let design = {
         let _s = imagen_obs::span("plan.realize");
-        realize_design(&working, geom, spec, &schedule, style)?
+        realize_design(&working, geom, spec, &schedule, style, memo)?
     };
     Ok(Plan {
         dag: working,
@@ -262,14 +278,140 @@ pub fn resolve_entities(
         .collect()
 }
 
+/// Everything [`check_accesses`] and [`required_phys_rows`] read for one
+/// buffer. Inside a [`PortCheckMemo`] each stream's start is relative to
+/// the earliest one.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct PortCheckKey {
+    width: u32,
+    height: u32,
+    pixel_bits: u32,
+    ports: u32,
+    logical_rows: u32,
+    rows_per_block: u32,
+    blocks_per_row: u32,
+    block_bits: u64,
+    streams: Vec<ResolvedEntity>,
+}
+
+impl PortCheckKey {
+    /// Runs the absolute-row check, then searches the physical rows. A
+    /// violation's `physical` flag tells which check failed.
+    fn verdict(&self) -> Result<u32, PortViolation> {
+        check_accesses(
+            self.width,
+            self.height,
+            self.pixel_bits,
+            &self.streams,
+            self.ports,
+            None,
+        )?;
+        required_phys_rows(
+            self.width,
+            self.height,
+            self.pixel_bits,
+            &self.streams,
+            self.ports,
+            self.logical_rows,
+            self.rows_per_block,
+            self.blocks_per_row,
+            self.block_bits,
+        )
+    }
+}
+
+/// Memoized buffer port checks: each distinct buffer is checked once per
+/// memo.
+///
+/// The key holds everything the checks read, with every stream's start
+/// taken relative to the buffer's earliest start. Both checks depend only
+/// on start differences, except that a violation's cycle moves with the
+/// starts, so the memo stores that cycle relative to the earliest start
+/// and a hit adds back its own buffer's. Across a DSE sweep most points
+/// share most buffers: Canny-m's 512 points at 32×24 realize 4,608
+/// buffers with 12 distinct keys.
+///
+/// A compile session (`imagen_core::Session`) owns one memo for its
+/// lifetime; [`plan_design`] makes one per call. The memo has no cap:
+/// it holds at most one entry per buffer of each plan its owner computes,
+/// and the owner already holds every such plan — as a DSE point or a
+/// cache entry — at far larger size. In practice it holds far fewer: at
+/// 64×48 on 32 Kbit macros, 256-point random sweeps of three 60-stage
+/// synthetic pipelines end with 506–708 entries from 15,104 lookups, and
+/// 1,024-point sweeps of three 40-stage ones with 230–671 from 39,936.
+#[derive(Default, Debug)]
+pub struct PortCheckMemo {
+    verdicts: Mutex<HashMap<PortCheckKey, Result<u32, PortViolation>>>,
+}
+
+impl PortCheckMemo {
+    /// An empty memo.
+    pub fn new() -> PortCheckMemo {
+        PortCheckMemo::default()
+    }
+
+    /// Distinct buffer checks run so far: the number of memoized keys.
+    pub fn len(&self) -> usize {
+        self.verdicts
+            .lock()
+            .expect("port-check memo poisoned")
+            .len()
+    }
+
+    /// Whether no buffer has been checked yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The physical rows of `buffer`, whose check inputs `key` holds with
+    /// absolute stream starts, or its violation at its absolute cycle.
+    fn phys_rows(&self, buffer: StageId, mut key: PortCheckKey) -> Result<u32, PlanError> {
+        let origin = key.streams.iter().map(|e| e.start).min().unwrap_or(0);
+        for e in &mut key.streams {
+            e.start -= origin;
+        }
+        let cached = self
+            .verdicts
+            .lock()
+            .expect("port-check memo poisoned")
+            .get(&key)
+            .copied();
+        // Checks run outside the lock. Racing workers may both miss one
+        // key; they compute the same verdict.
+        let verdict = match cached {
+            Some(v) => v,
+            None => {
+                let v = key.verdict();
+                self.verdicts
+                    .lock()
+                    .expect("port-check memo poisoned")
+                    .insert(key, v);
+                v
+            }
+        };
+        verdict.map_err(|v| {
+            let violation = PortViolation {
+                cycle: v.cycle + origin,
+                ..v
+            };
+            if violation.physical {
+                PlanError::AliasingUnrepairable { buffer, violation }
+            } else {
+                PlanError::ScheduleViolation { buffer, violation }
+            }
+        })
+    }
+}
+
 /// Turns a schedule into an allocated, priced design: per-buffer physical
 /// planning, aliasing slack, analytic access statistics, PE costs.
-pub fn realize_design(
+fn realize_design(
     dag: &Dag,
     geom: &ImageGeometry,
     spec: &MemorySpec,
     schedule: &Schedule,
     style: DesignStyle,
+    memo: &PortCheckMemo,
 ) -> Result<Design, PlanError> {
     let block_bits = spec.backend().block_bits();
     let scales = dag.stage_scales();
@@ -295,57 +437,13 @@ pub fn realize_design(
         };
         let entities: Vec<ResolvedEntity> = resolve_entities(dag, p, &scales, &schedule.starts);
 
-        // Absolute-row discipline: must hold by construction.
-        if let Err(violation) = check_accesses(
-            geom.width,
-            geom.height,
-            geom.pixel_bits,
-            &entities,
-            ports,
-            None,
-        ) {
-            return Err(PlanError::ScheduleViolation {
-                buffer: p,
-                violation,
-            });
-        }
-
-        let logical_rows = schedule.buffer_rows[p.index()];
-        let phys_rows = required_phys_rows(
-            geom.width,
-            geom.height,
-            geom.pixel_bits,
-            &entities,
-            ports,
-            logical_rows,
-            if blocks_per_row > 1 { 1 } else { g },
-            blocks_per_row,
-            block_bits,
-        )
-        .map_err(|violation| PlanError::AliasingUnrepairable {
-            buffer: p,
-            violation,
-        })?;
-
-        let mut plan = allocate_buffer(
-            p.index(),
-            phys_rows,
-            logical_rows,
-            if blocks_per_row > 1 { 1 } else { g },
-            &buf_geom,
-            spec.backend(),
-            ports,
-            0,
-            false,
-        );
-
         // Analytic access statistics: per *active* cycle the writer makes
         // 1 access and each reader entity `height` accesses; multirate
         // streams are active only on their cadence sub-grid, so each
         // stream's per-base-cycle rate is scaled by its activity fraction.
-        // Spread over the buffer's blocks (uniform across blocks of equal
-        // configuration, which keeps the total — what the power model
-        // integrates — exact).
+        // Spread over the buffer's blocks below (uniform across blocks of
+        // equal configuration, which keeps the total — what the power
+        // model integrates — exact).
         let per_cycle: f64 = entities
             .iter()
             .map(|e| {
@@ -353,6 +451,38 @@ pub fn realize_design(
                 accesses / (e.row_active as f64 * e.col_div as f64)
             })
             .sum();
+
+        // The absolute-row discipline (must hold by construction), then
+        // the minimal physical rows.
+        let logical_rows = schedule.buffer_rows[p.index()];
+        let rows_per_block = if blocks_per_row > 1 { 1 } else { g };
+        let phys_rows = memo.phys_rows(
+            p,
+            PortCheckKey {
+                width: geom.width,
+                height: geom.height,
+                pixel_bits: geom.pixel_bits,
+                ports,
+                logical_rows,
+                rows_per_block,
+                blocks_per_row,
+                block_bits,
+                streams: entities,
+            },
+        )?;
+
+        let mut plan = allocate_buffer(
+            p.index(),
+            phys_rows,
+            logical_rows,
+            rows_per_block,
+            &buf_geom,
+            spec.backend(),
+            ports,
+            0,
+            false,
+        );
+
         let write_fraction = 1.0 / (pcy as f64 * pcx as f64);
         let nblocks = plan.blocks.len().max(1) as f64;
         for blk in &mut plan.blocks {
@@ -395,6 +525,8 @@ pub fn realize_design(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::dependency_gap;
+    use crate::solve::{size_buffers, SolveReport};
     use imagen_ir::Expr;
     use imagen_mem::MemBackend;
 
@@ -445,7 +577,7 @@ mod tests {
         // (write+read block sharing is legal); the multi-consumer K0
         // buffer may need at most one slack row (the writer would
         // otherwise alias K2's oldest row while K1 overlaps the writer —
-        // the physical refinement documented in DESIGN.md §4).
+        // the rotation aliasing `checker` refines the check with).
         for b in &plan.design.buffers {
             assert!(
                 b.phys_rows - b.logical_rows <= 1,
@@ -551,6 +683,185 @@ mod tests {
         let b0 = &plan.design.buffers[0];
         let total: f64 = b0.blocks.iter().map(|b| b.avg_accesses_per_cycle).sum();
         assert!((total - 6.0).abs() < 1e-9, "got {total}");
+    }
+
+    /// The checks run directly on one buffer, at its absolute starts.
+    fn checked_directly(buffer: StageId, k: &PortCheckKey) -> Result<u32, PlanError> {
+        check_accesses(k.width, k.height, k.pixel_bits, &k.streams, k.ports, None)
+            .map_err(|violation| PlanError::ScheduleViolation { buffer, violation })?;
+        required_phys_rows(
+            k.width,
+            k.height,
+            k.pixel_bits,
+            &k.streams,
+            k.ports,
+            k.logical_rows,
+            k.rows_per_block,
+            k.blocks_per_row,
+            k.block_bits,
+        )
+        .map_err(|violation| PlanError::AliasingUnrepairable { buffer, violation })
+    }
+
+    /// One memo fed random buffers, each followed by variants that change
+    /// one key field (or only move every start), answers every buffer as
+    /// the checks run directly on it do. A key that dropped a field would
+    /// serve a variant its base buffer's verdict.
+    #[test]
+    fn shared_memo_answers_every_buffer_as_the_checks_do() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x3e30_c4ec_0b0f_fe25);
+        let mut next = move |n: u64| rng.next_u64() % n;
+        let (w, px) = (32u32, 16u32);
+        let row = (w * px) as u64;
+        let memo = PortCheckMemo::new();
+        let buffer = StageId::from_index(1);
+        let (mut lookups, mut answers) = (0usize, std::collections::HashSet::new());
+        for round in 0..80 {
+            let strided = round % 2 == 1;
+            let (row_div, col_div) = if strided {
+                (2, 1 + next(2) as u32)
+            } else {
+                (1, 1)
+            };
+            let origin = next(4) as i64 * 97;
+            let g = 1 + next(2) as u32;
+            let base = PortCheckKey {
+                width: w,
+                height: [24, 48][next(2) as usize],
+                pixel_bits: px,
+                ports: 1 + next(2) as u32,
+                logical_rows: 1 + next(4) as u32,
+                rows_per_block: g,
+                blocks_per_row: 1,
+                block_bits: 2 * row,
+                streams: (0..2 + next(3))
+                    .map(|i| ResolvedEntity {
+                        start: origin + next(5) as i64 * w as i64 + next(3) as i64,
+                        row_offset: next(3) as u32,
+                        height: 1 + next(3) as u32,
+                        is_writer: i == 0,
+                        row_div,
+                        col_div,
+                        row_active: if strided { 1 + next(2) as u32 } else { 1 },
+                    })
+                    .collect(),
+            };
+            let pick = 1 + next(base.streams.len() as u64 - 1) as usize;
+            let d = 1 + next(8 * w as u64) as i64;
+            let variants = [
+                base.clone(),
+                PortCheckKey {
+                    ports: 3 - base.ports,
+                    ..base.clone()
+                },
+                PortCheckKey {
+                    rows_per_block: 3 - g,
+                    ..base.clone()
+                },
+                PortCheckKey {
+                    rows_per_block: 1,
+                    blocks_per_row: 2,
+                    block_bits: row / 2,
+                    ..base.clone()
+                },
+                {
+                    let mut k = base.clone();
+                    let e = &mut k.streams[pick];
+                    e.row_active = 3 - e.row_active;
+                    if !strided {
+                        e.row_div = 2;
+                        e.col_div = 2;
+                    }
+                    k
+                },
+                {
+                    let mut k = base.clone();
+                    k.streams[pick].row_offset += 1;
+                    k
+                },
+                PortCheckKey {
+                    height: 72 - base.height,
+                    ..base.clone()
+                },
+                {
+                    let mut k = base.clone();
+                    k.streams.iter_mut().for_each(|e| e.start += d);
+                    k
+                },
+            ];
+            for key in variants {
+                let direct = checked_directly(buffer, &key);
+                assert_eq!(
+                    memo.phys_rows(buffer, key.clone()),
+                    direct,
+                    "memo disagrees with the checks on {key:?}"
+                );
+                lookups += 1;
+                answers.insert(format!("{direct:?}"));
+            }
+        }
+        assert!(memo.len() < lookups, "some variants hit the memo");
+        assert!(answers.len() > 3, "the variants reach varied verdicts");
+    }
+
+    /// Fig. 6 on one port with K1 at its dependency bound: the writer and
+    /// K1's window meet on row 2, an absolute violation on K0's buffer.
+    /// Realized a second time through the same memo with every start
+    /// moved by `3W + 5`, it reports the violation `3W + 5` cycles later,
+    /// as a fresh memo does.
+    #[test]
+    fn memo_hit_moves_the_violation_cycle_with_the_starts() {
+        let dag = fig6();
+        let geom = small_geom();
+        let w = geom.width as i64;
+        let spec = MemorySpec::new(MemBackend::Asic { block_bits: 2048 }, 1);
+        let gap = |p: usize, c: usize| {
+            let (_, e) = dag
+                .edges()
+                .find(|(_, e)| e.producer().index() == p && e.consumer().index() == c)
+                .expect("edge");
+            dependency_gap(e.window(), w)
+        };
+        let k1 = gap(0, 1);
+        let starts = vec![0, k1, gap(0, 2).max(k1 + gap(1, 2))];
+        let schedule_at = |starts: Vec<i64>| {
+            let (buffer_rows, total_rows) = size_buffers(&dag, geom.width, &starts);
+            Schedule {
+                starts,
+                buffer_rows,
+                total_rows,
+                report: SolveReport::default(),
+            }
+        };
+        let shift = 3 * w + 5;
+        let first = schedule_at(starts.clone());
+        let moved = schedule_at(starts.iter().map(|s| s + shift).collect());
+        let realize = |schedule: &Schedule, memo: &PortCheckMemo| {
+            realize_design(&dag, &geom, &spec, schedule, DesignStyle::Ours, memo)
+                .expect_err("one port cannot serve the writer and K1 on one row")
+        };
+
+        let memo = PortCheckMemo::new();
+        let cold = realize(&first, &memo);
+        let PlanError::ScheduleViolation { buffer, violation } = cold.clone() else {
+            panic!("expected an absolute violation, got {cold}");
+        };
+        assert_eq!(buffer.index(), 0);
+        assert_eq!(memo.len(), 1);
+        let hit = realize(&moved, &memo);
+        assert_eq!(memo.len(), 1, "the moved schedule is a hit");
+        assert_eq!(
+            hit,
+            PlanError::ScheduleViolation {
+                buffer,
+                violation: PortViolation {
+                    cycle: violation.cycle + shift,
+                    ..violation
+                },
+            }
+        );
+        assert_eq!(hit, realize(&moved, &PortCheckMemo::new()));
     }
 
     #[test]
