@@ -244,8 +244,8 @@ impl AnalysisReport {
 /// error yields only `E0001`; a lowering error yields the DSL lints
 /// plus `E0002`; a planning error yields everything up to `E0003`.
 pub fn analyze(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
-    if let Some(dag) = front_half(name, src, opts, &mut report) {
+    let (mut report, dag) = front_pass(name, src, opts);
+    if let Some(dag) = dag {
         analyze_back_end(&dag, opts, &mut report);
     }
     report
@@ -267,20 +267,19 @@ pub fn analyze_dag(dag: &imagen_ir::Dag, opts: &AnalysisOptions) -> AnalysisRepo
 /// the width/overflow dataflow — no scheduling, no netlist. This is the
 /// admission pre-check the batch compile server runs per request.
 pub fn front_lints(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport {
-    let mut report = AnalysisReport::default();
-    front_half(name, src, opts, &mut report);
-    report
+    front_pass(name, src, opts).0
 }
 
-/// Parse, DSL lints, lowering and width lints into `report`, shared by
-/// [`analyze`] and [`front_lints`]. Returns the lowered DAG, or `None`
+/// [`front_lints`] plus the DAG it lowered: the same DAG
+/// [`imagen_dsl::compile`] returns, so a caller that admits a program
+/// compiles it without parsing and lowering it again. The DAG is `None`
 /// after a parse (`E0001`) or lowering (`E0002`) error.
-fn front_half(
+pub fn front_pass(
     name: &str,
     src: &str,
     opts: &AnalysisOptions,
-    report: &mut AnalysisReport,
-) -> Option<imagen_ir::Dag> {
+) -> (AnalysisReport, Option<imagen_ir::Dag>) {
+    let mut report = AnalysisReport::default();
     let program = match imagen_dsl::parse_program(src) {
         Ok(p) => p,
         Err(e) => {
@@ -291,7 +290,7 @@ fn front_half(
                     col: pos.col,
                 }),
             );
-            return None;
+            return (report, None);
         }
     };
     report
@@ -310,12 +309,12 @@ fn front_half(
             report
                 .diagnostics
                 .push(Diagnostic::new(codes::LOWER, Severity::Error, e.to_string()).at(locus));
-            return None;
+            return (report, None);
         }
     };
     report.stages = dag.num_stages();
     report.diagnostics.extend(width::lint_dag(&dag, opts));
-    Some(dag)
+    (report, Some(dag))
 }
 
 /// Schedule + netlist passes, shared by [`analyze`] and [`analyze_dag`].
@@ -495,6 +494,33 @@ mod tests {
         assert_eq!(r.errors(), 0);
         assert_eq!(r.notes(), 1, "{:?}", r.diagnostics);
         assert!(!r.certified_overflow_free());
+    }
+
+    #[test]
+    fn front_pass_hands_back_the_dag_compile_lowers() {
+        for src in [
+            "input a; output b = im(x,y) (a(x-1,y) + 2*a(x,y) + a(x+1,y)) / 4 end",
+            "input a; output b = im(x,y) a(x,y) * (2 + 3 * 4) end",
+            "input a; c = im(x,y) a(x,y) end; output b = im(x,y) a(x,y) end",
+            "input a;\noutput b = im(x,y) c(x,y) end",
+            "input raw\noutput o = im(x,y) raw(x,y) end",
+        ] {
+            let opts = AnalysisOptions::default();
+            let (report, dag) = front_pass("t", src, &opts);
+            assert_eq!(report.diagnostics, front_lints("t", src, &opts).diagnostics);
+            match imagen_dsl::compile("t", src) {
+                Ok(want) => {
+                    let dag = dag.expect("a program compile lowers, front_pass lowers");
+                    assert_eq!(dag.fingerprint(), want.fingerprint(), "{src}");
+                    assert_eq!(imagen_dsl::to_dsl(&dag), imagen_dsl::to_dsl(&want));
+                    assert_eq!(report.stages, want.num_stages());
+                }
+                Err(_) => {
+                    assert!(dag.is_none(), "{src}");
+                    assert_eq!(report.errors(), 1, "{:?}", report.diagnostics);
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,11 +31,19 @@
 //! ```
 //!
 //! Every compile request is admission-checked by the cheap front half of
-//! the static analyzer ([`imagen_analysis::front_lints`]: parse, DSL
+//! the static analyzer ([`imagen_analysis::front_pass`]: parse, DSL
 //! lints, lower, width/overflow dataflow — no planning) before it can
 //! occupy a worker: lint *errors* always reject, lint *warnings* reject
 //! under `deny_warnings`, and successful compile responses carry the
-//! observed `lint_warnings` / `lint_notes` counts.
+//! observed `lint_warnings` / `lint_notes` counts. The front pass runs
+//! once per program and target per generation: the hub memoizes its
+//! verdict and the DAG it lowered, keyed by the name, the source text
+//! itself, the geometry and the memory target, and applies
+//! `deny_warnings` at lookup. A repeated request parses nothing; the
+//! memo is bounded in entries and in retained source bytes and is
+//! cleared with the sessions at every rollover. `"cmd":"stats"` and the
+//! `--stats-every` line count its hits (requests answered from the
+//! memo) and misses (front passes run) beside `admission_rejected`.
 //!
 //! Success: `{"id":...,"ok":true,...}`, including the translation-
 //! validation verdict for the compiled design (`certificate_status`
@@ -47,9 +55,11 @@
 
 use crate::json::{self, Json, ObjBuilder};
 use crate::{validate_frame_budget, validate_geometry, Options};
+use imagen_analysis::{AnalysisOptions, Diagnostic, Locus, Severity};
 use imagen_core::{CompileCache, Session};
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy};
-use imagen_ir::StageId;
+use imagen_dsl::Pos;
+use imagen_ir::{Dag, StageId};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::{Collector, Counter, Gauge, Histogram, Metrics};
 use std::collections::HashMap;
@@ -61,9 +71,12 @@ use std::time::Instant;
 /// Session map key: (pipeline fingerprint, width, height, pixel bits).
 type SessionKey = (u64, u32, u32, u32);
 
-/// Certificate memo key: session key + the memory-spec identity the
-/// request chose (backend kind, block bits, ports, coalescing).
-type CertKey = (SessionKey, bool, u64, u32, bool);
+/// The memory-spec identity a request chose: (FPGA backend, ASIC block
+/// bits, ports, coalescing).
+type Target = (bool, u64, u32, bool);
+
+/// Certificate memo key: session key + memory target.
+type CertKey = (SessionKey, Target);
 
 /// Live sessions a long-running server keeps at most. Every session
 /// pins its DAG, constraint skeleton and memoized design points (via
@@ -72,6 +85,16 @@ type CertKey = (SessionKey, bool, u64, u32, bool);
 /// generation (sessions *and* cache) and starts a fresh one — requests
 /// in flight keep their `Arc`s alive until they finish.
 const MAX_LIVE_SESSIONS: usize = 64;
+
+/// Admission verdicts a generation keeps at most, like the certificates.
+const MAX_ADMISSIONS: usize = 4 * MAX_LIVE_SESSIONS;
+
+/// Program text (names and sources) the admission memo retains at most:
+/// it keeps client text after the request ends, so a burst of large
+/// distinct sources must not grow the daemon. The example programs are
+/// 0.5–1.3 KB, so a full memo of 4 KB programs fits. A program larger
+/// than the cap runs the front pass on every request instead.
+const MAX_ADMISSION_BYTES: usize = 1 << 20;
 
 /// Shared server state: one compile cache, one session per (pipeline,
 /// geometry) seen — both bounded by [`MAX_LIVE_SESSIONS`].
@@ -98,6 +121,9 @@ struct HubStats {
     req_other: Counter,
     errors: Counter,
     admission_rejected: Counter,
+    /// Admission lookups the memo answered, and front passes run.
+    admission_hits: Counter,
+    admission_misses: Counter,
     inflight: Gauge,
     queue_wait_us: Histogram,
     handle_us: Histogram,
@@ -120,6 +146,8 @@ impl HubStats {
             req_other: metrics.counter("requests.other"),
             errors: metrics.counter("errors"),
             admission_rejected: metrics.counter("admission.rejected"),
+            admission_hits: metrics.counter("admission.hits"),
+            admission_misses: metrics.counter("admission.misses"),
             inflight: metrics.gauge("inflight"),
             queue_wait_us: metrics.histogram("queue_wait_us"),
             handle_us: metrics.histogram("handle_us"),
@@ -138,6 +166,9 @@ struct HubState {
     /// function of (dag, geometry, spec), so warm recompiles reuse it
     /// instead of re-proving — the warm path stays microseconds.
     certs: HashMap<CertKey, Json>,
+    /// Memoized front-pass verdicts: a warm request skips parsing,
+    /// linting and lowering.
+    admissions: AdmissionMemo,
     /// Bumped on every rollover, so a session built (outside the lock)
     /// against a retired cache is never installed into the new
     /// generation.
@@ -156,6 +187,7 @@ impl Hub {
                 )),
                 sessions: HashMap::new(),
                 certs: HashMap::new(),
+                admissions: AdmissionMemo::default(),
                 generation: 0,
             }),
             metrics,
@@ -195,7 +227,7 @@ impl Hub {
         let q = s.queue_wait_us.snapshot();
         format!(
             "stats: req={} (compile={} dse={} ping={} stats={} other={}) \
-             errors={} rejected={} inflight={} \
+             errors={} rejected={} admission={}/{} inflight={} \
              queue_us[p50/p99]={}/{} handle_us[p50/p99]={}/{} \
              cache={hits}/{misses} ({hit_rate}) rollovers={}",
             s.req_total.get(),
@@ -206,6 +238,8 @@ impl Hub {
             s.req_other.get(),
             s.errors.get(),
             s.admission_rejected.get(),
+            s.admission_hits.get(),
+            s.admission_misses.get(),
             s.inflight.get(),
             q.p50,
             q.p99,
@@ -242,11 +276,37 @@ impl Hub {
         self.state.lock().expect("hub state").sessions.len()
     }
 
+    /// `(verdicts, retained program bytes)` of the admission memo.
+    #[cfg(test)]
+    fn admission_memo(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("hub state");
+        (state.admissions.verdicts.len(), state.admissions.bytes)
+    }
+
+    /// The front pass's verdict on `key`, run on first sight and
+    /// memoized for the generation. Racing misses on one key both run
+    /// the pass; the first verdict stored is kept (they are equal).
+    fn admission(&self, key: AdmissionKey, spec: &MemorySpec) -> Arc<Verdict> {
+        let state = self.state.lock().expect("hub state");
+        if let Some(v) = state.admissions.verdicts.get(&key) {
+            self.stats.admission_hits.add(1);
+            return v.clone();
+        }
+        drop(state);
+        self.stats.admission_misses.add(1);
+        let verdict = Arc::new(front_verdict(&key, spec));
+        self.state
+            .lock()
+            .expect("hub state")
+            .admissions
+            .insert(key, verdict)
+    }
+
     /// The session for `(dag, geom)`, building it on first sight. The
     /// constraint-skeleton build runs outside the state lock so
     /// concurrent requests for distinct pipelines never serialize on it.
-    fn session(&self, dag: &imagen_ir::Dag, geom: ImageGeometry) -> Arc<Session> {
-        let key = (dag.fingerprint(), geom.width, geom.height, geom.pixel_bits);
+    fn session(&self, dag: &Dag, fingerprint: u64, geom: ImageGeometry) -> Arc<Session> {
+        let key = (fingerprint, geom.width, geom.height, geom.pixel_bits);
         let (cache, generation) = {
             let state = self.state.lock().expect("hub state");
             if let Some(s) = state.sessions.get(&key) {
@@ -259,6 +319,7 @@ impl Hub {
         if state.sessions.len() >= MAX_LIVE_SESSIONS {
             state.sessions.clear();
             state.certs.clear();
+            state.admissions.clear();
             // The new generation's cache mirrors into the same registry
             // counters, so cache_stats() stays cumulative.
             state.cache = Arc::new(CompileCache::with_observers(
@@ -391,64 +452,143 @@ fn error_response(id: Json, msg: String, pos: Option<imagen_dsl::Pos>) -> Json {
     b.build()
 }
 
-/// Runs the cheap front half of the analyzer as an admission check.
-/// Returns the rejection response, or the (warnings, notes) counts to
-/// mirror into the success payload.
-fn lint_admission(id: &Json, r: &Request, spec: &MemorySpec) -> Result<(usize, usize), Json> {
-    let aopts = imagen_analysis::AnalysisOptions {
-        geom: r.geom,
-        spec: spec.clone(),
-        widths: imagen_rtl::BitWidths {
-            pixel_bits: r.geom.pixel_bits,
-            acc_bits: (2 * r.geom.pixel_bits).min(64),
-        },
-        input_range: imagen_analysis::AnalysisOptions::default().input_range,
-    };
-    let lint = imagen_analysis::front_lints(&r.name, &r.source, &aopts);
-    let pos_of = |d: &imagen_analysis::Diagnostic| match d.locus {
-        imagen_analysis::Locus::Source { line, col } => Some(imagen_dsl::Pos { line, col }),
-        _ => None,
-    };
-    if let Some(d) = lint
-        .diagnostics
-        .iter()
-        .find(|d| d.severity == imagen_analysis::Severity::Error)
-    {
-        return Err(error_response(id.clone(), d.message.clone(), pos_of(d)));
-    }
-    if r.deny_warnings {
-        if let Some(d) = lint
-            .diagnostics
-            .iter()
-            .find(|d| d.severity == imagen_analysis::Severity::Warning)
-        {
-            return Err(error_response(
-                id.clone(),
-                format!("denied warning[{}]: {}", d.code, d.message),
-                pos_of(d),
-            ));
-        }
-    }
-    Ok((lint.warnings(), lint.notes()))
+/// Admission memo key: the name, the source text and every other input
+/// of the front pass (the geometry and memory target its
+/// [`AnalysisOptions`] are built from). `deny_warnings` is not part of
+/// it; lookups apply it to the stored verdict.
+#[derive(PartialEq, Eq, Hash)]
+struct AdmissionKey {
+    name: String,
+    source: String,
+    geom: ImageGeometry,
+    target: Target,
 }
 
-fn compile_response(id: Json, r: &Request, hub: &Hub) -> Json {
+/// A rejection's error message and source position.
+type Rejection = (String, Option<Pos>);
+
+/// The front pass's verdict on one program and target: the admitted
+/// program, or its first lint error.
+type Verdict = Result<Admitted, Rejection>;
+
+/// An admitted program: what its compile responses report of the lints,
+/// and the DAG the front pass lowered.
+struct Admitted {
+    warnings: usize,
+    notes: usize,
+    /// The first warning, as `deny_warnings` rejects it.
+    denied: Option<Rejection>,
+    dag: Dag,
+    fingerprint: u64,
+}
+
+/// Front-pass verdicts of one generation, capped at [`MAX_ADMISSIONS`]
+/// entries and [`MAX_ADMISSION_BYTES`] of retained program text:
+/// crossing either cap clears it, like the certificate memo.
+#[derive(Default)]
+struct AdmissionMemo {
+    verdicts: HashMap<AdmissionKey, Arc<Verdict>>,
+    bytes: usize,
+}
+
+impl AdmissionMemo {
+    /// Stores `verdict` unless `key` already has one, and returns the
+    /// stored verdict.
+    fn insert(&mut self, key: AdmissionKey, verdict: Arc<Verdict>) -> Arc<Verdict> {
+        if let Some(v) = self.verdicts.get(&key) {
+            return v.clone();
+        }
+        let bytes = key.name.len() + key.source.len();
+        if bytes > MAX_ADMISSION_BYTES {
+            return verdict;
+        }
+        if self.verdicts.len() >= MAX_ADMISSIONS || self.bytes + bytes > MAX_ADMISSION_BYTES {
+            self.clear();
+        }
+        self.bytes += bytes;
+        self.verdicts.insert(key, verdict.clone());
+        verdict
+    }
+
+    fn clear(&mut self) {
+        self.verdicts.clear();
+        self.bytes = 0;
+    }
+}
+
+/// Runs the cheap front half of the analyzer once: a rejection on the
+/// first lint error, or the admitted program's lint counts, first
+/// warning and lowered DAG.
+fn front_verdict(key: &AdmissionKey, spec: &MemorySpec) -> Verdict {
+    let aopts = AnalysisOptions {
+        geom: key.geom,
+        spec: spec.clone(),
+        widths: imagen_rtl::BitWidths {
+            pixel_bits: key.geom.pixel_bits,
+            acc_bits: (2 * key.geom.pixel_bits).min(64),
+        },
+        input_range: AnalysisOptions::default().input_range,
+    };
+    let (lint, dag) = imagen_analysis::front_pass(&key.name, &key.source, &aopts);
+    let pos_of = |d: &Diagnostic| match d.locus {
+        Locus::Source { line, col } => Some(Pos { line, col }),
+        _ => None,
+    };
+    let first = |severity| lint.diagnostics.iter().find(|d| d.severity == severity);
+    if let Some(d) = first(Severity::Error) {
+        return Err((d.message.clone(), pos_of(d)));
+    }
+    let dag = dag.expect("front_pass lowers every program it reports no error for");
+    Ok(Admitted {
+        warnings: lint.warnings(),
+        notes: lint.notes(),
+        denied: first(Severity::Warning).map(|d| {
+            (
+                format!("denied warning[{}]: {}", d.code, d.message),
+                pos_of(d),
+            )
+        }),
+        fingerprint: dag.fingerprint(),
+        dag,
+    })
+}
+
+/// `text.lines().count()` by counting `\n` bytes: every line but an
+/// unterminated last one ends in one.
+fn line_count(text: &str) -> usize {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count();
+    newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
+}
+
+fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
     let mut spec = MemorySpec::new(r.backend, r.ports);
     if r.coalesce {
         spec = spec.with_coalescing();
     }
-    let (lint_warnings, lint_notes) = match lint_admission(&id, r, &spec) {
-        Ok(counts) => counts,
-        Err(resp) => {
+    let target: Target = match r.backend {
+        MemBackend::Fpga => (true, 0, r.ports, r.coalesce),
+        MemBackend::Asic { block_bits } => (false, block_bits, r.ports, r.coalesce),
+    };
+    let key = AdmissionKey {
+        name: r.name,
+        source: r.source,
+        geom: r.geom,
+        target,
+    };
+    let verdict = hub.admission(key, &spec);
+    let admitted = match &*verdict {
+        Ok(a) => a,
+        Err((msg, pos)) => {
             hub.stats.admission_rejected.add(1);
-            return resp;
+            return error_response(id, msg.clone(), *pos);
         }
     };
-    let dag = match imagen_dsl::compile(&r.name, &r.source) {
-        Ok(dag) => dag,
-        Err(e) => return error_response(id, e.to_string(), e.pos()),
-    };
-    let session = hub.session(&dag, r.geom);
+    if let (true, Some((msg, pos))) = (r.deny_warnings, &admitted.denied) {
+        hub.stats.admission_rejected.add(1);
+        return error_response(id, msg.clone(), *pos);
+    }
+    let dag = &admitted.dag;
+    let session = hub.session(dag, admitted.fingerprint, r.geom);
     let out = match session.compile(&spec, None) {
         Ok(out) => out,
         Err(e) => return error_response(id, e.to_string(), None),
@@ -478,40 +618,30 @@ fn compile_response(id: Json, r: &Request, hub: &Hub) -> Json {
                     .latency(&out.plan.dag, r.geom.width, r.geom.height) as f64,
             ),
         )
-        .push(
-            "verilog_lines",
-            Json::Num(out.verilog.lines().count() as f64),
-        )
-        .push("lint_warnings", Json::Num(lint_warnings as f64))
-        .push("lint_notes", Json::Num(lint_notes as f64));
+        .push("verilog_lines", Json::Num(line_count(&out.verilog) as f64))
+        .push("lint_warnings", Json::Num(admitted.warnings as f64))
+        .push("lint_notes", Json::Num(admitted.notes as f64));
     // Translation validation: every compile response carries the
     // certificate verdict for the netlist it just handed back. The dag
     // must be the *planned* dag (relay stages included), and the widths
     // come from the netlist itself. Certificates are pure in
     // (dag, geometry, spec), so the hub memoizes them alongside the
     // compile cache and warm recompiles skip the prover.
-    let (is_fpga, block_bits) = match r.backend {
-        MemBackend::Fpga => (true, 0),
-        MemBackend::Asic { block_bits } => (false, block_bits),
-    };
     let cert_key: CertKey = (
         (
-            dag.fingerprint(),
+            admitted.fingerprint,
             r.geom.width,
             r.geom.height,
             r.geom.pixel_bits,
         ),
-        is_fpga,
-        block_bits,
-        r.ports,
-        r.coalesce,
+        target,
     );
     let cert_json = hub.cert(&cert_key).unwrap_or_else(|| {
-        let aopts = imagen_analysis::AnalysisOptions {
+        let aopts = AnalysisOptions {
             geom: r.geom,
             spec: spec.clone(),
             widths: out.netlist.widths,
-            input_range: imagen_analysis::AnalysisOptions::default().input_range,
+            input_range: AnalysisOptions::default().input_range,
         };
         let cert = imagen_analysis::certify_netlist(&out.plan.dag, &out.netlist, &aopts);
         let j = crate::lint::certificate_json(&cert);
@@ -611,8 +741,8 @@ fn dse_response(id: Json, r: &Request, hub: &Hub) -> Json {
 }
 
 /// The `"cmd":"stats"` response: the operational numbers a daemon
-/// operator wants first (request mix, errors, latency percentiles,
-/// cache hit rate), plus the full `imagen-metrics/1` snapshot under
+/// operator wants first (request mix, errors, admission rejections and
+/// memo hits/misses, latency percentiles, cache hit rate), plus the full `imagen-metrics/1` snapshot under
 /// `metrics` — the exact object `imagen stats` renders. Snapshot reads
 /// race live writers by design; every cell is an independent atomic.
 fn stats_response(id: Json, hub: &Hub) -> Json {
@@ -662,6 +792,8 @@ fn stats_response(id: Json, hub: &Hub) -> Json {
         )
         .push("errors", counter("errors"))
         .push("admission_rejected", counter("admission.rejected"))
+        .push("admission_hits", counter("admission.hits"))
+        .push("admission_misses", counter("admission.misses"))
         .push("inflight", Json::Num(inflight as f64))
         .push("queue_wait", hist_obj("queue_wait_us"))
         .push("handle_time", hist_obj("handle_us"))
@@ -741,11 +873,11 @@ fn handle_inner(line: &str, hub: &Hub, t0: Instant) -> Json {
         "compile" | "dse" => match parse_request(&req) {
             Err(e) => error_response(id, e, None),
             Ok(r) => {
-                let run = || {
+                let run = move || {
                     if cmd == "compile" {
-                        compile_response(id.clone(), &r, hub)
+                        compile_response(id, r, hub)
                     } else {
-                        dse_response(id.clone(), &r, hub)
+                        dse_response(id, &r, hub)
                     }
                 };
                 if timing {
@@ -1017,6 +1149,11 @@ mod tests {
 
     #[test]
     fn session_map_stays_bounded() {
+        let memo_within_caps = |hub: &Hub, what: &str| {
+            let (verdicts, bytes) = hub.admission_memo();
+            assert!(verdicts <= MAX_ADMISSIONS, "{what}: {verdicts} verdicts");
+            assert!(bytes <= MAX_ADMISSION_BYTES, "{what}: {bytes} bytes");
+        };
         // Stream more distinct pipelines than the cap: the hub must roll
         // the generation over instead of growing forever.
         let hub = Hub::new();
@@ -1026,17 +1163,160 @@ mod tests {
             );
             let resp = handle(&line, &hub);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "request {i}");
+            memo_within_caps(&hub, &format!("request {i}"));
         }
         assert!(
             hub.live_sessions() <= MAX_LIVE_SESSIONS,
             "{} live sessions exceed the cap",
             hub.live_sessions()
         );
+        // Distinct rejected programs create no session, so only the
+        // memo's entry cap bounds them.
+        for i in 0..(MAX_ADMISSIONS + 5) {
+            let line =
+                format!(r#"{{"cmd":"compile","source":"input a{i}","width":16,"height":12}}"#);
+            assert_eq!(handle(&line, &hub).get("ok"), Some(&Json::Bool(false)));
+            memo_within_caps(&hub, &format!("rejection {i}"));
+        }
+        // A burst of large distinct sources (one pipeline, padded with
+        // distinct comments) crosses the byte cap long before the entry
+        // cap; one source alone exceeds it and is never retained.
+        let padded = |i: usize, bytes: usize| {
+            let pad = "x".repeat(bytes);
+            format!(
+                r#"{{"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) end // {i} {pad}","width":16,"height":12}}"#
+            )
+        };
+        let burst = MAX_ADMISSION_BYTES / (64 << 10) + 4;
+        for i in 0..burst {
+            assert_eq!(
+                handle(&padded(i, 64 << 10), &hub).get("ok"),
+                Some(&Json::Bool(true))
+            );
+            memo_within_caps(&hub, &format!("large source {i}"));
+        }
+        let (_, before) = hub.admission_memo();
+        assert_eq!(
+            handle(&padded(burst, MAX_ADMISSION_BYTES), &hub).get("ok"),
+            Some(&Json::Bool(true))
+        );
+        assert_eq!(
+            hub.admission_memo().1,
+            before,
+            "an oversized source is not retained"
+        );
         // And the rolled-over hub still serves (and re-warms) correctly.
         let line = r#"{"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) + 0 end","width":16,"height":12}"#;
         let cold = handle(line, &hub);
         let warm = handle(line, &hub);
         assert_eq!(cold, warm);
+    }
+
+    /// A response without its timing members.
+    fn untimed(v: &Json) -> Json {
+        match v {
+            Json::Obj(m) => Json::Obj(
+                m.iter()
+                    .filter(|(k, _)| k != "elapsed_us" && k != "phase_us")
+                    .cloned()
+                    .collect(),
+            ),
+            _ => unreachable!("responses are objects"),
+        }
+    }
+
+    fn counter(hub: &Hub, name: &str) -> u64 {
+        hub.metrics.snapshot().counter(name)
+    }
+
+    #[test]
+    fn repeated_compile_runs_no_front_pass() {
+        let hub = Hub::new();
+        let line = req(r#","timing":true"#);
+        let first = handle(&line, &hub);
+        let again = handle(&line, &hub);
+        let phases = |resp: &Json| -> Vec<String> {
+            let Some(Json::Obj(m)) = resp.get("phase_us") else {
+                panic!("timing responses carry phase_us");
+            };
+            m.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert!(phases(&first).iter().any(|p| p == "frontend.parse"));
+        let repeat = phases(&again);
+        assert!(
+            !repeat.iter().any(|p| p.starts_with("frontend.")),
+            "repeat ran the front end: {repeat:?}"
+        );
+        assert_eq!(untimed(&again), untimed(&first));
+        assert_eq!(counter(&hub, "admission.misses"), 1);
+        assert_eq!(counter(&hub, "admission.hits"), 1);
+        assert!(hub.stats_line().contains(" admission=1/1 "));
+    }
+
+    #[test]
+    fn deny_warnings_applies_to_the_memoized_verdict() {
+        // W0105: a constant-foldable subexpression.
+        let warny = r#"{"id":7,"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) * (2 + 3 * 4) end","width":32,"height":24"#;
+        let plain = format!("{warny}}}");
+        let denied = format!("{warny},\"deny_warnings\":true}}");
+        for order in [[&denied, &plain], [&plain, &denied]] {
+            let hub = Hub::new();
+            for line in order {
+                assert_eq!(handle(line, &hub), handle(line, &Hub::new()), "{line}");
+            }
+            assert_eq!(counter(&hub, "admission.hits"), 1);
+            assert_eq!(counter(&hub, "admission.rejected"), 1);
+        }
+        let resp = handle(&denied, &Hub::new());
+        let msg = resp.get("error").unwrap().as_str().unwrap();
+        assert!(msg.starts_with("denied warning[W0105]"), "{msg}");
+        let resp = handle(&plain, &Hub::new());
+        assert_eq!(resp.get("lint_warnings").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn repeated_parse_error_answers_as_the_first() {
+        let hub = Hub::new();
+        let bad = r#"{"id":"x","cmd":"compile","source":"input a\noutput b = im(x,y) a(x,y) end"}"#;
+        let first = handle(bad, &hub);
+        let again = handle(bad, &hub);
+        assert_eq!(first.get("ok"), Some(&Json::Bool(false)));
+        assert!(
+            first.get("line").is_some() && first.get("col").is_some(),
+            "{first:?}"
+        );
+        assert_eq!(again, first);
+        assert_eq!(counter(&hub, "admission.rejected"), 2);
+        assert_eq!(counter(&hub, "admission.hits"), 1);
+    }
+
+    #[test]
+    fn line_count_counts_what_lines_counts() {
+        for text in ["", "a", "a\n", "a\r\nb", "\n\n"] {
+            assert_eq!(line_count(text), text.lines().count(), "{text:?}");
+        }
+        let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(examples).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "imagen") {
+                continue;
+            }
+            let dag = imagen_dsl::compile("t", &std::fs::read_to_string(&path).unwrap()).unwrap();
+            let geom = ImageGeometry {
+                width: 64,
+                height: 48,
+                pixel_bits: 16,
+            };
+            let spec = MemorySpec::new(MemBackend::Asic { block_bits: 32768 }, 2);
+            let verilog = Session::new(&dag, geom)
+                .compile(&spec, None)
+                .unwrap()
+                .verilog;
+            assert_eq!(line_count(&verilog), verilog.lines().count(), "{path:?}");
+            seen += 1;
+        }
+        assert_eq!(seen, 10, "every example program");
     }
 
     #[test]
@@ -1209,6 +1489,8 @@ mod tests {
         assert_eq!(reqs.get("stats").unwrap().as_u64(), Some(1));
         assert_eq!(reqs.get("other").unwrap().as_u64(), Some(1));
         assert_eq!(resp.get("errors").unwrap().as_u64(), Some(2));
+        assert_eq!(resp.get("admission_hits").unwrap().as_u64(), Some(1));
+        assert_eq!(resp.get("admission_misses").unwrap().as_u64(), Some(1));
         // The stats request itself is in flight while it snapshots.
         assert_eq!(resp.get("inflight").unwrap().as_u64(), Some(1));
         let cache = resp.get("cache").unwrap();

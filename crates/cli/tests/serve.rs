@@ -202,6 +202,8 @@ fn stats_cmd_answers_after_a_concurrent_batch() {
         "\"requests\":{",
         "\"errors\":",
         "\"admission_rejected\":",
+        "\"admission_hits\":",
+        "\"admission_misses\":",
         "\"inflight\":",
         "\"queue_wait\":{",
         "\"handle_time\":{",

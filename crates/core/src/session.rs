@@ -398,15 +398,15 @@ impl Session {
             };
             entry.netlist = Some(netlist);
             entry.verilog = Some(Arc::new(verilog));
+            // Write back what this call built so later calls see plan +
+            // netlist + RTL (replace, not or_insert: an entry that raced
+            // in may lack the Verilog). A full hit writes nothing.
+            self.cache
+                .entries
+                .lock()
+                .expect("cache poisoned")
+                .insert(key, entry.clone());
         }
-        // Re-insert so later calls see plan + netlist + RTL (or_insert
-        // keeps the richer existing entry only if one raced in; replace
-        // instead).
-        self.cache
-            .entries
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, entry.clone());
         Ok(CompileOutput {
             plan: (*entry.plan).clone(),
             netlist: entry.netlist.expect("just generated"),

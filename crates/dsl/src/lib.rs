@@ -104,10 +104,5 @@ impl From<LowerError> for DslError {
 /// [`DslError`] describing the first syntax or semantic problem, with
 /// source positions.
 pub fn compile(name: &str, src: &str) -> Result<imagen_ir::Dag, DslError> {
-    let program = {
-        let _s = imagen_obs::span("frontend.parse");
-        parse_program(src)?
-    };
-    let _s = imagen_obs::span("frontend.lower");
-    Ok(lower(name, &program)?)
+    Ok(lower(name, &parse_program(src)?)?)
 }

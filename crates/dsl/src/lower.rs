@@ -71,6 +71,7 @@ impl From<IrError> for LowerError {
 ///
 /// [`LowerError`] on name-resolution failures or structural violations.
 pub fn lower(name: &str, program: &Program) -> Result<Dag, LowerError> {
+    let _s = imagen_obs::span("frontend.lower");
     let mut dag = Dag::new(name);
     let mut by_name: HashMap<String, StageId> = HashMap::new();
 

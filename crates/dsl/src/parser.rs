@@ -185,6 +185,7 @@ impl From<LexError> for ParseError {
 ///
 /// Returns [`ParseError`] with source positions on malformed input.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
+    let _s = imagen_obs::span("frontend.parse");
     let tokens = lex(src)?;
     let mut p = Parser {
         tokens,
