@@ -2,11 +2,17 @@
 //!
 //! One request per line, one response per line, responses in request
 //! order. The batch is fanned over a `std::thread::scope` worker pool
-//! whose workers share one [`imagen_core::CompileCache`] and a map of
-//! live [`imagen_core::Session`]s keyed by (pipeline fingerprint,
-//! geometry): identical pipelines recompile from the warm cache in
-//! microseconds (PR 2's memoization), and results are byte-identical to
-//! a sequential run regardless of worker count.
+//! whose workers share one [`Hub`]: a memo of at most [`MAX_POINTS`]
+//! compiled points keyed by (pipeline fingerprint, geometry, memory
+//! target as planning resolves it, so a coalesced target that cannot
+//! coalesce shares the plain target's point). A point is planned,
+//! emitted and certified once on a transient [`imagen_core::Session`];
+//! the memo keeps only what its responses report (design numbers,
+//! Verilog text, certificate, or the planning error), so a repeated
+//! request is answered in microseconds.
+//! A new point past the cap evicts the least recently used one, and
+//! results are byte-identical to a sequential run regardless of worker
+//! count.
 //!
 //! ## Protocol
 //!
@@ -14,7 +20,7 @@
 //!
 //! ```text
 //! id          any value, echoed verbatim                     [null]
-//! cmd         "compile" | "dse" | "ping"                     (required)
+//! cmd         "compile" | "dse" | "ping" | "stats"           (required)
 //! source      DSL program text                               (required)
 //! name        pipeline name                                  ["pipeline"]
 //! width, height, pixel_bits                                  [64, 48, 16]
@@ -36,58 +42,63 @@
 //! occupy a worker: lint *errors* always reject, lint *warnings* reject
 //! under `deny_warnings`, and successful compile responses carry the
 //! observed `lint_warnings` / `lint_notes` counts. The front pass runs
-//! once per program and target per generation: the hub memoizes its
-//! verdict and the DAG it lowered, keyed by the name, the source text
-//! itself, the geometry and the memory target, and applies
-//! `deny_warnings` at lookup. A repeated request parses nothing; the
-//! memo is bounded in entries and in retained source bytes and is
-//! cleared with the sessions at every rollover. `"cmd":"stats"` and the
+//! once per program and target while its verdict stays in memory: the
+//! hub memoizes the verdict and the DAG it lowered, keyed by the name,
+//! the source text itself, the geometry and the memory target, and
+//! applies `deny_warnings` at lookup. A repeated request parses nothing;
+//! the memo is bounded in entries and in retained source bytes and
+//! evicts its least recently used verdicts. `"cmd":"stats"` and the
 //! `--stats-every` line count its hits (requests answered from the
-//! memo) and misses (front passes run) beside `admission_rejected`.
+//! memo) and misses (front passes run) beside `admission_rejected`, the
+//! point memo's hits and misses (points compiled) as `cache`, its
+//! `evictions` and its `live_points`.
 //!
 //! Success: `{"id":...,"ok":true,...}`, including the translation-
 //! validation verdict for the compiled design (`certificate_status`
-//! plus the full per-obligation `certificate` object; certificates are
-//! memoized per (pipeline, geometry, spec) alongside the compile
-//! cache). Failure:
+//! plus the full per-obligation `certificate` object, memoized with the
+//! point). Failure:
 //! `{"id":...,"ok":false,"error":"...","line":L,"col":C}` (span members
 //! only when the error has one).
 
 use crate::json::{self, Json, ObjBuilder};
 use crate::{validate_frame_budget, validate_geometry, Options};
 use imagen_analysis::{AnalysisOptions, Diagnostic, Locus, Severity};
-use imagen_core::{CompileCache, Session};
+use imagen_core::Session;
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy};
 use imagen_dsl::Pos;
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_obs::{Collector, Counter, Gauge, Histogram, Metrics};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Session map key: (pipeline fingerprint, width, height, pixel bits).
-type SessionKey = (u64, u32, u32, u32);
-
 /// The memory-spec identity a request chose: (FPGA backend, ASIC block
 /// bits, ports, coalescing).
 type Target = (bool, u64, u32, bool);
 
-/// Certificate memo key: session key + memory target.
-type CertKey = (SessionKey, Target);
+/// A memory target as planning resolves it: (FPGA backend, ASIC block
+/// bits, ports, coalescing factor). Coalescing that cannot take effect
+/// (one port, or one row per block) resolves to factor 1, as none does.
+type Resolved = (bool, u64, u32, u32);
 
-/// Live sessions a long-running server keeps at most. Every session
-/// pins its DAG, constraint skeleton and memoized design points (via
-/// the shared cache), so a client streaming ever-new pipelines must not
-/// grow the server without bound: crossing the cap drops the whole
-/// generation (sessions *and* cache) and starts a fresh one — requests
-/// in flight keep their `Arc`s alive until they finish.
-const MAX_LIVE_SESSIONS: usize = 64;
+/// One compiled point: (pipeline fingerprint, width, height, pixel bits,
+/// resolved memory target). The planned design, its Verilog and its
+/// certificate are a pure function of it.
+type PointKey = (u64, u32, u32, u32, Resolved);
 
-/// Admission verdicts a generation keeps at most, like the certificates.
-const MAX_ADMISSIONS: usize = 4 * MAX_LIVE_SESSIONS;
+/// Compiled points the hub keeps at most. Each holds only what its
+/// responses report (design numbers, Verilog text, certificate), so a
+/// client streaming ever-new pipelines or targets must not grow the
+/// server without bound: a new point past the cap evicts the least
+/// recently used one.
+const MAX_POINTS: usize = 64;
+
+/// Admission verdicts the hub keeps at most.
+const MAX_ADMISSIONS: usize = 4 * MAX_POINTS;
 
 /// Program text (names and sources) the admission memo retains at most:
 /// it keeps client text after the request ends, so a burst of large
@@ -96,8 +107,8 @@ const MAX_ADMISSIONS: usize = 4 * MAX_LIVE_SESSIONS;
 /// than the cap runs the front pass on every request instead.
 const MAX_ADMISSION_BYTES: usize = 1 << 20;
 
-/// Shared server state: one compile cache, one session per (pipeline,
-/// geometry) seen — both bounded by [`MAX_LIVE_SESSIONS`].
+/// Shared server state: the admission memo and the compiled-point memo,
+/// both least-recently-used maps bounded in entries.
 pub struct Hub {
     state: Mutex<HubState>,
     /// The server's metrics registry. Registered cells live in
@@ -127,12 +138,11 @@ struct HubStats {
     inflight: Gauge,
     queue_wait_us: Histogram,
     handle_us: Histogram,
-    /// Mirrored from the current-generation [`CompileCache`] (see
-    /// [`CompileCache::with_observers`]): cumulative across generation
-    /// rollovers, readable without the hub state lock.
+    /// Compile requests the point memo answered, and points compiled.
     cache_hits: Counter,
     cache_misses: Counter,
-    rollovers: Counter,
+    /// Points evicted from the memo to make room for a new one.
+    evictions: Counter,
 }
 
 impl HubStats {
@@ -153,26 +163,71 @@ impl HubStats {
             handle_us: metrics.histogram("handle_us"),
             cache_hits: metrics.counter("cache.hits"),
             cache_misses: metrics.counter("cache.misses"),
-            rollovers: metrics.counter("generation.rollovers"),
+            evictions: metrics.counter("cache.evictions"),
         }
     }
 }
 
+#[derive(Default)]
 struct HubState {
-    cache: Arc<CompileCache>,
-    sessions: HashMap<SessionKey, Arc<Session>>,
-    /// Memoized translation-validation certificates, keyed by
-    /// (session key, memory-spec identity). A certificate is a pure
-    /// function of (dag, geometry, spec), so warm recompiles reuse it
-    /// instead of re-proving — the warm path stays microseconds.
-    certs: HashMap<CertKey, Json>,
     /// Memoized front-pass verdicts: a warm request skips parsing,
     /// linting and lowering.
     admissions: AdmissionMemo,
-    /// Bumped on every rollover, so a session built (outside the lock)
-    /// against a retired cache is never installed into the new
-    /// generation.
-    generation: u64,
+    /// What each compiled point's responses report, its planning error
+    /// included: a warm request plans, emits and proves nothing.
+    points: Lru<PointKey, Arc<Compiled>>,
+}
+
+/// A map that evicts its least recently used entries: each entry carries
+/// the tick of its last use, and eviction scans for the oldest. The hub's
+/// maps hold at most a few hundred entries, and they evict only when a
+/// miss inserts past the cap.
+struct Lru<K, V> {
+    entries: HashMap<K, (V, u64)>,
+    tick: u64,
+}
+
+impl<K, V> Default for Lru<K, V> {
+    fn default() -> Self {
+        Lru {
+            entries: HashMap::new(),
+            tick: 0,
+        }
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> Lru<K, V> {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The value stored under `key`, marked as the most recently used.
+    fn get(&mut self, key: &K) -> Option<V> {
+        self.tick += 1;
+        let (value, used) = self.entries.get_mut(key)?;
+        *used = self.tick;
+        Some(value.clone())
+    }
+
+    /// Stores `value` unless `key` already has one, and returns the
+    /// stored value, marked as the most recently used.
+    fn insert(&mut self, key: K, value: V) -> V {
+        self.tick += 1;
+        let (stored, used) = self.entries.entry(key).or_insert((value, 0));
+        *used = self.tick;
+        stored.clone()
+    }
+
+    /// Removes and returns the least recently used entry. Every use
+    /// takes a fresh tick, so exactly one entry carries the oldest.
+    fn evict(&mut self) -> Option<(K, V)> {
+        let oldest = self.entries.values().map(|&(_, used)| used).min()?;
+        let (key, (value, _)) = self
+            .entries
+            .extract_if(|_, &mut (_, used)| used == oldest)
+            .next()?;
+        Some((key, value))
+    }
 }
 
 impl Hub {
@@ -180,16 +235,7 @@ impl Hub {
         let metrics = Metrics::new();
         let stats = HubStats::register(&metrics);
         Hub {
-            state: Mutex::new(HubState {
-                cache: Arc::new(CompileCache::with_observers(
-                    stats.cache_hits.clone(),
-                    stats.cache_misses.clone(),
-                )),
-                sessions: HashMap::new(),
-                certs: HashMap::new(),
-                admissions: AdmissionMemo::default(),
-                generation: 0,
-            }),
+            state: Mutex::new(HubState::default()),
             metrics,
             stats,
             stats_every: 0,
@@ -202,10 +248,9 @@ impl Hub {
         self
     }
 
-    /// `(hits, misses)` of the compile cache, cumulative across
-    /// generation rollovers. Reads registry counters the cache mirrors
-    /// into — no hub state lock, so a stats probe never contends with
-    /// the compile hot path.
+    /// `(hits, misses)` of the point memo: compile requests it answered,
+    /// and points compiled. Reads registry counters — no hub state lock,
+    /// so a stats probe never contends with the compile hot path.
     pub fn cache_stats(&self) -> (usize, usize) {
         (
             self.stats.cache_hits.get() as usize,
@@ -229,7 +274,7 @@ impl Hub {
             "stats: req={} (compile={} dse={} ping={} stats={} other={}) \
              errors={} rejected={} admission={}/{} inflight={} \
              queue_us[p50/p99]={}/{} handle_us[p50/p99]={}/{} \
-             cache={hits}/{misses} ({hit_rate}) rollovers={}",
+             cache={hits}/{misses} ({hit_rate}) evictions={}",
             s.req_total.get(),
             s.req_compile.get(),
             s.req_dse.get(),
@@ -245,35 +290,13 @@ impl Hub {
             q.p99,
             h.p50,
             h.p99,
-            s.rollovers.get(),
+            s.evictions.get(),
         )
     }
 
-    /// The memoized certificate for `key`, if this generation proved
-    /// one already.
-    fn cert(&self, key: &CertKey) -> Option<Json> {
-        self.state
-            .lock()
-            .expect("hub state")
-            .certs
-            .get(key)
-            .cloned()
-    }
-
-    /// Memoizes a freshly proved certificate (bounded with the session
-    /// map: the rollover that clears sessions clears these too).
-    fn remember_cert(&self, key: CertKey, cert: Json) {
-        let mut state = self.state.lock().expect("hub state");
-        if state.certs.len() >= 4 * MAX_LIVE_SESSIONS {
-            state.certs.clear();
-        }
-        state.certs.insert(key, cert);
-    }
-
-    /// Number of live sessions (bounded by [`MAX_LIVE_SESSIONS`]).
-    #[cfg(test)]
-    fn live_sessions(&self) -> usize {
-        self.state.lock().expect("hub state").sessions.len()
+    /// Number of memoized points (bounded by [`MAX_POINTS`]).
+    fn live_points(&self) -> usize {
+        self.state.lock().expect("hub state").points.len()
     }
 
     /// `(verdicts, retained program bytes)` of the admission memo.
@@ -284,15 +307,20 @@ impl Hub {
     }
 
     /// The front pass's verdict on `key`, run on first sight and
-    /// memoized for the generation. Racing misses on one key both run
-    /// the pass; the first verdict stored is kept (they are equal).
+    /// memoized. Racing misses on one key both run the pass; the first
+    /// verdict stored is kept (they are equal).
     fn admission(&self, key: AdmissionKey, spec: &MemorySpec) -> Arc<Verdict> {
-        let state = self.state.lock().expect("hub state");
-        if let Some(v) = state.admissions.verdicts.get(&key) {
+        let hit = self
+            .state
+            .lock()
+            .expect("hub state")
+            .admissions
+            .verdicts
+            .get(&key);
+        if let Some(v) = hit {
             self.stats.admission_hits.add(1);
-            return v.clone();
+            return v;
         }
-        drop(state);
         self.stats.admission_misses.add(1);
         let verdict = Arc::new(front_verdict(&key, spec));
         self.state
@@ -302,44 +330,26 @@ impl Hub {
             .insert(key, verdict)
     }
 
-    /// The session for `(dag, geom)`, building it on first sight. The
-    /// constraint-skeleton build runs outside the state lock so
-    /// concurrent requests for distinct pipelines never serialize on it.
-    fn session(&self, dag: &Dag, fingerprint: u64, geom: ImageGeometry) -> Arc<Session> {
-        let key = (fingerprint, geom.width, geom.height, geom.pixel_bits);
-        let (cache, generation) = {
-            let state = self.state.lock().expect("hub state");
-            if let Some(s) = state.sessions.get(&key) {
-                return s.clone();
-            }
-            (state.cache.clone(), state.generation)
-        };
-        let built = Arc::new(Session::with_cache(dag, geom, cache));
+    /// The compiled point `key`, built by `compile` on first sight and
+    /// memoized. The compile runs outside the state lock, so concurrent
+    /// requests for distinct points never serialize on it; racing misses
+    /// on one key both compile, and the first entry stored is kept (they
+    /// are equal).
+    fn point(&self, key: PointKey, compile: impl FnOnce() -> Compiled) -> Arc<Compiled> {
+        let hit = self.state.lock().expect("hub state").points.get(&key);
+        if let Some(p) = hit {
+            self.stats.cache_hits.add(1);
+            return p;
+        }
+        self.stats.cache_misses.add(1);
+        let built = Arc::new(compile());
         let mut state = self.state.lock().expect("hub state");
-        if state.sessions.len() >= MAX_LIVE_SESSIONS {
-            state.sessions.clear();
-            state.certs.clear();
-            state.admissions.clear();
-            // The new generation's cache mirrors into the same registry
-            // counters, so cache_stats() stays cumulative.
-            state.cache = Arc::new(CompileCache::with_observers(
-                self.stats.cache_hits.clone(),
-                self.stats.cache_misses.clone(),
-            ));
-            state.generation += 1;
-            self.stats.rollovers.add(1);
+        let stored = state.points.insert(key, built);
+        if state.points.len() > MAX_POINTS {
+            state.points.evict();
+            self.stats.evictions.add(1);
         }
-        if state.generation != generation {
-            // The generation rolled over while `built` was under
-            // construction (by us above, or by a racing thread): `built`
-            // points at a retired cache, so serve it to this request but
-            // never install it — the map must only hold sessions of the
-            // current generation. Skeleton rebuild on the next request
-            // for this pipeline is cheap relative to a compile, and this
-            // runs only around rollovers.
-            return built;
-        }
-        state.sessions.entry(key).or_insert(built).clone()
+        stored
     }
 }
 
@@ -400,7 +410,7 @@ fn parse_request(req: &Json) -> Result<Request, String> {
     };
     validate_geometry(&geom)?;
     // Servers bound per-request allocations even for pure compiles: the
-    // session map keeps DAG/skeleton state alive across requests.
+    // hub keeps lowered DAGs and compiled points alive across requests.
     validate_frame_budget(&geom)?;
     let backend = if get_bool(req, "fpga")? {
         MemBackend::Fpga
@@ -464,6 +474,13 @@ struct AdmissionKey {
     target: Target,
 }
 
+impl AdmissionKey {
+    /// The client text the memo keeps by storing this key.
+    fn retained_bytes(&self) -> usize {
+        self.name.len() + self.source.len()
+    }
+}
+
 /// A rejection's error message and source position.
 type Rejection = (String, Option<Pos>);
 
@@ -482,12 +499,12 @@ struct Admitted {
     fingerprint: u64,
 }
 
-/// Front-pass verdicts of one generation, capped at [`MAX_ADMISSIONS`]
-/// entries and [`MAX_ADMISSION_BYTES`] of retained program text:
-/// crossing either cap clears it, like the certificate memo.
+/// Front-pass verdicts, capped at [`MAX_ADMISSIONS`] entries and
+/// [`MAX_ADMISSION_BYTES`] of retained program text: a new verdict
+/// evicts the least recently used ones until both caps hold.
 #[derive(Default)]
 struct AdmissionMemo {
-    verdicts: HashMap<AdmissionKey, Arc<Verdict>>,
+    verdicts: Lru<AdmissionKey, Arc<Verdict>>,
     bytes: usize,
 }
 
@@ -496,23 +513,21 @@ impl AdmissionMemo {
     /// stored verdict.
     fn insert(&mut self, key: AdmissionKey, verdict: Arc<Verdict>) -> Arc<Verdict> {
         if let Some(v) = self.verdicts.get(&key) {
-            return v.clone();
+            return v;
         }
-        let bytes = key.name.len() + key.source.len();
+        let bytes = key.retained_bytes();
         if bytes > MAX_ADMISSION_BYTES {
             return verdict;
         }
-        if self.verdicts.len() >= MAX_ADMISSIONS || self.bytes + bytes > MAX_ADMISSION_BYTES {
-            self.clear();
+        while self.verdicts.len() >= MAX_ADMISSIONS || self.bytes + bytes > MAX_ADMISSION_BYTES {
+            let (evicted, _) = self
+                .verdicts
+                .evict()
+                .expect("a memo over its caps holds entries");
+            self.bytes -= evicted.retained_bytes();
         }
         self.bytes += bytes;
-        self.verdicts.insert(key, verdict.clone());
-        verdict
-    }
-
-    fn clear(&mut self) {
-        self.verdicts.clear();
-        self.bytes = 0;
+        self.verdicts.insert(key, verdict)
     }
 }
 
@@ -560,6 +575,64 @@ fn line_count(text: &str) -> usize {
     newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))
 }
 
+/// What a compile response reports of one compiled point, or the error
+/// its planning failed with.
+type Compiled = Result<Point, String>;
+
+/// The design numbers, Verilog text and certificate of one compiled
+/// point; the session, plan and netlist they came from are dropped.
+struct Point {
+    style: &'static str,
+    sram_kb: f64,
+    blocks: usize,
+    area_mm2: f64,
+    power_mw: f64,
+    latency_cycles: i64,
+    verilog: String,
+    verilog_lines: usize,
+    certificate_status: String,
+    certificate: Json,
+}
+
+/// Plans, emits and certifies one point on a transient session.
+fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled {
+    let out = Session::new(dag, geom)
+        .compile(spec, None)
+        .map_err(|e| e.to_string())?;
+    // Translation validation: every compile response carries the
+    // certificate verdict for the netlist it describes. The dag must be
+    // the *planned* dag (relay stages included), and the widths come
+    // from the netlist itself.
+    let aopts = AnalysisOptions {
+        geom,
+        spec: spec.clone(),
+        widths: out.netlist.widths,
+        input_range: AnalysisOptions::default().input_range,
+    };
+    let cert = imagen_analysis::certify_netlist(&out.plan.dag, &out.netlist, &aopts);
+    let certificate = crate::lint::certificate_json(&cert);
+    let design = &out.plan.design;
+    Ok(Point {
+        style: design.style.label(),
+        sram_kb: design.sram_kb(),
+        blocks: design.block_count(),
+        area_mm2: design.total_area_mm2(),
+        power_mw: design.total_power_mw(),
+        latency_cycles: out
+            .plan
+            .schedule
+            .latency(&out.plan.dag, geom.width, geom.height),
+        verilog_lines: line_count(&out.verilog),
+        verilog: out.verilog,
+        certificate_status: certificate
+            .get("status")
+            .and_then(|s| s.as_str())
+            .unwrap_or("unknown")
+            .to_string(),
+        certificate,
+    })
+}
+
 fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
     let mut spec = MemorySpec::new(r.backend, r.ports);
     if r.coalesce {
@@ -588,13 +661,24 @@ fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
         return error_response(id, msg.clone(), *pos);
     }
     let dag = &admitted.dag;
-    let session = hub.session(dag, admitted.fingerprint, r.geom);
-    let out = match session.compile(&spec, None) {
-        Ok(out) => out,
-        Err(e) => return error_response(id, e.to_string(), None),
+    let g = r.geom;
+    // Serve's specs configure every stage alike, so stage 0's factor is
+    // every stage's.
+    let (fpga, block_bits, ports, _) = target;
+    let resolved = (fpga, block_bits, ports, spec.coalesce_factor(0, &g));
+    let point_key = (
+        admitted.fingerprint,
+        g.width,
+        g.height,
+        g.pixel_bits,
+        resolved,
+    );
+    let compiled = hub.point(point_key, || compile_point(dag, g, &spec));
+    let point = match &*compiled {
+        Ok(p) => p,
+        Err(e) => return error_response(id, e.clone(), None),
     };
     let stats = dag.stats();
-    let design = &out.plan.design;
     let mut b = ObjBuilder::new()
         .push("id", id)
         .push("ok", Json::Bool(true))
@@ -605,59 +689,22 @@ fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
             "multi_consumer",
             Json::Num(stats.multi_consumer_stages as f64),
         )
-        .push("style", Json::Str(design.style.label().to_string()))
-        .push("sram_kb", Json::Num(design.sram_kb()))
-        .push("blocks", Json::Num(design.block_count() as f64))
-        .push("area_mm2", Json::Num(design.total_area_mm2()))
-        .push("power_mw", Json::Num(design.total_power_mw()))
-        .push(
-            "latency_cycles",
-            Json::Num(
-                out.plan
-                    .schedule
-                    .latency(&out.plan.dag, r.geom.width, r.geom.height) as f64,
-            ),
-        )
-        .push("verilog_lines", Json::Num(line_count(&out.verilog) as f64))
+        .push("style", Json::Str(point.style.to_string()))
+        .push("sram_kb", Json::Num(point.sram_kb))
+        .push("blocks", Json::Num(point.blocks as f64))
+        .push("area_mm2", Json::Num(point.area_mm2))
+        .push("power_mw", Json::Num(point.power_mw))
+        .push("latency_cycles", Json::Num(point.latency_cycles as f64))
+        .push("verilog_lines", Json::Num(point.verilog_lines as f64))
         .push("lint_warnings", Json::Num(admitted.warnings as f64))
-        .push("lint_notes", Json::Num(admitted.notes as f64));
-    // Translation validation: every compile response carries the
-    // certificate verdict for the netlist it just handed back. The dag
-    // must be the *planned* dag (relay stages included), and the widths
-    // come from the netlist itself. Certificates are pure in
-    // (dag, geometry, spec), so the hub memoizes them alongside the
-    // compile cache and warm recompiles skip the prover.
-    let cert_key: CertKey = (
-        (
-            admitted.fingerprint,
-            r.geom.width,
-            r.geom.height,
-            r.geom.pixel_bits,
-        ),
-        target,
-    );
-    let cert_json = hub.cert(&cert_key).unwrap_or_else(|| {
-        let aopts = AnalysisOptions {
-            geom: r.geom,
-            spec: spec.clone(),
-            widths: out.netlist.widths,
-            input_range: AnalysisOptions::default().input_range,
-        };
-        let cert = imagen_analysis::certify_netlist(&out.plan.dag, &out.netlist, &aopts);
-        let j = crate::lint::certificate_json(&cert);
-        hub.remember_cert(cert_key, j.clone());
-        j
-    });
-    let status = cert_json
-        .get("status")
-        .and_then(|s| s.as_str())
-        .unwrap_or("unknown")
-        .to_string();
-    b = b
-        .push("certificate_status", Json::Str(status))
-        .push("certificate", cert_json);
+        .push("lint_notes", Json::Num(admitted.notes as f64))
+        .push(
+            "certificate_status",
+            Json::Str(point.certificate_status.clone()),
+        )
+        .push("certificate", point.certificate.clone());
     if r.emit {
-        b = b.push("verilog", Json::Str(out.verilog.clone()));
+        b = b.push("verilog", Json::Str(point.verilog.clone()));
     }
     b.build()
 }
@@ -775,7 +822,6 @@ fn stats_response(id: Json, hub: &Hub) -> Json {
     } else {
         Json::Num(hits as f64 / (hits + misses) as f64)
     };
-    let live_sessions = hub.state.lock().expect("hub state").sessions.len();
     ObjBuilder::new()
         .push("id", id)
         .push("ok", Json::Bool(true))
@@ -805,8 +851,8 @@ fn stats_response(id: Json, hub: &Hub) -> Json {
                 .push("hit_rate", hit_rate)
                 .build(),
         )
-        .push("generation_rollovers", counter("generation.rollovers"))
-        .push("live_sessions", Json::Num(live_sessions as f64))
+        .push("evictions", counter("cache.evictions"))
+        .push("live_points", Json::Num(hub.live_points() as f64))
         .push(
             "metrics",
             json::parse(&snap.to_json()).unwrap_or(Json::Null),
@@ -1147,36 +1193,50 @@ mod tests {
         }
     }
 
+    /// A compile request for the `+ {i}` variant of a one-stage program
+    /// at 16x12, with `extra` members.
+    fn variant(i: usize, extra: &str) -> String {
+        format!(
+            r#"{{"id":{i},"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) + {i} end","width":16,"height":12{extra}}}"#
+        )
+    }
+
     #[test]
-    fn session_map_stays_bounded() {
-        let memo_within_caps = |hub: &Hub, what: &str| {
+    fn point_memo_stays_bounded() {
+        let within_caps = |hub: &Hub, what: &str| {
+            let points = hub.live_points();
+            assert!(points <= MAX_POINTS, "{what}: {points} points");
             let (verdicts, bytes) = hub.admission_memo();
             assert!(verdicts <= MAX_ADMISSIONS, "{what}: {verdicts} verdicts");
             assert!(bytes <= MAX_ADMISSION_BYTES, "{what}: {bytes} bytes");
         };
-        // Stream more distinct pipelines than the cap: the hub must roll
-        // the generation over instead of growing forever.
+        // Stream more distinct pipelines than the cap, then one pipeline
+        // under more distinct targets than the cap: the memo evicts
+        // instead of growing.
         let hub = Hub::new();
-        for i in 0..(MAX_LIVE_SESSIONS + 5) {
-            let line = format!(
-                r#"{{"id":{i},"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) + {i} end","width":16,"height":12}}"#
-            );
-            let resp = handle(&line, &hub);
+        for i in 0..(MAX_POINTS + 5) {
+            let resp = handle(&variant(i, ""), &hub);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "request {i}");
-            memo_within_caps(&hub, &format!("request {i}"));
+            within_caps(&hub, &format!("request {i}"));
         }
-        assert!(
-            hub.live_sessions() <= MAX_LIVE_SESSIONS,
-            "{} live sessions exceed the cap",
-            hub.live_sessions()
+        for i in 0..(MAX_POINTS + 5) {
+            let bits = 4096 + 64 * i;
+            let resp = handle(&variant(0, &format!(r#","block_bits":{bits}"#)), &hub);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "block_bits {bits}");
+            within_caps(&hub, &format!("block_bits {bits}"));
+        }
+        assert_eq!(hub.live_points(), MAX_POINTS);
+        assert_eq!(
+            counter(&hub, "cache.evictions"),
+            5 + (MAX_POINTS + 5) as u64
         );
-        // Distinct rejected programs create no session, so only the
+        // Distinct rejected programs compile no point, so only the
         // memo's entry cap bounds them.
         for i in 0..(MAX_ADMISSIONS + 5) {
             let line =
                 format!(r#"{{"cmd":"compile","source":"input a{i}","width":16,"height":12}}"#);
             assert_eq!(handle(&line, &hub).get("ok"), Some(&Json::Bool(false)));
-            memo_within_caps(&hub, &format!("rejection {i}"));
+            within_caps(&hub, &format!("rejection {i}"));
         }
         // A burst of large distinct sources (one pipeline, padded with
         // distinct comments) crosses the byte cap long before the entry
@@ -1193,7 +1253,7 @@ mod tests {
                 handle(&padded(i, 64 << 10), &hub).get("ok"),
                 Some(&Json::Bool(true))
             );
-            memo_within_caps(&hub, &format!("large source {i}"));
+            within_caps(&hub, &format!("large source {i}"));
         }
         let (_, before) = hub.admission_memo();
         assert_eq!(
@@ -1205,11 +1265,74 @@ mod tests {
             before,
             "an oversized source is not retained"
         );
-        // And the rolled-over hub still serves (and re-warms) correctly.
-        let line = r#"{"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) + 0 end","width":16,"height":12}"#;
-        let cold = handle(line, &hub);
-        let warm = handle(line, &hub);
+        // And the evicting hub still serves (and re-warms) correctly.
+        let cold = handle(&variant(0, ""), &hub);
+        let warm = handle(&variant(0, ""), &hub);
         assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn point_memo_evicts_the_least_recently_used() {
+        let hub = Hub::new();
+        let mut first = HashMap::new();
+        let mut ask = |i: usize| {
+            let resp = handle(&variant(i, ""), &hub);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "request {i}");
+            assert_eq!(first.entry(i).or_insert_with(|| resp.clone()), &resp);
+            hub.cache_stats()
+        };
+        for i in 0..MAX_POINTS {
+            assert_eq!(ask(i), (0, i + 1), "point {i} compiles once");
+        }
+        // Point 0 becomes the most recently used, so the 65th point
+        // evicts point 1.
+        assert_eq!(ask(0), (1, MAX_POINTS));
+        assert_eq!(ask(MAX_POINTS), (1, MAX_POINTS + 1));
+        assert_eq!(ask(0), (2, MAX_POINTS + 1), "point 0 is still a hit");
+        assert_eq!(ask(1), (2, MAX_POINTS + 2), "point 1 was evicted");
+        assert_eq!(hub.live_points(), MAX_POINTS);
+        assert_eq!(counter(&hub, "cache.evictions"), 2);
+    }
+
+    #[test]
+    fn planning_failures_are_memoized_like_successes() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/gaussian_pyramid.imagen");
+        let source = std::fs::read_to_string(path).unwrap();
+        let line = ObjBuilder::new()
+            .push("id", Json::Num(3.0))
+            .push("cmd", Json::Str("compile".into()))
+            .push("name", Json::Str("gaussian_pyramid".into()))
+            .push("source", Json::Str(source))
+            .push("width", Json::Num(65.0))
+            .push("height", Json::Num(49.0))
+            .build()
+            .to_line();
+        let hub = Hub::new();
+        let first = handle(&line, &hub);
+        let again = handle(&line, &hub);
+        assert_eq!(first.get("ok"), Some(&Json::Bool(false)));
+        let msg = first.get("error").unwrap().as_str().unwrap();
+        assert!(msg.contains("does not divide the 65x49 frame"), "{msg}");
+        assert_eq!(again, first);
+        assert_eq!(hub.cache_stats(), (1, 1), "the failed plan ran once");
+    }
+
+    #[test]
+    fn coalescing_that_cannot_take_effect_shares_the_plain_point() {
+        let plain = variant(0, r#","ports":1"#);
+        let inert = variant(0, r#","ports":1,"coalesce":true"#);
+        let hub = Hub::new();
+        handle(&plain, &hub);
+        assert_eq!(
+            handle(&inert, &hub),
+            handle(&inert, &Hub::new()),
+            "the shared point answers as a fresh compile"
+        );
+        assert_eq!(hub.cache_stats(), (1, 1));
+        // Two ports coalesce two rows per block: a point of its own.
+        handle(&variant(0, r#","coalesce":true"#), &hub);
+        assert_eq!(hub.cache_stats(), (1, 2));
     }
 
     /// A response without its timing members.
@@ -1388,7 +1511,7 @@ mod tests {
         let first = handle(&line, &hub);
         let warm: Vec<Json> = (0..5).map(|_| handle(&line, &hub)).collect();
         let (hits, _) = hub.cache_stats();
-        assert!(hits >= 1, "repeat requests hit the shared cache");
+        assert!(hits >= 1, "repeat requests hit the point memo");
 
         // Deterministic: the warm path runs none of the planner and codegen
         // phases the cold one ran.
@@ -1497,6 +1620,8 @@ mod tests {
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
         assert_eq!(cache.get("misses").unwrap().as_u64(), Some(1));
         assert_eq!(cache.get("hit_rate"), Some(&Json::Num(0.5)));
+        assert_eq!(resp.get("evictions").unwrap().as_u64(), Some(0));
+        assert_eq!(resp.get("live_points").unwrap().as_u64(), Some(1));
         let handle_time = resp.get("handle_time").unwrap();
         assert_eq!(handle_time.get("count").unwrap().as_u64(), Some(5));
         assert!(handle_time.get("p50_us").unwrap().as_u64().is_some());

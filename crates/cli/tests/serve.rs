@@ -77,7 +77,7 @@ fn concurrent_batch_matches_sequential_byte_for_byte() {
 #[test]
 fn warm_cache_beats_cold_through_the_binary() {
     // Same compile request twice, sequentially, with timing: the second
-    // answer must come from the shared session cache, measurably faster.
+    // answer must come from the point memo, measurably faster.
     let line = format!(
         r#"{{"id":0,"cmd":"compile","name":"blur","source":"{BLUR}","width":48,"height":32,"timing":true}}"#
     );
@@ -211,13 +211,14 @@ fn stats_cmd_answers_after_a_concurrent_batch() {
         "\"p99_us\":",
         "\"cache\":{",
         "\"hit_rate\":",
-        "\"generation_rollovers\":",
+        "\"evictions\":",
+        "\"live_points\":",
         "\"metrics\":{\"schema\":\"imagen-metrics/1\"",
     ] {
         assert!(stats.contains(key), "missing {key} in {stats}");
     }
     // BLUR compiles twice in the batch (ids 0, 4, 8 share a pipeline):
-    // the shared cache must have seen at least one hit by stats time.
+    // the point memo must have seen at least one hit by stats time.
     assert!(stats.contains("\"hits\":"), "{stats}");
 }
 

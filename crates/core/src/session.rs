@@ -13,9 +13,9 @@
 //!   owns for its lifetime runs them once per distinct buffer (frame,
 //!   ports, layout inputs and access streams, starts taken relative to
 //!   the earliest), whichever point or request first needs them;
-//! * any point already compiled — returned from the [`CompileCache`],
-//!   keyed by (DAG fingerprint, geometry, resolved per-stage memory
-//!   config, schedule options, style).
+//! * any point already compiled — returned from the session's
+//!   [`CompileCache`], keyed by (resolved per-stage memory config,
+//!   schedule options, style).
 //!
 //! Sessions are `Sync`: design points can be fanned out over
 //! `std::thread::scope` workers sharing one session, and the cache and
@@ -25,7 +25,6 @@
 use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-use imagen_obs::Counter;
 use imagen_schedule::{
     formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan, PortCheckMemo, ScheduleOptions,
 };
@@ -33,13 +32,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cache key identifying one fully-resolved compile point.
+/// Cache key identifying one fully-resolved compile point of the
+/// session's DAG and geometry.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct PointKey {
-    dag_fingerprint: u64,
-    width: u32,
-    height: u32,
-    pixel_bits: u32,
     backend: MemBackend,
     /// Resolved `(ports, coalesce factor)` per stage — two specs that
     /// resolve identically compile identically.
@@ -57,42 +53,16 @@ struct CacheEntry {
     verilog: Option<Arc<String>>,
 }
 
-/// Shared memo store for compiled design points.
-///
-/// One cache can back several [`Session`]s (the DAG fingerprint is part
-/// of the key) and any number of threads.
+/// Memo store for a [`Session`]'s compiled design points, shared by
+/// every thread that compiles on the session.
 #[derive(Default)]
 pub struct CompileCache {
     entries: Mutex<HashMap<PointKey, CacheEntry>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Mirrors of `hits`/`misses` into externally owned metric cells
-    /// (detached no-op counters unless [`CompileCache::with_observers`]
-    /// wired real ones in). Lets a stats endpoint read cache traffic
-    /// lock-free from its registry — and cumulatively across cache
-    /// generations, since the registry cell outlives any one cache —
-    /// instead of taking whatever lock guards the current cache.
-    obs_hits: Counter,
-    obs_misses: Counter,
 }
 
 impl CompileCache {
-    /// Creates an empty cache.
-    pub fn new() -> CompileCache {
-        CompileCache::default()
-    }
-
-    /// Creates an empty cache that additionally mirrors every hit and
-    /// miss into the given metric counters (typically registry cells of
-    /// an [`imagen_obs::Metrics`]).
-    pub fn with_observers(hits: Counter, misses: Counter) -> CompileCache {
-        CompileCache {
-            obs_hits: hits,
-            obs_misses: misses,
-            ..CompileCache::default()
-        }
-    }
-
     /// Number of memoized design points.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("cache poisoned").len()
@@ -119,14 +89,8 @@ impl CompileCache {
             .get(key)
             .cloned();
         match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.add(1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.add(1);
-            }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
     }
@@ -143,8 +107,7 @@ impl CompileCache {
 }
 
 // Compile-time thread-safety audit: DSE fans points out over scoped
-// threads sharing one `&Session`, and the CLI's batch compile server
-// shares sessions and one cache across a worker pool — both require
+// threads sharing one `&Session` and so its cache, which requires
 // `Session`/`CompileCache` to stay `Send + Sync`. Adding a non-`Sync`
 // field (an `Rc`, a `RefCell`, a raw pointer) fails right here instead
 // of at a distant spawn site.
@@ -181,33 +144,26 @@ const _: () = {
 /// ```
 pub struct Session {
     dag: Dag,
-    dag_fingerprint: u64,
     geom: ImageGeometry,
     skeleton: ConstraintSkeleton,
     opts: ScheduleOptions,
-    cache: Arc<CompileCache>,
+    cache: CompileCache,
     port_checks: PortCheckMemo,
 }
 
 impl Session {
     /// Creates a session for `dag` at `geom` with its own fresh cache.
     pub fn new(dag: &Dag, geom: ImageGeometry) -> Session {
-        Session::with_cache(dag, geom, Arc::new(CompileCache::new()))
-    }
-
-    /// Creates a session backed by an existing (possibly shared) cache.
-    pub fn with_cache(dag: &Dag, geom: ImageGeometry, cache: Arc<CompileCache>) -> Session {
         let skeleton = {
             let _s = imagen_obs::span("plan.skeleton");
             formulate_skeleton(dag, geom.width)
         };
         Session {
             dag: dag.clone(),
-            dag_fingerprint: dag.fingerprint(),
             skeleton,
             geom,
             opts: ScheduleOptions::default(),
-            cache,
+            cache: CompileCache::default(),
             port_checks: PortCheckMemo::new(),
         }
     }
@@ -228,8 +184,8 @@ impl Session {
         &self.geom
     }
 
-    /// The backing cache (shareable across sessions and threads).
-    pub fn cache(&self) -> &Arc<CompileCache> {
+    /// The session's cache of compiled points.
+    pub fn cache(&self) -> &CompileCache {
         &self.cache
     }
 
@@ -253,10 +209,6 @@ impl Session {
 
     fn key_for(&self, spec: &MemorySpec, style: DesignStyle) -> PointKey {
         PointKey {
-            dag_fingerprint: self.dag_fingerprint,
-            width: self.geom.width,
-            height: self.geom.height,
-            pixel_bits: self.geom.pixel_bits,
             backend: spec.backend(),
             stages: (0..self.dag.num_stages())
                 .map(|i| (spec.ports_for(i), spec.coalesce_factor(i, &self.geom)))
@@ -551,19 +503,6 @@ mod tests {
         let b = session.price(&spec_b, None).unwrap();
         assert_ne!(a.design.sram_kb(), b.design.sram_kb());
         assert_eq!(session.cache().len(), 2);
-    }
-
-    #[test]
-    fn shared_cache_across_sessions() {
-        let dag = Algorithm::HarrisS.build();
-        let cache = Arc::new(CompileCache::new());
-        let s1 = Session::with_cache(&dag, geom(), cache.clone());
-        let s2 = Session::with_cache(&dag, geom(), cache.clone());
-        let spec = MemorySpec::new(backend(), 2);
-        let a = s1.price(&spec, None).unwrap();
-        let b = s2.price(&spec, None).unwrap();
-        assert_eq!(a.design, b.design);
-        assert_eq!(cache.stats(), (1, 1), "second session hit the cache");
     }
 
     #[test]
