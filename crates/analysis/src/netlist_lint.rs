@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 pub fn lint_netlist(net: &Netlist, opts: &AnalysisOptions) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    // E0301..E0310 — the accumulating structural verifier.
+    // E0301..E0309 — the accumulating structural verifier.
     for e in &verify_all(net).errors {
         diags.push(structural_diag(e));
     }
@@ -82,7 +82,6 @@ fn structural_diag(e: &RtlError) -> Diagnostic {
         RtlError::UndrivenNet { .. } => 6,
         RtlError::MultipleDrivers { .. } => 7,
         RtlError::UnknownNet { .. } => 8,
-        RtlError::VectorShape { .. } => 9,
     };
     let locus = match e {
         RtlError::DuplicateSignal { name, within } => Locus::Net {

@@ -5,7 +5,7 @@
 
 use imagen_algos::Algorithm;
 use imagen_bench::{asic_backend, geom_320, timing_reps};
-use imagen_core::{Compiler, Session};
+use imagen_core::Compiler;
 use imagen_ir::linearize;
 use imagen_mem::MemorySpec;
 use imagen_schedule::{plan_design, ScheduleOptions};
@@ -28,8 +28,8 @@ fn main() {
     let geom = geom_320();
     let backend = asic_backend();
     println!("# Sec. 8.2 — Compilation speed @320p\n");
-    println!("| Algorithm | Ours (ms) | warm session (µs) | no pruning (ms) | pruning speedup | Darkroom (ms) | Ours vs Darkroom |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| Algorithm | Ours (ms) | no pruning (ms) | pruning speedup | Darkroom (ms) | Ours vs Darkroom |");
+    println!("|---|---|---|---|---|---|");
     let mut ours_all = Vec::new();
     let mut speedups = Vec::new();
     let mut vs_darkroom = Vec::new();
@@ -40,15 +40,6 @@ fn main() {
         let t_ours = time_ms(|| {
             let _ = Compiler::new(geom, spec.clone()).compile_dag(&dag).unwrap();
         });
-        // Multi-scenario serving path: a session that already compiled
-        // this point answers from its cache.
-        let session = Session::new(&dag, geom);
-        let _ = session.compile(&spec, None).unwrap();
-        let t_warm_us = {
-            let t = Instant::now();
-            let _ = session.compile(&spec, None).unwrap();
-            t.elapsed().as_secs_f64() * 1e6
-        };
         let t_nopruning = time_ms(|| {
             let opts = ScheduleOptions { pruning: false };
             let _ = Compiler::new(geom, spec.clone())
@@ -76,10 +67,9 @@ fn main() {
         }
         vs_darkroom.push(vs_dk);
         println!(
-            "| {} | {:.2} | {:.1} | {:.2} | {:.2}x | {:.2} | {:+.1}% faster |",
+            "| {} | {:.2} | {:.2} | {:.2}x | {:.2} | {:+.1}% faster |",
             alg.name(),
             t_ours,
-            t_warm_us,
             t_nopruning,
             speedup,
             t_darkroom,

@@ -3,10 +3,8 @@
 //! multiple consumers (paper: 8.7 ms at 9 stages, 8.1 s at 60 stages
 //! with OR-Tools; our exact rational solver scales similarly in shape).
 //!
-//! Compiles run through a memoized [`Session`]: the cold column is the
-//! full compile (skeleton + contention + ILP + pricing + RTL), the warm
-//! column a cache-hit recompile of the same point — the multi-scenario
-//! serving path.
+//! Each compile runs on a fresh [`Session`]: the full compile (skeleton
+//! + contention + ILP + pricing + RTL).
 
 use imagen_algos::synthetic_pipeline;
 use imagen_bench::{asic_backend, geom_320, smoke_mode};
@@ -17,8 +15,8 @@ use std::time::Instant;
 fn main() {
     let geom = geom_320();
     println!("# Sec. 8.2 — Scalability sweep (synthetic pipelines)\n");
-    println!("| Stages | MC stages | constraints | sub-problems | cold compile (ms) | warm recompile (µs) |");
-    println!("|---|---|---|---|---|---|");
+    println!("| Stages | MC stages | constraints | sub-problems | compile (ms) |");
+    println!("|---|---|---|---|---|");
     let sweep: &[usize] = if smoke_mode() {
         &[9, 15, 24]
     } else {
@@ -27,27 +25,21 @@ fn main() {
     for &stages in sweep {
         let dag = synthetic_pipeline(stages, 2023);
         let spec = MemorySpec::new(asic_backend(), 2);
-        // Cold = session setup (skeleton build) + contention + ILP +
-        // pricing + RTL, end to end, like the one-shot Compiler path.
         let t = Instant::now();
-        let session = Session::new(&dag, geom);
-        let out = session.compile(&spec, None).expect("synthetic compiles");
-        let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let _warm = session.compile(&spec, None).expect("cache hit");
-        let warm_us = t.elapsed().as_secs_f64() * 1e6;
+        let out = Session::new(&dag, geom)
+            .compile(&spec, None)
+            .expect("synthetic compiles");
+        let ms = t.elapsed().as_secs_f64() * 1e3;
         let rep = &out.plan.schedule.report;
         println!(
-            "| {} | {} | {} | {} | {:.2} | {:.1} |",
+            "| {} | {} | {} | {} | {:.2} |",
             stages,
             dag.multi_consumer_stages().len(),
             rep.ilp_constraints,
             rep.subproblems,
-            cold_ms,
-            warm_us
+            ms
         );
     }
     println!("\nCompile time grows polynomially with pipeline length; the 60-stage");
     println!("pipeline still compiles in well under the paper's 8.1 s budget.");
-    println!("Warm recompiles are cache hits in the session's CompileCache.");
 }

@@ -48,7 +48,8 @@ COMMANDS:
     energy <file.imagen>    measure activity-based power vs the analytic model
     serve                   answer JSONL compile/dse requests in batch over
                             stdin/stdout (or TCP with --tcp), fanned over a
-                            worker pool sharing one compile cache
+                            worker pool sharing one admission memo and one
+                            memo of compiled points
     stats <snapshot.json>   render an imagen-metrics/1 snapshot (a serve
                             \"cmd\":\"stats\" response also works) as text
     bench diff <a> <b> [..] compare exp_bench_snapshot JSON files: two files

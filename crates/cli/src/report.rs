@@ -9,7 +9,7 @@
 use crate::json::{self, Json};
 use crate::{CliError, Options};
 use imagen_analysis::certify_dag_styled;
-use imagen_core::Compiler;
+use imagen_core::{Compiler, Session};
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_ir::{Dag, StageId};
 use imagen_obs::Collector;
@@ -550,8 +550,8 @@ fn input_frames(dag: &Dag, opts: &Options, bits: u32) -> Vec<Image> {
 /// `imagen sim`: golden executor vs netlist interpreter on a seeded frame.
 pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
     check_frame_contains_stencil(dag, opts)?;
-    let out = Compiler::new(opts.geometry(), opts.memory_spec())
-        .compile_dag(dag)
+    let plan = Session::new(dag, opts.geometry())
+        .price(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
     let widths = if opts.wide {
         BitWidths::wide()
@@ -564,8 +564,8 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
     let bits = opts.input_bits.unwrap_or(if opts.wide { 8 } else { 4 });
     let inputs = input_frames(dag, opts, bits);
 
-    let golden = execute(&out.plan.dag, &inputs).map_err(|e| e.to_string())?;
-    let net = build_netlist(&out.plan.dag, &out.plan.design, &widths);
+    let golden = execute(&plan.dag, &inputs).map_err(|e| e.to_string())?;
+    let net = build_netlist(&plan.dag, &plan.design, &widths);
     let run = interpret(&net, &inputs).map_err(|e| e.to_string())?;
 
     let mut text = header(dag, opts);
@@ -591,7 +591,7 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
         mismatched += diff;
         text.push_str(&format!(
             "  stage {:<12} {}\n",
-            out.plan.dag.stage(StageId::from_index(*stage)).name(),
+            plan.dag.stage(StageId::from_index(*stage)).name(),
             if diff == 0 {
                 "bit-exact".to_string()
             } else {
@@ -617,14 +617,15 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
 /// `imagen energy`: analytic vs activity-measured power on a seeded frame.
 pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
     check_frame_contains_stencil(dag, opts)?;
-    let out = Compiler::new(opts.geometry(), opts.memory_spec())
-        .compile_dag(dag)
+    let plan = Session::new(dag, opts.geometry())
+        .price(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
+    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
     let bits = opts.input_bits.unwrap_or(4);
     let inputs = input_frames(dag, opts, bits);
-    let m = imagen_power::measure_netlist(&out.netlist, &out.plan.design, &inputs)
-        .map_err(|e| e.to_string())?;
-    let design = &out.plan.design;
+    let m =
+        imagen_power::measure_netlist(&net, &plan.design, &inputs).map_err(|e| e.to_string())?;
+    let design = &plan.design;
 
     let mut text = header(dag, opts);
     text.push_str(&format!(
@@ -676,7 +677,7 @@ pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
     for b in &m.ungated.buffers {
         text.push_str(&format!(
             "  {:<12} {:>8} {:>8} {:>8} {:>12.1} {:>10.4}\n",
-            out.plan.dag.stage(StageId::from_index(b.stage)).name(),
+            plan.dag.stage(StageId::from_index(b.stage)).name(),
             b.reads,
             b.writes,
             b.idle_reads,

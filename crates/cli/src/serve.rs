@@ -33,21 +33,22 @@
 //! samples     random-strategy budget (dse)                   [64]
 //! seed        random-strategy seed (dse)                     [0]
 //! timing      include "elapsed_us" (non-deterministic!)      [false]
-//! deny_warnings  reject compiles with lint warnings          [false]
+//! deny_warnings  reject programs with lint warnings          [false]
 //! ```
 //!
-//! Every compile request is admission-checked by the cheap front half of
-//! the static analyzer ([`imagen_analysis::front_pass`]: parse, DSL
-//! lints, lower, width/overflow dataflow — no planning) before it can
-//! occupy a worker: lint *errors* always reject, lint *warnings* reject
-//! under `deny_warnings`, and successful compile responses carry the
-//! observed `lint_warnings` / `lint_notes` counts. The front pass runs
-//! once per program and target while its verdict stays in memory: the
-//! hub memoizes the verdict and the DAG it lowered, keyed by the name,
-//! the source text itself, the geometry and the memory target, and
-//! applies `deny_warnings` at lookup. A repeated request parses nothing;
-//! the memo is bounded in entries and in retained source bytes and
-//! evicts its least recently used verdicts. `"cmd":"stats"` and the
+//! Every compile and dse request is admission-checked by the cheap front
+//! half of the static analyzer ([`imagen_analysis::front_pass`]: parse,
+//! DSL lints, lower, width/overflow dataflow — no planning) before it
+//! can occupy a worker: lint *errors* always reject, lint *warnings*
+//! reject under `deny_warnings`, and successful compile responses carry
+//! the observed `lint_warnings` / `lint_notes` counts. The front pass
+//! runs once per program and target while its verdict stays in memory:
+//! the hub memoizes the verdict and the DAG it lowered, keyed by the
+//! name, the source text itself, the geometry and the memory target, and
+//! applies `deny_warnings` at lookup. A repeated request parses nothing,
+//! and a dse request sweeps the DAG its compile twin lowered; the memo
+//! is bounded in entries and in retained source bytes and evicts its
+//! least recently used verdicts. `"cmd":"stats"` and the
 //! `--stats-every` line count its hits (requests answered from the
 //! memo) and misses (front passes run) beside `admission_rejected`, the
 //! point memo's hits and misses (points compiled) as `cache`, its
@@ -309,7 +310,7 @@ impl Hub {
     /// The front pass's verdict on `key`, run on first sight and
     /// memoized. Racing misses on one key both run the pass; the first
     /// verdict stored is kept (they are equal).
-    fn admission(&self, key: AdmissionKey, spec: &MemorySpec) -> Arc<Verdict> {
+    fn admission(&self, key: AdmissionKey, spec: &MemorySpec) -> Verdict {
         let hit = self
             .state
             .lock()
@@ -322,7 +323,7 @@ impl Hub {
             return v;
         }
         self.stats.admission_misses.add(1);
-        let verdict = Arc::new(front_verdict(&key, spec));
+        let verdict = front_verdict(&key, spec);
         self.state
             .lock()
             .expect("hub state")
@@ -383,9 +384,9 @@ struct Request {
     name: String,
     source: String,
     geom: ImageGeometry,
-    backend: MemBackend,
-    ports: u32,
-    coalesce: bool,
+    target: Target,
+    /// The memory spec the target configures for every stage.
+    spec: MemorySpec,
     emit: bool,
     deny_warnings: bool,
     strategy: ExploreStrategy,
@@ -435,13 +436,21 @@ fn parse_request(req: &Json) -> Result<Request, String> {
     let samples = usize::try_from(samples).map_err(|_| "`samples` is too large".to_string())?;
     let strategy =
         crate::report::parse_strategy(&strategy_label, samples, get_u64(req, "seed", 0)?)?;
+    let coalesce = get_bool(req, "coalesce")?;
+    let mut spec = MemorySpec::new(backend, ports);
+    if coalesce {
+        spec = spec.with_coalescing();
+    }
+    let target = match backend {
+        MemBackend::Fpga => (true, 0, ports, coalesce),
+        MemBackend::Asic { block_bits } => (false, block_bits, ports, coalesce),
+    };
     Ok(Request {
         name,
         source,
         geom,
-        backend,
-        ports,
-        coalesce: get_bool(req, "coalesce")?,
+        target,
+        spec,
         emit: get_bool(req, "emit")?,
         deny_warnings: get_bool(req, "deny_warnings")?,
         strategy,
@@ -486,7 +495,7 @@ type Rejection = (String, Option<Pos>);
 
 /// The front pass's verdict on one program and target: the admitted
 /// program, or its first lint error.
-type Verdict = Result<Admitted, Rejection>;
+type Verdict = Result<Arc<Admitted>, Rejection>;
 
 /// An admitted program: what its compile responses report of the lints,
 /// and the DAG the front pass lowered.
@@ -504,14 +513,14 @@ struct Admitted {
 /// evicts the least recently used ones until both caps hold.
 #[derive(Default)]
 struct AdmissionMemo {
-    verdicts: Lru<AdmissionKey, Arc<Verdict>>,
+    verdicts: Lru<AdmissionKey, Verdict>,
     bytes: usize,
 }
 
 impl AdmissionMemo {
     /// Stores `verdict` unless `key` already has one, and returns the
     /// stored verdict.
-    fn insert(&mut self, key: AdmissionKey, verdict: Arc<Verdict>) -> Arc<Verdict> {
+    fn insert(&mut self, key: AdmissionKey, verdict: Verdict) -> Verdict {
         if let Some(v) = self.verdicts.get(&key) {
             return v;
         }
@@ -554,7 +563,7 @@ fn front_verdict(key: &AdmissionKey, spec: &MemorySpec) -> Verdict {
         return Err((d.message.clone(), pos_of(d)));
     }
     let dag = dag.expect("front_pass lowers every program it reports no error for");
-    Ok(Admitted {
+    Ok(Arc::new(Admitted {
         warnings: lint.warnings(),
         notes: lint.notes(),
         denied: first(Severity::Warning).map(|d| {
@@ -565,7 +574,7 @@ fn front_verdict(key: &AdmissionKey, spec: &MemorySpec) -> Verdict {
         }),
         fingerprint: dag.fingerprint(),
         dag,
-    })
+    }))
 }
 
 /// `text.lines().count()` by counting `\n` bytes: every line but an
@@ -588,7 +597,7 @@ struct Point {
     area_mm2: f64,
     power_mw: f64,
     latency_cycles: i64,
-    verilog: String,
+    verilog: Box<str>,
     verilog_lines: usize,
     certificate_status: String,
     certificate: Json,
@@ -596,9 +605,13 @@ struct Point {
 
 /// Plans, emits and certifies one point on a transient session.
 fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled {
-    let out = Session::new(dag, geom)
+    let mut out = Session::new(dag, geom)
         .compile(spec, None)
         .map_err(|e| e.to_string())?;
+    // An exact-length copy, made before certification: the emitter's
+    // buffer can carry up to twice the text's length in spare capacity,
+    // and the memo keeps the text as long as the point.
+    let verilog: Box<str> = std::mem::take(&mut out.verilog).as_str().into();
     // Translation validation: every compile response carries the
     // certificate verdict for the netlist it describes. The dag must be
     // the *planned* dag (relay stages included), and the widths come
@@ -622,8 +635,8 @@ fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled 
             .plan
             .schedule
             .latency(&out.plan.dag, geom.width, geom.height),
-        verilog_lines: line_count(&out.verilog),
-        verilog: out.verilog,
+        verilog_lines: line_count(&verilog),
+        verilog,
         certificate_status: certificate
             .get("status")
             .and_then(|s| s.as_str())
@@ -633,39 +646,39 @@ fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled 
     })
 }
 
-fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
-    let mut spec = MemorySpec::new(r.backend, r.ports);
-    if r.coalesce {
-        spec = spec.with_coalescing();
-    }
-    let target: Target = match r.backend {
-        MemBackend::Fpga => (true, 0, r.ports, r.coalesce),
-        MemBackend::Asic { block_bits } => (false, block_bits, r.ports, r.coalesce),
-    };
+/// Admits a compile or dse request's program: the memoized front-pass
+/// verdict on its program and target, with `deny_warnings` applied. The
+/// request's name and source move into the memo key uncopied.
+fn admit(r: &mut Request, hub: &Hub) -> Verdict {
     let key = AdmissionKey {
-        name: r.name,
-        source: r.source,
+        name: std::mem::take(&mut r.name),
+        source: std::mem::take(&mut r.source),
         geom: r.geom,
-        target,
+        target: r.target,
     };
-    let verdict = hub.admission(key, &spec);
-    let admitted = match &*verdict {
-        Ok(a) => a,
-        Err((msg, pos)) => {
-            hub.stats.admission_rejected.add(1);
-            return error_response(id, msg.clone(), *pos);
-        }
-    };
-    if let (true, Some((msg, pos))) = (r.deny_warnings, &admitted.denied) {
+    let verdict = hub
+        .admission(key, &r.spec)
+        .and_then(|a| match (&a.denied, r.deny_warnings) {
+            (Some(denied), true) => Err(denied.clone()),
+            _ => Ok(a),
+        });
+    if verdict.is_err() {
         hub.stats.admission_rejected.add(1);
-        return error_response(id, msg.clone(), *pos);
     }
+    verdict
+}
+
+fn compile_response(id: Json, mut r: Request, hub: &Hub) -> Json {
+    let admitted = match admit(&mut r, hub) {
+        Ok(a) => a,
+        Err((msg, pos)) => return error_response(id, msg, pos),
+    };
     let dag = &admitted.dag;
     let g = r.geom;
     // Serve's specs configure every stage alike, so stage 0's factor is
     // every stage's.
-    let (fpga, block_bits, ports, _) = target;
-    let resolved = (fpga, block_bits, ports, spec.coalesce_factor(0, &g));
+    let (fpga, block_bits, ports, _) = r.target;
+    let resolved = (fpga, block_bits, ports, r.spec.coalesce_factor(0, &g));
     let point_key = (
         admitted.fingerprint,
         g.width,
@@ -673,7 +686,7 @@ fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
         g.pixel_bits,
         resolved,
     );
-    let compiled = hub.point(point_key, || compile_point(dag, g, &spec));
+    let compiled = hub.point(point_key, || compile_point(dag, g, &r.spec));
     let point = match &*compiled {
         Ok(p) => p,
         Err(e) => return error_response(id, e.clone(), None),
@@ -704,25 +717,26 @@ fn compile_response(id: Json, r: Request, hub: &Hub) -> Json {
         )
         .push("certificate", point.certificate.clone());
     if r.emit {
-        b = b.push("verilog", Json::Str(point.verilog.clone()));
+        b = b.push("verilog", Json::Str(point.verilog.to_string()));
     }
     b.build()
 }
 
-fn dse_response(id: Json, r: &Request, hub: &Hub) -> Json {
-    let dag = match imagen_dsl::compile(&r.name, &r.source) {
-        Ok(dag) => dag,
-        Err(e) => return error_response(id, e.to_string(), e.pos()),
+fn dse_response(id: Json, mut r: Request, hub: &Hub) -> Json {
+    let admitted = match admit(&mut r, hub) {
+        Ok(a) => a,
+        Err((msg, pos)) => return error_response(id, msg, pos),
     };
+    let dag = &admitted.dag;
     if let Err(e) = crate::report::check_exhaustive_size(r.strategy, dag.buffered_stages().len()) {
         return error_response(id, e, None);
     }
     // DSE owns its fan-out; each request explores sequentially so the
     // serve worker pool stays the only concurrency level.
     let res = match explore(
-        &dag,
+        dag,
         &r.geom,
-        r.backend,
+        r.spec.backend(),
         ExploreOptions {
             strategy: r.strategy,
             threads: 1,
@@ -732,7 +746,6 @@ fn dse_response(id: Json, r: &Request, hub: &Hub) -> Json {
         Ok(res) => res,
         Err(e) => return error_response(id, e.to_string(), None),
     };
-    let _ = hub; // dse builds its own session; the hub serves compiles
     let frontier = res.pareto_front();
     let names: Vec<Json> = res
         .buffered_stages
@@ -923,7 +936,7 @@ fn handle_inner(line: &str, hub: &Hub, t0: Instant) -> Json {
                     if cmd == "compile" {
                         compile_response(id, r, hub)
                     } else {
-                        dse_response(id, &r, hub)
+                        dse_response(id, r, hub)
                     }
                 };
                 if timing {
@@ -1021,10 +1034,13 @@ pub fn run(opts: &Options) -> Result<(), String> {
             }
             w.flush().map_err(|e| e.to_string())?;
             let (hits, misses) = hub.cache_stats();
+            let s = &hub.stats;
             eprintln!(
-                "served {} request(s) on {} worker(s); compile cache: {hits} hit(s), {misses} miss(es)",
+                "served {} request(s) on {} worker(s); admission memo: {} hit(s), {} miss(es); point memo: {hits} hit(s), {misses} miss(es)",
                 responses.len(),
-                effective_threads(opts.threads).min(lines.len().max(1))
+                effective_threads(opts.threads).min(lines.len().max(1)),
+                s.admission_hits.get(),
+                s.admission_misses.get(),
             );
             Ok(())
         }
@@ -1411,6 +1427,41 @@ mod tests {
         assert_eq!(again, first);
         assert_eq!(counter(&hub, "admission.rejected"), 2);
         assert_eq!(counter(&hub, "admission.hits"), 1);
+    }
+
+    /// `line` with its `"cmd":"compile"` made `"cmd":"dse"`.
+    fn as_dse(line: &str) -> String {
+        line.replacen(r#""cmd":"compile""#, r#""cmd":"dse""#, 1)
+    }
+
+    #[test]
+    fn dse_requests_are_admitted_like_compiles() {
+        // A dse request, then a compile of the same program and target:
+        // one front pass.
+        let hub = Hub::new();
+        let dse = handle(&as_dse(&req("")), &hub);
+        assert_eq!(dse.get("ok"), Some(&Json::Bool(true)), "{dse:?}");
+        assert_eq!(handle(&req(""), &hub).get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(counter(&hub, "admission.misses"), 1);
+        assert_eq!(counter(&hub, "admission.hits"), 1);
+        // A warned program under deny_warnings is refused with exactly
+        // its compile twin's error.
+        let denied = r#"{"id":7,"cmd":"compile","source":"input a; output b = im(x,y) a(x,y) * (2 + 3 * 4) end","width":32,"height":24,"deny_warnings":true}"#;
+        let refused = handle(&as_dse(denied), &Hub::new());
+        assert_eq!(refused, handle(denied, &Hub::new()));
+        let msg = refused.get("error").unwrap().as_str().unwrap();
+        assert!(msg.starts_with("denied warning[W0105]"), "{msg}");
+        // A parse error keeps the position the front end gives it.
+        let source = "input a\noutput b = im(x,y) a(x,y) end";
+        let pos = imagen_dsl::compile("pipeline", source)
+            .unwrap_err()
+            .pos()
+            .unwrap();
+        let bad = r#"{"id":"x","cmd":"dse","source":"input a\noutput b = im(x,y) a(x,y) end"}"#;
+        let resp = handle(bad, &Hub::new());
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(resp.get("line").unwrap().as_u64(), Some(pos.line as u64));
+        assert_eq!(resp.get("col").unwrap().as_u64(), Some(pos.col as u64));
     }
 
     #[test]

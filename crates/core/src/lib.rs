@@ -10,7 +10,8 @@
 //!
 //! The heavy lifting lives in the subsystem crates (`imagen-dsl`,
 //! `imagen-schedule`, `imagen-mem`, `imagen-rtl`); this crate wires them
-//! into a single [`Compiler`], each phase under a span of `imagen-obs`.
+//! into one compile path, a [`Session`], each phase under a span of
+//! `imagen-obs`. A [`Compiler`] compiles on a one-shot session.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 //!
@@ -43,7 +44,7 @@ pub use session::{CompileCache, Session};
 use imagen_dsl::DslError;
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemorySpec};
-use imagen_schedule::{plan_design, Plan, PlanError, ScheduleOptions};
+use imagen_schedule::{Plan, PlanError, ScheduleOptions};
 use std::fmt;
 
 /// Compilation failure: front end or optimizer.
@@ -83,37 +84,33 @@ impl From<PlanError> for CompileError {
 pub struct CompileOutput {
     /// The plan: working DAG, schedule, priced design.
     pub plan: Plan,
-    /// The elaborated netlist the Verilog is printed from (shared with
-    /// the session cache; also the input to `imagen_rtl::interpret` and
-    /// `imagen_rtl::verify_all`).
+    /// The elaborated netlist the Verilog is printed from (also the
+    /// input to `imagen_rtl::interpret` and `imagen_rtl::verify_all`).
     pub netlist: std::sync::Arc<imagen_rtl::Netlist>,
     /// Synthesizable Verilog for the design.
     pub verilog: String,
 }
 
-/// The ImaGen compiler: geometry + memory spec + options.
+/// The ImaGen compiler: geometry + memory spec + options. Each compile
+/// runs on a one-shot [`Session`].
 #[derive(Clone, Debug)]
 pub struct Compiler {
     geom: ImageGeometry,
     spec: MemorySpec,
     opts: ScheduleOptions,
-    style: DesignStyle,
+    /// The design style label; `None` labels the output by whether the
+    /// spec ever coalesces.
+    style: Option<DesignStyle>,
 }
 
 impl Compiler {
     /// Creates a compiler for the given frame geometry and memory spec.
     pub fn new(geom: ImageGeometry, spec: MemorySpec) -> Compiler {
-        // Label the output by whether the spec ever coalesces.
-        let style = if spec.ever_coalesces(&geom) {
-            DesignStyle::OursLc
-        } else {
-            DesignStyle::Ours
-        };
         Compiler {
             geom,
             spec,
             opts: ScheduleOptions::default(),
-            style,
+            style: None,
         }
     }
 
@@ -125,18 +122,8 @@ impl Compiler {
 
     /// Overrides the design style label.
     pub fn with_style(mut self, style: DesignStyle) -> Compiler {
-        self.style = style;
+        self.style = Some(style);
         self
-    }
-
-    /// The frame geometry.
-    pub fn geometry(&self) -> &ImageGeometry {
-        &self.geom
-    }
-
-    /// The memory specification.
-    pub fn memory_spec(&self) -> &MemorySpec {
-        &self.spec
     }
 
     /// Compiles DSL source text end to end.
@@ -158,23 +145,9 @@ impl Compiler {
     ///
     /// [`CompileError::Plan`] from the optimizer.
     pub fn compile_dag(&self, dag: &Dag) -> Result<CompileOutput, CompileError> {
-        let plan = {
-            let _s = imagen_obs::span("plan");
-            plan_design(dag, &self.geom, &self.spec, self.opts, self.style)?
-        };
-        let netlist = {
-            let _s = imagen_obs::span("netlist.build");
-            imagen_rtl::build_netlist(&plan.dag, &plan.design, &imagen_rtl::BitWidths::default())
-        };
-        let verilog = {
-            let _s = imagen_obs::span("emit");
-            imagen_rtl::emit_verilog(&netlist)
-        };
-        Ok(CompileOutput {
-            plan,
-            netlist: std::sync::Arc::new(netlist),
-            verilog,
-        })
+        Session::new(dag, self.geom)
+            .with_options(self.opts)
+            .compile(&self.spec, self.style)
     }
 }
 

@@ -1,10 +1,11 @@
-//! Reusable compile sessions with memoization — the multi-point entry
-//! into the compiler.
+//! Compile sessions: one DAG and geometry, many memory configurations.
+//! The session is the compiler's one plan → netlist → Verilog path; a
+//! one-shot [`Compiler`](crate::Compiler) compiles on a session of its
+//! own.
 //!
-//! A one-shot [`Compiler`](crate::Compiler) re-derives everything per
-//! call. Design-space exploration (paper Sec. 8.5) instead compiles the
-//! *same* DAG under hundreds of memory configurations, where three
-//! things are shared across points:
+//! Design-space exploration (paper Sec. 8.5) compiles the *same* DAG
+//! under hundreds of memory configurations, where three things are
+//! shared across points:
 //!
 //! * the DAG analysis and the spec-independent constraint skeleton
 //!   (data dependencies, sync equalities, longest-path bounds) — built
@@ -13,13 +14,14 @@
 //!   owns for its lifetime runs them once per distinct buffer (frame,
 //!   ports, layout inputs and access streams, starts taken relative to
 //!   the earliest), whichever point or request first needs them;
-//! * any point already compiled — returned from the session's
-//!   [`CompileCache`], keyed by (resolved per-stage memory config,
-//!   schedule options, style).
+//! * the plan of any point [`Session::price`] planned — returned from
+//!   the session's [`CompileCache`], keyed by (resolved per-stage memory
+//!   config, schedule options, style). Netlists and Verilog text are
+//!   built on every call and never memoized.
 //!
 //! Sessions are `Sync`: design points can be fanned out over
 //! `std::thread::scope` workers sharing one session, and the cache and
-//! the memo are shared across threads (compilation runs outside both
+//! the memo are shared across threads (planning runs outside both
 //! locks, so workers never serialize on the solver or the checks).
 
 use crate::{CompileError, CompileOutput};
@@ -44,20 +46,11 @@ struct PointKey {
     style: DesignStyle,
 }
 
-/// One memoized compile: the plan always, the netlist and its Verilog
-/// once someone asked for them.
-#[derive(Clone)]
-struct CacheEntry {
-    plan: Arc<Plan>,
-    netlist: Option<Arc<imagen_rtl::Netlist>>,
-    verilog: Option<Arc<String>>,
-}
-
-/// Memo store for a [`Session`]'s compiled design points, shared by
-/// every thread that compiles on the session.
+/// Memo of a [`Session`]'s priced plans, shared by every thread that
+/// plans on the session.
 #[derive(Default)]
 pub struct CompileCache {
-    entries: Mutex<HashMap<PointKey, CacheEntry>>,
+    plans: Mutex<HashMap<PointKey, Arc<Plan>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -65,7 +58,7 @@ pub struct CompileCache {
 impl CompileCache {
     /// Number of memoized design points.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache poisoned").len()
+        self.plans.lock().expect("cache poisoned").len()
     }
 
     /// Whether the cache holds no points.
@@ -73,7 +66,8 @@ impl CompileCache {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters since construction.
+    /// `(hits, misses)` counters since construction: lookups the memo
+    /// answered, and plans computed.
     pub fn stats(&self) -> (usize, usize) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -81,13 +75,8 @@ impl CompileCache {
         )
     }
 
-    fn get(&self, key: &PointKey) -> Option<CacheEntry> {
-        let found = self
-            .entries
-            .lock()
-            .expect("cache poisoned")
-            .get(key)
-            .cloned();
+    fn get(&self, key: &PointKey) -> Option<Arc<Plan>> {
+        let found = self.plans.lock().expect("cache poisoned").get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -95,14 +84,14 @@ impl CompileCache {
         found
     }
 
-    fn insert(&self, key: PointKey, entry: CacheEntry) {
-        // Racing workers may compute the same point; keep the first entry
-        // (both are identical — compilation is deterministic).
-        self.entries
+    fn insert(&self, key: PointKey, plan: Arc<Plan>) {
+        // Racing workers may plan the same point; keep the first plan
+        // (both are identical — planning is deterministic).
+        self.plans
             .lock()
             .expect("cache poisoned")
             .entry(key)
-            .or_insert(entry);
+            .or_insert(plan);
     }
 }
 
@@ -113,7 +102,7 @@ impl CompileCache {
 // of at a distant spawn site.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Session>();
+    assert_send_sync::<Session<'static>>();
     assert_send_sync::<CompileCache>();
 };
 
@@ -142,8 +131,8 @@ const _: () = {
 /// assert_eq!(session.cache().stats(), (1, 1));
 /// # Ok::<(), imagen_core::CompileError>(())
 /// ```
-pub struct Session {
-    dag: Dag,
+pub struct Session<'d> {
+    dag: &'d Dag,
     geom: ImageGeometry,
     skeleton: ConstraintSkeleton,
     opts: ScheduleOptions,
@@ -151,15 +140,17 @@ pub struct Session {
     port_checks: PortCheckMemo,
 }
 
-impl Session {
+impl<'d> Session<'d> {
     /// Creates a session for `dag` at `geom` with its own fresh cache.
-    pub fn new(dag: &Dag, geom: ImageGeometry) -> Session {
+    /// The session borrows `dag`; each plan owns the working DAG it
+    /// planned.
+    pub fn new(dag: &'d Dag, geom: ImageGeometry) -> Session<'d> {
         let skeleton = {
             let _s = imagen_obs::span("plan.skeleton");
             formulate_skeleton(dag, geom.width)
         };
         Session {
-            dag: dag.clone(),
+            dag,
             skeleton,
             geom,
             opts: ScheduleOptions::default(),
@@ -169,22 +160,12 @@ impl Session {
     }
 
     /// Overrides the scheduling options used by this session.
-    pub fn with_options(mut self, opts: ScheduleOptions) -> Session {
+    pub fn with_options(mut self, opts: ScheduleOptions) -> Session<'d> {
         self.opts = opts;
         self
     }
 
-    /// The session's DAG.
-    pub fn dag(&self) -> &Dag {
-        &self.dag
-    }
-
-    /// The session's frame geometry.
-    pub fn geometry(&self) -> &ImageGeometry {
-        &self.geom
-    }
-
-    /// The session's cache of compiled points.
+    /// The session's cache of priced plans.
     pub fn cache(&self) -> &CompileCache {
         &self.cache
     }
@@ -197,9 +178,8 @@ impl Session {
     }
 
     /// The style a spec is labeled with when none is forced: `Ours+LC`
-    /// iff any stage's buffer actually coalesces (the same rule as
-    /// [`Compiler::new`](crate::Compiler::new)).
-    pub fn infer_style(&self, spec: &MemorySpec) -> DesignStyle {
+    /// iff any stage's buffer actually coalesces.
+    fn infer_style(&self, spec: &MemorySpec) -> DesignStyle {
         if spec.ever_coalesces(&self.geom) {
             DesignStyle::OursLc
         } else {
@@ -218,10 +198,40 @@ impl Session {
         }
     }
 
+    /// The plan of one configuration: the memoized one, or a fresh plan,
+    /// stored only when `store` is set. Planning runs outside the cache
+    /// lock, so parallel workers do not serialize on the solver.
+    fn plan(
+        &self,
+        spec: &MemorySpec,
+        style: Option<DesignStyle>,
+        store: bool,
+    ) -> Result<Arc<Plan>, CompileError> {
+        let style = style.unwrap_or_else(|| self.infer_style(spec));
+        let key = self.key_for(spec, style);
+        if let Some(plan) = self.cache.get(&key) {
+            return Ok(plan);
+        }
+        let plan = Arc::new(plan_design_with(
+            self.dag,
+            &self.skeleton,
+            &self.geom,
+            spec,
+            self.opts,
+            style,
+            &self.port_checks,
+        )?);
+        if store {
+            self.cache.insert(key, plan.clone());
+        }
+        Ok(plan)
+    }
+
     /// Plans and prices one memory configuration — **without** emitting
-    /// RTL. This is the skip-RTL path for design points that only need
-    /// area/power; a later [`Session::compile`] of the same point reuses
-    /// the cached plan and only adds codegen.
+    /// RTL — and memoizes the plan. This is the skip-RTL path for design
+    /// points that only need area/power; a later [`Session::netlist`] or
+    /// [`Session::compile`] of the same point reuses the plan and only
+    /// adds codegen.
     ///
     /// `style` labels the design; `None` infers it from the spec.
     ///
@@ -233,15 +243,7 @@ impl Session {
         spec: &MemorySpec,
         style: Option<DesignStyle>,
     ) -> Result<Arc<Plan>, CompileError> {
-        let style = style.unwrap_or_else(|| self.infer_style(spec));
-        let key = self.key_for(spec, style);
-        if let Some(entry) = self.cache.get(&key) {
-            return Ok(entry.plan);
-        }
-        let entry = self.compute(spec, style)?;
-        let plan = entry.plan.clone();
-        self.cache.insert(key, entry);
-        Ok(plan)
+        self.plan(spec, style, true)
     }
 
     /// Like [`Session::price`], but a miss is **not** memoized (hits are
@@ -258,21 +260,14 @@ impl Session {
         spec: &MemorySpec,
         style: Option<DesignStyle>,
     ) -> Result<Arc<Plan>, CompileError> {
-        let style = style.unwrap_or_else(|| self.infer_style(spec));
-        let key = self.key_for(spec, style);
-        if let Some(entry) = self.cache.get(&key) {
-            return Ok(entry.plan);
-        }
-        Ok(self.compute(spec, style)?.plan)
+        self.plan(spec, style, false)
     }
 
-    /// Returns the elaborated netlist of one memory configuration at
-    /// default bit widths, memoized — **without** rendering any Verilog
-    /// text. This is the measurement path: design-space exploration
-    /// prices points plan-only ([`Session::price`]), then populates
-    /// measured energy on demand by interpreting the cached netlist,
-    /// and a later [`Session::compile`] of the same point reuses it and
-    /// only adds text rendering.
+    /// Elaborates the netlist of one memory configuration at default bit
+    /// widths — **without** rendering any Verilog text. This is the
+    /// measurement path: a caller that priced the point interprets its
+    /// netlist for measured energy. A memoized plan is reused; a miss is
+    /// planned and not memoized.
     ///
     /// `style` labels the design; `None` infers it from the spec.
     ///
@@ -284,37 +279,14 @@ impl Session {
         spec: &MemorySpec,
         style: Option<DesignStyle>,
     ) -> Result<Arc<imagen_rtl::Netlist>, CompileError> {
-        let style = style.unwrap_or_else(|| self.infer_style(spec));
-        let key = self.key_for(spec, style);
-        let entry = match self.cache.get(&key) {
-            Some(e) => e,
-            None => self.compute(spec, style)?,
-        };
-        if let Some(n) = entry.netlist {
-            return Ok(n); // pure hit: no cache write at all
-        }
-        let built = {
-            let _s = imagen_obs::span("netlist.build");
-            Arc::new(imagen_rtl::build_netlist(
-                &entry.plan.dag,
-                &entry.plan.design,
-                &imagen_rtl::BitWidths::default(),
-            ))
-        };
-        // Merge under the lock: a racing compile() may have enriched the
-        // entry (netlist + Verilog) since we read it — never clobber a
-        // richer concurrent entry, only fill a missing netlist.
-        let mut entries = self.cache.entries.lock().expect("cache poisoned");
-        let slot = entries.entry(key).or_insert(entry);
-        if slot.netlist.is_none() {
-            slot.netlist = Some(built);
-        }
-        Ok(slot.netlist.clone().expect("set above"))
+        let plan = self.plan(spec, style, false)?;
+        Ok(Arc::new(build_netlist(&plan)))
     }
 
-    /// Compiles one memory configuration end to end (plan + Verilog),
-    /// memoized. A cache hit from a previous [`Session::price`] call
-    /// reuses the plan and only runs codegen (once).
+    /// Compiles one memory configuration end to end (plan, netlist and
+    /// Verilog). A memoized plan from a previous [`Session::price`] call
+    /// is reused, so only codegen runs; a miss is planned and not
+    /// memoized, and its plan moves into the output uncopied.
     ///
     /// `style` labels the design; `None` infers it from the spec.
     ///
@@ -326,64 +298,24 @@ impl Session {
         spec: &MemorySpec,
         style: Option<DesignStyle>,
     ) -> Result<CompileOutput, CompileError> {
-        let style = style.unwrap_or_else(|| self.infer_style(spec));
-        let key = self.key_for(spec, style);
-        let mut entry = match self.cache.get(&key) {
-            Some(e) => e,
-            None => self.compute(spec, style)?,
+        let plan = self.plan(spec, style, false)?;
+        let netlist = build_netlist(&plan);
+        let verilog = {
+            let _s = imagen_obs::span("emit");
+            imagen_rtl::emit_verilog(&netlist)
         };
-        if entry.netlist.is_none() || entry.verilog.is_none() {
-            let netlist = match entry.netlist.clone() {
-                Some(n) => n,
-                None => {
-                    let _s = imagen_obs::span("netlist.build");
-                    Arc::new(imagen_rtl::build_netlist(
-                        &entry.plan.dag,
-                        &entry.plan.design,
-                        &imagen_rtl::BitWidths::default(),
-                    ))
-                }
-            };
-            let verilog = {
-                let _s = imagen_obs::span("emit");
-                imagen_rtl::emit_verilog(&netlist)
-            };
-            entry.netlist = Some(netlist);
-            entry.verilog = Some(Arc::new(verilog));
-            // Write back what this call built so later calls see plan +
-            // netlist + RTL (replace, not or_insert: an entry that raced
-            // in may lack the Verilog). A full hit writes nothing.
-            self.cache
-                .entries
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, entry.clone());
-        }
         Ok(CompileOutput {
-            plan: (*entry.plan).clone(),
-            netlist: entry.netlist.expect("just generated"),
-            verilog: (*entry.verilog.expect("just generated")).clone(),
+            plan: Arc::unwrap_or_clone(plan),
+            netlist: Arc::new(netlist),
+            verilog,
         })
     }
+}
 
-    /// Cold path: plan one configuration (no RTL). Runs outside the cache
-    /// lock so parallel workers do not serialize on the solver.
-    fn compute(&self, spec: &MemorySpec, style: DesignStyle) -> Result<CacheEntry, CompileError> {
-        let plan = plan_design_with(
-            &self.dag,
-            &self.skeleton,
-            &self.geom,
-            spec,
-            self.opts,
-            style,
-            &self.port_checks,
-        )?;
-        Ok(CacheEntry {
-            plan: Arc::new(plan),
-            netlist: None,
-            verilog: None,
-        })
-    }
+/// Elaborates a plan's netlist at default bit widths.
+fn build_netlist(plan: &Plan) -> imagen_rtl::Netlist {
+    let _s = imagen_obs::span("netlist.build");
+    imagen_rtl::build_netlist(&plan.dag, &plan.design, &imagen_rtl::BitWidths::default())
 }
 
 #[cfg(test)]
@@ -414,7 +346,9 @@ mod tests {
         let spec = MemorySpec::new(backend(), 2).with_coalescing();
 
         let cold = session.compile(&spec, None).unwrap();
+        session.price(&spec, None).unwrap();
         let warm = session.compile(&spec, None).unwrap();
+        assert_eq!(session.cache().stats(), (1, 2), "warm compile hit");
         assert_eq!(cold.plan.schedule, warm.plan.schedule);
         assert_eq!(cold.plan.design, warm.plan.design);
         assert_eq!(cold.verilog, warm.verilog);
@@ -444,18 +378,21 @@ mod tests {
     }
 
     #[test]
-    fn netlist_is_cached_and_shared_with_compile() {
+    fn netlist_and_compile_reuse_the_priced_plan() {
         let dag = Algorithm::UnsharpM.build();
         let session = Session::new(&dag, geom());
         let spec = MemorySpec::new(backend(), 2);
+        let plan = session.price(&spec, None).unwrap();
         let n1 = session.netlist(&spec, None).unwrap();
         let n2 = session.netlist(&spec, None).unwrap();
-        assert!(Arc::ptr_eq(&n1, &n2), "second call reuses the cached Arc");
-        // compile() reuses the same netlist instead of rebuilding.
         let out = session.compile(&spec, None).unwrap();
-        assert!(Arc::ptr_eq(&n1, &out.netlist));
-        // And the netlist is the one the emitted text comes from.
-        assert_eq!(out.verilog, imagen_rtl::emit_verilog(&n1));
+        assert_eq!(session.cache().stats(), (3, 1), "planned once");
+        assert_eq!(plan.schedule, out.plan.schedule);
+        // Each call elaborates the same netlist, and the emitted text is
+        // printed from it.
+        let text = imagen_rtl::emit_verilog(&n1);
+        assert_eq!(text, imagen_rtl::emit_verilog(&n2));
+        assert_eq!(out.verilog, text);
     }
 
     #[test]

@@ -51,7 +51,13 @@ fn tbl3_pipelines_compile_identically_under_tracing() {
         // The collector actually observed the compile (this is not a
         // vacuous comparison) and saw the load-bearing phases.
         let phases: Vec<&str> = collector.phase_totals().iter().map(|t| t.name).collect();
-        for expect in ["plan", "ilp.solve", "netlist.build", "emit"] {
+        for expect in [
+            "plan.skeleton",
+            "ilp.solve",
+            "plan.realize",
+            "netlist.build",
+            "emit",
+        ] {
             assert!(
                 phases.contains(&expect),
                 "{:?}: phase {expect} missing from {phases:?}",

@@ -137,6 +137,8 @@ proptest! {
 
         let session = Session::new(&dag, geom());
         let cold = session.compile(&spec, None).unwrap();
+        // Only `price` memoizes a plan, so the warm compile hits it.
+        session.price(&spec, None).unwrap();
         let warm = session.compile(&spec, None).unwrap();
         prop_assert_eq!(&cold.plan.schedule, &warm.plan.schedule);
         prop_assert_eq!(&cold.plan.design, &warm.plan.design);

@@ -48,10 +48,7 @@
 //!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]
 //!   yields the first error);
 //! * [`report_resources`] inventories the hardware a structure
-//!   elaborates to, for design-space exploration;
-//! * [`generate_testbench`] emits a self-checking testbench wired to the
-//!   netlist's stream interface, with [`TestVectors::from_golden`]
-//!   deriving stimulus/expectations from the golden executor.
+//!   elaborates to, for design-space exploration.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -65,7 +62,6 @@ mod netlist;
 mod program;
 mod resources;
 mod structure;
-mod testbench;
 mod verify;
 
 pub use activity::{ActivityTrace, BufferActivity, SraActivity, StageActivity};
@@ -78,7 +74,6 @@ pub use netlist::{
 pub use program::{EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, ResourceReport};
 pub use structure::{describe, sra_cells, sra_columns, NetBuffer, NetEdge, NetStage, Structure};
-pub use testbench::{generate_testbench, TestVectors};
 pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};
 
 use imagen_ir::Dag;

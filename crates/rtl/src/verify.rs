@@ -103,15 +103,6 @@ pub enum RtlError {
         /// Module referencing it.
         within: String,
     },
-    /// Testbench vectors do not match the netlist's stream interface.
-    VectorShape {
-        /// What was mis-shaped (`"inputs"`, `"outputs"`, `"frame"`).
-        what: &'static str,
-        /// Expected count/length.
-        expected: usize,
-        /// Provided count/length.
-        found: usize,
-    },
 }
 
 impl fmt::Display for RtlError {
@@ -163,14 +154,6 @@ impl fmt::Display for RtlError {
             RtlError::UnknownNet { net, within } => {
                 write!(f, "module `{within}` references undeclared net `{net}`")
             }
-            RtlError::VectorShape {
-                what,
-                expected,
-                found,
-            } => write!(
-                f,
-                "testbench {what} do not match the netlist: expected {expected}, got {found}"
-            ),
         }
     }
 }

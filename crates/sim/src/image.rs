@@ -80,8 +80,7 @@ impl Image {
     }
 
     /// Pixels in raster order (row-major, the order the generated
-    /// hardware streams a frame) — what testbench vectors and stream
-    /// comparisons consume.
+    /// hardware streams a frame) — what stream comparisons consume.
     pub fn raster(&self) -> impl Iterator<Item = i64> + '_ {
         self.data.iter().copied()
     }
