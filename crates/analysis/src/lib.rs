@@ -251,18 +251,6 @@ pub fn analyze(name: &str, src: &str, opts: &AnalysisOptions) -> AnalysisReport 
     report
 }
 
-/// Analyzes an already-lowered DAG (width, schedule and netlist passes;
-/// DSL lints need the AST and are skipped).
-pub fn analyze_dag(dag: &imagen_ir::Dag, opts: &AnalysisOptions) -> AnalysisReport {
-    let mut report = AnalysisReport {
-        stages: dag.num_stages(),
-        ..AnalysisReport::default()
-    };
-    report.diagnostics.extend(width::lint_dag(dag, opts));
-    analyze_back_end(dag, opts, &mut report);
-    report
-}
-
 /// The cheap front half of [`analyze`]: parse, DSL lints, lowering and
 /// the width/overflow dataflow — no scheduling, no netlist. This is the
 /// admission pre-check the batch compile server runs per request.
@@ -317,7 +305,7 @@ pub fn front_pass(
     (report, Some(dag))
 }
 
-/// Schedule + netlist passes, shared by [`analyze`] and [`analyze_dag`].
+/// Schedule + netlist passes: the back half of [`analyze`].
 fn analyze_back_end(dag: &imagen_ir::Dag, opts: &AnalysisOptions, report: &mut AnalysisReport) {
     let plan = match imagen_schedule::plan_design(
         dag,
@@ -475,9 +463,14 @@ mod tests {
     #[test]
     fn analyze_dag_matches_analyze_back_half() {
         let src = "input a; output b = im(x,y) a(x,y) * a(x,y) * a(x,y) end";
+        let opts = AnalysisOptions::default();
         let dag = imagen_dsl::compile("t", src).unwrap();
-        let full = analyze("t", src, &Default::default());
-        let back = analyze_dag(&dag, &Default::default());
+        let full = analyze("t", src, &opts);
+        // The program has no DSL lint: the DAG's width lints and back
+        // end are the whole report.
+        let mut back = AnalysisReport::default();
+        back.diagnostics.extend(width::lint_dag(&dag, &opts));
+        analyze_back_end(&dag, &opts, &mut back);
         assert_eq!(full.diagnostics, back.diagnostics);
     }
 

@@ -2,27 +2,17 @@
 //! algorithms, the constraint-pruning ablation (paper: 4× average
 //! speedup on multiple-consumer algorithms), and the comparison against
 //! Darkroom's linearization compiler (paper: ours 37.4% faster).
+//!
+//! Every column times a full compile (plan, netlist and Verilog) with
+//! [`best_ms`]. The Darkroom column linearizes the DAG inside the timed
+//! run and compiles the linearized DAG as a Darkroom design.
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, geom_320, timing_reps};
-use imagen_core::Compiler;
+use imagen_bench::{asic_backend, best_ms, geom_320};
+use imagen_core::{Compiler, Session};
 use imagen_ir::linearize;
-use imagen_mem::MemorySpec;
-use imagen_schedule::{plan_design, ScheduleOptions};
-use std::time::Instant;
-
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    // Warm up once, then take the best of N (compile times are ms-scale;
-    // N is 5, or 1 in IMAGEN_SMOKE mode).
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..timing_reps() {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
+use imagen_mem::{DesignStyle, MemorySpec};
+use imagen_schedule::ScheduleOptions;
 
 fn main() {
     let geom = geom_320();
@@ -37,26 +27,18 @@ fn main() {
         let dag = alg.build();
         let spec = MemorySpec::new(backend, 2);
 
-        let t_ours = time_ms(|| {
-            let _ = Compiler::new(geom, spec.clone()).compile_dag(&dag).unwrap();
-        });
-        let t_nopruning = time_ms(|| {
-            let opts = ScheduleOptions { pruning: false };
-            let _ = Compiler::new(geom, spec.clone())
-                .with_options(opts)
+        let t_ours = best_ms(|| Compiler::new(geom, spec.clone()).compile_dag(&dag).unwrap());
+        let t_nopruning = best_ms(|| {
+            Compiler::new(geom, spec.clone())
+                .with_options(ScheduleOptions { pruning: false })
                 .compile_dag(&dag)
-                .unwrap();
+                .unwrap()
         });
-        let t_darkroom = time_ms(|| {
+        let t_darkroom = best_ms(|| {
             let lin = linearize(&dag).unwrap();
-            let _ = plan_design(
-                &lin.dag,
-                &geom,
-                &spec,
-                ScheduleOptions::default(),
-                imagen_mem::DesignStyle::Darkroom,
-            )
-            .unwrap();
+            Session::new(&lin.dag, geom)
+                .compile(&spec, Some(DesignStyle::Darkroom))
+                .unwrap()
         });
 
         let speedup = t_nopruning / t_ours;

@@ -22,25 +22,13 @@
 //! numbers; machine noise of tens of percent run-to-run is normal.
 
 use imagen_algos::noise_bits;
-use imagen_bench::smoke_mode;
+use imagen_bench::{best_ms, smoke_mode, timing_reps};
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::gate_clocks;
 use imagen_rtl::{build_netlist, describe, BitWidths, EvalProgram, ScheduleActivity};
 use imagen_sim::Image;
 use std::path::Path;
-use std::time::Instant;
-
-/// Best-of-`reps` wall clock in milliseconds.
-fn best_ms(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 /// The example programs, `(name, source)`, sorted by file name.
 fn examples() -> Vec<(String, String)> {
@@ -61,10 +49,8 @@ fn examples() -> Vec<(String, String)> {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let reps = if smoke { 3 } else { 7 };
     // Both extents divisible by the pyramids' 2×2 cumulative scale.
-    let geom = if smoke {
+    let geom = if smoke_mode() {
         ImageGeometry {
             width: 48,
             height: 32,
@@ -82,7 +68,10 @@ fn main() {
         ..geom
     };
     println!("# Netlist executor timing (compiled evaluation program)");
-    println!("geometry {geom} (tall: {tall}), best of {reps} reps, ms\n");
+    println!(
+        "geometry {geom} (tall: {tall}), best of {} reps, ms\n",
+        timing_reps()
+    );
     println!(
         "{:<18} {:>9} {:>9} {:>13} {:>9} {:>12} {:>9}",
         "pipeline", "untraced", "traced", "gated traced", "schedule", "schedule 8xH", "compile"
@@ -110,30 +99,22 @@ fn main() {
         let prog = EvalProgram::compile(&net).unwrap();
         let gprog = EvalProgram::compile(&gated).unwrap();
 
-        let untraced = best_ms(reps, || {
-            prog.run(&inputs).unwrap();
-        });
-        let traced = best_ms(reps, || {
-            prog.run_with_trace(&inputs).unwrap();
-        });
-        let gated_traced = best_ms(reps, || {
-            gprog.run_with_trace(&inputs).unwrap();
-        });
-        let schedule = best_ms(reps, || {
+        let untraced = best_ms(|| prog.run(&inputs).unwrap());
+        let traced = best_ms(|| prog.run_with_trace(&inputs).unwrap());
+        let gated_traced = best_ms(|| gprog.run_with_trace(&inputs).unwrap());
+        let schedule = best_ms(|| {
             ScheduleActivity::derive(&net.structure, None)
                 .unwrap()
-                .trace();
+                .trace()
         });
         let tall_plan = compile_at(tall).plan;
         let tall_structure = describe(&tall_plan.dag, &tall_plan.design);
-        let schedule_tall = best_ms(reps, || {
+        let schedule_tall = best_ms(|| {
             ScheduleActivity::derive(&tall_structure, None)
                 .unwrap()
-                .trace();
+                .trace()
         });
-        let compile = best_ms(reps, || {
-            EvalProgram::compile(&net).unwrap();
-        });
+        let compile = best_ms(|| EvalProgram::compile(&net).unwrap());
 
         overheads.push(traced / untraced);
         println!(

@@ -4,13 +4,12 @@
 //! with OR-Tools; our exact rational solver scales similarly in shape).
 //!
 //! Each compile runs on a fresh [`Session`]: the full compile (skeleton
-//! + contention + ILP + pricing + RTL).
+//! + contention + ILP + pricing + RTL), timed with [`best_ms`].
 
 use imagen_algos::synthetic_pipeline;
-use imagen_bench::{asic_backend, geom_320, smoke_mode};
+use imagen_bench::{asic_backend, best_ms, geom_320, smoke_mode};
 use imagen_core::Session;
 use imagen_mem::MemorySpec;
-use std::time::Instant;
 
 fn main() {
     let geom = geom_320();
@@ -25,12 +24,13 @@ fn main() {
     for &stages in sweep {
         let dag = synthetic_pipeline(stages, 2023);
         let spec = MemorySpec::new(asic_backend(), 2);
-        let t = Instant::now();
-        let out = Session::new(&dag, geom)
-            .compile(&spec, None)
-            .expect("synthetic compiles");
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        let rep = &out.plan.schedule.report;
+        let compile = || {
+            Session::new(&dag, geom)
+                .compile(&spec, None)
+                .expect("synthetic compiles")
+        };
+        let rep = compile().plan.schedule.report;
+        let ms = best_ms(compile);
         println!(
             "| {} | {} | {} | {} | {:.2} |",
             stages,

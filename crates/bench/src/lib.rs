@@ -29,6 +29,7 @@ use imagen_core::Compiler;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_schedule::Plan;
 use imagen_sim::Image;
+use std::time::Instant;
 
 /// One evaluated (algorithm × generator) point.
 #[derive(Clone, Debug)]
@@ -198,6 +199,21 @@ pub fn timing_reps() -> usize {
     } else {
         5
     }
+}
+
+/// The experiment binaries' one timer: runs `f` once to warm up, then
+/// returns the best wall clock of [`timing_reps`] runs, in milliseconds.
+/// Each result passes through [`std::hint::black_box`], so the timed
+/// work cannot be optimized away.
+pub fn best_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    (0..timing_reps())
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// A deterministic test frame for simulator-backed experiments.

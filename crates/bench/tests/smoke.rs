@@ -37,7 +37,6 @@ macro_rules! smoke_tests {
 
 smoke_tests! {
     tbl3 => "Tbl. 3";
-    exp_bench_snapshot => "imagen-bench-snapshot/1";
     exp_energy => "analytic vs measured";
     exp_interp_speedup => "program timing geomean";
     exp_throughput => "Sec. 8.1";

@@ -19,7 +19,6 @@
 //! Everything is `std`-only; concurrency is `std::thread::scope`, not an
 //! async runtime.
 
-mod bench;
 mod json;
 mod lint;
 mod report;
@@ -52,9 +51,6 @@ COMMANDS:
                             memo of compiled points
     stats <snapshot.json>   render an imagen-metrics/1 snapshot (a serve
                             \"cmd\":\"stats\" response also works) as text
-    bench diff <a> <b> [..] compare exp_bench_snapshot JSON files: two files
-                            gate regressions beyond --threshold; three or
-                            more print drift across the whole trajectory
     help                    print this text
 
 COMMON OPTIONS:
@@ -104,9 +100,6 @@ SERVE OPTIONS:
     --stats-every N  print a one-line stats summary to stderr every N
                      completed requests (0 = never)   [default: 0]
 
-BENCH OPTIONS:
-    --threshold PCT  slowdown (%) that counts as a regression [default: 10]
-
 EXIT CODES:
     0   success / nothing found
     1   findings: lint or certificate diagnostics, a refuted proof
@@ -116,6 +109,11 @@ EXIT CODES:
 The JSONL protocol served by `imagen serve` is documented in README.md
 (\"Using the CLI\").
 ";
+
+/// The commands `parse_args` admits; `dispatch` runs each.
+const COMMANDS: [&str; 9] = [
+    "help", "compile", "lint", "certify", "dse", "sim", "energy", "serve", "stats",
+];
 
 /// A CLI failure, split by exit code: `Usage` (bad flags, unreadable
 /// input, impossible geometry — exit 2) vs `Findings` (the tools ran and
@@ -167,11 +165,6 @@ pub struct Options {
     pub input_range: Option<(i64, i64)>,
     pub prove: bool,
     pub certify: bool,
-    /// Trailing positionals beyond `file` — only the `bench` command
-    /// accepts any (the snapshot paths of `bench diff`).
-    pub extra: Vec<String>,
-    /// `bench diff` regression threshold in percent.
-    pub threshold: f64,
     /// `--profile`: print a phase breakdown after compile/dse output.
     pub profile: bool,
     /// `--trace-out FILE`: write the profiled spans as Chrome
@@ -210,8 +203,6 @@ impl Default for Options {
             input_range: None,
             prove: false,
             certify: false,
-            extra: Vec::new(),
-            threshold: 10.0,
             profile: false,
             trace_out: None,
             stats_every: 0,
@@ -283,10 +274,10 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let cmd = match args.first().map(String::as_str) {
         None => return Err("missing command".to_string()),
         Some("-h" | "--help") => "help".to_string(),
-        Some(cmd) => cmd.to_string(),
+        Some(cmd) if COMMANDS.contains(&cmd) => cmd.to_string(),
+        Some(cmd) => return Err(format!("unknown command `{cmd}`")),
     };
     let mut it = args[1..].iter();
-    let mut positional: Vec<String> = Vec::new();
 
     fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
         it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -323,12 +314,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 opts.deny_warnings = true;
             }
             "--format" => opts.format = value(arg, &mut it)?.clone(),
-            "--threshold" => {
-                opts.threshold = num(arg, value(arg, &mut it)?)?;
-                if opts.threshold.is_nan() || opts.threshold < 0.0 {
-                    return Err(format!("--threshold: `{}` must be >= 0", opts.threshold));
-                }
-            }
             "--prove" => opts.prove = true,
             "--certify" => opts.certify = true,
             "--profile" => opts.profile = true,
@@ -351,23 +336,10 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
             }
             "-h" | "--help" => return Ok(("help".into(), opts)),
             flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
-            _ => positional.push(arg.clone()),
+            _ if opts.file.is_none() => opts.file = Some(arg.clone()),
+            _ => return Err(format!("unexpected argument `{arg}`")),
         }
     }
-    // `bench` is the one command with trailing positionals (the
-    // snapshot paths of `bench diff` — two for a pairwise gate, more
-    // for the history view); everything else takes at most a single
-    // source file.
-    let max_positional = if cmd == "bench" { usize::MAX } else { 1 };
-    if positional.len() > max_positional {
-        return Err(format!(
-            "unexpected argument `{}`",
-            positional[max_positional]
-        ));
-    }
-    let mut positional = positional.into_iter();
-    opts.file = positional.next();
-    opts.extra = positional.collect();
     if opts.ports == 0 {
         return Err("--ports must be at least 1".into());
     }
@@ -438,10 +410,7 @@ fn dispatch(cmd: &str, opts: &Options) -> Result<(), CliError> {
         }
         "serve" => Ok(serve::run(opts)?),
         "stats" => report::run_stats(opts),
-        "bench" => bench::run_bench(opts),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
+        other => unreachable!("parse_args admits no command `{other}`"),
     }
 }
 

@@ -420,9 +420,6 @@ fn parse_request(req: &Json) -> Result<Request, String> {
             block_bits: get_u64(req, "block_bits", 32768)?,
         }
     };
-    if backend.block_bits() == 0 {
-        return Err("`block_bits` must be positive".into());
-    }
     let ports = get_u32(req, "ports", 2)?;
     if ports == 0 {
         return Err("`ports` must be at least 1".into());
@@ -1199,6 +1196,11 @@ mod tests {
             // Random-budget DoS: a giant samples value must reject, not
             // fall back to enumerating the full design space.
             r#"{"cmd":"dse","source":"input a; output b = im(x,y) a(x,y) end","strategy":"random","samples":1000000000}"#,
+            // Blocks smaller than a pixel: the planner refuses them before
+            // it sizes a line buffer.
+            r#"{"cmd":"compile","source":"input a; output b = im(x,y) a(x,y-1) + a(x,y+1) end","block_bits":0}"#,
+            r#"{"cmd":"compile","source":"input a; output b = im(x,y) a(x,y-1) + a(x,y+1) end","block_bits":8}"#,
+            r#"{"cmd":"dse","source":"input a; output b = im(x,y) a(x,y-1) + a(x,y+1) end","block_bits":8}"#,
         ] {
             let resp = handle(line, &hub);
             assert_eq!(

@@ -76,16 +76,6 @@ pub use resources::{report_resources, ResourceReport};
 pub use structure::{describe, sra_cells, sra_columns, NetBuffer, NetEdge, NetStage, Structure};
 pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};
 
-use imagen_ir::Dag;
-use imagen_mem::Design;
-
-/// Generates the complete Verilog source for a planned design at the
-/// default [`BitWidths`] — shorthand for
-/// `emit_verilog(&build_netlist(dag, design, &BitWidths::default()))`.
-pub fn generate_verilog(dag: &Dag, design: &Design) -> String {
-    emit_verilog(&build_netlist(dag, design, &BitWidths::default()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +135,12 @@ mod tests {
         assert!(summary.nets > 20);
         let v = emit_verilog(&net);
         assert!(v.lines().count() > 50);
-        assert_eq!(v, generate_verilog(&dag, &design), "wrapper is the same");
     }
 
     #[test]
     fn verilog_mentions_schedule() {
         let (dag, design) = plan();
-        let v = generate_verilog(&dag, &design);
+        let v = emit_verilog(&build_netlist(&dag, &design, &BitWidths::default()));
         // Start-cycle comparators embed the ILP schedule.
         let s1 = design.start_cycles[1];
         assert!(v.contains(&format!("cycle >= 64'd{s1}")));
@@ -162,7 +151,7 @@ mod tests {
     #[test]
     fn kernels_translate_operators() {
         let (dag, design) = plan();
-        let v = generate_verilog(&dag, &design);
+        let v = emit_verilog(&build_netlist(&dag, &design, &BitWidths::default()));
         assert!(v.contains("stage_K1"));
         assert!(v.contains("stage_K2"));
         // The /9 kernel guards division by zero.

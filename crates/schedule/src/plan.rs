@@ -64,6 +64,14 @@ pub enum PlanError {
         /// Frame height.
         height: u32,
     },
+    /// The backend's memory block holds less than one pixel, so no line
+    /// buffer row fits any number of blocks.
+    SubPixelBlock {
+        /// Block capacity, bits.
+        block_bits: u64,
+        /// Bits per pixel.
+        pixel_bits: u32,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -90,6 +98,13 @@ impl fmt::Display for PlanError {
                 f,
                 "stage {} at cumulative rate ({fx},{fy}) does not divide the {width}x{height} frame",
                 stage.index()
+            ),
+            PlanError::SubPixelBlock {
+                block_bits,
+                pixel_bits,
+            } => write!(
+                f,
+                "{block_bits}-bit memory blocks cannot hold one {pixel_bits}-bit pixel"
             ),
         }
     }
@@ -187,6 +202,13 @@ pub fn plan_design_with(
     style: DesignStyle,
     memo: &PortCheckMemo,
 ) -> Result<Plan, PlanError> {
+    let block_bits = spec.backend().block_bits();
+    if block_bits < u64::from(geom.pixel_bits) {
+        return Err(PlanError::SubPixelBlock {
+            block_bits,
+            pixel_bits: geom.pixel_bits,
+        });
+    }
     let mut working = dag.clone();
 
     // Multirate planning needs every stage's iteration domain to be
@@ -590,6 +612,31 @@ mod tests {
             "single-consumer buffer needs no slack"
         );
         assert!(plan.design.sram_kb() > 0.0);
+    }
+
+    /// A block smaller than one pixel is refused before any sizing; a
+    /// block of exactly one pixel plans.
+    #[test]
+    fn blocks_smaller_than_a_pixel_are_refused() {
+        let plan_with = |block_bits| {
+            plan_design(
+                &fig6(),
+                &small_geom(),
+                &MemorySpec::new(MemBackend::Asic { block_bits }, 2),
+                ScheduleOptions::default(),
+                DesignStyle::Ours,
+            )
+        };
+        for block_bits in [0, 8, 15] {
+            assert_eq!(
+                plan_with(block_bits).unwrap_err(),
+                PlanError::SubPixelBlock {
+                    block_bits,
+                    pixel_bits: 16
+                }
+            );
+        }
+        assert!(plan_with(16).unwrap().design.ports_respected());
     }
 
     #[test]
