@@ -10,7 +10,11 @@
 //!   lowered DSL kernel modulo the declared output-register truncation,
 //!   shown by canonicalizing both terms (wide-semantics-preserving
 //!   rewrites) and then eliminating the per-operation accumulator
-//!   truncations with interval reasoning (`symex::trunc_verdict`).
+//!   truncations with interval reasoning (`symex::trunc_verdict`). A
+//!   netlist kernel that is the DSL kernel itself (the netlist shares the
+//!   DAG's tree) or a structurally equal term has the same normal form,
+//!   since canonicalization is a pure function, so only kernels that
+//!   differ are canonicalized.
 //! - **Stream alignment** — the ILP schedule plus the line-buffer /
 //!   shift-register-array addressing delivers exactly the taps
 //!   `(dx, dy)` each kernel consumes: tap coverage and SRA sizing,
@@ -473,9 +477,11 @@ fn datapath_obligation(
     let kind = ObligationKind::StageDatapath {
         stage: stage.to_string(),
     };
-    let n_spec = normalize(spec);
-    let n_impl = normalize(impl_k);
-    if n_spec == n_impl {
+    // `normalize` is a pure function: the shared tree, or an equal one,
+    // has the DSL kernel's normal form without computing either.
+    let same_normal_form =
+        std::ptr::eq(spec, impl_k) || spec == impl_k || normalize(spec) == normalize(impl_k);
+    if same_normal_form {
         // Wide semantics agree by normal-form equality; eliminate the
         // accumulator truncations on the *implementation* term (the one
         // the hardware evaluates — reassociation in the normal form

@@ -19,12 +19,13 @@
 //!    diverge in the interpreter.
 
 use imagen_algos::{noise_bits, Algorithm};
-use imagen_analysis::{certify_dag, certify_netlist, AnalysisOptions, ProofStatus};
-use imagen_ir::Expr;
+use imagen_analysis::{certify_dag, certify_netlist, AnalysisOptions, Certificate, ProofStatus};
+use imagen_ir::{Dag, Expr};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_rtl::{build_netlist, interpret, BitWidths, ModuleKind, Netlist};
 use imagen_schedule::{plan_design, Plan, ScheduleOptions};
 use imagen_sim::{execute, Image};
+use std::sync::Arc;
 
 fn geom() -> ImageGeometry {
     ImageGeometry {
@@ -42,16 +43,19 @@ fn options() -> AnalysisOptions {
     }
 }
 
-fn planned(alg: Algorithm) -> Plan {
-    let dag = alg.build();
+fn planned_dag(dag: &Dag) -> Plan {
     plan_design(
-        &dag,
+        dag,
         &geom(),
         &options().spec,
         ScheduleOptions::default(),
         DesignStyle::Ours,
     )
     .unwrap()
+}
+
+fn planned(alg: Algorithm) -> Plan {
+    planned_dag(&alg.build())
 }
 
 fn netlist_of(alg: Algorithm, widths: &BitWidths) -> (Plan, Netlist) {
@@ -168,7 +172,7 @@ fn proved_certificate_composes_to_golden_equivalence() {
 fn mutate_kernel(net: &mut Netlist, f: impl Fn(&Expr) -> Expr) {
     for m in &mut net.modules {
         if let ModuleKind::Stage(payload) = &mut m.kind {
-            payload.kernel = f(&payload.kernel);
+            payload.kernel = Arc::new(f(&payload.kernel));
             return;
         }
     }
@@ -384,4 +388,91 @@ fn certificate_diagnostics_and_render_carry_codes() {
     let good = certify_netlist(&plan.dag, &net, &options());
     assert!(good.diagnostics().is_empty());
     assert_eq!(good.status(), "proved");
+}
+
+/// The netlist with every stage module's kernel replaced by a fresh `Arc`
+/// of an equal tree, so no payload is the DSL kernel itself.
+fn with_copied_kernels(net: &Netlist) -> Netlist {
+    let mut copy = net.clone();
+    for m in &mut copy.modules {
+        if let ModuleKind::Stage(payload) = &mut m.kind {
+            payload.kernel = Arc::new(Expr::clone(&payload.kernel));
+        }
+    }
+    copy
+}
+
+/// Certifies `net` as built and with copied kernels; both must give the
+/// same certificate. Returns it.
+fn certify_shared_and_copied(label: &str, dag: &Dag, net: &Netlist) -> Certificate {
+    let copied = with_copied_kernels(net);
+    for (id, stage) in dag.stages() {
+        if let (Some(spec), Some(k)) = (stage.kernel(), copied.stage_kernel(id.index())) {
+            assert!(
+                !std::ptr::eq(spec, k),
+                "{label}: copy still shares a kernel"
+            );
+        }
+    }
+    let cert = certify_netlist(dag, net, &options());
+    assert_eq!(
+        cert,
+        certify_netlist(dag, &copied, &options()),
+        "{label}: copied kernels changed the certificate"
+    );
+    cert
+}
+
+/// A netlist that shares the DSL kernels (the datapath obligation skips
+/// normalization by identity) and one holding equal copies (skipped by
+/// structural equality) certify identically: on every example at both
+/// widths, on a modular proof, on a fuzzed division and on a refuted
+/// mutation, which still normalizes.
+#[test]
+fn shared_and_copied_kernels_certify_identically() {
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut count = 0;
+    for entry in std::fs::read_dir(&examples).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("imagen") {
+            continue;
+        }
+        count += 1;
+        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let dag = imagen_dsl::compile(&stem, &std::fs::read_to_string(&path).unwrap()).unwrap();
+        let plan = planned_dag(&dag);
+        for widths in [BitWidths::default(), BitWidths::wide()] {
+            let net = build_netlist(&plan.dag, &plan.design, &widths);
+            for (id, stage) in plan.dag.stages() {
+                if let Some(spec) = stage.kernel() {
+                    let k = net.stage_kernel(id.index()).unwrap();
+                    assert!(std::ptr::eq(spec, k), "{stem}: netlist copied a kernel");
+                }
+            }
+            let label = format!("{stem} @ {}/{}", widths.pixel_bits, widths.acc_bits);
+            let cert = certify_shared_and_copied(&label, &plan.dag, &net);
+            assert!(cert.all_proved(), "{label}: {}", cert.render());
+        }
+    }
+    assert_eq!(count, 10, "expected the 10-program example corpus");
+
+    let fifth = "a(x,y)*a(x,y)*a(x,y)*a(x,y)*a(x,y)";
+    for (name, body, want) in [
+        ("modular", fifth.to_string(), "proved (modular)"),
+        ("fifth", format!("({fifth}) / 1"), "fuzzed [W0502]"),
+    ] {
+        let src = format!("input a; output b = im(x,y) {body} end");
+        let dag = imagen_dsl::compile(name, &src).unwrap();
+        let plan = planned_dag(&dag);
+        let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+        let cert = certify_shared_and_copied(name, &plan.dag, &net);
+        assert!(cert.render().contains(want), "{name}: {}", cert.render());
+    }
+
+    let (plan, mut bad) = netlist_of(Algorithm::UnsharpM, &BitWidths::default());
+    mutate_kernel(&mut bad, |k| {
+        Expr::bin(imagen_ir::BinOp::Add, k.clone(), Expr::Const(1))
+    });
+    let cert = certify_shared_and_copied("mutated", &plan.dag, &bad);
+    assert!(refuted_codes(&cert).contains(&"E0501"), "{}", cert.render());
 }

@@ -196,7 +196,7 @@ pub fn run_lint(opts: &Options) -> Result<(), CliError> {
         opts.format == "json",
         opts.deny_warnings,
     );
-    println!("{rendered}");
+    outln!("{rendered}");
     if ok {
         Ok(())
     } else {
@@ -232,9 +232,9 @@ pub fn run_certify(opts: &Options) -> Result<(), CliError> {
             .push("ok", Json::Bool(cert.refuted() == 0))
             .push("certificate", certificate_json(&cert))
             .build();
-        println!("{}", out.to_line());
+        outln!("{}", out.to_line());
     } else {
-        println!("{}", cert.render());
+        outln!("{}", cert.render());
     }
     let ok = cert.refuted() == 0 && (!opts.deny_warnings || cert.fuzzed() == 0);
     if ok {

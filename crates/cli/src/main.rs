@@ -19,13 +19,29 @@
 //! Everything is `std`-only; concurrency is `std::thread::scope`, not an
 //! async runtime.
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod json;
 mod lint;
 mod report;
 mod serve;
 
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 const USAGE: &str = "\
 imagen — memory- and power-efficient image processing accelerator generator
@@ -137,6 +153,23 @@ impl CliError {
 impl From<String> for CliError {
     fn from(m: String) -> Self {
         CliError::Usage(m)
+    }
+}
+
+/// The first error writing stdout hit; once it is set, output stops.
+static STDOUT_ERROR: OnceLock<std::io::Error> = OnceLock::new();
+
+/// Writes to stdout: all of the CLI's output goes through here (as
+/// [`out!`] and [`outln!`]), because `print!` panics when the reader has
+/// gone away (`imagen certify ... | head -3`). After the first failed
+/// write nothing more is written, the command still finishes with the
+/// status its work earned, and `main` reports any failure other than a
+/// broken pipe as an I/O error.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_ERROR.get().is_none() {
+        if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+            let _ = STDOUT_ERROR.set(e);
+        }
     }
 }
 
@@ -381,7 +414,7 @@ fn dispatch(cmd: &str, opts: &Options) -> Result<(), CliError> {
     }
     match cmd {
         "help" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         "compile" => {
@@ -423,12 +456,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match dispatch(&cmd, &opts) {
+    let status = match dispatch(&cmd, &opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             let e = err.message();
-            // Span-rendered errors already end in a newline-formatted block.
-            if e.starts_with("error:") {
+            // Span-rendered errors (`error: ...`) and rendered diagnostics
+            // (`error[E0003]: ...`) carry their own prefix.
+            if e.starts_with("error:") || e.starts_with("error[") {
                 eprintln!("{e}");
             } else {
                 eprintln!("error: {e}");
@@ -438,6 +472,17 @@ fn main() -> ExitCode {
                 CliError::Usage(_) => ExitCode::from(2),
             }
         }
+    };
+    if let Err(e) = std::io::stdout().flush() {
+        let _ = STDOUT_ERROR.set(e);
+    }
+    // A reader that went away stops the output, not the command.
+    match STDOUT_ERROR.get() {
+        Some(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::from(2)
+        }
+        _ => status,
     }
 }
 

@@ -147,9 +147,9 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
         verilog_lines
     ));
 
-    print!("{text}");
+    out!("{text}");
     if opts.emit {
-        println!("\n{}", out.verilog);
+        outln!("\n{}", out.verilog);
     }
     if let Some(path) = &opts.output {
         std::fs::write(path, &out.verilog).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -177,9 +177,9 @@ pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
     let pivots = imagen_ilp::stats::pivot_count() - pivots_before;
 
     let totals = collector.phase_totals();
-    println!("\n## Profile (non-deterministic)\n");
+    outln!("\n## Profile (non-deterministic)\n");
     if totals.is_empty() {
-        println!("  no spans recorded");
+        outln!("  no spans recorded");
     } else {
         let name_w = totals
             .iter()
@@ -187,9 +187,9 @@ pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
             .max()
             .unwrap_or(5)
             .max("phase".len());
-        println!("  {:<name_w$}  {:>6}  {:>12}", "phase", "calls", "total ms");
+        outln!("  {:<name_w$}  {:>6}  {:>12}", "phase", "calls", "total ms");
         for t in &totals {
-            println!(
+            outln!(
                 "  {:<name_w$}  {:>6}  {:>12.3}",
                 t.name,
                 t.count,
@@ -197,7 +197,7 @@ pub fn run_profiled(cmd: &str, opts: &Options) -> Result<(), CliError> {
             );
         }
     }
-    println!("  solver pivots  : {pivots}");
+    outln!("  solver pivots  : {pivots}");
     if let Some(path) = &opts.trace_out {
         let trace = collector.chrome_trace_json(&format!("imagen {cmd}"));
         std::fs::write(path, trace)
@@ -299,7 +299,7 @@ pub fn run_stats(opts: &Options) -> Result<(), CliError> {
             100.0 * hits as f64 / (hits + misses) as f64
         ));
     }
-    print!("{text}");
+    out!("{text}");
     Ok(())
 }
 
@@ -494,7 +494,7 @@ pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
             text.push('\n');
         }
     }
-    print!("{text}");
+    out!("{text}");
     if refuted_points > 0 {
         return Err(CliError::Findings(format!(
             "{refuted_points} frontier point(s) failed certification"
@@ -605,7 +605,7 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
         run.output_images.len(),
         compared
     ));
-    print!("{text}");
+    out!("{text}");
     if mismatched > 0 {
         return Err(CliError::Findings(format!(
             "netlist diverges from the golden model on {mismatched} pixel(s)"
@@ -685,6 +685,6 @@ pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
             b.static_mw
         ));
     }
-    print!("{text}");
+    out!("{text}");
     Ok(())
 }

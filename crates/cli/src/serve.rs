@@ -1024,12 +1024,9 @@ pub fn run(opts: &Options) -> Result<(), String> {
                 .map(String::from)
                 .collect();
             let responses = run_batch(&lines, opts.threads, &hub);
-            let stdout = std::io::stdout();
-            let mut w = stdout.lock();
             for r in &responses {
-                writeln!(w, "{r}").map_err(|e| format!("writing stdout: {e}"))?;
+                outln!("{r}");
             }
-            w.flush().map_err(|e| e.to_string())?;
             let (hits, misses) = hub.cache_stats();
             let s = &hub.stats;
             eprintln!(
@@ -1045,7 +1042,7 @@ pub fn run(opts: &Options) -> Result<(), String> {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("listening {local}");
+            outln!("listening {local}");
             std::io::stdout().flush().ok();
             let threads = opts.threads;
             for stream in listener.incoming() {

@@ -1,9 +1,9 @@
-//! Integration tests of the `imagen` binary: golden-pinned `compile` and
-//! `dse` text, the on-disk `.imagen` example corpus, and span-rendered
-//! error reporting.
+//! Integration tests of the `imagen` binary: golden-pinned `compile`,
+//! `dse` and `certify` text, the on-disk `.imagen` example corpus,
+//! span-rendered error reporting and exit statuses.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -165,6 +165,23 @@ fn dse_text_pinned_on_unsharp_m() {
     assert_golden("dse_unsharp_m.txt", &stdout_of(&out));
 }
 
+/// The full certificate text — every obligation's verdict, proof mode
+/// and detail string — on the default target and on a coalesced one.
+#[test]
+fn certify_text_pinned_on_canny_m() {
+    for (golden, extra) in [
+        ("certify_canny_m.txt", &[][..]),
+        (
+            "certify_canny_m_lc128.txt",
+            &["--coalesce", "--width", "128"][..],
+        ),
+    ] {
+        let mut args = vec!["certify", "examples/canny_m.imagen", "--name", "Canny-m"];
+        args.extend_from_slice(extra);
+        assert_golden(golden, &stdout_of(&imagen(&args)));
+    }
+}
+
 #[test]
 fn emitted_verilog_matches_library_output() {
     let dir = std::env::temp_dir().join(format!("imagen_cli_test_{}", std::process::id()));
@@ -289,6 +306,73 @@ fn exit_codes_split_findings_from_usage_errors() {
     assert!(stderr.contains("unknown command `bench`"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A planning failure under `imagen certify` is one rendered diagnostic
+/// and a finding (exit 1), as it is under `imagen lint`.
+#[test]
+fn certify_reports_a_planning_failure_once() {
+    let out = imagen(&[
+        "certify",
+        "examples/gaussian_pyramid.imagen",
+        "--width",
+        "15",
+    ]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error[E0003]: stage 2 at cumulative rate (2,2) does not divide the 15x48 frame\n"
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let lint = imagen(&["lint", "examples/gaussian_pyramid.imagen", "--width", "15"]);
+    assert_eq!(lint.status.code(), Some(1));
+}
+
+/// A reader that goes away is not a crash: with stdout's read end closed
+/// before the command starts, every one-shot command stops writing and
+/// exits with the status of a normal run, findings included.
+#[test]
+fn closed_stdout_keeps_the_exit_status() {
+    for args in [
+        &["help"][..],
+        &["compile", "examples/canny_m.imagen", "--emit"],
+        &["compile", "examples/sobel.imagen", "--profile"],
+        &["lint", "examples/canny_m.imagen", "--prove"],
+        &["certify", "examples/canny_m.imagen"],
+        &[
+            "certify",
+            "examples/gaussian_pyramid.imagen",
+            "--width",
+            "15",
+        ],
+        &["dse", "examples/unsharp_m.imagen"],
+        &["sim", "examples/sobel.imagen"],
+        &["energy", "examples/sobel.imagen"],
+    ] {
+        let normal = imagen(args).status;
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_imagen"))
+            .current_dir(repo_root())
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn imagen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+        assert_eq!(out.status.code(), normal.code(), "{args:?}:\n{stderr}");
+    }
+    // Any other failure to write is an I/O error (exit 2).
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = Command::new(env!("CARGO_BIN_EXE_imagen"))
+            .arg("help")
+            .stdout(full)
+            .output()
+            .expect("spawn imagen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: writing stdout: "), "{stderr}");
+        assert_eq!(out.status.code(), Some(2));
+    }
 }
 
 /// `imagen certify` proves the whole obligation set on a Tbl. 3 pipeline

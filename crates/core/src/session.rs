@@ -395,6 +395,38 @@ mod tests {
         assert_eq!(out.verilog, text);
     }
 
+    /// Plans and netlists hold the session DAG's kernel trees, not
+    /// copies, coalesced plans included (coalescing rewrites edge ports
+    /// on the plan's own DAG).
+    #[test]
+    fn plans_and_netlists_share_the_dag_kernels() {
+        let dag = Algorithm::CannyM.build();
+        let session = Session::new(&dag, geom());
+        let plain = MemorySpec::new(backend(), 2);
+        for spec in [plain.clone(), plain.with_coalescing()] {
+            let priced = session.price(&spec, None).unwrap();
+            let out = session.compile(&spec, None).unwrap();
+            for (id, stage) in dag.stages() {
+                let Some(kernel) = stage.kernel() else {
+                    continue;
+                };
+                let shared = [
+                    priced.dag.stage(id).kernel(),
+                    out.plan.dag.stage(id).kernel(),
+                    out.netlist.stage_kernel(id.index()),
+                ];
+                for k in shared {
+                    assert!(
+                        k.is_some_and(|k| std::ptr::eq(k, kernel)),
+                        "{:?}: stage `{}` holds a copy",
+                        out.plan.design.style,
+                        stage.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn style_inference_matches_compiler() {
         let dag = Algorithm::UnsharpM.build();

@@ -18,6 +18,7 @@
 
 use crate::expr::{Expr, TapExtent};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a stage within a [`Dag`].
 ///
@@ -145,8 +146,12 @@ pub enum StageKind {
     Input,
     /// A stencil compute stage evaluating `kernel` once per output pixel.
     Compute {
-        /// The per-pixel expression (normalized offsets).
-        kernel: Expr,
+        /// The per-pixel expression (normalized offsets). Built once when
+        /// the stage is added and shared, never copied: a cloned `Dag`,
+        /// every plan made from it and every netlist built from a plan
+        /// hold this same tree. Equality and hashing see the expression,
+        /// so sharing changes no comparison and no fingerprint.
+        kernel: Arc<Expr>,
     },
 }
 
@@ -214,7 +219,7 @@ impl Stage {
     /// The kernel, if this is a compute stage.
     pub fn kernel(&self) -> Option<&Expr> {
         match &self.kind {
-            StageKind::Compute { kernel } => Some(kernel),
+            StageKind::Compute { kernel } => Some(kernel.as_ref()),
             StageKind::Input => None,
         }
     }
@@ -768,7 +773,9 @@ impl Dag {
         }
         self.stages.push(Stage {
             name,
-            kind: StageKind::Compute { kernel },
+            kind: StageKind::Compute {
+                kernel: Arc::new(kernel),
+            },
             producers: producers.to_vec(),
             is_output: false,
             origin,

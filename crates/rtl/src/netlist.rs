@@ -23,6 +23,7 @@
 use crate::structure::{describe, sanitize, sra_cells, NetBuffer, Structure};
 use imagen_ir::{Dag, Expr, StageKind, Window};
 use imagen_mem::{Design, DesignStyle, ImageGeometry};
+use std::sync::Arc;
 
 /// Datapath bit widths of the generated hardware, set in exactly one
 /// place and threaded through the netlist builder.
@@ -153,8 +154,12 @@ pub struct StagePayload {
     pub stage: usize,
     /// Stencil windows in producer-slot order.
     pub windows: Vec<Window>,
-    /// The kernel expression evaluated once per output pixel.
-    pub kernel: Expr,
+    /// The kernel expression evaluated once per output pixel: the DAG
+    /// stage's own tree ([`imagen_ir::StageKind::Compute`]), shared
+    /// rather than copied, so a netlist built from a plan holds the same
+    /// `Arc` as the plan's DAG. Replace it with a new `Arc` to give the
+    /// module a different datapath.
+    pub kernel: Arc<Expr>,
 }
 
 /// Semantic payload of a line-buffer module (rotating SRAM banks).
@@ -309,7 +314,9 @@ impl Netlist {
     /// index — the term the translation-validation pass certifies
     /// against the lowered DSL kernel.
     pub fn stage_kernel(&self, stage: usize) -> Option<&Expr> {
-        self.stage_module(stage)?.stage_payload().map(|p| &p.kernel)
+        self.stage_module(stage)?
+            .stage_payload()
+            .map(|p| p.kernel.as_ref())
     }
 }
 
@@ -596,7 +603,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
                 StagePayload {
                     stage: id.index(),
                     windows,
-                    kernel: kernel.clone(),
+                    kernel: Arc::clone(kernel),
                 },
             ));
         }
