@@ -177,6 +177,14 @@ impl<'d> Session<'d> {
         self.port_checks.len()
     }
 
+    /// How many of those checks needed the row scanner, because the
+    /// port-check arithmetic could not decide them alone (multirate or
+    /// split-row buffers, a final error, an uncertain reject). Like
+    /// [`Session::port_checks`] it counts distinct checks.
+    pub fn port_scans(&self) -> usize {
+        self.port_checks.scans()
+    }
+
     /// The style a spec is labeled with when none is forced: `Ours+LC`
     /// iff any stage's buffer actually coalesces.
     fn infer_style(&self, spec: &MemorySpec) -> DesignStyle {

@@ -207,6 +207,9 @@ pub struct ExploreStats {
     /// its session's port-check memo at the end. Counting keys, not
     /// misses, makes it repeat at any worker count.
     pub port_checks: u64,
+    /// Of those, the checks whose verdict needed the row scanner rather
+    /// than the arithmetic alone: the same memo's count.
+    pub port_scans: u64,
 }
 
 /// Result of a sweep: all points plus the ids of the buffered stages the
@@ -511,6 +514,7 @@ pub fn explore(
             cache_misses: misses as u64,
             simplex_pivots: imagen_ilp::stats::pivot_count() - pivots_before,
             port_checks: session.port_checks() as u64,
+            port_scans: session.port_scans() as u64,
         },
     })
 }

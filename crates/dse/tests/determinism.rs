@@ -13,7 +13,8 @@
 //! * every buffer a sweep's shared port-check memo sized equals the
 //!   checks run directly on its plan, one session serves several
 //!   backends as fresh ones do, a violation keeps its cycle, and the
-//!   sweep's count of distinct checks repeats at any worker count.
+//!   sweep's counts of distinct checks and of checks that needed the
+//!   row scanner repeat at any worker count.
 
 use imagen_core::{CompileError, Session};
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
@@ -378,9 +379,10 @@ fn one_session_prices_both_backends_as_fresh_ones_do() {
     }
 }
 
-/// The number of distinct port checks a sweep runs repeats at one and
-/// at three workers on the corpus, and Canny-m's 512-point sweep runs
-/// fewer checks than it has points.
+/// The number of distinct port checks a sweep runs, and of those that
+/// needed the row scanner, repeats at one and at three workers on the
+/// corpus, and Canny-m's 512-point sweep runs fewer checks than it has
+/// points.
 #[test]
 fn port_checks_repeat_at_any_worker_count() {
     for (name, dag) in corpus() {
@@ -390,6 +392,11 @@ fn port_checks_repeat_at_any_worker_count() {
             one.stats.port_checks, three.stats.port_checks,
             "{name}: port checks at 1 and 3 workers"
         );
+        assert_eq!(
+            one.stats.port_scans, three.stats.port_scans,
+            "{name}: port scans at 1 and 3 workers"
+        );
+        assert!(one.stats.port_scans <= one.stats.port_checks, "{name}");
         if name == "canny_m" {
             assert_eq!(one.points.len(), 512);
             assert!(
@@ -455,5 +462,7 @@ fn a_violation_keeps_its_cycle_through_the_memo() {
                 ),
             }
         }
+        // The refused buffer's first violation came from the scanner.
+        assert_eq!(session.port_scans(), 1, "{width}x{height}");
     }
 }

@@ -198,6 +198,9 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     p.program()
 }
 
+/// The parser state. Each identifier's `String` moves out of `tokens`
+/// once consumed (nothing reads a token behind the cursor), so parsing
+/// allocates no copy of a name.
 struct Parser {
     tokens: Vec<Spanned>,
     at: usize,
@@ -206,6 +209,8 @@ struct Parser {
     /// Binary operators chained so far in the current stage body,
     /// bounded by [`MAX_EXPR_CHAIN`] (reset per item).
     chain: usize,
+    /// The current stage's coordinate variables, moved into its item
+    /// once its body is parsed.
     x_var: String,
     y_var: String,
 }
@@ -219,12 +224,10 @@ impl Parser {
         self.tokens[self.at].pos
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].token.clone();
+    fn bump(&mut self) {
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        t
     }
 
     fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
@@ -244,10 +247,12 @@ impl Parser {
         }
     }
 
+    /// Consumes an identifier, moving its name out of the token.
     fn ident(&mut self, what: &str) -> Result<(String, Pos), ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match &mut self.tokens[self.at].token {
             Token::Ident(s) => {
+                let s = std::mem::take(s);
                 self.bump();
                 Ok((s, pos))
             }
@@ -287,8 +292,8 @@ impl Parser {
                 self.expect(&Token::Comma, "`,`")?;
                 let (yv, _) = self.ident("coordinate variable")?;
                 self.expect(&Token::RParen, "`)`")?;
-                self.x_var = xv.clone();
-                self.y_var = yv.clone();
+                self.x_var = xv;
+                self.y_var = yv;
                 self.chain = 0;
                 let body = self.expr()?;
                 self.expect(&Token::End, "`end`")?;
@@ -298,8 +303,8 @@ impl Parser {
                 Ok(Item::Stage {
                     name,
                     output,
-                    x_var: xv,
-                    y_var: yv,
+                    x_var: std::mem::take(&mut self.x_var),
+                    y_var: std::mem::take(&mut self.y_var),
                     body,
                     rate,
                     pos,
@@ -337,7 +342,7 @@ impl Parser {
     /// with the literal's own span.
     fn rate_factor(&mut self) -> Result<i64, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match *self.peek() {
             Token::Number(n) => {
                 self.bump();
                 if n < 1 || n as u64 > MAX_RATE_FACTOR {
@@ -444,7 +449,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<AstExpr, ParseError> {
-        match self.peek().clone() {
+        match *self.peek() {
             Token::Number(n) => {
                 self.bump();
                 Ok(AstExpr::Number(n))
@@ -455,9 +460,8 @@ impl Parser {
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(e)
             }
-            Token::Ident(name) => {
-                let pos = self.pos();
-                self.bump();
+            Token::Ident(_) => {
+                let (name, pos) = self.ident("an identifier")?;
                 if *self.peek() != Token::LParen {
                     return Err(self.unexpected("`(` (taps are written `K(x, y)`)"));
                 }
@@ -468,12 +472,12 @@ impl Parser {
                     // identifier as the first argument means a coordinate
                     // (possibly misnamed); anything else means the author
                     // used an unknown function.
-                    if let Token::Ident(first) = self.peek().clone() {
+                    if let Token::Ident(first) = self.peek() {
                         let next = &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].token;
                         if *next != Token::LParen {
-                            if first != self.x_var {
+                            if *first != self.x_var {
                                 return Err(ParseError::BadCoordinate {
-                                    var: first,
+                                    var: first.clone(),
                                     expected: self.x_var.clone(),
                                     pos: self.pos(),
                                 });
@@ -519,23 +523,29 @@ impl Parser {
 
     /// Parses the remainder of a tap after `NAME(`, consuming `x±dx, y±dy)`.
     fn tap(&mut self, stage: String, pos: Pos) -> Result<AstExpr, ParseError> {
-        let dx = self.coord(&self.x_var.clone())?;
+        let dx = self.coord(false)?;
         self.expect(&Token::Comma, "`,`")?;
-        let dy = self.coord(&self.y_var.clone())?;
+        let dy = self.coord(true)?;
         self.expect(&Token::RParen, "`)`")?;
         Ok(AstExpr::Tap { stage, dx, dy, pos })
     }
 
-    /// Parses `VAR`, `VAR+N`, or `VAR-N`, returning the signed offset.
-    fn coord(&mut self, var: &str) -> Result<i32, ParseError> {
+    /// Parses `VAR`, `VAR+N`, or `VAR-N`, where `VAR` is the stage's x
+    /// (or, with `is_y`, y) coordinate variable, returning the signed
+    /// offset.
+    fn coord(&mut self, is_y: bool) -> Result<i32, ParseError> {
         let pos = self.pos();
-        let (name, _) = self.ident("coordinate variable")?;
-        if name != var {
-            return Err(ParseError::BadCoordinate {
-                var: name,
-                expected: var.to_string(),
-                pos,
-            });
+        let var = if is_y { &self.y_var } else { &self.x_var };
+        match self.peek() {
+            Token::Ident(name) if name == var => self.bump(),
+            Token::Ident(name) => {
+                return Err(ParseError::BadCoordinate {
+                    var: name.clone(),
+                    expected: var.clone(),
+                    pos,
+                })
+            }
+            _ => return Err(self.unexpected("coordinate variable")),
         }
         let sign: i64 = match self.peek() {
             Token::Plus => 1,
@@ -544,7 +554,7 @@ impl Parser {
         };
         self.bump();
         let pos = self.pos();
-        match self.peek().clone() {
+        match *self.peek() {
             Token::Number(n) => {
                 self.bump();
                 // The lexer guarantees `n <= i64::MAX`, so `sign * n` is

@@ -48,7 +48,10 @@ use crate::structure::NetBuffer;
 use imagen_ir::{BinOp, Expr, Window};
 use std::fmt::Write as _;
 
-/// Renders the netlist as self-contained synthesizable Verilog.
+/// Renders the netlist as Verilog text. The window read path is not
+/// printed: no `sra_*` array is driven and every line-buffer instance
+/// leaves `.rdata()` open, so the netlist executor, not this text, is
+/// what the tests run.
 pub fn emit_verilog(net: &Netlist) -> String {
     let mut v = String::new();
     let geom = net.structure.geometry;

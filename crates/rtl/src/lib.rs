@@ -22,9 +22,9 @@
 //!   modules, typed ports and nets, instances, registers, SRAM
 //!   primitives and kernel expression nets, at configurable
 //!   [`BitWidths`];
-//! * [`emit_verilog`] prints the netlist as self-contained synthesizable
-//!   Verilog (byte-identical to the original string emitter at default
-//!   widths, pinned by golden files);
+//! * [`emit_verilog`] prints the netlist as Verilog text (byte-identical
+//!   to the original string emitter at default widths, pinned by golden
+//!   files) that leaves the window read path undriven;
 //! * [`interpret`] **executes** the netlist — the verification loop no
 //!   synthesis tool in this environment could close: the emitted design
 //!   itself is run and checked bit-exact against the golden executor and

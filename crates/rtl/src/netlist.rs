@@ -6,8 +6,9 @@
 //! combinational expression nets. The netlist is the artifact the
 //! backend's text and execution consumers work from:
 //!
-//! * [`emit_verilog`](crate::emit_verilog) prints it as the synthesizable
-//!   Verilog the seed emitter produced (byte-identical at default widths);
+//! * [`emit_verilog`](crate::emit_verilog) prints it as the Verilog text
+//!   the seed emitter produced (byte-identical at default widths), whose
+//!   window read path is left undriven;
 //! * [`interpret`](crate::interpret) executes it over a frame, closing
 //!   the verification loop against the golden executor and the
 //!   cycle-level simulator;

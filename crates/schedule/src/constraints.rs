@@ -23,7 +23,21 @@
 //!
 //! This matches the paper's Equ. 12, whose stencil height is the trailing
 //! entity's (`h_i` above), and, unlike the ceiling derivation in the
-//! paper, is exact rather than merely sufficient — no optimality is lost.
+//! paper, is exact rather than merely sufficient — *away from the bottom
+//! edge*. The rows above are unclamped, but the hardware clamps a window
+//! at row `H - 1`. A window that only partly passes the edge reads a
+//! subset of its modeled rows, which no constraint misses. A window wholly
+//! below the frame — entity `i` on one of its last `off_i` raster rows —
+//! reads row `H - 1` instead, which its modeled rows never include, so
+//! there the constraint is neither exact nor sufficient. The pinned
+//! counterexample is `synthetic_pipeline(29, 2710633447341882416)`
+//! (ROADMAP item 1): at 64×48 its schedule meets every constraint, pruned
+//! or not, yet on stage 2's buffer a reader with `off = 1` on raster row
+//! 47 reads row 47 beside two other readers. The checker
+//! ([`crate::checker`]) refuses it — "row 47 receives 3 accesses (> 2
+//! ports) at cycle 3660", pinned by
+//! `a_violation_keeps_its_cycle_through_the_memo`
+//! (`crates/dse/tests/determinism.rs`).
 //!
 //! # Multirate stages and the common base clock
 //!

@@ -5,14 +5,16 @@
 //! for minimum on-chip memory at full (one pixel per cycle) throughput.
 //!
 //! * [`constraints`] — Equ. 1b data dependencies; Equ. 1c memory
-//!   contention expressed through access sets and transformed into exact
-//!   linear difference constraints (Equ. 8–12); Sec. 5.4 constraint
-//!   pruning over the DAG's partial order.
+//!   contention expressed through access sets and transformed into linear
+//!   difference constraints (Equ. 8–12), exact away from the bottom edge;
+//!   Sec. 5.4 constraint pruning over the DAG's partial order.
 //! * [`solve_schedule`] — the ILP (Sec. 5.5), solved as the min-cost-flow
 //!   dual of its difference LP, plus depth-first resolution of surviving
 //!   OR-groups.
 //! * [`checker`] — exact per-buffer port-discipline verification at both
-//!   absolute-row and physical-block granularity (rotation aliasing).
+//!   absolute-row and physical-block granularity (rotation aliasing),
+//!   decided by arithmetic on start differences, with the row scanner as
+//!   fallback and reference.
 //! * [`plan_design`] — the full Fig. 5 "Optimizer": coalescing rewrite,
 //!   formulation, solving, buffer sizing (Equ. 2), block allocation and
 //!   pricing into a [`imagen_mem::Design`], running each distinct
@@ -36,7 +38,7 @@ pub use constraints::{
 };
 pub use entity::{buffer_entities, AccessEntity};
 pub use plan::{
-    plan_design, plan_design_with, resolve_entities, Plan, PlanError, PortCheckMemo,
+    buffer_check, plan_design, plan_design_with, resolve_entities, Plan, PlanError, PortCheckMemo,
     SpecBufferParams,
 };
 pub use solve::{

@@ -9,12 +9,17 @@
 //! replays the result and verifies throughput, port discipline and
 //! functional correctness.
 //!
-//! Each buffer's port checks go through a [`PortCheckMemo`], keyed by
-//! the buffer's frame, ports, layout inputs and access streams with
-//! their starts taken relative to the earliest. Design points that share
-//! a buffer's streams — most of a DSE sweep's — check it once per memo.
+//! Each buffer's port checks — the absolute rows, then the smallest
+//! physical rotation that passes — are one [`BufferCheck`], decided by
+//! [`BufferCheck::verdict`]: by arithmetic on the streams' start
+//! differences where that is certain, by the row scanner otherwise (see
+//! [`crate::checker`]). Checks go through a [`PortCheckMemo`], keyed by
+//! the whole `BufferCheck` with its starts taken relative to the
+//! earliest. Design points that share a buffer's streams — most of a DSE
+//! sweep's — check it once per memo, and the memo counts the buffers that
+//! needed the scanner.
 
-use crate::checker::{check_accesses, required_phys_rows, PortViolation, ResolvedEntity};
+use crate::checker::{BufferCheck, BufferVerdict, PortViolation, ResolvedEntity};
 use crate::constraints::{
     formulate_skeleton, formulate_with, BufferParams, ConstraintSkeleton, FormulationOptions,
 };
@@ -300,58 +305,64 @@ pub fn resolve_entities(
         .collect()
 }
 
-/// Everything [`check_accesses`] and [`required_phys_rows`] read for one
-/// buffer. Inside a [`PortCheckMemo`] each stream's start is relative to
-/// the earliest one.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct PortCheckKey {
-    width: u32,
-    height: u32,
-    pixel_bits: u32,
-    ports: u32,
-    logical_rows: u32,
-    rows_per_block: u32,
-    blocks_per_row: u32,
-    block_bits: u64,
-    streams: Vec<ResolvedEntity>,
+/// The port check the planner runs on stage `p`'s buffer under
+/// `schedule`: the frame, the ports, the layout inputs and the streams
+/// [`resolve_entities`] resolves. The buffer stores producer-grid rows,
+/// so its row splits over blocks by the producer's scale, and a split row
+/// does not coalesce.
+pub fn buffer_check(
+    dag: &Dag,
+    p: StageId,
+    scales: &[(u64, u64)],
+    schedule: &Schedule,
+    geom: &ImageGeometry,
+    spec: &MemorySpec,
+) -> BufferCheck {
+    let block_bits = spec.backend().block_bits();
+    let row_bits = buffer_geometry(geom, scales[p.index()]).row_bits();
+    let blocks_per_row = if row_bits > block_bits {
+        row_bits.div_ceil(block_bits) as u32
+    } else {
+        1
+    };
+    BufferCheck {
+        width: geom.width,
+        height: geom.height,
+        pixel_bits: geom.pixel_bits,
+        ports: spec.ports_for(p.index()),
+        logical_rows: schedule.buffer_rows[p.index()],
+        rows_per_block: if blocks_per_row > 1 {
+            1
+        } else {
+            spec.coalesce_factor(p.index(), geom).max(1)
+        },
+        blocks_per_row,
+        block_bits,
+        streams: resolve_entities(dag, p, scales, &schedule.starts),
+    }
 }
 
-impl PortCheckKey {
-    /// Runs the absolute-row check, then searches the physical rows. A
-    /// violation's `physical` flag tells which check failed.
-    fn verdict(&self) -> Result<u32, PortViolation> {
-        check_accesses(
-            self.width,
-            self.height,
-            self.pixel_bits,
-            &self.streams,
-            self.ports,
-            None,
-        )?;
-        required_phys_rows(
-            self.width,
-            self.height,
-            self.pixel_bits,
-            &self.streams,
-            self.ports,
-            self.logical_rows,
-            self.rows_per_block,
-            self.blocks_per_row,
-            self.block_bits,
-        )
+/// The frame a buffer at producer scale `(pcx, pcy)` stores: `W/pcx`
+/// pixels a row and `H/pcy` rows. Rate-1 buffers keep the full frame.
+fn buffer_geometry(geom: &ImageGeometry, (pcx, pcy): (u64, u64)) -> ImageGeometry {
+    ImageGeometry {
+        width: (geom.width as u64 / pcx) as u32,
+        height: (geom.height as u64 / pcy) as u32,
+        pixel_bits: geom.pixel_bits,
     }
 }
 
 /// Memoized buffer port checks: each distinct buffer is checked once per
 /// memo.
 ///
-/// The key holds everything the checks read, with every stream's start
+/// The key is the buffer's [`BufferCheck`], with every stream's start
 /// taken relative to the buffer's earliest start. Both checks depend only
 /// on start differences, except that a violation's cycle moves with the
 /// starts, so the memo stores that cycle relative to the earliest start
 /// and a hit adds back its own buffer's. Across a DSE sweep most points
 /// share most buffers: Canny-m's 512 points at 32×24 realize 4,608
-/// buffers with 12 distinct keys.
+/// buffers with 12 distinct keys, and a hit costs less than deciding the
+/// key again.
 ///
 /// A compile session (`imagen_core::Session`) owns one memo for its
 /// lifetime; [`plan_design`] makes one per call. The memo has no cap:
@@ -363,7 +374,7 @@ impl PortCheckKey {
 /// 1,024-point sweeps of three 40-stage ones with 230–671 from 39,936.
 #[derive(Default, Debug)]
 pub struct PortCheckMemo {
-    verdicts: Mutex<HashMap<PortCheckKey, Result<u32, PortViolation>>>,
+    verdicts: Mutex<HashMap<BufferCheck, BufferVerdict>>,
 }
 
 impl PortCheckMemo {
@@ -385,9 +396,22 @@ impl PortCheckMemo {
         self.len() == 0
     }
 
+    /// Distinct buffer checks whose verdict needed the row scanner: the
+    /// memoized keys the arithmetic left undecided. Like [`len`](Self::len)
+    /// it counts keys, so it does not depend on the order of the lookups
+    /// or on how many workers made them.
+    pub fn scans(&self) -> usize {
+        self.verdicts
+            .lock()
+            .expect("port-check memo poisoned")
+            .values()
+            .filter(|v| v.scanned)
+            .count()
+    }
+
     /// The physical rows of `buffer`, whose check inputs `key` holds with
     /// absolute stream starts, or its violation at its absolute cycle.
-    fn phys_rows(&self, buffer: StageId, mut key: PortCheckKey) -> Result<u32, PlanError> {
+    fn phys_rows(&self, buffer: StageId, mut key: BufferCheck) -> Result<u32, PlanError> {
         let origin = key.streams.iter().map(|e| e.start).min().unwrap_or(0);
         for e in &mut key.streams {
             e.start -= origin;
@@ -411,7 +435,7 @@ impl PortCheckMemo {
                 v
             }
         };
-        verdict.map_err(|v| {
+        verdict.phys_rows.map_err(|v| {
             let violation = PortViolation {
                 cycle: v.cycle + origin,
                 ..v
@@ -435,29 +459,12 @@ fn realize_design(
     style: DesignStyle,
     memo: &PortCheckMemo,
 ) -> Result<Design, PlanError> {
-    let block_bits = spec.backend().block_bits();
     let scales = dag.stage_scales();
 
     let mut buffers = Vec::new();
     for p in dag.buffered_stages() {
-        let ports = spec.ports_for(p.index());
-        let g = spec.coalesce_factor(p.index(), geom).max(1);
+        let check = buffer_check(dag, p, &scales, schedule, geom, spec);
         let (pcx, pcy) = scales[p.index()];
-        // The buffer stores producer-grid rows: `W/pcx` pixels each, and
-        // `H/pcy` of them per frame. Rate-1 buffers keep the full frame
-        // geometry.
-        let buf_geom = ImageGeometry {
-            width: (geom.width as u64 / pcx) as u32,
-            height: (geom.height as u64 / pcy) as u32,
-            pixel_bits: geom.pixel_bits,
-        };
-        let row_bits = buf_geom.row_bits();
-        let blocks_per_row = if row_bits > block_bits {
-            row_bits.div_ceil(block_bits) as u32
-        } else {
-            1
-        };
-        let entities: Vec<ResolvedEntity> = resolve_entities(dag, p, &scales, &schedule.starts);
 
         // Analytic access statistics: per *active* cycle the writer makes
         // 1 access and each reader entity `height` accesses; multirate
@@ -466,7 +473,8 @@ fn realize_design(
         // Spread over the buffer's blocks below (uniform across blocks of
         // equal configuration, which keeps the total — what the power
         // model integrates — exact).
-        let per_cycle: f64 = entities
+        let per_cycle: f64 = check
+            .streams
             .iter()
             .map(|e| {
                 let accesses = if e.is_writer { 1.0 } else { e.height as f64 };
@@ -476,29 +484,16 @@ fn realize_design(
 
         // The absolute-row discipline (must hold by construction), then
         // the minimal physical rows.
-        let logical_rows = schedule.buffer_rows[p.index()];
-        let rows_per_block = if blocks_per_row > 1 { 1 } else { g };
-        let phys_rows = memo.phys_rows(
-            p,
-            PortCheckKey {
-                width: geom.width,
-                height: geom.height,
-                pixel_bits: geom.pixel_bits,
-                ports,
-                logical_rows,
-                rows_per_block,
-                blocks_per_row,
-                block_bits,
-                streams: entities,
-            },
-        )?;
+        let (ports, logical_rows, rows_per_block) =
+            (check.ports, check.logical_rows, check.rows_per_block);
+        let phys_rows = memo.phys_rows(p, check)?;
 
         let mut plan = allocate_buffer(
             p.index(),
             phys_rows,
             logical_rows,
             rows_per_block,
-            &buf_geom,
+            &buffer_geometry(geom, (pcx, pcy)),
             spec.backend(),
             ports,
             0,
@@ -732,22 +727,15 @@ mod tests {
         assert!((total - 6.0).abs() < 1e-9, "got {total}");
     }
 
-    /// The checks run directly on one buffer, at its absolute starts.
-    fn checked_directly(buffer: StageId, k: &PortCheckKey) -> Result<u32, PlanError> {
-        check_accesses(k.width, k.height, k.pixel_bits, &k.streams, k.ports, None)
-            .map_err(|violation| PlanError::ScheduleViolation { buffer, violation })?;
-        required_phys_rows(
-            k.width,
-            k.height,
-            k.pixel_bits,
-            &k.streams,
-            k.ports,
-            k.logical_rows,
-            k.rows_per_block,
-            k.blocks_per_row,
-            k.block_bits,
-        )
-        .map_err(|violation| PlanError::AliasingUnrepairable { buffer, violation })
+    /// The scanner run directly on one buffer, at its absolute starts.
+    fn checked_directly(buffer: StageId, k: &BufferCheck) -> Result<u32, PlanError> {
+        k.scan().map_err(|violation| {
+            if violation.physical {
+                PlanError::AliasingUnrepairable { buffer, violation }
+            } else {
+                PlanError::ScheduleViolation { buffer, violation }
+            }
+        })
     }
 
     /// One memo fed random buffers, each followed by variants that change
@@ -773,7 +761,7 @@ mod tests {
             };
             let origin = next(4) as i64 * 97;
             let g = 1 + next(2) as u32;
-            let base = PortCheckKey {
+            let base = BufferCheck {
                 width: w,
                 height: [24, 48][next(2) as usize],
                 pixel_bits: px,
@@ -798,15 +786,15 @@ mod tests {
             let d = 1 + next(8 * w as u64) as i64;
             let variants = [
                 base.clone(),
-                PortCheckKey {
+                BufferCheck {
                     ports: 3 - base.ports,
                     ..base.clone()
                 },
-                PortCheckKey {
+                BufferCheck {
                     rows_per_block: 3 - g,
                     ..base.clone()
                 },
-                PortCheckKey {
+                BufferCheck {
                     rows_per_block: 1,
                     blocks_per_row: 2,
                     block_bits: row / 2,
@@ -827,7 +815,7 @@ mod tests {
                     k.streams[pick].row_offset += 1;
                     k
                 },
-                PortCheckKey {
+                BufferCheck {
                     height: 72 - base.height,
                     ..base.clone()
                 },
