@@ -103,14 +103,14 @@ fn main() {
         let traced = best_ms(|| prog.run_with_trace(&inputs).unwrap());
         let gated_traced = best_ms(|| gprog.run_with_trace(&inputs).unwrap());
         let schedule = best_ms(|| {
-            ScheduleActivity::derive(&net.structure, None)
+            ScheduleActivity::derive(&net.structure, None, None)
                 .unwrap()
                 .trace()
         });
         let tall_plan = compile_at(tall).plan;
         let tall_structure = describe(&tall_plan.dag, &tall_plan.design);
         let schedule_tall = best_ms(|| {
-            ScheduleActivity::derive(&tall_structure, None)
+            ScheduleActivity::derive(&tall_structure, None, None)
                 .unwrap()
                 .trace()
         });

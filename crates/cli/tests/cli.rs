@@ -393,7 +393,7 @@ fn certify_proves_an_example_in_both_formats() {
 }
 
 /// `--profile` reports the solver's work: every "solver pivots" line of
-/// a run (one pivot per min-cost-flow augmenting path) shows the same
+/// a run (one pivot per network-simplex basis exchange) shows the same
 /// nonzero count, and a second run repeats it exactly.
 #[test]
 fn profile_pivot_count_is_nonzero_and_repeats() {

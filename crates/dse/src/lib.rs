@@ -38,7 +38,10 @@
 //! no frame is interpreted, so a measured point costs work in proportion
 //! to each line buffer's pipeline depth and steady period in rows, not
 //! to the frame's height, let alone pixels times kernel operations, and
-//! the sweep needs no stimulus.
+//! the sweep needs no stimulus. The workers share one
+//! `imagen_rtl::BlockSweepMemo`, so each distinct line buffer's block
+//! sweep runs once per sweep (Canny-m's 4,608 buffers take 12;
+//! [`ExploreStats::block_sweeps`]).
 //!
 //! [`pareto_front`] / [`ParetoFront`] extract the non-dominated designs —
 //! incrementally, not by the quadratic post-hoc scan. The paper's
@@ -56,7 +59,9 @@ use imagen_core::{CompileError, Session};
 use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_power::EnergyReport;
-use imagen_rtl::{describe, report_resources, BitWidths, InterpError, ResourceReport, Structure};
+use imagen_rtl::{
+    describe, report_resources, BitWidths, BlockSweepMemo, InterpError, ResourceReport, Structure,
+};
 use imagen_schedule::Plan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,10 +203,9 @@ pub struct ExploreStats {
     pub cache_hits: u64,
     /// Pricing requests that ran the planner.
     pub cache_misses: u64,
-    /// Solver pivots performed process-wide during the sweep: min-cost-flow
-    /// augmenting paths (a delta of [`imagen_ilp::stats::pivot_count`];
+    /// Solver pivots performed process-wide during the sweep: network-simplex
+    /// basis exchanges (a delta of [`imagen_ilp::stats::pivot_count`];
     /// with concurrent sweeps in one process the delta covers all of them).
-    /// The name predates the flow solver and is kept for API stability.
     pub simplex_pivots: u64,
     /// Distinct line-buffer port checks the sweep ran: the entry count of
     /// its session's port-check memo at the end. Counting keys, not
@@ -210,6 +214,11 @@ pub struct ExploreStats {
     /// Of those, the checks whose verdict needed the row scanner rather
     /// than the arithmetic alone: the same memo's count.
     pub port_scans: u64,
+    /// Distinct line-buffer block sweeps the measurement ran: the entry
+    /// count of the sweep's block-sweep memo at the end (0 when it does
+    /// not measure). Like `port_checks` it counts keys, so it repeats at
+    /// any worker count.
+    pub block_sweeps: u64,
 }
 
 /// Result of a sweep: all points plus the ids of the buffered stages the
@@ -278,7 +287,7 @@ impl DseResult {
         let point = &self.points[index];
         let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
         let plan = session.price(&spec, Some(point.design.style))?;
-        let m = measure_energy(&describe(&plan.dag, &plan.design), &point.design)?;
+        let m = measure_energy(&describe(&plan.dag, &plan.design), &point.design, None)?;
         self.points[index].measured = Some(m);
         Ok(m)
     }
@@ -380,21 +389,33 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
 }
 
 /// Measures the design `structure` describes, ungated and clock-gated,
-/// from its schedule, at the default widths.
-fn measure_energy(structure: &Structure, design: &Design) -> Result<MeasuredEnergy, InterpError> {
+/// from its schedule, at the default widths, taking the block sweeps
+/// `memo` holds.
+fn measure_energy(
+    structure: &Structure,
+    design: &Design,
+    memo: Option<&BlockSweepMemo>,
+) -> Result<MeasuredEnergy, InterpError> {
     let _s = imagen_obs::span("measure");
-    let p = imagen_power::measure_schedule(structure, &BitWidths::default(), design)?;
+    let p = imagen_power::measure_schedule(structure, &BitWidths::default(), design, memo)?;
     Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated))
 }
 
-fn point_from(plan: &Plan, choices: Vec<StageChoice>, measure: bool) -> DsePoint {
+/// The point of `plan`, measured when `measure` holds the sweep's
+/// block-sweep memo.
+fn point_from(
+    plan: &Plan,
+    choices: Vec<StageChoice>,
+    measure: Option<&BlockSweepMemo>,
+) -> DsePoint {
     let design = plan.design.clone();
     // One description per point feeds both the structural axis and the
     // measured energy; no netlist is elaborated.
     let structure = describe(&plan.dag, &design);
     let resources = report_resources(&structure, &BitWidths::default());
-    let measured = measure.then(|| {
-        measure_energy(&structure, &design).expect("the planner emits streamable designs")
+    let measured = measure.map(|memo| {
+        measure_energy(&structure, &design, Some(memo))
+            .expect("the planner emits streamable designs")
     });
     DsePoint {
         choices,
@@ -417,7 +438,7 @@ fn evaluate_masks(
     buffered: &[usize],
     masks: &[u64],
     threads: usize,
-    measure: bool,
+    measure: Option<&BlockSweepMemo>,
 ) -> Result<Vec<DsePoint>, CompileError> {
     let n = buffered.len();
     // Exhaustive/random mask lists never repeat, so memoizing every plan
@@ -489,7 +510,9 @@ pub fn explore(
     // walk's dedup keys, sample_masks).
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
 
-    let measure = opts.measure == MeasureMode::Schedule;
+    // One block-sweep memo per sweep, shared by its workers.
+    let memo = BlockSweepMemo::new();
+    let measure = (opts.measure == MeasureMode::Schedule).then_some(&memo);
 
     let points = match opts.strategy {
         ExploreStrategy::Exhaustive => {
@@ -515,6 +538,7 @@ pub fn explore(
             simplex_pivots: imagen_ilp::stats::pivot_count() - pivots_before,
             port_checks: session.port_checks() as u64,
             port_scans: session.port_scans() as u64,
+            block_sweeps: memo.len() as u64,
         },
     })
 }
@@ -579,7 +603,7 @@ fn greedy_walk(
     session: &Session,
     backend: MemBackend,
     buffered: &[usize],
-    measure: bool,
+    measure: Option<&BlockSweepMemo>,
 ) -> Result<GreedyOutcome, CompileError> {
     let n = buffered.len();
     assert!(n <= 64, "{n} buffered stages exceed the u64 mask width");
@@ -651,7 +675,7 @@ pub fn judicious_lc(
     let session = Session::new(dag, *geom);
     let buffered: Vec<usize> = dag.buffered_stages().iter().map(|s| s.index()).collect();
     // Probe points are pricing-only; nobody reads their measured energy.
-    let outcome = greedy_walk(&session, backend, &buffered, false)?;
+    let outcome = greedy_walk(&session, backend, &buffered, None)?;
     // The winner's plan is a cache hit; this only adds codegen.
     let out = session.compile(
         &spec_for(backend, &buffered, &outcome.choices),
@@ -1119,7 +1143,7 @@ mod tests {
             ];
             let spec = spec_for(backend(), &buffered, &choices);
             let plan = session.price(&spec, None).unwrap();
-            points.push(point_from(&plan, choices, false));
+            points.push(point_from(&plan, choices, None));
         }
         DseResult {
             buffered_stages: buffered,

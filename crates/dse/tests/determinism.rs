@@ -14,14 +14,18 @@
 //!   checks run directly on its plan, one session serves several
 //!   backends as fresh ones do, a violation keeps its cycle, and the
 //!   sweep's counts of distinct checks and of checks that needed the
-//!   row scanner repeat at any worker count.
+//!   row scanner repeat at any worker count;
+//! * every buffer's block counts served by a shared block-sweep memo equal
+//!   a fresh sweep's, at one and at three workers, and the memo's count of
+//!   distinct sweeps repeats at any worker count.
 
 use imagen_core::{CompileError, Session};
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_obs::{with_collector, Collector};
-use imagen_rtl::{report_resources, ScheduleActivity};
+use imagen_power::gating_plan;
+use imagen_rtl::{describe, report_resources, BlockSweepMemo, ScheduleActivity, Structure};
 use imagen_schedule::checker::{check_accesses, required_phys_rows};
 use imagen_schedule::{plan_design, resolve_entities, ScheduleOptions};
 use imagen_sim::Image;
@@ -225,7 +229,7 @@ fn measured_energy_matches_frame_measurement_on_corpus() {
             let spec = sweeps[0].spec_of(p, backend());
             let net = session.netlist(&spec, Some(p.design.style)).unwrap();
             assert!(
-                ScheduleActivity::derive(&net.structure, None).is_ok(),
+                ScheduleActivity::derive(&net.structure, None, None).is_ok(),
                 "{name} point {i}: priced from its schedule"
             );
             assert_eq!(
@@ -379,10 +383,10 @@ fn one_session_prices_both_backends_as_fresh_ones_do() {
     }
 }
 
-/// The number of distinct port checks a sweep runs, and of those that
-/// needed the row scanner, repeats at one and at three workers on the
-/// corpus, and Canny-m's 512-point sweep runs fewer checks than it has
-/// points.
+/// The number of distinct port checks a sweep runs, of those that needed
+/// the row scanner, and of distinct block sweeps its measurement ran,
+/// repeats at one and at three workers on the corpus, and Canny-m's
+/// 512-point sweep runs fewer checks than it has points.
 #[test]
 fn port_checks_repeat_at_any_worker_count() {
     for (name, dag) in corpus() {
@@ -396,6 +400,11 @@ fn port_checks_repeat_at_any_worker_count() {
             one.stats.port_scans, three.stats.port_scans,
             "{name}: port scans at 1 and 3 workers"
         );
+        assert!(one.stats.block_sweeps > 0, "{name}");
+        assert_eq!(
+            one.stats.block_sweeps, three.stats.block_sweeps,
+            "{name}: block sweeps at 1 and 3 workers"
+        );
         assert!(one.stats.port_scans <= one.stats.port_checks, "{name}");
         if name == "canny_m" {
             assert_eq!(one.points.len(), 512);
@@ -405,6 +414,66 @@ fn port_checks_repeat_at_any_worker_count() {
                 one.stats.port_checks
             );
         }
+    }
+}
+
+/// Every buffer of every point of Canny-m's and Harris-m's measured
+/// sweeps gets, through one block-sweep memo shared by one and then by
+/// three workers, the block counts a fresh sweep gives it: the derived
+/// traces, ungated and clock-gated, agree field for field. The memo ends
+/// with as many keys at either worker count as the sweep reported, far
+/// fewer than the points' buffers.
+#[test]
+fn memoized_block_sweeps_equal_fresh_ones() {
+    use imagen_algos::Algorithm;
+    for alg in [Algorithm::CannyM, Algorithm::HarrisM] {
+        let dag = alg.build();
+        let res = measured_sweep(&dag, 1);
+        let session = Session::new(&dag, geom());
+        let structures: Vec<Structure> = res
+            .points
+            .iter()
+            .map(|p| {
+                let spec = res.spec_of(p, backend());
+                let plan = session.price(&spec, Some(p.design.style)).unwrap();
+                describe(&plan.dag, &plan.design)
+            })
+            .collect();
+        let traces = |s: &Structure, memo: Option<&BlockSweepMemo>| {
+            let activity = ScheduleActivity::derive(s, None, memo).unwrap();
+            let gated = activity.trace_gated(&gating_plan(s)).unwrap();
+            format!("{:?}\n{gated:?}", activity.trace())
+        };
+        let fresh: Vec<String> = structures.iter().map(|s| traces(s, None)).collect();
+        let keys = [1, 3].map(|workers| {
+            let memo = BlockSweepMemo::new();
+            let chunk = structures.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                for (k, part) in structures.chunks(chunk).enumerate() {
+                    let (memo, fresh) = (&memo, &fresh[k * chunk..]);
+                    scope.spawn(move || {
+                        for (i, s) in part.iter().enumerate() {
+                            assert_eq!(
+                                traces(s, Some(memo)),
+                                fresh[i],
+                                "{} point {}, {workers} workers",
+                                alg.name(),
+                                k * chunk + i
+                            );
+                        }
+                    });
+                }
+            });
+            memo.len() as u64
+        });
+        let buffers: usize = structures.iter().map(|s| s.buffers.len()).sum();
+        assert_eq!(keys, [res.stats.block_sweeps; 2], "{}", alg.name());
+        assert!(
+            keys[0] * 8 < buffers as u64,
+            "{}: {} keys for {buffers} buffers",
+            alg.name(),
+            keys[0]
+        );
     }
 }
 

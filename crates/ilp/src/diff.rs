@@ -18,9 +18,10 @@
 //! `x_u − x_v >= k` is an uncapacitated arc `u → v` of cost `−k`, each
 //! lower bound `x_i >= l_i` an arc `i → z` of cost `−l_i` into a zero node
 //! `z`, and node `i` has net outflow `c_i`. [`DiffSystem::minimize`] solves
-//! that flow in `i64` and reads the primal optimum back off it.
+//! that flow by the network simplex in `i64` and reads the primal optimum
+//! back off it.
 
-use crate::flow::{Network, Overflow, UNCAPACITATED};
+use crate::network::Network;
 use std::fmt;
 
 /// Error returned when a difference system is infeasible.
@@ -69,12 +70,6 @@ impl std::error::Error for MinimizeError {}
 impl From<PositiveCycle> for MinimizeError {
     fn from(e: PositiveCycle) -> Self {
         MinimizeError::Infeasible(e)
-    }
-}
-
-impl From<Overflow> for MinimizeError {
-    fn from(_: Overflow) -> Self {
-        MinimizeError::Overflow
     }
 }
 
@@ -166,12 +161,22 @@ impl DiffSystem {
     ///
     /// Returns [`PositiveCycle`] if the system is infeasible.
     pub fn minimal_solution(&self) -> Result<Vec<i64>, PositiveCycle> {
-        let mut x = self.lower.clone();
-        // Longest-path fixpoint: at most n rounds of relaxation, one extra
-        // round to detect positive cycles.
+        self.raise(self.lower.clone(), &[])
+    }
+
+    /// Raises `x`, which must lie between the lower bounds and every
+    /// feasible point, to the componentwise-minimal feasible point of the
+    /// system with the constraints `extra` (in `(v, u, c)` edge form)
+    /// added: the longest-path fixpoint from `x`, in at most n rounds of
+    /// relaxation and one more to detect positive cycles.
+    fn raise(
+        &self,
+        mut x: Vec<i64>,
+        extra: &[(usize, usize, i64)],
+    ) -> Result<Vec<i64>, PositiveCycle> {
         for round in 0..=self.n {
             let mut changed = false;
-            for &(v, u, c) in &self.edges {
+            for &(v, u, c) in self.edges.iter().chain(extra) {
                 let cand = x[v].saturating_add(c);
                 if cand > x[u] {
                     x[u] = cand;
@@ -191,13 +196,14 @@ impl DiffSystem {
     /// Minimizes `Σ costs[i]·x_i` over the system and returns the
     /// componentwise-minimal optimal point.
     ///
-    /// The dual min-cost flow (see the module docs) is solved by
-    /// successive shortest paths, starting from potentials given by the
-    /// longest-path fixpoint of [`DiffSystem::minimal_solution`]. For that
-    /// optimal flow, the primal optima are exactly the feasible points
-    /// tight on every arc that carries flow (complementary slackness).
-    /// They form a difference system again, whose minimal solution is
-    /// returned: unique, and no later than any other optimal point.
+    /// The dual min-cost flow (see the module docs) is solved by the
+    /// network simplex, once the longest-path fixpoint of
+    /// [`DiffSystem::minimal_solution`] has shown the system feasible. For
+    /// an optimal flow, the primal optima are exactly the feasible points
+    /// tight on every arc that carries flow (complementary slackness), so
+    /// that face is the same for every optimal flow. It is a difference
+    /// system again, whose minimal solution is returned: unique, and no
+    /// later than any other optimal point.
     ///
     /// # Errors
     ///
@@ -228,8 +234,7 @@ impl DiffSystem {
     pub fn minimize(&self, costs: &[i64]) -> Result<DiffOptimum, MinimizeError> {
         assert_eq!(costs.len(), self.n, "one cost per variable");
         let x0 = self.minimal_solution()?;
-        let n = self.n;
-        let (z, s, t) = (n, n + 1, n + 2);
+        let z = self.n;
 
         // Node i has net outflow c_i and the zero node z takes up the rest.
         // z can only absorb flow (its arcs all point into it), so a
@@ -239,56 +244,40 @@ impl DiffSystem {
         let rest = costs
             .iter()
             .try_fold(0i64, |acc, &c| acc.checked_sub(c))
-            .ok_or(Overflow)?;
+            .ok_or(MinimizeError::Overflow)?;
         if rest > 0 {
             return Err(MinimizeError::Unbounded);
         }
-        let mut net = Network::with_arcs(self.edges.len() + 2 * n + 1);
-        let mut arcs = Vec::with_capacity(self.edges.len());
+        let mut net = Network::with_arcs(self.edges.len() + self.n);
         for &(v, u, c) in &self.edges {
-            let cost = c.checked_neg().ok_or(Overflow)?;
-            arcs.push(net.add_arc(u, v, UNCAPACITATED, cost)?);
+            net.add_arc(u, v, c.checked_neg().ok_or(MinimizeError::Overflow)?);
         }
         if rest < 0 {
             for (i, &lo) in self.lower.iter().enumerate() {
-                net.add_arc(i, z, UNCAPACITATED, -lo)?;
+                net.add_arc(i, z, -lo);
             }
         }
-        let mut supply = 0i64;
-        for (node, c) in costs.iter().copied().enumerate().chain([(z, rest)]) {
-            if c > 0 {
-                net.add_arc(s, node, c, 0)?;
-                supply = supply.checked_add(c).ok_or(Overflow)?;
-            } else if c < 0 {
-                net.add_arc(node, t, c.checked_neg().ok_or(Overflow)?, 0)?;
-            }
-        }
+        let supply: Vec<i64> = costs.iter().copied().chain([rest]).collect();
+        let flow = net.solve(&supply)?;
 
-        // x0 is primal feasible, so as potentials (z at 0, s above and t
-        // below every node) it prices every arc nonnegatively.
-        let top = x0.iter().copied().max().unwrap_or(0).max(0);
-        let mut pi = x0;
-        pi.extend([0, top, 0]);
-        if net.send(s, t, supply, &mut pi)? < supply {
-            return Err(MinimizeError::Unbounded);
-        }
-
-        let mut face = self.clone();
-        for (&(v, u, c), &e) in self.edges.iter().zip(&arcs) {
-            if net.flow(e) > 0 {
-                face.edges.push((u, v, -c));
-            }
-        }
-        // The face holds every optimum, so only saturated arithmetic in
-        // the fixpoint can make it look empty.
-        let x = face
-            .minimal_solution()
+        // The face: every arc that carries flow is tight. It holds every
+        // optimum, each above x0, so its fixpoint can start from x0, and
+        // only saturated arithmetic can make it look empty.
+        let tight: Vec<(usize, usize, i64)> = self
+            .edges
+            .iter()
+            .zip(&flow)
+            .filter(|&(_, &f)| f > 0)
+            .map(|(&(v, u, c), _)| (u, v, -c))
+            .collect();
+        let x = self
+            .raise(x0, &tight)
             .map_err(|_| MinimizeError::Overflow)?;
         let objective = x
             .iter()
             .zip(costs)
             .try_fold(0i64, |acc, (&xi, &c)| acc.checked_add(xi.checked_mul(c)?))
-            .ok_or(Overflow)?;
+            .ok_or(MinimizeError::Overflow)?;
         Ok(DiffOptimum { objective, x })
     }
 

@@ -11,11 +11,11 @@
 //! * [`DiffSystem`] — difference-constraint systems `x_u − x_v >= k`:
 //!   a longest-path fixpoint for feasibility and ASAP schedules, and
 //!   [`DiffSystem::minimize`], which solves a linear objective over the
-//!   system as an integer **min-cost flow** (successive shortest paths in
+//!   system as an integer **min-cost flow** (a primal network simplex in
 //!   checked `i64`). Every scheduling LP is such a system, so this is the
 //!   solver on the compile path;
-//! * [`stats`] — a process-wide count of solver pivots (augmenting
-//!   paths) for profilers.
+//! * [`stats`] — a process-wide count of solver pivots (network-simplex
+//!   basis exchanges) for profilers.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 //!
@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 
 mod diff;
-mod flow;
+mod network;
 pub mod stats;
 
 pub use diff::{DiffOptimum, DiffSystem, MinimizeError, PositiveCycle};

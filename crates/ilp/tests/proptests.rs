@@ -1,7 +1,7 @@
 //! Property-based cross-checks of the difference-constraint solvers
-//! (longest path and min-cost flow) against the exact rational simplex,
-//! a test-only oracle kept in this test tree (`simplex/mod.rs`), plus the
-//! oracle's own checks.
+//! (longest path and the network-simplex min-cost flow) against the exact
+//! rational simplex, a test-only oracle kept in this test tree
+//! (`simplex/mod.rs`), plus the oracle's own checks.
 
 mod simplex;
 
@@ -12,10 +12,18 @@ use simplex::{to_model, LinExpr, Model, Rational, Sense, SolveError};
 /// Variables in the random difference LPs.
 const LP_VARS: usize = 6;
 
-/// Weight of the objective in the lexicographic oracle `M·obj + Σx`:
-/// above `LP_VARS` times the largest vertex coordinate the generated
-/// systems can reach, so one unit of objective outweighs any `Σx`.
-const LEX_WEIGHT: i64 = 100_000;
+/// Weight of the objective in the lexicographic oracle `M·obj + Σx` for
+/// `sys`: above its variable count times the largest coordinate a vertex
+/// can reach, so one unit of objective outweighs any `Σx`. A vertex is
+/// fixed by a forest of tight constraints, each tree holding a tight
+/// lower bound, so no coordinate exceeds the largest lower bound plus
+/// every constraint's `|k|`.
+fn lex_weight(sys: &DiffSystem) -> i64 {
+    let (constraints, lower) = sys.constraints();
+    let reach =
+        lower.iter().copied().max().unwrap_or(0) + constraints.map(|c| c.2.abs()).sum::<i64>();
+    1 + sys.num_vars() as i64 * reach
+}
 
 /// Strategy: the edges of a random difference LP. Forward edges (higher
 /// index minus lower) carry gaps up to 60 and backward ones gaps of at
@@ -92,6 +100,129 @@ fn lp_pairs() -> impl Strategy<Value = Vec<(usize, usize, i64, i64)>> {
     })
 }
 
+/// Variables in the large random difference LPs: 8 to this many.
+const BIG_VARS: usize = 24;
+
+/// Checks `sys.minimize(costs)` against the simplex: the same status, the
+/// same optimal objective, a feasible point, and that point the
+/// componentwise minimum of the optimal face — the unique optimum of the
+/// lexicographic objective `M·obj + Σx`.
+fn agrees_with_oracle(sys: &DiffSystem, costs: &[i64]) -> Result<(), TestCaseError> {
+    let (model, _) = to_model(sys, "prop", costs);
+    match (sys.minimize(costs), model.solve_lp()) {
+        (Ok(opt), Ok(sol)) => {
+            prop_assert_eq!(Rational::from(opt.objective), sol.objective_value());
+            prop_assert!(sys.is_feasible(&opt.x));
+            let lex_costs: Vec<i64> = costs.iter().map(|c| c * lex_weight(sys) + 1).collect();
+            let (lex, vars) = to_model(sys, "lex", &lex_costs);
+            let lex = lex.solve_lp().expect("bounded whenever obj is");
+            let lex_x: Vec<i64> = vars.iter().map(|&v| lex.int_value(v)).collect();
+            prop_assert_eq!(opt.x, lex_x);
+        }
+        (Err(MinimizeError::Infeasible(_)), Err(SolveError::Infeasible))
+        | (Err(MinimizeError::Unbounded), Err(SolveError::Unbounded)) => {}
+        (flow, simplex) => {
+            return Err(TestCaseError::fail(format!(
+                "solvers disagree: flow={flow:?} simplex={simplex:?}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A large random difference LP over `n` of [`BIG_VARS`] variables, with
+/// about four arcs per variable, built around a planted point `plant`:
+/// each arc `x_u − x_v >= plant_u − plant_v − slack` holds at the plant,
+/// and is tight there when its slack is zero, so cycles of tight arcs are
+/// zero-gap cycles that force equalities. One arc in 255 is wild: its gap
+/// exceeds the plant's difference, which can close a positive cycle. The
+/// cost pairs are the scheduler's weighted `x_a − x_b`, each held below by
+/// an arc of its own; `cycle` is one explicit tight cycle, and `lower`
+/// raises lower bounds. Indices are drawn below [`BIG_VARS`] and folded
+/// below `n`.
+#[derive(Clone, Debug)]
+struct BigLp {
+    n: usize,
+    plant: Vec<i64>,
+    edges: Vec<(usize, usize, i64, u8)>,
+    pairs: Vec<(usize, usize, i64, i64)>,
+    cycle: Vec<usize>,
+    lower: Vec<(usize, i64)>,
+    drift: (usize, i64),
+}
+
+impl BigLp {
+    /// The system and the objective. With a `gap`, every arc has that gap
+    /// and the cycle is left out.
+    fn build(&self, gap: Option<i64>) -> (DiffSystem, Vec<i64>) {
+        let n = self.n;
+        let plant = |u: usize, v: usize| self.plant[u] - self.plant[v];
+        let mut sys = DiffSystem::new(n);
+        for &(u, v, slack, wild) in self.edges.iter().take(4 * n) {
+            let (u, v) = (u % n, v % n);
+            if u == v {
+                continue;
+            }
+            // Two arcs in three are tight at the plant.
+            let slack = if slack < 20 { 0 } else { slack - 20 };
+            let k = match gap {
+                Some(g) => g,
+                None if wild == 0 => plant(u, v) + 1 + slack,
+                None => plant(u, v) - slack,
+            };
+            sys.add_ge(u, v, k);
+        }
+        let mut costs = vec![0i64; n];
+        for &(a, b, w, slack) in &self.pairs {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                sys.add_ge(a, b, gap.unwrap_or(plant(a, b) - slack));
+                costs[a] += w;
+                costs[b] -= w;
+            }
+        }
+        let mut cycle: Vec<usize> = self.cycle.iter().map(|&u| u % n).collect();
+        cycle.dedup();
+        if gap.is_none() && cycle.len() > 1 && cycle[0] != cycle[cycle.len() - 1] {
+            for (i, &u) in cycle.iter().enumerate() {
+                let next = cycle[(i + 1) % cycle.len()];
+                sys.add_ge(next, u, plant(next, u));
+            }
+        }
+        for &(i, b) in &self.lower {
+            sys.set_lower(i % n, b);
+        }
+        costs[self.drift.0 % n] += self.drift.1;
+        (sys, costs)
+    }
+}
+
+/// Strategy: a [`BigLp`].
+fn big_lp() -> impl Strategy<Value = BigLp> {
+    let edge = (0..BIG_VARS, 0..BIG_VARS, 0i64..30, 0u8..255);
+    let pair = (0..BIG_VARS, 0..BIG_VARS, 1i64..4, 0i64..10);
+    (
+        (
+            8..BIG_VARS + 1,
+            proptest::collection::vec(0i64..200, BIG_VARS..BIG_VARS + 1),
+        ),
+        proptest::collection::vec(edge, 0..4 * BIG_VARS + 1),
+        proptest::collection::vec(pair, 0..8),
+        proptest::collection::vec(0..BIG_VARS, 0..6),
+        proptest::collection::vec((0..BIG_VARS, 0i64..250), 0..6),
+        (0..BIG_VARS, -1i64..4),
+    )
+        .prop_map(|((n, plant), edges, pairs, cycle, lower, drift)| BigLp {
+            n,
+            plant,
+            edges,
+            pairs,
+            cycle,
+            lower,
+            drift,
+        })
+}
+
 /// Strategy: a random difference system over `n` variables, biased toward
 /// feasible DAG-like systems (edges from lower to higher index).
 fn diff_system(n: usize) -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
@@ -150,7 +281,7 @@ proptest! {
         }
     }
 
-    /// The min-cost-flow solver agrees with the simplex on status and
+    /// The network simplex agrees with the rational simplex on status and
     /// objective, returns a feasible point, and that point is the
     /// componentwise minimum of the optimal face: the unique optimum of
     /// the lexicographic objective `M·obj + Σx`.
@@ -163,26 +294,7 @@ proptest! {
         drift in (0..LP_VARS, -1i64..4),
     ) {
         let sys = lp_system(&edges, &pairs, &ties, &lower);
-        let costs = lp_costs(&pairs, drift);
-        let (model, _) = to_model(&sys, "prop", &costs);
-        match (sys.minimize(&costs), model.solve_lp()) {
-            (Ok(opt), Ok(sol)) => {
-                prop_assert_eq!(Rational::from(opt.objective), sol.objective_value());
-                prop_assert!(sys.is_feasible(&opt.x));
-                let lex_costs: Vec<i64> = costs.iter().map(|c| c * LEX_WEIGHT + 1).collect();
-                let (lex, vars) = to_model(&sys, "lex", &lex_costs);
-                let lex = lex.solve_lp().expect("bounded whenever obj is");
-                let lex_x: Vec<i64> = vars.iter().map(|&v| lex.int_value(v)).collect();
-                prop_assert_eq!(opt.x, lex_x);
-            }
-            (Err(MinimizeError::Infeasible(_)), Err(SolveError::Infeasible))
-            | (Err(MinimizeError::Unbounded), Err(SolveError::Unbounded)) => {}
-            (flow, simplex) => {
-                return Err(TestCaseError::fail(format!(
-                    "solvers disagree: flow={flow:?} simplex={simplex:?}"
-                )));
-            }
-        }
+        agrees_with_oracle(&sys, &lp_costs(&pairs, drift))?;
     }
 
     /// Rational arithmetic is a field on small values.
@@ -247,6 +359,68 @@ proptest! {
         if a.is_negative() {
             prop_assert!(a < Rational::ZERO);
         }
+    }
+
+    /// The same agreement on systems of up to 24 variables with about
+    /// four arcs per variable, zero-gap cycles and raised lower bounds.
+    #[test]
+    fn large_minimize_matches_simplex(lp in big_lp()) {
+        let (sys, costs) = lp.build(None);
+        agrees_with_oracle(&sys, &costs)?;
+    }
+
+    /// Every arc with the same gap: zero gaps tie every path, so nearly
+    /// every pivot is degenerate; the solve must still terminate at the
+    /// oracle's optimum. (A positive common gap makes any cycle
+    /// infeasible.)
+    #[test]
+    fn equal_gaps_terminate(lp in big_lp(), gap in -2i64..2) {
+        let (sys, costs) = lp.build(Some(gap));
+        agrees_with_oracle(&sys, &costs)?;
+    }
+
+    /// A variable with a positive cost that no constraint holds from
+    /// below, beside one variable of negative cost and no net cost: its
+    /// supply has no arc to leave by, and every other variable can rise
+    /// without end. A feasible system is unbounded, whatever else it
+    /// holds.
+    #[test]
+    fn supply_without_a_route_is_unbounded(lp in big_lp(), pick in (0..BIG_VARS, 1..BIG_VARS)) {
+        let (full, _) = lp.build(None);
+        let a = pick.0 % lp.n;
+        let b = (a + 1 + pick.1 % (lp.n - 1)) % lp.n;
+        let (constraints, lower) = full.constraints();
+        let mut sys = DiffSystem::new(lp.n);
+        for (u, v, k) in constraints.filter(|&(u, _, _)| u != a) {
+            sys.add_ge(u, v, k);
+        }
+        for (i, &lo) in lower.iter().enumerate() {
+            sys.set_lower(i, lo);
+        }
+        let mut costs = vec![0i64; lp.n];
+        costs[a] = 2;
+        costs[b] = -2;
+        match sys.minimize(&costs) {
+            Err(MinimizeError::Unbounded) | Err(MinimizeError::Infeasible(_)) => {}
+            other => return Err(TestCaseError::fail(format!("routed the supply: {other:?}"))),
+        }
+        agrees_with_oracle(&sys, &costs)?;
+    }
+
+    /// A positive cycle makes the system infeasible, and that is the error
+    /// whatever the objective, unbounded ones included: infeasibility wins.
+    #[test]
+    fn infeasible_wins_over_unbounded(lp in big_lp(), gaps in (1i64..5, -3i64..3), drift in -3i64..0) {
+        let (mut sys, mut costs) = lp.build(None);
+        let (u, v) = (0, lp.n - 1);
+        sys.add_ge(v, u, gaps.0 + gaps.1.max(0));
+        sys.add_ge(u, v, -gaps.1.max(0));
+        costs[u] += drift;
+        prop_assert_eq!(
+            sys.minimize(&costs),
+            Err(MinimizeError::Infeasible(imagen_ilp::PositiveCycle))
+        );
+        agrees_with_oracle(&sys, &costs)?;
     }
 }
 

@@ -1,8 +1,9 @@
-//! The exact rational simplex: a test-only oracle for the flow solver.
+//! The exact rational simplex: a test-only oracle for the network simplex.
 //!
 //! `imagen_ilp` ships one LP solver, [`DiffSystem::minimize`], an integer
-//! min-cost flow on the dual of a difference LP. This module keeps the
-//! general machinery it replaced, as an independent reference: a
+//! network simplex on the min-cost-flow dual of a difference LP. This
+//! module keeps the general machinery it replaced, as an independent
+//! reference: a
 //! mixed-integer [`Model`] builder with [`LinExpr`] expressions, exact
 //! [`Rational`] arithmetic on `i128`, and a two-phase primal simplex
 //! ([`Model::solve_lp`]). [`to_model`] states a [`DiffSystem`] LP as a

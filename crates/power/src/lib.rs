@@ -60,8 +60,8 @@ pub use gate::{gate_clocks, gating_plan};
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
-    build_netlist, interpret_with_trace, BitWidths, InterpError, InterpReport, Netlist,
-    ScheduleActivity, Structure,
+    build_netlist, interpret_with_trace, BitWidths, BlockSweepMemo, InterpError, InterpReport,
+    Netlist, ScheduleActivity, Structure,
 };
 use imagen_sim::Image;
 
@@ -149,10 +149,11 @@ pub struct SchedulePower {
 /// `widths`, from the structure alone: no netlist, no gated copy and no
 /// frame. One [`ScheduleActivity`] supplies both traces, which share its
 /// block counts and differ only in the read-port closed forms of the
-/// [`gating_plan`]. The reports are bit-identical to
-/// [`measure_netlist`]'s on the design's netlist at `widths`, whose
-/// traces carry the same counts and whose toggle fields [`measure`]
-/// never reads.
+/// [`gating_plan`]. Each line buffer's block sweep comes from `memo` when
+/// it holds the buffer's inputs ([`ScheduleActivity::derive`]). The
+/// reports are bit-identical to [`measure_netlist`]'s on the design's
+/// netlist at `widths`, whose traces carry the same counts and whose
+/// toggle fields [`measure`] never reads.
 ///
 /// # Errors
 ///
@@ -171,8 +172,9 @@ pub fn measure_schedule(
     structure: &Structure,
     widths: &BitWidths,
     design: &Design,
+    memo: Option<&BlockSweepMemo>,
 ) -> Result<SchedulePower, InterpError> {
-    let activity = ScheduleActivity::derive(structure, None)?;
+    let activity = ScheduleActivity::derive(structure, None, memo)?;
     let gated = activity
         .trace_gated(&gating_plan(structure))
         .unwrap_or_else(|gap| panic!("clock gating would change the outputs: {gap}"));
@@ -315,7 +317,7 @@ mod tests {
         );
         // The frame-free path refuses the same plan before pricing it.
         let narrowed = gated.gating.as_ref().unwrap();
-        let gap = ScheduleActivity::derive(&net.structure, None)
+        let gap = ScheduleActivity::derive(&net.structure, None, None)
             .unwrap()
             .trace_gated(narrowed)
             .unwrap_err();
@@ -323,7 +325,7 @@ mod tests {
         assert!(gap.window.1 > gap.gate.1, "the window outlives the gate");
         // So does a gated netlist carrying it: its block counts are not
         // the ungated ones.
-        let own = ScheduleActivity::derive(&gated.structure, gated.gating.as_ref()).unwrap();
+        let own = ScheduleActivity::derive(&gated.structure, gated.gating.as_ref(), None).unwrap();
         assert!(own.trace_gated(&gating_plan(&net.structure)).is_err());
     }
 
@@ -370,7 +372,7 @@ mod tests {
             .unwrap();
             let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
             let framed = measure_netlist(&net, &p.design, &[frame(7)]).unwrap();
-            let priced = measure_schedule(&net.structure, &net.widths, &p.design).unwrap();
+            let priced = measure_schedule(&net.structure, &net.widths, &p.design, None).unwrap();
             assert_identical(alg.name(), &priced.ungated, &framed.ungated);
             assert_identical(alg.name(), &priced.gated, &framed.gated);
             assert_eq!(priced.gated.gated_off_cycles, framed.gated_off_cycles());

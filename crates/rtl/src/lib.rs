@@ -42,7 +42,9 @@
 //!   a gating plan, without running a frame — every count the schedule
 //!   fixes, with the two data toggles left at zero — for every design
 //!   the executor accepts, pyramids included, and re-derives it under
-//!   another gating plan that covers every consumer window;
+//!   another gating plan that covers every consumer window. A
+//!   [`BlockSweepMemo`] shared across designs sweeps each distinct line
+//!   buffer once;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
 //!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]
@@ -71,7 +73,7 @@ pub use netlist::{
     build_netlist, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item, LineBufPayload,
     Module, ModuleKind, Net, Netlist, StagePayload,
 };
-pub use program::{EvalProgram, GateGap, ScheduleActivity};
+pub use program::{BlockSweepMemo, EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, ResourceReport};
 pub use structure::{describe, sra_cells, sra_columns, NetBuffer, NetEdge, NetStage, Structure};
 pub use verify::{verify_all, RtlError, RtlReport, RtlSummary};

@@ -83,6 +83,7 @@ use imagen_ir::{BinOp, CmpOp, Expr};
 use imagen_sim::Image;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Column-tile width of the vectorized tape evaluator: one bytecode
 /// dispatch covers this many raster columns, and the per-op inner loops
@@ -620,15 +621,94 @@ struct BufMeta {
     seg_cuts: Vec<u64>,
 }
 
-/// Per-block SRAM access counters of every buffer, from the block sweep.
-#[derive(Clone, Debug)]
-struct BlockCounts {
-    reads: Vec<Vec<u64>>,
-    writes: Vec<Vec<u64>>,
-    peaks: Vec<Vec<u32>>,
+/// Per-block SRAM access counters of one buffer, from its block sweep.
+#[derive(Debug)]
+struct BufferCounts {
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+    peaks: Vec<u32>,
     /// Cycles in which some consumer edge loads from the buffer (the
     /// read port's busy cycles).
-    loading: Vec<u64>,
+    loading: u64,
+}
+
+impl BufferCounts {
+    fn zeroed(blocks: usize) -> BufferCounts {
+        BufferCounts {
+            reads: vec![0; blocks],
+            writes: vec![0; blocks],
+            peaks: vec![0; blocks],
+            loading: 0,
+        }
+    }
+}
+
+/// Everything [`Layout::sweep`] reads for one buffer, as words, with
+/// every start and gate taken relative to the writer's start. The sweep
+/// depends on cycles only through their differences, so two buffers with
+/// equal keys have equal counts. In order: the frame (`w`, `h`, pixels,
+/// pixel bits); the [`NetBuffer`] fields the sweep and
+/// [`NetBuffer::block_of`] read (row width, physical rows and blocks,
+/// rows per block, blocks per row, block capacity); the producer's scale;
+/// then per reader edge its start, row step, lag, height and gate
+/// (`0, 0, 0` ungated, else `1` and its ends). Starts and gates are
+/// wrapping differences from the writer's start: for a fixed writer that
+/// map is one-to-one, so equal keys mean equal relative inputs. Words
+/// keep a lookup free of allocation: it borrows the key as a slice.
+type SweepKey = Box<[u64]>;
+
+/// Block sweeps shared across designs: each distinct buffer is swept
+/// once.
+///
+/// A buffer's per-block counts are a function of the frame, the buffer's
+/// layout fields, its producer's scale and its reader edges, with every
+/// start and gate taken relative to the writer's start.
+/// Across a design-space sweep most points share most buffers, so
+/// [`ScheduleActivity::derive`] looks each buffer up here and sweeps only
+/// keys it has not met: Canny-m's 512 points at 32×24 hold 4,608 buffer
+/// sweeps and 12 keys. The first lookup of a key sweeps outside the map's
+/// lock, and lookups that race it wait for its result instead of sweeping
+/// again, so the memo's entries, and what it hands out, do not depend on
+/// how many threads share it.
+///
+/// The memo has no cap: it holds at most one entry per buffer of the
+/// designs its owner derives, and a DSE sweep, which owns one, already
+/// holds every such design.
+#[derive(Default, Debug)]
+pub struct BlockSweepMemo {
+    sweeps: Mutex<HashMap<SweepKey, Arc<OnceLock<Arc<BufferCounts>>>>>,
+}
+
+impl BlockSweepMemo {
+    /// An empty memo.
+    pub fn new() -> BlockSweepMemo {
+        BlockSweepMemo::default()
+    }
+
+    /// Distinct buffer sweeps looked up so far: the number of keys. It
+    /// depends only on the designs derived, not on their order or on the
+    /// number of threads.
+    pub fn len(&self) -> usize {
+        self.sweeps.lock().expect("block-sweep memo poisoned").len()
+    }
+
+    /// Whether no buffer has been looked up yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The counts of `key`: memoized, or swept by `sweep` on the first
+    /// lookup while racing lookups wait.
+    fn counts(&self, key: &[u64], sweep: impl FnOnce() -> BufferCounts) -> Arc<BufferCounts> {
+        let slot = {
+            let mut sweeps = self.sweeps.lock().expect("block-sweep memo poisoned");
+            match sweeps.get(key) {
+                Some(slot) => Arc::clone(slot),
+                None => Arc::clone(sweeps.entry(key.into()).or_default()),
+            }
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(sweep())))
+    }
 }
 
 /// Extent of one stage's dense frame image: the stage's own `W/cx ×
@@ -986,24 +1066,41 @@ impl Layout {
     /// two consumers run phase-aligned (start cycles congruent mod `w`);
     /// each class sorts and dedups its `(column, row)` loads before
     /// attributing them to blocks.
-    fn block_counts(&self) -> BlockCounts {
-        let zeroed = || -> Vec<Vec<u64>> {
-            self.buffers
-                .iter()
-                .map(|b| vec![0; b.nb.phys_blocks])
-                .collect()
+    ///
+    /// With a `memo`, each buffer is swept only if its [`SweepKey`] is new
+    /// to it; without one, every buffer is swept.
+    fn block_counts(&self, memo: Option<&BlockSweepMemo>) -> Vec<Arc<BufferCounts>> {
+        let sweep = |bi: usize, rd: &[ReaderEdge]| {
+            let meta = &self.buffers[bi];
+            // At unit stride every participant acts on every cycle of its
+            // live rows, and the stride arithmetic compiles away.
+            if self.scale_of[meta.nb.stage] == (1, 1) && rd.iter().all(|r| r.1 == 1) {
+                self.sweep::<true>(bi, rd)
+            } else {
+                self.sweep::<false>(bi, rd)
+            }
         };
-        let mut counts = BlockCounts {
-            reads: zeroed(),
-            writes: zeroed(),
-            peaks: self
-                .buffers
-                .iter()
-                .map(|b| vec![0u32; b.nb.phys_blocks])
-                .collect(),
-            loading: vec![0; self.buffers.len()],
-        };
+        let mut key: Vec<u64> = Vec::new();
+        self.buffers
+            .iter()
+            .zip(&self.readers())
+            .enumerate()
+            .map(|(bi, (meta, rd))| {
+                let nb = &meta.nb;
+                if nb.phys_blocks == 0 || nb.fifo {
+                    return Arc::new(BufferCounts::zeroed(nb.phys_blocks));
+                }
+                let Some(memo) = memo else {
+                    return Arc::new(sweep(bi, rd));
+                };
+                self.sweep_key(bi, rd, &mut key);
+                memo.counts(&key, || sweep(bi, rd))
+            })
+            .collect()
+    }
 
+    /// The consumer edges reading each buffer, in sweep order.
+    fn readers(&self) -> Vec<Vec<ReaderEdge>> {
         let mut readers: Vec<Vec<ReaderEdge>> = vec![Vec::new(); self.buffers.len()];
         for st in &self.stages {
             let ccy = self.scale_of[st.stage].1;
@@ -1011,26 +1108,40 @@ impl Layout {
                 readers[ep.buf].push((st.start, ccy, ep.lag as u64, ep.height as u64, ep.gate));
             }
         }
+        readers
+    }
 
-        for (bi, meta) in self.buffers.iter().enumerate() {
-            if meta.nb.phys_blocks == 0 || meta.nb.fifo {
-                continue;
-            }
-            let rd = &readers[bi];
-            // At unit stride every participant acts on every cycle of its
-            // live rows, and the stride arithmetic compiles away.
-            if self.scale_of[meta.nb.stage] == (1, 1) && rd.iter().all(|r| r.1 == 1) {
-                self.sweep::<true>(bi, rd, &mut counts);
-            } else {
-                self.sweep::<false>(bi, rd, &mut counts);
-            }
+    /// Writes the [`SweepKey`] words of buffer `bi` read by `rd` into `key`.
+    fn sweep_key(&self, bi: usize, rd: &[ReaderEdge], key: &mut Vec<u64>) {
+        let nb = &self.buffers[bi].nb;
+        let ws = self.start_of[nb.stage];
+        let (pcx, pcy) = self.scale_of[nb.stage];
+        key.clear();
+        key.extend([
+            self.w as u64,
+            self.h as u64,
+            self.frame,
+            self.geom_pixel_bits.into(),
+            nb.width.into(),
+            nb.phys_rows.into(),
+            nb.phys_blocks as u64,
+            nb.rows_per_block.into(),
+            nb.blocks_per_row.into(),
+            nb.block_capacity_bits,
+            pcx,
+            pcy,
+        ]);
+        let relative = |t: u64| t.wrapping_sub(ws);
+        for &(rs, ccy, lag, height, gate) in rd {
+            let (gated, gs, ge) =
+                gate.map_or((0, 0, 0), |(gs, ge)| (1, relative(gs), relative(ge)));
+            key.extend([relative(rs), ccy, lag, height, gated, gs, ge]);
         }
-        counts
     }
 
     /// The block sweep of buffer `bi` read by `rd` (see
-    /// [`Layout::block_counts`]), accumulated into `counts`. `UNIT`
-    /// promises that every participant's strides are 1.
+    /// [`Layout::block_counts`]). `UNIT` promises that every
+    /// participant's strides are 1.
     ///
     /// Between the buffer's last activation (a participant starts or a
     /// gate opens) and its first deactivation (a participant stops, a
@@ -1043,7 +1154,7 @@ impl Layout {
     /// counts it once per whole period (peaks repeat), and resumes after
     /// the last. Its work is the pipeline's depth in rows plus `P`, not
     /// the frame's height.
-    fn sweep<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge], counts: &mut BlockCounts) {
+    fn sweep<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge]) -> BufferCounts {
         let w = self.w as u64;
         let frame = self.frame;
         let meta = &self.buffers[bi];
@@ -1111,9 +1222,7 @@ impl Layout {
             Some((y, x))
         };
 
-        let reads = &mut counts.reads[bi];
-        let writes = &mut counts.writes[bi];
-        let peaks = &mut counts.peaks[bi];
+        let mut counts = BufferCounts::zeroed(nb.phys_blocks);
         let mut loading = 0u64;
         for (lo, hi, times) in segments {
             let mut t = lo;
@@ -1185,9 +1294,9 @@ impl Layout {
                         }
                     }
                     for &b in &touched {
-                        reads[b] += rcnt[b] as u64 * cycles;
-                        writes[b] += wcnt[b] as u64 * cycles;
-                        peaks[b] = peaks[b].max(rcnt[b] + wcnt[b]);
+                        counts.reads[b] += rcnt[b] as u64 * cycles;
+                        counts.writes[b] += wcnt[b] as u64 * cycles;
+                        counts.peaks[b] = counts.peaks[b].max(rcnt[b] + wcnt[b]);
                         rcnt[b] = 0;
                         wcnt[b] = 0;
                     }
@@ -1196,7 +1305,8 @@ impl Layout {
                 t = se;
             }
         }
-        counts.loading[bi] = loading;
+        counts.loading = loading;
+        counts
     }
 
     /// The [`ActivityTrace`] of `blocks` with the read ports gated by
@@ -1205,7 +1315,7 @@ impl Layout {
     /// `blocks` must come from a sweep whose gates zero exactly the loads
     /// `gates` zeroes (the same gates, or two plans that both cover every
     /// consumer window and so zero none).
-    fn trace(&self, blocks: &BlockCounts, gates: &[Option<(u64, u64)>]) -> ActivityTrace {
+    fn trace(&self, blocks: &[Arc<BufferCounts>], gates: &[Option<(u64, u64)>]) -> ActivityTrace {
         let (w, h) = (self.w as u64, self.h as u64);
         let mut trace = ActivityTrace {
             run_cycles: self.end,
@@ -1214,13 +1324,13 @@ impl Layout {
             stages: vec![Default::default(); self.n_net_stages],
             sras: vec![Default::default(); self.n_net_edges],
         };
-        for (bi, (meta, &gate)) in self.buffers.iter().zip(gates).enumerate() {
+        for ((meta, &gate), counts) in self.buffers.iter().zip(gates).zip(blocks) {
             let nb = &meta.nb;
             let mut b = BufferActivity {
                 stage: nb.stage,
-                block_reads: blocks.reads[bi].clone(),
-                block_writes: blocks.writes[bi].clone(),
-                block_peaks: blocks.peaks[bi].clone(),
+                block_reads: counts.reads.clone(),
+                block_writes: counts.writes.clone(),
+                block_peaks: counts.peaks.clone(),
                 read_enabled_cycles: 0,
                 idle_read_cycles: 0,
                 gated_off_cycles: gated_off(gate, self.end),
@@ -1239,7 +1349,7 @@ impl Layout {
                 // The port is enabled whenever the gate is open and idle
                 // when no consumer loads.
                 b.read_enabled_cycles = self.end - b.gated_off_cycles;
-                b.idle_read_cycles = b.read_enabled_cycles - blocks.loading[bi];
+                b.idle_read_cycles = b.read_enabled_cycles - counts.loading;
             }
             trace.buffers.push(b);
         }
@@ -1309,13 +1419,16 @@ impl std::error::Error for GateGap {}
 #[derive(Clone, Debug)]
 pub struct ScheduleActivity {
     layout: Layout,
-    blocks: BlockCounts,
+    blocks: Vec<Arc<BufferCounts>>,
 }
 
 impl ScheduleActivity {
     /// Derives the schedule-determined activity of `structure` with its
     /// read ports gated by `gating` (`None`: ungated; a netlist's own is
-    /// `net.gating.as_ref()`).
+    /// `net.gating.as_ref()`). Each line buffer's block sweep comes from
+    /// `memo` when it holds the buffer's inputs, and is stored there
+    /// otherwise; without a memo every buffer is swept. The streaming
+    /// margins are proved either way.
     ///
     /// # Errors
     ///
@@ -1325,9 +1438,10 @@ impl ScheduleActivity {
     pub fn derive(
         structure: &Structure,
         gating: Option<&GatingPlan>,
+        memo: Option<&BlockSweepMemo>,
     ) -> Result<ScheduleActivity, InterpError> {
         let layout = Layout::new(structure, gating)?;
-        let blocks = layout.block_counts();
+        let blocks = layout.block_counts(memo);
         Ok(ScheduleActivity { layout, blocks })
     }
 
@@ -1479,7 +1593,7 @@ impl EvalProgram {
         self.check_inputs(inputs)?;
         let images = self.frame(inputs);
         let l = &self.layout;
-        let mut trace = l.trace(&l.block_counts(), &l.gates);
+        let mut trace = l.trace(&l.block_counts(None), &l.gates);
         for st in &l.stages {
             if st.has_module {
                 trace.stages[st.stage].out_reg_toggles =
@@ -1749,4 +1863,89 @@ fn toggles(old: i64, new: i64, bits: u32) -> u64 {
         (1u64 << bits) - 1
     };
     (((old ^ new) as u64) & mask).count_ones() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
+    use imagen_schedule::{plan_design, ScheduleOptions};
+
+    /// A buffer's sweep key moves with every input the block sweep reads,
+    /// so the memo cannot hand one buffer another's counts, and stays put
+    /// when the writer and every reader start one cycle later, which the
+    /// sweep cannot see.
+    #[test]
+    fn sweep_keys_separate_every_input() {
+        let dag = imagen_algos::Algorithm::CannyM.build();
+        let geom = ImageGeometry {
+            width: 64,
+            height: 48,
+            pixel_bits: 16,
+        };
+        let spec = MemorySpec::new(MemBackend::Asic { block_bits: 2048 }, 2);
+        let plan = plan_design(
+            &dag,
+            &geom,
+            &spec,
+            ScheduleOptions::default(),
+            DesignStyle::Ours,
+        )
+        .unwrap();
+        let layout = Layout::new(&crate::describe(&plan.dag, &plan.design), None).unwrap();
+        let readers = layout.readers();
+        let bi = (0..layout.buffers.len())
+            .find(|&b| layout.buffers[b].nb.phys_blocks > 0 && !readers[b].is_empty())
+            .expect("a swept buffer");
+        let stage = layout.buffers[bi].nb.stage;
+        let key = |l: &Layout, rd: &[ReaderEdge]| {
+            let mut k = Vec::new();
+            l.sweep_key(bi, rd, &mut k);
+            k
+        };
+        let base = key(&layout, &readers[bi]);
+
+        let reader_moves: [fn(&mut ReaderEdge); 6] = [
+            |r| r.0 += 1,
+            |r| r.1 += 1,
+            |r| r.2 += 1,
+            |r| r.3 += 1,
+            |r| r.4 = Some((r.0, r.0 + 1)),
+            |r| r.4 = Some((0, 0)),
+        ];
+        for (i, m) in reader_moves.iter().enumerate() {
+            let mut rd = readers[bi].clone();
+            m(&mut rd[0]);
+            assert_ne!(key(&layout, &rd), base, "reader input {i}");
+        }
+        let layout_moves: [fn(&mut Layout, usize); 12] = [
+            |l, _| l.w += 1,
+            |l, _| l.h += 1,
+            |l, _| l.frame += 1,
+            |l, _| l.geom_pixel_bits += 1,
+            |l, b| l.buffers[b].nb.width += 1,
+            |l, b| l.buffers[b].nb.phys_rows += 1,
+            |l, b| l.buffers[b].nb.phys_blocks += 1,
+            |l, b| l.buffers[b].nb.rows_per_block += 1,
+            |l, b| l.buffers[b].nb.blocks_per_row += 1,
+            |l, b| l.buffers[b].nb.block_capacity_bits += 1,
+            |l, b| l.scale_of[l.buffers[b].nb.stage].0 += 1,
+            |l, b| l.scale_of[l.buffers[b].nb.stage].1 += 1,
+        ];
+        for (i, m) in layout_moves.iter().enumerate() {
+            let mut l = layout.clone();
+            m(&mut l, bi);
+            assert_ne!(key(&l, &readers[bi]), base, "layout input {i}");
+        }
+
+        let mut later = layout.clone();
+        later.start_of[stage] += 1;
+        let rd: Vec<ReaderEdge> = readers[bi]
+            .iter()
+            .map(|&(rs, ccy, lag, h, gate)| {
+                (rs + 1, ccy, lag, h, gate.map(|(s, e)| (s + 1, e + 1)))
+            })
+            .collect();
+        assert_eq!(key(&later, &rd), base);
+    }
 }

@@ -135,7 +135,7 @@ fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     // Tracing must not perturb results either.
     assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
 
-    let activity = ScheduleActivity::derive(&net.structure, net.gating.as_ref())
+    let activity = ScheduleActivity::derive(&net.structure, net.gating.as_ref(), None)
         .unwrap_or_else(|e| panic!("{tag}: {e}"));
     assert_trace_eq(
         &format!("{tag} schedule"),
@@ -327,7 +327,7 @@ fn schedule_activity_matches_traced_run_across_backends() {
                 let gated = gate_clocks(&net);
                 differential(&format!("{tag} gated"), &gated, &inputs);
 
-                let activity = ScheduleActivity::derive(&net.structure, None).unwrap();
+                let activity = ScheduleActivity::derive(&net.structure, None, None).unwrap();
                 let (_, gated_tr) = interpret_with_trace(&gated, &inputs).unwrap();
                 let plan = gating_plan(&net.structure);
                 assert_trace_eq(
@@ -390,7 +390,7 @@ fn unstreamable_schedules_are_refused() {
     assert_eq!(interpret(&net, &inputs).unwrap_err(), refused);
     assert_eq!(interpret_with_trace(&net, &inputs).unwrap_err(), refused);
     assert_eq!(
-        ScheduleActivity::derive(&net.structure, None).unwrap_err(),
+        ScheduleActivity::derive(&net.structure, None, None).unwrap_err(),
         refused
     );
 }

@@ -50,7 +50,7 @@
 //! the writer by construction, and each reader because its SRA base row is
 //! `r0 = ⌊y_b / pcy⌋ = ⌊(t − S_c) / P_p⌋`. So the entire formulation above
 //! holds verbatim with `W` replaced by the buffer's row period `P_p`, the
-//! constraints stay linear [`DiffGe`]s, and the flow solver is untouched.
+//! constraints stay linear [`DiffGe`]s, and the solver is untouched.
 //! Rate-1 pipelines have `P_p = W` everywhere and produce bit-identical
 //! constraint systems.
 

@@ -9,8 +9,8 @@
 //!   difference constraints (Equ. 8–12), exact away from the bottom edge;
 //!   Sec. 5.4 constraint pruning over the DAG's partial order.
 //! * [`solve_schedule`] — the ILP (Sec. 5.5), solved as the min-cost-flow
-//!   dual of its difference LP, plus depth-first resolution of surviving
-//!   OR-groups.
+//!   dual of its difference LP by the network simplex, plus depth-first
+//!   resolution of surviving OR-groups.
 //! * [`checker`] — exact per-buffer port-discipline verification at both
 //!   absolute-row and physical-block granularity (rotation aliasing),
 //!   decided by arithmetic on start differences, with the row scanner as

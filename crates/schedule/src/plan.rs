@@ -31,7 +31,7 @@ use imagen_mem::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Planner failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -362,7 +362,9 @@ fn buffer_geometry(geom: &ImageGeometry, (pcx, pcy): (u64, u64)) -> ImageGeometr
 /// and a hit adds back its own buffer's. Across a DSE sweep most points
 /// share most buffers: Canny-m's 512 points at 32×24 realize 4,608
 /// buffers with 12 distinct keys, and a hit costs less than deciding the
-/// key again.
+/// key again. The first lookup of a key decides it outside the map's
+/// lock; lookups that race it wait for that verdict instead of deciding
+/// the key again, so every key is decided once at any worker count.
 ///
 /// A compile session (`imagen_core::Session`) owns one memo for its
 /// lifetime; [`plan_design`] makes one per call. The memo has no cap:
@@ -374,7 +376,7 @@ fn buffer_geometry(geom: &ImageGeometry, (pcx, pcy): (u64, u64)) -> ImageGeometr
 /// 1,024-point sweeps of three 40-stage ones with 230–671 from 39,936.
 #[derive(Default, Debug)]
 pub struct PortCheckMemo {
-    verdicts: Mutex<HashMap<BufferCheck, BufferVerdict>>,
+    verdicts: Mutex<HashMap<BufferCheck, Arc<OnceLock<BufferVerdict>>>>,
 }
 
 impl PortCheckMemo {
@@ -405,7 +407,7 @@ impl PortCheckMemo {
             .lock()
             .expect("port-check memo poisoned")
             .values()
-            .filter(|v| v.scanned)
+            .filter(|v| v.get().is_some_and(|v| v.scanned))
             .count()
     }
 
@@ -416,25 +418,15 @@ impl PortCheckMemo {
         for e in &mut key.streams {
             e.start -= origin;
         }
-        let cached = self
-            .verdicts
-            .lock()
-            .expect("port-check memo poisoned")
-            .get(&key)
-            .copied();
-        // Checks run outside the lock. Racing workers may both miss one
-        // key; they compute the same verdict.
-        let verdict = match cached {
-            Some(v) => v,
-            None => {
-                let v = key.verdict();
-                self.verdicts
-                    .lock()
-                    .expect("port-check memo poisoned")
-                    .insert(key, v);
-                v
+        // Single flight: the slot is shared, the check runs once, unlocked.
+        let slot = {
+            let mut verdicts = self.verdicts.lock().expect("port-check memo poisoned");
+            match verdicts.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => Arc::clone(verdicts.entry(key.clone()).or_default()),
             }
         };
+        let verdict = *slot.get_or_init(|| key.verdict());
         verdict.phys_rows.map_err(|v| {
             let violation = PortViolation {
                 cycle: v.cycle + origin,

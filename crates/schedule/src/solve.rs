@@ -7,9 +7,10 @@
 //! `Σ (T_p − S_p)` is the paper's Equ. 1a with the ceiling dropped
 //! (footnote 7). Every constraint is a difference constraint, so the
 //! problem is a difference LP ([`delay_lp`]) with an integral optimum. Its
-//! dual is a min-cost flow, which [`DiffSystem::minimize`] solves in `i64`
-//! arithmetic; the schedule is the componentwise-minimal optimum, so it
-//! does not depend on which optimal vertex a solver happens to reach.
+//! dual is a min-cost flow, which [`DiffSystem::minimize`] solves by the
+//! network simplex in `i64` arithmetic; the schedule is the
+//! componentwise-minimal optimum, so it does not depend on which optimal
+//! vertex or flow a solver happens to reach.
 //!
 //! OR-groups that survive pruning are resolved by depth-first search over
 //! alternative choices with incumbent-based pruning (the paper's

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`dsl`] | `imagen-dsl` | the language front end |
 //! | [`ir`] | `imagen-ir` | pipeline DAG, windows, transforms |
-//! | [`ilp`] | `imagen-ilp` | difference-constraint solvers: longest path, `i64` min-cost flow for the schedule LP |
+//! | [`ilp`] | `imagen-ilp` | difference-constraint solvers: longest path, an `i64` network simplex for the schedule LP |
 //! | [`schedule`] | `imagen-schedule` | the constrained-optimization core |
 //! | [`mem`] | `imagen-mem` | memory specs, cost models, `Design` |
 //! | [`sim`] | `imagen-sim` | golden executor + cycle-level simulator |
