@@ -7,7 +7,7 @@
 
 use crate::width::MAX_TAP_REACH;
 use crate::{codes, Diagnostic, Locus, Severity};
-use imagen_dsl::{AstExpr, AstRate, Item, Pos, Program};
+use imagen_dsl::{AstRate, Item, Pos, Program};
 use imagen_ir::MAX_RATE_FACTOR;
 use imagen_mem::ImageGeometry;
 use std::collections::{HashMap, HashSet};
@@ -20,19 +20,30 @@ fn src(pos: Pos) -> Locus {
 }
 
 /// Runs every DSL lint over a parsed program against `geom`'s frame.
-pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagnostic> {
+pub(crate) fn lint_program(program: &Program<'_>, geom: &ImageGeometry) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+
+    // Each stage's distinct producers, in first-tap order with the first
+    // tap's position; nothing for an input.
+    let producers: Vec<Vec<(&str, Pos)>> = program
+        .items
+        .iter()
+        .map(|item| match item {
+            Item::Stage { body, .. } => body.producers(),
+            Item::Input { .. } => Vec::new(),
+        })
+        .collect();
 
     // Which names each stage taps, in item order.
     let mut tapped: HashSet<&str> = HashSet::new();
     let mut taps_of: HashMap<&str, Vec<&str>> = HashMap::new();
-    for item in &program.items {
-        if let Item::Stage { name, body, .. } = item {
-            let entry = taps_of.entry(name.as_str()).or_default();
-            body.for_each_tap(&mut |stage, _, _| {
+    for (item, prods) in program.items.iter().zip(&producers) {
+        if let Item::Stage { name, .. } = item {
+            let entry = taps_of.entry(name).or_default();
+            for &(stage, _) in prods {
                 tapped.insert(stage);
                 entry.push(stage);
-            });
+            }
         }
     }
 
@@ -44,8 +55,8 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
             name, output: true, ..
         } = item
         {
-            if live.insert(name.as_str()) {
-                work.push(name.as_str());
+            if live.insert(name) {
+                work.push(name);
             }
         }
     }
@@ -61,7 +72,7 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
     for item in &program.items {
         match item {
             Item::Input { name, pos } => {
-                if !tapped.contains(name.as_str()) {
+                if !tapped.contains(name) {
                     diags.push(
                         Diagnostic::new(
                             codes::UNUSED_INPUT,
@@ -78,7 +89,7 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
                 pos,
                 ..
             } => {
-                if !tapped.contains(name.as_str()) {
+                if !tapped.contains(name) {
                     diags.push(
                         Diagnostic::new(
                             codes::UNUSED_STAGE,
@@ -87,7 +98,7 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
                         )
                         .at(src(*pos)),
                     );
-                } else if !live.contains(name.as_str()) {
+                } else if !live.contains(name) {
                     diags.push(
                         Diagnostic::new(
                             codes::NO_PATH_TO_SINK,
@@ -105,7 +116,7 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
     // Suspicious tap reach, in tap order.
     for item in &program.items {
         if let Item::Stage { body, .. } = item {
-            walk_taps(body, &mut |stage, dx, dy, pos| {
+            body.for_each_tap(&mut |stage, dx, dy, pos| {
                 if dx.abs() > MAX_TAP_REACH || dy.abs() > MAX_TAP_REACH {
                     diags.push(
                         Diagnostic::new(
@@ -132,24 +143,15 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
     // deserve a source position before the lowerer's flat error
     // (producers at mismatched scales under one kernel).
     let mut scales: HashMap<&str, (u64, u64)> = HashMap::new();
-    for item in &program.items {
+    for (item, prods) in program.items.iter().zip(&producers) {
         match item {
             Item::Input { name, .. } => {
-                scales.insert(name.as_str(), (1, 1));
+                scales.insert(name, (1, 1));
             }
-            Item::Stage {
-                name, body, rate, ..
-            } => {
-                // Distinct producers in first-tap order, with positions.
-                let mut prods: Vec<(String, Pos)> = Vec::new();
-                walk_taps(body, &mut |stage, _, _, pos| {
-                    if !prods.iter().any(|(s, _)| s == stage) {
-                        prods.push((stage.to_string(), pos));
-                    }
-                });
+            Item::Stage { name, rate, .. } => {
                 let known: Vec<(&str, (u64, u64), Pos)> = prods
                     .iter()
-                    .filter_map(|(s, p)| scales.get(s.as_str()).map(|&sc| (s.as_str(), sc, *p)))
+                    .filter_map(|&(s, p)| scales.get(s).map(|&sc| (s, sc, p)))
                     .collect();
                 let Some(&(base_name, base, _)) = known.first() else {
                     continue;
@@ -185,7 +187,7 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
                     }
                 };
                 let Some((cx, cy)) = own else { continue };
-                scales.insert(name.as_str(), (cx, cy));
+                scales.insert(name, (cx, cy));
                 // Report indivisible extents once, at the modifier that
                 // introduces the offending scale — inherited unit-rate
                 // stages downstream share the same root cause.
@@ -216,14 +218,14 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
     // Constant-foldable subexpressions: maximal non-literal const subtrees.
     for item in &program.items {
         if let Item::Stage { name, body, .. } = item {
-            maximal_const(body, &mut |value| {
+            body.for_each_maximal_const(&mut |value| {
                 diags.push(
                     Diagnostic::new(
                         codes::CONST_FOLD,
                         Severity::Warning,
                         format!("subexpression in stage `{name}` always evaluates to {value}"),
                     )
-                    .at(Locus::Stage(name.clone())),
+                    .at(Locus::Stage(name.to_string())),
                 );
             });
         }
@@ -232,56 +234,10 @@ pub(crate) fn lint_program(program: &Program, geom: &ImageGeometry) -> Vec<Diagn
     diags
 }
 
-/// Visits taps with their source positions.
-fn walk_taps(e: &AstExpr, f: &mut impl FnMut(&str, i32, i32, Pos)) {
-    match e {
-        AstExpr::Number(_) => {}
-        AstExpr::Tap {
-            stage, dx, dy, pos, ..
-        } => f(stage, *dx, *dy, *pos),
-        AstExpr::Neg(a) => walk_taps(a, f),
-        AstExpr::Call { args, .. } => {
-            for a in args {
-                walk_taps(a, f);
-            }
-        }
-        AstExpr::Bin { lhs, rhs, .. } => {
-            walk_taps(lhs, f);
-            walk_taps(rhs, f);
-        }
-    }
-}
-
-/// Reports each *maximal* constant-foldable subtree that is not already a
-/// bare literal, without descending into it (one diagnostic per fold
-/// opportunity, not one per node).
-fn maximal_const(e: &AstExpr, emit: &mut impl FnMut(i64)) {
-    if matches!(e, AstExpr::Number(_)) {
-        return;
-    }
-    if let Some(v) = e.const_value() {
-        emit(v);
-        return;
-    }
-    match e {
-        AstExpr::Number(_) | AstExpr::Tap { .. } => {}
-        AstExpr::Neg(a) => maximal_const(a, emit),
-        AstExpr::Call { args, .. } => {
-            for a in args {
-                maximal_const(a, emit);
-            }
-        }
-        AstExpr::Bin { lhs, rhs, .. } => {
-            maximal_const(lhs, emit);
-            maximal_const(rhs, emit);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imagen_dsl::parse_program;
+    use imagen_dsl::{parse_program, MAX_EXPR_CHAIN};
 
     fn lint(src: &str) -> Vec<Diagnostic> {
         let geom = ImageGeometry {
@@ -342,6 +298,45 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].code, codes::CONST_FOLD);
         assert!(d[0].message.contains("14"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn folds_report_in_source_order() {
+        let d = lint(
+            "input a; output o = im(x,y) \
+             a(x,y) * (2 + 3) + min(4, 5) - (a(x-1,y) + 6 * 7) + -8 end",
+        );
+        let folds: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
+        let want: Vec<String> = [5, 4, 42, -8]
+            .iter()
+            .map(|v| format!("subexpression in stage `o` always evaluates to {v}"))
+            .collect();
+        assert_eq!(folds, want);
+    }
+
+    #[test]
+    fn longest_chains_fold_once() {
+        // A chain at the parser's limit whose innermost leaf is a tap:
+        // every link is on the tap's spine, so nothing folds ...
+        let d = lint(&format!(
+            "input a; output o = im(x,y) a(x,y){} end",
+            " + 1".repeat(MAX_EXPR_CHAIN - 1)
+        ));
+        assert!(d.is_empty(), "{d:?}");
+        // ... and an all-constant chain folds once, as a whole.
+        let d = lint(&format!(
+            "input a; output o = im(x,y) 1{} end",
+            " + 1".repeat(MAX_EXPR_CHAIN - 1)
+        ));
+        let folds: Vec<_> = d.iter().filter(|x| x.code == codes::CONST_FOLD).collect();
+        assert_eq!(folds.len(), 1, "{d:?}");
+        assert!(
+            folds[0]
+                .message
+                .ends_with(&format!("always evaluates to {MAX_EXPR_CHAIN}")),
+            "{}",
+            folds[0].message
+        );
     }
 
     #[test]

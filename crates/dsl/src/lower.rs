@@ -1,6 +1,6 @@
 //! Lowering from the DSL AST to the `imagen-ir` DAG.
 
-use crate::ast::{AstExpr, AstRate, Item, Program};
+use crate::ast::{AstExpr, AstRate, FirstSeen, Item, Program};
 use crate::token::Pos;
 use imagen_ir::{BinOp, CmpOp, Dag, Expr, IrError, Rate, StageId};
 use std::collections::HashMap;
@@ -70,22 +70,22 @@ impl From<IrError> for LowerError {
 /// # Errors
 ///
 /// [`LowerError`] on name-resolution failures or structural violations.
-pub fn lower(name: &str, program: &Program) -> Result<Dag, LowerError> {
+pub fn lower(name: &str, program: &Program<'_>) -> Result<Dag, LowerError> {
     let _s = imagen_obs::span("frontend.lower");
     let mut dag = Dag::new(name);
-    let mut by_name: HashMap<String, StageId> = HashMap::new();
+    let mut by_name: HashMap<&str, StageId> = HashMap::with_capacity(program.items.len());
 
     for item in &program.items {
         match item {
             Item::Input { name, pos } => {
                 if by_name.contains_key(name) {
                     return Err(LowerError::Redefinition {
-                        name: name.clone(),
+                        name: name.to_string(),
                         pos: *pos,
                     });
                 }
-                let id = dag.add_input(name.clone());
-                by_name.insert(name.clone(), id);
+                let id = dag.add_input(*name);
+                by_name.insert(name, id);
             }
             Item::Stage {
                 name,
@@ -97,40 +97,22 @@ pub fn lower(name: &str, program: &Program) -> Result<Dag, LowerError> {
             } => {
                 if by_name.contains_key(name) {
                     return Err(LowerError::Redefinition {
-                        name: name.clone(),
+                        name: name.to_string(),
                         pos: *pos,
                     });
                 }
-                // Assign slots by first appearance.
-                let mut producers: Vec<StageId> = Vec::new();
-                let mut slot_of: HashMap<&str, usize> = HashMap::new();
-                let mut missing: Option<LowerError> = None;
-                body.for_each_tap(&mut |stage, _, _| {
-                    if missing.is_some() || slot_of.contains_key(stage) {
-                        return;
-                    }
-                    match by_name.get(stage) {
-                        Some(id) => {
-                            slot_of.insert(stage, producers.len());
-                            producers.push(*id);
-                        }
-                        None => {
-                            missing = Some(LowerError::UnknownStage {
-                                name: stage.to_string(),
-                                pos: *pos,
-                            });
-                        }
-                    }
-                });
-                if let Some(e) = missing {
-                    return Err(e);
-                }
-                let kernel = lower_expr(body, &slot_of);
-                let id = dag.add_stage_rated(name.clone(), &producers, kernel, lower_rate(rate))?;
+                let mut slots = Slots {
+                    by_name: &by_name,
+                    seen: FirstSeen::default(),
+                    producers: Vec::new(),
+                    pos: *pos,
+                };
+                let kernel = slots.lower(body)?;
+                let id = dag.add_stage_rated(*name, &slots.producers, kernel, lower_rate(rate))?;
                 if *output {
                     dag.mark_output(id);
                 }
-                by_name.insert(name.clone(), id);
+                by_name.insert(name, id);
             }
         }
     }
@@ -157,73 +139,83 @@ fn lower_rate(rate: &AstRate) -> Rate {
     }
 }
 
-fn lower_expr(e: &AstExpr, slot_of: &HashMap<&str, usize>) -> Expr {
-    match e {
-        AstExpr::Number(n) => Expr::Const(*n),
-        AstExpr::Tap { stage, dx, dy, .. } => Expr::tap(slot_of[stage.as_str()], *dx, *dy),
-        // A negated literal is a constant, not a negation unit: folding
-        // here makes `-3` and a programmatic `Expr::Const(-3)` identical
-        // IR (and `to_dsl` → `compile` round-trips bit-exact). The lexer
-        // caps literals at i64::MAX, so the negation cannot overflow.
-        AstExpr::Neg(inner) if matches!(**inner, AstExpr::Number(_)) => {
-            let AstExpr::Number(n) = **inner else {
-                unreachable!()
-            };
-            Expr::Const(-n)
-        }
-        AstExpr::Neg(inner) => Expr::Neg(Box::new(lower_expr(inner, slot_of))),
-        AstExpr::Call { func, args, .. } => {
-            let mut a: Vec<Expr> = args.iter().map(|x| lower_expr(x, slot_of)).collect();
-            match func.as_str() {
-                "abs" => Expr::Abs(Box::new(a.remove(0))),
-                "min" => {
-                    let y = a.pop().expect("arity checked");
-                    let x = a.pop().expect("arity checked");
-                    Expr::bin(BinOp::Min, x, y)
+/// One stage body's producers: each distinct tapped name is resolved
+/// once, at its first tap, and takes the next slot.
+struct Slots<'a, 'src> {
+    by_name: &'a HashMap<&'src str, StageId>,
+    seen: FirstSeen<'src>,
+    producers: Vec<StageId>,
+    /// The stage's position, where an unknown producer is reported.
+    pos: Pos,
+}
+
+impl<'src> Slots<'_, 'src> {
+    fn slot(&mut self, stage: &'src str) -> Result<usize, LowerError> {
+        let (slot, first) = self.seen.number(stage);
+        if first {
+            match self.by_name.get(stage) {
+                Some(&id) => self.producers.push(id),
+                None => {
+                    return Err(LowerError::UnknownStage {
+                        name: stage.to_string(),
+                        pos: self.pos,
+                    })
                 }
-                "max" => {
-                    let y = a.pop().expect("arity checked");
-                    let x = a.pop().expect("arity checked");
-                    Expr::bin(BinOp::Max, x, y)
-                }
-                "clamp" => {
-                    let hi = a.pop().expect("arity checked");
-                    let lo = a.pop().expect("arity checked");
-                    let v = a.pop().expect("arity checked");
-                    Expr::Clamp {
-                        value: Box::new(v),
-                        lo: Box::new(lo),
-                        hi: Box::new(hi),
-                    }
-                }
-                "select" => {
-                    let otherwise = a.pop().expect("arity checked");
-                    let then = a.pop().expect("arity checked");
-                    let cond = a.pop().expect("arity checked");
-                    Expr::select(cond, then, otherwise)
-                }
-                other => unreachable!("parser admits only known functions, got {other}"),
             }
         }
-        AstExpr::Bin { op, lhs, rhs } => {
-            let l = lower_expr(lhs, slot_of);
-            let r = lower_expr(rhs, slot_of);
-            match *op {
-                "+" => Expr::bin(BinOp::Add, l, r),
-                "-" => Expr::bin(BinOp::Sub, l, r),
-                "*" => Expr::bin(BinOp::Mul, l, r),
-                "/" => Expr::bin(BinOp::Div, l, r),
-                "<<" => Expr::bin(BinOp::Shl, l, r),
-                ">>" => Expr::bin(BinOp::Shr, l, r),
-                "<" => Expr::cmp(CmpOp::Lt, l, r),
-                "<=" => Expr::cmp(CmpOp::Le, l, r),
-                ">" => Expr::cmp(CmpOp::Gt, l, r),
-                ">=" => Expr::cmp(CmpOp::Ge, l, r),
-                "==" => Expr::cmp(CmpOp::Eq, l, r),
-                "!=" => Expr::cmp(CmpOp::Ne, l, r),
-                other => unreachable!("parser admits only known operators, got {other}"),
+        Ok(slot)
+    }
+
+    /// Lowers `e`, visiting taps in evaluation order.
+    fn lower(&mut self, e: &AstExpr<'src>) -> Result<Expr, LowerError> {
+        Ok(match e {
+            AstExpr::Number(n) => Expr::Const(*n),
+            AstExpr::Tap { stage, dx, dy, .. } => Expr::tap(self.slot(stage)?, *dx, *dy),
+            // A negated literal is a constant, not a negation unit: folding
+            // here makes `-3` and a programmatic `Expr::Const(-3)` identical
+            // IR (and `to_dsl` → `compile` round-trips bit-exact). The lexer
+            // caps literals at i64::MAX, so the negation cannot overflow.
+            AstExpr::Neg(inner) => match **inner {
+                AstExpr::Number(n) => Expr::Const(-n),
+                _ => Expr::Neg(Box::new(self.lower(inner)?)),
+            },
+            AstExpr::Call { func, args, .. } => match (*func, args.as_slice()) {
+                ("abs", [v]) => Expr::Abs(Box::new(self.lower(v)?)),
+                ("min", [a, b]) => Expr::bin(BinOp::Min, self.lower(a)?, self.lower(b)?),
+                ("max", [a, b]) => Expr::bin(BinOp::Max, self.lower(a)?, self.lower(b)?),
+                ("clamp", [v, lo, hi]) => Expr::Clamp {
+                    value: Box::new(self.lower(v)?),
+                    lo: Box::new(self.lower(lo)?),
+                    hi: Box::new(self.lower(hi)?),
+                },
+                ("select", [c, t, o]) => {
+                    Expr::select(self.lower(c)?, self.lower(t)?, self.lower(o)?)
+                }
+                (other, args) => unreachable!(
+                    "parser admits only known functions at their arity, got {other} of {}",
+                    args.len()
+                ),
+            },
+            AstExpr::Bin { op, lhs, rhs } => {
+                let l = self.lower(lhs)?;
+                let r = self.lower(rhs)?;
+                match *op {
+                    "+" => Expr::bin(BinOp::Add, l, r),
+                    "-" => Expr::bin(BinOp::Sub, l, r),
+                    "*" => Expr::bin(BinOp::Mul, l, r),
+                    "/" => Expr::bin(BinOp::Div, l, r),
+                    "<<" => Expr::bin(BinOp::Shl, l, r),
+                    ">>" => Expr::bin(BinOp::Shr, l, r),
+                    "<" => Expr::cmp(CmpOp::Lt, l, r),
+                    "<=" => Expr::cmp(CmpOp::Le, l, r),
+                    ">" => Expr::cmp(CmpOp::Gt, l, r),
+                    ">=" => Expr::cmp(CmpOp::Ge, l, r),
+                    "==" => Expr::cmp(CmpOp::Eq, l, r),
+                    "!=" => Expr::cmp(CmpOp::Ne, l, r),
+                    other => unreachable!("parser admits only known operators, got {other}"),
+                }
             }
-        }
+        })
     }
 }
 

@@ -1,5 +1,10 @@
 //! Recursive-descent parser for the ImaGen DSL.
 //!
+//! It reads the lexer's tokens as they come, two at a time, and builds a
+//! tree that borrows its names from the source. Binary operators parse
+//! by precedence climbing into left-leaning trees; a comparison takes
+//! at most one operator on each side of it.
+//!
 //! Grammar (precedence low→high):
 //!
 //! ```text
@@ -21,7 +26,7 @@
 //! built-in call (`abs`, `min`, `max`, `clamp`, `select`).
 
 use crate::ast::{AstExpr, AstRate, Item, Program};
-use crate::token::{lex, LexError, Pos, Spanned, Token};
+use crate::token::{LexError, Lexer, Pos, Spanned, Token};
 use imagen_ir::MAX_RATE_FACTOR;
 use std::fmt;
 
@@ -181,56 +186,113 @@ impl From<LexError> for ParseError {
 
 /// Parses DSL source text into a [`Program`].
 ///
+/// A lexical error anywhere in the source wins over a syntax error
+/// before it, as though the whole source were lexed first.
+///
 /// # Errors
 ///
 /// Returns [`ParseError`] with source positions on malformed input.
-pub fn parse_program(src: &str) -> Result<Program, ParseError> {
+pub fn parse_program(src: &str) -> Result<Program<'_>, ParseError> {
     let _s = imagen_obs::span("frontend.parse");
-    let tokens = lex(src)?;
+    let eof = Spanned {
+        token: Token::Eof,
+        pos: Pos { line: 1, col: 1 },
+    };
     let mut p = Parser {
-        tokens,
-        at: 0,
+        lexer: Lexer::new(src),
+        lex_error: None,
+        cur: eof,
         depth: 0,
         chain: 0,
-        x_var: String::new(),
-        y_var: String::new(),
+        x_var: "",
+        y_var: "",
     };
-    p.program()
+    p.cur = p.lex_next();
+    let result = p.program();
+    if result.is_err() {
+        // Finish lexing: a lexical error after the syntax error wins.
+        while p.cur.token != Token::Eof {
+            p.cur = p.lex_next();
+        }
+    }
+    match p.lex_error {
+        Some(e) => Err(ParseError::Lex(e)),
+        None => result,
+    }
 }
 
-/// The parser state. Each identifier's `String` moves out of `tokens`
-/// once consumed (nothing reads a token behind the cursor), so parsing
-/// allocates no copy of a name.
-struct Parser {
-    tokens: Vec<Spanned>,
-    at: usize,
+/// The parser state: the current token, and the lexer positioned after
+/// it, which [`Parser::peek2`] copies to look one token further.
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The first lexical error. The lexer stops there and the parser
+    /// sees end of input; [`parse_program`] reports the error instead of
+    /// whatever the parser made of the cut-off source.
+    lex_error: Option<LexError>,
+    cur: Spanned<'src>,
     /// Current expression nesting, bounded by [`MAX_EXPR_DEPTH`].
     depth: usize,
     /// Binary operators chained so far in the current stage body,
     /// bounded by [`MAX_EXPR_CHAIN`] (reset per item).
     chain: usize,
-    /// The current stage's coordinate variables, moved into its item
-    /// once its body is parsed.
-    x_var: String,
-    y_var: String,
+    /// The current stage's coordinate variables.
+    x_var: &'src str,
+    y_var: &'src str,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.at].token
+/// Binding strength of a binary operator; higher binds tighter.
+const CMP: u8 = 1;
+const ADD: u8 = 2;
+const MUL: u8 = 3;
+
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Token<'src> {
+        self.cur.token
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at].pos
+        self.cur.pos
     }
 
+    /// Moves to the next token; at end of input, stays there.
+    #[inline(always)]
     fn bump(&mut self) {
-        if self.at + 1 < self.tokens.len() {
-            self.at += 1;
+        if self.cur.token != Token::Eof {
+            self.cur = self.lex_next();
         }
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
+    /// The lexer's next token, or end of input from the first lexical
+    /// error on.
+    #[inline(always)]
+    fn lex_next(&mut self) -> Spanned<'src> {
+        let result = match self.lex_error {
+            None => self.lexer.next_token(),
+            Some(e) => Err(e),
+        };
+        result.unwrap_or_else(|e| {
+            self.lex_error = Some(e);
+            Spanned {
+                token: Token::Eof,
+                pos: e.pos,
+            }
+        })
+    }
+
+    /// The token after the current one. Only a tap's first argument
+    /// needs it, so it is lexed again when it is moved to.
+    fn peek2(&self) -> Token<'src> {
+        match self.lex_error {
+            None => self
+                .lexer
+                .clone()
+                .next_token()
+                .map_or(Token::Eof, |t| t.token),
+            Some(_) => Token::Eof,
+        }
+    }
+
+    fn expect(&mut self, want: Token<'src>, what: &str) -> Result<(), ParseError> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -247,12 +309,10 @@ impl Parser {
         }
     }
 
-    /// Consumes an identifier, moving its name out of the token.
-    fn ident(&mut self, what: &str) -> Result<(String, Pos), ParseError> {
-        let pos = self.pos();
-        match &mut self.tokens[self.at].token {
+    fn ident(&mut self, what: &str) -> Result<(&'src str, Pos), ParseError> {
+        match self.peek() {
             Token::Ident(s) => {
-                let s = std::mem::take(s);
+                let pos = self.pos();
                 self.bump();
                 Ok((s, pos))
             }
@@ -260,51 +320,49 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
+    fn program(&mut self) -> Result<Program<'src>, ParseError> {
         let mut items = Vec::new();
-        while *self.peek() != Token::Eof {
+        while self.peek() != Token::Eof {
             items.push(self.item()?);
         }
         Ok(Program { items })
     }
 
-    fn item(&mut self) -> Result<Item, ParseError> {
+    fn item(&mut self) -> Result<Item<'src>, ParseError> {
         match self.peek() {
             Token::Input => {
                 self.bump();
                 let (name, pos) = self.ident("input stage name")?;
-                self.expect(&Token::Semi, "`;`")?;
+                self.expect(Token::Semi, "`;`")?;
                 Ok(Item::Input { name, pos })
             }
             Token::Output | Token::Ident(_) => {
-                let output = if *self.peek() == Token::Output {
+                let output = self.peek() == Token::Output;
+                if output {
                     self.bump();
-                    true
-                } else {
-                    false
-                };
+                }
                 let (name, pos) = self.ident("stage name")?;
-                self.expect(&Token::Assign, "`=`")?;
+                self.expect(Token::Assign, "`=`")?;
                 let rate = self.rate_modifier()?;
-                self.expect(&Token::Im, "`im`")?;
-                self.expect(&Token::LParen, "`(`")?;
-                let (xv, _) = self.ident("coordinate variable")?;
-                self.expect(&Token::Comma, "`,`")?;
-                let (yv, _) = self.ident("coordinate variable")?;
-                self.expect(&Token::RParen, "`)`")?;
-                self.x_var = xv;
-                self.y_var = yv;
+                self.expect(Token::Im, "`im`")?;
+                self.expect(Token::LParen, "`(`")?;
+                let (x_var, _) = self.ident("coordinate variable")?;
+                self.expect(Token::Comma, "`,`")?;
+                let (y_var, _) = self.ident("coordinate variable")?;
+                self.expect(Token::RParen, "`)`")?;
+                self.x_var = x_var;
+                self.y_var = y_var;
                 self.chain = 0;
                 let body = self.expr()?;
-                self.expect(&Token::End, "`end`")?;
-                if *self.peek() == Token::Semi {
+                self.expect(Token::End, "`end`")?;
+                if self.peek() == Token::Semi {
                     self.bump();
                 }
                 Ok(Item::Stage {
                     name,
                     output,
-                    x_var: std::mem::take(&mut self.x_var),
-                    y_var: std::mem::take(&mut self.y_var),
+                    x_var,
+                    y_var,
                     body,
                     rate,
                     pos,
@@ -320,17 +378,17 @@ impl Parser {
     /// still be *named* `downsample` or `upsample`.
     fn rate_modifier(&mut self) -> Result<AstRate, ParseError> {
         let down = match self.peek() {
-            Token::Ident(s) if s == "downsample" => true,
-            Token::Ident(s) if s == "upsample" => false,
+            Token::Ident("downsample") => true,
+            Token::Ident("upsample") => false,
             _ => return Ok(AstRate::Unit),
         };
         let pos = self.pos();
         self.bump();
-        self.expect(&Token::LParen, "`(`")?;
+        self.expect(Token::LParen, "`(`")?;
         let fx = self.rate_factor()?;
-        self.expect(&Token::Comma, "`,`")?;
+        self.expect(Token::Comma, "`,`")?;
         let fy = self.rate_factor()?;
-        self.expect(&Token::RParen, "`)`")?;
+        self.expect(Token::RParen, "`)`")?;
         Ok(if down {
             AstRate::Down { fx, fy, pos }
         } else {
@@ -342,7 +400,7 @@ impl Parser {
     /// with the literal's own span.
     fn rate_factor(&mut self) -> Result<i64, ParseError> {
         let pos = self.pos();
-        match *self.peek() {
+        match self.peek() {
             Token::Number(n) => {
                 self.bump();
                 if n < 1 || n as u64 > MAX_RATE_FACTOR {
@@ -354,88 +412,76 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<AstExpr, ParseError> {
+    /// One nesting level: a stage body, a parenthesized expression or a
+    /// call argument.
+    fn expr(&mut self) -> Result<AstExpr<'src>, ParseError> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(ParseError::TooDeep { pos: self.pos() });
         }
         self.depth += 1;
-        let result = self.cmp();
+        let result = self.binary(CMP);
         self.depth -= 1;
         result
     }
 
-    fn cmp(&mut self) -> Result<AstExpr, ParseError> {
-        let lhs = self.add()?;
-        let op = match self.peek() {
-            Token::Lt => "<",
-            Token::Le => "<=",
-            Token::Gt => ">",
-            Token::Ge => ">=",
-            Token::EqEq => "==",
-            Token::Ne => "!=",
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add()?;
-        Ok(AstExpr::Bin {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+    /// The binary operator at the cursor and its binding strength.
+    fn binary_op(&self) -> Option<(&'static str, u8)> {
+        Some(match self.peek() {
+            Token::Lt => ("<", CMP),
+            Token::Le => ("<=", CMP),
+            Token::Gt => (">", CMP),
+            Token::Ge => (">=", CMP),
+            Token::EqEq => ("==", CMP),
+            Token::Ne => ("!=", CMP),
+            Token::Plus => ("+", ADD),
+            Token::Minus => ("-", ADD),
+            Token::Star => ("*", MUL),
+            Token::Slash => ("/", MUL),
+            Token::Shl => ("<<", MUL),
+            Token::Shr => (">>", MUL),
+            _ => return None,
         })
     }
 
-    fn add(&mut self) -> Result<AstExpr, ParseError> {
-        let mut lhs = self.mul()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => "+",
-                Token::Minus => "-",
-                _ => return Ok(lhs),
-            };
-            // Each chained operator deepens the left-leaning tree by one
-            // level, which later recursive walks (lowering, evaluation,
-            // drop) pay for in stack — bounded by the per-body budget.
-            if self.chain >= MAX_EXPR_CHAIN {
-                return Err(ParseError::TooDeep { pos: self.pos() });
-            }
-            self.chain += 1;
-            self.bump();
-            let rhs = self.mul()?;
-            lhs = AstExpr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn mul(&mut self) -> Result<AstExpr, ParseError> {
+    /// Precedence climbing over operators binding at least `min`. Equal
+    /// strengths fold to the left, one loop turn per operator, so a long
+    /// chain costs no stack; a comparison ends its level.
+    fn binary(&mut self, min: u8) -> Result<AstExpr<'src>, ParseError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => "*",
-                Token::Slash => "/",
-                Token::Shl => "<<",
-                Token::Shr => ">>",
-                _ => return Ok(lhs),
-            };
-            // See `add`: chain length counts against the per-body budget.
-            if self.chain >= MAX_EXPR_CHAIN {
-                return Err(ParseError::TooDeep { pos: self.pos() });
+        while let Some((op, strength)) = self.binary_op() {
+            if strength < min {
+                break;
             }
-            self.chain += 1;
+            if strength > CMP {
+                // Each chained arithmetic operator deepens the
+                // left-leaning tree by one level, which later recursive
+                // walks (lowering, evaluation, drop) pay for in stack —
+                // bounded by the per-body budget.
+                if self.chain >= MAX_EXPR_CHAIN {
+                    return Err(ParseError::TooDeep { pos: self.pos() });
+                }
+                self.chain += 1;
+            }
             self.bump();
-            let rhs = self.unary()?;
+            let rhs = if strength == MUL {
+                self.unary()?
+            } else {
+                self.binary(strength + 1)?
+            };
             lhs = AstExpr::Bin {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
+            if strength == CMP {
+                break;
+            }
         }
+        Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<AstExpr, ParseError> {
-        if *self.peek() == Token::Minus {
+    fn unary(&mut self) -> Result<AstExpr<'src>, ParseError> {
+        if self.peek() == Token::Minus {
             if self.depth >= MAX_EXPR_DEPTH {
                 return Err(ParseError::TooDeep { pos: self.pos() });
             }
@@ -448,8 +494,8 @@ impl Parser {
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<AstExpr, ParseError> {
-        match *self.peek() {
+    fn primary(&mut self) -> Result<AstExpr<'src>, ParseError> {
+        match self.peek() {
             Token::Number(n) => {
                 self.bump();
                 Ok(AstExpr::Number(n))
@@ -457,55 +503,56 @@ impl Parser {
             Token::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&Token::RParen, "`)`")?;
+                self.expect(Token::RParen, "`)`")?;
                 Ok(e)
             }
-            Token::Ident(_) => {
-                let (name, pos) = self.ident("an identifier")?;
-                if *self.peek() != Token::LParen {
+            Token::Ident(name) => {
+                let pos = self.pos();
+                self.bump();
+                if self.peek() != Token::LParen {
                     return Err(self.unexpected("`(` (taps are written `K(x, y)`)"));
                 }
                 self.bump();
-                let builtin = matches!(name.as_str(), "abs" | "min" | "max" | "clamp" | "select");
-                if !builtin {
+                let arity = match name {
+                    "abs" => 1,
+                    "min" | "max" => 2,
+                    "clamp" | "select" => 3,
                     // Not a builtin: this must be a stencil tap. A lone
                     // identifier as the first argument means a coordinate
                     // (possibly misnamed); anything else means the author
                     // used an unknown function.
-                    if let Token::Ident(first) = self.peek() {
-                        let next = &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].token;
-                        if *next != Token::LParen {
-                            if *first != self.x_var {
-                                return Err(ParseError::BadCoordinate {
-                                    var: first.clone(),
-                                    expected: self.x_var.clone(),
-                                    pos: self.pos(),
-                                });
+                    _ => {
+                        if let Token::Ident(first) = self.peek() {
+                            if self.peek2() != Token::LParen {
+                                if first != self.x_var {
+                                    return Err(ParseError::BadCoordinate {
+                                        var: first.to_string(),
+                                        expected: self.x_var.to_string(),
+                                        pos: self.pos(),
+                                    });
+                                }
+                                return self.tap(name, pos);
                             }
-                            return self.tap(name, pos);
                         }
+                        return Err(ParseError::UnknownFunction {
+                            func: name.to_string(),
+                            pos,
+                        });
                     }
-                    return Err(ParseError::UnknownFunction { func: name, pos });
-                }
+                };
                 // Built-in call.
-                let mut args = Vec::new();
-                if *self.peek() != Token::RParen {
+                let mut args = Vec::with_capacity(arity);
+                if self.peek() != Token::RParen {
                     args.push(self.expr()?);
-                    while *self.peek() == Token::Comma {
+                    while self.peek() == Token::Comma {
                         self.bump();
                         args.push(self.expr()?);
                     }
                 }
-                self.expect(&Token::RParen, "`)`")?;
-                let arity = match name.as_str() {
-                    "abs" => 1,
-                    "min" | "max" => 2,
-                    "clamp" | "select" => 3,
-                    _ => unreachable!("builtin set checked above"),
-                };
+                self.expect(Token::RParen, "`)`")?;
                 if args.len() != arity {
                     return Err(ParseError::BadArity {
-                        func: name,
+                        func: name.to_string(),
                         expected: arity,
                         found: args.len(),
                         pos,
@@ -522,26 +569,24 @@ impl Parser {
     }
 
     /// Parses the remainder of a tap after `NAME(`, consuming `x±dx, y±dy)`.
-    fn tap(&mut self, stage: String, pos: Pos) -> Result<AstExpr, ParseError> {
-        let dx = self.coord(false)?;
-        self.expect(&Token::Comma, "`,`")?;
-        let dy = self.coord(true)?;
-        self.expect(&Token::RParen, "`)`")?;
+    fn tap(&mut self, stage: &'src str, pos: Pos) -> Result<AstExpr<'src>, ParseError> {
+        let dx = self.coord(self.x_var)?;
+        self.expect(Token::Comma, "`,`")?;
+        let dy = self.coord(self.y_var)?;
+        self.expect(Token::RParen, "`)`")?;
         Ok(AstExpr::Tap { stage, dx, dy, pos })
     }
 
-    /// Parses `VAR`, `VAR+N`, or `VAR-N`, where `VAR` is the stage's x
-    /// (or, with `is_y`, y) coordinate variable, returning the signed
-    /// offset.
-    fn coord(&mut self, is_y: bool) -> Result<i32, ParseError> {
+    /// Parses `VAR`, `VAR+N`, or `VAR-N`, where `VAR` is the stage's
+    /// coordinate variable `var`, returning the signed offset.
+    fn coord(&mut self, var: &str) -> Result<i32, ParseError> {
         let pos = self.pos();
-        let var = if is_y { &self.y_var } else { &self.x_var };
         match self.peek() {
             Token::Ident(name) if name == var => self.bump(),
             Token::Ident(name) => {
                 return Err(ParseError::BadCoordinate {
-                    var: name.clone(),
-                    expected: var.clone(),
+                    var: name.to_string(),
+                    expected: var.to_string(),
                     pos,
                 })
             }
@@ -554,7 +599,7 @@ impl Parser {
         };
         self.bump();
         let pos = self.pos();
-        match *self.peek() {
+        match self.peek() {
             Token::Number(n) => {
                 self.bump();
                 // The lexer guarantees `n <= i64::MAX`, so `sign * n` is
@@ -583,10 +628,10 @@ mod tests {
         ";
         let p = parse_program(src).unwrap();
         assert_eq!(p.items.len(), 3);
-        assert!(matches!(&p.items[0], Item::Input { name, .. } if name == "K0"));
+        assert!(matches!(&p.items[0], Item::Input { name, .. } if *name == "K0"));
         match &p.items[2] {
             Item::Stage { name, output, .. } => {
-                assert_eq!(name, "K2");
+                assert_eq!(*name, "K2");
                 assert!(output);
             }
             _ => panic!("expected stage"),
@@ -652,12 +697,12 @@ mod tests {
     #[test]
     fn offset_boundaries_pinned() {
         // i32::MAX parses exactly (no truncation) ...
-        let p = parse_program(&format!(
+        let src = format!(
             "input A; output B = im(x,y) A(x+{}, y-{}) end",
             i32::MAX,
             i32::MAX
-        ))
-        .unwrap();
+        );
+        let p = parse_program(&src).unwrap();
         match &p.items[1] {
             Item::Stage { body, .. } => match body {
                 AstExpr::Tap { dx, dy, .. } => {
@@ -766,6 +811,24 @@ mod tests {
     }
 
     #[test]
+    fn columns_after_a_multibyte_comment_count_characters() {
+        let err = parse_program("// ñ\ninput a; output b = im(x,y) a(z,y) end").unwrap_err();
+        assert!(matches!(err, ParseError::BadCoordinate { .. }), "{err:?}");
+        assert_eq!(err.pos(), Pos { line: 2, col: 31 });
+    }
+
+    #[test]
+    fn lexical_errors_win_over_earlier_syntax_errors() {
+        // The syntax error at `;` comes first in the source, but the
+        // whole source lexes before it parses.
+        let err = parse_program("input ; output b = im(x,y) a(x,y) $ end").unwrap_err();
+        assert!(matches!(err, ParseError::Lex(_)), "{err:?}");
+        assert_eq!(err.pos(), Pos { line: 1, col: 35 });
+        let err = parse_program("input ;").unwrap_err();
+        assert!(matches!(err, ParseError::Unexpected { .. }), "{err:?}");
+    }
+
+    #[test]
     fn huge_literal_rejected_by_lexer() {
         let err = parse_program("input A; output B = im(x,y) A(x,y) + 99999999999999999999 end")
             .unwrap_err();
@@ -858,7 +921,7 @@ mod tests {
             .unwrap();
         match &p.items[1] {
             Item::Stage { body, .. } => {
-                assert!(matches!(body, AstExpr::Call { func, .. } if func == "select"));
+                assert!(matches!(body, AstExpr::Call { func, .. } if *func == "select"));
             }
             _ => panic!("expected stage"),
         }

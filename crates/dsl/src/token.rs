@@ -17,9 +17,10 @@ impl fmt::Display for Pos {
     }
 }
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token {
+/// A lexical token. Identifiers borrow their text from the source, so a
+/// token is `Copy` and lexing allocates nothing per token.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Token<'src> {
     /// `input` keyword.
     Input,
     /// `output` keyword.
@@ -29,7 +30,7 @@ pub enum Token {
     /// `end` keyword.
     End,
     /// Identifier (stage or coordinate name).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Number(i64),
     /// `(`
@@ -70,7 +71,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Input => write!(f, "`input`"),
@@ -102,10 +103,10 @@ impl fmt::Display for Token {
 }
 
 /// A token together with its source position.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Spanned {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Spanned<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// Where it starts.
     pub pos: Pos,
 }
@@ -152,196 +153,193 @@ impl std::error::Error for LexError {}
 ///
 /// Returns [`LexError`] on any character outside the language or an
 /// integer literal that does not fit in an `i64`.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+    let mut lexer = Lexer::new(src);
     let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
-    let mut line = 1u32;
-    let mut col = 1u32;
-
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if let Some(c) = c {
-                if c == '\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
-                }
-            }
-            c
-        }};
-    }
-
     loop {
-        let pos = Pos { line, col };
-        let Some(&c) = chars.peek() else { break };
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
-            }
-            '/' => {
-                bump!();
-                match chars.peek() {
-                    Some('/') => {
-                        while let Some(&c) = chars.peek() {
-                            if c == '\n' {
-                                break;
-                            }
-                            bump!();
-                        }
-                    }
-                    Some('*') => {
-                        bump!();
-                        let mut prev = ' ';
-                        while let Some(c) = bump!() {
-                            if prev == '*' && c == '/' {
-                                break;
-                            }
-                            prev = c;
-                        }
-                    }
-                    _ => out.push(Spanned {
-                        token: Token::Slash,
-                        pos,
-                    }),
-                }
-            }
-            '0'..='9' => {
-                let mut n: i64 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        n = match n.checked_mul(10).and_then(|n| n.checked_add(v as i64)) {
-                            Some(n) => n,
-                            None => {
-                                return Err(LexError {
-                                    kind: LexErrorKind::NumberTooLarge,
-                                    pos,
-                                })
-                            }
-                        };
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Spanned {
-                    token: Token::Number(n),
-                    pos,
-                });
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        s.push(d);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                let token = match s.as_str() {
-                    "input" => Token::Input,
-                    "output" => Token::Output,
-                    "im" => Token::Im,
-                    "end" => Token::End,
-                    _ => Token::Ident(s),
-                };
-                out.push(Spanned { token, pos });
-            }
-            '(' | ')' | ',' | ';' | '+' | '-' | '*' => {
-                bump!();
-                let token = match c {
-                    '(' => Token::LParen,
-                    ')' => Token::RParen,
-                    ',' => Token::Comma,
-                    ';' => Token::Semi,
-                    '+' => Token::Plus,
-                    '-' => Token::Minus,
-                    _ => Token::Star,
-                };
-                out.push(Spanned { token, pos });
-            }
-            '=' => {
-                bump!();
-                if chars.peek() == Some(&'=') {
-                    bump!();
-                    out.push(Spanned {
-                        token: Token::EqEq,
-                        pos,
-                    });
-                } else {
-                    out.push(Spanned {
-                        token: Token::Assign,
-                        pos,
-                    });
-                }
-            }
-            '<' => {
-                bump!();
-                let token = match chars.peek() {
-                    Some('<') => {
-                        bump!();
-                        Token::Shl
-                    }
-                    Some('=') => {
-                        bump!();
-                        Token::Le
-                    }
-                    _ => Token::Lt,
-                };
-                out.push(Spanned { token, pos });
-            }
-            '>' => {
-                bump!();
-                let token = match chars.peek() {
-                    Some('>') => {
-                        bump!();
-                        Token::Shr
-                    }
-                    Some('=') => {
-                        bump!();
-                        Token::Ge
-                    }
-                    _ => Token::Gt,
-                };
-                out.push(Spanned { token, pos });
-            }
-            '!' => {
-                bump!();
-                if chars.peek() == Some(&'=') {
-                    bump!();
-                    out.push(Spanned {
-                        token: Token::Ne,
-                        pos,
-                    });
-                } else {
-                    return Err(LexError {
-                        kind: LexErrorKind::BadChar('!'),
-                        pos,
-                    });
-                }
-            }
-            other => {
-                return Err(LexError {
-                    kind: LexErrorKind::BadChar(other),
-                    pos,
-                })
-            }
+        let t = lexer.next_token()?;
+        out.push(t);
+        if t.token == Token::Eof {
+            return Ok(out);
         }
     }
-    out.push(Spanned {
-        token: Token::Eof,
-        pos: Pos { line, col },
-    });
-    Ok(out)
+}
+
+/// Scans the source's bytes one token at a time. Every byte of the
+/// language is ASCII, so a non-ASCII byte outside a comment starts a
+/// `BadChar`; columns still count characters, which only comments can
+/// hold more than one byte of.
+#[derive(Clone)]
+pub(crate) struct Lexer<'src> {
+    src: &'src str,
+    at: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'src> Lexer<'src> {
+    pub(crate) fn new(src: &'src str) -> Self {
+        Lexer {
+            src,
+            at: 0,
+            line: 1,
+            col: 1,
+        }
+    }
+
+    /// The next token; `Eof` (at the end position) once the source is
+    /// exhausted, however often it is asked.
+    #[inline(always)]
+    pub(crate) fn next_token(&mut self) -> Result<Spanned<'src>, LexError> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let pos = Pos {
+                line: self.line,
+                col: self.col,
+            };
+            let Some(&b) = bytes.get(self.at) else {
+                return Ok(Spanned {
+                    token: Token::Eof,
+                    pos,
+                });
+            };
+            let next = bytes.get(self.at + 1).copied();
+            let (token, len) = match b {
+                b' ' | b'\t' | b'\r' => {
+                    self.advance(1);
+                    continue;
+                }
+                b'\n' => {
+                    self.at += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
+                }
+                b'/' if next == Some(b'/') => {
+                    let end = bytes[self.at..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(bytes.len(), |n| self.at + n);
+                    self.col += chars_in(&bytes[self.at..end]);
+                    self.at = end;
+                    continue;
+                }
+                b'/' if next == Some(b'*') => {
+                    self.block_comment();
+                    continue;
+                }
+                b'0'..=b'9' => return self.number(pos),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    let len = bytes[self.at..]
+                        .iter()
+                        .position(|c| !(c.is_ascii_alphanumeric() || *c == b'_'))
+                        .unwrap_or(bytes.len() - self.at);
+                    let word = &self.src[self.at..self.at + len];
+                    let token = match word {
+                        "input" => Token::Input,
+                        "output" => Token::Output,
+                        "im" => Token::Im,
+                        "end" => Token::End,
+                        _ => Token::Ident(word),
+                    };
+                    (token, len)
+                }
+                b'(' => (Token::LParen, 1),
+                b')' => (Token::RParen, 1),
+                b',' => (Token::Comma, 1),
+                b';' => (Token::Semi, 1),
+                b'+' => (Token::Plus, 1),
+                b'-' => (Token::Minus, 1),
+                b'*' => (Token::Star, 1),
+                b'/' => (Token::Slash, 1),
+                b'=' if next == Some(b'=') => (Token::EqEq, 2),
+                b'=' => (Token::Assign, 1),
+                b'<' if next == Some(b'<') => (Token::Shl, 2),
+                b'<' if next == Some(b'=') => (Token::Le, 2),
+                b'<' => (Token::Lt, 1),
+                b'>' if next == Some(b'>') => (Token::Shr, 2),
+                b'>' if next == Some(b'=') => (Token::Ge, 2),
+                b'>' => (Token::Gt, 1),
+                b'!' if next == Some(b'=') => (Token::Ne, 2),
+                _ => {
+                    let ch = self.src[self.at..]
+                        .chars()
+                        .next()
+                        .expect("a byte remains, so a character starts here");
+                    return Err(LexError {
+                        kind: LexErrorKind::BadChar(ch),
+                        pos,
+                    });
+                }
+            };
+            self.advance(len);
+            return Ok(Spanned { token, pos });
+        }
+    }
+
+    /// Moves past `len` ASCII bytes of one line.
+    fn advance(&mut self, len: usize) {
+        self.at += len;
+        self.col += len as u32;
+    }
+
+    /// Skips a `/* ... */` comment, or the rest of the source when it is
+    /// never closed. The `/*` cannot share its `*` with the closing `*/`.
+    fn block_comment(&mut self) {
+        self.advance(2);
+        let bytes = self.src.as_bytes();
+        let mut prev = b' ';
+        while let Some(&b) = bytes.get(self.at) {
+            self.at += 1;
+            if b == b'\n' {
+                self.line += 1;
+                self.col = 1;
+            } else {
+                self.col += chars_in(&[b]);
+            }
+            if prev == b'*' && b == b'/' {
+                return;
+            }
+            prev = b;
+        }
+    }
+
+    /// Lexes a decimal literal starting at `pos`.
+    fn number(&mut self, pos: Pos) -> Result<Spanned<'src>, LexError> {
+        let digits = &self.src.as_bytes()[self.at..];
+        let len = digits
+            .iter()
+            .position(|d| !d.is_ascii_digit())
+            .unwrap_or(digits.len());
+        let mut n: i64 = 0;
+        for &d in &digits[..len] {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(i64::from(d - b'0')))
+                .ok_or(LexError {
+                    kind: LexErrorKind::NumberTooLarge,
+                    pos,
+                })?;
+        }
+        self.advance(len);
+        Ok(Spanned {
+            token: Token::Number(n),
+            pos,
+        })
+    }
+}
+
+/// Characters in a run of UTF-8 bytes: every byte but the continuation
+/// bytes starts one.
+fn chars_in(bytes: &[u8]) -> u32 {
+    bytes.iter().filter(|&&b| b & 0xC0 != 0x80).count() as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -349,12 +347,7 @@ mod tests {
     fn keywords_and_idents() {
         assert_eq!(
             toks("input K0;"),
-            vec![
-                Token::Input,
-                Token::Ident("K0".into()),
-                Token::Semi,
-                Token::Eof
-            ]
+            vec![Token::Input, Token::Ident("K0"), Token::Semi, Token::Eof]
         );
     }
 
@@ -401,6 +394,18 @@ mod tests {
         let err = lex("a $ b").unwrap_err();
         assert_eq!(err.kind, LexErrorKind::BadChar('$'));
         assert_eq!(err.pos.col, 3);
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // A multi-byte character in a comment is one column ...
+        let err = lex("/* é */ $").unwrap_err();
+        assert_eq!(err.kind, LexErrorKind::BadChar('$'));
+        assert_eq!(err.pos, Pos { line: 1, col: 9 });
+        // ... and outside one it is reported whole, at its own column.
+        let err = lex("input é;").unwrap_err();
+        assert_eq!(err.kind, LexErrorKind::BadChar('é'));
+        assert_eq!(err.pos, Pos { line: 1, col: 7 });
     }
 
     #[test]

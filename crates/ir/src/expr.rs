@@ -296,6 +296,37 @@ impl Expr {
         }
     }
 
+    /// Moves every tap by `(dx, dy)` in place: the tree
+    /// `map_taps(|slot, x, y| Expr::tap(slot, x + dx, y + dy))` returns.
+    pub(crate) fn shift_taps(&mut self, dx: i32, dy: i32) {
+        match self {
+            Expr::Const(_) => {}
+            Expr::Tap { dx: x, dy: y, .. } => {
+                *x += dx;
+                *y += dy;
+            }
+            Expr::Neg(e) | Expr::Abs(e) => e.shift_taps(dx, dy),
+            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
+                a.shift_taps(dx, dy);
+                b.shift_taps(dx, dy);
+            }
+            Expr::Select {
+                cond: a,
+                then: b,
+                otherwise: c,
+            }
+            | Expr::Clamp {
+                value: a,
+                lo: b,
+                hi: c,
+            } => {
+                a.shift_taps(dx, dy);
+                b.shift_taps(dx, dy);
+                c.shift_taps(dx, dy);
+            }
+        }
+    }
+
     /// Tap bounding box per producer slot: `(dx_min, dx_max, dy_min, dy_max)`.
     ///
     /// Returns a vector indexed by slot covering `0..=max_slot`; slots with

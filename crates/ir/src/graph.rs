@@ -183,6 +183,9 @@ pub struct Stage {
     /// Resampling rate relative to the producers (always canonical,
     /// see [`Rate::normalized`]).
     pub(crate) rate: Rate,
+    /// Cumulative scale, see [`Dag::stage_scales`]; derived from the
+    /// first producer's when the stage is added.
+    pub(crate) scale: (u64, u64),
 }
 
 impl Stage {
@@ -552,6 +555,7 @@ impl Dag {
             norm_shift: (0, 0),
             sync_group: None,
             rate: Rate::Unit,
+            scale: (1, 1),
         });
         StageId(self.stages.len() - 1)
     }
@@ -659,24 +663,24 @@ impl Dag {
         // scale, and this stage's own scale must stay within
         // `1..=MAX_RATE_FACTOR` on both axes (an `up` below 1 would need
         // more than one pixel per cycle; a runaway `down` chain is as
-        // implausible as an oversized window).
+        // implausible as an oversized window). A stage without producers
+        // composes its rate onto the base grid unchecked.
+        let base = producers.first().map_or((1, 1), |p| self.stages[p.0].scale);
+        let (fx, fy) = (u64::from(rate.factors().0), u64::from(rate.factors().1));
+        let scale = match rate {
+            Rate::Unit => base,
+            Rate::Down { .. } => (base.0 * fx, base.1 * fy),
+            Rate::Up { .. } => (base.0 / fx, base.1 / fy),
+        };
         if !producers.is_empty() {
-            let scales = self.stage_scales();
-            let base = scales[producers[0].0];
-            if producers.iter().any(|p| scales[p.0] != base) {
+            if producers.iter().any(|p| self.stages[p.0].scale != base) {
                 return Err(IrError::RateMismatch { stage: name });
             }
-            let (fx, fy) = rate.factors();
-            let scale = match rate {
-                Rate::Unit => base,
-                Rate::Down { .. } => (base.0 * fx as u64, base.1 * fy as u64),
-                Rate::Up { .. } => {
-                    if !base.0.is_multiple_of(fx as u64) || !base.1.is_multiple_of(fy as u64) {
-                        return Err(IrError::UpsampleAboveBase { stage: name });
-                    }
-                    (base.0 / fx as u64, base.1 / fy as u64)
-                }
-            };
+            if matches!(rate, Rate::Up { .. })
+                && (!base.0.is_multiple_of(fx) || !base.1.is_multiple_of(fy))
+            {
+                return Err(IrError::UpsampleAboveBase { stage: name });
+            }
             for s in [scale.0, scale.1] {
                 if s > MAX_RATE_FACTOR {
                     return Err(IrError::RateOutOfRange {
@@ -739,12 +743,17 @@ impl Dag {
             .max()
             .unwrap_or(0)
             .max(0);
-        let kernel = if sy != 0 || sx != 0 {
-            kernel.map_taps(&|slot, dx, dy| Expr::tap(slot, dx - sx, dy - sy))
-        } else {
-            kernel
-        };
-        let extents = kernel.tap_extents();
+        let mut kernel = kernel;
+        let mut extents = extents;
+        if sy != 0 || sx != 0 {
+            kernel.shift_taps(-sx, -sy);
+            for e in extents.iter_mut().flatten() {
+                e.dx_min -= sx;
+                e.dx_max -= sx;
+                e.dy_min -= sy;
+                e.dy_max -= sy;
+            }
+        }
 
         let id = StageId(self.stages.len());
         for (slot, p) in producers.iter().enumerate() {
@@ -782,6 +791,7 @@ impl Dag {
             norm_shift: (sx, sy),
             sync_group: None,
             rate,
+            scale,
         });
         Ok(id)
     }
@@ -792,17 +802,7 @@ impl Dag {
     /// (its frame is a quarter of the base frame). Scale consistency is
     /// validated at construction, so this never fails.
     pub fn stage_scales(&self) -> Vec<(u64, u64)> {
-        let mut scales = vec![(1u64, 1u64); self.stages.len()];
-        for (i, s) in self.stages.iter().enumerate() {
-            let base = s.producers.first().map(|p| scales[p.0]).unwrap_or((1, 1));
-            let (fx, fy) = s.rate.factors();
-            scales[i] = match s.rate {
-                Rate::Unit => base,
-                Rate::Down { .. } => (base.0 * fx as u64, base.1 * fy as u64),
-                Rate::Up { .. } => (base.0 / fx as u64, base.1 / fy as u64),
-            };
-        }
-        scales
+        self.stages.iter().map(|s| s.scale).collect()
     }
 
     /// Whether any stage has a non-unit rate.
@@ -1066,8 +1066,11 @@ impl Dag {
                 });
             }
         }
-        for (id, s) in self.stages() {
-            let has_consumer = self.edges.iter().any(|e| e.producer == id);
+        let mut has_consumer = vec![false; self.stages.len()];
+        for e in &self.edges {
+            has_consumer[e.producer.0] = true;
+        }
+        for (s, has_consumer) in self.stages.iter().zip(has_consumer) {
             if !s.is_output && !has_consumer {
                 return Err(IrError::DeadStage {
                     stage: s.name.clone(),
