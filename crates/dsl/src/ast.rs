@@ -125,20 +125,7 @@ impl<'src> AstExpr<'src> {
     /// `clamp` with `lo > hi` pinning to `lo`), so a folded value is the
     /// value the lowered kernel would compute.
     pub fn const_value(&self) -> Option<i64> {
-        match self {
-            AstExpr::Number(n) => Some(*n),
-            AstExpr::Tap { .. } => None,
-            AstExpr::Neg(e) => Some(e.const_value()?.wrapping_neg()),
-            AstExpr::Call { func, args, .. } => {
-                let mut vals = [0; 3];
-                let vals = vals.get_mut(..args.len())?;
-                for (v, a) in vals.iter_mut().zip(args) {
-                    *v = a.const_value()?;
-                }
-                call_value(func, vals)
-            }
-            AstExpr::Bin { op, lhs, rhs } => bin_value(op, lhs.const_value()?, rhs.const_value()?),
-        }
+        self.fold(&mut Vec::new(), &mut |_| {})
     }
 
     /// Calls `f` with the value of each *maximal* constant subtree that
@@ -151,11 +138,12 @@ impl<'src> AstExpr<'src> {
         pending.into_iter().flatten().for_each(f);
     }
 
-    /// Folds bottom-up. `pending` holds the finished constant subtrees
-    /// (`None` for a bare literal) whose parent is still being folded;
-    /// all of them have unfinished ancestors only, so once any subtree
-    /// proves non-constant every pending one is maximal and is reported,
-    /// in the order it finished.
+    /// Folds bottom-up, returning the expression's constant value.
+    /// `pending` holds the finished constant subtrees (`None` for a bare
+    /// literal) whose parent is still being folded; all of them have
+    /// unfinished ancestors only, so once any subtree proves
+    /// non-constant every pending one is maximal and is reported, in the
+    /// order it finished.
     fn fold(&self, pending: &mut Vec<Option<i64>>, f: &mut impl FnMut(i64)) -> Option<i64> {
         let mark = pending.len();
         let value = match self {

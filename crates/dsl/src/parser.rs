@@ -1,9 +1,10 @@
 //! Recursive-descent parser for the ImaGen DSL.
 //!
-//! It reads the lexer's tokens as they come, two at a time, and builds a
-//! tree that borrows its names from the source. Binary operators parse
-//! by precedence climbing into left-leaning trees; a comparison takes
-//! at most one operator on each side of it.
+//! It reads the lexer's tokens as they come, with a two-token lookahead
+//! (the current token, and the next one lexed on demand from a copy of
+//! the lexer), and builds a tree that borrows its names from the source.
+//! Binary operators parse by precedence climbing into left-leaning
+//! trees; a comparison takes at most one operator on each side of it.
 //!
 //! Grammar (precedence low→high):
 //!
@@ -254,7 +255,9 @@ impl<'src> Parser<'src> {
         self.cur.pos
     }
 
-    /// Moves to the next token; at end of input, stays there.
+    /// Moves to the next token; at end of input, stays there. Inlined
+    /// with the lexer into every caller: as a call per token, the token
+    /// path cost about twice as much.
     #[inline(always)]
     fn bump(&mut self) {
         if self.cur.token != Token::Eof {
