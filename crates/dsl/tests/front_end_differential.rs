@@ -7,12 +7,13 @@
 //! `LexError`, `ParseError` and `LowerError` (`Debug`, `Display` and
 //! `pos()`), and the lowered DAG's fingerprint. The inputs are the
 //! example programs, the analyzer's fixtures, printed synthetic pipelines
-//! of 9–60 stages, and one-character deletions, duplications and
-//! substitutions of them. `PROPTEST_SHIM_SEED` moves the mutations.
+//! of 9–60 stages, programs at the parser's edges, and one-character
+//! deletions, duplications and substitutions of them.
+//! `PROPTEST_SHIM_SEED` moves the mutations.
 
 mod reference;
 
-use imagen_dsl::{AstExpr, AstRate, Item, Program, Token};
+use imagen_dsl::{AstExpr, AstRate, Item, Program, Token, MAX_EXPR_CHAIN, MAX_EXPR_DEPTH};
 use proptest::prelude::*;
 use reference::ast as r;
 use std::path::Path;
@@ -252,8 +253,19 @@ fn imagen_files(dir: &Path) -> Vec<(String, String)> {
     out
 }
 
-/// The unmutated corpus: 10 examples, the analyzer's fixtures and 30
-/// printed synthetic pipelines of 9–60 stages.
+/// Shapes the other programs lack: block comments holding multi-byte
+/// characters with tokens after them on the same line, a `/*/` that
+/// does not close, custom coordinate names, rates, every operator and
+/// built-in.
+const HANDWRITTEN: &str = "/* é */ input a; // ñ → ü
+/*/ still a comment ×*/ h = downsample(2, 2) im(u, v) a(u-1, v+1) /* ü */ end;
+output o = upsample(2,2) im(x,y) select(h(x,y) != 0, clamp(-h(x,y) * 3 / 2, 0, 255), \
+    min(abs(h(x+1,y) << 1), max(h(x,y-1) >> 1, 7))) + (h(x,y) <= 4) \
+    - (h(x,y) == 5) * (h(x,y) > 1) + (h(x,y) >= 2) - (h(x,y) < 3) end
+";
+
+/// The unmutated corpus: 10 examples, the analyzer's fixtures, 30
+/// printed synthetic pipelines of 9–60 stages and [`HANDWRITTEN`].
 fn corpus() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let examples = imagen_files(&root.join("examples"));
@@ -265,10 +277,12 @@ fn corpus() -> Vec<(String, String)> {
         let dag = imagen_algos::synthetic_pipeline(stages, 0x5eed_0000 + i);
         (dag.name().to_string(), imagen_dsl::to_dsl(&dag))
     });
+    let handwritten = ("handwritten".to_string(), HANDWRITTEN.to_string());
     examples
         .into_iter()
         .chain(fixtures)
         .chain(synthetic)
+        .chain([handwritten])
         .collect()
 }
 
@@ -285,6 +299,53 @@ fn front_ends_agree_on_the_corpus() {
     assert_eq!(parsed, corpus.len() - 1);
 }
 
+/// Programs at the parser's edges: chained comparisons, operator chains
+/// and nesting at and past their limits, comparisons outside the chain
+/// budget, lexical errors before and after syntax errors.
+fn edge_shapes() -> Vec<(String, String)> {
+    let body = |b: &str| format!("input a; output b = im(x,y) {b} end");
+    let links = |n: usize, op: &str| format!("a(x,y){}", format!(" {op} 1").repeat(n));
+    let nest = |n: usize| format!("{}a(x,y){}", "(".repeat(n), ")".repeat(n));
+    let shapes = [
+        body("a(x,y) < 1 < 2"),
+        body("a(x,y) < 1 + 2 * 3 > 4"),
+        body("(a(x,y) < 1) < 2 == (3 >= a(x,y))"),
+        body("a(x,y) + 1 < 2 * 3 - a(x-1,y) / 4 << 1 >> 2"),
+        body("select(a(x,y) < 1 < 2, 3)"),
+        body("- - -a(x,y) - -1"),
+        body(&links(MAX_EXPR_CHAIN, "+")),
+        body(&links(MAX_EXPR_CHAIN + 1, "+")),
+        body(&(links(MAX_EXPR_CHAIN, "-") + " * 2")),
+        body(&(links(MAX_EXPR_CHAIN, "<<") + " < 5")),
+        body(&format!("{} < {}", links(200, "*"), links(185, "/"))),
+        body(&format!("{} < {}", links(200, "*"), links(184, "/"))),
+        body(&nest(MAX_EXPR_DEPTH - 1)),
+        body(&nest(MAX_EXPR_DEPTH)),
+        body(&format!("{}a(x,y)", "-".repeat(MAX_EXPR_DEPTH))),
+        body(&format!(
+            "min({}a(x,y)), 1)",
+            "abs(".repeat(MAX_EXPR_DEPTH - 2)
+        )),
+        "input ; output b = im(x,y) a(x,y) $ end".to_string(),
+        "input $; output b = im(x,y) a(x,y) end".to_string(),
+        "input a output b = im(x,y) a(x,y) + 99999999999999999999 end".to_string(),
+        "input a; output b = im(x,y) a(x,y) /* é".to_string(),
+        "input a; output b = im(x,y) a(x,y) !".to_string(),
+    ];
+    shapes
+        .into_iter()
+        .enumerate()
+        .map(|(i, src)| (format!("edge{i}"), src))
+        .collect()
+}
+
+#[test]
+fn front_ends_agree_on_edge_shapes() {
+    for (name, src) in edge_shapes() {
+        agree(&name, &src).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 /// Characters a substitution writes: the language's own, a letter of
 /// each coordinate and producer shape, and characters outside it.
 const SUBSTITUTES: &[char] = &[
@@ -296,7 +357,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6_000))]
 
     /// One-character deletions, duplications and substitutions of the
-    /// corpus: 6,000 per run, spread evenly over the three kinds.
+    /// corpus and the edge shapes: 6,000 per run, spread evenly over the
+    /// three kinds.
     #[test]
     fn front_ends_agree_on_one_character_mutations(
         pick in 0usize..1_000_000,
@@ -305,7 +367,8 @@ proptest! {
         sub in 0usize..SUBSTITUTES.len(),
     ) {
         thread_local! {
-            static CORPUS: Vec<(String, String)> = corpus();
+            static CORPUS: Vec<(String, String)> =
+                corpus().into_iter().chain(edge_shapes()).collect();
         }
         CORPUS.with(|corpus| {
             let (name, src) = &corpus[pick % corpus.len()];
