@@ -182,6 +182,31 @@ fn certify_text_pinned_on_canny_m() {
     }
 }
 
+/// The full `imagen energy` text — analytic and measured power, energy
+/// per frame, the clock-gating saving and every buffer's activity — on
+/// the default ASIC target and on a coalesced multirate pipeline on
+/// BRAM.
+#[test]
+fn energy_text_pinned() {
+    for (golden, args) in [
+        (
+            "energy_canny_m.txt",
+            &["energy", "examples/canny_m.imagen", "--name", "Canny-m"][..],
+        ),
+        (
+            "energy_laplacian_pyramid_fpga.txt",
+            &[
+                "energy",
+                "examples/laplacian_pyramid.imagen",
+                "--fpga",
+                "--coalesce",
+            ][..],
+        ),
+    ] {
+        assert_golden(golden, &stdout_of(&imagen(args)));
+    }
+}
+
 #[test]
 fn emitted_verilog_matches_library_output() {
     let dir = std::env::temp_dir().join(format!("imagen_cli_test_{}", std::process::id()));
