@@ -14,7 +14,7 @@ use crate::{codes, Diagnostic, Locus, Severity};
 use imagen_mem::{ImageGeometry, MemorySpec};
 use imagen_schedule::checker::{check_accesses, BufferLayout, ResolvedEntity};
 use imagen_schedule::{
-    formulate, resolve_entities, schedule_satisfies, size_buffers, FormulationOptions, Plan,
+    formulate, resolve_entities, schedule_satisfies, size_buffers, Plan, ScheduleOptions,
     SpecBufferParams,
 };
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ pub fn lint_plan(plan: &Plan, geom: &ImageGeometry, spec: &MemorySpec) -> Vec<Di
         dag,
         geom.width,
         &SpecBufferParams { spec, geom },
-        FormulationOptions { pruning: false },
+        ScheduleOptions { pruning: false },
     );
     let satisfies = schedule_satisfies(&set, starts);
     if !satisfies {

@@ -123,17 +123,17 @@ pub struct FormulationStats {
     pub groups_open: usize,
 }
 
-/// Options controlling constraint generation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FormulationOptions {
+/// Scheduling options: how the constraint system is formulated.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ScheduleOptions {
     /// Apply Sec. 5.4 constraint pruning (on by default; the Sec. 8.2
     /// ablation turns it off).
     pub pruning: bool,
 }
 
-impl Default for FormulationOptions {
+impl Default for ScheduleOptions {
     fn default() -> Self {
-        FormulationOptions { pruning: true }
+        ScheduleOptions { pruning: true }
     }
 }
 
@@ -239,7 +239,7 @@ pub fn formulate(
     dag: &Dag,
     width: u32,
     params: &impl BufferParams,
-    opts: FormulationOptions,
+    opts: ScheduleOptions,
 ) -> ConstraintSet {
     formulate_with(dag, width, &formulate_skeleton(dag, width), params, opts)
 }
@@ -255,7 +255,7 @@ pub fn formulate_with(
     width: u32,
     skeleton: &ConstraintSkeleton,
     params: &impl BufferParams,
-    opts: FormulationOptions,
+    opts: ScheduleOptions,
 ) -> ConstraintSet {
     let periods = row_periods(dag, width);
     let mut hard = skeleton.hard.clone();
@@ -610,7 +610,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         assert!(set
             .hard
@@ -628,7 +628,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         assert_eq!(
             set.stats.combinations, 1,
@@ -652,7 +652,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions { pruning: false },
+            ScheduleOptions { pruning: false },
         );
         // Without pruning the combination keeps multiple feasible-looking
         // alternatives (writer-behind-reader ones are syntactically kept).
@@ -668,7 +668,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 1, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         // K0's buffer has 3 entities -> 3 pairs; K1's has 2 -> 1 pair.
         assert_eq!(set.stats.combinations, 4);
@@ -693,7 +693,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         assert_eq!(set.stats.combinations, 0);
         assert_eq!(set.hard.len(), 1, "just the dependency");
@@ -711,7 +711,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 2 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         // Strongest writer constraint: trailing reader port covering rows
         // [2,2]: S_1 - S_0 >= (2 + 1) * W = 3W.
@@ -732,7 +732,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         let bounds = DiffBounds::new(dag.num_stages(), &set.hard);
         // Path K0 -> K1 -> K2 composes: S2 - S0 >= 961 + 961.
@@ -760,7 +760,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         // The paper-optimal schedule for Fig. 6 style pipelines.
         assert!(schedule_satisfies(&set, &[0, 961, 1922]));

@@ -33,8 +33,8 @@ mod solve;
 
 pub use constraints::{
     dependency_gap, formulate, formulate_skeleton, formulate_with, row_periods, schedule_satisfies,
-    BufferParams, ConstraintSet, ConstraintSkeleton, DiffBounds, DiffGe, FormulationOptions,
-    FormulationStats, OrGroup,
+    BufferParams, ConstraintSet, ConstraintSkeleton, DiffBounds, DiffGe, FormulationStats, OrGroup,
+    ScheduleOptions,
 };
 pub use entity::{buffer_entities, AccessEntity};
 pub use plan::{
@@ -42,6 +42,6 @@ pub use plan::{
     SpecBufferParams,
 };
 pub use solve::{
-    asap_schedule, delay_lp, size_buffers, solve_schedule, Schedule, ScheduleError,
-    ScheduleOptions, SolveReport, MAX_SUBPROBLEMS,
+    asap_schedule, delay_lp, size_buffers, solve_schedule, Schedule, ScheduleError, SolveReport,
+    MAX_SUBPROBLEMS,
 };

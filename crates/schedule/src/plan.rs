@@ -21,10 +21,10 @@
 
 use crate::checker::{BufferCheck, BufferVerdict, PortViolation, ResolvedEntity};
 use crate::constraints::{
-    formulate_skeleton, formulate_with, BufferParams, ConstraintSkeleton, FormulationOptions,
+    formulate_skeleton, formulate_with, BufferParams, ConstraintSkeleton, ScheduleOptions,
 };
 use crate::entity::buffer_entities;
-use crate::solve::{solve_schedule, Schedule, ScheduleError, ScheduleOptions};
+use crate::solve::{solve_schedule, Schedule, ScheduleError};
 use imagen_ir::{apply_line_coalescing, CoalesceFactor, Dag, StageId, StageKind};
 use imagen_mem::{
     allocate_buffer, Design, DesignStyle, ImageGeometry, MemorySpec, PeModel, CLOCK_MHZ,
@@ -246,15 +246,7 @@ pub fn plan_design_with(
     let params = SpecBufferParams { spec, geom };
     let set = {
         let _s = imagen_obs::span("plan.formulate");
-        formulate_with(
-            &working,
-            geom.width,
-            skeleton,
-            &params,
-            FormulationOptions {
-                pruning: opts.pruning,
-            },
-        )
+        formulate_with(&working, geom.width, skeleton, &params, opts)
     };
     let schedule = {
         let _s = imagen_obs::span("ilp.solve");

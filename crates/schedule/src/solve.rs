@@ -26,19 +26,6 @@ use std::fmt;
 /// before it gives up with [`ScheduleError::TooManySubproblems`].
 pub const MAX_SUBPROBLEMS: usize = 4096;
 
-/// Scheduling options.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ScheduleOptions {
-    /// Apply Sec. 5.4 constraint pruning.
-    pub pruning: bool,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions { pruning: true }
-    }
-}
-
 /// Scheduling failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ScheduleError {
@@ -364,7 +351,7 @@ pub fn asap_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraints::{formulate, schedule_satisfies, FormulationOptions};
+    use crate::constraints::{formulate, schedule_satisfies, ScheduleOptions};
     use crate::entity::buffer_entities;
     use imagen_ir::Expr;
 
@@ -405,14 +392,7 @@ mod tests {
     }
 
     fn solve(dag: &Dag, ports: u32, g: u32, opts: ScheduleOptions) -> Schedule {
-        let set = formulate(
-            dag,
-            480,
-            &Uniform { ports, g },
-            FormulationOptions {
-                pruning: opts.pruning,
-            },
-        );
+        let set = formulate(dag, 480, &Uniform { ports, g }, opts);
         let sched = solve_schedule(dag, 480, &set).unwrap();
         assert!(schedule_satisfies(&set, &sched.starts));
         sched
@@ -479,7 +459,7 @@ mod tests {
             &dag,
             480,
             &Uniform { ports: 2, g: 1 },
-            FormulationOptions::default(),
+            ScheduleOptions::default(),
         );
         let asap = asap_schedule(dag.num_stages(), &set.hard, &[]).unwrap();
         let opt = solve(&dag, 2, 1, ScheduleOptions::default());

@@ -12,8 +12,8 @@ mod simplex;
 use imagen::algos::synthetic_pipeline;
 use imagen::schedule::{
     delay_lp, formulate, plan_design, schedule_satisfies, size_buffers, solve_schedule,
-    BufferParams, ConstraintSet, DiffGe, FormulationOptions, OrGroup, ScheduleError,
-    ScheduleOptions, SpecBufferParams, MAX_SUBPROBLEMS,
+    BufferParams, ConstraintSet, DiffGe, OrGroup, ScheduleError, ScheduleOptions, SpecBufferParams,
+    MAX_SUBPROBLEMS,
 };
 use imagen::sim::{simulate, Image};
 use imagen::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
@@ -38,7 +38,7 @@ fn box_k(slot: usize, h: i32) -> Expr {
 /// Exhaustive schedule search for tiny pipelines: enumerate start cycles
 /// up to a bound and minimize total buffer rows.
 fn brute_force_rows(dag: &Dag, width: u32, ports: u32, bound: i64) -> Option<u64> {
-    let set = formulate(dag, width, &Uniform(ports), FormulationOptions::default());
+    let set = formulate(dag, width, &Uniform(ports), ScheduleOptions::default());
     let n = dag.num_stages();
     let mut starts = vec![0i64; n];
     let mut best: Option<u64> = None;
@@ -101,7 +101,7 @@ fn ilp_matches_brute_force_on_small_pipelines() {
 
     for (dag, bound) in [(&diamond, 40), (&chain, 30)] {
         for ports in [1u32, 2] {
-            let set = formulate(dag, w, &Uniform(ports), FormulationOptions::default());
+            let set = formulate(dag, w, &Uniform(ports), ScheduleOptions::default());
             let sched = solve_schedule(dag, w, &set).unwrap();
             let brute = brute_force_rows(dag, w, ports, bound).expect("feasible");
             assert_eq!(
@@ -125,7 +125,7 @@ fn or_group_search_stops_at_the_subproblem_budget() {
     let k0 = dag.add_input("K0");
     let k1 = dag.add_stage("K1", &[k0], box_k(0, 3)).unwrap();
     dag.mark_output(k1);
-    let set = formulate(&dag, 4, &Uniform(2), FormulationOptions::default());
+    let set = formulate(&dag, 4, &Uniform(2), ScheduleOptions::default());
     assert!(set.groups.is_empty());
     let free = DiffGe { a: k1, b: k0, k: 0 };
     let groups = (0..13).map(|_| OrGroup {
@@ -237,12 +237,7 @@ fn flow_schedule_matches_simplex_oracle() {
                 spec: &spec,
                 geom: &geom,
             };
-            let set = formulate(
-                &plan.dag,
-                geom.width,
-                &params,
-                FormulationOptions::default(),
-            );
+            let set = formulate(&plan.dag, geom.width, &params, ScheduleOptions::default());
             let flow = solve_schedule(&plan.dag, geom.width, &set).unwrap();
             assert_eq!(flow.starts, plan.schedule.starts, "{}", dag.name());
 
