@@ -66,7 +66,6 @@ use imagen_schedule::Plan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::fmt;
 use std::sync::Arc;
 
 /// Per-stage memory choice explored by the DSE (Sec. 8.5).
@@ -104,10 +103,9 @@ pub struct DsePoint {
     /// analytic area/power models: what the point's netlist instantiates,
     /// counted from its structure without elaborating one.
     pub resources: ResourceReport,
-    /// Measured (netlist-activity) energy. Populated during the sweep
-    /// itself under the default [`MeasureMode::Schedule`]; `None` only when
-    /// the sweep ran with [`MeasureMode::Off`] and nobody has paid for an
-    /// on-demand [`DseResult::measure_point`] yet.
+    /// Measured (netlist-activity) energy, populated during the sweep
+    /// itself under the default [`MeasureMode::Schedule`]; `None` when the
+    /// sweep ran with [`MeasureMode::Off`].
     pub measured: Option<MeasuredEnergy>,
     /// The priced design.
     pub design: Design,
@@ -146,39 +144,6 @@ impl MeasuredEnergy {
         } else {
             100.0 * (self.power_mw - self.gated_power_mw) / self.power_mw
         }
-    }
-}
-
-/// Failure of an on-demand point measurement.
-#[derive(Debug)]
-pub enum MeasureError {
-    /// Planning the point failed.
-    Compile(CompileError),
-    /// The executor refused the point's design (e.g. a schedule that
-    /// violates the streaming margins).
-    Interp(InterpError),
-}
-
-impl fmt::Display for MeasureError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MeasureError::Compile(e) => write!(f, "{e}"),
-            MeasureError::Interp(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MeasureError {}
-
-impl From<CompileError> for MeasureError {
-    fn from(e: CompileError) -> Self {
-        MeasureError::Compile(e)
-    }
-}
-
-impl From<InterpError> for MeasureError {
-    fn from(e: InterpError) -> Self {
-        MeasureError::Interp(e)
     }
 }
 
@@ -262,35 +227,6 @@ impl DseResult {
     pub fn spec_of(&self, point: &DsePoint, backend: MemBackend) -> MemorySpec {
         spec_for(backend, &self.buffered_stages, &point.choices)
     }
-
-    /// Populates (and returns) the measured energy of point `index` from
-    /// its structure — described from the plan in `session`'s cache,
-    /// planned if absent — under both the ungated and the clock-gated
-    /// variants, as the sweep measures ([`MeasureMode`]). Memoized on the
-    /// point: a second call is free.
-    ///
-    /// `session` must be a session for the same DAG/geometry the sweep
-    /// ran on.
-    ///
-    /// # Errors
-    ///
-    /// [`MeasureError`] on planning failure or when the executor refuses
-    /// the design.
-    pub fn measure_point(
-        &mut self,
-        session: &Session,
-        index: usize,
-    ) -> Result<MeasuredEnergy, MeasureError> {
-        if let Some(m) = self.points[index].measured {
-            return Ok(m);
-        }
-        let point = &self.points[index];
-        let spec = spec_for(point.design.backend, &self.buffered_stages, &point.choices);
-        let plan = session.price(&spec, Some(point.design.style))?;
-        let m = measure_energy(&describe(&plan.dag, &plan.design), &point.design, None)?;
-        self.points[index].measured = Some(m);
-        Ok(m)
-    }
 }
 
 /// How [`explore`] walks the per-stage DP/DPLC space.
@@ -331,8 +267,7 @@ pub enum MeasureMode {
     /// Measure every point (ungated and clock-gated) from its schedule.
     #[default]
     Schedule,
-    /// Skip measurement: points carry `measured: None` until someone
-    /// pays for an on-demand [`DseResult::measure_point`].
+    /// Skip measurement (pricing only): points carry `measured: None`.
     Off,
 }
 
@@ -394,10 +329,10 @@ fn choices_for(mask: u64, n: usize) -> Vec<StageChoice> {
 fn measure_energy(
     structure: &Structure,
     design: &Design,
-    memo: Option<&BlockSweepMemo>,
+    memo: &BlockSweepMemo,
 ) -> Result<MeasuredEnergy, InterpError> {
     let _s = imagen_obs::span("measure");
-    let p = imagen_power::measure_schedule(structure, &BitWidths::default(), design, memo)?;
+    let p = imagen_power::measure_schedule(structure, &BitWidths::default(), design, Some(memo))?;
     Ok(MeasuredEnergy::from_reports(&p.ungated, &p.gated))
 }
 
@@ -414,8 +349,7 @@ fn point_from(
     let structure = describe(&plan.dag, &design);
     let resources = report_resources(&structure, &BitWidths::default());
     let measured = measure.map(|memo| {
-        measure_energy(&structure, &design, Some(memo))
-            .expect("the planner emits streamable designs")
+        measure_energy(&structure, &design, memo).expect("the planner emits streamable designs")
     });
     DsePoint {
         choices,
@@ -910,70 +844,6 @@ mod tests {
             );
             assert_eq!(ma.gated_power_mw.to_bits(), mb.gated_power_mw.to_bits());
             assert_eq!(ma.gated_off_cycles, mb.gated_off_cycles);
-        }
-    }
-
-    #[test]
-    fn measure_point_populates_energy_on_demand() {
-        let dag = Algorithm::XcorrM.build();
-        let session = Session::new(&dag, geom());
-        let mut res = explore(
-            &dag,
-            &geom(),
-            backend(),
-            ExploreOptions {
-                measure: MeasureMode::Off,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            res.points.iter().all(|p| p.measured.is_none()),
-            "MeasureMode::Off defers measurement"
-        );
-        let n = res.points.len();
-        for i in 0..n {
-            let m = res.measure_point(&session, i).unwrap();
-            assert!(m.energy_pj_per_frame > 0.0);
-            assert!(m.power_mw > 0.0);
-            assert!(
-                m.gated_power_mw < m.power_mw,
-                "gating saves measured power on point {i}"
-            );
-            assert!(m.gated_off_cycles > 0);
-            assert!(m.gating_saving_pct() > 0.0);
-        }
-        // Memoized: a second call returns the same value without work.
-        let (hits_before, _) = session.cache().stats();
-        let again = res.measure_point(&session, 0).unwrap();
-        assert_eq!(
-            again.energy_pj_per_frame,
-            res.points[0].measured.unwrap().energy_pj_per_frame
-        );
-        assert_eq!(session.cache().stats().0, hits_before, "no extra lookups");
-        // The measured axis supports its own frontier through the
-        // generalized pareto machinery.
-        let front = res.pareto_front_by(|p| {
-            (
-                p.area_mm2,
-                p.measured.map_or(f64::NAN, |m| m.energy_pj_per_frame),
-            )
-        });
-        assert!(!front.is_empty());
-        for &i in &front {
-            for (j, p) in res.points.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let (ei, ej) = (
-                    res.points[i].measured.unwrap().energy_pj_per_frame,
-                    p.measured.unwrap().energy_pj_per_frame,
-                );
-                assert!(
-                    !(p.area_mm2 <= res.points[i].area_mm2 && ej < ei),
-                    "frontier point {i} dominated by {j} on (area, energy)"
-                );
-            }
         }
     }
 
