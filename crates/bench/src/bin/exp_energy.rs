@@ -4,12 +4,14 @@
 //! Every power figure in the paper reproduction (fig8b, fig9b,
 //! `exp_power_breakdown`) prices designs with the *analytic* model in
 //! `imagen_mem::tech` — scheduled access rates times calibrated pJ
-//! constants. This binary instead *runs* each generated netlist through
-//! the executable-netlist interpreter with an activity trace and prices
-//! the counted events with the same constants, per pipeline and design
-//! style, then applies the clock-gating pass (`imagen_power::gate_clocks`)
-//! and reports the measured saving — with the interpreter's gated-off
-//! cycle count, so the saving is measured, not asserted.
+//! constants. This binary instead counts each generated design's events
+//! from its schedule (per-bank SRAM accesses, idle read-port cycles,
+//! register loads) and prices them with the same constants, per pipeline
+//! and design style, ungated and after the clock-gating pass
+//! (`imagen_power::gate_clocks`), which it also runs on a frame to check
+//! that gating changes no output. It reports the measured saving with
+//! the gated-off read-port cycle count, so the saving is measured, not
+//! asserted.
 //!
 //! Frames are height-reduced (rates are height-invariant, the
 //! `exp_power_breakdown` argument); smoke mode shrinks further for CI.

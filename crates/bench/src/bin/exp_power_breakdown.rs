@@ -3,8 +3,8 @@
 //! the classic designs keep most blocks at ~1 — the mechanism behind the
 //! paper's "35% more power for two-access BRAMs" measurement — verified
 //! here with exact counts from the cycle-level simulator **and**
-//! cross-checked against the netlist interpreter's independent activity
-//! trace (`imagen-rtl`'s counting path vs `imagen-sim`'s).
+//! cross-checked against the netlist's independent activity trace
+//! (`imagen-rtl`'s schedule-derived counting path vs `imagen-sim`'s).
 
 use imagen_algos::Algorithm;
 use imagen_bench::{asic_backend, generate, smoke_mode, test_frame};
@@ -59,8 +59,8 @@ fn main() {
             let avg = rates.iter().sum::<f64>() / rates.len().max(1) as f64;
             let max = rates.iter().cloned().fold(0.0, f64::max);
 
-            // The independent counting path: the netlist interpreter's
-            // activity trace must agree with the simulator's annotations
+            // The independent counting path: the netlist's activity
+            // trace must agree with the simulator's annotations
             // block for block (also pinned by tests/activity_crosscheck).
             let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
             let (_, trace) = interpret_with_trace(&net, &[input]).expect("interpretation");

@@ -275,9 +275,9 @@ pub fn reduction_pct(base: f64, ours: f64) -> f64 {
     100.0 * (base - ours) / base
 }
 
-/// One measured (netlist-interpreted) power point: analytic,
-/// measured-ungated and measured-gated power plus the interpreter's
-/// gated-off cycle count.
+/// One measured (activity-priced) power point: analytic,
+/// measured-ungated and measured-gated power plus the gated-off
+/// read-port cycle count.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasuredPoint {
     /// Analytic memory power (`Design::memory_power_mw`), mW.
@@ -292,7 +292,7 @@ pub struct MeasuredPoint {
     pub gated_total_mw: f64,
     /// Measured memory power of the clock-gated netlist, mW.
     pub gated_mem_mw: f64,
-    /// Read-port cycles the gating pass removed (interpreter-counted).
+    /// Read-port cycles the gating pass removed.
     pub gated_off_cycles: u64,
 }
 
@@ -303,14 +303,17 @@ impl MeasuredPoint {
     }
 }
 
-/// Measures one (algorithm × style) point by interpreting its netlist,
-/// on a height-reduced frame: access *rates* are height-invariant (the
-/// raster pattern repeats row by row, the same argument
-/// `exp_power_breakdown` uses) and the per-block macro configurations
-/// (rows per block, used bits per row) depend only on the frame width,
-/// so the mW figures match the full-height design while interpretation
-/// stays fast. Access statistics are first annotated from the cycle
-/// simulator so the analytic column uses exact rates.
+/// Measures one (algorithm × style) point with
+/// `imagen_power::measure_pipeline`, which prices the activity the
+/// schedule fixes after running the netlist and its clock-gated copy on
+/// a frame and checking their outputs agree. The frame is
+/// height-reduced: access *rates* are height-invariant (the raster
+/// pattern repeats row by row, the same argument `exp_power_breakdown`
+/// uses) and the per-block macro configurations (rows per block, used
+/// bits per row) depend only on the frame width, so the mW figures match
+/// the full-height design while simulation stays fast. Access statistics
+/// are first annotated from the cycle simulator so the analytic column
+/// uses exact rates.
 pub fn measure_point(
     alg: Algorithm,
     style: DesignStyle,
@@ -351,11 +354,11 @@ pub fn measure_point(
         measured_total_mw: m.ungated.total_mw(),
         gated_total_mw: m.gated.total_mw(),
         gated_mem_mw: m.gated.memory_mw(),
-        gated_off_cycles: m.gated_off_cycles(),
+        gated_off_cycles: m.gated.gated_off_cycles,
     }
 }
 
-/// Prints the measured (netlist-interpreted) memory-power counterpart
+/// Prints the measured (activity-priced) memory-power counterpart
 /// of an analytic figure matrix — one [`measure_point`] per applicable
 /// (algorithm × style) — followed by the average clock-gating saving.
 /// Shared by `fig8b` and `fig9b`.

@@ -672,7 +672,7 @@ pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
         m.ungated.total_mw(),
         m.gated.total_mw(),
         m.gating_saving_pct(),
-        m.gated_off_cycles()
+        m.gated.gated_off_cycles
     ));
 
     text.push_str("\n## Per-buffer activity (ungated)\n\n");

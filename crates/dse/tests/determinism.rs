@@ -3,11 +3,11 @@
 //! * fanning a sweep out over worker threads returns *byte-identical*
 //!   points (order and values) to the sequential walk;
 //! * recompiling a cached point equals the cold compile;
-//! * every swept point's measured energy, priced from its schedule,
-//!   equals a per-point frame measurement
-//!   (`imagen_power::measure_netlist`) bit for bit, and its resources
-//!   equal its netlist's, on the whole example corpus, pyramids
-//!   included;
+//! * every swept point's measured energy, priced from its schedule with
+//!   the sweep's shared block-sweep memo, equals `imagen_power::measure`
+//!   of the traces `interpret_with_trace` returns for the point's netlist
+//!   and its clock-gated copy bit for bit, and its resources equal its
+//!   netlist's, on the whole example corpus, pyramids included;
 //! * a traced parallel sweep records every worker's spans and returns
 //!   what an untraced one does;
 //! * every buffer a sweep's shared port-check memo sized equals the
@@ -24,8 +24,10 @@ use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMod
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec, StageMemConfig};
 use imagen_obs::{with_collector, Collector};
-use imagen_power::gating_plan;
-use imagen_rtl::{describe, report_resources, BlockSweepMemo, ScheduleActivity, Structure};
+use imagen_power::{gate_clocks, gating_plan, measure};
+use imagen_rtl::{
+    describe, interpret_with_trace, report_resources, BlockSweepMemo, ScheduleActivity, Structure,
+};
 use imagen_schedule::checker::{check_accesses, required_phys_rows};
 use imagen_schedule::{plan_design, resolve_entities, ScheduleOptions};
 use imagen_sim::Image;
@@ -213,12 +215,12 @@ fn noise_frames(dag: &Dag, seed: u64, bits: u32) -> Vec<Image> {
         .collect()
 }
 
-/// Every swept point's measured energy equals `measure_netlist` on the
-/// point's netlist and a noise frame, bit for bit, at 1 and 3 workers,
-/// and its resources equal `report_resources` of that netlist.
-/// Every point, pyramids included, is priced from its schedule; the
-/// frame measurement runs the traced program on the point's netlist and
-/// its clock-gated copy.
+/// Every swept point's measured energy equals `measure` of the traced
+/// runs of the point's netlist and its clock-gated copy on a noise
+/// frame, bit for bit, at 1 and 3 workers, and its resources equal
+/// `report_resources` of that netlist. The sweep prices the gated design
+/// from the ungated block sweep (`trace_gated`); the gated copy's trace
+/// comes from its own.
 #[test]
 fn measured_energy_matches_frame_measurement_on_corpus() {
     for (name, dag) in corpus() {
@@ -237,27 +239,30 @@ fn measured_energy_matches_frame_measurement_on_corpus() {
                 report_resources(&net.structure, &net.widths),
                 "{name} point {i}: resources are the netlist's"
             );
-            let pm = imagen_power::measure_netlist(&net, &p.design, &inputs).unwrap();
+            let gated = gate_clocks(&net);
+            let (_, trace) = interpret_with_trace(&net, &inputs).unwrap();
+            let (gated_run, gated_trace) = interpret_with_trace(&gated, &inputs).unwrap();
+            let ungated = measure(&net, &p.design, &trace);
+            let gated = measure(&gated, &p.design, &gated_trace);
             for res in &sweeps {
                 let m = res.points[i].measured.unwrap();
                 assert_eq!(
                     m.energy_pj_per_frame.to_bits(),
-                    pm.ungated.energy_pj_per_frame().to_bits(),
+                    ungated.energy_pj_per_frame().to_bits(),
                     "{name} point {i}: energy"
                 );
                 assert_eq!(
                     m.power_mw.to_bits(),
-                    pm.ungated.total_mw().to_bits(),
+                    ungated.total_mw().to_bits(),
                     "{name} point {i}: power"
                 );
                 assert_eq!(
                     m.gated_power_mw.to_bits(),
-                    pm.gated.total_mw().to_bits(),
+                    gated.total_mw().to_bits(),
                     "{name} point {i}: gated power"
                 );
                 assert_eq!(
-                    m.gated_off_cycles,
-                    pm.gated_off_cycles(),
+                    m.gated_off_cycles, gated_run.gated_off_cycles,
                     "{name} point {i}: gated-off cycles"
                 );
             }

@@ -7,11 +7,11 @@
 //! activations at the PE energy of the stage's operator census, and
 //! leakage per instantiated macro. The difference from
 //! `Design::total_power_mw` is therefore purely the *activity basis*:
-//! scheduled rates there, interpreted events here — which is exactly
-//! what makes the cross-check meaningful.
+//! scheduled rates there, events counted cycle by cycle here — which is
+//! exactly what makes the cross-check meaningful.
 //!
-//! Power normalization: energies are integrated over one interpreted
-//! frame and converted to mW using the steady-state streaming period
+//! Power normalization: energies are integrated over one frame and
+//! converted to mW using the steady-state streaming period
 //! (`frame` pixels = `frame` cycles at one pixel per cycle), matching
 //! the analytic model's per-cycle-rate convention.
 
@@ -37,14 +37,14 @@ pub struct BufferEnergy {
     pub static_mw: f64,
 }
 
-/// Measured energy/power of one interpreted frame.
+/// Measured energy/power of one frame.
 #[derive(Clone, Debug)]
 pub struct EnergyReport {
     /// Clock the mW figures are quoted at, MHz.
     pub clock_mhz: f64,
     /// Steady-state streaming period, cycles (= pixels per frame).
     pub frame_cycles: u64,
-    /// Clock edges of the interpreted run (frame + schedule skew).
+    /// Clock edges of the run (frame + schedule skew).
     pub run_cycles: u64,
     /// SRAM read energy, pJ per frame (consumed reads).
     pub sram_read_pj: f64,
@@ -114,15 +114,14 @@ impl EnergyReport {
     }
 }
 
-/// Prices `trace` of `net` at the evaluation clock
-/// ([`imagen_mem::CLOCK_MHZ`]) — [`measure_at`] over the netlist's
-/// structure and widths.
+/// Prices `trace` of `net` — [`measure_at`] over the netlist's structure
+/// and widths.
 pub fn measure(net: &Netlist, design: &Design, trace: &ActivityTrace) -> EnergyReport {
-    let (structure, widths) = (&net.structure, &net.widths);
-    measure_at(structure, widths, design, trace, imagen_mem::CLOCK_MHZ)
+    measure_at(&net.structure, &net.widths, design, trace)
 }
 
-/// Prices an [`ActivityTrace`] into an [`EnergyReport`] at `clock_mhz`.
+/// Prices an [`ActivityTrace`] into an [`EnergyReport`] at the evaluation
+/// clock ([`imagen_mem::CLOCK_MHZ`]).
 ///
 /// `design` supplies the physical block inventory (allocated macro
 /// sizes, port counts — the same configurations the analytic model
@@ -130,19 +129,15 @@ pub fn measure(net: &Netlist, design: &Design, trace: &ActivityTrace) -> EnergyR
 /// `widths` the datapath width; `trace` supplies the measured event
 /// counts.
 ///
-/// Only counts the design's structure and schedule determine are
-/// priced: per-block SRAM reads and writes, read-port enabled, idle and
-/// gated-off cycles, SRA cell writes, stage active cycles and
-/// output-register writes. The two pixel-dependent toggle fields
-/// (`out_reg_toggles`, `bit_toggles`) are never read, so a trace built
-/// without a frame (`imagen_rtl::ScheduleActivity`) prices the same as
-/// one from an interpreted frame.
+/// The priced counts — per-block SRAM reads and writes, read-port
+/// enabled, idle and gated-off cycles, SRA cell writes, stage active
+/// cycles and output-register writes — are all fixed by the design's
+/// structure and schedule.
 pub fn measure_at(
     structure: &Structure,
     widths: &BitWidths,
     design: &Design,
     trace: &ActivityTrace,
-    clock_mhz: f64,
 ) -> EnergyReport {
     let pixel = widths.pixel_bits as u64;
     let word_bits = design.geometry.pixel_bits;
@@ -238,7 +233,7 @@ pub fn measure_at(
     }
 
     EnergyReport {
-        clock_mhz,
+        clock_mhz: imagen_mem::CLOCK_MHZ,
         frame_cycles: trace.frame,
         run_cycles: trace.run_cycles,
         sram_read_pj,

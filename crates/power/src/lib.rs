@@ -1,8 +1,8 @@
 //! # imagen-power
 //!
 //! Activity-based power/energy measurement and clock gating for ImaGen
-//! accelerators — the subsystem that turns the executable-netlist
-//! interpreter (`imagen_rtl::interpret_with_trace`) into a power meter.
+//! accelerators — the subsystem that prices the activity a design's
+//! schedule fixes (`imagen_rtl::ScheduleActivity`) into measured energy.
 //!
 //! "Power-efficient" is half the source paper's title, yet the analytic
 //! model in `imagen_mem` prices every design from *scheduled* access
@@ -10,25 +10,23 @@
 //! the generated hardware:
 //!
 //! ```text
-//! Netlist ──interpret_with_trace()──▶ ActivityTrace ──measure()──▶ EnergyReport
-//!    │                                                                 ▲
-//!    └──gate_clocks()──▶ gated Netlist ──interpret_with_trace()────────┤
-//!                                                                      │
-//! Structure ──ScheduleActivity::derive()──┬─ trace() ───── measure_at()┤
-//!  (describe(dag, design),                └─ trace_gated(gating_plan())┘
+//! Structure ──ScheduleActivity::derive()──┬─ trace() ─────────────────── measure_at() ─▶ ungated ┐
+//!  (describe(dag, design),                └─ trace_gated(gating_plan()) ─ measure_at() ─▶ gated  ┴▶ SchedulePower
 //!   any rate, no netlist, no frame)
+//!
+//! Netlist ──gate_clocks()──▶ gated Netlist   (Verilog with gate wires; measure_netlist() runs
+//!                                             both on a frame and checks their outputs agree)
 //! ```
 //!
 //! * [`measure`] converts an [`ActivityTrace`](imagen_rtl::ActivityTrace)
 //!   (per-bank SRAM reads and
 //!   writes, register-array shift activity, enable duty cycles) plus the
 //!   technology constants of `imagen_mem::tech` into an [`EnergyReport`]:
-//!   pJ per frame, mW at a target clock, static vs dynamic split, and a
-//!   per-buffer breakdown — cross-checkable against the analytic
-//!   `Design::total_power_mw`. It prices only counts the design's
-//!   structure and schedule fix, reading only the netlist's
-//!   [`Structure`] and widths ([`measure_at`]); the trace's two
-//!   data-toggle fields are never read;
+//!   pJ per frame, mW at the evaluation clock, static vs dynamic split,
+//!   and a per-buffer breakdown — cross-checkable against the analytic
+//!   `Design::total_power_mw`. Every count it prices is fixed by the
+//!   design's structure and schedule, and it reads only the netlist's
+//!   [`Structure`] and widths ([`measure_at`]);
 //! * [`gating_plan`] derives clock-gating conditions from the
 //!   ILP-scheduled enables in a structure: each line buffer's read port,
 //!   held at `1'b1` by the ungated emitter, is gated to the union of its
@@ -38,13 +36,14 @@
 //!   the same differential suite as the ungated one — the interpreter
 //!   counts the gated-off cycles, so the energy saving is measured, not
 //!   asserted;
-//! * [`measure_pipeline`] / [`measure_netlist`] run both netlists on one
-//!   frame and return the paired reports ([`PowerMeasurement`]);
-//! * [`measure_schedule`] prices the same pair from a design's structure
-//!   alone — no netlist, no gated copy, no frame: the ungated and gated
+//! * [`measure_schedule`] prices a design ungated and clock-gated from
+//!   its structure alone — no netlist, no gated copy, no frame: the two
 //!   traces share one [`ScheduleActivity`] block sweep and differ only in
 //!   the read-port closed forms. It prices every design the compiler
-//!   emits, rate-1 and multirate alike.
+//!   emits, rate-1 and multirate alike, into a [`SchedulePower`];
+//! * [`measure_pipeline`] / [`measure_netlist`] price a netlist the same
+//!   way, after running it and its clock-gated copy on a frame and
+//!   checking that gating changes no output.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -60,26 +59,23 @@ pub use gate::{gate_clocks, gating_plan};
 use imagen_ir::Dag;
 use imagen_mem::Design;
 use imagen_rtl::{
-    build_netlist, interpret_with_trace, BitWidths, BlockSweepMemo, InterpError, InterpReport,
-    Netlist, ScheduleActivity, Structure,
+    build_netlist, interpret, BitWidths, BlockSweepMemo, InterpError, Netlist, ScheduleActivity,
+    Structure,
 };
 use imagen_sim::Image;
 
-/// Paired ungated/gated measurements of one design on one frame.
+/// Paired ungated/gated energy of one design, priced from the activity
+/// its schedule fixes ([`measure_schedule`]).
 #[derive(Clone, Debug)]
-pub struct PowerMeasurement {
+pub struct SchedulePower {
     /// Energy of the netlist as emitted today (read ports always on).
     pub ungated: EnergyReport,
-    /// Energy of the clock-gated netlist ([`gate_clocks`]).
+    /// Energy of the netlist clock-gated by [`gating_plan`]; its
+    /// `gated_off_cycles` are the read-port cycles the gates remove.
     pub gated: EnergyReport,
-    /// Interpreter report of the ungated run.
-    pub ungated_report: InterpReport,
-    /// Interpreter report of the gated run (carries the measured
-    /// gated-off cycle count).
-    pub gated_report: InterpReport,
 }
 
-impl PowerMeasurement {
+impl SchedulePower {
     /// Dynamic-energy saving of gating, percent of the ungated dynamic
     /// energy per frame.
     pub fn gating_saving_pct(&self) -> f64 {
@@ -90,16 +86,11 @@ impl PowerMeasurement {
             100.0 * (base - self.gated.dynamic_pj_per_frame()) / base
         }
     }
-
-    /// Read-port cycles the gating pass removed, as measured by the
-    /// interpreter on the gated netlist.
-    pub fn gated_off_cycles(&self) -> u64 {
-        self.gated_report.gated_off_cycles
-    }
 }
 
-/// Measures `net` (which must be ungated) and its clock-gated variant on
-/// `inputs`, panicking if gating changes any output pixel — semantics
+/// Prices `net` (which must be ungated) and its clock-gated variant
+/// through [`measure_schedule`], after running both on `inputs` and
+/// panicking if gating changes any output pixel — semantics
 /// preservation is enforced at every call site, not only in the
 /// differential suite.
 ///
@@ -110,39 +101,24 @@ impl PowerMeasurement {
 /// # Panics
 ///
 /// If the gated netlist's streamed outputs differ from the ungated
-/// netlist's (a gating-pass bug).
+/// netlist's, or a gate misses part of a consumer's enable window (a
+/// gating-pass bug).
 pub fn measure_netlist(
     net: &Netlist,
     design: &Design,
     inputs: &[Image],
-) -> Result<PowerMeasurement, InterpError> {
-    let gated = gate_clocks(net);
-    let (ungated_report, ungated_trace) = interpret_with_trace(net, inputs)?;
-    let (gated_report, gated_trace) = interpret_with_trace(&gated, inputs)?;
-    for ((sa, ia), (sb, ib)) in ungated_report
+) -> Result<SchedulePower, InterpError> {
+    let ungated_run = interpret(net, inputs)?;
+    let gated_run = interpret(&gate_clocks(net), inputs)?;
+    for ((sa, ia), (sb, ib)) in ungated_run
         .output_images
         .iter()
-        .zip(&gated_report.output_images)
+        .zip(&gated_run.output_images)
     {
         assert_eq!(sa, sb, "gating reordered output streams");
         assert_eq!(ia, ib, "clock gating changed the output of stage {sa}");
     }
-    Ok(PowerMeasurement {
-        ungated: measure(net, design, &ungated_trace),
-        gated: measure(&gated, design, &gated_trace),
-        ungated_report,
-        gated_report,
-    })
-}
-
-/// Paired ungated/gated energy of one design, priced from the activity
-/// its schedule fixes ([`measure_schedule`]).
-#[derive(Clone, Debug)]
-pub struct SchedulePower {
-    /// Energy of the netlist as emitted today (read ports always on).
-    pub ungated: EnergyReport,
-    /// Energy of the netlist clock-gated by [`gating_plan`].
-    pub gated: EnergyReport,
+    measure_schedule(&net.structure, &net.widths, design, None)
 }
 
 /// Prices the design `structure` describes, ungated and clock-gated, at
@@ -151,9 +127,7 @@ pub struct SchedulePower {
 /// block counts and differ only in the read-port closed forms of the
 /// [`gating_plan`]. Each line buffer's block sweep comes from `memo` when
 /// it holds the buffer's inputs ([`ScheduleActivity::derive`]). The
-/// reports are bit-identical to [`measure_netlist`]'s on the design's
-/// netlist at `widths`, whose traces carry the same counts and whose
-/// toggle fields [`measure`] never reads.
+/// gated report equals [`measure`] of the gated netlist's own trace.
 ///
 /// # Errors
 ///
@@ -164,10 +138,9 @@ pub struct SchedulePower {
 /// # Panics
 ///
 /// If a gate misses part of a consumer's enable window `[start, start +
-/// frame)` (a gating-pass bug). This replaces [`measure_netlist`]'s
-/// output comparison with a stronger check: a gate that covers every
-/// consumer window changes no loaded word on any input, not just on one
-/// frame.
+/// frame)` (a gating-pass bug). A gate that covers every consumer window
+/// changes no loaded word on any input, which is a stronger check than
+/// comparing the outputs of one frame.
 pub fn measure_schedule(
     structure: &Structure,
     widths: &BitWidths,
@@ -178,7 +151,7 @@ pub fn measure_schedule(
     let gated = activity
         .trace_gated(&gating_plan(structure))
         .unwrap_or_else(|gap| panic!("clock gating would change the outputs: {gap}"));
-    let price = |trace| measure_at(structure, widths, design, trace, imagen_mem::CLOCK_MHZ);
+    let price = |trace| measure_at(structure, widths, design, trace);
     Ok(SchedulePower {
         ungated: price(&activity.trace()),
         gated: price(&gated),
@@ -196,7 +169,7 @@ pub fn measure_pipeline(
     design: &Design,
     widths: &BitWidths,
     inputs: &[Image],
-) -> Result<PowerMeasurement, InterpError> {
+) -> Result<SchedulePower, InterpError> {
     let net = build_netlist(dag, design, widths);
     measure_netlist(&net, design, inputs)
 }
@@ -206,7 +179,7 @@ mod tests {
     use super::*;
     use imagen_algos::Algorithm;
     use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-    use imagen_rtl::{emit_verilog, interpret};
+    use imagen_rtl::{emit_verilog, interpret_with_trace};
     use imagen_schedule::{plan_design, ScheduleOptions};
     use imagen_sim::simulate_and_annotate;
 
@@ -335,27 +308,10 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}");
     }
 
+    /// The gated report of [`measure_schedule`], priced from the ungated
+    /// block sweep, equals [`measure`] of the gated netlist's own trace.
     #[test]
-    fn toggle_fields_do_not_affect_pricing() {
-        for alg in [Algorithm::CannyM, Algorithm::HarrisS] {
-            let p = plan_for(alg);
-            let net = gate_clocks(&build_netlist(&p.dag, &p.design, &BitWidths::default()));
-            let (_, trace) = interpret_with_trace(&net, &[frame(4)]).unwrap();
-            assert!(trace.stages.iter().any(|s| s.out_reg_toggles > 0));
-            assert!(trace.sras.iter().any(|s| s.bit_toggles > 0));
-            let mut zeroed = trace.clone();
-            zeroed.stages.iter_mut().for_each(|s| s.out_reg_toggles = 0);
-            zeroed.sras.iter_mut().for_each(|s| s.bit_toggles = 0);
-            assert_identical(
-                alg.name(),
-                &measure(&net, &p.design, &trace),
-                &measure(&net, &p.design, &zeroed),
-            );
-        }
-    }
-
-    #[test]
-    fn schedule_pricing_matches_frame_measurement() {
+    fn gated_pricing_matches_the_gated_netlist() {
         let g = geom();
         for (backend, alg) in [
             (MemBackend::Fpga, Algorithm::UnsharpM),
@@ -371,11 +327,15 @@ mod tests {
             )
             .unwrap();
             let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
-            let framed = measure_netlist(&net, &p.design, &[frame(7)]).unwrap();
+            let gated = gate_clocks(&net);
+            let (run, trace) = interpret_with_trace(&gated, &[frame(7)]).unwrap();
             let priced = measure_schedule(&net.structure, &net.widths, &p.design, None).unwrap();
-            assert_identical(alg.name(), &priced.ungated, &framed.ungated);
-            assert_identical(alg.name(), &priced.gated, &framed.gated);
-            assert_eq!(priced.gated.gated_off_cycles, framed.gated_off_cycles());
+            assert_identical(
+                alg.name(),
+                &priced.gated,
+                &measure(&gated, &p.design, &trace),
+            );
+            assert_eq!(priced.gated.gated_off_cycles, run.gated_off_cycles);
             assert!(priced.gated.gated_off_cycles > 0);
         }
     }
@@ -430,7 +390,7 @@ mod tests {
                 alg.name()
             );
             assert!(m.gating_saving_pct() > 0.0);
-            assert!(m.gated_off_cycles() > 0);
+            assert!(m.gated.gated_off_cycles > 0);
             // Static power is untouched by gating.
             assert_eq!(m.ungated.static_mw, m.gated.static_mw);
             // The saving is exactly the idle reads that disappeared —

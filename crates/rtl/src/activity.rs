@@ -1,9 +1,7 @@
-//! Activity collection for the executable-netlist interpreter.
+//! Per-frame activity counts of a scheduled design.
 //!
-//! [`ActivityTrace`] is an optional sink
-//! ([`interpret_with_trace`](crate::interpret_with_trace)) that counts,
-//! over one interpreted frame, the events the analytic power model only
-//! *assumes*:
+//! [`ActivityTrace`] holds, over one frame, the events the analytic
+//! power model only *assumes*:
 //!
 //! * per-SRAM-bank read and write accesses, attributed through the same
 //!   bank mapping and same-address read merging as the cycle-level
@@ -13,19 +11,14 @@
 //!   line-buffer read enable high on *every* cycle (`.ren(1'b1)`), so
 //!   cycles where the enabled port serves no consumer are wasted reads —
 //!   the quantity the clock-gating pass (`imagen_power::gate_clocks`)
-//!   eliminates, and the interpreter *measures* under both netlists;
-//! * per-register-array shift activity (cycles shifted, cell loads, data
-//!   bit toggles) and per-stage enable duty and output-register toggles.
+//!   eliminates;
+//! * per-register-array shift activity (cycles shifted, cell loads) and
+//!   per-stage enable duty and output-register loads.
 //!
-//! The trace never changes interpretation results: the interpreter's
-//! outputs, latency and access totals are identical with and without a
-//! sink (pinned by test and by the `activity_interp` bench).
+//! # Every field comes from the schedule
 //!
-//! # Which fields need data
-//!
-//! Only two fields depend on pixel values: [`StageActivity::out_reg_toggles`]
-//! and [`SraActivity::bit_toggles`]. Every other field is fixed by the
-//! netlist's structure and schedule:
+//! No field depends on pixel values. Each is fixed by the netlist's
+//! structure, schedule and gating plan:
 //!
 //! * `run_cycles` and `frame`;
 //! * per buffer: `block_reads`, `block_writes` and `block_peaks` (which
@@ -36,19 +29,16 @@
 //! * per stage: `active_cycles` and `out_reg_writes`;
 //! * per SRA: `shift_cycles` and `cell_writes`.
 //!
-//! For every netlist the executor accepts, rate-1 and multirate alike,
-//! [`ScheduleActivity`](crate::ScheduleActivity) computes exactly those
-//! without running a frame, and leaves the two toggles at zero. The
-//! traced interpreter builds its trace through the same code and adds
-//! only the toggles from the frame's stage images.
+//! [`ScheduleActivity`](crate::ScheduleActivity) computes every trace,
+//! rate-1 and multirate alike, without running a frame;
+//! [`interpret_with_trace`](crate::interpret_with_trace) pairs a run's
+//! report with that same trace.
 //!
 //! `imagen_power` converts a trace plus the technology constants in
 //! `imagen_mem::tech` into an `EnergyReport` — measured pJ/frame and mW
-//! instead of the scheduled-rate analytic estimate. It prices only the
-//! schedule-determined fields, so a trace built without a frame prices
-//! the same as an interpreted one.
+//! instead of the scheduled-rate analytic estimate.
 
-/// Per-line-buffer activity over one interpreted frame.
+/// Per-line-buffer activity over one frame.
 #[derive(Clone, Debug, Default)]
 pub struct BufferActivity {
     /// Producer stage index owning the buffer.
@@ -100,7 +90,7 @@ impl BufferActivity {
     }
 }
 
-/// Per-stage activity over one interpreted frame.
+/// Per-stage activity over one frame.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageActivity {
     /// Cycles the stage enable was asserted (= frame pixels for a
@@ -108,8 +98,6 @@ pub struct StageActivity {
     pub active_cycles: u64,
     /// Output-register load events (one per active cycle).
     pub out_reg_writes: u64,
-    /// Bits that flipped on the output register across the frame.
-    pub out_reg_toggles: u64,
 }
 
 impl StageActivity {
@@ -123,22 +111,18 @@ impl StageActivity {
     }
 }
 
-/// Per-window-register-array (SRA) activity over one interpreted frame.
+/// Per-window-register-array (SRA) activity over one frame.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SraActivity {
     /// Cycles the array shifted (= the consumer's active cycles).
     pub shift_cycles: u64,
     /// Cell load events (`cells × shift_cycles`).
     pub cell_writes: u64,
-    /// Bits that flipped across all cells over the frame (data
-    /// activity, a subset of the clocked-cell energy).
-    pub bit_toggles: u64,
 }
 
-/// Activity collected over one interpreted frame, parallel to the
-/// design's [`Structure`](crate::Structure): `buffers[i]` ↔
-/// `structure.buffers[i]`, `stages[i]` ↔ `structure.stages[i]`, `sras[i]`
-/// ↔ `structure.edges[i]`.
+/// Activity over one frame, parallel to the design's
+/// [`Structure`](crate::Structure): `buffers[i]` ↔ `structure.buffers[i]`,
+/// `stages[i]` ↔ `structure.stages[i]`, `sras[i]` ↔ `structure.edges[i]`.
 #[derive(Clone, Debug, Default)]
 pub struct ActivityTrace {
     /// Clock edges of the run.

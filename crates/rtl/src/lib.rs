@@ -9,11 +9,9 @@
 //!                                           ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
 //!                                           └─ build_netlist() elaborates ─┐
 //! Netlist { structure, modules, .. } ◀──────────────────────────────────────┘
-//!    ├─ emit_verilog()              → .v text
-//!    ├─ EvalProgram::compile() ──┬─ run()            → executed frames
-//!    │   (interpret(),            └─ run_with_trace() → frames + ActivityTrace
-//!    │    interpret_with_trace())
-//!    └─ verify_all()                → arity/width/driver checks
+//!    ├─ emit_verilog()                → .v text
+//!    ├─ EvalProgram::compile().run()  → executed frames (interpret())
+//!    └─ verify_all()                  → arity/width/driver checks
 //! ```
 //!
 //! * [`describe`] derives a scheduled [`imagen_mem::Design`]'s
@@ -31,20 +29,18 @@
 //!   the cycle-level simulator. It compiles the netlist once into a flat
 //!   evaluation program ([`EvalProgram`]), the crate's one executor, and
 //!   streams the frame through that, rate-1 and multirate pipelines
-//!   alike. A netlist whose schedule violates the streaming margins is
-//!   refused with [`InterpError::NotStreamable`];
-//! * [`interpret_with_trace`] additionally collects an [`ActivityTrace`]
-//!   (per-SRAM-bank access counts, register toggle totals, enable duty
-//!   cycles) that `imagen-power` prices into measured energy — and the
-//!   interpreter honors an attached clock-[`GatingPlan`], counting the
-//!   gated-off read-port cycles;
-//! * [`ScheduleActivity`] derives the same trace from the structure and
-//!   a gating plan, without running a frame — every count the schedule
-//!   fixes, with the two data toggles left at zero — for every design
-//!   the executor accepts, pyramids included, and re-derives it under
-//!   another gating plan that covers every consumer window. A
-//!   [`BlockSweepMemo`] shared across designs sweeps each distinct line
-//!   buffer once;
+//!   alike, and honors an attached clock-[`GatingPlan`], counting the
+//!   gated-off read-port cycles. A netlist whose schedule violates the
+//!   streaming margins is refused with [`InterpError::NotStreamable`];
+//! * [`ScheduleActivity`] derives a design's [`ActivityTrace`]
+//!   (per-SRAM-bank access counts, register shift totals, enable duty
+//!   cycles) from the structure and a gating plan, without running a
+//!   frame, for every design the executor accepts, pyramids included,
+//!   and re-derives it under another gating plan that covers every
+//!   consumer window; `imagen-power` prices the trace into measured
+//!   energy. It is the only source of traces: [`interpret_with_trace`]
+//!   pairs a run's report with it. A [`BlockSweepMemo`] shared across
+//!   designs sweeps each distinct line buffer once;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
 //!   every instantiation, driver/undriven-net analysis), accumulating
 //!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]

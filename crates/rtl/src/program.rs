@@ -40,9 +40,9 @@
 //!   compiler splits into a pixel-free *layout* (stage order,
 //!   window-load edges, gate windows, the streaming-margin proof), read
 //!   from the netlist's [`Structure`] and gating plan alone, and the
-//!   kernel tapes. Every trace quantity but the two data toggles
-//!   comes from the layout: enable duty, gated-off cycles, shift/write
-//!   totals and SRAM access totals are closed forms, and per-block SRAM
+//!   kernel tapes. Every trace quantity comes from the layout: enable
+//!   duty, gated-off cycles, shift/write totals and SRAM access totals
+//!   are closed forms, and per-block SRAM
 //!   read/write/peak counters and the cycles some consumer loads come
 //!   from an event sweep over spans where every participant's row, bank
 //!   segment and gate state are constant. Each participant steps the
@@ -55,13 +55,7 @@
 //!   it once per whole period, so its work grows with the pipeline's
 //!   depth and that period, not with the frame's height.
 //!   [`ScheduleActivity`] exposes exactly that part without a netlist, a
-//!   tape or a frame. The
-//!   toggles are recovered from the dense stage images in one linear
-//!   pass: output-register toggles walk each stage's own raster, and
-//!   shift-register toggles use the delay-line identity (each
-//!   consecutive-load toggle re-appears once per column as it shifts
-//!   through, so the per-cycle sum telescopes into a windowed sum over
-//!   the edge's load stream);
+//!   tape or a frame, and is the only source of [`ActivityTrace`]s;
 //! * **streamable schedules only** — a netlist whose schedule violates
 //!   the streaming margins (never produced by the planner or the
 //!   baseline generators, and refuted by `imagen certify`) is refused
@@ -69,8 +63,8 @@
 //!
 //! The program is *semantics-preserving by construction and pinned by
 //! test*: [`crate::interpret`] routes through it, and the differential
-//! suite (`crates/rtl/tests/program_differential.rs`) checks report,
-//! images and the full [`ActivityTrace`] field-for-field against a
+//! suite (`crates/rtl/tests/program_differential.rs`) checks report and
+//! images, and the [`ScheduleActivity`] trace field-for-field, against a
 //! per-cycle reference walker kept in the test tree, on the whole
 //! example corpus (pyramids included) at both width regimes, gated and
 //! ungated.
@@ -1310,9 +1304,7 @@ impl Layout {
     }
 
     /// The [`ActivityTrace`] of `blocks` with the read ports gated by
-    /// `gates`: every field the schedule fixes filled in, and the two
-    /// data toggles (`out_reg_toggles`, `bit_toggles`) left at zero.
-    /// `blocks` must come from a sweep whose gates zero exactly the loads
+    /// `gates`. `blocks` must come from a sweep whose gates zero exactly the loads
     /// `gates` zeroes (the same gates, or two plans that both cover every
     /// consumer window and so zero none).
     fn trace(&self, blocks: &[Arc<BufferCounts>], gates: &[Option<(u64, u64)>]) -> ActivityTrace {
@@ -1406,16 +1398,14 @@ impl std::error::Error for GateGap {}
 ///
 /// For every design the executor accepts — any rate, any backend, as
 /// long as the schedule satisfies the streaming margins — every
-/// [`ActivityTrace`] field except the two data toggles is a function of
-/// the schedule: SRAM block reads, writes and peaks, read-port enabled,
-/// idle and gated-off cycles, stage active cycles, output-register
-/// writes and SRA shift cycles and cell writes. [`ScheduleActivity`]
-/// computes exactly those from the [`Structure`] and a gating plan,
-/// through the same code [`EvalProgram::run_with_trace`] uses, in work
-/// that grows with each line buffer's pipeline depth and steady period
-/// in rows, not with the frame's height or pixels; it needs no netlist
-/// and lowers no kernel. Its traces do **not** collect `out_reg_toggles`
-/// or `bit_toggles`: both are zero.
+/// [`ActivityTrace`] field is a function of the schedule: SRAM block
+/// reads, writes and peaks, read-port enabled, idle and gated-off
+/// cycles, stage active cycles, output-register writes and SRA shift
+/// cycles and cell writes. [`ScheduleActivity`] computes them from the
+/// [`Structure`] and a gating plan, through the layout
+/// [`EvalProgram::compile`] builds, in work that grows with each line
+/// buffer's pipeline depth and steady period in rows, not with the
+/// frame's height or pixels; it needs no netlist and lowers no kernel.
 #[derive(Clone, Debug)]
 pub struct ScheduleActivity {
     layout: Layout,
@@ -1445,10 +1435,8 @@ impl ScheduleActivity {
         Ok(ScheduleActivity { layout, blocks })
     }
 
-    /// The trace under the derived gating: equal to
-    /// [`crate::interpret_with_trace`]'s on a netlist of the structure
-    /// carrying that gating, on every field but the two data toggles,
-    /// which are not collected (zero).
+    /// The trace under the derived gating: what a per-cycle walk of a
+    /// netlist of the structure carrying that gating counts.
     pub fn trace(&self) -> ActivityTrace {
         self.layout.trace(&self.blocks, &self.layout.gates)
     }
@@ -1457,7 +1445,6 @@ impl ScheduleActivity {
     /// derived gating, without re-running the block sweep: the block counts
     /// and the read ports' busy cycles are shared, and only the enabled,
     /// idle and gated-off cycles are re-derived under `plan`'s windows.
-    /// Toggles are not collected (zero).
     ///
     /// # Errors
     ///
@@ -1479,10 +1466,11 @@ impl ScheduleActivity {
 /// A [`Netlist`] lowered to a flat evaluation program.
 ///
 /// Compile once with [`EvalProgram::compile`], then execute frames with
-/// [`EvalProgram::run`] / [`EvalProgram::run_with_trace`]. The public
-/// entry points [`crate::interpret`] and [`crate::interpret_with_trace`]
-/// compile-and-run internally; hold an `EvalProgram` directly to
-/// amortize compilation over repeated frames.
+/// [`EvalProgram::run`]. The public entry points [`crate::interpret`]
+/// and [`crate::interpret_with_trace`] compile-and-run internally; hold
+/// an `EvalProgram` directly to amortize compilation over repeated
+/// frames. Its activity comes from [`ScheduleActivity`], which builds
+/// the same layout without the tapes.
 #[derive(Clone, Debug)]
 pub struct EvalProgram {
     /// The pixel-free half: stage order, edges, closed forms.
@@ -1568,7 +1556,7 @@ impl EvalProgram {
         })
     }
 
-    /// Executes one frame without tracing — the fastest path.
+    /// Executes one frame.
     ///
     /// # Errors
     ///
@@ -1576,35 +1564,6 @@ impl EvalProgram {
     pub fn run(&self, inputs: &[Image]) -> Result<InterpReport, InterpError> {
         self.check_inputs(inputs)?;
         Ok(self.report(&self.frame(inputs)))
-    }
-
-    /// Executes one frame, additionally collecting an [`ActivityTrace`].
-    /// Every count but the two data toggles comes from the same code as
-    /// [`ScheduleActivity`]; the frame's stage images supply only
-    /// `out_reg_toggles` and `bit_toggles`.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalProgram::run`].
-    pub fn run_with_trace(
-        &self,
-        inputs: &[Image],
-    ) -> Result<(InterpReport, ActivityTrace), InterpError> {
-        self.check_inputs(inputs)?;
-        let images = self.frame(inputs);
-        let l = &self.layout;
-        let mut trace = l.trace(&l.block_counts(None), &l.gates);
-        for st in &l.stages {
-            if st.has_module {
-                trace.stages[st.stage].out_reg_toggles =
-                    self.out_reg_toggles(st.stage, &images[st.stage]);
-            }
-            for ep in &l.edges[st.edges.clone()] {
-                trace.sras[ep.edge].bit_toggles =
-                    self.edge_bit_toggles(st, ep, &images[ep.prod_stage]);
-            }
-        }
-        Ok((self.report(&images), trace))
     }
 
     fn check_inputs(&self, inputs: &[Image]) -> Result<(), InterpError> {
@@ -1767,102 +1726,6 @@ impl EvalProgram {
             }
         }
     }
-
-    /// Total output-register bit toggles of one compute stage: the
-    /// register loads the stage's own grid in raster order, starting
-    /// from 0.
-    fn out_reg_toggles(&self, stage: usize, img: &[i64]) -> u64 {
-        let g = self.layout.grid(stage);
-        let mut tg = 0u64;
-        let mut prev = 0i64;
-        for y in 0..g.rows {
-            let row = &img[y * g.stride..][..g.cols];
-            // Adjacent-pair form of the toggle chain (vectorizes).
-            tg += toggles(prev, row[0], self.pixel);
-            tg += row
-                .windows(2)
-                .map(|p| toggles(p[0], p[1], self.pixel))
-                .sum::<u64>();
-            prev = row[g.cols - 1];
-        }
-        tg
-    }
-
-    /// Total shift-register bit toggles of one edge, recovered from its
-    /// load stream. The edge loads on every consumer row (`y % ccy ==
-    /// 0`), one word per producer-grid column, so the stream holds `N =
-    /// (H/ccy)·(W/pcx)` loads (`frame` at rate 1); a load is zero when
-    /// its cycle `start + y·W + xp·pcx` falls outside the gate. The SRA
-    /// is a delay line: every toggle between two consecutively loaded
-    /// values re-appears once per column as it shifts through, so the
-    /// per-cycle sum telescopes to `Σ_u T(u) · min(width, N - u)` over
-    /// the load stream `T` (the tail loads retire before completing the
-    /// full traversal).
-    fn edge_bit_toggles(&self, st: &StageProg, ep: &EdgeProg, prod: &[i64]) -> u64 {
-        let l = &self.layout;
-        let ccy = l.scale_of[st.stage].1;
-        let (pcx, pcy) = l.scale_of[ep.prod_stage];
-        let g = l.grid(ep.prod_stage);
-        let rows = (l.h as u64 / ccy) as usize;
-        let n = (rows * g.cols) as u64;
-        let width = ep.width as u64;
-        let mask = if self.pixel >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.pixel) - 1
-        };
-        let tail_start = n.saturating_sub(width - 1);
-        let mut total = 0u64;
-        for j in 0..ep.height {
-            let mut prev = 0i64;
-            let mut full_sum = 0u64;
-            for yi in 0..rows {
-                let y = yi as u64 * ccy;
-                let r = ((y / pcy) as usize + ep.lag as usize + j).min(g.rows - 1);
-                let row = &prod[r * g.stride..][..g.cols];
-                let (en_lo, en_hi) = gate_cols(ep.gate, st.start + y * l.w as u64, g.cols, pcx);
-                let row_t = (yi * g.cols) as u64;
-                let xsplit = (tail_start.saturating_sub(row_t) as usize).min(g.cols);
-                if en_lo == 0 && en_hi == g.cols && xsplit == g.cols {
-                    // Fully enabled, fully ahead of the retirement tail
-                    // (the common case: every row but the frame's last
-                    // few loads, ungated or inside the gate window).
-                    // The chain against `prev` reduces to adjacent
-                    // pairs, which vectorizes.
-                    full_sum += (((prev ^ row[0]) as u64) & mask).count_ones() as u64;
-                    full_sum += row
-                        .windows(2)
-                        .map(|p| (((p[0] ^ p[1]) as u64) & mask).count_ones() as u64)
-                        .sum::<u64>();
-                    prev = row[g.cols - 1];
-                } else {
-                    for (x, &cell) in row.iter().enumerate() {
-                        let v = if x >= en_lo && x < en_hi { cell } else { 0 };
-                        let tg = (((prev ^ v) as u64) & mask).count_ones() as u64;
-                        prev = v;
-                        if x < xsplit {
-                            full_sum += tg;
-                        } else {
-                            total += tg * (n - (row_t + x as u64));
-                        }
-                    }
-                }
-            }
-            total += full_sum * width;
-        }
-        total
-    }
-}
-
-/// Toggled bits between two register values at `bits` width.
-#[inline]
-fn toggles(old: i64, new: i64, bits: u32) -> u64 {
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    (((old ^ new) as u64) & mask).count_ones() as u64
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
-//! Differential suite: the compiled evaluation program vs the per-cycle
-//! reference walker kept in this test tree (`walker/mod.rs`).
+//! Differential suite: the compiled evaluation program and the
+//! frame-free activity vs the per-cycle reference walker kept in this
+//! test tree (`walker/mod.rs`).
 //!
-//! [`interpret`] / [`interpret_with_trace`] route through the one-time
-//! netlist→program compiler, the crate's one executor; the walker
-//! re-walks the netlist graph every cycle. The two must be
-//! **bit-identical** — same [`InterpReport`] (cycles, latency, access
-//! totals, gated-off cycles, every output pixel) and same
-//! [`ActivityTrace`] field for field — on:
+//! [`interpret`] routes through the one-time netlist→program compiler,
+//! the crate's one executor, and [`interpret_with_trace`] adds the
+//! [`ActivityTrace`] that [`ScheduleActivity`] derives from the
+//! schedule; the walker re-walks the netlist graph every cycle and
+//! counts every event as it happens. The two must be **bit-identical** —
+//! same [`InterpReport`] (cycles, latency, access totals, gated-off
+//! cycles, every output pixel) and same [`ActivityTrace`] field for
+//! field — on:
 //!
 //! * the full Tbl. 3 corpus (all 7 pipelines) and both pyramid examples,
 //!   at both width regimes (16/32 default and 64/64 wide), ungated and
@@ -15,25 +18,20 @@
 //! * randomly generated DAGs exercising every kernel operator (wrapping
 //!   arithmetic, division by zero, out-of-range shifts, comparisons,
 //!   selects, inverted clamps) on random seeds.
-//!
-//! Every case also pins the trace built without a frame
-//! ([`ScheduleActivity`]) to the traced run on every field but the two
-//! data toggles, and a second, walker-free oracle recomputes those two
-//! toggles from the golden executor's stage images.
 
 mod walker;
 
 use imagen_algos::{noise_bits, Algorithm};
 use imagen_baselines::generate_soda;
-use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate, StageId};
+use imagen_ir::{BinOp, CmpOp, Dag, Expr, Rate};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_power::{gate_clocks, gating_plan};
 use imagen_rtl::{
-    build_netlist, interpret, interpret_with_trace, sra_columns, ActivityTrace, BitWidths,
-    InterpError, InterpReport, Netlist, ScheduleActivity,
+    build_netlist, interpret, interpret_with_trace, ActivityTrace, BitWidths, InterpError,
+    InterpReport, Netlist, ScheduleActivity,
 };
 use imagen_schedule::{plan_design, ScheduleOptions};
-use imagen_sim::{execute, Image};
+use imagen_sim::Image;
 use proptest::prelude::*;
 use walker::{walk, walk_with_trace};
 
@@ -90,10 +88,6 @@ fn assert_trace_eq(tag: &str, a: &ActivityTrace, b: &ActivityTrace) {
             sa.out_reg_writes, sb.out_reg_writes,
             "{tag}: stage {i} out_reg_writes"
         );
-        assert_eq!(
-            sa.out_reg_toggles, sb.out_reg_toggles,
-            "{tag}: stage {i} out_reg_toggles"
-        );
     }
     assert_eq!(a.sras.len(), b.sras.len(), "{tag}: sra count");
     for (i, (sa, sb)) in a.sras.iter().zip(&b.sras).enumerate() {
@@ -102,26 +96,12 @@ fn assert_trace_eq(tag: &str, a: &ActivityTrace, b: &ActivityTrace) {
             "{tag}: sra {i} shift_cycles"
         );
         assert_eq!(sa.cell_writes, sb.cell_writes, "{tag}: sra {i} cell_writes");
-        assert_eq!(sa.bit_toggles, sb.bit_toggles, "{tag}: sra {i} bit_toggles");
     }
-}
-
-/// `trace` with its two data-toggle fields zeroed: what a trace built
-/// without a frame carries.
-fn without_toggles(trace: &ActivityTrace) -> ActivityTrace {
-    let mut t = trace.clone();
-    for s in &mut t.stages {
-        s.out_reg_toggles = 0;
-    }
-    for s in &mut t.sras {
-        s.bit_toggles = 0;
-    }
-    t
 }
 
 /// Runs the program and the walker (untraced and traced) on `net` and
-/// pins equality, then pins the trace built without a frame — which
-/// every netlist here must allow — to the traced run.
+/// pins equality: reports, and the trace derived from the schedule
+/// against the one the walker counts cycle by cycle.
 fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     let fast = interpret(net, inputs).expect("program path");
     let slow = walk(net, inputs).expect("walker");
@@ -131,17 +111,6 @@ fn differential(tag: &str, net: &Netlist, inputs: &[Image]) {
     let (slow_rep, slow_tr) = walk_with_trace(net, inputs).expect("walker traced");
     assert_report_eq(&format!("{tag} traced"), &fast_rep, &slow_rep);
     assert_trace_eq(tag, &fast_tr, &slow_tr);
-
-    // Tracing must not perturb results either.
-    assert_report_eq(&format!("{tag} traced-vs-untraced"), &fast, &fast_rep);
-
-    let activity = ScheduleActivity::derive(&net.structure, net.gating.as_ref(), None)
-        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-    assert_trace_eq(
-        &format!("{tag} schedule"),
-        &activity.trace(),
-        &without_toggles(&fast_tr),
-    );
 }
 
 fn noise_inputs(dag: &Dag, geom: &ImageGeometry, seed: u64, bits: u32) -> Vec<Image> {
@@ -264,8 +233,9 @@ fn program_matches_walker_on_corpus() {
 /// produce: rows split over several blocks (also at the tall frame),
 /// two-row coalesced blocks, FPGA BRAM and SODA FIFO chains, at both
 /// widths, ungated and gated. It also pins
-/// [`ScheduleActivity::trace_gated`] on the ungated netlist to the
-/// traced run of the gated copy, and a narrowed gate window to a
+/// [`ScheduleActivity::trace_gated`] on the ungated netlist, which reuses
+/// the ungated block sweep, to the gated copy's own trace (itself pinned
+/// to the walker), and a narrowed gate window to a
 /// [`imagen_rtl::GateGap`].
 #[test]
 fn schedule_activity_matches_traced_run_across_backends() {
@@ -333,7 +303,7 @@ fn schedule_activity_matches_traced_run_across_backends() {
                 assert_trace_eq(
                     &format!("{tag} trace_gated"),
                     &activity.trace_gated(&plan).unwrap(),
-                    &without_toggles(&gated_tr),
+                    &gated_tr,
                 );
                 let mut narrowed = plan.clone();
                 if let Some(g) = narrowed.gates.first_mut() {
@@ -393,80 +363,6 @@ fn unstreamable_schedules_are_refused() {
         ScheduleActivity::derive(&net.structure, None, None).unwrap_err(),
         refused
     );
-}
-
-/// A second, walker-free oracle for the two data toggles, recomputed
-/// from the golden executor's stage images at 64/64 widths (where every
-/// stage register holds the software model's value), ungated, on the
-/// corpus and both pyramids. Each compute stage's output register loads
-/// the stage's own raster starting from 0; each edge's `height × width`
-/// register array shifts once per load of the edge-active stream — every
-/// consumer row (`y % ccy == 0`), every producer-grid column — taking
-/// window rows clamped to the producer's last row.
-#[test]
-fn data_toggles_match_golden_image_oracle() {
-    let geom = geom();
-    let spec = MemorySpec::new(MemBackend::asic_default(), 2);
-    let flips = |a: i64, b: i64| u64::from((a ^ b).count_ones());
-    for (i, (name, dag)) in corpus().iter().enumerate() {
-        let plan = plan_design(
-            dag,
-            &geom,
-            &spec,
-            ScheduleOptions::default(),
-            DesignStyle::Ours,
-        )
-        .unwrap();
-        let inputs = noise_inputs(&plan.dag, &geom, 0x7066 + i as u64, 8);
-        let golden = execute(&plan.dag, &inputs).unwrap();
-        let image = |stage: usize| golden.stage(StageId::from_index(stage));
-        let net = build_netlist(&plan.dag, &plan.design, &BitWidths::wide());
-        let (_, trace) = interpret_with_trace(&net, &inputs).unwrap();
-
-        for s in &net.structure.stages {
-            let mut expected = 0u64;
-            if s.census.is_some() {
-                let mut prev = 0i64;
-                for v in image(s.index).raster() {
-                    expected += flips(prev, v);
-                    prev = v;
-                }
-            }
-            assert_eq!(
-                trace.stages[s.index].out_reg_toggles, expected,
-                "{name} stage {}: out_reg_toggles",
-                s.index
-            );
-        }
-
-        for (ei, e) in net.structure.edges.iter().enumerate() {
-            let prod = image(e.producer);
-            let pcy = net.structure.stages[e.producer].scale_y as u32;
-            let ccy = net.structure.stages[e.consumer].scale_y as usize;
-            let height = e.window.height as usize;
-            let width = sra_columns(&e.window) as usize;
-            let mut sra = vec![0i64; height * width];
-            let mut expected = 0u64;
-            for y in (0..geom.height).step_by(ccy) {
-                for xp in 0..prod.width() {
-                    for (j, cells) in sra.chunks_mut(width).enumerate() {
-                        for c in 0..width - 1 {
-                            expected += flips(cells[c], cells[c + 1]);
-                            cells[c] = cells[c + 1];
-                        }
-                        let r = (y / pcy + e.window.lag + j as u32).min(prod.height() - 1);
-                        let v = prod.get(xp, r);
-                        expected += flips(cells[width - 1], v);
-                        cells[width - 1] = v;
-                    }
-                }
-            }
-            assert_eq!(
-                trace.sras[ei].bit_toggles, expected,
-                "{name} edge {ei}: bit_toggles"
-            );
-        }
-    }
 }
 
 /// 1-2-1 / 2-4-2 / 1-2-1 smoothing kernel over `slot`, `>> 4`.

@@ -1,10 +1,11 @@
 //! The per-cycle reference walker: executes a netlist by re-traversing
 //! its structure every clock edge, with no compiled program in between.
 //!
-//! This is the test-only semantic baseline the shipped executor
-//! (`imagen_rtl::EvalProgram`, behind `interpret` and
-//! `interpret_with_trace`) is pinned against, report and activity trace
-//! field for field, by `program_differential.rs`. Every count is made
+//! This is the test-only semantic baseline `program_differential.rs` pins
+//! the shipped code against: the executor (`imagen_rtl::EvalProgram`,
+//! behind `interpret`) report for report, and the frame-free activity
+//! (`imagen_rtl::ScheduleActivity`, behind `interpret_with_trace`) trace
+//! field for field. Every count is made
 //! the way the hardware makes it — one cycle at a time: the cycle
 //! counter advances, per-stage enables fire at the ILP start cycles
 //! (each stage on its own rate cadence), the window-load paths shift
@@ -97,8 +98,6 @@ struct TraceScratch {
     touched: Vec<Vec<usize>>,
     /// Whether any consumer loaded from the buffer this cycle.
     consumed: Vec<bool>,
-    /// Previous output-register value per stage (toggle counting).
-    prev_out: Vec<i64>,
 }
 
 fn bump(counts: &mut [u32], touched: &mut Vec<usize>, block: usize) {
@@ -106,16 +105,6 @@ fn bump(counts: &mut [u32], touched: &mut Vec<usize>, block: usize) {
         touched.push(block);
     }
     counts[block] += 1;
-}
-
-/// Toggled bits between two register values at `bits` width.
-fn toggles(old: i64, new: i64, bits: u32) -> u64 {
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    (((old ^ new) as u64) & mask).count_ones() as u64
 }
 
 fn run(
@@ -197,7 +186,6 @@ fn run(
             .collect(),
         touched: vec![Vec::new(); net.structure.buffers.len()],
         consumed: vec![false; net.structure.buffers.len()],
-        prev_out: vec![0; net.structure.stages.len()],
     });
 
     // Shift-register arrays, one per edge — exactly the register arrays
@@ -302,15 +290,9 @@ fn run(
                 let gated_off = gates[bufidx].is_some_and(|g| !g.enabled_at(t as u64));
                 let sra = &mut sras[eidx];
                 // Shift left one column.
-                let tracing = scratch.is_some();
-                let mut sra_toggles = 0u64;
                 for r in 0..sra.height as usize {
                     let base = r * sra.width as usize;
                     for c in 0..sra.width as usize - 1 {
-                        if tracing {
-                            sra_toggles +=
-                                toggles(sra.data[base + c], sra.data[base + c + 1], pixel);
-                        }
                         sra.data[base + c] = sra.data[base + c + 1];
                     }
                 }
@@ -333,7 +315,6 @@ fn run(
                         pb.data[slot]
                     };
                     if let Some(ts) = scratch.as_mut() {
-                        sra_toggles += toggles(sra.data[cell], v, pixel);
                         if !gated_off {
                             ts.consumed[bufidx] = true;
                             if !nb.fifo {
@@ -356,7 +337,6 @@ fn run(
                     let sa = &mut tr.sras[eidx];
                     sa.shift_cycles += 1;
                     sa.cell_writes += (sra.height * sra.width) as u64;
-                    sa.bit_toggles += sra_toggles;
                 }
             }
 
@@ -386,14 +366,12 @@ fn run(
                     trunc(wide, pixel)
                 }
             };
-            if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
+            if let Some(tr) = trace.as_deref_mut() {
                 let sa = &mut tr.stages[s.index];
                 sa.active_cycles += 1;
                 if kernels[s.index].is_some() {
                     // Compute stages own a clocked output register.
                     sa.out_reg_writes += 1;
-                    sa.out_reg_toggles += toggles(ts.prev_out[s.index], computed[s.index], pixel);
-                    ts.prev_out[s.index] = computed[s.index];
                 }
             }
         }

@@ -1,14 +1,16 @@
 //! Cross-check of the two independent access-counting paths: the cycle
 //! simulator's per-block annotations (`imagen_sim::simulate_and_annotate`
-//! — the counts that feed the analytic power model) versus the netlist
-//! interpreter's activity trace (`imagen_rtl::interpret_with_trace` —
-//! the counts that feed the measured energy model).
+//! — the counts that feed the analytic power model) versus the netlist's
+//! activity trace (`imagen_rtl::interpret_with_trace`, derived from the
+//! netlist's structure and schedule by `ScheduleActivity` — the counts
+//! that feed the measured energy model).
 //!
 //! Both count SRAM accesses with the same conventions (same-address
 //! reads merged per cycle, one write per producer cycle, FIFO segments
 //! at the synthetic one-push-one-pop rate), but through entirely
-//! separate code paths: the simulator walks the `Design`'s block plans,
-//! the interpreter walks the elaborated `Netlist`. They must agree
+//! separate code paths: the simulator walks the `Design`'s block plans
+//! cycle by cycle, the activity sweep reads the elaborated `Netlist`'s
+//! structure. They must agree
 //! block for block, for the three `exp_power_breakdown` algorithms and
 //! both multirate pyramid examples × three styles, and for the Tbl. 3
 //! corpus planned plain and line-coalesced at short and tall frames.
