@@ -136,15 +136,6 @@ impl MeasuredEnergy {
             gated_off_cycles: gated.gated_off_cycles,
         }
     }
-
-    /// Power saving of clock gating, percent of the ungated power.
-    pub fn gating_saving_pct(&self) -> f64 {
-        if self.power_mw <= 0.0 {
-            0.0
-        } else {
-            100.0 * (self.power_mw - self.gated_power_mw) / self.power_mw
-        }
-    }
 }
 
 impl DsePoint {
@@ -829,6 +820,7 @@ mod tests {
                 m.gated_power_mw < m.power_mw,
                 "gating saves measured power on point {i}"
             );
+            assert!(m.gated_off_cycles > 0, "point {i}");
         }
         // The measured frontier is available straight off the sweep.
         let front = res.pareto_front_by(|p| (p.area_mm2, p.measured.unwrap().energy_pj_per_frame));
@@ -934,6 +926,10 @@ mod tests {
         let a = explore(&dag, &geom(), backend(), opts).unwrap();
         let b = explore(&dag, &geom(), backend(), opts).unwrap();
         assert_eq!(a.points.len(), 20);
+        assert!(
+            a.points.iter().all(|p| p.measured.is_none()),
+            "MeasureMode::Off measures no point"
+        );
         assert_eq!(a.points[0].dplc_count(), 0, "all-DP anchor first");
         assert_eq!(
             a.points[1].dplc_count(),

@@ -309,9 +309,11 @@ mod tests {
     }
 
     /// The gated report of [`measure_schedule`], priced from the ungated
-    /// block sweep, equals [`measure`] of the gated netlist's own trace.
+    /// block sweep, equals [`measure`] of a traced frame run of the gated
+    /// netlist, whose trace comes from its own sweep, and its gated-off
+    /// cycles are the ones that run counts.
     #[test]
-    fn gated_pricing_matches_the_gated_netlist() {
+    fn schedule_pricing_matches_frame_measurement() {
         let g = geom();
         for (backend, alg) in [
             (MemBackend::Fpga, Algorithm::UnsharpM),

@@ -42,20 +42,20 @@
 //!   from the netlist's [`Structure`] and gating plan alone, and the
 //!   kernel tapes. Every trace quantity comes from the layout: enable
 //!   duty, gated-off cycles, shift/write totals and SRAM access totals
-//!   are closed forms, and per-block SRAM
-//!   read/write/peak counters and the cycles some consumer loads come
-//!   from an event sweep over spans where every participant's row, bank
-//!   segment and gate state are constant. Each participant steps the
-//!   producer's grid at its own cadence, so within a span the per-cycle
-//!   counts repeat with the producer's column stride (1 at rate 1) and
-//!   each residue class is counted once. Once every participant of a
-//!   buffer is live, the spans repeat with a period of a few rows (the
-//!   physical rows times the row steps) until the first one stops or
-//!   clamps at the bottom edge: the sweep covers one period and counts
-//!   it once per whole period, so its work grows with the pipeline's
-//!   depth and that period, not with the frame's height.
-//!   [`ScheduleActivity`] exposes exactly that part without a netlist, a
-//!   tape or a frame, and is the only source of [`ActivityTrace`]s;
+//!   are closed forms, and per-block SRAM read/write/peak counters and
+//!   the cycles some consumer loads come from an event sweep over spans
+//!   where every participant's row, bank segment and gate state are
+//!   constant. Each participant steps the producer's grid at its own
+//!   cadence, so within a span the per-cycle counts repeat with the
+//!   producer's column stride (1 at rate 1) and each residue class is
+//!   counted once. Once every participant of a buffer is live, the spans
+//!   repeat with a period of a few rows (the physical rows times the row
+//!   steps) until the first one stops or clamps at the bottom edge: the
+//!   sweep covers one period and counts it once per whole period, so its
+//!   work grows with the pipeline's depth and that period, not with the
+//!   frame's height. [`ScheduleActivity`] exposes exactly that part
+//!   without a netlist, a tape or a frame, and is the only source of
+//!   [`ActivityTrace`]s;
 //! * **streamable schedules only** — a netlist whose schedule violates
 //!   the streaming margins (never produced by the planner or the
 //!   baseline generators, and refuted by `imagen certify`) is refused
@@ -1304,9 +1304,9 @@ impl Layout {
     }
 
     /// The [`ActivityTrace`] of `blocks` with the read ports gated by
-    /// `gates`. `blocks` must come from a sweep whose gates zero exactly the loads
-    /// `gates` zeroes (the same gates, or two plans that both cover every
-    /// consumer window and so zero none).
+    /// `gates`. `blocks` must come from a sweep whose gates zero exactly
+    /// the loads `gates` zeroes (the same gates, or two plans that both
+    /// cover every consumer window and so zero none).
     fn trace(&self, blocks: &[Arc<BufferCounts>], gates: &[Option<(u64, u64)>]) -> ActivityTrace {
         let (w, h) = (self.w as u64, self.h as u64);
         let mut trace = ActivityTrace {

@@ -5,14 +5,13 @@
 //! the shipped code against: the executor (`imagen_rtl::EvalProgram`,
 //! behind `interpret`) report for report, and the frame-free activity
 //! (`imagen_rtl::ScheduleActivity`, behind `interpret_with_trace`) trace
-//! field for field. Every count is made
-//! the way the hardware makes it — one cycle at a time: the cycle
-//! counter advances, per-stage enables fire at the ILP start cycles
-//! (each stage on its own rate cadence), the window-load paths shift
-//! the SRA register arrays and read the rotating line-buffer SRAMs,
-//! the stage compute modules evaluate their kernels at the declared
-//! accumulator width, and the output registers truncate to the pixel
-//! width.
+//! field for field. Every count is made the way the hardware makes it —
+//! one cycle at a time: the cycle counter advances, per-stage enables
+//! fire at the ILP start cycles (each stage on its own rate cadence), the
+//! window-load paths shift the SRA register arrays and read the rotating
+//! line-buffer SRAMs, the stage compute modules evaluate their kernels at
+//! the declared accumulator width, and the output registers truncate to
+//! the pixel width.
 
 use imagen_ir::Expr;
 use imagen_rtl::{
