@@ -87,16 +87,18 @@ impl Algorithm {
         }
     }
 
-    /// DSL source of the pipeline.
+    /// DSL source of the pipeline: the text of its file in the CLI's
+    /// example corpus (`examples/canny_m.imagen` for Canny-m), so the two
+    /// cannot drift apart.
     pub fn dsl_source(&self) -> &'static str {
         match self {
-            Algorithm::CannyS => CANNY_S,
-            Algorithm::CannyM => CANNY_M,
-            Algorithm::HarrisS => HARRIS_S,
-            Algorithm::HarrisM => HARRIS_M,
-            Algorithm::UnsharpM => UNSHARP_M,
-            Algorithm::XcorrM => XCORR_M,
-            Algorithm::DenoiseM => DENOISE_M,
+            Algorithm::CannyS => include_str!("../../../examples/canny_s.imagen"),
+            Algorithm::CannyM => include_str!("../../../examples/canny_m.imagen"),
+            Algorithm::HarrisS => include_str!("../../../examples/harris_s.imagen"),
+            Algorithm::HarrisM => include_str!("../../../examples/harris_m.imagen"),
+            Algorithm::UnsharpM => include_str!("../../../examples/unsharp_m.imagen"),
+            Algorithm::XcorrM => include_str!("../../../examples/xcorr_m.imagen"),
+            Algorithm::DenoiseM => include_str!("../../../examples/denoise_m.imagen"),
         }
     }
 
@@ -110,148 +112,6 @@ impl Algorithm {
             .expect("built-in algorithm sources compile")
     }
 }
-
-const CANNY_S: &str = "
-// Canny edge detection, single-consumer chain (paper Tbl. 3: 9 stages).
-input raw;
-blur_h = im(x,y) (raw(x-1,y) + 2*raw(x,y) + raw(x+1,y)) >> 2 end
-blur_v = im(x,y) (blur_h(x,y-1) + 2*blur_h(x,y) + blur_h(x,y+1)) >> 2 end
-// Gradient magnitude |Gx| + |Gy| fused into one 3x3 stage.
-gmag = im(x,y)
-    abs(blur_v(x+1,y-1) + 2*blur_v(x+1,y) + blur_v(x+1,y+1)
-      - blur_v(x-1,y-1) - 2*blur_v(x-1,y) - blur_v(x-1,y+1))
-  + abs(blur_v(x-1,y+1) + 2*blur_v(x,y+1) + blur_v(x+1,y+1)
-      - blur_v(x-1,y-1) - 2*blur_v(x,y-1) - blur_v(x+1,y-1))
-end
-nms = im(x,y) select(
-    gmag(x,y) >= max(max(gmag(x-1,y), gmag(x+1,y)),
-                     max(gmag(x,y-1), gmag(x,y+1))),
-    gmag(x,y), 0) end
-thresh = im(x,y) select(nms(x,y) > 48, 2, select(nms(x,y) > 24, 1, 0)) end
-hyst1 = im(x,y) select(thresh(x,y) == 2, 2,
-    select(thresh(x,y) == 1,
-        select(max(max(thresh(x-1,y-1), thresh(x+1,y-1)),
-                   max(thresh(x-1,y+1), thresh(x+1,y+1))) == 2, 2, 0),
-        0)) end
-hyst2 = im(x,y) select(hyst1(x,y) == 2, 2,
-    select(hyst1(x,y) == 1,
-        select(max(max(hyst1(x-1,y), hyst1(x+1,y)),
-                   max(hyst1(x,y-1), hyst1(x,y+1))) == 2, 2, 0),
-        0)) end
-output edges = im(x,y) select(hyst2(x,y) == 2, 255, 0) end
-";
-
-const CANNY_M: &str = "
-// Canny edge detection with separate Sobel passes: blur_v feeds both gx
-// and gy (the single multiple-consumer stage; paper Tbl. 3: 10 stages).
-input raw;
-blur_h = im(x,y) (raw(x-1,y) + 2*raw(x,y) + raw(x+1,y)) >> 2 end
-blur_v = im(x,y) (blur_h(x,y-1) + 2*blur_h(x,y) + blur_h(x,y+1)) >> 2 end
-gx = im(x,y)
-    blur_v(x+1,y-1) + 2*blur_v(x+1,y) + blur_v(x+1,y+1)
-  - blur_v(x-1,y-1) - 2*blur_v(x-1,y) - blur_v(x-1,y+1) end
-gy = im(x,y)
-    blur_v(x-1,y+1) + 2*blur_v(x,y+1) + blur_v(x+1,y+1)
-  - blur_v(x-1,y-1) - 2*blur_v(x,y-1) - blur_v(x+1,y-1) end
-mag = im(x,y) abs(gx(x,y)) + abs(gy(x,y)) end
-nms = im(x,y) select(
-    mag(x,y) >= max(max(mag(x-1,y), mag(x+1,y)),
-                    max(mag(x,y-1), mag(x,y+1))),
-    mag(x,y), 0) end
-thresh = im(x,y) select(nms(x,y) > 48, 2, select(nms(x,y) > 24, 1, 0)) end
-hyst = im(x,y) select(thresh(x,y) == 2, 2,
-    select(thresh(x,y) == 1,
-        select(max(max(thresh(x-1,y-1), thresh(x+1,y-1)),
-                   max(thresh(x-1,y+1), thresh(x+1,y+1))) == 2, 2, 0),
-        0)) end
-output edges = im(x,y) select(hyst(x,y) == 2, 255, 0) end
-";
-
-const HARRIS_S: &str = "
-// Harris corner detection, chain-approximated single-consumer variant
-// (paper Tbl. 3: 7 stages).
-input raw;
-blur = im(x,y) (raw(x-1,y-1) + 2*raw(x,y-1) + raw(x+1,y-1)
-              + 2*raw(x-1,y) + 4*raw(x,y)   + 2*raw(x+1,y)
-              + raw(x-1,y+1) + 2*raw(x,y+1) + raw(x+1,y+1)) >> 4 end
-grad2 = im(x,y)
-    (blur(x+1,y) - blur(x-1,y)) * (blur(x+1,y) - blur(x-1,y))
-  + (blur(x,y+1) - blur(x,y-1)) * (blur(x,y+1) - blur(x,y-1)) end
-ssum = im(x,y) (grad2(x-1,y-1) + grad2(x,y-1) + grad2(x+1,y-1)
-              + grad2(x-1,y)   + grad2(x,y)   + grad2(x+1,y)
-              + grad2(x-1,y+1) + grad2(x,y+1) + grad2(x+1,y+1)) >> 3 end
-corner = im(x,y) 8*ssum(x,y) - ssum(x-1,y-1) - ssum(x,y-1) - ssum(x+1,y-1)
-                - ssum(x-1,y) - ssum(x+1,y)
-                - ssum(x-1,y+1) - ssum(x,y+1) - ssum(x+1,y+1) end
-score = im(x,y) clamp(corner(x,y) >> 4, 0, 255) end
-output corners = im(x,y) select(score(x,y) > 32, score(x,y), 0) end
-";
-
-const HARRIS_M: &str = "
-// Harris corner detection with separate Ix^2 / Iy^2 paths: blur is the
-// single multiple-consumer stage (paper Tbl. 3: 7 stages).
-input raw;
-blur = im(x,y) (raw(x-1,y-1) + 2*raw(x,y-1) + raw(x+1,y-1)
-              + 2*raw(x-1,y) + 4*raw(x,y)   + 2*raw(x+1,y)
-              + raw(x-1,y+1) + 2*raw(x,y+1) + raw(x+1,y+1)) >> 4 end
-ix2 = im(x,y) (blur(x+1,y) - blur(x-1,y)) * (blur(x+1,y) - blur(x-1,y)) end
-iy2 = im(x,y) (blur(x,y+1) - blur(x,y-1)) * (blur(x,y+1) - blur(x,y-1)) end
-sxx = im(x,y) (ix2(x-1,y-1) + ix2(x,y-1) + ix2(x+1,y-1)
-             + ix2(x-1,y)   + ix2(x,y)   + ix2(x+1,y)
-             + ix2(x-1,y+1) + ix2(x,y+1) + ix2(x+1,y+1)) >> 3 end
-syy = im(x,y) (iy2(x-1,y-1) + iy2(x,y-1) + iy2(x+1,y-1)
-             + iy2(x-1,y)   + iy2(x,y)   + iy2(x+1,y)
-             + iy2(x-1,y+1) + iy2(x,y+1) + iy2(x+1,y+1)) >> 3 end
-output resp = im(x,y)
-    (sxx(x,y) * syy(x,y)) >> 8
-  - (((sxx(x,y) + syy(x,y)) * (sxx(x,y) + syy(x,y))) >> 12) end
-";
-
-const UNSHARP_M: &str = "
-// Unsharp masking: the input feeds both the blur chain and the sharpen
-// stage (the paper's motivating multiple-consumer case; Tbl. 3: 5 stages).
-input raw;
-blur_h = im(x,y) (raw(x-2,y) + 4*raw(x-1,y) + 6*raw(x,y)
-                + 4*raw(x+1,y) + raw(x+2,y)) >> 4 end
-blur_v = im(x,y) (blur_h(x,y-2) + 4*blur_h(x,y-1) + 6*blur_h(x,y)
-                + 4*blur_h(x,y+1) + blur_h(x,y+2)) >> 4 end
-sharp = im(x,y) raw(x,y) + (raw(x,y) - blur_v(x,y)) end
-output sharpened = im(x,y) clamp(sharp(x,y), 0, 255) end
-";
-
-const XCORR_M: &str = "
-// Normalized cross correlation against a fixed 18-row vertical template;
-// the input feeds both the correlator and the normalizer (Tbl. 3: 3
-// stages, with the 18x1 stencil the paper calls out in Sec. 8.3).
-input sig;
-corr = im(x,y)
-      1*sig(x,y)    + 2*sig(x,y+1)  + 3*sig(x,y+2)  + 4*sig(x,y+3)
-    + 5*sig(x,y+4)  + 6*sig(x,y+5)  + 7*sig(x,y+6)  + 8*sig(x,y+7)
-    + 9*sig(x,y+8)  + 9*sig(x,y+9)  + 8*sig(x,y+10) + 7*sig(x,y+11)
-    + 6*sig(x,y+12) + 5*sig(x,y+13) + 4*sig(x,y+14) + 3*sig(x,y+15)
-    + 2*sig(x,y+16) + 1*sig(x,y+17) end
-output match = im(x,y)
-    (corr(x,y) << 4) / (1 + sig(x,y)    + sig(x,y+1)  + sig(x,y+2)
-                          + sig(x,y+3)  + sig(x,y+4)  + sig(x,y+5)
-                          + sig(x,y+6)  + sig(x,y+7)  + sig(x,y+8)
-                          + sig(x,y+9)  + sig(x,y+10) + sig(x,y+11)
-                          + sig(x,y+12) + sig(x,y+13) + sig(x,y+14)
-                          + sig(x,y+15) + sig(x,y+16) + sig(x,y+17)) end
-";
-
-const DENOISE_M: &str = "
-// Edge-preserving denoise (SODA's denoise2D shape): both the input and
-// the blurred image fan out to two consumers (Tbl. 3: 5 stages, 2 MC).
-input raw;
-blur = im(x,y) (raw(x-1,y-1) + raw(x,y-1) + raw(x+1,y-1)
-              + raw(x-1,y)   + raw(x,y)   + raw(x+1,y)
-              + raw(x-1,y+1) + raw(x,y+1) + raw(x+1,y+1)) / 9 end
-diff = im(x,y) abs(raw(x,y) - blur(x,y)) end
-wsum = im(x,y) diff(x-1,y-1) + diff(x,y-1) + diff(x+1,y-1)
-             + diff(x-1,y)   + diff(x,y)   + diff(x+1,y)
-             + diff(x-1,y+1) + diff(x,y+1) + diff(x+1,y+1) end
-output denoised = im(x,y) select(wsum(x,y) > 96, blur(x,y), raw(x,y)) end
-";
 
 #[cfg(test)]
 mod tests {

@@ -42,14 +42,14 @@ fn main() {
     };
 
     println!(
-        "# exp_energy — analytic vs measured power (netlist activity), {}x{} frames\n",
+        "# exp_energy — analytic vs measured power (schedule activity), {}x{} frames\n",
         geom.width, geom.height
     );
-    println!("Measured columns come from interpreting the generated netlist with an");
-    println!("activity trace (per-bank reads/writes, enable duty) and pricing the");
-    println!("counted events with the same pJ constants the analytic model uses.");
-    println!("`gated` is the same netlist after the clock-gating pass; `gated-off`");
-    println!("is the interpreter-counted number of suppressed read-port cycles.\n");
+    println!("Measured columns count each design's events from its schedule");
+    println!("(per-bank reads/writes, enable duty) and price them with the same pJ");
+    println!("constants the analytic model uses. `gated` is the same design after");
+    println!("the clock-gating pass; `gated-off` is the schedule-counted number of");
+    println!("suppressed read-port cycles.\n");
     println!("| Algorithm | style | analytic mW | measured mW | ratio | gated mW | saving % | gated-off cycles |");
     println!("|---|---|---|---|---|---|---|---|");
 
@@ -94,7 +94,7 @@ fn main() {
         hi
     );
     println!("  models share pJ constants and differ only in activity basis");
-    println!("  (interpreted events vs scheduled rates).");
+    println!("  (per-block events counted from the schedule vs per-cycle rates).");
     println!(
         "- clock-gating saving on the `-m` pipelines: avg {:.1}% of measured power",
         avg(&m_savings)

@@ -3,13 +3,13 @@
 //! the classic designs keep most blocks at ~1 — the mechanism behind the
 //! paper's "35% more power for two-access BRAMs" measurement — verified
 //! here with exact counts from the cycle-level simulator **and**
-//! cross-checked against the netlist's independent activity trace
-//! (`imagen-rtl`'s schedule-derived counting path vs `imagen-sim`'s).
+//! cross-checked against the activity trace counted from the schedule
+//! (`imagen-rtl`'s `ScheduleActivity` vs `imagen-sim`'s annotations).
 
 use imagen_algos::Algorithm;
 use imagen_bench::{asic_backend, generate, smoke_mode, test_frame};
 use imagen_mem::{BramModel, DesignStyle, ImageGeometry};
-use imagen_rtl::{build_netlist, interpret_with_trace, BitWidths};
+use imagen_rtl::{describe, ScheduleActivity};
 use imagen_sim::simulate_and_annotate;
 
 fn main() {
@@ -33,15 +33,14 @@ fn main() {
         "# Sec. 8.4 — access-rate breakdown (simulated, {}-wide frames)\n",
         geom.width
     );
-    println!("| Algorithm | style | blocks | avg accesses/block/cycle | interp-counted | max block rate |");
+    println!("| Algorithm | style | blocks | avg accesses/block/cycle | schedule-counted | max block rate |");
     println!("|---|---|---|---|---|---|");
     for alg in [Algorithm::UnsharpM, Algorithm::DenoiseM, Algorithm::CannyM] {
         for style in [DesignStyle::Soda, DesignStyle::Ours, DesignStyle::FixyNn] {
             let mut plan = generate(alg, style, &geom, asic_backend());
             let input = test_frame(&geom, 7);
             let report =
-                simulate_and_annotate(&plan.dag, &mut plan.design, std::slice::from_ref(&input))
-                    .expect("simulation");
+                simulate_and_annotate(&plan.dag, &mut plan.design, &[input]).expect("simulation");
             assert!(
                 report.port_violations.is_empty(),
                 "{} {}: {:?}",
@@ -59,23 +58,24 @@ fn main() {
             let avg = rates.iter().sum::<f64>() / rates.len().max(1) as f64;
             let max = rates.iter().cloned().fold(0.0, f64::max);
 
-            // The independent counting path: the netlist's activity
-            // trace must agree with the simulator's annotations
-            // block for block (also pinned by tests/activity_crosscheck).
-            let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
-            let (_, trace) = interpret_with_trace(&net, &[input]).expect("interpretation");
+            // The independent counting path: the activity the schedule
+            // fixes must agree with the simulator's annotations block
+            // for block (also pinned by tests/activity_crosscheck).
+            let trace = ScheduleActivity::derive(&describe(&plan.dag, &plan.design), None, None)
+                .expect("the planner emits streamable designs")
+                .trace();
             let frame = plan.design.geometry.pixels();
-            let mut interp_rates = Vec::new();
+            let mut counted_rates = Vec::new();
             for (bp, ba) in plan.design.buffers.iter().zip(&trace.buffers) {
                 for blk in 0..bp.blocks.len() {
-                    interp_rates.push(ba.avg_accesses_per_cycle(blk, frame));
+                    counted_rates.push(ba.avg_accesses_per_cycle(blk, frame));
                 }
             }
-            let iavg = interp_rates.iter().sum::<f64>() / interp_rates.len().max(1) as f64;
-            for (a, b) in rates.iter().zip(&interp_rates) {
+            let cavg = counted_rates.iter().sum::<f64>() / counted_rates.len().max(1) as f64;
+            for (a, b) in rates.iter().zip(&counted_rates) {
                 assert!(
                     (a - b).abs() < 1e-9,
-                    "{} {}: sim {a} vs interp {b}",
+                    "{} {}: sim {a} vs schedule {b}",
                     alg.name(),
                     style.label()
                 );
@@ -86,7 +86,7 @@ fn main() {
                 style.label(),
                 rates.len(),
                 avg,
-                iavg,
+                cavg,
                 max
             );
         }

@@ -18,11 +18,11 @@ fn main() {
         &STYLES,
     );
 
-    // Measured counterpart: the same designs interpreted as netlists
-    // with an activity trace (imagen-power), on height-reduced frames
+    // Measured counterpart: the same designs priced from the activity
+    // their schedules fix (imagen-power), on height-reduced frames
     // (access rates are height-invariant).
     print_measured_matrix(
-        "Fig. 8b (measured) — netlist-interpreted memory power @320p",
+        "Fig. 8b (measured) — schedule-counted memory power @320p",
         &algos,
         &geom,
         asic_backend(),

@@ -18,12 +18,12 @@ fn main() {
         &STYLES,
     );
 
-    // Measured counterpart (imagen-power): netlist-interpreted memory
+    // Measured counterpart (imagen-power): schedule-counted memory
     // power on height-reduced frames — the per-block macro
     // configurations and access rates depend only on the frame width,
     // so the 1080p-wide mW figures carry over.
     print_measured_matrix(
-        "Fig. 9b (measured) — netlist-interpreted memory power @1080p",
+        "Fig. 9b (measured) — schedule-counted memory power @1080p",
         &algos,
         &geom,
         asic_backend(),

@@ -109,6 +109,9 @@ SIM / ENERGY OPTIONS:
     --seed N         seed of the generated input frame [default: 0]
     --input-bits N   bits of input noise               [default: 4, or 8 with --wide]
     --wide           interpret at 64/64 datapath widths (sim only)
+    energy counts activity from the schedule: its --seed and --input-bits
+    only pick the frame of the check that clock gating leaves the outputs
+    unchanged, and change no priced number
 
 SERVE OPTIONS:
     --threads N      worker threads (0 = all cores)   [default: 0]

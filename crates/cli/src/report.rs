@@ -620,7 +620,9 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `imagen energy`: analytic vs activity-measured power on a seeded frame.
+/// `imagen energy`: analytic vs measured power, the measured side priced
+/// from the activity the schedule fixes. The seeded frame only feeds the
+/// check that clock gating leaves the outputs unchanged.
 pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
     check_frame_contains_stencil(dag, opts)?;
     let plan = Session::new(dag, opts.geometry())
@@ -635,7 +637,7 @@ pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
 
     let mut text = header(dag, opts);
     text.push_str(&format!(
-        "input    : seed {}, {bits} bits, {} frame(s)\n\n## Power (analytic model vs interpreted activity)\n\n",
+        "input    : seed {}, {bits} bits, {} frame(s)\n\n## Power (analytic model vs schedule-counted activity)\n\n",
         opts.seed,
         inputs.len()
     ));

@@ -12,7 +12,10 @@
 //! request is answered in microseconds.
 //! A new point past the cap evicts the least recently used one, and
 //! results are byte-identical to a sequential run regardless of worker
-//! count.
+//! count. Both memos keep [`imagen_obs::Slot`]s under the
+//! [`imagen_obs::Memo`] rule: each key is computed once, and requests
+//! that race its first computation wait for it and count as hits, so
+//! the memo counters do not depend on the worker count either.
 //!
 //! ## Protocol
 //!
@@ -52,7 +55,10 @@
 //! `--stats-every` line count its hits (requests answered from the
 //! memo) and misses (front passes run) beside `admission_rejected`, the
 //! point memo's hits and misses (points compiled) as `cache`, its
-//! `evictions` and its `live_points`.
+//! `evictions` and its `live_points`. A `"cmd":"stats"` line inside a
+//! batch reads the counters when a worker takes it, so at more than one
+//! thread it can be answered before earlier lines finish; the summary
+//! printed to stderr after a stdin batch is exact.
 //!
 //! Success: `{"id":...,"ok":true,...}`, including the translation-
 //! validation verdict for the compiled design (`certificate_status`
@@ -69,7 +75,7 @@ use imagen_dse::{explore, ExploreOptions, ExploreStrategy};
 use imagen_dsl::Pos;
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
-use imagen_obs::{Collector, Counter, Gauge, Histogram, Metrics};
+use imagen_obs::{Collector, Counter, Gauge, Histogram, Metrics, Slot};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io::{BufRead, Read, Write};
@@ -179,12 +185,13 @@ struct HubState {
     points: Lru<PointKey, Arc<Compiled>>,
 }
 
-/// A map that evicts its least recently used entries: each entry carries
-/// the tick of its last use, and eviction scans for the oldest. The hub's
-/// maps hold at most a few hundred entries, and they evict only when a
-/// miss inserts past the cap.
+/// A map of memo slots that evicts its least recently used entries: each
+/// entry carries the tick of its last use, and eviction scans for the
+/// oldest. The hub's maps hold at most a few hundred entries, and they
+/// evict only when a miss inserts past the cap. An evicted slot stays
+/// valid for the lookups that already hold it.
 struct Lru<K, V> {
-    entries: HashMap<K, (V, u64)>,
+    entries: HashMap<K, (Slot<V>, u64)>,
     tick: u64,
 }
 
@@ -197,37 +204,33 @@ impl<K, V> Default for Lru<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V: Clone> Lru<K, V> {
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// The value stored under `key`, marked as the most recently used.
-    fn get(&mut self, key: &K) -> Option<V> {
+    /// The slot of `key`, marked as the most recently used, and whether
+    /// it was stored before: a new key gets an empty slot.
+    fn slot(&mut self, key: &K) -> (Slot<V>, bool) {
         self.tick += 1;
-        let (value, used) = self.entries.get_mut(key)?;
-        *used = self.tick;
-        Some(value.clone())
+        if let Some((slot, used)) = self.entries.get_mut(key) {
+            *used = self.tick;
+            return (slot.clone(), true);
+        }
+        let slot = Slot::default();
+        self.entries.insert(key.clone(), (slot.clone(), self.tick));
+        (slot, false)
     }
 
-    /// Stores `value` unless `key` already has one, and returns the
-    /// stored value, marked as the most recently used.
-    fn insert(&mut self, key: K, value: V) -> V {
-        self.tick += 1;
-        let (stored, used) = self.entries.entry(key).or_insert((value, 0));
-        *used = self.tick;
-        stored.clone()
-    }
-
-    /// Removes and returns the least recently used entry. Every use
-    /// takes a fresh tick, so exactly one entry carries the oldest.
-    fn evict(&mut self) -> Option<(K, V)> {
+    /// Removes the least recently used entry and returns its key. Every
+    /// use takes a fresh tick, so exactly one entry carries the oldest.
+    fn evict(&mut self) -> Option<K> {
         let oldest = self.entries.values().map(|&(_, used)| used).min()?;
-        let (key, (value, _)) = self
+        let (key, _) = self
             .entries
             .extract_if(|_, &mut (_, used)| used == oldest)
             .next()?;
-        Some((key, value))
+        Some(key)
     }
 }
 
@@ -307,50 +310,38 @@ impl Hub {
         (state.admissions.verdicts.len(), state.admissions.bytes)
     }
 
-    /// The front pass's verdict on `key`, run on first sight and
-    /// memoized. Racing misses on one key both run the pass; the first
-    /// verdict stored is kept (they are equal).
-    fn admission(&self, key: AdmissionKey, spec: &MemorySpec) -> Verdict {
-        let hit = self
-            .state
-            .lock()
-            .expect("hub state")
-            .admissions
-            .verdicts
-            .get(&key);
-        if let Some(v) = hit {
+    /// The front pass's verdict on `key`, run on its first lookup and
+    /// memoized; lookups that race it wait for its verdict.
+    fn admission(&self, key: &AdmissionKey, spec: &MemorySpec) -> Verdict {
+        let (slot, hit) = self.state.lock().expect("hub state").admissions.slot(key);
+        if hit {
             self.stats.admission_hits.add(1);
-            return v;
+        } else {
+            self.stats.admission_misses.add(1);
         }
-        self.stats.admission_misses.add(1);
-        let verdict = front_verdict(&key, spec);
-        self.state
-            .lock()
-            .expect("hub state")
-            .admissions
-            .insert(key, verdict)
+        slot.get_or_init(|| front_verdict(key, spec)).clone()
     }
 
-    /// The compiled point `key`, built by `compile` on first sight and
-    /// memoized. The compile runs outside the state lock, so concurrent
-    /// requests for distinct points never serialize on it; racing misses
-    /// on one key both compile, and the first entry stored is kept (they
-    /// are equal).
+    /// The compiled point `key`, built by `compile` on its first lookup
+    /// and memoized. The compile runs outside the state lock, so
+    /// concurrent requests for distinct points never serialize on it,
+    /// and requests that race it for its own point wait for it.
     fn point(&self, key: PointKey, compile: impl FnOnce() -> Compiled) -> Arc<Compiled> {
-        let hit = self.state.lock().expect("hub state").points.get(&key);
-        if let Some(p) = hit {
-            self.stats.cache_hits.add(1);
-            return p;
-        }
-        self.stats.cache_misses.add(1);
-        let built = Arc::new(compile());
-        let mut state = self.state.lock().expect("hub state");
-        let stored = state.points.insert(key, built);
-        if state.points.len() > MAX_POINTS {
-            state.points.evict();
-            self.stats.evictions.add(1);
-        }
-        stored
+        let slot = {
+            let mut state = self.state.lock().expect("hub state");
+            let (slot, hit) = state.points.slot(&key);
+            if hit {
+                self.stats.cache_hits.add(1);
+            } else {
+                self.stats.cache_misses.add(1);
+                if state.points.len() > MAX_POINTS {
+                    state.points.evict();
+                    self.stats.evictions.add(1);
+                }
+            }
+            slot
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(compile())))
     }
 }
 
@@ -472,7 +463,7 @@ fn error_response(id: Json, msg: String, pos: Option<imagen_dsl::Pos>) -> Json {
 /// of the front pass (the geometry and memory target its
 /// [`AnalysisOptions`] are built from). `deny_warnings` is not part of
 /// it; lookups apply it to the stored verdict.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct AdmissionKey {
     name: String,
     source: String,
@@ -515,25 +506,27 @@ struct AdmissionMemo {
 }
 
 impl AdmissionMemo {
-    /// Stores `verdict` unless `key` already has one, and returns the
-    /// stored verdict.
-    fn insert(&mut self, key: AdmissionKey, verdict: Verdict) -> Verdict {
-        if let Some(v) = self.verdicts.get(&key) {
-            return v;
-        }
+    /// The slot of `key`'s verdict, and whether it was stored before. A
+    /// new key's slot is stored, and the least recently used verdicts
+    /// are evicted until both caps hold, unless its text alone passes the
+    /// byte cap.
+    fn slot(&mut self, key: &AdmissionKey) -> (Slot<Verdict>, bool) {
         let bytes = key.retained_bytes();
         if bytes > MAX_ADMISSION_BYTES {
-            return verdict;
+            return (Slot::default(), false);
         }
-        while self.verdicts.len() >= MAX_ADMISSIONS || self.bytes + bytes > MAX_ADMISSION_BYTES {
-            let (evicted, _) = self
-                .verdicts
-                .evict()
-                .expect("a memo over its caps holds entries");
-            self.bytes -= evicted.retained_bytes();
+        let (slot, hit) = self.verdicts.slot(key);
+        if !hit {
+            self.bytes += bytes;
+            while self.verdicts.len() > MAX_ADMISSIONS || self.bytes > MAX_ADMISSION_BYTES {
+                let evicted = self
+                    .verdicts
+                    .evict()
+                    .expect("a memo over its caps holds an older verdict");
+                self.bytes -= evicted.retained_bytes();
+            }
         }
-        self.bytes += bytes;
-        self.verdicts.insert(key, verdict)
+        (slot, hit)
     }
 }
 
@@ -645,7 +638,8 @@ fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled 
 
 /// Admits a compile or dse request's program: the memoized front-pass
 /// verdict on its program and target, with `deny_warnings` applied. The
-/// request's name and source move into the memo key uncopied.
+/// request's name and source move into the lookup key uncopied; only a
+/// miss stores a copy.
 fn admit(r: &mut Request, hub: &Hub) -> Verdict {
     let key = AdmissionKey {
         name: std::mem::take(&mut r.name),
@@ -654,7 +648,7 @@ fn admit(r: &mut Request, hub: &Hub) -> Verdict {
         target: r.target,
     };
     let verdict = hub
-        .admission(key, &r.spec)
+        .admission(&key, &r.spec)
         .and_then(|a| match (&a.denied, r.deny_warnings) {
             (Some(denied), true) => Err(denied.clone()),
             _ => Ok(a),
@@ -1509,6 +1503,41 @@ mod tests {
         for (i, resp) in sequential.iter().enumerate() {
             let v = json::parse(resp).unwrap();
             assert_eq!(v.get("id").unwrap().as_u64(), Some(i as u64));
+        }
+    }
+
+    /// Requests that race on one program or point wait for its first
+    /// computation, so at 4 workers every round counts one admission
+    /// miss per distinct program and one point miss per distinct point.
+    #[test]
+    fn memo_misses_count_distinct_keys_at_any_worker_count() {
+        let programs = [
+            BLUR,
+            "input a; output b = im(x,y) a(x,y-1) + a(x,y+1) end",
+            "input a; output b = im(x,y) a(x-2,y) - a(x,y) end",
+        ];
+        let lines: Vec<String> = (0..48)
+            .map(|i| {
+                let cmd = if (i / 3) % 2 == 0 { "compile" } else { "dse" };
+                format!(
+                    r#"{{"id":{i},"cmd":"{cmd}","source":"{}","width":32,"height":24}}"#,
+                    programs[i % 3]
+                )
+            })
+            .collect();
+        for round in 0..20 {
+            let hub = Hub::new();
+            let responses = run_batch(&lines, 4, &hub);
+            assert!(
+                responses.iter().all(|r| r.contains(r#""ok":true"#)),
+                "round {round}: {responses:?}"
+            );
+            let counts = [
+                counter(&hub, "admission.hits"),
+                counter(&hub, "admission.misses"),
+            ];
+            assert_eq!(counts, [45, 3], "round {round}: admission hits, misses");
+            assert_eq!(hub.cache_stats(), (21, 3), "round {round}: point memo");
         }
     }
 

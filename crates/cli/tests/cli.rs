@@ -42,26 +42,6 @@ fn leading_help_flags_print_usage() {
     }
 }
 
-/// The seven Tbl. 3 pipelines live on disk as `.imagen` files — the CLI's
-/// example corpus — and must stay verbatim copies of the canonical
-/// sources in `imagen_algos` (modulo the leading blank line).
-#[test]
-fn example_corpus_matches_canonical_sources() {
-    for alg in imagen_algos::Algorithm::all() {
-        let stem = alg.name().to_lowercase().replace('-', "_");
-        let path = repo_root().join(format!("examples/{stem}.imagen"));
-        let on_disk =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            on_disk,
-            alg.dsl_source().trim_start(),
-            "{} drifted from imagen_algos::Algorithm::{:?}",
-            path.display(),
-            alg
-        );
-    }
-}
-
 /// Every `.imagen` file under examples/ (the 7 Tbl. 3 programs plus the
 /// user-authored quickstart) compiles through the real binary.
 #[test]

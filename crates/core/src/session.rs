@@ -14,25 +14,28 @@
 //!   owns for its lifetime runs them once per distinct buffer (frame,
 //!   ports, layout inputs and access streams, starts taken relative to
 //!   the earliest), whichever point or request first needs them;
-//! * the plan of any point [`Session::price`] planned — returned from
-//!   the session's [`CompileCache`], keyed by (resolved per-stage memory
-//!   config, schedule options, style). Netlists and Verilog text are
-//!   built on every call and never memoized.
+//! * the plan of any point [`Session::price`] planned, or its planning
+//!   error — returned from the session's [`CompileCache`], keyed by
+//!   (resolved per-stage memory config, schedule options, style).
+//!   Netlists and Verilog text are built on every call and never
+//!   memoized.
 //!
 //! Sessions are `Sync`: design points can be fanned out over
 //! `std::thread::scope` workers sharing one session, and the cache and
-//! the memo are shared across threads (planning runs outside both
-//! locks, so workers never serialize on the solver or the checks).
+//! the memo are shared across threads. Both are [`imagen_obs::Memo`]s:
+//! planning and checks run outside their locks, so workers never
+//! serialize on the solver, and workers that race on one key wait for
+//! its first computation instead of repeating it.
 
 use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
+use imagen_obs::Memo;
 use imagen_schedule::{
     formulate_skeleton, plan_design_with, ConstraintSkeleton, Plan, PortCheckMemo, ScheduleOptions,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Cache key identifying one fully-resolved compile point of the
 /// session's DAG and geometry.
@@ -46,52 +49,36 @@ struct PointKey {
     style: DesignStyle,
 }
 
-/// Memo of a [`Session`]'s priced plans, shared by every thread that
-/// plans on the session.
+/// Memo of a [`Session`]'s priced plans, planning failures included,
+/// shared by every thread that plans on the session: an
+/// [`imagen_obs::Memo`], so each point is planned once at any worker
+/// count.
 #[derive(Default)]
 pub struct CompileCache {
-    plans: Mutex<HashMap<PointKey, Arc<Plan>>>,
+    plans: Memo<PointKey, Result<Arc<Plan>, CompileError>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
 impl CompileCache {
-    /// Number of memoized design points.
+    /// Number of memoized design points, failed ones included.
     pub fn len(&self) -> usize {
-        self.plans.lock().expect("cache poisoned").len()
+        self.plans.len()
     }
 
     /// Whether the cache holds no points.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 
     /// `(hits, misses)` counters since construction: lookups the memo
-    /// answered, and plans computed.
+    /// answered, a lookup that waited for a racing plan included, and
+    /// plans computed.
     pub fn stats(&self) -> (usize, usize) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
-    }
-
-    fn get(&self, key: &PointKey) -> Option<Arc<Plan>> {
-        let found = self.plans.lock().expect("cache poisoned").get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, key: PointKey, plan: Arc<Plan>) {
-        // Racing workers may plan the same point; keep the first plan
-        // (both are identical — planning is deterministic).
-        self.plans
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert(plan);
     }
 }
 
@@ -217,29 +204,33 @@ impl<'d> Session<'d> {
     ) -> Result<Arc<Plan>, CompileError> {
         let style = style.unwrap_or_else(|| self.infer_style(spec));
         let key = self.key_for(spec, style);
-        if let Some(plan) = self.cache.get(&key) {
-            return Ok(plan);
-        }
-        let plan = Arc::new(plan_design_with(
-            self.dag,
-            &self.skeleton,
-            &self.geom,
-            spec,
-            self.opts,
-            style,
-            &self.port_checks,
-        )?);
-        if store {
-            self.cache.insert(key, plan.clone());
-        }
-        Ok(plan)
+        let fresh = || {
+            let plan = plan_design_with(
+                self.dag,
+                &self.skeleton,
+                &self.geom,
+                spec,
+                self.opts,
+                style,
+                &self.port_checks,
+            )?;
+            Ok(Arc::new(plan))
+        };
+        let cache = &self.cache;
+        let (plan, hit) = if store {
+            cache.plans.get_or_compute(&key, fresh)
+        } else {
+            cache.plans.get_or_compute_transient(&key, fresh)
+        };
+        if hit { &cache.hits } else { &cache.misses }.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
     /// Plans and prices one memory configuration — **without** emitting
-    /// RTL — and memoizes the plan. This is the skip-RTL path for design
-    /// points that only need area/power; a later [`Session::netlist`] or
-    /// [`Session::compile`] of the same point reuses the plan and only
-    /// adds codegen.
+    /// RTL — and memoizes the plan, or its planning error. This is the
+    /// skip-RTL path for design points that only need area/power; a later
+    /// [`Session::netlist`] or [`Session::compile`] of the same point
+    /// reuses the plan and only adds codegen.
     ///
     /// `style` labels the design; `None` infers it from the spec.
     ///
@@ -518,5 +509,44 @@ mod tests {
             }
         });
         assert_eq!(sequential, parallel);
+    }
+
+    /// Workers that price one point at once plan it once: every other
+    /// lookup waits for that plan and counts as a hit.
+    #[test]
+    fn racing_prices_plan_a_point_once() {
+        const THREADS: usize = 6;
+        let dag = Algorithm::CannyM.build();
+        let spec = MemorySpec::new(backend(), 2);
+        for _ in 0..10 {
+            let session = Session::new(&dag, geom());
+            let collector = Arc::new(imagen_obs::Collector::new());
+            let barrier = std::sync::Barrier::new(THREADS);
+            let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            imagen_obs::with_collector(&collector, || {
+                                barrier.wait();
+                                session.price(&spec, None).unwrap()
+                            })
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("pricing thread"))
+                    .collect()
+            });
+            let solves: u64 = collector
+                .phase_totals()
+                .iter()
+                .filter(|t| t.name == "ilp.solve")
+                .map(|t| t.count)
+                .sum();
+            assert_eq!(solves, 1, "planned once");
+            assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+            assert_eq!(session.cache().stats(), (THREADS - 1, 1));
+        }
     }
 }

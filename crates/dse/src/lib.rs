@@ -155,7 +155,9 @@ pub struct ExploreStats {
     /// Pricing requests issued (cache hits + misses): how many times the
     /// sweep asked for a design point, counting revisits.
     pub points_priced: u64,
-    /// Pricing requests served from the session's compile cache.
+    /// Pricing requests served from the session's compile cache. A
+    /// request that waited for a racing worker's plan of the same point
+    /// counts as a hit.
     pub cache_hits: u64,
     /// Pricing requests that ran the planner.
     pub cache_misses: u64,

@@ -2,9 +2,11 @@
 //!
 //! Observability substrate for the ImaGen compile stack: a lock-cheap
 //! [`Metrics`] registry (atomic counters, gauges, and log-scale
-//! histograms with p50/p90/p99 extraction) plus a [`Collector`] of
+//! histograms with p50/p90/p99 extraction), a [`Collector`] of
 //! hierarchical timed spans with text-timeline and Chrome
-//! `trace_event` JSON export.
+//! `trace_event` JSON export, and [`Memo`], the single-flight map every
+//! memo of the stack is built on: each key is computed once, at any
+//! worker count, and racing lookups wait and count as hits.
 //!
 //! The crate is std-only and sits at the bottom of the workspace
 //! dependency graph so every layer (ILP, scheduler, RTL, core, DSE,
@@ -51,9 +53,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memo;
 mod metrics;
 mod trace;
 
+pub use memo::{Memo, Slot};
 pub use metrics::{
     Counter, Gauge, HistSnapshot, Histogram, Metrics, MetricsSnapshot, SNAPSHOT_SCHEMA,
 };

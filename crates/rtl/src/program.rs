@@ -74,10 +74,11 @@ use crate::interp::{trunc, InterpError, InterpReport};
 use crate::netlist::{GatingPlan, Netlist};
 use crate::structure::{sra_columns, NetBuffer, Structure};
 use imagen_ir::{BinOp, CmpOp, Expr};
+use imagen_obs::Memo;
 use imagen_sim::Image;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Column-tile width of the vectorized tape evaluator: one bytecode
 /// dispatch covers this many raster columns, and the per-op inner loops
@@ -649,7 +650,7 @@ impl BufferCounts {
 /// wrapping differences from the writer's start: for a fixed writer that
 /// map is one-to-one, so equal keys mean equal relative inputs. Words
 /// keep a lookup free of allocation: it borrows the key as a slice.
-type SweepKey = Box<[u64]>;
+type SweepKey = Vec<u64>;
 
 /// Block sweeps shared across designs: each distinct buffer is swept
 /// once.
@@ -660,17 +661,16 @@ type SweepKey = Box<[u64]>;
 /// Across a design-space sweep most points share most buffers, so
 /// [`ScheduleActivity::derive`] looks each buffer up here and sweeps only
 /// keys it has not met: Canny-m's 512 points at 32×24 hold 4,608 buffer
-/// sweeps and 12 keys. The first lookup of a key sweeps outside the map's
-/// lock, and lookups that race it wait for its result instead of sweeping
-/// again, so the memo's entries, and what it hands out, do not depend on
-/// how many threads share it.
+/// sweeps and 12 keys. The counts are kept in an [`imagen_obs::Memo`],
+/// so the memo's entries, and what it hands out, do not depend on how
+/// many threads share it.
 ///
 /// The memo has no cap: it holds at most one entry per buffer of the
 /// designs its owner derives, and a DSE sweep, which owns one, already
 /// holds every such design.
 #[derive(Default, Debug)]
 pub struct BlockSweepMemo {
-    sweeps: Mutex<HashMap<SweepKey, Arc<OnceLock<Arc<BufferCounts>>>>>,
+    sweeps: Memo<SweepKey, Arc<BufferCounts>>,
 }
 
 impl BlockSweepMemo {
@@ -683,25 +683,12 @@ impl BlockSweepMemo {
     /// depends only on the designs derived, not on their order or on the
     /// number of threads.
     pub fn len(&self) -> usize {
-        self.sweeps.lock().expect("block-sweep memo poisoned").len()
+        self.sweeps.len()
     }
 
     /// Whether no buffer has been looked up yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The counts of `key`: memoized, or swept by `sweep` on the first
-    /// lookup while racing lookups wait.
-    fn counts(&self, key: &[u64], sweep: impl FnOnce() -> BufferCounts) -> Arc<BufferCounts> {
-        let slot = {
-            let mut sweeps = self.sweeps.lock().expect("block-sweep memo poisoned");
-            match sweeps.get(key) {
-                Some(slot) => Arc::clone(slot),
-                None => Arc::clone(sweeps.entry(key.into()).or_default()),
-            }
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(sweep())))
+        self.sweeps.is_empty()
     }
 }
 
@@ -1088,7 +1075,9 @@ impl Layout {
                     return Arc::new(sweep(bi, rd));
                 };
                 self.sweep_key(bi, rd, &mut key);
-                memo.counts(&key, || sweep(bi, rd))
+                memo.sweeps
+                    .get_or_compute(key.as_slice(), || Arc::new(sweep(bi, rd)))
+                    .0
             })
             .collect()
     }

@@ -29,9 +29,8 @@ use imagen_ir::{apply_line_coalescing, CoalesceFactor, Dag, StageId, StageKind};
 use imagen_mem::{
     allocate_buffer, Design, DesignStyle, ImageGeometry, MemorySpec, PeModel, CLOCK_MHZ,
 };
-use std::collections::HashMap;
+use imagen_obs::Memo;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Planner failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -354,9 +353,8 @@ fn buffer_geometry(geom: &ImageGeometry, (pcx, pcy): (u64, u64)) -> ImageGeometr
 /// and a hit adds back its own buffer's. Across a DSE sweep most points
 /// share most buffers: Canny-m's 512 points at 32×24 realize 4,608
 /// buffers with 12 distinct keys, and a hit costs less than deciding the
-/// key again. The first lookup of a key decides it outside the map's
-/// lock; lookups that race it wait for that verdict instead of deciding
-/// the key again, so every key is decided once at any worker count.
+/// key again. Verdicts are kept in an [`imagen_obs::Memo`], so every key
+/// is decided once at any worker count.
 ///
 /// A compile session (`imagen_core::Session`) owns one memo for its
 /// lifetime; [`plan_design`] makes one per call. The memo has no cap:
@@ -368,7 +366,7 @@ fn buffer_geometry(geom: &ImageGeometry, (pcx, pcy): (u64, u64)) -> ImageGeometr
 /// 1,024-point sweeps of three 40-stage ones with 230–671 from 39,936.
 #[derive(Default, Debug)]
 pub struct PortCheckMemo {
-    verdicts: Mutex<HashMap<BufferCheck, Arc<OnceLock<BufferVerdict>>>>,
+    verdicts: Memo<BufferCheck, BufferVerdict>,
 }
 
 impl PortCheckMemo {
@@ -379,15 +377,12 @@ impl PortCheckMemo {
 
     /// Distinct buffer checks run so far: the number of memoized keys.
     pub fn len(&self) -> usize {
-        self.verdicts
-            .lock()
-            .expect("port-check memo poisoned")
-            .len()
+        self.verdicts.len()
     }
 
     /// Whether no buffer has been checked yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.verdicts.is_empty()
     }
 
     /// Distinct buffer checks whose verdict needed the row scanner: the
@@ -395,12 +390,7 @@ impl PortCheckMemo {
     /// it counts keys, so it does not depend on the order of the lookups
     /// or on how many workers made them.
     pub fn scans(&self) -> usize {
-        self.verdicts
-            .lock()
-            .expect("port-check memo poisoned")
-            .values()
-            .filter(|v| v.get().is_some_and(|v| v.scanned))
-            .count()
+        self.verdicts.count(|v| v.scanned)
     }
 
     /// The physical rows of `buffer`, whose check inputs `key` holds with
@@ -410,15 +400,7 @@ impl PortCheckMemo {
         for e in &mut key.streams {
             e.start -= origin;
         }
-        // Single flight: the slot is shared, the check runs once, unlocked.
-        let slot = {
-            let mut verdicts = self.verdicts.lock().expect("port-check memo poisoned");
-            match verdicts.get(&key) {
-                Some(slot) => Arc::clone(slot),
-                None => Arc::clone(verdicts.entry(key.clone()).or_default()),
-            }
-        };
-        let verdict = *slot.get_or_init(|| key.verdict());
+        let (verdict, _) = self.verdicts.get_or_compute(&key, || key.verdict());
         verdict.phys_rows.map_err(|v| {
             let violation = PortViolation {
                 cycle: v.cycle + origin,
