@@ -8,12 +8,16 @@
 //!   (and `frame_done`) moved;
 //! * `denoise_m_40x30.v` and its clock-gated variant
 //!   `denoise_m_40x30_gated.v` anchor the gating emitter path
-//!   (`imagen_power::gate_clocks` → `emit_verilog`) at the byte level.
+//!   (`imagen_power::gate_clocks` → `emit_verilog`) at the byte level;
+//! * `every_op_1p_40x30.v` pins the kernel printer on every `Expr` node
+//!   and the line-buffer printer on one-port macros smaller than each
+//!   buffer, so every buffer prints several `imagen_sram_1p` blocks.
 //!
 //! Regenerating any golden is a deliberate act, not a test-suite side
 //! effect.
 
 use imagen_algos::Algorithm;
+use imagen_ir::{BinOp, CmpOp, Dag, Expr};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_rtl::{build_netlist, emit_verilog, verify_all, BitWidths, Netlist};
 use imagen_schedule::{plan_design, ScheduleOptions};
@@ -46,14 +50,13 @@ fn golden_netlist(alg: Algorithm) -> Netlist {
     build_netlist(&plan.dag, &plan.design, &BitWidths::default())
 }
 
-fn check_net(alg: Algorithm, net: &Netlist, golden: &str) {
+fn check_net(name: &str, net: &Netlist, golden: &str) {
     let report = verify_all(net);
-    assert!(report.is_clean(), "{}: {:?}", alg.name(), report.errors);
+    assert!(report.is_clean(), "{name}: {:?}", report.errors);
     let emitted = emit_verilog(net);
     assert!(
         emitted == golden,
-        "{} emission diverged from the pinned golden (first differing line: {:?})",
-        alg.name(),
+        "{name} emission diverged from the pinned golden (first differing line: {:?})",
         emitted
             .lines()
             .zip(golden.lines())
@@ -64,7 +67,7 @@ fn check_net(alg: Algorithm, net: &Netlist, golden: &str) {
 }
 
 fn check(alg: Algorithm, golden: &str) {
-    check_net(alg, &golden_netlist(alg), golden);
+    check_net(alg.name(), &golden_netlist(alg), golden);
 }
 
 #[test]
@@ -97,7 +100,7 @@ fn denoise_m_gated_emission_is_byte_identical() {
     let net = golden_netlist(Algorithm::DenoiseM);
     let gated = imagen_power::gate_clocks(&net);
     check_net(
-        Algorithm::DenoiseM,
+        Algorithm::DenoiseM.name(),
         &gated,
         include_str!("../golden/denoise_m_40x30_gated.v"),
     );
@@ -105,5 +108,146 @@ fn denoise_m_gated_emission_is_byte_identical() {
     check(
         Algorithm::DenoiseM,
         include_str!("../golden/denoise_m_40x30.v"),
+    );
+}
+
+fn abs(e: Expr) -> Expr {
+    Expr::Abs(Box::new(e))
+}
+
+fn neg(e: Expr) -> Expr {
+    Expr::Neg(Box::new(e))
+}
+
+fn clamp(value: Expr, lo: Expr, hi: Expr) -> Expr {
+    Expr::Clamp {
+        value: Box::new(value),
+        lo: Box::new(lo),
+        hi: Box::new(hi),
+    }
+}
+
+/// A three-stage pipeline whose kernels hold every `Expr` node: negative
+/// and positive constants, taps, `Neg`, `Abs`, every `BinOp` and `CmpOp`,
+/// `Select` and `Clamp`, nested more than three deep, with operands of
+/// `Abs`, `Min`, `Max`, `Div` and `Clamp` that are themselves compound.
+fn every_operator_dag() -> Dag {
+    use BinOp::*;
+    use CmpOp::*;
+    let b = Expr::bin;
+    let c = Expr::cmp;
+    let mut dag = Dag::new("every op");
+    let src = dag.add_input("src");
+    // clamp(((src(x-1,y-1) * 3) - (src(x+1,y+1) << 2)) / -5,
+    //       -100, max(src(x,y), 50))
+    let smooth = dag
+        .add_stage(
+            "smooth",
+            &[src],
+            clamp(
+                b(
+                    Div,
+                    b(
+                        Sub,
+                        b(Mul, Expr::tap(0, -1, -1), Expr::Const(3)),
+                        b(Shl, Expr::tap(0, 1, 1), Expr::Const(2)),
+                    ),
+                    Expr::Const(-5),
+                ),
+                Expr::Const(-100),
+                b(Max, Expr::tap(0, 0, 0), Expr::Const(50)),
+            ),
+        )
+        .unwrap();
+    // select(smooth(x,y-1) < src(x+1,y),
+    //        min(abs(smooth(x,y+1) - src(x,y)), -smooth(x-1,y)),
+    //        (smooth(x+1,y) + 7) >> 1)
+    //   + (smooth(x,y) <= src(x,y)) - (src(x,y) > -2)
+    let edge = dag
+        .add_stage(
+            "edge",
+            &[smooth, src],
+            b(
+                Sub,
+                b(
+                    Add,
+                    Expr::select(
+                        c(Lt, Expr::tap(0, 0, -1), Expr::tap(1, 1, 0)),
+                        b(
+                            Min,
+                            abs(b(Sub, Expr::tap(0, 0, 1), Expr::tap(1, 0, 0))),
+                            neg(Expr::tap(0, -1, 0)),
+                        ),
+                        b(
+                            Shr,
+                            b(Add, Expr::tap(0, 1, 0), Expr::Const(7)),
+                            Expr::Const(1),
+                        ),
+                    ),
+                    c(Le, Expr::tap(0, 0, 0), Expr::tap(1, 0, 0)),
+                ),
+                c(Gt, Expr::tap(1, 0, 0), Expr::Const(-2)),
+            ),
+        )
+        .unwrap();
+    // (edge(x,y-1) >= -3) + (smooth(x,y) == 0) * (edge(x,y+1) != edge(x,y))
+    //   + max(edge(x-1,y) * -2, abs(edge(x+1,y))) / (smooth(x,y) - 1)
+    let out = dag
+        .add_stage(
+            "out",
+            &[edge, smooth],
+            b(
+                Add,
+                b(
+                    Add,
+                    c(Ge, Expr::tap(0, 0, -1), Expr::Const(-3)),
+                    b(
+                        Mul,
+                        c(Eq, Expr::tap(1, 0, 0), Expr::Const(0)),
+                        c(Ne, Expr::tap(0, 0, 1), Expr::tap(0, 0, 0)),
+                    ),
+                ),
+                b(
+                    Div,
+                    b(
+                        Max,
+                        b(Mul, Expr::tap(0, -1, 0), Expr::Const(-2)),
+                        abs(Expr::tap(0, 1, 0)),
+                    ),
+                    b(Sub, Expr::tap(1, 0, 0), Expr::Const(1)),
+                ),
+            ),
+        )
+        .unwrap();
+    dag.mark_output(out);
+    dag
+}
+
+#[test]
+fn every_operator_on_one_port_blocks_is_byte_identical() {
+    // One-port macros of 512 bits hold less than a 640-bit row, so each
+    // buffer spans several `imagen_sram_1p` blocks.
+    let geom = ImageGeometry {
+        width: 40,
+        height: 30,
+        pixel_bits: 16,
+    };
+    let spec = MemorySpec::new(MemBackend::Asic { block_bits: 512 }, 1);
+    let plan = plan_design(
+        &every_operator_dag(),
+        &geom,
+        &spec,
+        ScheduleOptions::default(),
+        DesignStyle::Ours,
+    )
+    .unwrap();
+    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+    for buf in &net.structure.buffers {
+        assert!(buf.ports == 1 && buf.blocks > 1, "{buf:?}");
+    }
+    check_net(
+        "every_op",
+        &net,
+        include_str!("../golden/every_op_1p_40x30.v"),
     );
 }
