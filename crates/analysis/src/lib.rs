@@ -368,8 +368,8 @@ pub mod codes {
 
     /// Structural netlist errors ([`imagen_rtl::RtlError`] variants), in
     /// declaration order.
-    pub const RTL_STRUCTURAL: [&str; 9] = [
-        "E0301", "E0302", "E0303", "E0304", "E0305", "E0306", "E0307", "E0308", "E0309",
+    pub const RTL_STRUCTURAL: [&str; 10] = [
+        "E0301", "E0302", "E0303", "E0304", "E0305", "E0306", "E0307", "E0308", "E0309", "E0310",
     ];
     /// A non-port net is driven but never read.
     pub const DEAD_NET: &str = "W0311";

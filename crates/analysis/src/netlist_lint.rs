@@ -5,7 +5,9 @@
 //! verifier cannot express: dead nets and dead modules, SRAM instances
 //! whose read ports are all left open, combinational cycles, and
 //! enable-domain consistency between the top-level schedule comparators
-//! and the instances they are supposed to gate.
+//! and the instances they are supposed to gate. A bank of SRAM blocks
+//! ([`Item::Bank`]) is linted once, on its template: every block reads
+//! the same nets and leaves the same ports open.
 //!
 //! The dead-net and combinational-cycle passes need to know what each
 //! [`Item::Assign`] *reads*, which the netlist does not record (the
@@ -39,10 +41,8 @@ pub fn lint_netlist(net: &Netlist, opts: &AnalysisOptions) -> Vec<Diagnostic> {
 
     let mut instantiated: HashSet<&str> = HashSet::new();
     for module in &net.modules {
-        for item in &module.items {
-            if let Item::Inst(inst) = item {
-                instantiated.insert(inst.module.as_str());
-            }
+        for (inst, _) in module.items.iter().filter_map(Item::placement) {
+            instantiated.insert(inst.module.as_str());
         }
     }
 
@@ -82,6 +82,7 @@ fn structural_diag(e: &RtlError) -> Diagnostic {
         RtlError::UndrivenNet { .. } => 6,
         RtlError::MultipleDrivers { .. } => 7,
         RtlError::UnknownNet { .. } => 8,
+        RtlError::BankMismatch { .. } => 9,
     };
     let locus = match e {
         RtlError::DuplicateSignal { name, within } => Locus::Net {
@@ -171,21 +172,25 @@ fn lint_module(
             }
             Item::Inst(inst) => {
                 let target = by_name.get(inst.module.as_str()).copied();
-                let (in_reads, comb_outs) = instance_io(module, inst, target);
-                for out in comb_outs {
-                    comb.entry(out)
-                        .or_default()
-                        .extend(in_reads.iter().cloned());
-                }
-                reads.extend(in_reads);
-
+                lint_instance(module, inst, target, &mut reads, &mut comb);
                 if let Some(t) = target {
                     if matches!(t.kind, ModuleKind::SramPrimitive { .. }) {
-                        lint_sram_instance(module, inst, t, diags);
+                        lint_sram_instance(module, &inst.name, inst, t, diags);
                     }
                     if matches!(module.kind, ModuleKind::Top) {
                         lint_enable_domain(net, module, inst, t, diags);
                     }
+                }
+            }
+            Item::Bank(bank) => {
+                // Every block connects alike: one check covers them all.
+                let inst = &*bank.template;
+                let target = by_name.get(inst.module.as_str()).copied();
+                lint_instance(module, inst, target, &mut reads, &mut comb);
+                if let Some(t) =
+                    target.filter(|t| matches!(t.kind, ModuleKind::SramPrimitive { .. }))
+                {
+                    lint_sram_instance(module, &bank.label(), inst, t, diags);
                 }
             }
         }
@@ -229,10 +234,30 @@ fn lint_module(
     }
 }
 
+/// Records what an instance's inputs read, and the combinational
+/// dependencies of its unregistered outputs.
+fn lint_instance(
+    module: &Module,
+    inst: &Instance,
+    target: Option<&Module>,
+    reads: &mut HashSet<String>,
+    comb: &mut HashMap<String, Vec<String>>,
+) {
+    let (in_reads, comb_outs) = instance_io(module, inst, target);
+    for out in comb_outs {
+        comb.entry(out)
+            .or_default()
+            .extend(in_reads.iter().cloned());
+    }
+    reads.extend(in_reads);
+}
+
 /// W0313 — an SRAM macro whose read-data ports are all left open does
-/// nothing but burn leakage power.
+/// nothing but burn leakage power. `name` names the instance, or a
+/// bank's blocks.
 fn lint_sram_instance(
     module: &Module,
+    name: &str,
     inst: &Instance,
     target: &Module,
     diags: &mut Vec<Diagnostic>,
@@ -255,8 +280,8 @@ fn lint_sram_instance(
             codes::UNREAD_SRAM,
             Severity::Warning,
             format!(
-                "SRAM instance `{}` in `{}` leaves every read port open",
-                inst.name, module.name
+                "SRAM instance `{name}` in `{}` leaves every read port open",
+                module.name
             ),
         ));
     }
@@ -453,7 +478,7 @@ fn instance_io(
         let is_output = port_net.is_some_and(|p| p.port == Some(Dir::Output));
         if is_output {
             if !port_net.is_some_and(|p| p.is_reg) {
-                if let Conn::Net(n) | Conn::NetIndex(n, _) = conn {
+                if let Conn::Net(n) | Conn::NetIndex(n, _) | Conn::Block(n) = conn {
                     comb_outs.push(n.clone());
                 }
             }
@@ -462,7 +487,7 @@ fn instance_io(
         // Inputs — and, when the target is undefined, everything
         // (conservative: unknown direction counts as a read).
         match conn {
-            Conn::Net(n) | Conn::NetIndex(n, _) => {
+            Conn::Net(n) | Conn::NetIndex(n, _) | Conn::Block(n) => {
                 in_reads.insert(n.clone());
             }
             Conn::Expr(expr) => {
@@ -649,18 +674,31 @@ mod tests {
             .iter()
             .position(|m| matches!(m.kind, ModuleKind::LineBuffer(_)))
             .unwrap();
-        for item in &mut net.modules[lb].items {
-            if let Item::Inst(inst) = item {
-                for (port, conn) in &mut inst.conns {
-                    if port.starts_with("rdata") {
-                        *conn = Conn::Open;
-                    }
-                }
-                break;
+        let bank = net.modules[lb]
+            .items
+            .iter_mut()
+            .find_map(|i| match i {
+                Item::Bank(bank) => Some(bank),
+                _ => None,
+            })
+            .expect("the line buffer holds a bank");
+        let blocks = bank.blocks;
+        assert!(blocks > 1, "the fixture's bank has several blocks");
+        for (port, conn) in &mut std::sync::Arc::make_mut(&mut bank.template).conns {
+            if port.starts_with("rdata") {
+                *conn = Conn::Open;
             }
         }
         let d = lint(&net);
-        assert!(codes_of(&d).contains(&codes::UNREAD_SRAM), "{d:?}");
+        // One warning for the whole bank, naming its blocks.
+        let unread: Vec<_> = d.iter().filter(|x| x.code == codes::UNREAD_SRAM).collect();
+        assert_eq!(unread.len(), 1, "{d:?}");
+        assert!(
+            unread[0]
+                .message
+                .contains(&format!("`u_blk0..u_blk{}`", blocks - 1)),
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Verilog rendering of a [`Netlist`].
 //!
-//! [`emit_verilog`] prints the netlist in the exact format the original
-//! string emitter produced — at the default [`BitWidths`] the output is
-//! byte-identical to the pre-refactor generator, pinned by the golden
-//! files under `crates/rtl/golden/` — so the refactor is provably
-//! behavior-preserving at the text level while every other consumer
-//! (interpretation, verification, resource reporting) now works from the
-//! typed structure instead of the text.
+//! [`emit_verilog`] prints a netlist's [`Structure`](crate::Structure)
+//! and stage kernels, not its module items, in the exact format the
+//! original string emitter produced — at the default [`BitWidths`] the
+//! output is byte-identical to the pre-refactor generator, pinned by the
+//! golden files under `crates/rtl/golden/` — while every other consumer
+//! (interpretation, verification, resource reporting) works from the
+//! typed netlist and structure instead of the text.
+//!
+//! Printing is one pass. Each kernel is written straight into the output;
+//! only the operands that `Abs`, `Min`, `Max`, `Div` and `Clamp` print
+//! more than once are rendered apart first. Each line buffer's SRAM
+//! blocks are printed from one text template per buffer, split where the
+//! block index goes, and each stage's window arrays from its own run of
+//! [`Structure::edges`](crate::Structure::edges).
 //!
 //! Three inherited seed-emitter behaviors are kept for pin-compatibility,
 //! and the netlist — not the text — is the authoritative structure:
@@ -47,6 +54,10 @@ use crate::netlist::{BitWidths, ModuleKind, Netlist, StagePayload};
 use crate::structure::NetBuffer;
 use imagen_ir::{BinOp, Expr, Window};
 use std::fmt::Write as _;
+
+/// Stands for the block index in a line buffer's block template; no
+/// printed text contains it.
+const B: char = '\u{0}';
 
 /// Renders the netlist as Verilog text. The window read path is not
 /// printed: no `sra_*` array is driven and every line-buffer instance
@@ -161,17 +172,24 @@ fn emit_stage_module(v: &mut String, net: &Netlist, payload: &StagePayload) {
     let _ = writeln!(v, "    output reg  signed [{}:0] pixel_out", pixel - 1);
     let _ = writeln!(v, ");");
 
-    let mut expr = String::new();
-    emit_expr(&mut expr, &payload.kernel, &payload.windows, acc);
-    let _ = writeln!(v, "    wire signed [{}:0] result = {};", acc - 1, expr);
+    let _ = write!(v, "    wire signed [{}:0] result = ", acc - 1);
+    emit_expr(v, &payload.kernel, &payload.windows, acc);
+    v.push_str(";\n");
     let _ = writeln!(v, "    always @(posedge clk) begin");
     let _ = writeln!(v, "        if (en) pixel_out <= result[{}:0];", pixel - 1);
     let _ = writeln!(v, "    end");
     let _ = writeln!(v, "endmodule\n");
 }
 
-/// Renders a kernel expression over the window ports.
+/// Renders a kernel expression over the window ports, writing each
+/// subterm straight into `out`; only the operands that `Abs`, `Min`,
+/// `Max`, `Div` and `Clamp` print more than once are rendered apart.
 fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
+    let render = |e: &Expr| {
+        let mut s = String::new();
+        emit_expr(&mut s, e, windows, acc);
+        s
+    };
     match e {
         Expr::Const(c) => {
             if *c < 0 {
@@ -195,70 +213,57 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
             out.push(')');
         }
         Expr::Abs(a) => {
-            out.push('(');
-            let mut inner = String::new();
-            emit_expr(&mut inner, a, windows, acc);
-            let _ = write!(out, "(({inner}) < 0) ? (-({inner})) : ({inner})");
-            out.push(')');
+            let a = render(a);
+            let _ = write!(out, "((({a}) < 0) ? (-({a})) : ({a}))");
+        }
+        Expr::Bin(op @ (BinOp::Min | BinOp::Max), a, b) => {
+            let (la, lb) = (render(a), render(b));
+            let rel = if *op == BinOp::Min { '<' } else { '>' };
+            let _ = write!(out, "((({la}) {rel} ({lb})) ? ({la}) : ({lb}))");
+        }
+        Expr::Bin(BinOp::Div, a, b) => {
+            let lb = render(b);
+            let _ = write!(out, "((({lb}) == 0) ? 0 : ((");
+            emit_expr(out, a, windows, acc);
+            let _ = write!(out, ") / ({lb})))");
         }
         Expr::Bin(op, a, b) => {
-            let mut la = String::new();
-            let mut lb = String::new();
-            emit_expr(&mut la, a, windows, acc);
-            emit_expr(&mut lb, b, windows, acc);
-            match op {
-                BinOp::Min => {
-                    let _ = write!(out, "((({la}) < ({lb})) ? ({la}) : ({lb}))");
-                }
-                BinOp::Max => {
-                    let _ = write!(out, "((({la}) > ({lb})) ? ({la}) : ({lb}))");
-                }
-                BinOp::Div => {
-                    let _ = write!(out, "((({lb}) == 0) ? 0 : (({la}) / ({lb})))");
-                }
-                BinOp::Shl => {
-                    let _ = write!(out, "(({la}) <<< ({lb}))");
-                }
-                BinOp::Shr => {
-                    let _ = write!(out, "(({la}) >>> ({lb}))");
-                }
-                BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                    let sym = match op {
-                        BinOp::Add => "+",
-                        BinOp::Sub => "-",
-                        _ => "*",
-                    };
-                    let _ = write!(out, "(({la}) {sym} ({lb}))");
-                }
-            }
+            let sym = match op {
+                BinOp::Add => "+",
+                BinOp::Sub => "-",
+                BinOp::Mul => "*",
+                BinOp::Shl => "<<<",
+                BinOp::Shr => ">>>",
+                BinOp::Min | BinOp::Max | BinOp::Div => unreachable!("printed above"),
+            };
+            out.push_str("((");
+            emit_expr(out, a, windows, acc);
+            let _ = write!(out, ") {sym} (");
+            emit_expr(out, b, windows, acc);
+            out.push_str("))");
         }
         Expr::Cmp(op, a, b) => {
-            let mut la = String::new();
-            let mut lb = String::new();
-            emit_expr(&mut la, a, windows, acc);
-            emit_expr(&mut lb, b, windows, acc);
-            let _ = write!(out, "((({la}) {} ({lb})) ? 1 : 0)", op.mnemonic());
+            out.push_str("(((");
+            emit_expr(out, a, windows, acc);
+            let _ = write!(out, ") {} (", op.mnemonic());
+            emit_expr(out, b, windows, acc);
+            out.push_str(")) ? 1 : 0)");
         }
         Expr::Select {
             cond,
             then,
             otherwise,
         } => {
-            let mut c = String::new();
-            let mut t = String::new();
-            let mut o = String::new();
-            emit_expr(&mut c, cond, windows, acc);
-            emit_expr(&mut t, then, windows, acc);
-            emit_expr(&mut o, otherwise, windows, acc);
-            let _ = write!(out, "((({c}) != 0) ? ({t}) : ({o}))");
+            out.push_str("(((");
+            emit_expr(out, cond, windows, acc);
+            out.push_str(") != 0) ? (");
+            emit_expr(out, then, windows, acc);
+            out.push_str(") : (");
+            emit_expr(out, otherwise, windows, acc);
+            out.push_str("))");
         }
         Expr::Clamp { value, lo, hi } => {
-            let mut x = String::new();
-            let mut l = String::new();
-            let mut h = String::new();
-            emit_expr(&mut x, value, windows, acc);
-            emit_expr(&mut l, lo, windows, acc);
-            emit_expr(&mut h, hi, windows, acc);
+            let (x, l, h) = (render(value), render(lo), render(hi));
             let _ = write!(
                 out,
                 "((({x}) < ({l})) ? ({l}) : ((({x}) > ({h})) ? ({h}) : ({x})))"
@@ -319,17 +324,24 @@ fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
         pixel - 1,
         nblocks - 1
     );
+    // One template per buffer, split where the block index goes.
+    let template = if ports >= 2 {
+        format!("    imagen_sram_2p #(.DEPTH({depth}), .WIDTH({pixel}), .AW({aw})) u_blk{B} (\n        .clk(clk),\n        .en_a(wen && wblk == {B}),\n        .we_a(wen && wblk == {B}),\n        .addr_a(waddr),\n        .wdata_a(wdata),\n        .rdata_a(),\n        .en_b(ren && rblk == {B}),\n        .addr_b(raddr),\n        .rdata_b(rdata_blk[{B}])\n    );\n")
+    } else {
+        format!("    imagen_sram_1p #(.DEPTH({depth}), .WIDTH({pixel}), .AW({aw})) u_blk{B} (\n        .clk(clk),\n        .en((wen && wblk == {B}) || (ren && rblk == {B})),\n        .we(wen && wblk == {B}),\n        .addr((wen && wblk == {B}) ? waddr : raddr),\n        .wdata(wdata),\n        .rdata(rdata_blk[{B}])\n    );\n")
+    };
+    let (head, rest) = template
+        .split_once(B)
+        .expect("the template names its block");
+    let pieces: Vec<&str> = rest.split(B).collect();
+    let mut index = String::new();
     for b in 0..nblocks {
-        if ports >= 2 {
-            let _ = writeln!(
-                v,
-                "    imagen_sram_2p #(.DEPTH({depth}), .WIDTH({pixel}), .AW({aw})) u_blk{b} (\n        .clk(clk),\n        .en_a(wen && wblk == {b}),\n        .we_a(wen && wblk == {b}),\n        .addr_a(waddr),\n        .wdata_a(wdata),\n        .rdata_a(),\n        .en_b(ren && rblk == {b}),\n        .addr_b(raddr),\n        .rdata_b(rdata_blk[{b}])\n    );"
-            );
-        } else {
-            let _ = writeln!(
-                v,
-                "    imagen_sram_1p #(.DEPTH({depth}), .WIDTH({pixel}), .AW({aw})) u_blk{b} (\n        .clk(clk),\n        .en((wen && wblk == {b}) || (ren && rblk == {b})),\n        .we(wen && wblk == {b}),\n        .addr((wen && wblk == {b}) ? waddr : raddr),\n        .wdata(wdata),\n        .rdata(rdata_blk[{b}])\n    );"
-            );
+        index.clear();
+        let _ = write!(index, "{b}");
+        v.push_str(head);
+        for piece in &pieces {
+            v.push_str(&index);
+            v.push_str(piece);
         }
     }
     let _ = writeln!(v, "    reg [31:0] rblk_q;");
@@ -461,12 +473,13 @@ fn emit_top(v: &mut String, net: &Netlist) {
     }
 
     // Stage instances with window register arrays.
-    for s in &net.structure.stages {
+    for (s, _, consumed) in net.structure.edges_by_consumer() {
         if s.census.is_none() {
             continue;
         }
         let n = &s.sanitized;
-        for e in net.structure.edges.iter().filter(|e| e.consumer == s.index) {
+        let mut conns = String::new();
+        for e in consumed {
             let cells = e.window.height * e.window.width();
             let _ = writeln!(
                 v,
@@ -475,9 +488,6 @@ fn emit_top(v: &mut String, net: &Netlist) {
                 e.slot,
                 cells - 1
             );
-        }
-        let mut conns = String::new();
-        for e in net.structure.edges.iter().filter(|e| e.consumer == s.index) {
             let _ = write!(conns, ".win{}(sra_{n}_{}), ", e.slot, e.slot);
         }
         let en = if s.is_multirate() {

@@ -9,7 +9,7 @@
 //!                                           ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
 //!                                           └─ build_netlist() elaborates ─┐
 //! Netlist { structure, modules, .. } ◀──────────────────────────────────────┘
-//!    ├─ emit_verilog()                → .v text
+//!    ├─ emit_verilog()                → .v text, from the structure and kernels
 //!    ├─ EvalProgram::compile().run()  → executed frames (interpret())
 //!    └─ verify_all()                  → arity/width/driver checks
 //! ```
@@ -19,10 +19,13 @@
 //!   [`build_netlist`] elaborates it into a [`Netlist`] that keeps it:
 //!   modules, typed ports and nets, instances, registers, SRAM
 //!   primitives and kernel expression nets, at configurable
-//!   [`BitWidths`];
-//! * [`emit_verilog`] prints the netlist as Verilog text (byte-identical
-//!   to the original string emitter at default widths, pinned by golden
-//!   files) that leaves the window read path undriven;
+//!   [`BitWidths`]. Each line buffer holds its SRAM blocks as one
+//!   [`Bank`]: a block count and one shared connection template per
+//!   primitive;
+//! * [`emit_verilog`] prints the netlist's structure and kernels as
+//!   Verilog text in one pass (byte-identical to the original string
+//!   emitter at default widths, pinned by golden files) that leaves the
+//!   window read path undriven;
 //! * [`interpret`] **executes** the netlist — the verification loop no
 //!   synthesis tool in this environment could close: the emitted design
 //!   itself is run and checked bit-exact against the golden executor and
@@ -42,9 +45,11 @@
 //!   pairs a run's report with it. A [`BlockSweepMemo`] shared across
 //!   designs sweeps each distinct line buffer once;
 //! * [`verify_all`] checks the netlist structurally (port arity/width of
-//!   every instantiation, driver/undriven-net analysis), accumulating
-//!   every problem into an [`RtlReport`] ([`RtlReport::into_result`]
-//!   yields the first error);
+//!   every instantiation, each bank's template once with its block count
+//!   against the array it drives, driver/undriven-net analysis),
+//!   accumulating every problem into an [`RtlReport`], which counts a
+//!   bank as its blocks ([`RtlReport::into_result`] yields the first
+//!   error);
 //! * [`report_resources`] inventories the hardware a structure
 //!   elaborates to, for design-space exploration.
 //!
@@ -66,8 +71,8 @@ pub use activity::{ActivityTrace, BufferActivity, SraActivity, StageActivity};
 pub use emit::emit_verilog;
 pub use interp::{eval_acc, interpret, interpret_with_trace, trunc, InterpError, InterpReport};
 pub use netlist::{
-    build_netlist, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item, LineBufPayload,
-    Module, ModuleKind, Net, Netlist, StagePayload,
+    build_netlist, Bank, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item,
+    LineBufPayload, Module, ModuleKind, Net, Netlist, StagePayload,
 };
 pub use program::{BlockSweepMemo, EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, ResourceReport};

@@ -2,18 +2,23 @@
 //!
 //! [`build_netlist`] elaborates a scheduled [`Design`] into a [`Netlist`]
 //! on top of its [`Structure`]: modules with typed ports and nets,
-//! instances with named connections, registers, SRAM primitives, and
-//! combinational expression nets. The netlist is the artifact the
-//! backend's text and execution consumers work from:
+//! instances with named connections, SRAM banks, registers, and
+//! combinational expression nets. Each line buffer holds its SRAM blocks
+//! as one [`Item::Bank`]: a block count and the connections of block `b`,
+//! whose template one primitive's banks share across the netlist. The
+//! netlist is the artifact the backend's execution and checking
+//! consumers work from:
 //!
-//! * [`emit_verilog`](crate::emit_verilog) prints it as the Verilog text
-//!   the seed emitter produced (byte-identical at default widths), whose
-//!   window read path is left undriven;
 //! * [`interpret`](crate::interpret) executes it over a frame, closing
 //!   the verification loop against the golden executor and the
 //!   cycle-level simulator;
-//! * [`verify_all`](crate::verify_all) checks it structurally
-//!   (port arity/width of every instantiation, driver analysis).
+//! * [`verify_all`](crate::verify_all) checks it structurally (port
+//!   arity/width of every instantiation, each bank's template once,
+//!   driver analysis).
+//!
+//! [`emit_verilog`](crate::emit_verilog) prints the Verilog text from the
+//! same [`Structure`] and the stage kernels, not from the items, and
+//! leaves the window read path undriven.
 //!
 //! Alongside the generic module/net/instance structure, the stage and
 //! line-buffer payloads ([`StagePayload`], [`LineBufPayload`]) tie each
@@ -96,10 +101,14 @@ pub enum Conn {
     Net(String),
     /// Connected to one element of a local array net.
     NetIndex(String, u32),
+    /// On block `b` of an [`Item::Bank`], connected to element `b` of a
+    /// local array net (a lone [`Item::Inst`] is block 0 of one).
+    Block(String),
     /// Connected to a sized constant.
     Const(u64, u32),
     /// Connected to an anonymous combinational expression of local nets
-    /// (bank-select decode and similar glue).
+    /// (bank-select decode and similar glue); in a bank's template, `b`
+    /// stands for the block index.
     Expr(String),
     /// Left unconnected (legal for outputs only).
     Open,
@@ -114,6 +123,28 @@ pub struct Instance {
     pub name: String,
     /// Named port connections.
     pub conns: Vec<(String, Conn)>,
+}
+
+/// A bank of identical SRAM blocks: block `b` (`0..blocks`) is an
+/// instance of `template.module` named `{template.name}{b}`, connected
+/// as `template.conns`, where a [`Conn::Block`] net is driven element by
+/// element, one element per block.
+#[derive(Clone, Debug)]
+pub struct Bank {
+    /// Number of blocks.
+    pub blocks: u32,
+    /// Module, instance-name prefix and connections of block `b`, shared
+    /// by every bank of the same primitive in a netlist.
+    pub template: Arc<Instance>,
+}
+
+impl Bank {
+    /// How diagnostics name the bank: the range of its blocks' instance
+    /// names (`u_blk0..u_blk7`).
+    pub fn label(&self) -> String {
+        let name = &self.template.name;
+        format!("{name}0..{name}{}", self.blocks.saturating_sub(1))
+    }
 }
 
 /// A structural item of a module: every item names the net(s) it drives,
@@ -134,6 +165,9 @@ pub enum Item {
     },
     /// A module instantiation (drives the nets its output ports connect).
     Inst(Instance),
+    /// A line buffer's SRAM blocks: `blocks` instances of one template,
+    /// which drive the `rdata_blk` array element by element.
+    Bank(Bank),
     /// The window-load path of one consumer edge: each active cycle it
     /// shifts the `sra` register array left and loads one column read
     /// from the producer's line buffer (clamp-to-edge on the bottom
@@ -146,6 +180,18 @@ pub enum Item {
         /// Index into [`Structure::edges`].
         edge: usize,
     },
+}
+
+impl Item {
+    /// The instance this item places and how many copies of it: an
+    /// [`Item::Inst`] once, a bank's template once per block.
+    pub fn placement(&self) -> Option<(&Instance, u32)> {
+        match self {
+            Item::Inst(inst) => Some((inst, 1)),
+            Item::Bank(bank) => Some((&bank.template, bank.blocks)),
+            _ => None,
+        }
+    }
 }
 
 /// Semantic payload of a stage compute module.
@@ -458,9 +504,58 @@ fn stage_module(widths: &BitWidths, name: &str, payload: StagePayload) -> Module
     }
 }
 
-/// Builds one line-buffer module (rotating banks of SRAM blocks plus the
-/// bank-select logic).
-fn linebuf_module(widths: &BitWidths, sanitized: &str, buf: &NetBuffer, buffer: usize) -> Module {
+/// The connections of block `b` of a line buffer's SRAM bank on the
+/// `rw_ports`-port primitive.
+fn bank_template(rw_ports: u32) -> Instance {
+    let net = |n: &str| Conn::Net(n.to_string());
+    let expr = |e: &str| Conn::Expr(e.to_string());
+    let (module, conns) = if rw_ports >= 2 {
+        (
+            "imagen_sram_2p",
+            vec![
+                ("clk", net("clk")),
+                ("en_a", expr("wen && wblk == b")),
+                ("we_a", expr("wen && wblk == b")),
+                ("addr_a", net("waddr")),
+                ("wdata_a", net("wdata")),
+                ("rdata_a", Conn::Open),
+                ("en_b", expr("ren && rblk == b")),
+                ("addr_b", net("raddr")),
+                ("rdata_b", Conn::Block("rdata_blk".to_string())),
+            ],
+        )
+    } else {
+        (
+            "imagen_sram_1p",
+            vec![
+                ("clk", net("clk")),
+                ("en", expr("(wen && wblk == b) || (ren && rblk == b)")),
+                ("we", expr("wen && wblk == b")),
+                ("addr", expr("(wen && wblk == b) ? waddr : raddr")),
+                ("wdata", net("wdata")),
+                ("rdata", Conn::Block("rdata_blk".to_string())),
+            ],
+        )
+    };
+    Instance {
+        module: module.to_string(),
+        name: "u_blk".to_string(),
+        conns: conns
+            .into_iter()
+            .map(|(port, conn)| (port.to_string(), conn))
+            .collect(),
+    }
+}
+
+/// Builds one line-buffer module: the bank-select logic and one bank of
+/// SRAM blocks on `template`.
+fn linebuf_module(
+    widths: &BitWidths,
+    sanitized: &str,
+    buf: &NetBuffer,
+    buffer: usize,
+    template: &Arc<Instance>,
+) -> Module {
     let p = widths.pixel_bits;
     let mut nets = vec![
         port("clk", Dir::Input, 1, false),
@@ -501,61 +596,10 @@ fn linebuf_module(widths: &BitWidths, sanitized: &str, buf: &NetBuffer, buffer: 
             net: (*n).to_string(),
         })
         .collect();
-    let prim = if buf.ports >= 2 {
-        "imagen_sram_2p"
-    } else {
-        "imagen_sram_1p"
-    };
-    for b in 0..buf.blocks as u32 {
-        let conns = if buf.ports >= 2 {
-            vec![
-                ("clk".to_string(), Conn::Net("clk".to_string())),
-                (
-                    "en_a".to_string(),
-                    Conn::Expr(format!("wen && wblk == {b}")),
-                ),
-                (
-                    "we_a".to_string(),
-                    Conn::Expr(format!("wen && wblk == {b}")),
-                ),
-                ("addr_a".to_string(), Conn::Net("waddr".to_string())),
-                ("wdata_a".to_string(), Conn::Net("wdata".to_string())),
-                ("rdata_a".to_string(), Conn::Open),
-                (
-                    "en_b".to_string(),
-                    Conn::Expr(format!("ren && rblk == {b}")),
-                ),
-                ("addr_b".to_string(), Conn::Net("raddr".to_string())),
-                (
-                    "rdata_b".to_string(),
-                    Conn::NetIndex("rdata_blk".to_string(), b),
-                ),
-            ]
-        } else {
-            vec![
-                ("clk".to_string(), Conn::Net("clk".to_string())),
-                (
-                    "en".to_string(),
-                    Conn::Expr(format!("(wen && wblk == {b}) || (ren && rblk == {b})")),
-                ),
-                ("we".to_string(), Conn::Expr(format!("wen && wblk == {b}"))),
-                (
-                    "addr".to_string(),
-                    Conn::Expr(format!("(wen && wblk == {b}) ? waddr : raddr")),
-                ),
-                ("wdata".to_string(), Conn::Net("wdata".to_string())),
-                (
-                    "rdata".to_string(),
-                    Conn::NetIndex("rdata_blk".to_string(), b),
-                ),
-            ]
-        };
-        items.push(Item::Inst(Instance {
-            module: prim.to_string(),
-            name: format!("u_blk{b}"),
-            conns,
-        }));
-    }
+    items.push(Item::Bank(Bank {
+        blocks: buf.blocks as u32,
+        template: Arc::clone(template),
+    }));
     items.push(Item::Register {
         net: "rblk_q".to_string(),
     });
@@ -581,23 +625,19 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
     let structure = describe(dag, design);
     let p = widths.pixel_bits;
     let stages = &structure.stages;
-    let edges = &structure.edges;
 
     let mut modules = vec![sram_primitive(1), sram_primitive(2)];
 
     // Stage compute modules, in stage order: one window per producer
     // slot, in slot order.
-    for (id, stage) in dag.stages() {
+    for ((id, stage), (_, _, consumed)) in dag.stages().zip(structure.edges_by_consumer()) {
         if let StageKind::Compute { kernel } = stage.kind() {
-            let windows = (0..stage.producers().len())
-                .map(|slot| {
-                    edges
-                        .iter()
-                        .find(|e| e.consumer == id.index() && e.slot == slot)
-                        .map(|e| e.window)
-                        .expect("edge per slot")
-                })
-                .collect();
+            debug_assert!(
+                consumed.iter().enumerate().all(|(slot, e)| e.slot == slot)
+                    && consumed.len() == stage.producers().len(),
+                "one edge per slot, in slot order"
+            );
+            let windows = consumed.iter().map(|e| e.window).collect();
             modules.push(stage_module(
                 widths,
                 stage.name(),
@@ -610,13 +650,17 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         }
     }
 
-    // Line-buffer modules, in design order.
+    // Line-buffer modules, in design order, each bank on its
+    // primitive's one template.
+    let templates = [Arc::new(bank_template(1)), Arc::new(bank_template(2))];
     for (bi, buf) in structure.buffers.iter().enumerate() {
+        let template = &templates[usize::from(buf.ports >= 2)];
         modules.push(linebuf_module(
             widths,
             &stages[buf.stage].sanitized,
             buf,
             bi,
+            template,
         ));
     }
 
@@ -689,13 +733,16 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
         }));
     }
     // Shift-register arrays and stage instances.
-    for s in stages.iter().filter(|s| s.census.is_some()) {
+    for (s, first, consumed) in structure.edges_by_consumer() {
+        if s.census.is_none() {
+            continue;
+        }
         let n = &s.sanitized;
         let mut conns = vec![
             ("clk".to_string(), Conn::Net("clk".to_string())),
             ("en".to_string(), Conn::Net(format!("en_{n}"))),
         ];
-        for (eidx, e) in structure.consumer_edges(s.index) {
+        for (eidx, e) in (first..).zip(consumed) {
             let sra = format!("sra_{n}_{}", e.slot);
             nets.push(Net {
                 name: sra.clone(),
@@ -814,6 +861,64 @@ mod tests {
             .filter(|i| matches!(i, Item::WindowLoad { .. }))
             .count();
         assert_eq!(loads, net.structure.edges.len());
+    }
+
+    #[test]
+    fn linebuf_items_do_not_grow_with_blocks() {
+        // A two-buffer chain on ever smaller macros: the buffers take
+        // more blocks, their modules keep the same items, and every bank
+        // shares its primitive's one template.
+        let mut dag = Dag::new("banks");
+        let k0 = dag.add_input("K0");
+        let taps = || Expr::sum((0..9).map(|i| Expr::tap(0, i % 3 - 1, i / 3 - 1)));
+        let k1 = dag.add_stage("K1", &[k0], taps()).unwrap();
+        let k2 = dag.add_stage("K2", &[k1], taps()).unwrap();
+        dag.mark_output(k2);
+        let geom = ImageGeometry {
+            width: 32,
+            height: 24,
+            pixel_bits: 16,
+        };
+        let mut shapes = Vec::new();
+        for (block_bits, ports) in [(2048, 2), (512, 2), (256, 1), (128, 1)] {
+            let spec = MemorySpec::new(MemBackend::Asic { block_bits }, ports);
+            let p = plan_design(
+                &dag,
+                &geom,
+                &spec,
+                ScheduleOptions::default(),
+                DesignStyle::Ours,
+            )
+            .unwrap();
+            let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
+            let banks: Vec<(usize, &Bank)> = net
+                .modules
+                .iter()
+                .filter(|m| matches!(m.kind, ModuleKind::LineBuffer(_)))
+                .map(|m| {
+                    let bank = m.items.iter().find_map(|i| match i {
+                        Item::Bank(bank) => Some(bank),
+                        _ => None,
+                    });
+                    (m.items.len(), bank.expect("one bank per line buffer"))
+                })
+                .collect();
+            assert_eq!(banks.len(), 2);
+            assert!(Arc::ptr_eq(&banks[0].1.template, &banks[1].1.template));
+            for ((items, bank), buf) in banks.iter().zip(&net.structure.buffers) {
+                assert_eq!(bank.blocks as usize, buf.blocks);
+                shapes.push((*items, buf.blocks));
+            }
+        }
+        assert!(
+            shapes.iter().all(|&(items, _)| items == shapes[0].0),
+            "{shapes:?}"
+        );
+        let (fewest, most) = (
+            shapes.iter().map(|s| s.1).min(),
+            shapes.iter().map(|s| s.1).max(),
+        );
+        assert!(most > fewest, "{shapes:?}");
     }
 
     #[test]

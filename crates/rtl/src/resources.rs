@@ -136,8 +136,8 @@ mod tests {
 
     /// The reference inventory: walks the elaborated modules, counting
     /// every register net each instantiated module drives, the SRAM
-    /// macros each line-buffer module instantiates, and the operators of
-    /// each stage module's kernel.
+    /// macros each line-buffer module instantiates (a bank as its
+    /// blocks), and the operators of each stage module's kernel.
     fn module_walk(net: &Netlist) -> ResourceReport {
         let mut r = ResourceReport::default();
         // Every stage/linebuf module is instantiated exactly once from
@@ -146,14 +146,13 @@ mod tests {
             match &m.kind {
                 ModuleKind::SramPrimitive { .. } => continue,
                 ModuleKind::LineBuffer(lb) => {
-                    let blocks = m
+                    let blocks: usize = m
                         .items
                         .iter()
-                        .filter(|i| match i {
-                            Item::Inst(inst) => inst.module.starts_with("imagen_sram_"),
-                            _ => false,
-                        })
-                        .count();
+                        .filter_map(Item::placement)
+                        .filter(|(inst, _)| inst.module.starts_with("imagen_sram_"))
+                        .map(|(_, copies)| copies as usize)
+                        .sum();
                     r.sram_blocks += blocks;
                     r.sram_bits += blocks as u64
                         * net.structure.buffers[lb.buffer].depth
@@ -248,6 +247,61 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn summary_counts_each_bank_as_its_blocks_on_corpus() {
+        // `verify_all` reads a bank as `blocks` instances: the SRAM count
+        // is the structure's, and the instance, net and register counts
+        // are the ones the netlist had when it held one item per block
+        // (pinned per example: one-port 2-row macros at 64x48, and
+        // two-port macros smaller than a 320-pixel row at 320x240).
+        let pins = [
+            ("canny_m", [(50, 282, 34), (54, 282, 34)]),
+            ("canny_s", [(42, 252, 30), (52, 252, 30)]),
+            ("denoise_m", [(29, 146, 21), (32, 146, 21)]),
+            ("gaussian_pyramid", [(18, 140, 18), (18, 140, 18)]),
+            ("harris_m", [(34, 198, 25), (40, 198, 25)]),
+            ("harris_s", [(32, 196, 24), (40, 196, 24)]),
+            ("laplacian_pyramid", [(22, 142, 19), (19, 142, 19)]),
+            ("sobel", [(10, 84, 12), (12, 84, 12)]),
+            ("unsharp_m", [(26, 142, 19), (32, 142, 19)]),
+            ("xcorr_m", [(60, 86, 13), (44, 86, 13)]),
+        ];
+        let targets = [
+            (64, 48, MemBackend::Asic { block_bits: 32768 }, 1),
+            (320, 240, MemBackend::Asic { block_bits: 4096 }, 2),
+        ];
+        for (dag, (name, pinned)) in corpus().iter().zip(pins) {
+            assert_eq!(dag.name(), name);
+            for ((width, height, backend, ports), (instances, nets, registers)) in
+                targets.into_iter().zip(pinned)
+            {
+                let geom = ImageGeometry {
+                    width,
+                    height,
+                    pixel_bits: 16,
+                };
+                let p = plan_design(
+                    dag,
+                    &geom,
+                    &MemorySpec::new(backend, ports),
+                    ScheduleOptions::default(),
+                    DesignStyle::Ours,
+                )
+                .unwrap();
+                let net = build_netlist(&p.dag, &p.design, &BitWidths::default());
+                let s = crate::verify_all(&net).into_result().unwrap();
+                let blocks: usize = net.structure.buffers.iter().map(|b| b.blocks).sum();
+                let at = format!("{name} {width}x{height} {ports} port(s)");
+                assert_eq!(s.sram_instances, blocks, "{at}");
+                assert_eq!(
+                    (s.instances, s.nets, s.registers),
+                    (instances, nets, registers),
+                    "{at}"
+                );
             }
         }
     }

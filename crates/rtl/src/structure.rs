@@ -134,7 +134,8 @@ pub struct Structure {
     pub done_cycle: u64,
     /// Per-stage control information, in topological order.
     pub stages: Vec<NetStage>,
-    /// Stencil edges in DAG edge order (slot order per consumer).
+    /// Stencil edges in DAG edge order: grouped by consumer in stage
+    /// order, each consumer's edges in slot order.
     pub edges: Vec<NetEdge>,
     /// Line buffers in design order.
     pub buffers: Vec<NetBuffer>,
@@ -166,6 +167,19 @@ impl Structure {
             .iter()
             .enumerate()
             .filter(move |(_, e)| e.consumer == consumer)
+    }
+
+    /// Each stage with the edges it consumes, in stage order: `(stage,
+    /// index of its first edge, its edges)`. One pass over
+    /// [`Structure::edges`], which hold each consumer's edges together.
+    pub fn edges_by_consumer(&self) -> impl Iterator<Item = (&NetStage, usize, &[NetEdge])> {
+        let mut first = 0;
+        self.stages.iter().map(move |s| {
+            let rest = &self.edges[first..];
+            let n = rest.iter().take_while(|e| e.consumer == s.index).count();
+            first += n;
+            (s, first - n, &rest[..n])
+        })
     }
 
     /// The half-open cycle window `[start, start + frame)` during which a

@@ -13,10 +13,13 @@
 //!   checked against their per-instance parameter values — the address
 //!   and data widths the owning line buffer instantiates them at —
 //!   rather than being exempted;
+//! * a bank of SRAM blocks is checked once, on its template, and counted
+//!   as `blocks` instances; its block count must equal the length of the
+//!   array it drives element by element, so every element has one block;
 //! * driver analysis: every net is driven exactly once — by an assign, a
-//!   register, a window-load path, an instance output, or (for input
-//!   ports) the enclosing module's instantiation — and never more than
-//!   once per array element.
+//!   register, a window-load path, an instance or bank output, or (for
+//!   input ports) the enclosing module's instantiation — and never more
+//!   than once per array element.
 //!
 //! [`verify_all`] accumulates *every* problem into an [`RtlReport`] (the
 //! static analyzer's netlist pass builds on it);
@@ -26,7 +29,7 @@
 //! ([`interpret`](crate::interpret)); this pass guarantees the structure
 //! a real elaborator would reject is never emitted.
 
-use crate::netlist::{Conn, Dir, Item, Module, ModuleKind, Net, Netlist};
+use crate::netlist::{Conn, Dir, Instance, Item, Module, ModuleKind, Net, Netlist};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -103,6 +106,18 @@ pub enum RtlError {
         /// Module referencing it.
         within: String,
     },
+    /// A bank's block count differs from the length of the array its
+    /// blocks drive element by element.
+    BankMismatch {
+        /// The bank's instances.
+        bank: String,
+        /// The array net.
+        net: String,
+        /// Blocks in the bank.
+        blocks: u32,
+        /// Elements of the array (`0` for a scalar).
+        elements: u32,
+    },
 }
 
 impl fmt::Display for RtlError {
@@ -154,6 +169,15 @@ impl fmt::Display for RtlError {
             RtlError::UnknownNet { net, within } => {
                 write!(f, "module `{within}` references undeclared net `{net}`")
             }
+            RtlError::BankMismatch {
+                bank,
+                net,
+                blocks,
+                elements,
+            } => write!(
+                f,
+                "bank `{bank}` has {blocks} block(s) but drives `{net}`, which has {elements} element(s)"
+            ),
         }
     }
 }
@@ -207,12 +231,14 @@ impl RtlReport {
 /// Driver bookkeeping key: whole net, or one element of an array net.
 type DriveKey = (String, Option<u32>);
 
+/// Records `times` drivers of `net` (or of one of its elements).
 fn record_drive(
     errors: &mut Vec<RtlError>,
     drives: &mut HashMap<DriveKey, u32>,
     module: &Module,
     net: &str,
     index: Option<u32>,
+    times: u32,
 ) {
     if module.net(net).is_none() {
         errors.push(RtlError::UnknownNet {
@@ -221,7 +247,7 @@ fn record_drive(
         });
         return;
     }
-    *drives.entry((net.to_string(), index)).or_insert(0) += 1;
+    *drives.entry((net.to_string(), index)).or_insert(0) += times;
 }
 
 /// Per-instance parameter values of an SRAM primitive instantiation: the
@@ -302,18 +328,19 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
 
         for item in &m.items {
             match item {
-                Item::Assign { net } => record_drive(&mut errors, &mut drives, m, net, None),
+                Item::Assign { net } => record_drive(&mut errors, &mut drives, m, net, None, 1),
                 Item::Register { net } => {
                     registers += 1;
-                    record_drive(&mut errors, &mut drives, m, net, None);
+                    record_drive(&mut errors, &mut drives, m, net, None, 1);
                 }
                 Item::WindowLoad { sra, edge } => {
                     registers += 1;
                     debug_assert!(*edge < st.edges.len(), "window load names a real edge");
-                    record_drive(&mut errors, &mut drives, m, sra, None);
+                    record_drive(&mut errors, &mut drives, m, sra, None, 1);
                 }
-                Item::Inst(inst) => {
-                    instances += 1;
+                Item::Inst(_) | Item::Bank(_) => {
+                    let (inst, copies) = item.placement().expect("an instance or a bank");
+                    instances += copies as usize;
                     let Some(target) = by_name.get(inst.module.as_str()) else {
                         errors.push(RtlError::UndefinedModule {
                             name: inst.module.clone(),
@@ -322,9 +349,17 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
                         continue;
                     };
                     if matches!(target.kind, ModuleKind::SramPrimitive { .. }) {
-                        sram_instances += 1;
+                        sram_instances += copies as usize;
                     }
-                    verify_instance(m, inst, target, sram_params, &mut drives, &mut errors);
+                    let placed = Placed {
+                        label: match item {
+                            Item::Bank(bank) => bank.label(),
+                            _ => inst.name.clone(),
+                        },
+                        inst,
+                        copies,
+                    };
+                    verify_instance(m, &placed, target, sram_params, &mut drives, &mut errors);
                 }
             }
         }
@@ -370,9 +405,19 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
     }
 }
 
+/// An instance, or a bank's template, with how many copies it places.
+struct Placed<'a> {
+    label: String,
+    inst: &'a Instance,
+    copies: u32,
+}
+
+/// Checks one instance, or once a bank's template, whose output
+/// connections each drive their net `copies` times, except that a
+/// [`Conn::Block`] drives its array once element by element.
 fn verify_instance(
     m: &Module,
-    inst: &crate::netlist::Instance,
+    placed: &Placed<'_>,
     target: &Module,
     sram_params: Option<SramParams>,
     drives: &mut HashMap<DriveKey, u32>,
@@ -393,10 +438,10 @@ fn verify_instance(
     };
 
     let mut connected: HashSet<&str> = HashSet::new();
-    for (port_name, conn) in &inst.conns {
+    for (port_name, conn) in &placed.inst.conns {
         let Some(port) = target.net(port_name).filter(|n| n.port.is_some()) else {
             errors.push(RtlError::UnknownPort {
-                instance: inst.name.clone(),
+                instance: placed.label.clone(),
                 module: target.name.clone(),
                 port: port_name.clone(),
             });
@@ -404,7 +449,7 @@ fn verify_instance(
         };
         if !connected.insert(port_name.as_str()) {
             errors.push(RtlError::UnknownPort {
-                instance: inst.name.clone(),
+                instance: placed.label.clone(),
                 module: target.name.clone(),
                 port: port_name.clone(),
             });
@@ -415,7 +460,7 @@ fn verify_instance(
             Conn::Open => {
                 if dir == Dir::Input {
                     errors.push(RtlError::UnconnectedInput {
-                        instance: inst.name.clone(),
+                        instance: placed.label.clone(),
                         module: target.name.clone(),
                         port: port_name.clone(),
                     });
@@ -432,7 +477,7 @@ fn verify_instance(
                 if let Some(want) = expected_bits(port) {
                     if n.width != want || n.array != port.array {
                         errors.push(RtlError::WidthMismatch {
-                            instance: inst.name.clone(),
+                            instance: placed.label.clone(),
                             port: port_name.clone(),
                             expected: want * port.array.unwrap_or(1),
                             found: n.width * n.array.unwrap_or(1),
@@ -440,7 +485,7 @@ fn verify_instance(
                     }
                 }
                 if dir == Dir::Output {
-                    record_drive(errors, drives, m, local, None);
+                    record_drive(errors, drives, m, local, None, placed.copies);
                 }
             }
             Conn::NetIndex(local, idx) => {
@@ -456,7 +501,7 @@ fn verify_instance(
                 let in_range = n.array.is_some_and(|len| *idx < len);
                 if !in_range || port.array.is_some() {
                     errors.push(RtlError::WidthMismatch {
-                        instance: inst.name.clone(),
+                        instance: placed.label.clone(),
                         port: port_name.clone(),
                         expected: port.width,
                         found: if in_range { n.width } else { 0 },
@@ -464,7 +509,7 @@ fn verify_instance(
                 } else if let Some(want) = expected_bits(port) {
                     if n.width != want {
                         errors.push(RtlError::WidthMismatch {
-                            instance: inst.name.clone(),
+                            instance: placed.label.clone(),
                             port: port_name.clone(),
                             expected: want,
                             found: n.width,
@@ -472,14 +517,47 @@ fn verify_instance(
                     }
                 }
                 if dir == Dir::Output {
-                    record_drive(errors, drives, m, local, Some(*idx));
+                    record_drive(errors, drives, m, local, Some(*idx), placed.copies);
+                }
+            }
+            Conn::Block(local) => {
+                let Some(n) = m.net(local) else {
+                    errors.push(RtlError::UnknownNet {
+                        net: local.clone(),
+                        within: m.name.clone(),
+                    });
+                    continue;
+                };
+                // Block `b` connects element `b`: the blocks must cover
+                // the array exactly, one block per element.
+                if n.array != Some(placed.copies) {
+                    errors.push(RtlError::BankMismatch {
+                        bank: placed.label.clone(),
+                        net: local.clone(),
+                        blocks: placed.copies,
+                        elements: n.array.unwrap_or(0),
+                    });
+                    continue;
+                }
+                let want = expected_bits(port);
+                if port.array.is_some() || want.is_some_and(|w| w != n.width) {
+                    errors.push(RtlError::WidthMismatch {
+                        instance: placed.label.clone(),
+                        port: port_name.clone(),
+                        expected: want.unwrap_or(port.width) * port.array.unwrap_or(1),
+                        found: n.width,
+                    });
+                }
+                if dir == Dir::Output {
+                    // Every element once: the whole array once.
+                    record_drive(errors, drives, m, local, None, 1);
                 }
             }
             Conn::Const(_, width) => {
                 if let Some(want) = expected_bits(port) {
                     if *width != want {
                         errors.push(RtlError::WidthMismatch {
-                            instance: inst.name.clone(),
+                            instance: placed.label.clone(),
                             port: port_name.clone(),
                             expected: want,
                             found: *width,
@@ -498,7 +576,7 @@ fn verify_instance(
     for p in target.ports() {
         if matches!(p.port, Some(Dir::Input)) && !connected.contains(p.name.as_str()) {
             errors.push(RtlError::UnconnectedInput {
-                instance: inst.name.clone(),
+                instance: placed.label.clone(),
                 module: target.name.clone(),
                 port: p.name.clone(),
             });
@@ -708,46 +786,82 @@ mod tests {
         assert_eq!(report.summary.modules, net.modules.len());
     }
 
+    /// The SRAM bank of the fixture's line buffer.
+    fn bank(net: &mut Netlist) -> &mut crate::netlist::Bank {
+        net.modules
+            .iter_mut()
+            .filter(|m| matches!(m.kind, ModuleKind::LineBuffer(_)))
+            .flat_map(|m| m.items.iter_mut())
+            .find_map(|i| match i {
+                Item::Bank(bank) => Some(bank),
+                _ => None,
+            })
+            .expect("generated netlist has a line-buffer bank")
+    }
+
     #[test]
     fn sram_instantiations_width_checked_against_parameters() {
         let mut net = netlist();
-        // Find a line-buffer module and rewire an SRAM address port to a
-        // 32-bit row counter: under the old blanket exemption this passed
-        // silently, now it must be a width mismatch against the macro's
-        // instantiated address width.
-        let lb = net
-            .modules
+        // Rewire the bank template's SRAM address port to a 32-bit row
+        // counter: under the old blanket exemption this passed silently,
+        // now it must be a width mismatch against the macro's
+        // instantiated address width, reported once for the whole bank.
+        let bank = bank(&mut net);
+        assert!(bank.blocks > 1, "the fixture's bank has several blocks");
+        let template = std::sync::Arc::make_mut(&mut bank.template);
+        let (_, conn) = template
+            .conns
             .iter_mut()
-            .find(|m| matches!(m.kind, ModuleKind::LineBuffer(_)))
-            .expect("generated netlist has a line buffer");
-        let mut rewired = false;
-        for item in lb.items.iter_mut() {
-            if let Item::Inst(inst) = item {
-                for (p, c) in inst.conns.iter_mut() {
-                    if p.starts_with("addr") {
-                        *c = Conn::Net("wphys".to_string());
-                        rewired = true;
-                        break;
-                    }
-                }
-            }
-            if rewired {
-                break;
-            }
-        }
-        assert!(rewired, "found an SRAM address port to rewire");
-        match verify_all(&net).into_result() {
-            Err(RtlError::WidthMismatch {
+            .find(|(p, _)| p.starts_with("addr"))
+            .expect("found an SRAM address port to rewire");
+        *conn = Conn::Net("wphys".to_string());
+        let report = verify_all(&net);
+        match report.errors.as_slice() {
+            [RtlError::WidthMismatch {
                 port,
                 expected,
                 found,
                 ..
-            }) => {
+            }] => {
                 assert!(port.starts_with("addr"));
-                assert_eq!(found, 32, "wphys is a 32-bit counter");
-                assert!(expected < 32, "address width comes from the macro depth");
+                assert_eq!(*found, 32, "wphys is a 32-bit counter");
+                assert!(*expected < 32, "address width comes from the macro depth");
             }
-            other => panic!("expected a width mismatch, got {other:?}"),
+            other => panic!("expected one width mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bank_block_count_must_match_its_read_data_array() {
+        // Block `b` drives `rdata_blk[b]`: a bank with a block too few
+        // leaves an element undriven, one too many drives past the end.
+        for extra in [-1i64, 1] {
+            let mut net = netlist();
+            let bank = bank(&mut net);
+            let elements = bank.blocks;
+            bank.blocks = (i64::from(bank.blocks) + extra) as u32;
+            let blocks = bank.blocks;
+            let report = verify_all(&net);
+            // A refused bank drives nothing, so the array reads undriven
+            // too.
+            assert_eq!(
+                report.errors,
+                vec![
+                    RtlError::BankMismatch {
+                        bank: format!("u_blk0..u_blk{}", blocks - 1),
+                        net: "rdata_blk".to_string(),
+                        blocks,
+                        elements,
+                    },
+                    RtlError::UndrivenNet {
+                        net: "rdata_blk".to_string(),
+                        within: "linebuf_K0".to_string(),
+                    },
+                ],
+                "{extra:+} block(s)"
+            );
+            // The summary still counts the bank's blocks as instances.
+            assert_eq!(report.summary.sram_instances, blocks as usize);
         }
     }
 
