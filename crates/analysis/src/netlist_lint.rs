@@ -19,7 +19,8 @@
 
 use crate::{codes, AnalysisOptions, Diagnostic, Locus, Severity};
 use imagen_rtl::{
-    verify_all, Conn, Dir, Instance, Item, Module, ModuleKind, NetStage, Netlist, RtlError,
+    verify_all, Conn, Dir, Instance, Item, Module, ModuleKind, NetStage, Netlist, Placement,
+    RtlError,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -27,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 pub fn lint_netlist(net: &Netlist, opts: &AnalysisOptions) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    // E0301..E0309 — the accumulating structural verifier.
+    // E0301..E0310 — the accumulating structural verifier.
     for e in &verify_all(net).errors {
         diags.push(structural_diag(e));
     }
@@ -41,8 +42,8 @@ pub fn lint_netlist(net: &Netlist, opts: &AnalysisOptions) -> Vec<Diagnostic> {
 
     let mut instantiated: HashSet<&str> = HashSet::new();
     for module in &net.modules {
-        for (inst, _) in module.items.iter().filter_map(Item::placement) {
-            instantiated.insert(inst.module.as_str());
+        for placed in module.items.iter().filter_map(Item::placement) {
+            instantiated.insert(placed.inst.module.as_str());
         }
     }
 
@@ -170,27 +171,27 @@ fn lint_module(
             Item::WindowLoad { sra, edge } => {
                 reads.extend(windowload_reads(net, sra, *edge));
             }
-            Item::Inst(inst) => {
+            Item::Inst(_) | Item::Bank(_) => {
+                // A bank's blocks all connect alike: its template stands
+                // for every one of them.
+                let placed = item.placement().expect("an instance or a bank");
+                let inst = placed.inst;
                 let target = by_name.get(inst.module.as_str()).copied();
-                lint_instance(module, inst, target, &mut reads, &mut comb);
+                let (in_reads, comb_outs) = instance_io(module, inst, target);
+                for out in comb_outs {
+                    comb.entry(out)
+                        .or_default()
+                        .extend(in_reads.iter().cloned());
+                }
+                reads.extend(in_reads);
+
                 if let Some(t) = target {
                     if matches!(t.kind, ModuleKind::SramPrimitive { .. }) {
-                        lint_sram_instance(module, &inst.name, inst, t, diags);
+                        lint_sram_instance(module, &placed, t, diags);
                     }
                     if matches!(module.kind, ModuleKind::Top) {
                         lint_enable_domain(net, module, inst, t, diags);
                     }
-                }
-            }
-            Item::Bank(bank) => {
-                // Every block connects alike: one check covers them all.
-                let inst = &*bank.template;
-                let target = by_name.get(inst.module.as_str()).copied();
-                lint_instance(module, inst, target, &mut reads, &mut comb);
-                if let Some(t) =
-                    target.filter(|t| matches!(t.kind, ModuleKind::SramPrimitive { .. }))
-                {
-                    lint_sram_instance(module, &bank.label(), inst, t, diags);
                 }
             }
         }
@@ -234,37 +235,17 @@ fn lint_module(
     }
 }
 
-/// Records what an instance's inputs read, and the combinational
-/// dependencies of its unregistered outputs.
-fn lint_instance(
-    module: &Module,
-    inst: &Instance,
-    target: Option<&Module>,
-    reads: &mut HashSet<String>,
-    comb: &mut HashMap<String, Vec<String>>,
-) {
-    let (in_reads, comb_outs) = instance_io(module, inst, target);
-    for out in comb_outs {
-        comb.entry(out)
-            .or_default()
-            .extend(in_reads.iter().cloned());
-    }
-    reads.extend(in_reads);
-}
-
 /// W0313 — an SRAM macro whose read-data ports are all left open does
-/// nothing but burn leakage power. `name` names the instance, or a
-/// bank's blocks.
+/// nothing but burn leakage power (a bank's blocks: one warning).
 fn lint_sram_instance(
     module: &Module,
-    name: &str,
-    inst: &Instance,
+    placed: &Placement<'_>,
     target: &Module,
     diags: &mut Vec<Diagnostic>,
 ) {
     let mut outputs = 0usize;
     let mut open = 0usize;
-    for (port, conn) in &inst.conns {
+    for (port, conn) in &placed.inst.conns {
         if target
             .net(port)
             .is_some_and(|p| p.port == Some(Dir::Output))
@@ -280,7 +261,8 @@ fn lint_sram_instance(
             codes::UNREAD_SRAM,
             Severity::Warning,
             format!(
-                "SRAM instance `{name}` in `{}` leaves every read port open",
+                "SRAM instance `{}` in `{}` leaves every read port open",
+                placed.label(),
                 module.name
             ),
         ));

@@ -72,7 +72,7 @@ pub use emit::emit_verilog;
 pub use interp::{eval_acc, interpret, interpret_with_trace, trunc, InterpError, InterpReport};
 pub use netlist::{
     build_netlist, Bank, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item,
-    LineBufPayload, Module, ModuleKind, Net, Netlist, StagePayload,
+    LineBufPayload, Module, ModuleKind, Net, Netlist, Placement, StagePayload,
 };
 pub use program::{BlockSweepMemo, EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, ResourceReport};

@@ -138,15 +138,6 @@ pub struct Bank {
     pub template: Arc<Instance>,
 }
 
-impl Bank {
-    /// How diagnostics name the bank: the range of its blocks' instance
-    /// names (`u_blk0..u_blk7`).
-    pub fn label(&self) -> String {
-        let name = &self.template.name;
-        format!("{name}0..{name}{}", self.blocks.saturating_sub(1))
-    }
-}
-
 /// A structural item of a module: every item names the net(s) it drives,
 /// which is what the driver analysis in
 /// [`verify_all`](crate::verify_all) walks.
@@ -182,13 +173,44 @@ pub enum Item {
     },
 }
 
+/// What an [`Item::Inst`] or an [`Item::Bank`] places: an instance once,
+/// or a bank's template once per block.
+#[derive(Clone, Copy, Debug)]
+pub struct Placement<'a> {
+    /// The instance, or the bank's template.
+    pub inst: &'a Instance,
+    /// Copies placed: 1 for an instance, the block count for a bank.
+    pub copies: u32,
+    bank: bool,
+}
+
+impl Placement<'_> {
+    /// How diagnostics name the placement: an instance by its name, a
+    /// bank by the range of its blocks' names (`u_blk0..u_blk7`).
+    pub fn label(&self) -> String {
+        let name = &self.inst.name;
+        if self.bank {
+            format!("{name}0..{name}{}", self.copies.saturating_sub(1))
+        } else {
+            name.clone()
+        }
+    }
+}
+
 impl Item {
-    /// The instance this item places and how many copies of it: an
-    /// [`Item::Inst`] once, a bank's template once per block.
-    pub fn placement(&self) -> Option<(&Instance, u32)> {
+    /// What this item places, if it is an instance or a bank.
+    pub fn placement(&self) -> Option<Placement<'_>> {
         match self {
-            Item::Inst(inst) => Some((inst, 1)),
-            Item::Bank(bank) => Some((&bank.template, bank.blocks)),
+            Item::Inst(inst) => Some(Placement {
+                inst,
+                copies: 1,
+                bank: false,
+            }),
+            Item::Bank(bank) => Some(Placement {
+                inst: &bank.template,
+                copies: bank.blocks,
+                bank: true,
+            }),
             _ => None,
         }
     }

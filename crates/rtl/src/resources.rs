@@ -150,8 +150,8 @@ mod tests {
                         .items
                         .iter()
                         .filter_map(Item::placement)
-                        .filter(|(inst, _)| inst.module.starts_with("imagen_sram_"))
-                        .map(|(_, copies)| copies as usize)
+                        .filter(|p| p.inst.module.starts_with("imagen_sram_"))
+                        .map(|p| p.copies as usize)
                         .sum();
                     r.sram_blocks += blocks;
                     r.sram_bits += blocks as u64

@@ -29,7 +29,7 @@
 //! ([`interpret`](crate::interpret)); this pass guarantees the structure
 //! a real elaborator would reject is never emitted.
 
-use crate::netlist::{Conn, Dir, Instance, Item, Module, ModuleKind, Net, Netlist};
+use crate::netlist::{Conn, Dir, Item, Module, ModuleKind, Net, Netlist, Placement};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -339,26 +339,18 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
                     record_drive(&mut errors, &mut drives, m, sra, None, 1);
                 }
                 Item::Inst(_) | Item::Bank(_) => {
-                    let (inst, copies) = item.placement().expect("an instance or a bank");
-                    instances += copies as usize;
-                    let Some(target) = by_name.get(inst.module.as_str()) else {
+                    let placed = item.placement().expect("an instance or a bank");
+                    instances += placed.copies as usize;
+                    let Some(target) = by_name.get(placed.inst.module.as_str()) else {
                         errors.push(RtlError::UndefinedModule {
-                            name: inst.module.clone(),
+                            name: placed.inst.module.clone(),
                             within: m.name.clone(),
                         });
                         continue;
                     };
                     if matches!(target.kind, ModuleKind::SramPrimitive { .. }) {
-                        sram_instances += copies as usize;
+                        sram_instances += placed.copies as usize;
                     }
-                    let placed = Placed {
-                        label: match item {
-                            Item::Bank(bank) => bank.label(),
-                            _ => inst.name.clone(),
-                        },
-                        inst,
-                        copies,
-                    };
                     verify_instance(m, &placed, target, sram_params, &mut drives, &mut errors);
                 }
             }
@@ -405,19 +397,12 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
     }
 }
 
-/// An instance, or a bank's template, with how many copies it places.
-struct Placed<'a> {
-    label: String,
-    inst: &'a Instance,
-    copies: u32,
-}
-
 /// Checks one instance, or once a bank's template, whose output
 /// connections each drive their net `copies` times, except that a
 /// [`Conn::Block`] drives its array once element by element.
 fn verify_instance(
     m: &Module,
-    placed: &Placed<'_>,
+    placed: &Placement<'_>,
     target: &Module,
     sram_params: Option<SramParams>,
     drives: &mut HashMap<DriveKey, u32>,
@@ -441,7 +426,7 @@ fn verify_instance(
     for (port_name, conn) in &placed.inst.conns {
         let Some(port) = target.net(port_name).filter(|n| n.port.is_some()) else {
             errors.push(RtlError::UnknownPort {
-                instance: placed.label.clone(),
+                instance: placed.label(),
                 module: target.name.clone(),
                 port: port_name.clone(),
             });
@@ -449,7 +434,7 @@ fn verify_instance(
         };
         if !connected.insert(port_name.as_str()) {
             errors.push(RtlError::UnknownPort {
-                instance: placed.label.clone(),
+                instance: placed.label(),
                 module: target.name.clone(),
                 port: port_name.clone(),
             });
@@ -460,7 +445,7 @@ fn verify_instance(
             Conn::Open => {
                 if dir == Dir::Input {
                     errors.push(RtlError::UnconnectedInput {
-                        instance: placed.label.clone(),
+                        instance: placed.label(),
                         module: target.name.clone(),
                         port: port_name.clone(),
                     });
@@ -477,7 +462,7 @@ fn verify_instance(
                 if let Some(want) = expected_bits(port) {
                     if n.width != want || n.array != port.array {
                         errors.push(RtlError::WidthMismatch {
-                            instance: placed.label.clone(),
+                            instance: placed.label(),
                             port: port_name.clone(),
                             expected: want * port.array.unwrap_or(1),
                             found: n.width * n.array.unwrap_or(1),
@@ -501,7 +486,7 @@ fn verify_instance(
                 let in_range = n.array.is_some_and(|len| *idx < len);
                 if !in_range || port.array.is_some() {
                     errors.push(RtlError::WidthMismatch {
-                        instance: placed.label.clone(),
+                        instance: placed.label(),
                         port: port_name.clone(),
                         expected: port.width,
                         found: if in_range { n.width } else { 0 },
@@ -509,7 +494,7 @@ fn verify_instance(
                 } else if let Some(want) = expected_bits(port) {
                     if n.width != want {
                         errors.push(RtlError::WidthMismatch {
-                            instance: placed.label.clone(),
+                            instance: placed.label(),
                             port: port_name.clone(),
                             expected: want,
                             found: n.width,
@@ -532,7 +517,7 @@ fn verify_instance(
                 // the array exactly, one block per element.
                 if n.array != Some(placed.copies) {
                     errors.push(RtlError::BankMismatch {
-                        bank: placed.label.clone(),
+                        bank: placed.label(),
                         net: local.clone(),
                         blocks: placed.copies,
                         elements: n.array.unwrap_or(0),
@@ -542,7 +527,7 @@ fn verify_instance(
                 let want = expected_bits(port);
                 if port.array.is_some() || want.is_some_and(|w| w != n.width) {
                     errors.push(RtlError::WidthMismatch {
-                        instance: placed.label.clone(),
+                        instance: placed.label(),
                         port: port_name.clone(),
                         expected: want.unwrap_or(port.width) * port.array.unwrap_or(1),
                         found: n.width,
@@ -557,7 +542,7 @@ fn verify_instance(
                 if let Some(want) = expected_bits(port) {
                     if *width != want {
                         errors.push(RtlError::WidthMismatch {
-                            instance: placed.label.clone(),
+                            instance: placed.label(),
                             port: port_name.clone(),
                             expected: want,
                             found: *width,
@@ -576,7 +561,7 @@ fn verify_instance(
     for p in target.ports() {
         if matches!(p.port, Some(Dir::Input)) && !connected.contains(p.name.as_str()) {
             errors.push(RtlError::UnconnectedInput {
-                instance: placed.label.clone(),
+                instance: placed.label(),
                 module: target.name.clone(),
                 port: p.name.clone(),
             });
