@@ -7,14 +7,16 @@
 //! constants. This binary instead counts each generated design's events
 //! from its schedule (per-bank SRAM accesses, idle read-port cycles,
 //! register loads) and prices them with the same constants, per pipeline
-//! and design style, ungated and after the clock-gating pass
-//! (`imagen_power::gate_clocks`), which it also runs on a frame to check
-//! that gating changes no output. It reports the measured saving with
-//! the gated-off read-port cycle count, so the saving is measured, not
+//! and design style, ungated and clock-gated (`imagen_power::gating_plan`,
+//! the plan `gate_clocks` attaches), refusing any gate that misses part of
+//! a consumer's enable window. It reports the measured saving with the
+//! gated-off read-port cycle count, so the saving is measured, not
 //! asserted.
 //!
-//! Frames are height-reduced (rates are height-invariant, the
-//! `exp_power_breakdown` argument); smoke mode shrinks further for CI.
+//! Designs are planned on height-reduced frames (rates are
+//! height-invariant, the `exp_power_breakdown` argument); the frame feeds
+//! only the cycle simulator, which annotates the analytic column's rates.
+//! Smoke mode shrinks further for CI.
 
 use imagen_algos::Algorithm;
 use imagen_bench::{asic_backend, lc_available, measure_point, smoke_mode, STYLES};

@@ -304,16 +304,16 @@ impl MeasuredPoint {
 }
 
 /// Measures one (algorithm × style) point with
-/// `imagen_power::measure_pipeline`, which prices the activity the
-/// schedule fixes after running the netlist and its clock-gated copy on
-/// a frame and checking their outputs agree. The frame is
-/// height-reduced: access *rates* are height-invariant (the raster
+/// `imagen_power::measure_schedule`, which prices the activity the
+/// schedule fixes, ungated and clock-gated. The design is planned on a
+/// height-reduced frame: access *rates* are height-invariant (the raster
 /// pattern repeats row by row, the same argument `exp_power_breakdown`
 /// uses) and the per-block macro configurations (rows per block, used
 /// bits per row) depend only on the frame width, so the mW figures match
-/// the full-height design while simulation stays fast. Access statistics
-/// are first annotated from the cycle simulator so the analytic column
-/// uses exact rates.
+/// the full-height design while simulation stays fast. The cycle
+/// simulator runs one frame first: it annotates the access statistics so
+/// the analytic column uses exact rates, and its run checks that no port
+/// is oversubscribed.
 pub fn measure_point(
     alg: Algorithm,
     style: DesignStyle,
@@ -340,13 +340,13 @@ pub fn measure_point(
         style.label(),
         sim.port_violations
     );
-    let m = imagen_power::measure_pipeline(
-        &plan.dag,
-        &plan.design,
+    let m = imagen_power::measure_schedule(
+        &imagen_rtl::describe(&plan.dag, &plan.design),
         &imagen_rtl::BitWidths::default(),
-        std::slice::from_ref(&input),
+        &plan.design,
+        None,
     )
-    .expect("interpretation");
+    .expect("pricing");
     MeasuredPoint {
         analytic_mem_mw: plan.design.memory_power_mw(),
         analytic_total_mw: plan.design.total_power_mw(),

@@ -105,13 +105,10 @@ DSE OPTIONS:
     --threads N      worker threads (0 = all cores)   [default: 0]
     --certify        run translation validation on every Pareto point
 
-SIM / ENERGY OPTIONS:
+SIM OPTIONS:
     --seed N         seed of the generated input frame [default: 0]
     --input-bits N   bits of input noise               [default: 4, or 8 with --wide]
-    --wide           interpret at 64/64 datapath widths (sim only)
-    energy counts activity from the schedule: its --seed and --input-bits
-    only pick the frame of the check that clock gating leaves the outputs
-    unchanged, and change no priced number
+    --wide           interpret at 64/64 datapath widths
 
 SERVE OPTIONS:
     --threads N      worker threads (0 = all cores)   [default: 0]
@@ -227,8 +224,8 @@ impl Default for Options {
             strategy: "exhaustive".into(),
             samples: 64,
             // One seed flag serves both the random DSE strategy and the
-            // sim/energy input frames; 0 matches the serve protocol's
-            // default so CLI and server runs are comparable.
+            // sim input frames; 0 matches the serve protocol's default so
+            // CLI and server runs are comparable.
             seed: 0,
             threads: 0,
             input_bits: None,
@@ -275,10 +272,11 @@ impl Options {
     }
 }
 
-/// Largest frame (pixels) the *frame-allocating* paths accept: `sim` and
-/// `energy` materialize whole images per stage, and the batch server must
-/// not let one request allocate unbounded buffers. Pure compilation
-/// (`compile`/`dse` from the CLI) allocates no frames and is not capped.
+/// Largest frame (pixels) the *frame-allocating* paths accept: `sim`
+/// materializes whole images per stage, and the batch server must not let
+/// one request allocate unbounded buffers. Pure compilation and pricing
+/// (`compile`/`dse`/`energy` from the CLI) allocate no frames and are not
+/// capped.
 pub const MAX_FRAME_PIXELS: u64 = 1 << 24;
 
 /// Validates a requested geometry. Zero dimensions panic deep in the
@@ -294,7 +292,7 @@ pub fn validate_geometry(geom: &ImageGeometry) -> Result<(), String> {
 }
 
 /// Enforces [`MAX_FRAME_PIXELS`] — called wherever frames actually get
-/// allocated (`sim`, `energy`, every serve request).
+/// allocated (`sim`, every serve request).
 pub fn validate_frame_budget(geom: &ImageGeometry) -> Result<(), String> {
     if geom.pixels() > MAX_FRAME_PIXELS {
         return Err(format!(
@@ -441,7 +439,6 @@ fn dispatch(cmd: &str, opts: &Options) -> Result<(), CliError> {
         "energy" => {
             let (_, dag) = load_pipeline(opts)?;
             validate_geometry(&opts.geometry())?;
-            validate_frame_budget(&opts.geometry())?;
             Ok(report::run_energy(&dag, opts)?)
         }
         "serve" => Ok(serve::run(opts)?),
@@ -536,8 +533,8 @@ mod tests {
             assert!(validate_geometry(&bad).is_err(), "{bad}");
         }
         // The pixel cap applies only where frames are allocated: an 8K
-        // geometry is a legitimate *compile* target but over the
-        // sim / energy / serve frame budget.
+        // geometry is a legitimate *compile* and *energy* target but over
+        // the sim / serve frame budget.
         let large = ImageGeometry {
             width: 7680,
             height: 4320,

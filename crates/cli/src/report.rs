@@ -13,7 +13,7 @@ use imagen_core::{Compiler, Session};
 use imagen_dse::{explore, ExploreOptions, ExploreStrategy, MeasureMode};
 use imagen_ir::{Dag, StageId};
 use imagen_obs::Collector;
-use imagen_rtl::{build_netlist, interpret, report_resources, BitWidths};
+use imagen_rtl::{build_netlist, describe, interpret, report_resources, BitWidths};
 use imagen_sim::{execute, Image};
 use std::sync::Arc;
 
@@ -621,26 +621,22 @@ pub fn run_sim(dag: &Dag, opts: &Options) -> Result<(), CliError> {
 }
 
 /// `imagen energy`: analytic vs measured power, the measured side priced
-/// from the activity the schedule fixes. The seeded frame only feeds the
-/// check that clock gating leaves the outputs unchanged.
+/// from the activity the schedule fixes, with no netlist and no frame.
 pub fn run_energy(dag: &Dag, opts: &Options) -> Result<(), String> {
-    check_frame_contains_stencil(dag, opts)?;
     let plan = Session::new(dag, opts.geometry())
         .price(&opts.memory_spec(), None)
         .map_err(|e| e.to_string())?;
-    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
-    let bits = opts.input_bits.unwrap_or(4);
-    let inputs = input_frames(dag, opts, bits);
-    let m =
-        imagen_power::measure_netlist(&net, &plan.design, &inputs).map_err(|e| e.to_string())?;
     let design = &plan.design;
+    let m = imagen_power::measure_schedule(
+        &describe(&plan.dag, design),
+        &BitWidths::default(),
+        design,
+        None,
+    )
+    .map_err(|e| e.to_string())?;
 
     let mut text = header(dag, opts);
-    text.push_str(&format!(
-        "input    : seed {}, {bits} bits, {} frame(s)\n\n## Power (analytic model vs schedule-counted activity)\n\n",
-        opts.seed,
-        inputs.len()
-    ));
+    text.push_str("\n## Power (analytic model vs schedule-counted activity)\n\n");
     let rows = [
         (
             "total power mW",

@@ -762,7 +762,7 @@ fn dse_response(id: Json, mut r: Request, hub: &Hub) -> Json {
                 .push("sram_kb", Json::Num(p.sram_kb))
                 .push("area_mm2", Json::Num(p.area_mm2))
                 .push("power_mw", Json::Num(p.power_mw))
-                // Measured (netlist-activity) energy, default-on.
+                // Measured (schedule-activity) energy, default-on.
                 .push(
                     "measured_power_mw",
                     p.measured.map_or(Json::Null, |m| Json::Num(m.power_mw)),

@@ -220,15 +220,27 @@ fn emitted_verilog_matches_library_output() {
     assert_eq!(via_cli, via_lib, "CLI and library emit different RTL");
 }
 
+/// `energy` prices from the schedule and allocates no frame, so it takes
+/// every geometry `compile` takes: a frame smaller than the stencil plus
+/// its margin, and one over `sim`'s pixel budget.
 #[test]
 fn sim_and_energy_run_on_an_example() {
     let out = imagen(&["sim", "examples/sobel.imagen"]);
     let text = stdout_of(&out);
     assert!(text.contains("verdict: PASS"), "{text}");
-    let out = imagen(&["energy", "examples/sobel.imagen"]);
-    let text = stdout_of(&out);
-    assert!(text.contains("analytic"), "{text}");
-    assert!(text.contains("clock gating"), "{text}");
+    for geometry in [
+        &[][..],
+        &["--width", "4", "--height", "4"],
+        &["--width", "7680", "--height", "4320"],
+    ] {
+        let mut args = vec!["energy", "examples/sobel.imagen"];
+        args.extend_from_slice(geometry);
+        let text = stdout_of(&imagen(&args));
+        assert!(text.contains("analytic"), "{args:?}:\n{text}");
+        assert!(text.contains("clock gating"), "{args:?}:\n{text}");
+        assert!(text.contains("## Per-buffer activity"), "{args:?}:\n{text}");
+        assert!(text.contains("\n  smooth "), "{args:?}:\n{text}");
+    }
 }
 
 #[test]

@@ -30,10 +30,10 @@
 //! data), so the gated netlist is run through the same bit-exact
 //! differential suite as the ungated one, and a wrong window corrupts
 //! the output stream instead of silently under-reporting energy. The
-//! frame-free measurement path checks the plan directly instead: every
-//! gate must cover each of its consumers' whole enable windows, which
-//! proves on *every* input that the gated netlist loads exactly the
-//! words the ungated one loads.
+//! measurement path ([`measure_schedule`](crate::measure_schedule))
+//! checks the plan directly instead: every gate must cover each of its
+//! consumers' whole enable windows, which proves on *every* input that
+//! the gated netlist loads exactly the words the ungated one loads.
 
 use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist, Structure};
 

@@ -14,8 +14,8 @@
 //!  (describe(dag, design),                └─ trace_gated(gating_plan()) ─ measure_at() ─▶ gated  ┴▶ SchedulePower
 //!   any rate, no netlist, no frame)
 //!
-//! Netlist ──gate_clocks()──▶ gated Netlist   (Verilog with gate wires; measure_netlist() runs
-//!                                             both on a frame and checks their outputs agree)
+//! Netlist ──gate_clocks()──▶ gated Netlist   (Verilog with gate wires; the differential
+//!                                             suite runs it against the golden executor)
 //! ```
 //!
 //! * [`measure`] converts an [`ActivityTrace`](imagen_rtl::ActivityTrace)
@@ -40,10 +40,9 @@
 //!   its structure alone — no netlist, no gated copy, no frame: the two
 //!   traces share one [`ScheduleActivity`] block sweep and differ only in
 //!   the read-port closed forms. It prices every design the compiler
-//!   emits, rate-1 and multirate alike, into a [`SchedulePower`];
-//! * [`measure_pipeline`] / [`measure_netlist`] price a netlist the same
-//!   way, after running it and its clock-gated copy on a frame and
-//!   checking that gating changes no output.
+//!   emits, rate-1 and multirate alike, into a [`SchedulePower`], and
+//!   refuses a gate that misses part of a consumer's enable window, so
+//!   every caller checks that gating changes no output on any input.
 //!
 //! [ImaGen]: https://arxiv.org/abs/2304.03352
 
@@ -56,13 +55,8 @@ mod gate;
 pub use energy::{measure, measure_at, BufferEnergy, EnergyReport};
 pub use gate::{gate_clocks, gating_plan};
 
-use imagen_ir::Dag;
 use imagen_mem::Design;
-use imagen_rtl::{
-    build_netlist, interpret, BitWidths, BlockSweepMemo, InterpError, Netlist, ScheduleActivity,
-    Structure,
-};
-use imagen_sim::Image;
+use imagen_rtl::{BitWidths, BlockSweepMemo, InterpError, ScheduleActivity, Structure};
 
 /// Paired ungated/gated energy of one design, priced from the activity
 /// its schedule fixes ([`measure_schedule`]).
@@ -86,39 +80,6 @@ impl SchedulePower {
             100.0 * (base - self.gated.dynamic_pj_per_frame()) / base
         }
     }
-}
-
-/// Prices `net` (which must be ungated) and its clock-gated variant
-/// through [`measure_schedule`], after running both on `inputs` and
-/// panicking if gating changes any output pixel — semantics
-/// preservation is enforced at every call site, not only in the
-/// differential suite.
-///
-/// # Errors
-///
-/// [`InterpError`] for structural interpretation problems.
-///
-/// # Panics
-///
-/// If the gated netlist's streamed outputs differ from the ungated
-/// netlist's, or a gate misses part of a consumer's enable window (a
-/// gating-pass bug).
-pub fn measure_netlist(
-    net: &Netlist,
-    design: &Design,
-    inputs: &[Image],
-) -> Result<SchedulePower, InterpError> {
-    let ungated_run = interpret(net, inputs)?;
-    let gated_run = interpret(&gate_clocks(net), inputs)?;
-    for ((sa, ia), (sb, ib)) in ungated_run
-        .output_images
-        .iter()
-        .zip(&gated_run.output_images)
-    {
-        assert_eq!(sa, sb, "gating reordered output streams");
-        assert_eq!(ia, ib, "clock gating changed the output of stage {sa}");
-    }
-    measure_schedule(&net.structure, &net.widths, design, None)
 }
 
 /// Prices the design `structure` describes, ungated and clock-gated, at
@@ -158,30 +119,14 @@ pub fn measure_schedule(
     })
 }
 
-/// Builds the netlist for `(dag, design)` at `widths` and measures it —
-/// the one-call entry used by the experiment binaries.
-///
-/// # Errors
-///
-/// See [`measure_netlist`].
-pub fn measure_pipeline(
-    dag: &Dag,
-    design: &Design,
-    widths: &BitWidths,
-    inputs: &[Image],
-) -> Result<SchedulePower, InterpError> {
-    let net = build_netlist(dag, design, widths);
-    measure_netlist(&net, design, inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use imagen_algos::Algorithm;
     use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-    use imagen_rtl::{emit_verilog, interpret_with_trace};
-    use imagen_schedule::{plan_design, ScheduleOptions};
-    use imagen_sim::simulate_and_annotate;
+    use imagen_rtl::{build_netlist, describe, emit_verilog, interpret, interpret_with_trace};
+    use imagen_schedule::{plan_design, Plan, ScheduleOptions};
+    use imagen_sim::{simulate_and_annotate, Image};
 
     fn geom() -> ImageGeometry {
         ImageGeometry {
@@ -191,7 +136,7 @@ mod tests {
         }
     }
 
-    fn plan_for(alg: Algorithm) -> imagen_schedule::Plan {
+    fn plan_for(alg: Algorithm) -> Plan {
         let g = geom();
         let spec = MemorySpec::new(
             MemBackend::Asic {
@@ -214,6 +159,11 @@ mod tests {
         Image::from_fn(g.width, g.height, |x, y| {
             ((x as u64 * 31 + y as u64 * 17 + seed) % 251) as i64
         })
+    }
+
+    fn priced(p: &Plan) -> SchedulePower {
+        let structure = describe(&p.dag, &p.design);
+        measure_schedule(&structure, &BitWidths::default(), &p.design, None).unwrap()
     }
 
     #[test]
@@ -345,9 +295,9 @@ mod tests {
     #[test]
     fn measured_power_within_documented_factor_of_analytic() {
         // The analytic model integrates scheduled access rates; the
-        // measured report integrates interpreted events through the same
-        // pJ constants. They use different activity bases (the analytic
-        // model assumes every-cycle DFF shifting and rate-spread
+        // measured report integrates schedule-counted events through the
+        // same pJ constants. They use different activity bases (the
+        // analytic model assumes every-cycle DFF shifting and rate-spread
         // accesses), so agreement is bounded, not exact: within 3× both
         // ways, documented in EXPERIMENTS.md.
         for alg in [Algorithm::UnsharpM, Algorithm::DenoiseM] {
@@ -357,14 +307,7 @@ mod tests {
                 simulate_and_annotate(&p.dag, &mut p.design, std::slice::from_ref(&input)).unwrap();
             assert!(sim.is_clean());
             let analytic = p.design.total_power_mw();
-            let m = measure_pipeline(
-                &p.dag,
-                &p.design,
-                &BitWidths::default(),
-                std::slice::from_ref(&input),
-            )
-            .unwrap();
-            let measured = m.ungated.total_mw();
+            let measured = priced(&p).ungated.total_mw();
             let ratio = measured / analytic;
             assert!(
                 (1.0 / 3.0..=3.0).contains(&ratio),
@@ -377,15 +320,7 @@ mod tests {
     #[test]
     fn gating_reduces_measured_dynamic_energy_on_m_pipelines() {
         for alg in [Algorithm::DenoiseM, Algorithm::CannyM, Algorithm::UnsharpM] {
-            let p = plan_for(alg);
-            let input = frame(5);
-            let m = measure_pipeline(
-                &p.dag,
-                &p.design,
-                &BitWidths::default(),
-                std::slice::from_ref(&input),
-            )
-            .unwrap();
+            let m = priced(&plan_for(alg));
             assert!(
                 m.gated.dynamic_pj_per_frame() < m.ungated.dynamic_pj_per_frame(),
                 "{}: gating must remove idle read energy",
@@ -396,7 +331,7 @@ mod tests {
             // Static power is untouched by gating.
             assert_eq!(m.ungated.static_mw, m.gated.static_mw);
             // The saving is exactly the idle reads that disappeared —
-            // measured on both runs, not asserted from the plan.
+            // counted in both traces, not asserted from the plan.
             assert!(
                 m.gated.sram_idle_pj < m.ungated.sram_idle_pj,
                 "{}: idle read energy must shrink",
@@ -407,15 +342,7 @@ mod tests {
 
     #[test]
     fn report_breakdown_is_consistent() {
-        let p = plan_for(Algorithm::HarrisS);
-        let input = frame(1);
-        let m = measure_pipeline(
-            &p.dag,
-            &p.design,
-            &BitWidths::default(),
-            std::slice::from_ref(&input),
-        )
-        .unwrap();
+        let m = priced(&plan_for(Algorithm::HarrisS));
         let r = &m.ungated;
         let sum: f64 = r.buffers.iter().map(|b| b.dynamic_pj).sum();
         assert!(
@@ -442,14 +369,7 @@ mod tests {
             DesignStyle::Ours,
         )
         .unwrap();
-        let input = frame(2);
-        let m = measure_pipeline(
-            &p.dag,
-            &p.design,
-            &BitWidths::default(),
-            std::slice::from_ref(&input),
-        )
-        .unwrap();
+        let m = priced(&p);
         assert!(m.ungated.total_mw() > 0.0);
         assert!(m.gated.dynamic_pj_per_frame() < m.ungated.dynamic_pj_per_frame());
     }
