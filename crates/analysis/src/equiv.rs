@@ -321,6 +321,16 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
     };
     let intervals = stage_intervals(dag, &eff);
     let mut obligations = Vec::new();
+    // Each DAG stage's edges in edge order, gathered in one pass over the
+    // netlist's edges. Indexing by the DAG, not by the netlist's stage
+    // list, keeps the certifier from trusting that list; an edge whose
+    // consumer is not a DAG stage is never asked for.
+    let mut consumed: Vec<Vec<&NetEdge>> = vec![Vec::new(); dag.num_stages()];
+    for e in &net.structure.edges {
+        if let Some(edges) = consumed.get_mut(e.consumer) {
+            edges.push(e);
+        }
+    }
 
     for (id, stage) in dag.stages() {
         let i = id.index();
@@ -366,7 +376,7 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
             &net.widths,
         ));
 
-        for (_, edge) in net.structure.consumer_edges(i) {
+        for edge in &consumed[i] {
             obligations.push(tap_obligation(dag, net, id, edge, impl_k));
         }
     }

@@ -161,14 +161,6 @@ impl Structure {
             .collect()
     }
 
-    /// Edges consumed by a stage: `(edge index, edge)`, in edge order.
-    pub fn consumer_edges(&self, consumer: usize) -> impl Iterator<Item = (usize, &NetEdge)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.consumer == consumer)
-    }
-
     /// Each stage with the edges it consumes, in stage order: `(stage,
     /// index of its first edge, its edges)`. One pass over
     /// [`Structure::edges`], which hold each consumer's edges together.
