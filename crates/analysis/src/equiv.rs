@@ -37,10 +37,14 @@ use crate::symex::{
 };
 use crate::width::{signed_range, stage_intervals, Iv};
 use crate::{codes, AnalysisOptions, Diagnostic, Locus, Severity};
-use imagen_ir::{Dag, Expr, StageId};
+use imagen_ir::{Dag, Expr};
 use imagen_mem::DesignStyle;
-use imagen_rtl::{build_netlist, sra_cells, BitWidths, NetEdge, Netlist};
+use imagen_rtl::{
+    build_netlist, sra_cells, BitWidths, BufferGate, Module, ModuleKind, Net, NetEdge, NetStage,
+    Netlist, Structure,
+};
 use imagen_schedule::ScheduleOptions;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Number of directed differential samples per fuzzed obligation.
@@ -76,9 +80,9 @@ pub enum ObligationKind {
         /// Input stage name.
         stage: String,
     },
-    /// The netlist has the structure the certificate needs (stage
-    /// module, kernel payload, SRA nets); without it nothing else is
-    /// statable.
+    /// The netlist's structure holds what the certificate needs (each
+    /// stage at its DAG index, with its kernel and start cycle); without
+    /// it nothing else is statable.
     Structure {
         /// Stage name.
         stage: String,
@@ -320,15 +324,32 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
         ..opts.clone()
     };
     let intervals = stage_intervals(dag, &eff);
+    let st = &net.structure;
     let mut obligations = Vec::new();
     // Each DAG stage's edges in edge order, gathered in one pass over the
     // netlist's edges. Indexing by the DAG, not by the netlist's stage
     // list, keeps the certifier from trusting that list; an edge whose
     // consumer is not a DAG stage is never asked for.
     let mut consumed: Vec<Vec<&NetEdge>> = vec![Vec::new(); dag.num_stages()];
-    for e in &net.structure.edges {
+    for e in &st.edges {
         if let Some(edges) = consumed.get_mut(e.consumer) {
             edges.push(e);
+        }
+    }
+    // The declarations the tap obligations check each window against,
+    // gathered once: the top module's SRA nets by name and each DAG
+    // stage's compute module, the first declared of each (gathered last
+    // to first).
+    let sras: HashMap<&str, &Net> = (net.top_module().nets.iter().rev())
+        .filter(|n| n.name.starts_with("sra_"))
+        .map(|n| (n.name.as_str(), n))
+        .collect();
+    let mut stage_modules: Vec<Option<&Module>> = vec![None; dag.num_stages()];
+    for m in net.modules.iter().rev() {
+        if let ModuleKind::Stage(i) = m.kind {
+            if let Some(slot) = stage_modules.get_mut(i) {
+                *slot = Some(m);
+            }
         }
     }
 
@@ -338,18 +359,18 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
             obligations.push(input_obligation(stage.name(), &eff));
             continue;
         }
-        // Structure: everything below needs the stage module, its kernel
-        // payload and a start cycle. A netlist missing them is not
-        // merely wrong — the obligations are unstatable.
+        // Structure: everything below needs the netlist's stage at this
+        // DAG index, with its kernel and start cycle. A netlist missing
+        // them is not merely wrong — the obligations are unstatable.
         let Some(spec) = stage.kernel() else { continue };
-        let (Some(impl_k), Some(_)) = (net.stage_kernel(i), net.structure.enable_window(i)) else {
+        let Some((ns, impl_k)) = st.stage(i).and_then(|s| Some((s, s.kernel.as_deref()?))) else {
             obligations.push(Obligation {
                 kind: ObligationKind::Structure {
                     stage: stage.name().to_string(),
                 },
                 status: ProofStatus::Refuted {
                     code: codes::CERT_UNSTATABLE,
-                    witness: format!("stage {i} has no compute module/kernel payload"),
+                    witness: format!("stage {i} has no kernel in the netlist's structure"),
                 },
                 detail: "netlist lacks the structure the certificate needs".to_string(),
             });
@@ -376,24 +397,31 @@ pub fn certify_netlist(dag: &Dag, net: &Netlist, opts: &AnalysisOptions) -> Cert
             &net.widths,
         ));
 
+        let (module, name) = (stage_modules[i], stage.name());
         for edge in &consumed[i] {
-            obligations.push(tap_obligation(dag, net, id, edge, impl_k));
+            obligations.push(tap_obligation(st, &sras, module, name, ns, edge, impl_k));
         }
     }
 
     if let Some(gating) = &net.gating {
-        let st = &net.structure;
+        // Each stage's outgoing edges in edge order, in one pass.
+        let mut produced: Vec<Vec<&NetEdge>> = vec![Vec::new(); st.stages.len()];
+        for e in &st.edges {
+            if let Some(edges) = produced.get_mut(e.producer) {
+                edges.push(e);
+            }
+        }
         for gate in &gating.gates {
+            // A buffer or stage the structure lacks gates nothing the
+            // certificate could state; a missing stage with consumers is
+            // refuted above.
             let Some(buf) = st.buffers.get(gate.buffer) else {
                 continue;
             };
-            let pname = st
-                .stages
-                .iter()
-                .find(|s| s.index == buf.stage)
-                .map(|s| s.name.clone())
-                .unwrap_or_else(|| format!("stage {}", buf.stage));
-            obligations.push(gate_obligation(net, gate, buf.stage, pname));
+            let Some(producer) = st.stage(buf.stage) else {
+                continue;
+            };
+            obligations.push(gate_obligation(st, gate, producer, &produced[buf.stage]));
         }
     }
 
@@ -601,20 +629,23 @@ fn slot_taps(kernel: &Expr, slot: usize) -> Vec<(i32, i32)> {
     taps
 }
 
+/// The tap obligation of one consumed edge. `sras` are the top module's
+/// SRA nets by name and `module` the consumer's compute module: the
+/// declarations the edge's window must size.
 fn tap_obligation(
-    dag: &Dag,
-    net: &Netlist,
-    consumer: StageId,
+    st: &Structure,
+    sras: &HashMap<&str, &Net>,
+    module: Option<&Module>,
+    cname: &str,
+    consumer: &NetStage,
     edge: &NetEdge,
     impl_kernel: &Expr,
 ) -> Obligation {
-    let cname = dag.stage(consumer).name().to_string();
     let kind = ObligationKind::TapDelivery {
-        consumer: cname.clone(),
+        consumer: cname.to_string(),
         slot: edge.slot,
     };
     let w = &edge.window;
-    let st = &net.structure;
     let geom = &st.geometry;
     let (fw, fh) = (geom.width as u64, geom.height as u64);
     let taps = slot_taps(impl_kernel, edge.slot);
@@ -649,24 +680,15 @@ fn tap_obligation(
     // 2. SRA shape: the top-level array this edge loads into and the
     //    stage module port it feeds must both be sized from this window.
     let want = sra_cells(w);
-    let sanitized: String = cname
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let sra_name = format!("sra_{}_{}", sanitized, edge.slot);
-    let top_ok = net
-        .top_module()
-        .net(&sra_name)
+    let sra_name = format!("sra_{}_{}", consumer.sanitized, edge.slot);
+    let top_ok = sras
+        .get(sra_name.as_str())
         .is_some_and(|n| n.array == Some(want));
-    let port_ok = net.stage_module(consumer.index()).is_some_and(|m| {
+    let port_ok = module.is_some_and(|m| {
         m.net(&format!("win{}", edge.slot))
             .is_some_and(|n| n.array == Some(want))
     });
-    let window_ok = net
-        .stage_module(consumer.index())
-        .and_then(|m| m.stage_payload())
-        .is_some_and(|p| p.windows.get(edge.slot) == Some(w));
-    if !top_ok || !port_ok || !window_ok {
+    if !top_ok || !port_ok {
         return Obligation {
             kind,
             status: ProofStatus::Refuted {
@@ -680,26 +702,22 @@ fn tap_obligation(
         };
     }
 
-    // Start cycles: a missing enable window was already refuted as a
-    // structure obligation for the consumer; the producer may be an
-    // input stage, which always has one.
-    let (Some((sc, _)), Some((sp, _))) = (
-        st.enable_window(consumer.index()),
-        st.enable_window(edge.producer),
-    ) else {
+    // Start cycles: the consumer's was checked with its kernel; the
+    // producer may be an input stage, which always has one.
+    let Some(producer) = st.stage(edge.producer) else {
         return Obligation {
             kind,
             status: ProofStatus::Refuted {
                 code: codes::CERT_UNSTATABLE,
                 witness: format!(
                     "no start cycle for stages {} -> {}",
-                    edge.producer,
-                    consumer.index()
+                    edge.producer, consumer.index
                 ),
             },
             detail: "schedule enables missing from the netlist".to_string(),
         };
     };
+    let (sc, sp) = (consumer.start_cycle, producer.start_cycle);
 
     // 3/4. Freshness and no-clobber, per distinct row offset, measured
     //    in the producer's row period `P_p = pcy*W` (plain `W` for
@@ -718,19 +736,14 @@ fn tap_obligation(
     //                    when dy+R <= ph-1
     //    (rows clamped to ph-1 are never overwritten: row ph-1+R is
     //    never written).
-    let (pcx_scale, pcy_scale) = {
-        let s = &st.stages[edge.producer];
-        (s.scale_x, s.scale_y)
-    };
-    let _ = pcx_scale; // columns cancel exactly in both inequalities
-    let ccy_scale = st.stages[consumer.index()].scale_y;
+    //    Columns cancel exactly in both inequalities.
+    let pcy_scale = producer.scale_y;
     let pp = pcy_scale * fw;
     let ph = fh / pcy_scale.max(1);
-    let extra = pp.saturating_sub(ccy_scale * fw);
-    let storage = st
-        .buffers
-        .iter()
-        .find(|b| b.stage == edge.producer)
+    let extra = pp.saturating_sub(consumer.scale_y * fw);
+    let storage = producer
+        .buffer
+        .and_then(|b| st.buffers.get(b))
         .map(|b| b.storage_rows as u64);
     let dys: Vec<u64> = {
         let mut v: Vec<u64> = taps.iter().map(|&(_, dy)| dy.max(0) as u64).collect();
@@ -786,13 +799,14 @@ fn tap_obligation(
 }
 
 fn gate_obligation(
-    net: &Netlist,
-    gate: &imagen_rtl::BufferGate,
-    producer: usize,
-    pname: String,
+    st: &Structure,
+    gate: &BufferGate,
+    producer: &NetStage,
+    produced: &[&NetEdge],
 ) -> Obligation {
-    let kind = ObligationKind::GateLiveness { stage: pname };
-    let st = &net.structure;
+    let kind = ObligationKind::GateLiveness {
+        stage: producer.name.clone(),
+    };
     let fw = st.geometry.width as u64;
     // Every consumer edge of this buffer reads it once per enabled
     // consumer cycle; a gated-off read loads 0 into the SRA. The load
@@ -804,8 +818,11 @@ fn gate_obligation(
     // Uncovered-but-unfetched loads are harmless — reported as a
     // bounded-reasoning caveat, not a refutation.
     let mut unfetched_gap = false;
-    for e in st.edges.iter().filter(|e| e.producer == producer) {
-        let Some(kernel) = net.stage_kernel(e.consumer) else {
+    for e in produced {
+        let Some((consumer, kernel)) = st
+            .stage(e.consumer)
+            .and_then(|c| Some((c, c.kernel.as_deref()?)))
+        else {
             continue;
         };
         let taps = slot_taps(kernel, e.slot);
@@ -814,14 +831,11 @@ fn gate_obligation(
         }
         let dmax = taps.iter().map(|&(dx, _)| dx).max().unwrap_or(0);
         let dmin = taps.iter().map(|&(dx, _)| dx).min().unwrap_or(0);
-        let Some((sc, end)) = st.enable_window(e.consumer) else {
-            continue;
-        };
+        let (sc, end) = (consumer.start_cycle, consumer.start_cycle + st.frame);
         // Multirate edges only load on their edge-active cadence (once
         // per consumer-active row, at every producer-grid column); other
         // cycles carry no load and cannot be starved by the gate.
-        let ccy = st.stages[e.consumer].scale_y;
-        let pcx = st.stages[e.producer].scale_x;
+        let (ccy, pcx) = (consumer.scale_y, producer.scale_x);
         let pw = fw / pcx.max(1);
         // Uncovered cycles of [sc, end): before the gate opens and
         // after it closes.
@@ -839,12 +853,7 @@ fn gate_obligation(
                 let x = x / pcx;
                 let fetched = (x as i64) <= (pw as i64 - 1 + dmax as i64) || (x == 0 && dmin < 0);
                 if fetched {
-                    let cname = st
-                        .stages
-                        .iter()
-                        .find(|s| s.index == e.consumer)
-                        .map(|s| s.name.clone())
-                        .unwrap_or_default();
+                    let cname = &consumer.name;
                     return Obligation {
                         kind,
                         status: ProofStatus::Refuted {

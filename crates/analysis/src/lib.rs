@@ -416,8 +416,9 @@ pub mod codes {
     /// A clock gate turns a buffer read port off under a load that a
     /// kernel tap later fetches.
     pub const GATE_DEAD: &str = "E0506";
-    /// The netlist lacks the structure (stage module, kernel payload,
-    /// schedule enables) the certificate needs; nothing is statable.
+    /// The netlist's structure lacks what the certificate needs (a DAG
+    /// stage at its index, its kernel, its start cycle); nothing is
+    /// statable.
     pub const CERT_UNSTATABLE: &str = "E0507";
     /// The declared input range wraps in the input pixel register; the
     /// certificate holds for post-register values only.

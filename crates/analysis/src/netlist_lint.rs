@@ -280,12 +280,12 @@ fn lint_enable_domain(
     target: &Module,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let (gate_port, stage_index) = match &target.kind {
-        ModuleKind::Stage(p) => ("en", Some(p.stage)),
-        ModuleKind::LineBuffer(p) => ("wen", net.structure.buffers.get(p.buffer).map(|b| b.stage)),
+    let (gate_port, stage_index) = match target.kind {
+        ModuleKind::Stage(i) => ("en", Some(i)),
+        ModuleKind::LineBuffer(b) => ("wen", net.structure.buffers.get(b).map(|b| b.stage)),
         _ => return,
     };
-    let Some(stage) = stage_index.and_then(|i| stage_by_index(net, i)) else {
+    let Some(stage) = stage_index.and_then(|i| net.structure.stage(i)) else {
         return;
     };
     let want = format!("en_{}", stage.sanitized);
@@ -309,10 +309,6 @@ fn lint_enable_domain(
             }),
         );
     }
-}
-
-fn stage_by_index(net: &Netlist, index: usize) -> Option<&NetStage> {
-    net.structure.stages.iter().find(|s| s.index == index)
 }
 
 fn stage_by_san<'a>(net: &'a Netlist, san: &str) -> Option<&'a NetStage> {
@@ -432,8 +428,8 @@ fn windowload_reads(net: &Netlist, sra: &str, edge: usize) -> Vec<String> {
     let mut deps = vec![sra.to_string()];
     if let Some(e) = net.structure.edges.get(edge) {
         if let (Some(p), Some(c)) = (
-            stage_by_index(net, e.producer),
-            stage_by_index(net, e.consumer),
+            net.structure.stage(e.producer),
+            net.structure.stage(e.consumer),
         ) {
             deps.extend([
                 format!("en_{}", c.sanitized),

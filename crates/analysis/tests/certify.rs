@@ -19,10 +19,12 @@
 //!    diverge in the interpreter.
 
 use imagen_algos::{noise_bits, Algorithm};
-use imagen_analysis::{certify_dag, certify_netlist, AnalysisOptions, Certificate, ProofStatus};
+use imagen_analysis::{
+    certify_dag, certify_dag_styled, certify_netlist, AnalysisOptions, Certificate, ProofStatus,
+};
 use imagen_ir::{Dag, Expr};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-use imagen_rtl::{build_netlist, interpret, BitWidths, ModuleKind, Netlist};
+use imagen_rtl::{build_netlist, interpret, BitWidths, Netlist};
 use imagen_schedule::{plan_design, Plan, ScheduleOptions};
 use imagen_sim::{execute, Image};
 use std::sync::Arc;
@@ -168,15 +170,15 @@ fn proved_certificate_composes_to_golden_equivalence() {
     );
 }
 
-/// Replaces the kernel of the first compute stage module with `f(kernel)`.
+/// Replaces the kernel of the first compute stage with `f(kernel)`.
 fn mutate_kernel(net: &mut Netlist, f: impl Fn(&Expr) -> Expr) {
-    for m in &mut net.modules {
-        if let ModuleKind::Stage(payload) = &mut m.kind {
-            payload.kernel = Arc::new(f(&payload.kernel));
+    for s in &mut net.structure.stages {
+        if let Some(kernel) = &mut s.kernel {
+            *kernel = Arc::new(f(kernel));
             return;
         }
     }
-    panic!("no stage module to mutate");
+    panic!("no compute stage to mutate");
 }
 
 #[test]
@@ -272,6 +274,87 @@ fn chopped_gate_is_refuted_with_a_cycle_witness() {
     assert!(codes.contains(&"E0506"), "{}", cert.render());
     let witness = refuted_witnesses(&cert).join("\n");
     assert!(witness.contains("cycle"), "no cycle in witness: {witness}");
+}
+
+/// A netlist that lacks what a stage's obligations are stated over — the
+/// stage itself, or its kernel — leaves them unstatable: each is refuted
+/// with E0507, and the certifier does not panic.
+#[test]
+fn missing_stage_or_kernel_is_refuted_as_unstatable() {
+    let (plan, net) = netlist_of(Algorithm::UnsharpM, &BitWidths::default());
+    let n = plan.dag.num_stages();
+
+    // A DAG with a stage past the end of the netlist's structure.
+    let mut longer = plan.dag.clone();
+    let sink = imagen_ir::StageId::from_index(n - 1);
+    let extra = longer
+        .add_stage("extra", &[sink], Expr::tap(0, 0, 0))
+        .unwrap();
+    longer.mark_output(extra);
+    let cert = certify_netlist(&longer, &net, &options());
+    assert_eq!(refuted_codes(&cert), ["E0507"], "{}", cert.render());
+    let witness = refuted_witnesses(&cert).join("\n");
+    assert!(witness.contains(&format!("stage {n}")), "{witness}");
+
+    // A compute stage whose kernel is gone.
+    let mut bare = net.clone();
+    let stage = bare
+        .structure
+        .stages
+        .iter_mut()
+        .find(|s| s.kernel.is_some())
+        .expect("a compute stage");
+    stage.kernel = None;
+    let cert = certify_netlist(&plan.dag, &bare, &options());
+    assert_eq!(refuted_codes(&cert), ["E0507"], "{}", cert.render());
+
+    // A gated netlist with a stage cut out of the middle of its list:
+    // every stage from there on sits at the wrong index, so it and the
+    // gates of its buffers are unstatable.
+    let mut cut = imagen_power::gate_clocks(&net);
+    cut.structure.stages.remove(1);
+    let cert = certify_netlist(&plan.dag, &cut, &options());
+    let codes = refuted_codes(&cert);
+    assert!(!codes.is_empty(), "{}", cert.render());
+    assert!(codes.iter().all(|&c| c == "E0507"), "{}", cert.render());
+}
+
+/// The synthetic pool the benchmark draws from
+/// (`synthetic_pipeline(n, n << 32 | i)`) certifies at scale: pool DAGs
+/// of 9 to 60 stages, plain and coalesced at 352×240, prove every
+/// obligation.
+#[test]
+fn synthetic_pool_certifies_at_scale() {
+    let geom = ImageGeometry {
+        width: 352,
+        height: 240,
+        pixel_bits: 16,
+    };
+    let plain = MemorySpec::new(MemBackend::Asic { block_bits: 32768 }, 2);
+    for n in [9u64, 20, 33, 45, 60] {
+        for i in [0, 31] {
+            let dag = imagen_algos::synthetic_pipeline(n as usize, n << 32 | i);
+            for (spec, style) in [
+                (plain.clone(), DesignStyle::Ours),
+                (plain.clone().with_coalescing(), DesignStyle::OursLc),
+            ] {
+                let opts = AnalysisOptions {
+                    geom,
+                    spec,
+                    ..AnalysisOptions::default()
+                };
+                let label = format!("{} {style:?}", dag.name());
+                let cert = certify_dag_styled(&dag, &opts, style)
+                    .unwrap_or_else(|d| panic!("{label}: {}", d.message));
+                assert!(cert.all_proved(), "{label}: {}", cert.render());
+                assert!(
+                    cert.obligations.len() >= n as usize,
+                    "{label}: {} obligations",
+                    cert.obligations.len()
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -390,14 +473,17 @@ fn certificate_diagnostics_and_render_carry_codes() {
     assert_eq!(good.status(), "proved");
 }
 
-/// The netlist with every stage module's kernel replaced by a fresh `Arc`
-/// of an equal tree, so no payload is the DSL kernel itself.
+/// The netlist with every stage's kernel replaced by a fresh `Arc` of an
+/// equal tree, so no stage holds the DSL kernel itself.
 fn with_copied_kernels(net: &Netlist) -> Netlist {
     let mut copy = net.clone();
-    for m in &mut copy.modules {
-        if let ModuleKind::Stage(payload) = &mut m.kind {
-            payload.kernel = Arc::new(Expr::clone(&payload.kernel));
-        }
+    for kernel in copy
+        .structure
+        .stages
+        .iter_mut()
+        .filter_map(|s| s.kernel.as_mut())
+    {
+        *kernel = Arc::new(Expr::clone(kernel));
     }
     copy
 }
@@ -407,7 +493,10 @@ fn with_copied_kernels(net: &Netlist) -> Netlist {
 fn certify_shared_and_copied(label: &str, dag: &Dag, net: &Netlist) -> Certificate {
     let copied = with_copied_kernels(net);
     for (id, stage) in dag.stages() {
-        if let (Some(spec), Some(k)) = (stage.kernel(), copied.stage_kernel(id.index())) {
+        if let (Some(spec), Some(k)) = (
+            stage.kernel(),
+            copied.structure.stages[id.index()].kernel.as_deref(),
+        ) {
             assert!(
                 !std::ptr::eq(spec, k),
                 "{label}: copy still shares a kernel"
@@ -445,7 +534,7 @@ fn shared_and_copied_kernels_certify_identically() {
             let net = build_netlist(&plan.dag, &plan.design, &widths);
             for (id, stage) in plan.dag.stages() {
                 if let Some(spec) = stage.kernel() {
-                    let k = net.stage_kernel(id.index()).unwrap();
+                    let k = net.structure.stages[id.index()].kernel.as_deref().unwrap();
                     assert!(std::ptr::eq(spec, k), "{stem}: netlist copied a kernel");
                 }
             }

@@ -412,7 +412,7 @@ mod tests {
                 let shared = [
                     priced.dag.stage(id).kernel(),
                     out.plan.dag.stage(id).kernel(),
-                    out.netlist.stage_kernel(id.index()),
+                    out.netlist.structure.stages[id.index()].kernel.as_deref(),
                 ];
                 for k in shared {
                     assert!(

@@ -47,24 +47,25 @@ use imagen_rtl::{BufferGate, Conn, GatingPlan, Item, Net, Netlist, Structure};
 /// to a copy of a netlist; [`measure_schedule`](crate::measure_schedule)
 /// prices it without one.
 pub fn gating_plan(s: &Structure) -> GatingPlan {
-    let mut gates: Vec<BufferGate> = Vec::new();
-    for (bi, buf) in s.buffers.iter().enumerate() {
-        if buf.fifo || buf.phys_blocks == 0 {
-            continue;
+    // The first and last consumer start of each buffer, in one pass over
+    // the edges.
+    let mut starts: Vec<Option<(u64, u64)>> = vec![None; s.buffers.len()];
+    for e in &s.edges {
+        if let Some(bi) = s.stages[e.producer].buffer {
+            let t = s.stages[e.consumer].start_cycle;
+            let span = starts[bi].get_or_insert((t, t));
+            *span = (span.0.min(t), span.1.max(t));
         }
-        let windows = s
-            .edges
-            .iter()
-            .filter(|e| e.producer == buf.stage)
-            .map(|e| s.stages[e.consumer].start_cycle);
-        let (Some(first), Some(last)) = (windows.clone().min(), windows.max()) else {
-            continue;
-        };
-        gates.push(BufferGate {
-            buffer: bi,
-            read_start: first,
-            read_end: last + s.frame,
-        });
+    }
+    let mut gates = Vec::new();
+    for (bi, (buf, span)) in s.buffers.iter().zip(starts).enumerate() {
+        if let Some((first, last)) = span.filter(|_| !buf.fifo && buf.phys_blocks != 0) {
+            gates.push(BufferGate {
+                buffer: bi,
+                read_start: first,
+                read_end: last + s.frame,
+            });
+        }
     }
     GatingPlan { gates }
 }

@@ -1,18 +1,21 @@
 //! Verilog rendering of a [`Netlist`].
 //!
 //! [`emit_verilog`] prints a netlist's [`Structure`](crate::Structure)
-//! and stage kernels, not its module items, in the exact format the
+//! alone, not its modules or their items, in the exact format the
 //! original string emitter produced — at the default [`BitWidths`] the
 //! output is byte-identical to the pre-refactor generator, pinned by the
 //! golden files under `crates/rtl/golden/` — while every other consumer
 //! (interpretation, verification, resource reporting) works from the
 //! typed netlist and structure instead of the text.
 //!
-//! Printing is one pass. Each kernel is written straight into the output;
-//! only the operands that `Abs`, `Min`, `Max`, `Div` and `Clamp` print
-//! more than once are rendered apart first. Each line buffer's SRAM
-//! blocks are printed from one text template per buffer, split where the
-//! block index goes, and each stage's window arrays from its own run of
+//! Printing is one pass over the structure: the compute stages, the line
+//! buffers, then the top module, the order
+//! [`build_netlist`](crate::build_netlist) elaborates them in. Each
+//! kernel is written straight into the output; only the operands that
+//! `Abs`, `Min`, `Max`, `Div` and `Clamp` print more than once are
+//! rendered apart first. Each line buffer's SRAM blocks are printed from
+//! one text template per buffer, split where the block index goes, and
+//! each stage's window ports and arrays from its own run of
 //! [`Structure::edges`](crate::Structure::edges).
 //!
 //! Three inherited seed-emitter behaviors are kept for pin-compatibility,
@@ -50,9 +53,9 @@
 //! emitter revision can render all of these faithfully once the golden
 //! pins are deliberately regenerated.
 
-use crate::netlist::{BitWidths, ModuleKind, Netlist, StagePayload};
-use crate::structure::NetBuffer;
-use imagen_ir::{BinOp, Expr, Window};
+use crate::netlist::{BitWidths, Netlist};
+use crate::structure::{NetBuffer, NetEdge, NetStage};
+use imagen_ir::{BinOp, Expr};
 use std::fmt::Write as _;
 
 /// Stands for the block index in a line buffer's block template; no
@@ -82,15 +85,11 @@ pub fn emit_verilog(net: &Netlist) -> String {
     let _ = writeln!(v);
     v.push_str(&sram_primitives(&net.widths));
 
-    for m in &net.modules {
-        match &m.kind {
-            ModuleKind::Stage(payload) => emit_stage_module(&mut v, net, payload),
-            ModuleKind::LineBuffer(lb) => {
-                let buf = &net.structure.buffers[lb.buffer];
-                emit_linebuf_module(&mut v, net, buf);
-            }
-            ModuleKind::SramPrimitive { .. } | ModuleKind::Top => {}
-        }
+    for (s, _, consumed) in net.structure.edges_by_consumer() {
+        emit_stage_module(&mut v, net, s, consumed);
+    }
+    for buf in &net.structure.buffers {
+        emit_linebuf_module(&mut v, net, buf);
     }
 
     emit_top(&mut v, net);
@@ -151,15 +150,18 @@ endmodule
     )
 }
 
-/// Emits the combinational compute module of one stage.
-fn emit_stage_module(v: &mut String, net: &Netlist, payload: &StagePayload) {
+/// Emits the combinational compute module of a compute stage, one window
+/// port per consumed edge (nothing for an input stage).
+fn emit_stage_module(v: &mut String, net: &Netlist, stage: &NetStage, consumed: &[NetEdge]) {
+    let Some(kernel) = &stage.kernel else { return };
     let pixel = net.widths.pixel_bits;
     let acc = net.widths.acc_bits;
-    let name = &net.structure.stages[payload.stage].sanitized;
+    let name = &stage.sanitized;
     let _ = writeln!(v, "module stage_{name} (");
     let _ = writeln!(v, "    input  wire clk,");
     let _ = writeln!(v, "    input  wire en,");
-    for (slot, w) in payload.windows.iter().enumerate() {
+    for (slot, e) in consumed.iter().enumerate() {
+        let w = &e.window;
         let cells = w.height * w.width();
         let _ = writeln!(
             v,
@@ -173,7 +175,7 @@ fn emit_stage_module(v: &mut String, net: &Netlist, payload: &StagePayload) {
     let _ = writeln!(v, ");");
 
     let _ = write!(v, "    wire signed [{}:0] result = ", acc - 1);
-    emit_expr(v, &payload.kernel, &payload.windows, acc);
+    emit_expr(v, kernel, consumed, acc);
     v.push_str(";\n");
     let _ = writeln!(v, "    always @(posedge clk) begin");
     let _ = writeln!(v, "        if (en) pixel_out <= result[{}:0];", pixel - 1);
@@ -181,13 +183,14 @@ fn emit_stage_module(v: &mut String, net: &Netlist, payload: &StagePayload) {
     let _ = writeln!(v, "endmodule\n");
 }
 
-/// Renders a kernel expression over the window ports, writing each
-/// subterm straight into `out`; only the operands that `Abs`, `Min`,
-/// `Max`, `Div` and `Clamp` print more than once are rendered apart.
-fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
+/// Renders a kernel expression over the window ports of its consumed
+/// edges (one per slot, in slot order), writing each subterm straight
+/// into `out`; only the operands that `Abs`, `Min`, `Max`, `Div` and
+/// `Clamp` print more than once are rendered apart.
+fn emit_expr(out: &mut String, e: &Expr, edges: &[NetEdge], acc: u32) {
     let render = |e: &Expr| {
         let mut s = String::new();
-        emit_expr(&mut s, e, windows, acc);
+        emit_expr(&mut s, e, edges, acc);
         s
     };
     match e {
@@ -199,7 +202,7 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
             }
         }
         Expr::Tap { slot, dx, dy } => {
-            let w = &windows[*slot];
+            let w = &edges[*slot].window;
             // Window cells are row-major with column 0 = oldest (leftmost
             // tap); tap (dx, dy) maps to row (dy - lag), col (dx - dx_min).
             let row = (*dy as i64 - w.lag as i64).max(0) as u32;
@@ -209,7 +212,7 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
         }
         Expr::Neg(a) => {
             out.push_str("(-");
-            emit_expr(out, a, windows, acc);
+            emit_expr(out, a, edges, acc);
             out.push(')');
         }
         Expr::Abs(a) => {
@@ -224,7 +227,7 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
         Expr::Bin(BinOp::Div, a, b) => {
             let lb = render(b);
             let _ = write!(out, "((({lb}) == 0) ? 0 : ((");
-            emit_expr(out, a, windows, acc);
+            emit_expr(out, a, edges, acc);
             let _ = write!(out, ") / ({lb})))");
         }
         Expr::Bin(op, a, b) => {
@@ -237,16 +240,16 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
                 BinOp::Min | BinOp::Max | BinOp::Div => unreachable!("printed above"),
             };
             out.push_str("((");
-            emit_expr(out, a, windows, acc);
+            emit_expr(out, a, edges, acc);
             let _ = write!(out, ") {sym} (");
-            emit_expr(out, b, windows, acc);
+            emit_expr(out, b, edges, acc);
             out.push_str("))");
         }
         Expr::Cmp(op, a, b) => {
             out.push_str("(((");
-            emit_expr(out, a, windows, acc);
+            emit_expr(out, a, edges, acc);
             let _ = write!(out, ") {} (", op.mnemonic());
-            emit_expr(out, b, windows, acc);
+            emit_expr(out, b, edges, acc);
             out.push_str(")) ? 1 : 0)");
         }
         Expr::Select {
@@ -255,11 +258,11 @@ fn emit_expr(out: &mut String, e: &Expr, windows: &[Window], acc: u32) {
             otherwise,
         } => {
             out.push_str("(((");
-            emit_expr(out, cond, windows, acc);
+            emit_expr(out, cond, edges, acc);
             out.push_str(") != 0) ? (");
-            emit_expr(out, then, windows, acc);
+            emit_expr(out, then, edges, acc);
             out.push_str(") : (");
-            emit_expr(out, otherwise, windows, acc);
+            emit_expr(out, otherwise, edges, acc);
             out.push_str("))");
         }
         Expr::Clamp { value, lo, hi } => {

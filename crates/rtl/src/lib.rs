@@ -1,31 +1,36 @@
 //! # imagen-rtl
 //!
 //! The RTL backend of [ImaGen] (the "RTL Code Gen" box of the paper's
-//! Fig. 5): one structure per design, and a typed structural netlist IR
-//! elaborated on top of it:
+//! Fig. 5): one structure per design, indexed by stage, and a typed
+//! structural netlist IR elaborated on top of it:
 //!
 //! ```text
-//! (Dag, Design) ──describe()──▶ Structure ──┬─ report_resources()          → SRAM/FF/operator inventory
-//!                                           ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
-//!                                           └─ build_netlist() elaborates ─┐
-//! Netlist { structure, modules, .. } ◀──────────────────────────────────────┘
-//!    ├─ emit_verilog()                → .v text, from the structure and kernels
+//! (Dag, Design) ──describe()──▶ Structure { stages, edges, buffers }
+//!                                 ├─ report_resources()          → SRAM/FF/operator inventory
+//!                                 ├─ ScheduleActivity::derive()  → ActivityTrace, no frame
+//!                                 └─ build_netlist() elaborates ─┐
+//! Netlist { structure, modules, .. } ◀───────────────────────────┘
+//!    ├─ emit_verilog()                → .v text, from the structure alone
 //!    ├─ EvalProgram::compile().run()  → executed frames (interpret())
-//!    └─ verify_all()                  → arity/width/driver checks
+//!    └─ verify_all()                  → arity/width/driver checks of the modules
 //! ```
 //!
 //! * [`describe`] derives a scheduled [`imagen_mem::Design`]'s
-//!   [`Structure`] (stages, stencil edges, line buffers) once, and
+//!   [`Structure`] once: per stage its start cycle, rate scales, input
+//!   stream, kernel (the DAG's own shared tree), operator census and line
+//!   buffer, then the stencil edges and the line buffers. It is the one
+//!   per-stage record every backend reads by stage index;
 //!   [`build_netlist`] elaborates it into a [`Netlist`] that keeps it:
 //!   modules, typed ports and nets, instances, registers, SRAM
 //!   primitives and kernel expression nets, at configurable
-//!   [`BitWidths`]. Each line buffer holds its SRAM blocks as one
-//!   [`Bank`]: a block count and one shared connection template per
-//!   primitive;
-//! * [`emit_verilog`] prints the netlist's structure and kernels as
-//!   Verilog text in one pass (byte-identical to the original string
-//!   emitter at default widths, pinned by golden files) that leaves the
-//!   window read path undriven;
+//!   [`BitWidths`]. A stage or line-buffer module names only its stage
+//!   or buffer ([`ModuleKind`]). Each line buffer holds its SRAM blocks
+//!   as one [`Bank`]: a block count and one shared connection template
+//!   per primitive;
+//! * [`emit_verilog`] prints the netlist's structure as Verilog text in
+//!   one pass (byte-identical to the original string emitter at default
+//!   widths, pinned by golden files) that leaves the window read path
+//!   undriven;
 //! * [`interpret`] **executes** the netlist — the verification loop no
 //!   synthesis tool in this environment could close: the emitted design
 //!   itself is run and checked bit-exact against the golden executor and
@@ -71,8 +76,8 @@ pub use activity::{ActivityTrace, BufferActivity, SraActivity, StageActivity};
 pub use emit::emit_verilog;
 pub use interp::{eval_acc, interpret, interpret_with_trace, trunc, InterpError, InterpReport};
 pub use netlist::{
-    build_netlist, Bank, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item,
-    LineBufPayload, Module, ModuleKind, Net, Netlist, Placement, StagePayload,
+    build_netlist, Bank, BitWidths, BufferGate, Conn, Dir, GatingPlan, Instance, Item, Module,
+    ModuleKind, Net, Netlist, Placement,
 };
 pub use program::{BlockSweepMemo, EvalProgram, GateGap, ScheduleActivity};
 pub use resources::{report_resources, ResourceReport};

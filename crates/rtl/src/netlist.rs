@@ -17,17 +17,16 @@
 //!   driver analysis).
 //!
 //! [`emit_verilog`](crate::emit_verilog) prints the Verilog text from the
-//! same [`Structure`] and the stage kernels, not from the items, and
-//! leaves the window read path undriven.
+//! [`Structure`] alone, not from the items, and leaves the window read
+//! path undriven.
 //!
-//! Alongside the generic module/net/instance structure, the stage and
-//! line-buffer payloads ([`StagePayload`], [`LineBufPayload`]) tie each
-//! module to its stage (with the kernel it evaluates) or buffer in
-//! [`Netlist::structure`], so the netlist is executable and analyzable
-//! without re-deriving anything from the DAG.
+//! A stage or line-buffer module names only its stage or buffer
+//! ([`ModuleKind::Stage`], [`ModuleKind::LineBuffer`]): the kernel a
+//! stage evaluates, its windows and its schedule live once, in
+//! [`Netlist::structure`].
 
-use crate::structure::{describe, sanitize, sra_cells, NetBuffer, Structure};
-use imagen_ir::{Dag, Expr, StageKind, Window};
+use crate::structure::{describe, sanitize, sra_cells, NetBuffer, NetEdge, NetStage, Structure};
+use imagen_ir::Dag;
 use imagen_mem::{Design, DesignStyle, ImageGeometry};
 use std::sync::Arc;
 
@@ -216,28 +215,6 @@ impl Item {
     }
 }
 
-/// Semantic payload of a stage compute module.
-#[derive(Clone, Debug)]
-pub struct StagePayload {
-    /// Index of the stage in the DAG.
-    pub stage: usize,
-    /// Stencil windows in producer-slot order.
-    pub windows: Vec<Window>,
-    /// The kernel expression evaluated once per output pixel: the DAG
-    /// stage's own tree ([`imagen_ir::StageKind::Compute`]), shared
-    /// rather than copied, so a netlist built from a plan holds the same
-    /// `Arc` as the plan's DAG. Replace it with a new `Arc` to give the
-    /// module a different datapath.
-    pub kernel: Arc<Expr>,
-}
-
-/// Semantic payload of a line-buffer module (rotating SRAM banks).
-#[derive(Clone, Debug)]
-pub struct LineBufPayload {
-    /// Index into [`Structure::buffers`].
-    pub buffer: usize,
-}
-
 /// What a module is.
 #[derive(Clone, Debug)]
 pub enum ModuleKind {
@@ -246,10 +223,12 @@ pub enum ModuleKind {
         /// Number of access ports (1 or 2).
         rw_ports: u32,
     },
-    /// A per-stage combinational compute module with a registered output.
-    Stage(StagePayload),
-    /// A rotating line buffer over SRAM blocks.
-    LineBuffer(LineBufPayload),
+    /// A per-stage combinational compute module with a registered
+    /// output, by DAG stage index ([`Structure::stages`]).
+    Stage(usize),
+    /// A rotating line buffer over SRAM blocks, by index into
+    /// [`Structure::buffers`].
+    LineBuffer(usize),
     /// The top-level module: cycle counter, per-stage control, stage and
     /// line-buffer instances, stream ports.
     Top,
@@ -277,14 +256,6 @@ impl Module {
     /// Looks up a net (or port) by name.
     pub fn net(&self, name: &str) -> Option<&Net> {
         self.nets.iter().find(|n| n.name == name)
-    }
-
-    /// The stage payload, when this is a stage compute module.
-    pub fn stage_payload(&self) -> Option<&StagePayload> {
-        match &self.kind {
-            ModuleKind::Stage(p) => Some(p),
-            _ => None,
-        }
     }
 }
 
@@ -369,23 +340,6 @@ impl Netlist {
     /// Looks up a module by name.
     pub fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
-    }
-
-    /// The compute module of a stage, by DAG stage index (`None` for
-    /// input stages).
-    pub fn stage_module(&self, stage: usize) -> Option<&Module> {
-        self.modules
-            .iter()
-            .find(|m| m.stage_payload().is_some_and(|p| p.stage == stage))
-    }
-
-    /// The kernel expression a stage's datapath evaluates, by DAG stage
-    /// index — the term the translation-validation pass certifies
-    /// against the lowered DSL kernel.
-    pub fn stage_kernel(&self, stage: usize) -> Option<&Expr> {
-        self.stage_module(stage)?
-            .stage_payload()
-            .map(|p| p.kernel.as_ref())
     }
 }
 
@@ -478,19 +432,20 @@ fn sram_primitive(rw_ports: u32) -> Module {
     }
 }
 
-/// Builds one stage compute module.
-fn stage_module(widths: &BitWidths, name: &str, payload: StagePayload) -> Module {
+/// Builds the compute module of `stage`, one window port per consumed
+/// edge, in slot order.
+fn stage_module(widths: &BitWidths, stage: &NetStage, consumed: &[NetEdge]) -> Module {
     let p = widths.pixel_bits;
     let mut nets = vec![
         port("clk", Dir::Input, 1, false),
         port("en", Dir::Input, 1, false),
     ];
-    for (slot, w) in payload.windows.iter().enumerate() {
+    for (slot, e) in consumed.iter().enumerate() {
         nets.push(Net {
             name: format!("win{slot}"),
             width: p,
             signed: true,
-            array: Some(sra_cells(w)),
+            array: Some(sra_cells(&e.window)),
             is_reg: false,
             port: Some(Dir::Input),
         });
@@ -512,8 +467,8 @@ fn stage_module(widths: &BitWidths, name: &str, payload: StagePayload) -> Module
         port: None,
     });
     Module {
-        name: format!("stage_{}", sanitize(name)),
-        kind: ModuleKind::Stage(payload),
+        name: format!("stage_{}", stage.sanitized),
+        kind: ModuleKind::Stage(stage.index),
         nets,
         items: vec![
             Item::Assign {
@@ -630,7 +585,7 @@ fn linebuf_module(
     });
     Module {
         name: format!("linebuf_{sanitized}"),
-        kind: ModuleKind::LineBuffer(LineBufPayload { buffer }),
+        kind: ModuleKind::LineBuffer(buffer),
         nets,
         items,
     }
@@ -640,9 +595,9 @@ fn linebuf_module(
 /// its structure, then builds the modules, nets and instances on top of
 /// it at `widths`.
 ///
-/// The returned netlist is self-contained: it carries the structure and
-/// the kernels, so every downstream consumer (emission, interpretation,
-/// verification) works from the netlist alone.
+/// The returned netlist is self-contained: it carries the structure,
+/// kernels included, so every downstream consumer (emission,
+/// interpretation, verification) works from the netlist alone.
 pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist {
     let structure = describe(dag, design);
     let p = widths.pixel_bits;
@@ -652,23 +607,14 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
 
     // Stage compute modules, in stage order: one window per producer
     // slot, in slot order.
-    for ((id, stage), (_, _, consumed)) in dag.stages().zip(structure.edges_by_consumer()) {
-        if let StageKind::Compute { kernel } = stage.kind() {
+    for ((_, stage), (s, _, consumed)) in dag.stages().zip(structure.edges_by_consumer()) {
+        if s.kernel.is_some() {
             debug_assert!(
                 consumed.iter().enumerate().all(|(slot, e)| e.slot == slot)
                     && consumed.len() == stage.producers().len(),
                 "one edge per slot, in slot order"
             );
-            let windows = consumed.iter().map(|e| e.window).collect();
-            modules.push(stage_module(
-                widths,
-                stage.name(),
-                StagePayload {
-                    stage: id.index(),
-                    windows,
-                    kernel: Arc::clone(kernel),
-                },
-            ));
+            modules.push(stage_module(widths, s, consumed));
         }
     }
 
@@ -819,6 +765,7 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imagen_ir::Expr;
     use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
     use imagen_schedule::{plan_design, ScheduleOptions};
 
@@ -866,15 +813,17 @@ mod tests {
             vec![(0, 0, net.structure.stages[0].start_cycle)]
         );
         assert_eq!(net.structure.output_streams().len(), 1);
-        // The stage module carries its kernel and window.
+        // The stage module names its stage, which holds the kernel and
+        // the buffer it reads; its one window port is sized from the
+        // consumed edge.
         let sm = net.module("stage_K1").unwrap();
-        match &sm.kind {
-            ModuleKind::Stage(p) => {
-                assert_eq!(p.windows.len(), 1);
-                assert_eq!(p.windows[0].height, 3);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+        assert!(matches!(sm.kind, ModuleKind::Stage(1)), "{:?}", sm.kind);
+        assert!(net.structure.stages[1].kernel.is_some());
+        assert_eq!(net.structure.stages[0].buffer, Some(0));
+        let window = net.structure.edges[0].window;
+        assert_eq!(window.height, 3);
+        assert_eq!(sm.net("win0").unwrap().array, Some(sra_cells(&window)));
+        assert!(sm.net("win1").is_none());
         // Every window edge in the top module has a load path.
         let loads = net
             .top_module()

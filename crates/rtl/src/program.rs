@@ -72,7 +72,7 @@
 use crate::activity::{ActivityTrace, BufferActivity};
 use crate::interp::{trunc, InterpError, InterpReport};
 use crate::netlist::{GatingPlan, Netlist};
-use crate::structure::{sra_columns, NetBuffer, Structure};
+use crate::structure::{sra_columns, NetBuffer, NetEdge, Structure};
 use imagen_ir::{BinOp, CmpOp, Expr};
 use imagen_obs::Memo;
 use imagen_sim::Image;
@@ -832,15 +832,16 @@ impl Layout {
         let (w, h) = (geom.width as i64, geom.height as i64);
         let frame = structure.frame;
 
-        let mut bufidx_of_stage: Vec<Option<usize>> = vec![None; structure.stages.len()];
-        for (i, b) in structure.buffers.iter().enumerate() {
-            bufidx_of_stage[b.stage] = Some(i);
-        }
-        for e in &structure.edges {
-            if bufidx_of_stage[e.producer].is_none() {
-                return Err(InterpError::MissingBuffer { stage: e.producer });
-            }
-        }
+        // The line buffer each edge's producer writes, in edge order.
+        let edge_buf = structure
+            .edges
+            .iter()
+            .map(|e| {
+                structure.stages[e.producer]
+                    .buffer
+                    .ok_or(InterpError::MissingBuffer { stage: e.producer })
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
 
         let gates = gate_windows(gating, structure.buffers.iter().map(|b| b.fifo));
 
@@ -880,8 +881,7 @@ impl Layout {
             let sp = structure.stages[e.producer].start_cycle as i64;
             let lag = e.window.lag as i64;
             let height = e.window.height as i64;
-            let rows = structure.buffers[bufidx_of_stage[e.producer].expect("checked above")]
-                .storage_rows as i64;
+            let rows = structure.buffers[edge_buf[edge]].storage_rows as i64;
             let pp = scale_of[e.producer].1 as i64 * w;
             let pc = scale_of[e.consumer].1 as i64 * w;
             let write_lead = sc - sp - (lag + height - 1) * pp;
@@ -898,18 +898,21 @@ impl Layout {
         let mut stages = Vec::with_capacity(structure.stages.len());
         let mut edges: Vec<EdgeProg> = Vec::with_capacity(structure.edges.len());
         let mut sram_reads = 0u64;
+        // Each stage's consumed edges, with the index of its first one.
+        let consumed: Vec<(usize, &[NetEdge])> = structure
+            .edges_by_consumer()
+            .map(|(_, first, es)| (first, es))
+            .collect();
 
         for &si in &order {
             let s = &structure.stages[si];
             let first_edge = edges.len();
             let mut n_vrows = 0usize;
-            for (eidx, e) in structure.edges.iter().enumerate() {
-                if e.consumer != si {
-                    continue;
-                }
+            let (first, consumed) = consumed[si];
+            for (eidx, e) in (first..).zip(consumed) {
                 let width = sra_columns(&e.window) as usize;
                 let height = e.window.height as usize;
-                let bufidx = bufidx_of_stage[e.producer].expect("checked above");
+                let bufidx = edge_buf[eidx];
                 let gate = gates[bufidx];
                 // Closed-form SRAM read total: `height` words per
                 // non-gated *edge-active* cycle of this edge, the loads
@@ -1494,7 +1497,7 @@ impl EvalProgram {
             .stages
             .iter()
             .map(|st| {
-                let Some(kernel) = net.stage_kernel(st.stage) else {
+                let Some(kernel) = &net.structure.stages[st.stage].kernel else {
                     return Tape::default();
                 };
                 let edges = &layout.edges[st.edges.clone()];

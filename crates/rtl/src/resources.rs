@@ -145,7 +145,7 @@ mod tests {
         for m in &net.modules {
             match &m.kind {
                 ModuleKind::SramPrimitive { .. } => continue,
-                ModuleKind::LineBuffer(lb) => {
+                ModuleKind::LineBuffer(b) => {
                     let blocks: usize = m
                         .items
                         .iter()
@@ -155,11 +155,15 @@ mod tests {
                         .sum();
                     r.sram_blocks += blocks;
                     r.sram_bits += blocks as u64
-                        * net.structure.buffers[lb.buffer].depth
+                        * net.structure.buffers[*b].depth
                         * net.widths.pixel_bits as u64;
                 }
-                ModuleKind::Stage(p) => {
-                    let census = p.kernel.op_census();
+                ModuleKind::Stage(i) => {
+                    let kernel = net.structure.stages[*i]
+                        .kernel
+                        .as_ref()
+                        .expect("a compute stage");
+                    let census = kernel.op_census();
                     r.adders += census.adds;
                     r.multipliers += census.muls;
                     r.dividers += census.divs;

@@ -1,16 +1,20 @@
 //! The structure of a scheduled design, derived once.
 //!
 //! [`describe`] reads `(Dag, Design)` into a [`Structure`]: the stages
-//! with their start cycles, rate scales, input streams and operator
-//! census, the stencil edges, and each line buffer's geometry on its
-//! producer's grid. [`build_netlist`](crate::build_netlist) elaborates
-//! modules on top of it and keeps it; the executor's layout, resource
-//! accounting, clock gating and energy pricing read it instead of any
-//! module, so a design-space sweep describes each point and never
-//! elaborates it.
+//! with their start cycles, rate scales, input streams, kernels,
+//! operator census and line buffers, the stencil edges, and each line
+//! buffer's geometry on its producer's grid. It is the one per-stage
+//! record of a design: a stage's kernel, windows (its consumed edges),
+//! start cycle and buffer are read by stage index or in one grouping
+//! pass, never found by a scan per stage.
+//! [`build_netlist`](crate::build_netlist) elaborates modules on top of
+//! it and keeps it; the emitter, the executor, resource accounting,
+//! clock gating and energy pricing read it instead of any module, so a
+//! design-space sweep describes each point and never elaborates it.
 
-use imagen_ir::{Dag, OpCensus, StageKind, Window};
+use imagen_ir::{Dag, Expr, OpCensus, StageKind, Window};
 use imagen_mem::{Design, ImageGeometry};
+use std::sync::Arc;
 
 /// Per-stage control/schedule information.
 #[derive(Clone, Debug)]
@@ -24,9 +28,15 @@ pub struct NetStage {
     /// `Some(k)` when this is the `k`-th input stream; `None` for compute
     /// stages.
     pub input_stream: Option<usize>,
-    /// Operator census of the stage's kernel; `None` for input stages,
-    /// which have no compute module.
+    /// The kernel evaluated once per output pixel: the DAG stage's own
+    /// tree ([`imagen_ir::StageKind::Compute`]), shared, not copied.
+    /// `None` for input stages, which have no compute module.
+    pub kernel: Option<Arc<Expr>>,
+    /// Operator census of the stage's kernel; `None` for input stages.
     pub census: Option<OpCensus>,
+    /// Index into [`Structure::buffers`] of the line buffer the stage
+    /// writes; `None` when no consumer windows it.
+    pub buffer: Option<usize>,
     /// Whether the stage drives an output stream.
     pub is_output: bool,
     /// ILP start cycle.
@@ -174,14 +184,10 @@ impl Structure {
         })
     }
 
-    /// The half-open cycle window `[start, start + frame)` during which a
-    /// stage is enabled — the mirror of the ILP `Plan` enables, which the
-    /// stream-alignment prover replays symbolically.
-    pub fn enable_window(&self, stage: usize) -> Option<(u64, u64)> {
-        self.stages
-            .iter()
-            .find(|s| s.index == stage)
-            .map(|s| (s.start_cycle, s.start_cycle + self.frame))
+    /// Stage `index`, when the stage list holds it at its own position
+    /// (`None` for an index past the list or a stage filed elsewhere).
+    pub fn stage(&self, index: usize) -> Option<&NetStage> {
+        self.stages.get(index).filter(|s| s.index == index)
     }
 }
 
@@ -219,12 +225,12 @@ pub fn describe(dag: &Dag, design: &Design) -> Structure {
     let mut stages: Vec<NetStage> = Vec::with_capacity(dag.num_stages());
     let mut inputs = 0;
     for (id, stage) in dag.stages() {
-        let (input_stream, census) = match stage.kind() {
+        let (input_stream, kernel) = match stage.kind() {
             StageKind::Input => {
                 inputs += 1;
                 (Some(inputs - 1), None)
             }
-            StageKind::Compute { kernel } => (None, Some(kernel.op_census())),
+            StageKind::Compute { kernel } => (None, Some(Arc::clone(kernel))),
         };
         let (scale_x, scale_y) = scales[id.index()];
         stages.push(NetStage {
@@ -232,7 +238,9 @@ pub fn describe(dag: &Dag, design: &Design) -> Structure {
             name: stage.name().to_string(),
             sanitized: sanitize(stage.name()),
             input_stream,
-            census,
+            census: kernel.as_ref().map(|k| k.op_census()),
+            kernel,
+            buffer: None,
             is_output: stage.is_output(),
             start_cycle: *design.start_cycles.get(id.index()).unwrap_or(&0),
             scale_x,
@@ -253,7 +261,9 @@ pub fn describe(dag: &Dag, design: &Design) -> Structure {
     let buffers = design
         .buffers
         .iter()
-        .map(|plan| {
+        .enumerate()
+        .map(|(bi, plan)| {
+            stages[plan.stage].buffer = Some(bi);
             let width = (u64::from(geometry.width) / scales[plan.stage].0.max(1)) as u32;
             // Macros are sized in whole powers of two.
             let depth = (plan.rows_per_block as u64 * width as u64).next_power_of_two();

@@ -311,7 +311,7 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
         // instantiated at the buffer's address width and the pixel
         // datapath width.
         let sram_params = match &m.kind {
-            ModuleKind::LineBuffer(p) => st.buffers.get(p.buffer).map(|b| SramParams {
+            ModuleKind::LineBuffer(b) => st.buffers.get(*b).map(|b| SramParams {
                 aw: b.aw,
                 data_bits: net.widths.pixel_bits,
             }),

@@ -213,7 +213,7 @@ fn run(
         .structure
         .stages
         .iter()
-        .map(|s| net.stage_kernel(s.index))
+        .map(|s| s.kernel.as_deref())
         .collect();
     // Per-stage slot -> edge index lookup for kernel taps.
     let slot_edge: Vec<Vec<usize>> = net
