@@ -19,6 +19,8 @@ use imagen_analysis::{
 use imagen_rtl::BitWidths;
 
 /// Builds the analysis options the lint run assumes from the CLI flags.
+/// The input range is `--input-range`, else `0..2^N-1` for
+/// `--input-bits N`, else the default range.
 pub fn analysis_options(opts: &Options) -> AnalysisOptions {
     let geom = opts.geometry();
     let widths = if opts.wide {

@@ -94,6 +94,8 @@ LINT / CERTIFY OPTIONS:
     --deny warnings  exit nonzero on warnings, not just errors
     --format F       text | json                      [default: text]
     --input-range L:H  inclusive input pixel range    [default: 0:127]
+    --input-bits N   input pixel range 0:2^N-1; --input-range wins when
+                     both are given
     --wide           certify against 64/64 datapath widths
     --prove          (lint) also run translation validation and merge the
                      certificate's E05xx/W05xx diagnostics into the report

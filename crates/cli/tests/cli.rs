@@ -412,6 +412,36 @@ fn certify_proves_an_example_in_both_formats() {
     assert!(line.contains("\"obligations\":["), "{line}");
 }
 
+/// `lint` and `certify` read `--input-bits N` as the input range
+/// `0:2^N-1`, and `--input-range` wins when both are given; USAGE lists
+/// the flag under their options.
+#[test]
+fn input_bits_sets_the_analysis_input_range() {
+    let usage = stdout_of(&imagen(&["help"]));
+    let options = usage
+        .split("LINT / CERTIFY OPTIONS:")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("a LINT / CERTIFY OPTIONS section");
+    assert!(options.contains("--input-bits N"), "{options}");
+    for cmd in ["certify", "lint"] {
+        let run = |extra: &[&str]| {
+            let mut args = vec![cmd, "examples/unsharp_m.imagen", "--format", "json"];
+            args.extend(extra);
+            stdout_of(&imagen(&args))
+        };
+        let default = run(&[]);
+        let bits = run(&["--input-bits", "15"]);
+        assert_ne!(bits, default, "{cmd}: --input-bits changed nothing");
+        assert_eq!(bits, run(&["--input-range", "0:32767"]), "{cmd}");
+        assert_eq!(
+            run(&["--input-bits", "15", "--input-range", "0:127"]),
+            default,
+            "{cmd}: --input-range must win"
+        );
+    }
+}
+
 /// `--profile` reports the solver's work: every "solver pivots" line of
 /// a run (one pivot per network-simplex basis exchange) shows the same
 /// nonzero count, and a second run repeats it exactly.
