@@ -26,7 +26,7 @@ use imagen_algos::noise_bits;
 use imagen_bench::{best_ms, smoke_mode, timing_reps};
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
-use imagen_rtl::{build_netlist, describe, BitWidths, EvalProgram, ScheduleActivity};
+use imagen_rtl::{describe, EvalProgram, ScheduleActivity};
 use imagen_sim::Image;
 use std::path::Path;
 
@@ -85,8 +85,7 @@ fn main() {
                 .compile_source(&name, &src)
                 .unwrap_or_else(|e| panic!("{name} at {g}: {e}"))
         };
-        let out = compile_at(geom);
-        let net = build_netlist(&out.plan.dag, &out.plan.design, &BitWidths::default());
+        let net = compile_at(geom).netlist;
         let inputs: Vec<Image> = (0..net.structure.input_streams().len())
             .map(|k| {
                 let seed = 0x1234 + k as u64;
