@@ -309,8 +309,8 @@ fn missing_stage_or_kernel_is_refuted_as_unstatable() {
     assert_eq!(refuted_codes(&cert), ["E0507"], "{}", cert.render());
 
     // A gated netlist with a stage cut out of the middle of its list:
-    // every stage from there on sits at the wrong index, so it and the
-    // gates of its buffers are unstatable.
+    // every stage from there on sits at the wrong index and is
+    // unstatable, and the gates of their buffers state nothing.
     let mut cut = imagen_power::gate_clocks(&net);
     cut.structure.stages.remove(1);
     let cert = certify_netlist(&plan.dag, &cut, &options());
