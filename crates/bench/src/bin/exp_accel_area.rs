@@ -3,14 +3,14 @@
 //! and total-area savings of Ours+LC over FixyNN/Darkroom.
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, evaluate, geom_1080, geom_320, reduction_pct};
+use imagen_bench::{asic_backend, evaluate, geom_1080, geom_320, outln, reduction_pct};
 use imagen_mem::DesignStyle;
 
 fn main() {
     for (geom, label) in [(geom_320(), "320p"), (geom_1080(), "1080p")] {
-        println!("\n# Sec. 8.3 — Accelerator area @{label}\n");
-        println!("| Algorithm | style | total mm² | memory mm² | memory share |");
-        println!("|---|---|---|---|---|");
+        outln!("\n# Sec. 8.3 — Accelerator area @{label}\n");
+        outln!("| Algorithm | style | total mm² | memory mm² | memory share |");
+        outln!("|---|---|---|---|---|");
         let mut shares = Vec::new();
         let mut totals = Vec::new();
         let mut per_style: Vec<(DesignStyle, Vec<f64>)> = Vec::new();
@@ -26,7 +26,7 @@ fn main() {
                     Some((_, v)) => v.push(d.total_area_mm2()),
                     None => per_style.push((e.style, vec![d.total_area_mm2()])),
                 }
-                println!(
+                outln!(
                     "| {} | {} | {:.3} | {:.3} | {:.1}% |",
                     alg.name(),
                     e.style.label(),
@@ -37,12 +37,12 @@ fn main() {
             }
         }
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
+        outln!(
             "\nAverage memory share of total area (Ours): {:.1}% (paper: {} on average)",
             100.0 * avg(&shares),
             if geom.width == 480 { "79.8%" } else { "92.7%" }
         );
-        println!(
+        outln!(
             "Average total area (Ours): {:.2} mm² (paper: {} mm² average)",
             avg(&totals),
             if geom.width == 480 { "0.65" } else { "1.84" }
@@ -59,7 +59,7 @@ fn main() {
             style_avg(DesignStyle::FixyNn),
             style_avg(DesignStyle::Darkroom),
         ) {
-            println!(
+            outln!(
                 "Total-area saving of Ours{} vs FixyNN: {:+.1}% (paper: {}), vs Darkroom: {:+.1}% (paper: {})",
                 if geom.width == 480 { "+LC" } else { "" },
                 reduction_pct(fx, best),

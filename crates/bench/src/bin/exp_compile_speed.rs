@@ -8,7 +8,7 @@
 //! run and compiles the linearized DAG as a Darkroom design.
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, best_ms, geom_320};
+use imagen_bench::{asic_backend, best_ms, geom_320, outln};
 use imagen_core::{Compiler, Session};
 use imagen_ir::linearize;
 use imagen_mem::{DesignStyle, MemorySpec};
@@ -17,9 +17,9 @@ use imagen_schedule::ScheduleOptions;
 fn main() {
     let geom = geom_320();
     let backend = asic_backend();
-    println!("# Sec. 8.2 — Compilation speed @320p\n");
-    println!("| Algorithm | Ours (ms) | no pruning (ms) | pruning speedup | Darkroom (ms) | Ours vs Darkroom |");
-    println!("|---|---|---|---|---|---|");
+    outln!("# Sec. 8.2 — Compilation speed @320p\n");
+    outln!("| Algorithm | Ours (ms) | no pruning (ms) | pruning speedup | Darkroom (ms) | Ours vs Darkroom |");
+    outln!("|---|---|---|---|---|---|");
     let mut ours_all = Vec::new();
     let mut speedups = Vec::new();
     let mut vs_darkroom = Vec::new();
@@ -48,7 +48,7 @@ fn main() {
             speedups.push(speedup);
         }
         vs_darkroom.push(vs_dk);
-        println!(
+        outln!(
             "| {} | {:.2} | {:.2} | {:.2}x | {:.2} | {:+.1}% faster |",
             alg.name(),
             t_ours,
@@ -59,15 +59,15 @@ fn main() {
         );
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
+    outln!(
         "\nAverage compile time: {:.2} ms (paper: 14.5 ms)",
         avg(&ours_all)
     );
-    println!(
+    outln!(
         "Average pruning speedup on -m algorithms: {:.2}x (paper: 4x)",
         avg(&speedups)
     );
-    println!(
+    outln!(
         "Average speedup vs Darkroom linearization: {:+.1}% (paper: 37.4%)",
         avg(&vs_darkroom)
     );

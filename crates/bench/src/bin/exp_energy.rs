@@ -19,7 +19,7 @@
 //! Smoke mode shrinks further for CI.
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, lc_available, measure_point, smoke_mode, STYLES};
+use imagen_bench::{asic_backend, lc_available, measure_point, outln, smoke_mode, STYLES};
 use imagen_mem::{DesignStyle, ImageGeometry};
 
 fn main() {
@@ -43,17 +43,18 @@ fn main() {
         Algorithm::all().to_vec()
     };
 
-    println!(
+    outln!(
         "# exp_energy — analytic vs measured power (schedule activity), {}x{} frames\n",
-        geom.width, geom.height
+        geom.width,
+        geom.height
     );
-    println!("Measured columns count each design's events from its schedule");
-    println!("(per-bank reads/writes, enable duty) and price them with the same pJ");
-    println!("constants the analytic model uses. `gated` is the same design after");
-    println!("the clock-gating pass; `gated-off` is the schedule-counted number of");
-    println!("suppressed read-port cycles.\n");
-    println!("| Algorithm | style | analytic mW | measured mW | ratio | gated mW | saving % | gated-off cycles |");
-    println!("|---|---|---|---|---|---|---|---|");
+    outln!("Measured columns count each design's events from its schedule");
+    outln!("(per-bank reads/writes, enable duty) and price them with the same pJ");
+    outln!("constants the analytic model uses. `gated` is the same design after");
+    outln!("the clock-gating pass; `gated-off` is the schedule-counted number of");
+    outln!("suppressed read-port cycles.\n");
+    outln!("| Algorithm | style | analytic mW | measured mW | ratio | gated mW | saving % | gated-off cycles |");
+    outln!("|---|---|---|---|---|---|---|---|");
 
     let mut ratios: Vec<f64> = Vec::new();
     let mut m_savings: Vec<f64> = Vec::new();
@@ -68,7 +69,7 @@ fn main() {
             if alg.name().ends_with("-m") {
                 m_savings.push(p.gating_saving_pct());
             }
-            println!(
+            outln!(
                 "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {:.1} | {} |",
                 alg.name(),
                 style.label(),
@@ -88,18 +89,18 @@ fn main() {
         .fold((f64::INFINITY, 0.0_f64), |(lo, hi), &r| {
             (lo.min(r), hi.max(r))
         });
-    println!("\n### Summary\n");
-    println!(
+    outln!("\n### Summary\n");
+    outln!(
         "- measured/analytic ratio: avg {:.2}, range [{:.2}, {:.2}] — the two",
         avg(&ratios),
         lo,
         hi
     );
-    println!("  models share pJ constants and differ only in activity basis");
-    println!("  (per-block events counted from the schedule vs per-cycle rates).");
-    println!(
+    outln!("  models share pJ constants and differ only in activity basis");
+    outln!("  (per-block events counted from the schedule vs per-cycle rates).");
+    outln!(
         "- clock-gating saving on the `-m` pipelines: avg {:.1}% of measured power",
         avg(&m_savings)
     );
-    println!("  (FIFO buffers — SODA — are dataflow-clocked and stay ungated).");
+    outln!("  (FIFO buffers — SODA — are dataflow-clocked and stay ungated).");
 }

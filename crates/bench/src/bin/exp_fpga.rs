@@ -5,7 +5,7 @@
 //! (paper: 19.7%/5.8%/17.7% lower than FixyNN/Darkroom/SODA).
 
 use imagen_algos::Algorithm;
-use imagen_bench::{evaluate, geom_1080, reduction_pct, STYLES};
+use imagen_bench::{evaluate, geom_1080, outln, reduction_pct, STYLES};
 use imagen_mem::{DesignStyle, MemBackend};
 
 const BOARD_BRAMS: usize = 120;
@@ -13,16 +13,16 @@ const BOARD_BRAMS: usize = 120;
 fn main() {
     let geom = geom_1080();
     let backend = MemBackend::Fpga;
-    println!("# Sec. 8.3/8.4 — FPGA backend @1080p (36 Kbit BRAMs, {BOARD_BRAMS}-block board)\n");
-    println!("| Algorithm | style | BRAM blocks | board share | memory power (mW) |");
-    println!("|---|---|---|---|---|");
+    outln!("# Sec. 8.3/8.4 — FPGA backend @1080p (36 Kbit BRAMs, {BOARD_BRAMS}-block board)\n");
+    outln!("| Algorithm | style | BRAM blocks | board share | memory power (mW) |");
+    outln!("|---|---|---|---|---|");
     let mut per_style: Vec<(DesignStyle, Vec<f64>, Vec<f64>)> = STYLES
         .iter()
         .map(|&s| (s, Vec::new(), Vec::new()))
         .collect();
     for alg in Algorithm::all() {
         for e in evaluate(alg, &geom, backend) {
-            println!(
+            outln!(
                 "| {} | {} | {} | {:.1}% | {:.2} |",
                 alg.name(),
                 e.style.label(),
@@ -42,19 +42,19 @@ fn main() {
     let (_, fx_b, fx_p) = get(DesignStyle::FixyNn);
     let (_, dk_b, dk_p) = get(DesignStyle::Darkroom);
     let (_, soda_b, soda_p) = get(DesignStyle::Soda);
-    println!("\n### Averages\n");
-    println!(
+    outln!("\n### Averages\n");
+    outln!(
         "- BRAM block share: Ours {:.1}% vs Darkroom {:.1}% of the board (paper: 37.5% vs 41.8%)",
         100.0 * avg(ours_b) / BOARD_BRAMS as f64,
         100.0 * avg(dk_b) / BOARD_BRAMS as f64
     );
-    println!(
+    outln!(
         "- BRAM usage: Ours vs FixyNN {:+.1}% (paper 28.1%), vs Darkroom {:+.1}% (paper 10.2%), vs SODA {:+.1}% (paper -22.8%, i.e. SODA smaller)",
         reduction_pct(avg(fx_b), avg(ours_b)),
         reduction_pct(avg(dk_b), avg(ours_b)),
         reduction_pct(avg(soda_b), avg(ours_b)),
     );
-    println!(
+    outln!(
         "- Memory power: Ours vs FixyNN {:+.1}% (paper 19.7%), vs Darkroom {:+.1}% (paper 5.8%), vs SODA {:+.1}% (paper 17.7%)",
         reduction_pct(avg(fx_p), avg(ours_p)),
         reduction_pct(avg(dk_p), avg(ours_p)),

@@ -23,7 +23,7 @@
 //! numbers; machine noise of tens of percent run-to-run is normal.
 
 use imagen_algos::noise_bits;
-use imagen_bench::{best_ms, smoke_mode, timing_reps};
+use imagen_bench::{best_ms, outln, smoke_mode, timing_reps};
 use imagen_core::Compiler;
 use imagen_mem::{ImageGeometry, MemBackend, MemorySpec};
 use imagen_rtl::{describe, EvalProgram, ScheduleActivity};
@@ -67,14 +67,18 @@ fn main() {
         height: 8 * geom.height,
         ..geom
     };
-    println!("# Netlist executor timing (compiled evaluation program)");
-    println!(
+    outln!("# Netlist executor timing (compiled evaluation program)");
+    outln!(
         "geometry {geom} (tall: {tall}), best of {} reps, ms\n",
         timing_reps()
     );
-    println!(
+    outln!(
         "{:<18} {:>9} {:>9} {:>12} {:>9}",
-        "pipeline", "untraced", "schedule", "schedule 8xH", "compile"
+        "pipeline",
+        "untraced",
+        "schedule",
+        "schedule 8xH",
+        "compile"
     );
 
     let spec = MemorySpec::new(MemBackend::asic_default(), 2);
@@ -112,12 +116,12 @@ fn main() {
         let compile = best_ms(|| EvalProgram::compile(&net).unwrap());
 
         tall_ratios.push(schedule_tall / schedule);
-        println!("{name:<18} {untraced:>9.3} {schedule:>9.3} {schedule_tall:>12.3} {compile:>9.4}");
+        outln!("{name:<18} {untraced:>9.3} {schedule:>9.3} {schedule_tall:>12.3} {compile:>9.4}");
     }
 
     let geomean =
         (tall_ratios.iter().map(|r| r.ln()).sum::<f64>() / tall_ratios.len() as f64).exp();
-    println!(
+    outln!(
         "\nprogram timing geomean: schedule 8xH/schedule {geomean:.2}x over {} pipelines",
         tall_ratios.len()
     );

@@ -4,7 +4,7 @@
 //! fits in 84 BRAM blocks.
 
 use imagen_algos::Algorithm;
-use imagen_bench::{generate, geom_320};
+use imagen_bench::{generate, geom_320, outln};
 use imagen_mem::{DesignStyle, MemBackend};
 
 const BOARD_BRAMS: usize = 120;
@@ -22,9 +22,9 @@ fn main() {
         Algorithm::XcorrM,
         Algorithm::DenoiseM,
     ];
-    println!("# Sec. 8.3 — six algorithms on one {BOARD_BRAMS}-BRAM board @320p\n");
-    println!("| Style | total BRAM blocks | fits? |");
-    println!("|---|---|---|");
+    outln!("# Sec. 8.3 — six algorithms on one {BOARD_BRAMS}-BRAM board @320p\n");
+    outln!("| Style | total BRAM blocks | fits? |");
+    outln!("|---|---|---|");
     for style in [
         DesignStyle::FixyNn,
         DesignStyle::Darkroom,
@@ -36,13 +36,13 @@ fn main() {
             .iter()
             .map(|&a| generate(a, style, &geom, backend).design.block_count())
             .sum();
-        println!(
+        outln!(
             "| {} | {} | {} |",
             style.label(),
             total,
             if total <= BOARD_BRAMS { "yes" } else { "no" }
         );
     }
-    println!("\nPaper: FixyNN and Darkroom exceed the 120-block budget; Ours+LC");
-    println!("fits all six algorithms using 84 blocks.");
+    outln!("\nPaper: FixyNN and Darkroom exceed the 120-block budget; Ours+LC");
+    outln!("fits all six algorithms using 84 blocks.");
 }

@@ -7,7 +7,7 @@
 //! (`imagen-rtl`'s `ScheduleActivity` vs `imagen-sim`'s annotations).
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, generate, smoke_mode, test_frame};
+use imagen_bench::{asic_backend, generate, outln, smoke_mode, test_frame};
 use imagen_mem::{BramModel, DesignStyle, ImageGeometry};
 use imagen_rtl::{describe, ScheduleActivity};
 use imagen_sim::simulate_and_annotate;
@@ -29,12 +29,12 @@ fn main() {
             pixel_bits: 16,
         }
     };
-    println!(
+    outln!(
         "# Sec. 8.4 — access-rate breakdown (simulated, {}-wide frames)\n",
         geom.width
     );
-    println!("| Algorithm | style | blocks | avg accesses/block/cycle | schedule-counted | max block rate |");
-    println!("|---|---|---|---|---|---|");
+    outln!("| Algorithm | style | blocks | avg accesses/block/cycle | schedule-counted | max block rate |");
+    outln!("|---|---|---|---|---|---|");
     for alg in [Algorithm::UnsharpM, Algorithm::DenoiseM, Algorithm::CannyM] {
         for style in [DesignStyle::Soda, DesignStyle::Ours, DesignStyle::FixyNn] {
             let mut plan = generate(alg, style, &geom, asic_backend());
@@ -80,7 +80,7 @@ fn main() {
                     style.label()
                 );
             }
-            println!(
+            outln!(
                 "| {} | {} | {} | {:.2} | {:.2} | {:.2} |",
                 alg.name(),
                 style.label(),
@@ -91,9 +91,9 @@ fn main() {
             );
         }
     }
-    println!(
+    outln!(
         "\nBRAM power model check: two accesses/cycle costs {:.1}% more than one",
         100.0 * (BramModel::power_mw(2.0) / BramModel::power_mw(1.0) - 1.0)
     );
-    println!("(paper's FPGA measurement: ~35%).");
+    outln!("(paper's FPGA measurement: ~35%).");
 }

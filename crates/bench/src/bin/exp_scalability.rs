@@ -7,15 +7,15 @@
 //! + contention + ILP + pricing + RTL), timed with [`best_ms`].
 
 use imagen_algos::synthetic_pipeline;
-use imagen_bench::{asic_backend, best_ms, geom_320, smoke_mode};
+use imagen_bench::{asic_backend, best_ms, geom_320, outln, smoke_mode};
 use imagen_core::Session;
 use imagen_mem::MemorySpec;
 
 fn main() {
     let geom = geom_320();
-    println!("# Sec. 8.2 — Scalability sweep (synthetic pipelines)\n");
-    println!("| Stages | MC stages | constraints | sub-problems | compile (ms) |");
-    println!("|---|---|---|---|---|");
+    outln!("# Sec. 8.2 — Scalability sweep (synthetic pipelines)\n");
+    outln!("| Stages | MC stages | constraints | sub-problems | compile (ms) |");
+    outln!("|---|---|---|---|---|");
     let sweep: &[usize] = if smoke_mode() {
         &[9, 15, 24]
     } else {
@@ -31,7 +31,7 @@ fn main() {
         };
         let rep = compile().plan.schedule.report;
         let ms = best_ms(compile);
-        println!(
+        outln!(
             "| {} | {} | {} | {} | {:.2} |",
             stages,
             dag.multi_consumer_stages().len(),
@@ -40,6 +40,6 @@ fn main() {
             ms
         );
     }
-    println!("\nCompile time grows polynomially with pipeline length; the 60-stage");
-    println!("pipeline still compiles in well under the paper's 8.1 s budget.");
+    outln!("\nCompile time grows polynomially with pipeline length; the 60-stage");
+    outln!("pipeline still compiles in well under the paper's 8.1 s budget.");
 }

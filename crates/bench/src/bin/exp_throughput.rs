@@ -4,15 +4,15 @@
 //! average latency at no memory/power cost).
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, generate, geom_320, test_frame};
+use imagen_bench::{asic_backend, generate, geom_320, outln, test_frame};
 use imagen_mem::DesignStyle;
 use imagen_sim::simulate;
 
 fn main() {
     let geom = geom_320();
-    println!("# Sec. 8.1 — Throughput and latency @320p\n");
-    println!("| Algorithm | px/cycle | clean sim | latency Ours | vs Darkroom | vs SODA |");
-    println!("|---|---|---|---|---|---|");
+    outln!("# Sec. 8.1 — Throughput and latency @320p\n");
+    outln!("| Algorithm | px/cycle | clean sim | latency Ours | vs Darkroom | vs SODA |");
+    outln!("|---|---|---|---|---|---|");
     let mut rel_dk = Vec::new();
     let mut rel_soda = Vec::new();
     for alg in Algorithm::all() {
@@ -38,7 +38,7 @@ fn main() {
         let d_soda = 100.0 * (l_ours - l_soda) as f64 / l_soda as f64;
         rel_dk.push(d_dk);
         rel_soda.push(d_soda);
-        println!(
+        outln!(
             "| {} | {:.3} | {} | {} | {:+.3}% | {:+.3}% |",
             alg.name(),
             report.throughput_px_per_cycle,
@@ -49,12 +49,12 @@ fn main() {
         );
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    println!(
+    outln!(
         "\nAverage latency increase: vs Darkroom {:+.3}%, vs SODA {:+.3}% (paper: +0.01%)",
         avg(&rel_dk),
         avg(&rel_soda)
     );
-    println!("\nEvery design sustains exactly one pixel per cycle in steady state —");
-    println!("the simulator found no port conflicts or residency violations, so the");
-    println!("pipeline never stalls (requirements R1–R3 of Sec. 5.1).");
+    outln!("\nEvery design sustains exactly one pixel per cycle in steady state —");
+    outln!("the simulator found no port conflicts or residency violations, so the");
+    outln!("pipeline never stalls (requirements R1–R3 of Sec. 5.1).");
 }

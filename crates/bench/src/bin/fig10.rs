@@ -7,7 +7,7 @@
 //! * Denoise-m has *two* Pareto-optimal designs (all-DP and all-DPLC).
 
 use imagen_algos::Algorithm;
-use imagen_bench::{asic_backend, geom_320};
+use imagen_bench::{asic_backend, geom_320, outln};
 use imagen_dse::sweep;
 
 fn main() {
@@ -16,13 +16,13 @@ fn main() {
         let dag = alg.build();
         let res = sweep(&dag, &geom, asic_backend()).expect("sweep");
         let front = res.pareto_front();
-        println!(
+        outln!(
             "\n## Fig. 10 — {} DSE ({} design points)\n",
             alg.name(),
             res.points.len()
         );
-        println!("| Design | DPLC stages | Area (mm²) | Power (mW) | Pareto |");
-        println!("|---|---|---|---|---|");
+        outln!("| Design | DPLC stages | Area (mm²) | Power (mW) | Pareto |");
+        outln!("|---|---|---|---|---|");
         let all_dp = 0usize;
         let all_dplc = res.points.len() - 1;
         // Many configurations tie at identical (area, power); show one
@@ -57,7 +57,7 @@ fn main() {
             } else {
                 ""
             };
-            println!(
+            outln!(
                 "| p{}{} | {} | {:.3} | {:.2} | {} |",
                 i,
                 tag,
@@ -67,19 +67,19 @@ fn main() {
                 if front.contains(&i) { "yes" } else { "no" }
             );
         }
-        println!(
+        outln!(
             "\nPareto frontier: {} distinct (area, power) value(s) over {} frontier configuration(s)",
             distinct.len(),
             front.len(),
         );
         if alg == Algorithm::CannyM {
             let dominated = !front.contains(&all_dplc);
-            println!(
+            outln!(
                 "All-DPLC dominated: {} (paper: yes — Fig. 10a's P4)",
                 dominated
             );
         } else {
-            println!(
+            outln!(
                 "All-DPLC on frontier: {} (paper: yes — Fig. 10b's P2)",
                 front.contains(&all_dplc)
             );

@@ -1,7 +1,9 @@
 //! Reproduces **Fig. 8a**: on-chip SRAM size (KB) of the five generators
 //! on 320p frames, per algorithm plus the average, on the ASIC backend.
 
-use imagen_bench::{asic_backend, figure_matrix, geom_320, print_matrix, reduction_pct, STYLES};
+use imagen_bench::{
+    asic_backend, figure_matrix, geom_320, outln, print_matrix, reduction_pct, STYLES,
+};
 use imagen_mem::DesignStyle;
 
 fn main() {
@@ -30,28 +32,28 @@ fn main() {
         avg(DesignStyle::Ours),
         avg(DesignStyle::OursLc),
     );
-    println!("\n### Headline comparisons (paper values in parentheses)\n");
-    println!(
+    outln!("\n### Headline comparisons (paper values in parentheses)\n");
+    outln!(
         "- Ours vs FixyNN:    {:+.1}% reduction (paper 28.0%)",
         reduction_pct(fx, ours)
     );
-    println!(
+    outln!(
         "- Ours vs Darkroom:  {:+.1}% reduction (paper 10.2%)",
         reduction_pct(dk, ours)
     );
-    println!(
+    outln!(
         "- Ours vs SODA:      {:+.1}% larger (paper +31.0%)",
         100.0 * (ours - soda) / soda
     );
-    println!(
+    outln!(
         "- Ours+LC vs FixyNN: {:+.1}% reduction (paper 86.0%)",
         reduction_pct(fx, lc)
     );
-    println!(
+    outln!(
         "- Ours+LC vs Darkroom: {:+.1}% reduction (paper 56.8%)",
         reduction_pct(dk, lc)
     );
-    println!(
+    outln!(
         "- Ours+LC vs SODA:   {:+.1}% reduction (paper 28.5%)",
         reduction_pct(soda, lc)
     );

@@ -2,8 +2,8 @@
 //! generators on 320p frames, ASIC backend.
 
 use imagen_bench::{
-    asic_backend, figure_matrix, geom_320, print_matrix, print_measured_matrix, reduction_pct,
-    STYLES,
+    asic_backend, figure_matrix, geom_320, outln, print_matrix, print_measured_matrix,
+    reduction_pct, STYLES,
 };
 use imagen_mem::DesignStyle;
 
@@ -45,19 +45,19 @@ fn main() {
         avg(DesignStyle::Soda),
         avg(DesignStyle::Ours),
     );
-    println!("\n### Headline comparisons (paper values in parentheses)\n");
-    println!(
+    outln!("\n### Headline comparisons (paper values in parentheses)\n");
+    outln!(
         "- Ours vs FixyNN:   {:+.1}% lower power (paper 7.8%)",
         reduction_pct(fx, ours)
     );
-    println!(
+    outln!(
         "- Ours vs Darkroom: {:+.1}% lower power (paper 13.8%)",
         reduction_pct(dk, ours)
     );
-    println!(
+    outln!(
         "- Ours vs SODA:     {:+.1}% lower power (paper 56.0%)",
         reduction_pct(soda, ours)
     );
-    println!("\nNote: Ours beats SODA on power despite using more SRAM — SODA's");
-    println!("FIFOs serve two accesses per block every cycle (Sec. 8.4).");
+    outln!("\nNote: Ours beats SODA on power despite using more SRAM — SODA's");
+    outln!("FIFOs serve two accesses per block every cycle (Sec. 8.4).");
 }

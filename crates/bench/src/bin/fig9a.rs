@@ -3,8 +3,8 @@
 //! — so the `Ours+LC` column is absent, as in the paper.
 
 use imagen_bench::{
-    asic_backend, figure_matrix, geom_1080, geom_320, lc_available, print_matrix, reduction_pct,
-    STYLES,
+    asic_backend, figure_matrix, geom_1080, geom_320, lc_available, outln, print_matrix,
+    reduction_pct, STYLES,
 };
 use imagen_mem::DesignStyle;
 
@@ -28,12 +28,12 @@ fn main() {
         }
         sum / n as f64
     };
-    println!("\n### Headline comparisons (paper values in parentheses)\n");
-    println!(
+    outln!("\n### Headline comparisons (paper values in parentheses)\n");
+    outln!(
         "- Ours vs FixyNN:   {:+.1}% reduction (paper ~28%)",
         reduction_pct(avg(DesignStyle::FixyNn), avg(DesignStyle::Ours))
     );
-    println!(
+    outln!(
         "- Ours vs Darkroom: {:+.1}% reduction (paper ~10%)",
         reduction_pct(avg(DesignStyle::Darkroom), avg(DesignStyle::Ours))
     );
@@ -52,7 +52,7 @@ fn main() {
     let (_, _, _, points_1080) = figure_matrix(&geom, asic_backend());
     let sum320: f64 = points.iter().map(|p| used(p, DesignStyle::Ours)).sum();
     let sum1080: f64 = points_1080.iter().map(|p| used(p, DesignStyle::Ours)).sum();
-    println!(
+    outln!(
         "- Stored pixel bits (Ours, all algos): {:.1} KB @320p vs {:.1} KB @1080p ({:.1}x — rows are 4x wider)",
         sum320,
         sum1080,

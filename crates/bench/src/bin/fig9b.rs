@@ -2,8 +2,8 @@
 //! `Ours+LC` column, as in the paper).
 
 use imagen_bench::{
-    asic_backend, figure_matrix, geom_1080, print_matrix, print_measured_matrix, reduction_pct,
-    STYLES,
+    asic_backend, figure_matrix, geom_1080, outln, print_matrix, print_measured_matrix,
+    reduction_pct, STYLES,
 };
 use imagen_mem::DesignStyle;
 
@@ -40,16 +40,16 @@ fn main() {
         }
         sum / n as f64
     };
-    println!("\n### Headline comparisons (paper values in parentheses)\n");
-    println!(
+    outln!("\n### Headline comparisons (paper values in parentheses)\n");
+    outln!(
         "- Ours vs FixyNN:   {:+.1}% lower power (paper 7.8%)",
         reduction_pct(avg(DesignStyle::FixyNn), avg(DesignStyle::Ours))
     );
-    println!(
+    outln!(
         "- Ours vs Darkroom: {:+.1}% lower power (paper 13.8%)",
         reduction_pct(avg(DesignStyle::Darkroom), avg(DesignStyle::Ours))
     );
-    println!(
+    outln!(
         "- Ours vs SODA:     {:+.1}% lower power (paper 56.0%)",
         reduction_pct(avg(DesignStyle::Soda), avg(DesignStyle::Ours))
     );

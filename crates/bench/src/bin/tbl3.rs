@@ -2,11 +2,12 @@
 //! multiple-consumer stage counts.
 
 use imagen_algos::Algorithm;
+use imagen_bench::outln;
 
 fn main() {
-    println!("# Tbl. 3 — Evaluation algorithms\n");
-    println!("| Algorithm | Description | # Stages | # of MC Stages | Max window |");
-    println!("|---|---|---|---|---|");
+    outln!("# Tbl. 3 — Evaluation algorithms\n");
+    outln!("| Algorithm | Description | # Stages | # of MC Stages | Max window |");
+    outln!("|---|---|---|---|---|");
     for alg in Algorithm::all() {
         let dag = alg.build();
         let desc = match alg {
@@ -26,7 +27,7 @@ fn main() {
             .map(|(_, e)| e.window().width())
             .max()
             .unwrap_or(1);
-        println!(
+        outln!(
             "| {} | {} | {} | {} | {}x{} |",
             alg.name(),
             desc,
@@ -41,5 +42,5 @@ fn main() {
             alg.expected_multi_consumer()
         );
     }
-    println!("\nAll counts match the paper's Tbl. 3.");
+    outln!("\nAll counts match the paper's Tbl. 3.");
 }

@@ -29,7 +29,46 @@ use imagen_core::Compiler;
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
 use imagen_schedule::Plan;
 use imagen_sim::Image;
+use std::io::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout: every experiment binary prints through here (as
+/// [`out!`] and [`outln!`]), because `print!` panics when the reader has
+/// gone away (`tbl3 | head -1`). After the first failed write nothing
+/// more is written and the binary finishes its work, exiting 0; a
+/// failure other than a closed reader is reported once on stderr.
+pub fn write_stdout(args: std::fmt::Arguments) {
+    static FAILED: AtomicBool = AtomicBool::new(false);
+    if FAILED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        FAILED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+        }
+    }
+}
 
 /// One evaluated (algorithm × generator) point.
 #[derive(Clone, Debug)]
@@ -232,41 +271,41 @@ pub fn print_matrix(
     rows: &[Vec<Option<f64>>],
     styles: &[DesignStyle],
 ) {
-    println!("\n## {title} ({unit})\n");
-    print!("| Algorithm |");
+    outln!("\n## {title} ({unit})\n");
+    out!("| Algorithm |");
     for s in styles {
-        print!(" {} |", s.label());
+        out!(" {} |", s.label());
     }
-    println!();
-    print!("|---|");
+    outln!();
+    out!("|---|");
     for _ in styles {
-        print!("---|");
+        out!("---|");
     }
-    println!();
+    outln!();
     let mut sums = vec![(0.0, 0usize); styles.len()];
     for (a, row) in algos.iter().zip(rows) {
-        print!("| {} |", a.name());
+        out!("| {} |", a.name());
         for (i, v) in row.iter().enumerate() {
             match v {
                 Some(v) => {
-                    print!(" {v:.1} |");
+                    out!(" {v:.1} |");
                     sums[i].0 += v;
                     sums[i].1 += 1;
                 }
-                None => print!(" — |"),
+                None => out!(" — |"),
             }
         }
-        println!();
+        outln!();
     }
-    print!("| **Average** |");
+    out!("| **Average** |");
     for (s, n) in &sums {
         if *n > 0 {
-            print!(" **{:.1}** |", s / *n as f64);
+            out!(" **{:.1}** |", s / *n as f64);
         } else {
-            print!(" — |");
+            out!(" — |");
         }
     }
-    println!();
+    outln!();
 }
 
 /// Percentage reduction of `ours` relative to `base` (positive = ours
@@ -384,7 +423,7 @@ pub fn print_measured_matrix(
         measured.push(row);
     }
     print_matrix(title, "mW", algos, &measured, &STYLES);
-    println!(
+    outln!(
         "\nClock gating (imagen-power) removes on average {:.1}% of the measured memory power.",
         savings.iter().sum::<f64>() / savings.len().max(1) as f64
     );

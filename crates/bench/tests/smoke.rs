@@ -4,9 +4,11 @@
 //! This guards the whole experiment surface — any binary that stops
 //! compiling fails `cargo build`, and any binary that panics on its
 //! shrunken workload fails here, without CI paying for the full
-//! paper-scale runs.
+//! paper-scale runs. Each binary also runs once with its stdout reader
+//! already closed (`tbl3 | head -0`), where it must stop printing, not
+//! panic.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run_smoke(exe: &str, expect_stdout: &str) {
     let out = Command::new(exe)
@@ -26,11 +28,32 @@ fn run_smoke(exe: &str, expect_stdout: &str) {
     );
 }
 
+/// Runs `exe` in smoke mode with stdout a pipe whose read end is closed
+/// before it starts, so its first write fails.
+fn run_with_closed_stdout(exe: &str) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(exe)
+        .env("IMAGEN_SMOKE", "1")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && !stderr.contains("panicked"),
+        "{exe} with a closed stdout exited with {:?}\n--- stderr ---\n{stderr}",
+        out.status.code()
+    );
+}
+
 macro_rules! smoke_tests {
     ($($name:ident => $expect:expr;)*) => {$(
         #[test]
         fn $name() {
-            run_smoke(env!(concat!("CARGO_BIN_EXE_", stringify!($name))), $expect);
+            let exe = env!(concat!("CARGO_BIN_EXE_", stringify!($name)));
+            run_smoke(exe, $expect);
+            run_with_closed_stdout(exe);
         }
     )*};
 }

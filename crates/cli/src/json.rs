@@ -5,8 +5,14 @@
 //! same request always yields byte-identical response text, which the
 //! serve tests rely on when comparing a threaded run against a
 //! sequential one.
+//!
+//! Both directions work on bytes: the parser and the writer copy each
+//! run of text that needs no escape with one `push_str`, and the parser
+//! looks at characters only to name one in an error. Error offsets count
+//! characters, not bytes.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -23,6 +29,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// One value already rendered as JSON text, written verbatim: the
+    /// batch server renders each certificate once and shares the text.
+    /// Lookups see it as opaque.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -70,7 +80,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the value's one-line text to `out`.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -86,23 +97,7 @@ impl Json {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -119,14 +114,42 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
                 out.push('}');
             }
+            Json::Raw(text) => out.push_str(text),
         }
     }
+}
+
+/// Appends `s` as a JSON string literal. Every byte that needs an escape
+/// is ASCII, so the runs between them are copied whole.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Builder for response objects (ordered, chainable).
@@ -159,53 +182,58 @@ const MAX_DEPTH: usize = 64;
 /// Parses one JSON document, requiring it to span the whole input.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
-        chars: src.chars().collect(),
+        src,
         at: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.at != p.chars.len() {
-        return Err(format!("trailing content at offset {}", p.at));
+    if p.at != src.len() {
+        let offset = src[..p.at].chars().count();
+        return Err(format!("trailing content at offset {offset}"));
     }
     Ok(v)
 }
 
-struct Parser {
-    chars: Vec<char>,
+struct Parser<'a> {
+    src: &'a str,
+    /// Byte offset of the next unread character.
     at: usize,
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.at).copied()
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.at).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.at += 1;
-        }
-        c
+    /// The character at the cursor, as error texts name it.
+    fn found(&self) -> Option<char> {
+        self.src[self.at..].chars().next()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\r' | '\n')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.at += 1;
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            other => Err(format!("expected `{want}`, found {other:?}")),
+    fn expect(&mut self, want: u8) -> Result<(), String> {
+        if self.peek() == Some(want) {
+            self.at += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected `{}`, found {:?}",
+                want as char,
+                self.found()
+            ))
         }
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        for want in word.chars() {
+        for want in word.bytes() {
             self.expect(want)?;
         }
         Ok(value)
@@ -224,115 +252,128 @@ impl Parser {
     fn value_inner(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('n') => self.keyword("null", Json::Null),
-            Some('t') => self.keyword("true", Json::Bool(true)),
-            Some('f') => self.keyword("false", Json::Bool(false)),
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('[') => {
-                self.bump();
+            Some(b'n') => self.keyword("null", Json::Null),
+            Some(b't') => self.keyword("true", Json::Bool(true)),
+            Some(b'f') => self.keyword("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'[') => {
+                self.at += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(']') {
-                    self.bump();
+                if self.peek() == Some(b']') {
+                    self.at += 1;
                     return Ok(Json::Arr(items));
                 }
                 loop {
                     items.push(self.value()?);
                     self.skip_ws();
-                    match self.bump() {
-                        Some(',') => {}
-                        Some(']') => return Ok(Json::Arr(items)),
-                        other => return Err(format!("expected `,` or `]`, found {other:?}")),
+                    match self.peek() {
+                        Some(b',') => self.at += 1,
+                        Some(b']') => {
+                            self.at += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(format!("expected `,` or `]`, found {:?}", self.found())),
                     }
                 }
             }
-            Some('{') => {
-                self.bump();
+            Some(b'{') => {
+                self.at += 1;
                 let mut members = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some('}') {
-                    self.bump();
+                if self.peek() == Some(b'}') {
+                    self.at += 1;
                     return Ok(Json::Obj(members));
                 }
                 loop {
                     self.skip_ws();
                     let key = self.string()?;
                     self.skip_ws();
-                    self.expect(':')?;
+                    self.expect(b':')?;
                     members.push((key, self.value()?));
                     self.skip_ws();
-                    match self.bump() {
-                        Some(',') => {}
-                        Some('}') => return Ok(Json::Obj(members)),
-                        other => return Err(format!("expected `,` or `}}`, found {other:?}")),
+                    match self.peek() {
+                        Some(b',') => self.at += 1,
+                        Some(b'}') => {
+                            self.at += 1;
+                            return Ok(Json::Obj(members));
+                        }
+                        _ => return Err(format!("expected `,` or `}}`, found {:?}", self.found())),
                     }
                 }
             }
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?}")),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(format!("unexpected {:?}", self.found())),
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        // Surrogate pairs are not needed by the protocol;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
+            let rest = &self.src[self.at..];
+            let end = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&rest[..end]);
+            self.at += end + 1;
+            if rest.as_bytes()[end] == b'"' {
+                return Ok(out);
             }
+            let unescaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        self.at += 1;
+                        let d = self
+                            .peek()
+                            .and_then(|b| char::from(b).to_digit(16))
+                            .ok_or("bad \\u escape")?;
+                        code = code * 16 + d;
+                    }
+                    // Surrogate pairs are not needed by the protocol;
+                    // map lone surrogates to the replacement char.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                _ => return Err(format!("bad escape {:?}", self.found())),
+            };
+            self.at += 1;
+            out.push(unescaped);
         }
     }
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.at;
-        if self.peek() == Some('-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
-        if self.peek() == Some('.') {
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
+        let digits = |p: &mut Self| {
+            while matches!(p.peek(), Some(b'0'..=b'9')) {
+                p.at += 1;
             }
+        };
+        if self.peek() == Some(b'-') {
+            self.at += 1;
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
-            self.bump();
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.bump();
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+        digits(self);
+        if self.peek() == Some(b'.') {
+            self.at += 1;
+            digits(self);
         }
-        let text: String = self.chars[start..self.at].iter().collect();
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.at += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.at += 1;
+            }
+            digits(self);
+        }
+        let text = &self.src[start..self.at];
         // Integer literals must be exactly representable in the f64
         // value model (|n| <= 2^53): beyond that, parsing would silently
         // round and the server would act on a different number than the
@@ -402,6 +443,98 @@ mod tests {
         assert!(parse("{}x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    /// Every malformed input answers with the text and the character
+    /// offset the `Vec<char>` parser gave it, non-ASCII text included.
+    #[test]
+    fn error_texts_are_pinned() {
+        for (src, want) in [
+            (r#"{"a":1} é"#, "trailing content at offset 8"),
+            (r#"{"é":tru}"#, "expected `e`, found Some('}')"),
+            (r#""\q""#, "bad escape Some('q')"),
+            (r#""\é""#, "bad escape Some('é')"),
+            (r#""\u12""#, "bad \\u escape"),
+            (r#""\u00é1""#, "bad \\u escape"),
+            ("[1,]", "unexpected Some(']')"),
+            ("é", "unexpected Some('é')"),
+            ("[", "unexpected None"),
+            (
+                "-",
+                "integer `-` is outside the exactly-representable range",
+            ),
+            (
+                "--1",
+                "integer `-` is outside the exactly-representable range",
+            ),
+            (
+                "9007199254740993",
+                "integer `9007199254740993` is outside the exactly-representable range",
+            ),
+            (
+                "-9007199254740993",
+                "integer `-9007199254740993` is outside the exactly-representable range",
+            ),
+            ("1e", "bad number `1e`: invalid float literal"),
+            ("1.5.3", "trailing content at offset 3"),
+            (r#""abc"#, "unterminated string"),
+            (r#""é\"#, "bad escape None"),
+            (r#"{"a" 1}"#, "expected `:`, found Some('1')"),
+            ("[1 2]", "expected `,` or `]`, found Some('2')"),
+            (r#"{"a":1 "b"}"#, "expected `,` or `}`, found Some('\"')"),
+            ("{1:2}", "expected `\"`, found Some('1')"),
+            (r#"{"a":1,}"#, "expected `\"`, found Some('}')"),
+            ("{", "expected `\"`, found None"),
+            ("tx", "expected `r`, found Some('x')"),
+            ("nul", "expected `l`, found None"),
+            (r#"{"é":1,"ü":[tru"#, "expected `e`, found None"),
+            (
+                r#"{"a":[1,{"b":"é"}],"c":"é"} x"#,
+                "trailing content at offset 28",
+            ),
+            (r#""é" é"#, "trailing content at offset 4"),
+            ("[1,2]]", "trailing content at offset 5"),
+            (&"[".repeat(65), "nesting deeper than 64"),
+        ] {
+            assert_eq!(parse(src), Err(want.to_string()), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn every_escape_class_round_trips() {
+        let text = "quote \" backslash \\ slash / nl \n cr \r tab \t bs \u{8} ff \u{c} \
+                    nul \u{0} us \u{1f} del \u{7f} é ü 漢字 🦀";
+        let line = Json::Str(text.into()).to_line();
+        assert_eq!(
+            line,
+            "\"quote \\\" backslash \\\\ slash / nl \\n cr \\r tab \\t bs \\u0008 ff \\u000c \
+             nul \\u0000 us \\u001f del \u{7f} é ü 漢字 🦀\""
+        );
+        assert_eq!(parse(&line), Ok(Json::Str(text.into())));
+        // Every escape the parser accepts, `\u` in both cases.
+        assert_eq!(
+            parse(r#""\"\\\/\b\f\n\r\téé\ud800x""#),
+            Ok(Json::Str("\"\\/\u{8}\u{c}\n\r\té\u{e9}\u{fffd}x".into()))
+        );
+        // Keys escape like values.
+        let obj = Json::Obj(vec![("k\"é\n".into(), Json::Str("v".into()))]);
+        assert_eq!(obj.to_line(), r#"{"k\"é\n":"v"}"#);
+        assert_eq!(parse(&obj.to_line()), Ok(obj));
+    }
+
+    #[test]
+    fn raw_fragments_are_written_verbatim() {
+        let cert: Arc<str> = r#"{"status":"proved","obligations":[{"detail":"a\"b"}]}"#.into();
+        let resp = Json::Obj(vec![
+            ("id".into(), Json::Num(3.0)),
+            ("certificate".into(), Json::Raw(Arc::clone(&cert))),
+            ("tail".into(), Json::Arr(vec![Json::Raw("1.50".into())])),
+        ]);
+        assert_eq!(
+            resp.to_line(),
+            format!(r#"{{"id":3,"certificate":{cert},"tail":[1.50]}}"#)
+        );
+        assert_eq!(resp.get("certificate"), Some(&Json::Raw(cert)));
     }
 
     #[test]

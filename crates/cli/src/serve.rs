@@ -1,15 +1,17 @@
 //! `imagen serve` — a JSONL batch compile server.
 //!
 //! One request per line, one response per line, responses in request
-//! order. The batch is fanned over a `std::thread::scope` worker pool
+//! order. Requests are answered by a `std::thread::scope` worker pool
 //! whose workers share one [`Hub`]: a memo of at most [`MAX_POINTS`]
 //! compiled points keyed by (pipeline fingerprint, geometry, memory
 //! target as planning resolves it, so a coalesced target that cannot
 //! coalesce shares the plain target's point). A point is planned,
 //! emitted and certified once on a transient [`imagen_core::Session`];
 //! the memo keeps only what its responses report (design numbers,
-//! Verilog text, certificate, or the planning error), so a repeated
-//! request is answered in microseconds.
+//! Verilog text, the certificate as JSON text rendered once, or the
+//! planning error), so a repeated request is answered in microseconds:
+//! its response copies the certificate's text verbatim
+//! ([`Json::Raw`]), and the Verilog is escaped only for `emit`.
 //! A new point past the cap evicts the least recently used one, and
 //! results are byte-identical to a sequential run regardless of worker
 //! count. Both memos keep [`imagen_obs::Slot`]s under the
@@ -59,6 +61,20 @@
 //! batch reads the counters when a worker takes it, so at more than one
 //! thread it can be answered before earlier lines finish; the summary
 //! printed to stderr after a stdin batch is exact.
+//!
+//! A stdin batch is read whole, and its workers take its lines by index;
+//! `queue_wait` measures how long each line waited for a worker, so it
+//! counts stdin-batch lines only. Each TCP connection gets `--threads`
+//! workers, its own thread among them, and each worker reads the next
+//! line under one lock, answers it, and under a second lock writes every
+//! response that is now next in request order. At one thread a request
+//! crosses no thread. A line waits in the socket until a worker is free,
+//! so a client that pipelines requests must read responses while it
+//! sends, or both sides block once the socket buffers fill. A line
+//! longer than [`MAX_LINE_BYTES`] is answered with an error (no `id`),
+//! counted as a request and an error, and discarded unbuffered; the
+//! connection goes on. A line that is not UTF-8 ends the connection
+//! after the earlier lines are answered.
 //!
 //! Success: `{"id":...,"ok":true,...}`, including the translation-
 //! validation verdict for the compiled design (`certificate_status`
@@ -589,8 +605,10 @@ struct Point {
     latency_cycles: i64,
     verilog: Box<str>,
     verilog_lines: usize,
-    certificate_status: String,
-    certificate: Json,
+    certificate_status: &'static str,
+    /// The certificate rendered as JSON text once, which every response
+    /// for the point copies verbatim.
+    certificate: Arc<str>,
 }
 
 /// Plans, emits and certifies one point on a transient session.
@@ -613,7 +631,6 @@ fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled 
         input_range: AnalysisOptions::default().input_range,
     };
     let cert = imagen_analysis::certify_netlist(&out.plan.dag, &out.netlist, &aopts);
-    let certificate = crate::lint::certificate_json(&cert);
     let design = &out.plan.design;
     Ok(Point {
         style: design.style.label(),
@@ -627,12 +644,8 @@ fn compile_point(dag: &Dag, geom: ImageGeometry, spec: &MemorySpec) -> Compiled 
             .latency(&out.plan.dag, geom.width, geom.height),
         verilog_lines: line_count(&verilog),
         verilog,
-        certificate_status: certificate
-            .get("status")
-            .and_then(|s| s.as_str())
-            .unwrap_or("unknown")
-            .to_string(),
-        certificate,
+        certificate_status: cert.status(),
+        certificate: crate::lint::certificate_json(&cert).to_line().into(),
     })
 }
 
@@ -704,9 +717,9 @@ fn compile_response(id: Json, mut r: Request, hub: &Hub) -> Json {
         .push("lint_notes", Json::Num(admitted.notes as f64))
         .push(
             "certificate_status",
-            Json::Str(point.certificate_status.clone()),
+            Json::Str(point.certificate_status.to_string()),
         )
-        .push("certificate", point.certificate.clone());
+        .push("certificate", Json::Raw(Arc::clone(&point.certificate)));
     if r.emit {
         b = b.push("verilog", Json::Str(point.verilog.to_string()));
     }
@@ -864,16 +877,22 @@ fn stats_response(id: Json, hub: &Hub) -> Json {
         .build()
 }
 
-/// Answers one request line (tests drive the server through this; the
-/// batch and TCP paths go through [`handle_at`] with an enqueue time).
-#[cfg(test)]
+/// Answers one request line read straight off a connection (tests drive
+/// the server through this too).
 fn handle(line: &str, hub: &Hub) -> Json {
     handle_at(line, hub, None)
 }
 
-/// Answers one request line picked off a queue; `enqueued` (when the
-/// line entered the queue) feeds the queue-wait histogram.
+/// Answers one request line; `enqueued` (when a batch line entered the
+/// queue) feeds the queue-wait histogram.
 fn handle_at(line: &str, hub: &Hub, enqueued: Option<Instant>) -> Json {
+    account(hub, enqueued, |t0| handle_inner(line, hub, t0))
+}
+
+/// Runs `answer` as one request in the hub's counters: its queue wait,
+/// the in-flight gauge, the error count, the handle time, the request
+/// count and the `--stats-every` line.
+fn account(hub: &Hub, enqueued: Option<Instant>, answer: impl FnOnce(Instant) -> Json) -> Json {
     let t0 = Instant::now();
     if let Some(at) = enqueued {
         hub.stats
@@ -881,7 +900,7 @@ fn handle_at(line: &str, hub: &Hub, enqueued: Option<Instant>) -> Json {
             .record(at.elapsed().as_micros() as u64);
     }
     hub.stats.inflight.add(1);
-    let resp = handle_inner(line, hub, t0);
+    let resp = answer(t0);
     if resp.get("ok") == Some(&Json::Bool(false)) {
         hub.stats.errors.add(1);
     }
@@ -1055,75 +1074,197 @@ pub fn run(opts: &Options) -> Result<(), String> {
     }
 }
 
-/// One TCP connection: requests stream through the same worker-pool
-/// shape as stdin batches (`--threads` means the same thing in both
-/// modes), and responses stream back *in request order* as soon as each
-/// is ready — a reassembly writer holds out-of-order completions.
+/// The longest TCP request line the server reads (4× the admission
+/// memo's byte cap): a longer one is answered with an error and
+/// discarded through its newline without being buffered.
+const MAX_LINE_BYTES: usize = 4 * MAX_ADMISSION_BYTES;
+
+/// One request line off a connection.
+#[derive(Debug, PartialEq)]
+enum LineRead {
+    /// The line is in the buffer, without its `\n` (or `\r\n`).
+    Line,
+    /// The line passed [`MAX_LINE_BYTES`] and was discarded.
+    TooLong,
+    /// The peer closed its side.
+    End,
+}
+
+/// Reads one line into `line` as `BufRead::lines` splits them, buffering
+/// at most `cap` bytes of it.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    line.clear();
+    let (mut read, mut too_long) = (false, false);
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            break;
+        }
+        read = true;
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let chunk = &buf[..newline.unwrap_or(buf.len())];
+        too_long |= line.len() + chunk.len() > cap;
+        if too_long {
+            line.clear();
+        } else {
+            line.extend_from_slice(chunk);
+        }
+        let used = newline.map_or(buf.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            break;
+        }
+    }
+    Ok(match (read, too_long) {
+        (false, _) => LineRead::End,
+        (true, true) => LineRead::TooLong,
+        (true, false) => LineRead::Line,
+    })
+}
+
+/// The request lines of one connection, read by one worker at a time.
+struct Requests {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    /// Sequence number of the next request line.
+    next: usize,
+    /// No more lines: the peer closed, a read failed, or a write did.
+    done: bool,
+}
+
+impl Requests {
+    /// The sequence number of the next non-blank request line, and
+    /// whether it is in `line` ([`LineRead::Line`]) or was discarded
+    /// ([`LineRead::TooLong`]); `None` once there are no more. A line
+    /// that is not UTF-8 ends the connection's requests.
+    fn take(&mut self, line: &mut Vec<u8>, peer: &str) -> Option<(usize, LineRead)> {
+        while !self.done {
+            let read = match read_line_capped(&mut self.reader, line, MAX_LINE_BYTES) {
+                Ok(LineRead::Line) => match std::str::from_utf8(line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(_) => LineRead::Line,
+                    Err(_) => {
+                        eprintln!("{peer}: read: stream did not contain valid UTF-8");
+                        LineRead::End
+                    }
+                },
+                Ok(read) => read,
+                Err(e) => {
+                    eprintln!("{peer}: read: {e}");
+                    LineRead::End
+                }
+            };
+            if read == LineRead::End {
+                self.done = true;
+            } else {
+                self.next += 1;
+                return Some((self.next - 1, read));
+            }
+        }
+        None
+    }
+}
+
+/// The responses of one connection, written in request order.
+struct Responses {
+    stream: std::net::TcpStream,
+    /// Sequence number of the next response to write.
+    next: usize,
+    /// Finished responses waiting for an earlier one.
+    pending: HashMap<usize, String>,
+    /// A write failed: nothing more is written.
+    broken: bool,
+}
+
+impl Responses {
+    /// Writes response `seq` (taken from `text`) once every earlier one
+    /// is written, then every later one that is ready. Returns `false`
+    /// once a write has failed.
+    fn put(&mut self, seq: usize, text: &mut String) -> bool {
+        if self.broken {
+            return false;
+        }
+        if seq != self.next {
+            self.pending.insert(seq, std::mem::take(text));
+            return true;
+        }
+        let mut ok = self.stream.write_all(text.as_bytes()).is_ok();
+        self.next += 1;
+        while ok {
+            let Some(later) = self.pending.remove(&self.next) else {
+                break;
+            };
+            ok = self.stream.write_all(later.as_bytes()).is_ok();
+            self.next += 1;
+        }
+        self.broken = !ok;
+        ok
+    }
+}
+
+/// One TCP connection, served by `--threads` workers (the connection's
+/// own thread among them, so at one thread a request crosses no thread).
+/// Each worker reads the next request line under one lock, answers it,
+/// and under a second lock writes every response that is now next in
+/// request order. Lines wait in the socket until a worker is free.
 fn serve_connection(stream: std::net::TcpStream, hub: &Hub, threads: usize) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    let reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
+    let reader = match stream.try_clone() {
+        Ok(s) => std::io::BufReader::new(s),
         Err(e) => {
             eprintln!("{peer}: clone: {e}");
             return;
         }
+    };
+    let requests = Mutex::new(Requests {
+        reader,
+        next: 0,
+        done: false,
     });
-    let mut writer = std::io::BufWriter::new(stream);
-    let workers = effective_threads(threads);
-    std::thread::scope(|scope| {
-        let (work_tx, work_rx) = std::sync::mpsc::channel::<(usize, String, Instant)>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, String)>();
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            scope.spawn(move || loop {
-                let item = work_rx.lock().expect("work queue").recv();
-                let Ok((i, line, at)) = item else { break };
-                let resp = handle_at(&line, hub, Some(at)).to_line();
-                if done_tx.send((i, resp)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(done_tx);
-        scope.spawn(move || {
-            let mut pending: HashMap<usize, String> = HashMap::new();
-            let mut next = 0usize;
-            while let Ok((i, resp)) = done_rx.recv() {
-                pending.insert(i, resp);
-                while let Some(r) = pending.remove(&next) {
-                    if writeln!(writer, "{r}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                    next += 1;
-                }
-            }
-        });
-        let mut n = 0usize;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("{peer}: read: {e}");
-                    break;
-                }
+    let responses = Mutex::new(Responses {
+        stream,
+        next: 0,
+        pending: HashMap::new(),
+        broken: false,
+    });
+    let work = || {
+        let (mut line, mut text) = (Vec::new(), String::new());
+        loop {
+            let taken = requests.lock().expect("requests").take(&mut line, &peer);
+            let Some((seq, read)) = taken else { return };
+            let resp = if read == LineRead::TooLong {
+                let msg = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                account(hub, None, |_| error_response(Json::Null, msg, None))
+            } else {
+                handle(std::str::from_utf8(&line).expect("checked when read"), hub)
             };
-            if line.trim().is_empty() {
-                continue;
+            text.clear();
+            resp.write(&mut text);
+            text.push('\n');
+            if !responses.lock().expect("responses").put(seq, &mut text) {
+                requests.lock().expect("requests").done = true;
+                return;
             }
-            if work_tx.send((n, line, Instant::now())).is_err() {
-                break;
-            }
-            n += 1;
         }
-        drop(work_tx);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..effective_threads(threads) {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -1711,6 +1852,29 @@ mod tests {
             metrics.get("schema").unwrap().as_str(),
             Some(imagen_obs::SNAPSHOT_SCHEMA)
         );
+    }
+
+    #[test]
+    fn capped_lines_split_as_lines_does() {
+        // A two-byte buffer makes every line span several reads.
+        let text = "abcd\nabcde\n\nab\r\nxyzxyzxyz\nend\r";
+        let mut reader = std::io::BufReader::with_capacity(2, text.as_bytes());
+        let mut line = Vec::new();
+        let mut read = Vec::new();
+        loop {
+            match read_line_capped(&mut reader, &mut line, 4).unwrap() {
+                LineRead::End => break,
+                LineRead::TooLong => read.push(None),
+                LineRead::Line => read.push(Some(String::from_utf8(line.clone()).unwrap())),
+            }
+        }
+        let lines: Vec<Option<String>> = text
+            .lines()
+            .map(|l| (l.len() <= 4).then(|| l.to_string()))
+            .collect();
+        assert_eq!(read, lines);
+        assert_eq!(read[3].as_deref(), Some("ab"), "CRLF loses its CR");
+        assert_eq!(read[5].as_deref(), Some("end\r"), "a final CR stays");
     }
 
     #[test]

@@ -108,10 +108,12 @@ impl Drop for ServerGuard {
     }
 }
 
-#[test]
-fn tcp_mode_serves_concurrent_connections() {
+/// Starts `imagen serve --tcp` on an ephemeral port with `args`; returns
+/// the guard that stops it and the address it listens on.
+fn spawn_tcp(args: &[&str]) -> (ServerGuard, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_imagen"))
         .args(["serve", "--tcp", "127.0.0.1:0"])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -125,6 +127,148 @@ fn tcp_mode_serves_concurrent_connections() {
         .strip_prefix("listening ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_string();
+    (guard, addr)
+}
+
+/// Sends `text` over one connection from a thread of its own while this
+/// thread reads, as a pipelining client must, and returns every response
+/// line once the server closes.
+fn exchange(addr: &str, text: Vec<u8>) -> Vec<String> {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut sender = stream.try_clone().unwrap();
+    let sending = std::thread::spawn(move || {
+        sender.write_all(&text).unwrap();
+        sender.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    let responses = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+    sending.join().unwrap();
+    responses
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// About 60 request lines pipelined on one connection: cold compiles of
+/// four programs at three geometries, two rounds of warm repeats, an
+/// `emit`, a dse, pings, refused programs, malformed lines and blank
+/// lines. Each worker count must answer in request order exactly as the
+/// stdin batch does.
+#[test]
+fn pipelined_tcp_connection_answers_as_the_stdin_batch() {
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let read = |name: &str| std::fs::read_to_string(examples.join(name)).unwrap();
+    let programs = [
+        ("blur", BLUR.to_string()),
+        ("chain", CHAIN.to_string()),
+        ("sobel", read("sobel.imagen")),
+        ("unsharp_m", read("unsharp_m.imagen")),
+    ];
+    let mut lines = Vec::new();
+    let mut id = 0;
+    let mut push = |lines: &mut Vec<String>, body: String| {
+        lines.push(format!(r#"{{"id":{id},{body}"#));
+        id += 1;
+    };
+    for round in 0..3 {
+        for (name, source) in &programs {
+            for (w, h) in [(32, 24), (48, 32), (64, 48)] {
+                push(
+                    &mut lines,
+                    format!(
+                        r#""cmd":"compile","name":"{name}","source":{},"width":{w},"height":{h}}}"#,
+                        json_str(source)
+                    ),
+                );
+            }
+        }
+        push(&mut lines, r#""cmd":"ping"}"#.into());
+        push(
+            &mut lines,
+            r#""cmd":"compile","source":"input a; output b = im(x,y) a(x,y) * (2 + 3 * 4) end","deny_warnings":true}"#.into(),
+        );
+        lines.push(String::new());
+        match round {
+            0 => push(
+                &mut lines,
+                format!(
+                    r#""cmd":"dse","name":"chain","source":{},"width":32,"height":24,"block_bits":1024}}"#,
+                    json_str(CHAIN)
+                ),
+            ),
+            1 => push(
+                &mut lines,
+                format!(
+                    r#""cmd":"compile","name":"blur","source":{},"width":32,"height":24,"emit":true}}"#,
+                    json_str(BLUR)
+                ),
+            ),
+            _ => lines.push("   ".into()),
+        }
+    }
+    lines.extend([
+        "not json".to_string(),
+        r#"{"a":1} é"#.to_string(),
+        r#"{"id":"u","cmd":"frob"}"#.to_string(),
+        r#"{"id":"l","cmd":"compile","source":"input"}"#.to_string(),
+        String::new(),
+    ]);
+    for _ in 0..4 {
+        push(&mut lines, r#""cmd":"ping"}"#.into());
+    }
+    assert!((55..=65).contains(&lines.len()), "{} lines", lines.len());
+    let expected = serve_stdin(&lines, "1");
+    let answered = lines.iter().filter(|l| !l.trim().is_empty()).count();
+    assert_eq!(expected.len(), answered, "one response per non-blank line");
+    let text = (lines.join("\n") + "\n").into_bytes();
+    for threads in ["1", "3"] {
+        let (_guard, addr) = spawn_tcp(&["--threads", threads]);
+        let responses = exchange(&addr, text.clone());
+        assert_eq!(
+            responses, expected,
+            "--threads {threads}: the connection must answer as the stdin batch"
+        );
+    }
+}
+
+/// A line one byte over the cap is answered with an error, counted as a
+/// request and an error, and skipped; the connection keeps serving.
+#[test]
+fn tcp_line_over_the_cap_is_answered_and_skipped() {
+    const MAX_LINE_BYTES: usize = 4 << 20;
+    let (_guard, addr) = spawn_tcp(&["--threads", "1"]);
+    let mut text = vec![b'x'; MAX_LINE_BYTES + 1];
+    text.extend_from_slice(b"\n{\"id\":1,\"cmd\":\"ping\"}\n{\"id\":2,\"cmd\":\"stats\"}\n");
+    let responses = exchange(&addr, text);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert_eq!(
+        responses[0],
+        r#"{"id":null,"ok":false,"error":"request line longer than 4194304 bytes"}"#
+    );
+    assert_eq!(responses[1], r#"{"id":1,"ok":true,"pong":true}"#);
+    assert!(
+        responses[2].contains(r#""requests":{"total":2,"#),
+        "{}",
+        responses[2]
+    );
+    assert!(responses[2].contains(r#""errors":1,"#), "{}", responses[2]);
+}
+
+#[test]
+fn tcp_mode_serves_concurrent_connections() {
+    let (guard, addr) = spawn_tcp(&[]);
 
     let handles: Vec<_> = (0..4)
         .map(|client| {
