@@ -454,11 +454,12 @@ pub fn run_dse(dag: &Dag, opts: &Options) -> Result<(), CliError> {
             100.0 * s.cache_hits as f64 / s.points_priced as f64
         };
         text.push_str(&format!(
-            "\n## Sweep work\n\n  points priced  : {}\n  cache hits     : {} ({hit_rate:.1}%)\n  cache misses   : {}\n  solver pivots  : {}\n  port checks    : {}\n  port scans     : {}\n  block sweeps   : {}\n",
+            "\n## Sweep work\n\n  points priced      : {}\n  cache hits         : {} ({hit_rate:.1}%)\n  cache misses       : {}\n  solver pivots      : {}\n  formulation pieces : {}\n  port checks        : {}\n  port scans         : {}\n  block sweeps       : {}\n",
             s.points_priced,
             s.cache_hits,
             s.cache_misses,
             s.simplex_pivots,
+            s.formulation_pieces,
             s.port_checks,
             s.port_scans,
             s.block_sweeps

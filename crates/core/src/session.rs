@@ -9,7 +9,9 @@
 //!
 //! * the DAG analysis and the spec-independent constraint skeleton
 //!   (data dependencies, sync equalities, longest-path bounds) — built
-//!   once per [`Session`];
+//!   once per [`Session`] — and each line buffer's formulation piece (its
+//!   access entities and contention constraints), which the skeleton
+//!   memoizes per port count, coalescing factor and pruning flag;
 //! * each line buffer's port checks — a [`PortCheckMemo`] the session
 //!   owns for its lifetime runs them once per distinct buffer (frame,
 //!   ports, layout inputs and access streams, starts taken relative to
@@ -22,10 +24,10 @@
 //!
 //! Sessions are `Sync`: design points can be fanned out over
 //! `std::thread::scope` workers sharing one session, and the cache and
-//! the memo are shared across threads. Both are [`imagen_obs::Memo`]s:
-//! planning and checks run outside their locks, so workers never
-//! serialize on the solver, and workers that race on one key wait for
-//! its first computation instead of repeating it.
+//! the memos are shared across threads. All are [`imagen_obs::Memo`]s:
+//! planning, formulation and checks run outside their locks, so workers
+//! never serialize on the solver, and workers that race on one key wait
+//! for its first computation instead of repeating it.
 
 use crate::{CompileError, CompileOutput};
 use imagen_ir::Dag;
@@ -162,6 +164,14 @@ impl<'d> Session<'d> {
     /// session computed, not on their order or the worker count.
     pub fn port_checks(&self) -> usize {
         self.port_checks.len()
+    }
+
+    /// Distinct per-buffer formulation pieces this session has built: the
+    /// entry count of its skeleton's piece memo (a buffer's contention
+    /// constraints under one port count, coalescing factor and pruning
+    /// flag). Like [`Session::port_checks`] it counts keys.
+    pub fn formulation_pieces(&self) -> usize {
+        self.skeleton.piece_count()
     }
 
     /// How many of those checks needed the row scanner, because the

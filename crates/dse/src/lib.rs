@@ -18,7 +18,10 @@
 //!
 //! Evaluation fans out over `std::thread::scope` workers sharing one
 //! memoized [`Session`]: the constraint skeleton is built once per DAG,
-//! each distinct line buffer's port checks run once per sweep (Canny-m's
+//! each buffer's contention constraints once per port count and
+//! coalescing factor (Canny-m's 512 points build 18;
+//! [`ExploreStats::formulation_pieces`]), each distinct line buffer's
+//! port checks run once per sweep (Canny-m's
 //! 512 points realize 4,608 buffers and run 12 checks;
 //! [`ExploreStats::port_checks`]), repeated configurations (the greedy
 //! walk revisits many) are cache hits, and points are *priced* (area
@@ -165,6 +168,10 @@ pub struct ExploreStats {
     /// basis exchanges (a delta of [`imagen_ilp::stats::pivot_count`];
     /// with concurrent sweeps in one process the delta covers all of them).
     pub simplex_pivots: u64,
+    /// Distinct per-buffer formulation pieces the sweep built: the entry
+    /// count of its session's piece memo at the end. Like `port_checks`
+    /// it counts keys, so it repeats at any worker count.
+    pub formulation_pieces: u64,
     /// Distinct line-buffer port checks the sweep ran: the entry count of
     /// its session's port-check memo at the end. Counting keys, not
     /// misses, makes it repeat at any worker count.
@@ -463,6 +470,7 @@ pub fn explore(
             cache_hits: hits as u64,
             cache_misses: misses as u64,
             simplex_pivots: imagen_ilp::stats::pivot_count() - pivots_before,
+            formulation_pieces: session.formulation_pieces() as u64,
             port_checks: session.port_checks() as u64,
             port_scans: session.port_scans() as u64,
             block_sweeps: memo.len() as u64,

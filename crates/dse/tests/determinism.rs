@@ -17,7 +17,10 @@
 //!   row scanner repeat at any worker count;
 //! * every buffer's block counts served by a shared block-sweep memo equal
 //!   a fresh sweep's, at one and at three workers, and the memo's count of
-//!   distinct sweeps repeats at any worker count.
+//!   distinct sweeps repeats at any worker count;
+//! * every point's formulation, assembled from per-buffer pieces that a
+//!   skeleton shared by one or three workers memoized, equals a fresh
+//!   one, and the count of distinct pieces repeats at any worker count.
 
 use imagen_core::{CompileError, Session};
 use imagen_dse::{explore, DseResult, ExploreOptions, ExploreStrategy, MeasureMode};
@@ -29,7 +32,10 @@ use imagen_rtl::{
     describe, interpret_with_trace, report_resources, BlockSweepMemo, ScheduleActivity, Structure,
 };
 use imagen_schedule::checker::{check_accesses, required_phys_rows};
-use imagen_schedule::{plan_design, resolve_entities, ScheduleOptions};
+use imagen_schedule::{
+    formulate, formulate_skeleton, formulate_with, plan_design, resolve_entities, ScheduleOptions,
+    SpecBufferParams,
+};
 use imagen_sim::Image;
 use proptest::prelude::*;
 use std::path::Path;
@@ -389,13 +395,20 @@ fn one_session_prices_both_backends_as_fresh_ones_do() {
 }
 
 /// The number of distinct port checks a sweep runs, of those that needed
-/// the row scanner, and of distinct block sweeps its measurement ran,
-/// repeats at one and at three workers on the corpus, and Canny-m's
-/// 512-point sweep runs fewer checks than it has points.
+/// the row scanner, of distinct block sweeps its measurement ran, and of
+/// distinct formulation pieces it built, repeats at one and at three
+/// workers on the corpus. Canny-m's 512-point sweep runs fewer checks
+/// than it has points and builds at most 18 pieces: its 9 buffers, each
+/// at coalescing factor 1 and 2.
 #[test]
 fn port_checks_repeat_at_any_worker_count() {
     for (name, dag) in corpus() {
         let [one, three] = [1, 3].map(|threads| measured_sweep(&dag, threads));
+        assert!(one.stats.formulation_pieces > 0, "{name}");
+        assert_eq!(
+            one.stats.formulation_pieces, three.stats.formulation_pieces,
+            "{name}: formulation pieces at 1 and 3 workers"
+        );
         assert!(one.stats.port_checks > 0, "{name}");
         assert_eq!(
             one.stats.port_checks, three.stats.port_checks,
@@ -418,7 +431,71 @@ fn port_checks_repeat_at_any_worker_count() {
                 "canny_m ran {} port checks",
                 one.stats.port_checks
             );
+            assert!(
+                one.stats.formulation_pieces <= 18,
+                "canny_m built {} formulation pieces",
+                one.stats.formulation_pieces
+            );
         }
+    }
+}
+
+/// At every point of every example's exhaustive sweep, the formulation
+/// that one skeleton, shared by one and then by three workers, assembles
+/// from its memoized per-buffer pieces equals `formulate` with a fresh
+/// skeleton on the point's coalesced DAG: the hard constraints in order,
+/// the groups and the statistics. Either worker count ends with the same
+/// pieces, at most one per buffer and coalescing factor.
+#[test]
+fn memoized_formulations_equal_fresh_ones() {
+    let geom = geom();
+    let opts = ScheduleOptions::default();
+    for (name, dag) in corpus() {
+        let res = measured_sweep(&dag, 1);
+        let session = Session::new(&dag, geom);
+        let points: Vec<_> = res
+            .points
+            .iter()
+            .map(|p| {
+                let spec = res.spec_of(p, backend());
+                let plan = session.price(&spec, Some(p.design.style)).unwrap();
+                (plan, spec)
+            })
+            .collect();
+        let fresh: Vec<_> = points
+            .iter()
+            .map(|(plan, spec)| {
+                let params = SpecBufferParams { spec, geom: &geom };
+                formulate(&plan.dag, geom.width, &params, opts)
+            })
+            .collect();
+        let pieces = [1, 3].map(|workers| {
+            let skeleton = formulate_skeleton(&dag, geom.width);
+            let chunk = points.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                for (k, part) in points.chunks(chunk).enumerate() {
+                    let (skeleton, fresh, name) = (&skeleton, &fresh[k * chunk..], &name);
+                    scope.spawn(move || {
+                        for (i, (plan, spec)) in part.iter().enumerate() {
+                            let params = SpecBufferParams { spec, geom: &geom };
+                            let set = formulate_with(&plan.dag, skeleton, &params, opts);
+                            let at = format!("{name} point {}, {workers} workers", k * chunk + i);
+                            assert_eq!(set.hard, fresh[i].hard, "{at}: hard");
+                            assert_eq!(set.groups, fresh[i].groups, "{at}: groups");
+                            assert_eq!(set.stats, fresh[i].stats, "{at}: stats");
+                        }
+                    });
+                }
+            });
+            skeleton.piece_count()
+        });
+        assert_eq!(pieces[0], pieces[1], "{name}: pieces at 1 and 3 workers");
+        assert!(
+            pieces[0] <= 2 * res.buffered_stages.len(),
+            "{name}: {} pieces for {} buffers",
+            pieces[0],
+            res.buffered_stages.len()
+        );
     }
 }
 

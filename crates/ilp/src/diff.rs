@@ -197,13 +197,18 @@ impl DiffSystem {
     /// componentwise-minimal optimal point.
     ///
     /// The dual min-cost flow (see the module docs) is solved by the
-    /// network simplex, once the longest-path fixpoint of
-    /// [`DiffSystem::minimal_solution`] has shown the system feasible. For
-    /// an optimal flow, the primal optima are exactly the feasible points
-    /// tight on every arc that carries flow (complementary slackness), so
-    /// that face is the same for every optimal flow. It is a difference
-    /// system again, whose minimal solution is returned: unique, and no
-    /// later than any other optimal point.
+    /// network simplex, once the longest-path fixpoint `x0` of
+    /// [`DiffSystem::minimal_solution`] has shown the system feasible. The
+    /// simplex starts from a crash basis: a spanning tree of the arcs
+    /// tight at `x0` wherever those can carry the supplies, artificial
+    /// arcs elsewhere. For an optimal flow, the primal optima are exactly
+    /// the feasible points tight on every arc that carries flow
+    /// (complementary slackness), so that face is the same for every
+    /// optimal flow. It is a difference system again, whose minimal
+    /// solution is returned: unique, and no later than any other optimal
+    /// point. When the crash basis is already optimal (the solve takes no
+    /// pivot), its flow rides arcs tight at `x0` alone, so `x0` itself is
+    /// that point and is returned as it is.
     ///
     /// # Errors
     ///
@@ -258,21 +263,29 @@ impl DiffSystem {
             }
         }
         let supply: Vec<i64> = costs.iter().copied().chain([rest]).collect();
-        let flow = net.solve(&supply)?;
+        // x0, with z at zero, prices every arc at or above zero; the start
+        // basis is built from the arcs it makes tight.
+        let pot: Vec<i64> = x0.iter().copied().chain([0]).collect();
+        let (flow, pivots) = net.solve(&supply, &pot)?;
 
         // The face: every arc that carries flow is tight. It holds every
         // optimum, each above x0, so its fixpoint can start from x0, and
-        // only saturated arithmetic can make it look empty.
-        let tight: Vec<(usize, usize, i64)> = self
-            .edges
-            .iter()
-            .zip(&flow)
-            .filter(|&(_, &f)| f > 0)
-            .map(|(&(v, u, c), _)| (u, v, -c))
-            .collect();
-        let x = self
-            .raise(x0, &tight)
-            .map_err(|_| MinimizeError::Overflow)?;
+        // only saturated arithmetic can make it look empty. Without a
+        // pivot the flow rides arcs tight at x0 alone, so x0 is on the
+        // face, and as the least feasible point it is the face's least.
+        let x = if pivots == 0 {
+            x0
+        } else {
+            let tight: Vec<(usize, usize, i64)> = self
+                .edges
+                .iter()
+                .zip(&flow)
+                .filter(|&(_, &f)| f > 0)
+                .map(|(&(v, u, c), _)| (u, v, -c))
+                .collect();
+            self.raise(x0, &tight)
+                .map_err(|_| MinimizeError::Overflow)?
+        };
         let objective = x
             .iter()
             .zip(costs)

@@ -8,12 +8,19 @@
 //! every tree arc's reduced cost `cost(u→v) + pi[u] − pi[v]` zero, and a
 //! pivot brings in a non-tree arc of negative reduced cost.
 //!
-//! * **Start.** An artificial star: one artificial arc between every node
-//!   and the root, carrying the node's supply. Costs and potentials are
-//!   lexicographic `(artificial, cost)` pairs, so an artificial arc costs
-//!   more than any path of real arcs without a big-M that could overflow.
-//!   Flow left on an artificial arc at the optimum is supply the real arcs
-//!   cannot route.
+//! * **Start.** A crash basis from caller-given potentials (the
+//!   minimizer's longest-path point): the arcs whose reduced cost is zero
+//!   at those potentials span a forest, grown breadth-first from the root
+//!   and then from each node it missed, in index order. Bottom-up, a node
+//!   keeps its tight arc when that arc can carry its subtree's net supply
+//!   with the tree strongly feasible; otherwise the subtree hangs from the
+//!   root by an artificial arc carrying that supply, as does the top of
+//!   every other tree of the forest. With no tight arc this is the
+//!   artificial star. Costs and potentials are lexicographic
+//!   `(artificial, cost)` pairs, so an artificial arc costs more than any
+//!   path of real arcs without a big-M that could overflow. Flow left on
+//!   an artificial arc at the optimum is supply the real arcs cannot
+//!   route.
 //! * **Entering arc.** Block search: the real arcs are priced in blocks of
 //!   `⌊√m⌋`, round-robin from where the last search stopped, and the most
 //!   negative arc of the first block holding one enters. Ties go to the
@@ -66,8 +73,10 @@ impl Network {
     }
 
     /// A min-cost flow that leaves each node `i` with net outflow
-    /// `supply[i]`: the flow on every arc, in arc order. The supplies must
-    /// sum to zero; the last node roots the basis.
+    /// `supply[i]`: the flow on every arc, in arc order, and the pivots the
+    /// solve took. The supplies must sum to zero; the last node roots the
+    /// basis. The start basis is the crash tree of the arcs tight at the
+    /// potentials `pot`, one per node (module docs).
     ///
     /// # Errors
     ///
@@ -76,8 +85,12 @@ impl Network {
     /// leaves the `i64` range, or when a cycle of negative cost makes the
     /// flow's cost unbounded (the caller has ruled such cycles out, so
     /// only arithmetic that saturated can hide one).
-    pub(crate) fn solve(&self, supply: &[i64]) -> Result<Vec<i64>, MinimizeError> {
-        let mut tree = Tree::star(self, supply)?;
+    pub(crate) fn solve(
+        &self,
+        supply: &[i64],
+        pot: &[i64],
+    ) -> Result<(Vec<i64>, u64), MinimizeError> {
+        let mut tree = Tree::crash(self, supply, pot)?;
         let m = self.cost.len();
         let block = m.isqrt().max(1);
         let mut next = 0;
@@ -92,7 +105,42 @@ impl Network {
             return Err(MinimizeError::Unbounded);
         }
         flow.truncate(m);
-        Ok(flow)
+        Ok((flow, pivots))
+    }
+
+    /// The arcs whose reduced cost at `pot` is zero, as an undirected
+    /// adjacency over `nodes` nodes: node `u`'s arcs, in arc order, are
+    /// `adj[start[u]..start[u + 1]]`. A reduced cost that overflows is not
+    /// zero.
+    fn tight_arcs(&self, pot: &[i64]) -> (Vec<usize>, Vec<usize>) {
+        let nodes = pot.len();
+        let tight: Vec<usize> = (0..self.cost.len())
+            .filter(|&e| {
+                let (t, h) = (self.tail[e], self.head[e]);
+                t != h
+                    && self.cost[e]
+                        .checked_add(pot[t])
+                        .and_then(|c| c.checked_sub(pot[h]))
+                        == Some(0)
+            })
+            .collect();
+        let mut start = vec![0usize; nodes + 1];
+        for &e in &tight {
+            start[self.tail[e] + 1] += 1;
+            start[self.head[e] + 1] += 1;
+        }
+        for u in 0..nodes {
+            start[u + 1] += start[u];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0usize; 2 * tight.len()];
+        for &e in &tight {
+            for end in [self.tail[e], self.head[e]] {
+                adj[fill[end]] = e;
+                fill[end] += 1;
+            }
+        }
+        (start, adj)
     }
 }
 
@@ -125,17 +173,24 @@ struct Tree<'n> {
 }
 
 impl<'n> Tree<'n> {
-    /// The artificial star basis: node `i` sends its supply up an
-    /// artificial arc `i → root`, or receives its demand down `root → i`.
-    /// Arcs without flow point up, so the star is strongly feasible.
-    fn star(net: &'n Network, supply: &[i64]) -> Result<Tree<'n>, MinimizeError> {
-        let root = supply.len() - 1;
+    /// The crash basis of the arcs tight at `pot` (module docs). A node
+    /// keeps its tight arc to its parent when the arc can carry the net
+    /// supply `s` of the node's subtree: flow `s ≥ 0` up an arc pointing
+    /// toward the root, or `−s > 0` down one pointing away, so that every
+    /// arc without flow points up. Any other node `i` sends `s` up an
+    /// artificial arc `i → root`, or receives `−s` down `root → i`, by
+    /// the same rule. Every tree arc is tight, so each node's potential
+    /// keeps `pot[i]` as its cost part.
+    fn crash(net: &'n Network, supply: &[i64], pot: &[i64]) -> Result<Tree<'n>, MinimizeError> {
+        let nodes = supply.len();
+        let root = nodes - 1;
         let m = net.cost.len();
+        let (start, adj) = net.tight_arcs(pot);
         let leaf = Node {
             parent: NONE,
             pred: NONE,
             up: false,
-            depth: 1,
+            depth: 0,
             pot: (0, 0),
             first_child: NONE,
             next_sibling: NONE,
@@ -143,18 +198,77 @@ impl<'n> Tree<'n> {
         };
         let mut tree = Tree {
             net,
-            flow: vec![0; m + supply.len()],
-            nodes: vec![leaf; supply.len()],
-            stack: Vec::with_capacity(supply.len()),
+            flow: vec![0; m + nodes],
+            nodes: vec![leaf; nodes],
+            stack: Vec::with_capacity(nodes),
         };
-        tree.nodes[root].depth = 0;
-        for (i, &b) in supply[..root].iter().enumerate() {
-            tree.flow[m + i] = b.checked_abs().ok_or(MinimizeError::Overflow)?;
-            let node = &mut tree.nodes[i];
-            node.pred = m + i;
-            node.up = b >= 0;
-            node.pot = (if b >= 0 { -1 } else { 1 }, 0);
-            tree.attach(i, root);
+
+        // The tight forest, breadth-first from the root and then from each
+        // node not reached yet; a tree's first node has no parent.
+        let mut order = Vec::with_capacity(nodes);
+        let mut seen = vec![false; nodes];
+        for first in std::iter::once(root).chain(0..root) {
+            if seen[first] {
+                continue;
+            }
+            seen[first] = true;
+            order.push(first);
+            let mut next = order.len() - 1;
+            while let Some(&u) = order.get(next) {
+                next += 1;
+                for &e in &adj[start[u]..start[u + 1]] {
+                    let (t, h) = (net.tail[e], net.head[e]);
+                    let v = if t == u { h } else { t };
+                    if !seen[v] {
+                        seen[v] = true;
+                        let n = &mut tree.nodes[v];
+                        (n.parent, n.pred, n.up) = (u, e, t == v);
+                        order.push(v);
+                    }
+                }
+            }
+        }
+
+        // Bottom-up: each subtree's net supply, and which tight arcs carry
+        // it; a node that cannot keep its arc loses its parent.
+        let mut sub = supply.to_vec();
+        for &u in order.iter().rev() {
+            let n = tree.nodes[u];
+            if n.parent == NONE {
+                continue;
+            }
+            let s = sub[u];
+            if (n.up && s >= 0) || (!n.up && s < 0) {
+                tree.flow[n.pred] = s.checked_abs().ok_or(MinimizeError::Overflow)?;
+                sub[n.parent] = sub[n.parent]
+                    .checked_add(s)
+                    .ok_or(MinimizeError::Overflow)?;
+            } else {
+                tree.nodes[u].parent = NONE;
+            }
+        }
+
+        // Top-down: hang every parentless node but the root from the root
+        // by its artificial arc, then set depths and potentials.
+        for &u in &order {
+            if u == root {
+                tree.nodes[u].pot = (0, pot[u]);
+                continue;
+            }
+            let (parent, art) = match tree.nodes[u].parent {
+                NONE => {
+                    let s = sub[u];
+                    tree.flow[m + u] = s.checked_abs().ok_or(MinimizeError::Overflow)?;
+                    let n = &mut tree.nodes[u];
+                    (n.pred, n.up) = (m + u, s >= 0);
+                    (root, if s >= 0 { -1 } else { 1 })
+                }
+                p => (p, tree.nodes[p].pot.0),
+            };
+            let depth = tree.nodes[parent].depth + 1;
+            let n = &mut tree.nodes[u];
+            (n.depth, n.pot) = (depth, (art, pot[u]));
+            tree.attach(u, parent);
         }
         Ok(tree)
     }
@@ -339,6 +453,98 @@ impl<'n> Tree<'n> {
 mod tests {
     use super::*;
 
+    /// The dual of the difference LP `min Σ costs[i]·x_i` over
+    /// `x_u − x_v >= k` for each `(u, v, k)` in `ge`, built as
+    /// `DiffSystem::minimize` builds it (lower-bound arcs `i → z` when the
+    /// costs sum below zero), solved from the potentials `x0`: the nodes
+    /// of the crash tree, then the flow, the pivots, and the flow's cost,
+    /// which is minus the primal optimum.
+    fn solve_dual(
+        ge: &[(usize, usize, i64)],
+        lower: &[i64],
+        costs: &[i64],
+        x0: &[i64],
+    ) -> (Vec<Node>, Vec<i64>, u64, i64) {
+        let z = costs.len();
+        let mut net = Network::with_arcs(ge.len() + z);
+        for &(u, v, k) in ge {
+            net.add_arc(u, v, -k);
+        }
+        let rest = -costs.iter().sum::<i64>();
+        if rest < 0 {
+            for (i, &lo) in lower.iter().enumerate() {
+                net.add_arc(i, z, -lo);
+            }
+        }
+        let supply: Vec<i64> = costs.iter().copied().chain([rest]).collect();
+        let pot: Vec<i64> = x0.iter().copied().chain([0]).collect();
+        let start = Tree::crash(&net, &supply, &pot).unwrap().nodes;
+        let (flow, pivots) = net.solve(&supply, &pot).unwrap();
+        let cost = flow.iter().zip(&net.cost).map(|(f, c)| f * c).sum();
+        (start, flow, pivots, cost)
+    }
+
+    /// `min x0 + x1` with `x0 >= 5` and `x1 >= x0 + 2`: the lower-bound arc
+    /// of x0 and the arc of `x1 − x0 >= 2` are tight at x0 = (5, 7) and
+    /// carry both supplies into the root, so the crash tree is optimal.
+    #[test]
+    fn an_optimal_longest_path_point_takes_no_pivot() {
+        let (start, flow, pivots, cost) = solve_dual(&[(1, 0, 2)], &[5, 0], &[1, 1], &[5, 7]);
+        assert!(start[..2].iter().all(|n| n.pred < 3), "all real");
+        assert_eq!((flow, pivots, cost), (vec![1, 2, 0], 0, -12));
+    }
+
+    /// `min x0 − x1` with `x1 − x0 >= 2` (tight at x0 = (0, 2)) and
+    /// `x1 − x0 <= 5`: x1's demand cannot come up the tight arc `1 → 0`,
+    /// so x1 hangs from the root by its artificial arc, and one pivot
+    /// brings in `0 → 1`. The rational simplex of `tests/simplex` puts the
+    /// optimum at −5 (`crash_start_cases_agree_with_oracle`).
+    #[test]
+    fn supply_that_cannot_ride_its_tight_arc_hangs_from_the_root() {
+        let (start, flow, pivots, cost) =
+            solve_dual(&[(1, 0, 2), (0, 1, -5)], &[0; 2], &[1, -1], &[0, 2]);
+        assert_eq!((start[1].pred, start[1].up), (2 + 1, false));
+        assert_eq!((flow, pivots, cost), (vec![0, 1], 1, 5));
+    }
+
+    /// `min (x2 − x0) + (x3 − x1)` with `x0 >= x1`, `x2 >= x0 + 3` and
+    /// `x3 >= x1 + 2`: breadth-first from x0, x1 sits under the down arc
+    /// `0 → 1` (of `x0 − x1 >= 0`, tight at x0 = (0, 0, 3, 2)) with x3
+    /// below it, and their supplies cancel. A down arc without flow would
+    /// break strong feasibility, so the pair hangs from the root by x1's
+    /// artificial arc, empty and pointing up. The oracle's optimum is 5.
+    #[test]
+    fn a_zero_supply_subtree_under_a_down_arc_is_cut() {
+        let (start, flow, pivots, cost) = solve_dual(
+            &[(0, 1, 0), (2, 0, 3), (3, 1, 2)],
+            &[0; 4],
+            &[-1, -1, 1, 1],
+            &[0, 0, 3, 2],
+        );
+        assert_eq!((start[1].pred, start[1].up), (3 + 1, true));
+        assert_eq!(start[3].parent, 1);
+        assert_eq!((flow, pivots, cost), (vec![0, 1, 1], 0, -5));
+    }
+
+    /// A delay LP's costs sum to zero, so the root has no real arc and
+    /// every tree of the tight forest hangs from it by an artificial arc.
+    /// `min x3 − x0` with `x2 >= x0 + 1`, `x2 >= x1 + 10` and `x3 >= x2`:
+    /// at x0 = (0, 0, 10, 10) x0 alone demands, the tree of x1 supplies,
+    /// and one pivot routes the unit `3 → 2 → 0`, delaying x0 to 9. The
+    /// oracle's optimum is 1.
+    #[test]
+    fn a_root_without_real_arcs_joins_its_trees_by_pivots() {
+        let (start, flow, pivots, cost) = solve_dual(
+            &[(2, 0, 1), (2, 1, 10), (3, 2, 0)],
+            &[0; 4],
+            &[-1, 0, 0, 1],
+            &[0, 0, 10, 10],
+        );
+        let tops: Vec<usize> = (0..4).filter(|&i| start[i].pred >= 3).collect();
+        assert_eq!(tops, [0, 1]);
+        assert_eq!((flow, pivots, cost), (vec![1, 0, 1], 1, -1));
+    }
+
     #[test]
     fn picks_the_cheaper_route() {
         // 0 → {1, 2} → 3: five units from node 0 to node 3, the route
@@ -348,7 +554,7 @@ mod tests {
         let b = net.add_arc(0, 2, 5);
         net.add_arc(1, 3, 1);
         net.add_arc(2, 3, 1);
-        let flow = net.solve(&[5, 0, 0, -5]).unwrap();
+        let (flow, _) = net.solve(&[5, 0, 0, -5], &[0; 4]).unwrap();
         assert_eq!((flow[a], flow[b]), (5, 0));
     }
 
@@ -356,7 +562,10 @@ mod tests {
     fn reports_supply_it_cannot_route() {
         let mut net = Network::with_arcs(1);
         net.add_arc(0, 1, 0);
-        assert_eq!(net.solve(&[0, 3, -3]), Err(MinimizeError::Unbounded));
+        assert_eq!(
+            net.solve(&[0, 3, -3], &[0; 3]),
+            Err(MinimizeError::Unbounded)
+        );
     }
 
     #[test]
@@ -372,7 +581,7 @@ mod tests {
                 }
             }
         }
-        let flow = net.solve(&[3, -1, 0, 2, -2, -2]).unwrap();
+        let (flow, _) = net.solve(&[3, -1, 0, 2, -2, -2], &[0; 6]).unwrap();
         let mut out = [0i64; 6];
         for (e, &f) in flow.iter().enumerate() {
             out[net.tail[e]] += f;
@@ -386,6 +595,6 @@ mod tests {
         let mut net = Network::with_arcs(2);
         net.add_arc(0, 1, -1);
         net.add_arc(1, 0, 0);
-        assert_eq!(net.solve(&[0, 0, 0]), Err(MinimizeError::Overflow));
+        assert_eq!(net.solve(&[0, 0, 0], &[0; 3]), Err(MinimizeError::Overflow));
     }
 }

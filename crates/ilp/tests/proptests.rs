@@ -236,6 +236,44 @@ fn diff_system(n: usize) -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
     })
 }
 
+/// The four LPs the crash-start unit tests of `src/network.rs` solve,
+/// each `(x_u − x_v >= k edges, lower bounds, costs, optimum)`: one whose
+/// longest-path point is optimal, one whose demand cannot ride its tight
+/// arc, one with a zero-supply subtree under a down arc, and a delay LP
+/// (costs summing to zero) whose trees must be joined by a pivot. The
+/// oracle agrees with `minimize` on each, at the optimum those tests pin.
+#[test]
+fn crash_start_cases_agree_with_oracle() {
+    type Case<'a> = (&'a [(usize, usize, i64)], &'a [i64], &'a [i64], i64);
+    let cases: [Case; 4] = [
+        (&[(1, 0, 2)], &[5, 0], &[1, 1], 12),
+        (&[(1, 0, 2), (0, 1, -5)], &[0, 0], &[1, -1], -5),
+        (
+            &[(0, 1, 0), (2, 0, 3), (3, 1, 2)],
+            &[0; 4],
+            &[-1, -1, 1, 1],
+            5,
+        ),
+        (
+            &[(2, 0, 1), (2, 1, 10), (3, 2, 0)],
+            &[0; 4],
+            &[-1, 0, 0, 1],
+            1,
+        ),
+    ];
+    for (edges, lower, costs, optimum) in cases {
+        let mut sys = DiffSystem::new(costs.len());
+        for &(u, v, k) in edges {
+            sys.add_ge(u, v, k);
+        }
+        for (i, &lo) in lower.iter().enumerate() {
+            sys.set_lower(i, lo);
+        }
+        agrees_with_oracle(&sys, costs).unwrap();
+        assert_eq!(sys.minimize(costs).unwrap().objective, optimum, "{edges:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -145,7 +145,10 @@ impl Histogram {
     }
 
     /// A consistent-enough summary of the histogram. Percentiles are
-    /// the upper bound of the bucket holding the exact rank.
+    /// the upper bound of the bucket holding the exact rank, clamped to
+    /// the recorded `[min, max]`: the exact order statistic lies in both
+    /// ranges, so the clamped value still bounds it from above, and a
+    /// percentile never exceeds the largest sample.
     pub fn snapshot(&self) -> HistSnapshot {
         let c = &self.0;
         let counts: Vec<u64> = c
@@ -154,16 +157,21 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let total: u64 = counts.iter().sum();
-        let q = |q: f64| quantile_from_buckets(&counts, q).map_or(0, |(_, hi)| hi);
+        let min = if total == 0 {
+            0
+        } else {
+            c.min.load(Ordering::Relaxed)
+        };
+        let max = c.max.load(Ordering::Relaxed);
+        // A snapshot racing a first sample can read `min > max`; the
+        // upper clamp goes last, so no percentile exceeds `max`.
+        let q =
+            |q: f64| quantile_from_buckets(&counts, q).map_or(0, |(_, hi)| hi.max(min).min(max));
         HistSnapshot {
             count: total,
             sum: c.sum.load(Ordering::Relaxed),
-            min: if total == 0 {
-                0
-            } else {
-                c.min.load(Ordering::Relaxed)
-            },
-            max: c.max.load(Ordering::Relaxed),
+            min,
+            max,
             p50: q(0.50),
             p90: q(0.90),
             p99: q(0.99),
@@ -201,11 +209,14 @@ pub struct HistSnapshot {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// Upper bound of the bucket holding the median.
+    /// Upper bound of the bucket holding the median, clamped to
+    /// `[min, max]`.
     pub p50: u64,
-    /// Upper bound of the bucket holding the 90th percentile.
+    /// Upper bound of the bucket holding the 90th percentile, clamped to
+    /// `[min, max]`.
     pub p90: u64,
-    /// Upper bound of the bucket holding the 99th percentile.
+    /// Upper bound of the bucket holding the 99th percentile, clamped to
+    /// `[min, max]`.
     pub p99: u64,
 }
 
@@ -456,6 +467,41 @@ mod tests {
         assert!(s.p50 >= 50 && s.p50 <= 63, "p50={}", s.p50);
         assert!(s.p99 >= 99, "p99={}", s.p99);
         assert!((s.mean() - 50.5).abs() < 1e-9);
+    }
+
+    /// Samples that end mid-bucket: 300..=346 fill `[256, 319]` and the
+    /// bottom of `[320, 383]`, so every percentile's bucket runs past the
+    /// largest sample, and each reads that sample instead. A lone
+    /// repeated value reads itself at every percentile.
+    #[test]
+    fn percentiles_stay_within_the_recorded_range() {
+        let h = Histogram::detached();
+        for v in 300..=346u64 {
+            h.record(v);
+        }
+        assert_eq!(h.quantile_bounds(0.99), Some((320, 383)));
+        let s = h.snapshot();
+        assert_eq!((s.min, s.max), (300, 346));
+        assert_eq!((s.p50, s.p90, s.p99), (346, 346, 346));
+
+        let h = Histogram::detached();
+        for _ in 0..10 {
+            h.record(330);
+        }
+        let s = h.snapshot();
+        assert_eq!(
+            (s.min, s.max, s.p50, s.p90, s.p99),
+            (330, 330, 330, 330, 330)
+        );
+
+        // Below the last bucket the bound is the bucket's: 1..=100 puts
+        // the median in `[48, 55]`.
+        let h = Histogram::detached();
+        for v in 1..=100u64 {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.p50, s.p99), (55, 100));
     }
 
     #[test]

@@ -57,7 +57,10 @@
 use crate::entity::{buffer_entities, AccessEntity};
 use imagen_ilp::DiffSystem;
 use imagen_ir::{Dag, StageId};
+use imagen_obs::Memo;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A difference constraint `S_a - S_b >= k` over stage start cycles.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -169,14 +172,25 @@ pub fn row_periods(dag: &Dag, width: u32) -> Vec<i64> {
 
 /// The memory-spec-independent part of a formulation: data dependencies
 /// (Equ. 1b), sync-group equalities, and the longest-path bounds they
-/// imply.
+/// imply, together with a memo of the formulation's per-buffer pieces.
 ///
 /// Edge *windows* and sync groups are invariant under the line-coalescing
 /// rewrite (which only re-partitions read ports), so a skeleton built from
 /// the base DAG is valid for every per-stage DP/DPLC memory configuration
 /// of that DAG. Design-space exploration builds it once per DAG and
 /// re-runs only [`formulate_with`] per design point.
-#[derive(Clone, Debug)]
+///
+/// With the DAG and the width fixed, a buffer's access entities and
+/// contention constraints (Equ. 1c) depend on four things only: its stage,
+/// its ports, its coalescing factor and whether pruning is on. Coalescing
+/// rewrites only that buffer's own consumer edges. So the skeleton keeps
+/// each buffer's piece under those four in an [`imagen_obs::Memo`], and a
+/// design point pays only for the buffers whose configuration no earlier
+/// point shared: Canny-m's 512 DP/DPLC points at 64×48 build 18 pieces (9
+/// buffers, 2 coalescing factors each). The memo has no cap: it holds one
+/// piece per buffer and distinct configuration formulated, at most two per
+/// buffer in a DP/DPLC sweep.
+#[derive(Debug)]
 pub struct ConstraintSkeleton {
     /// Dependency + sync-equality constraints (always hard).
     pub hard: Vec<DiffGe>,
@@ -184,6 +198,42 @@ pub struct ConstraintSkeleton {
     pub bounds: DiffBounds,
     /// How many of `hard` are data dependencies (for statistics).
     dependencies: usize,
+    /// Row period of every stage's buffer at the skeleton's width.
+    periods: Vec<i64>,
+    /// Each buffer's piece, by its [`PieceKey`].
+    pieces: Memo<PieceKey, Arc<BufferPiece>>,
+}
+
+/// What one buffer's formulation piece depends on, the skeleton's DAG and
+/// width aside.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct PieceKey {
+    buffer: StageId,
+    ports: u32,
+    coalesce: u32,
+    pruning: bool,
+}
+
+/// One hashed word per key rather than the derived four. Every plan looks
+/// up each of its buffers, and on a one-shot session every lookup misses
+/// and hashes twice, so hashing is a large share of what the memo costs.
+impl Hash for PieceKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let index = self.buffer.index() as u64;
+        let params = u64::from(self.ports) << 33 | u64::from(self.coalesce) << 1;
+        state.write_u64(index.rotate_left(48) ^ params ^ u64::from(self.pruning));
+    }
+}
+
+/// One buffer's share of a formulation: its access entities on the
+/// coalesced DAG and the contention constraints among them, with their
+/// statistics (`dependencies` stays zero).
+#[derive(Debug)]
+pub(crate) struct BufferPiece {
+    pub(crate) entities: Vec<AccessEntity>,
+    hard: Vec<DiffGe>,
+    groups: Vec<OrGroup>,
+    stats: FormulationStats,
 }
 
 /// Builds the spec-independent constraint skeleton for `dag` at image
@@ -231,50 +281,97 @@ pub fn formulate_skeleton(dag: &Dag, width: u32) -> ConstraintSkeleton {
         hard,
         bounds,
         dependencies,
+        periods,
+        pieces: Memo::new(),
     }
 }
 
-/// Builds the full constraint system for `dag` at image width `width`.
-pub fn formulate(
-    dag: &Dag,
-    width: u32,
-    params: &impl BufferParams,
-    opts: ScheduleOptions,
-) -> ConstraintSet {
-    formulate_with(dag, width, &formulate_skeleton(dag, width), params, opts)
-}
+impl ConstraintSkeleton {
+    /// Distinct per-buffer formulation pieces built so far: the entry
+    /// count of the skeleton's memo. It counts keys, so it depends only on
+    /// the configurations formulated, not on their order or on how many
+    /// threads formulated them.
+    pub fn piece_count(&self) -> usize {
+        self.pieces.len()
+    }
 
-/// Completes a [`ConstraintSkeleton`] with the memory-config-dependent
-/// contention constraints (Equ. 1c) for `dag`.
-///
-/// `dag` may be the coalesced working copy of the DAG the skeleton was
-/// built from: the rewrite changes read ports but neither windows nor
-/// sync groups, so the skeleton stays exact.
-pub fn formulate_with(
-    dag: &Dag,
-    width: u32,
-    skeleton: &ConstraintSkeleton,
-    params: &impl BufferParams,
-    opts: ScheduleOptions,
-) -> ConstraintSet {
-    let periods = row_periods(dag, width);
-    let mut hard = skeleton.hard.clone();
-    let bounds = &skeleton.bounds;
-    let mut stats = FormulationStats {
-        dependencies: skeleton.dependencies,
-        ..FormulationStats::default()
-    };
+    /// The piece of every buffer of `dag`, in [`Dag::buffered_stages`]
+    /// order, each built on its first lookup. `dag` is the skeleton's DAG
+    /// with each buffer coalesced by `params.coalesce`.
+    pub(crate) fn pieces(
+        &self,
+        dag: &Dag,
+        params: &impl BufferParams,
+        opts: ScheduleOptions,
+    ) -> Vec<Arc<BufferPiece>> {
+        dag.buffered_stages()
+            .into_iter()
+            .map(|p| {
+                let key = PieceKey {
+                    buffer: p,
+                    ports: params.ports(p),
+                    coalesce: params.coalesce(p),
+                    pruning: opts.pruning,
+                };
+                let build = || Arc::new(self.build_piece(dag, key));
+                self.pieces.get_or_compute(&key, build).0
+            })
+            .collect()
+    }
 
-    // --- Contention (Equ. 1c) ----------------------------------------
-    let mut groups: Vec<OrGroup> = Vec::new();
-    for p in dag.buffered_stages() {
-        let ports = params.ports(p);
-        let g = params.coalesce(p);
-        let entities = buffer_entities(dag, p);
+    /// The skeleton's constraints followed by each piece's, in order.
+    pub(crate) fn assemble(&self, pieces: &[Arc<BufferPiece>]) -> ConstraintSet {
+        let contention: usize = pieces.iter().map(|p| p.hard.len()).sum();
+        let mut hard = Vec::with_capacity(self.hard.len() + contention);
+        hard.extend_from_slice(&self.hard);
+        let mut groups = Vec::new();
+        let mut stats = FormulationStats {
+            dependencies: self.dependencies,
+            ..FormulationStats::default()
+        };
+        for piece in pieces {
+            hard.extend_from_slice(&piece.hard);
+            groups.extend_from_slice(&piece.groups);
+            let s = &piece.stats;
+            stats.combinations += s.combinations;
+            stats.alternatives_raw += s.alternatives_raw;
+            stats.pruned_infeasible += s.pruned_infeasible;
+            stats.pruned_dominated += s.pruned_dominated;
+            stats.groups_collapsed += s.groups_collapsed;
+            stats.groups_open += s.groups_open;
+        }
+        ConstraintSet {
+            hard,
+            groups,
+            stats,
+        }
+    }
+
+    /// The contention constraints (Equ. 1c) of the buffer `key` names.
+    fn build_piece(&self, dag: &Dag, key: PieceKey) -> BufferPiece {
+        let PieceKey {
+            buffer: p,
+            ports,
+            coalesce: g,
+            pruning,
+        } = key;
+        let bounds = &self.bounds;
+        let mut piece = BufferPiece {
+            entities: buffer_entities(dag, p),
+            hard: Vec::new(),
+            groups: Vec::new(),
+            stats: FormulationStats::default(),
+        };
+        let BufferPiece {
+            entities,
+            hard,
+            groups,
+            stats,
+        } = &mut piece;
         // All accessors of this buffer walk producer rows with the same
         // period (module docs), so the seed's width becomes the buffer's
         // row period.
-        let w = periods[p.index()];
+        let w = self.periods[p.index()];
 
         if g > 1 {
             // Coalesced buffer: deterministic pairwise constraints (see
@@ -284,17 +381,17 @@ pub fn formulate_with(
             let block_gap = if 2 * (g - 1) > ports { g as i64 } else { 1 };
             for (i, a) in entities.iter().enumerate() {
                 for b in entities.iter().skip(i + 1) {
-                    push_coalesced_pair(&mut hard, a, b, w, block_gap, bounds);
+                    push_coalesced_pair(hard, a, b, w, block_gap, bounds);
                 }
             }
-            continue;
+            return piece;
         }
 
         // Un-coalesced: (P+1)-combination machinery (Equ. 5).
         let n = entities.len();
         let k = ports as usize + 1;
         if n < k {
-            continue;
+            return piece;
         }
         for combo in combinations(n, k) {
             stats.combinations += 1;
@@ -327,7 +424,7 @@ pub fn formulate_with(
                         b: ej.stage,
                         k: w * gap,
                     };
-                    if opts.pruning && bounds.is_infeasible(&c) {
+                    if pruning && bounds.is_infeasible(&c) {
                         stats.pruned_infeasible += 1;
                         continue;
                     }
@@ -340,7 +437,7 @@ pub fn formulate_with(
             if alternatives.len() == 1 && alternatives[0].k == 0 {
                 continue;
             }
-            if opts.pruning {
+            if pruning {
                 let before = alternatives.len();
                 alternatives = prune_dominated(alternatives, bounds);
                 stats.pruned_dominated += before - alternatives.len();
@@ -369,13 +466,38 @@ pub fn formulate_with(
                 }
             }
         }
+        piece
     }
+}
 
-    ConstraintSet {
-        hard,
-        groups,
-        stats,
-    }
+/// Builds the full constraint system for `dag` at image width `width`.
+pub fn formulate(
+    dag: &Dag,
+    width: u32,
+    params: &impl BufferParams,
+    opts: ScheduleOptions,
+) -> ConstraintSet {
+    formulate_with(dag, &formulate_skeleton(dag, width), params, opts)
+}
+
+/// Completes a [`ConstraintSkeleton`] with the memory-config-dependent
+/// contention constraints (Equ. 1c) for `dag`: the skeleton's constraints,
+/// then each buffer's memoized piece in [`Dag::buffered_stages`] order,
+/// built on the first lookup of its stage, ports, coalescing factor and
+/// pruning flag. The result equals [`formulate`]'s on `dag`.
+///
+/// `dag` may be the coalesced working copy of the DAG the skeleton was
+/// built from, each buffer coalesced by `params.coalesce`: the rewrite
+/// changes read ports but neither windows nor sync groups, so the
+/// skeleton stays exact, and it changes only the coalesced buffer's own
+/// entities, so a piece serves every DAG that coalesces its buffer alike.
+pub fn formulate_with(
+    dag: &Dag,
+    skeleton: &ConstraintSkeleton,
+    params: &impl BufferParams,
+    opts: ScheduleOptions,
+) -> ConstraintSet {
+    skeleton.assemble(&skeleton.pieces(dag, params, opts))
 }
 
 fn push_coalesced_pair(

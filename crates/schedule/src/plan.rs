@@ -21,9 +21,9 @@
 
 use crate::checker::{BufferCheck, BufferVerdict, PortViolation, ResolvedEntity};
 use crate::constraints::{
-    formulate_skeleton, formulate_with, BufferParams, ConstraintSkeleton, ScheduleOptions,
+    formulate_skeleton, BufferParams, BufferPiece, ConstraintSkeleton, ScheduleOptions,
 };
-use crate::entity::buffer_entities;
+use crate::entity::{buffer_entities, AccessEntity};
 use crate::solve::{solve_schedule, Schedule, ScheduleError};
 use imagen_ir::{apply_line_coalescing, CoalesceFactor, Dag, StageId, StageKind};
 use imagen_mem::{
@@ -31,6 +31,7 @@ use imagen_mem::{
 };
 use imagen_obs::Memo;
 use std::fmt;
+use std::sync::Arc;
 
 /// Planner failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -189,7 +190,10 @@ pub fn plan_design(
 /// *base*, un-coalesced DAG) at this geometry's width. Compile sessions
 /// and the design-space explorer build the skeleton once per DAG and call
 /// this per memory configuration, skipping the spec-independent half of
-/// the formulation. They also pass one memo for all their calls, so a
+/// the formulation, and each buffer's contention constraints and access
+/// entities once per configuration of that buffer: the skeleton memoizes
+/// them, and a plan looks each buffer's up once, to formulate and to
+/// realize. They also pass one memo for all their calls, so a
 /// buffer whose streams an earlier plan already checked — at any
 /// geometry or memory spec — is not checked again. The memo changes no
 /// result: every answer equals the checks run on that buffer.
@@ -242,10 +246,13 @@ pub fn plan_design_with(
         }
     }
 
+    // Each buffer's piece is looked up once: its constraints join the
+    // set, and its entities become the streams realize checks.
     let params = SpecBufferParams { spec, geom };
-    let set = {
+    let (set, pieces) = {
         let _s = imagen_obs::span("plan.formulate");
-        formulate_with(&working, geom.width, skeleton, &params, opts)
+        let pieces = skeleton.pieces(&working, &params, opts);
+        (skeleton.assemble(&pieces), pieces)
     };
     let schedule = {
         let _s = imagen_obs::span("ilp.solve");
@@ -254,7 +261,7 @@ pub fn plan_design_with(
 
     let design = {
         let _s = imagen_obs::span("plan.realize");
-        realize_design(&working, geom, spec, &schedule, style, memo)?
+        realize_design(&working, &pieces, geom, spec, &schedule, style, memo)?
     };
     Ok(Plan {
         dag: working,
@@ -277,8 +284,20 @@ pub fn resolve_entities(
     scales: &[(u64, u64)],
     starts: &[i64],
 ) -> Vec<ResolvedEntity> {
+    streams(&buffer_entities(dag, p), p, scales, starts)
+}
+
+/// The streams of stage `p`'s buffer, whose access entities are
+/// `entities`, at `starts`: the one builder behind [`resolve_entities`],
+/// [`buffer_check`] and the planner's own checks.
+fn streams(
+    entities: &[AccessEntity],
+    p: StageId,
+    scales: &[(u64, u64)],
+    starts: &[i64],
+) -> Vec<ResolvedEntity> {
     let (pcx, pcy) = scales[p.index()];
-    buffer_entities(dag, p)
+    entities
         .iter()
         .map(|e| ResolvedEntity {
             start: starts[e.stage.index()],
@@ -309,6 +328,18 @@ pub fn buffer_check(
     geom: &ImageGeometry,
     spec: &MemorySpec,
 ) -> BufferCheck {
+    check_of(&buffer_entities(dag, p), p, scales, schedule, geom, spec)
+}
+
+/// [`buffer_check`] of the buffer whose access entities are `entities`.
+fn check_of(
+    entities: &[AccessEntity],
+    p: StageId,
+    scales: &[(u64, u64)],
+    schedule: &Schedule,
+    geom: &ImageGeometry,
+    spec: &MemorySpec,
+) -> BufferCheck {
     let block_bits = spec.backend().block_bits();
     let row_bits = buffer_geometry(geom, scales[p.index()]).row_bits();
     let blocks_per_row = if row_bits > block_bits {
@@ -329,7 +360,7 @@ pub fn buffer_check(
         },
         blocks_per_row,
         block_bits,
-        streams: resolve_entities(dag, p, scales, &schedule.starts),
+        streams: streams(entities, p, scales, &schedule.starts),
     }
 }
 
@@ -417,8 +448,11 @@ impl PortCheckMemo {
 
 /// Turns a schedule into an allocated, priced design: per-buffer physical
 /// planning, aliasing slack, analytic access statistics, PE costs.
+/// `pieces` holds each buffer's formulation piece, in
+/// [`Dag::buffered_stages`] order.
 fn realize_design(
     dag: &Dag,
+    pieces: &[Arc<BufferPiece>],
     geom: &ImageGeometry,
     spec: &MemorySpec,
     schedule: &Schedule,
@@ -428,8 +462,8 @@ fn realize_design(
     let scales = dag.stage_scales();
 
     let mut buffers = Vec::new();
-    for p in dag.buffered_stages() {
-        let check = buffer_check(dag, p, &scales, schedule, geom, spec);
+    for (p, piece) in dag.buffered_stages().into_iter().zip(pieces) {
+        let check = check_of(&piece.entities, p, &scales, schedule, geom, spec);
         let (pcx, pcy) = scales[p.index()];
 
         // Analytic access statistics: per *active* cycle the writer makes
@@ -838,9 +872,23 @@ mod tests {
         let shift = 3 * w + 5;
         let first = schedule_at(starts.clone());
         let moved = schedule_at(starts.iter().map(|s| s + shift).collect());
+        let params = SpecBufferParams {
+            spec: &spec,
+            geom: &geom,
+        };
+        let pieces =
+            formulate_skeleton(&dag, geom.width).pieces(&dag, &params, ScheduleOptions::default());
         let realize = |schedule: &Schedule, memo: &PortCheckMemo| {
-            realize_design(&dag, &geom, &spec, schedule, DesignStyle::Ours, memo)
-                .expect_err("one port cannot serve the writer and K1 on one row")
+            realize_design(
+                &dag,
+                &pieces,
+                &geom,
+                &spec,
+                schedule,
+                DesignStyle::Ours,
+                memo,
+            )
+            .expect_err("one port cannot serve the writer and K1 on one row")
         };
 
         let memo = PortCheckMemo::new();
