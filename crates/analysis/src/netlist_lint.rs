@@ -320,10 +320,21 @@ fn stage_by_san<'a>(net: &'a Netlist, san: &str) -> Option<&'a NetStage> {
 fn assign_reads(net: &Netlist, module: &Module, driven: &str) -> Vec<String> {
     match &module.kind {
         ModuleKind::Top => top_assign_reads(net, driven),
-        ModuleKind::LineBuffer(_) => {
+        ModuleKind::LineBuffer(b) => {
+            // A split row's block is its column segment, addressed by
+            // column alone.
+            let split = net
+                .structure
+                .buffers
+                .get(*b)
+                .is_some_and(|b| b.layout.is_split());
             let deps: &[&str] = match driven {
                 "wphys" => &["wrow"],
                 "rphys" => &["rrow"],
+                "wblk" if split => &["wphys", "wcol"],
+                "rblk" if split => &["rphys", "rcol"],
+                "waddr" if split => &["wcol"],
+                "raddr" if split => &["rcol"],
                 "wblk" => &["wphys"],
                 "rblk" => &["rphys"],
                 "waddr" => &["wphys", "wcol"],

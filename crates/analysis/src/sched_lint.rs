@@ -12,7 +12,7 @@
 
 use crate::{codes, Diagnostic, Locus, Severity};
 use imagen_mem::{ImageGeometry, MemorySpec};
-use imagen_schedule::checker::{check_accesses, BufferLayout, ResolvedEntity};
+use imagen_schedule::checker::{check_accesses, ResolvedEntity};
 use imagen_schedule::{
     formulate, resolve_entities, schedule_satisfies, size_buffers, Plan, ScheduleOptions,
     SpecBufferParams,
@@ -191,19 +191,13 @@ pub fn lint_plan(plan: &Plan, geom: &ImageGeometry, spec: &MemorySpec) -> Vec<Di
             );
             continue;
         };
-        let layout = BufferLayout {
-            phys_rows: b.phys_rows,
-            rows_per_block: b.rows_per_block.max(1),
-            blocks_per_row: b.blocks_per_row.max(1),
-            block_bits: spec.backend().block_bits(),
-        };
         if let Err(v) = check_accesses(
             geom.width,
             geom.height,
             geom.pixel_bits,
             &entities,
             ports,
-            Some(&layout),
+            Some(&b.layout),
         ) {
             diags.push(
                 Diagnostic::new(

@@ -21,8 +21,8 @@
 
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{
-    BlockRole, BufferPlan, Design, DesignStyle, ImageGeometry, MemBackend, PeModel, PhysBlock,
-    CLOCK_MHZ,
+    BlockLayout, BlockRole, BufferPlan, Design, DesignStyle, ImageGeometry, MemBackend, PeModel,
+    PhysBlock, CLOCK_MHZ,
 };
 use imagen_schedule::{
     asap_schedule, dependency_gap, row_periods, DiffGe, Plan, PlanError, Schedule,
@@ -133,6 +133,8 @@ fn plan_fifo_buffer(
         .collect();
     let max_depth = depths.iter().copied().max().unwrap_or(1);
     let n_consumers = depths.len() as u32;
+    // The rotating functional model needs the full reuse distance.
+    let layout = BlockLayout::new(row_bits, block_bits, 1).with_phys_rows(max_depth);
 
     // Full-line FIFO segments: lines 1..max_depth-1 relative to the head.
     // A line needed by k consumers beyond the first splits into k FIFOs
@@ -145,10 +147,9 @@ fn plan_fifo_buffer(
         // How many consumers reach at least this deep?
         let sharers = depths.iter().filter(|&&d| d > line).count() as u32;
         let splits = sharers.max(1);
-        let blocks_per_line = row_bits.div_ceil(block_bits).max(1) as u32;
         for _split in 0..splits {
             let mut remaining = row_bits;
-            for _ in 0..blocks_per_line {
+            for _ in 0..layout.blocks_per_row() {
                 let used = remaining.min(block_bits);
                 remaining -= used;
                 blocks.push(PhysBlock {
@@ -180,10 +181,7 @@ fn plan_fifo_buffer(
     BufferPlan {
         stage: p.index(),
         logical_rows: max_depth,
-        // The rotating functional model needs the full reuse distance.
-        phys_rows: max_depth,
-        rows_per_block: 1,
-        blocks_per_row: row_bits.div_ceil(block_bits).max(1) as u32,
+        layout,
         blocks,
         dff_bits,
     }

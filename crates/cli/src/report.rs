@@ -102,9 +102,9 @@ pub fn run_compile(dag: &Dag, opts: &Options) -> Result<(), String> {
             "  {:<12} {} rows ({} physical) in {} block(s), {} rows/block\n",
             name,
             buf.logical_rows,
-            buf.phys_rows,
+            buf.layout.phys_rows(),
             buf.blocks.len(),
-            buf.rows_per_block
+            buf.layout.rows_per_block()
         ));
     }
 

@@ -220,6 +220,41 @@ fn emitted_verilog_matches_library_output() {
     assert_eq!(via_cli, via_lib, "CLI and library emit different RTL");
 }
 
+/// Rows wider than a block split into column segments, one macro each:
+/// sobel's 320-pixel rows span two 4096-bit macros, so its eight macros
+/// are 256 words deep, count the 32,768 bits the plan allocates, and
+/// select their block by row and column.
+#[test]
+fn split_rows_size_macros_as_allocated() {
+    let args = [
+        "compile",
+        "examples/sobel.imagen",
+        "--width",
+        "320",
+        "--height",
+        "240",
+        "--block-bits",
+        "4096",
+    ];
+    let text = stdout_of(&imagen(&args));
+    assert!(
+        text.contains("SRAM allocated : 4.000 KB over 8 block(s)"),
+        "{text}"
+    );
+    assert!(text.contains("SRAM macros    : 8 (32768 bits)"), "{text}");
+    let verilog = stdout_of(&imagen(&[&args[..], &["--emit"]].concat()));
+    assert_eq!(
+        verilog
+            .matches("#(.DEPTH(256), .WIDTH(16), .AW(8))")
+            .count(),
+        8
+    );
+    assert!(
+        verilog.contains("wire [31:0] wblk = wphys * 2 + (wcol * 16) / 4096;"),
+        "{verilog}"
+    );
+}
+
 /// `energy` prices from the schedule and allocates no frame, so it takes
 /// every geometry `compile` takes: a frame smaller than the stencil plus
 /// its margin, and one over `sim`'s pixel budget.

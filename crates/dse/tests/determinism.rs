@@ -351,18 +351,8 @@ fn memo_served_buffers_equal_direct_checks() {
                         b.stage
                     );
                     assert_eq!(
-                        required_phys_rows(
-                            w,
-                            h,
-                            px,
-                            &streams,
-                            ports,
-                            b.logical_rows,
-                            b.rows_per_block,
-                            b.blocks_per_row,
-                            backend.block_bits(),
-                        ),
-                        Ok(b.phys_rows),
+                        required_phys_rows(w, h, px, &streams, ports, b.logical_rows, b.layout),
+                        Ok(b.layout.phys_rows()),
                         "{name} point {i} buffer {}: physical rows",
                         b.stage
                     );

@@ -8,6 +8,7 @@
 //! paper's metrics (SRAM KB, BRAM blocks, mm², mW).
 
 use crate::geometry::ImageGeometry;
+use crate::layout::BlockLayout;
 use crate::spec::MemBackend;
 use crate::tech::{pj_per_cycle_to_mw, BramModel, DffModel, SramConfig, SramModel, CLOCK_MHZ};
 
@@ -48,12 +49,9 @@ pub struct BufferPlan {
     pub stage: usize,
     /// Rows required by the schedule: `ceil(max_delay / W)` (Equ. 2).
     pub logical_rows: u32,
-    /// Rows physically allocated (logical + aliasing slack).
-    pub phys_rows: u32,
-    /// Rows sharing one block (`g`; 1 = no coalescing).
-    pub rows_per_block: u32,
-    /// Blocks a single row spans when a row exceeds block capacity.
-    pub blocks_per_row: u32,
+    /// How the physically allocated rows (logical + aliasing slack) pack
+    /// into the blocks.
+    pub layout: BlockLayout,
     /// The block inventory.
     pub blocks: Vec<PhysBlock>,
     /// Head-segment bits kept in DFFs instead of SRAM (SODA).
@@ -61,32 +59,6 @@ pub struct BufferPlan {
 }
 
 impl BufferPlan {
-    /// Maps an absolute image row (+ column for split rows) to the index
-    /// of the physical block serving it.
-    ///
-    /// Returns `None` for buffers with no SRAM blocks (pure-DFF buffers).
-    pub fn block_of(&self, abs_row: u64, x: u32, geom: &ImageGeometry) -> Option<usize> {
-        if self.blocks.is_empty() || self.phys_rows == 0 {
-            return None;
-        }
-        let phys_row = (abs_row % self.phys_rows as u64) as u32;
-        let idx = if self.blocks_per_row > 1 {
-            let seg = (x as u64 * geom.pixel_bits as u64) / self.segment_bits();
-            phys_row as u64 * self.blocks_per_row as u64 + seg
-        } else {
-            (phys_row / self.rows_per_block) as u64
-        };
-        Some((idx as usize).min(self.blocks.len() - 1))
-    }
-
-    fn segment_bits(&self) -> u64 {
-        // When rows split across blocks, each block holds an equal column
-        // segment of ceil(row_bits / blocks_per_row).
-        debug_assert!(self.blocks_per_row > 1);
-        let cap = self.blocks[0].capacity_bits;
-        cap.max(1)
-    }
-
     /// Total allocated SRAM/BRAM capacity, bits.
     pub fn capacity_bits(&self) -> u64 {
         self.blocks.iter().map(|b| b.capacity_bits).sum()
@@ -270,84 +242,68 @@ impl Design {
     }
 }
 
-/// Allocates the physical blocks of one line buffer.
+/// Allocates the physical blocks of one line buffer of rows of
+/// `geom.row_bits()` bits, packed by `layout`.
 ///
-/// * `phys_rows` — rows to allocate (logical + aliasing slack);
-/// * `rows_per_block` — the coalescing factor `g`;
+/// * `logical_rows` — rows the schedule requires;
+/// * `layout` — the rows to allocate (logical + aliasing slack) and
+///   their packing, built for `geom`'s rows;
 /// * `dff_bits` — head bits held in DFFs instead of SRAM (SODA-style);
 /// * `fifo` — allocate as FIFO segments (`BlockRole::FifoSegment`).
 ///
 /// Handles both fragmentation regimes: rows that fit a block (possibly
 /// several per block when coalescing) and rows that must split across
 /// multiple blocks (1080p rows on small macros).
-#[allow(clippy::too_many_arguments)] // a parameter struct would obscure the call sites
 pub fn allocate_buffer(
     stage: usize,
-    phys_rows: u32,
     logical_rows: u32,
-    rows_per_block: u32,
+    layout: BlockLayout,
     geom: &ImageGeometry,
-    backend: MemBackend,
     ports: u32,
     dff_bits: u64,
     fifo: bool,
 ) -> BufferPlan {
     let row_bits = geom.row_bits();
-    let block_bits = backend.block_bits();
+    let block_bits = layout.block_bits();
     let role = if fifo {
         BlockRole::FifoSegment
     } else {
         BlockRole::LineStore
     };
-    let mut blocks = Vec::new();
-    let mut blocks_per_row = 1u32;
-
-    if phys_rows > 0 {
-        if row_bits > block_bits {
-            // A row spans several blocks (e.g. 1080p rows on small macros).
-            blocks_per_row = row_bits.div_ceil(block_bits) as u32;
-            for _row in 0..phys_rows {
-                let mut remaining = row_bits;
-                for _ in 0..blocks_per_row {
-                    let used = remaining.min(block_bits);
-                    remaining -= used;
-                    blocks.push(PhysBlock {
-                        capacity_bits: block_bits,
-                        used_bits: used,
-                        ports,
-                        role,
-                        avg_accesses_per_cycle: 0.0,
-                        avg_writes_per_cycle: 0.0,
-                        peak_accesses: 0,
-                    });
-                }
+    let block = |used_bits| PhysBlock {
+        capacity_bits: block_bits,
+        used_bits,
+        ports,
+        role,
+        avg_accesses_per_cycle: 0.0,
+        avg_writes_per_cycle: 0.0,
+        peak_accesses: 0,
+    };
+    let mut blocks = Vec::with_capacity(layout.blocks());
+    if layout.is_split() {
+        // A row spans several blocks (e.g. 1080p rows on small macros).
+        for _row in 0..layout.phys_rows() {
+            let mut remaining = row_bits;
+            for _ in 0..layout.blocks_per_row() {
+                let used = remaining.min(block_bits);
+                remaining -= used;
+                blocks.push(block(used));
             }
-        } else {
-            let g = rows_per_block.max(1);
-            let nblocks = phys_rows.div_ceil(g);
-            let mut rows_left = phys_rows;
-            for _ in 0..nblocks {
-                let rows_here = g.min(rows_left);
-                rows_left -= rows_here;
-                blocks.push(PhysBlock {
-                    capacity_bits: block_bits,
-                    used_bits: rows_here as u64 * row_bits,
-                    ports,
-                    role,
-                    avg_accesses_per_cycle: 0.0,
-                    avg_writes_per_cycle: 0.0,
-                    peak_accesses: 0,
-                });
-            }
+        }
+    } else {
+        let g = layout.rows_per_block();
+        let mut rows_left = layout.phys_rows();
+        while rows_left > 0 {
+            let rows_here = g.min(rows_left);
+            rows_left -= rows_here;
+            blocks.push(block(rows_here as u64 * row_bits));
         }
     }
 
     BufferPlan {
         stage,
         logical_rows,
-        phys_rows,
-        rows_per_block: rows_per_block.max(1),
-        blocks_per_row,
+        layout,
         blocks,
         dff_bits,
     }
@@ -361,45 +317,46 @@ mod tests {
         ImageGeometry::p320()
     }
 
-    #[test]
-    fn plain_allocation_one_row_per_block() {
-        let plan = allocate_buffer(
+    /// A line store of `phys_rows` rows of `geom`, `g` to a block, on
+    /// `backend`'s blocks.
+    fn line_store(
+        phys_rows: u32,
+        logical_rows: u32,
+        g: u32,
+        geom: &ImageGeometry,
+        backend: MemBackend,
+    ) -> BufferPlan {
+        let layout = BlockLayout::new(geom.row_bits(), backend.block_bits(), g);
+        allocate_buffer(
             0,
-            3,
-            3,
-            1,
-            &geom320(),
-            MemBackend::asic_default(),
+            logical_rows,
+            layout.with_phys_rows(phys_rows),
+            geom,
             2,
             0,
             false,
-        );
+        )
+    }
+
+    #[test]
+    fn plain_allocation_one_row_per_block() {
+        let plan = line_store(3, 3, 1, &geom320(), MemBackend::asic_default());
         assert_eq!(plan.blocks.len(), 3);
         assert_eq!(plan.blocks[0].used_bits, 7680);
         assert_eq!(plan.capacity_bits(), 3 * 32768);
-        assert_eq!(plan.block_of(0, 0, &geom320()), Some(0));
-        assert_eq!(plan.block_of(4, 0, &geom320()), Some(1), "rotation wraps");
+        assert_eq!(plan.layout.block_of(0, 0, 16), 0);
+        assert_eq!(plan.layout.block_of(4, 0, 16), 1, "rotation wraps");
     }
 
     #[test]
     fn coalesced_allocation_halves_blocks() {
-        let plan = allocate_buffer(
-            0,
-            4,
-            3,
-            2,
-            &geom320(),
-            MemBackend::asic_default(),
-            2,
-            0,
-            false,
-        );
+        let plan = line_store(4, 3, 2, &geom320(), MemBackend::asic_default());
         assert_eq!(plan.blocks.len(), 2);
         assert_eq!(plan.blocks[0].used_bits, 2 * 7680);
         // Rows 0,1 -> block 0; rows 2,3 -> block 1; row 4 wraps to block 0.
-        assert_eq!(plan.block_of(0, 0, &geom320()), Some(0));
-        assert_eq!(plan.block_of(2, 0, &geom320()), Some(1));
-        assert_eq!(plan.block_of(4, 0, &geom320()), Some(0));
+        assert_eq!(plan.layout.block_of(0, 0, 16), 0);
+        assert_eq!(plan.layout.block_of(2, 0, 16), 1);
+        assert_eq!(plan.layout.block_of(4, 0, 16), 0);
     }
 
     #[test]
@@ -407,38 +364,18 @@ mod tests {
         let geom = ImageGeometry::p1080();
         // 30720-bit rows on 32 Kbit blocks fit; force splitting with a
         // smaller macro.
-        let plan = allocate_buffer(
-            0,
-            2,
-            2,
-            1,
-            &geom,
-            MemBackend::Asic { block_bits: 16384 },
-            2,
-            0,
-            false,
-        );
-        assert_eq!(plan.blocks_per_row, 2);
+        let plan = line_store(2, 2, 1, &geom, MemBackend::Asic { block_bits: 16384 });
+        assert_eq!(plan.layout.blocks_per_row(), 2);
         assert_eq!(plan.blocks.len(), 4);
         // Column 0 lands in the row's first block, column 1919 in the second.
-        assert_eq!(plan.block_of(0, 0, &geom), Some(0));
-        assert_eq!(plan.block_of(0, 1919, &geom), Some(1));
-        assert_eq!(plan.block_of(1, 0, &geom), Some(2));
+        assert_eq!(plan.layout.block_of(0, 0, 16), 0);
+        assert_eq!(plan.layout.block_of(0, 1919, 16), 1);
+        assert_eq!(plan.layout.block_of(1, 0, 16), 2);
     }
 
     #[test]
     fn design_metrics() {
-        let plan = allocate_buffer(
-            0,
-            3,
-            3,
-            1,
-            &geom320(),
-            MemBackend::asic_default(),
-            2,
-            0,
-            false,
-        );
+        let plan = line_store(3, 3, 1, &geom320(), MemBackend::asic_default());
         let mut design = Design {
             name: "t".into(),
             geometry: geom320(),
@@ -470,7 +407,8 @@ mod tests {
 
     #[test]
     fn fifo_role_allocates() {
-        let plan = allocate_buffer(1, 2, 2, 1, &geom320(), MemBackend::Fpga, 2, 480 * 16, true);
+        let layout = BlockLayout::new(7680, BramModel::BLOCK_BITS, 1).with_phys_rows(2);
+        let plan = allocate_buffer(1, 2, layout, &geom320(), 2, 480 * 16, true);
         assert!(plan.blocks.iter().all(|b| b.role == BlockRole::FifoSegment));
         assert_eq!(plan.dff_bits, 7680);
         assert_eq!(plan.blocks[0].capacity_bits, BramModel::BLOCK_BITS);
@@ -479,9 +417,10 @@ mod tests {
     #[test]
     fn empty_buffer_is_legal() {
         // SODA head-only buffers: everything in DFFs, no SRAM blocks.
-        let plan = allocate_buffer(0, 0, 0, 1, &geom320(), MemBackend::Fpga, 2, 100, true);
+        let layout = BlockLayout::new(7680, BramModel::BLOCK_BITS, 1);
+        let plan = allocate_buffer(0, 0, layout, &geom320(), 2, 100, true);
         assert!(plan.blocks.is_empty());
-        assert_eq!(plan.block_of(0, 0, &geom320()), None);
+        assert_eq!(plan.layout.blocks(), 0);
         assert_eq!(plan.capacity_bits(), 0);
     }
 }

@@ -9,6 +9,8 @@
 //! * [`tech`] — analytical SRAM/BRAM/DFF/PE cost models substituting for
 //!   OpenRAM+FreePDK45 and Vivado (their calibration is in its module
 //!   doc);
+//! * [`BlockLayout`] — how a line buffer's rows pack into blocks: the
+//!   one (row, column) → block map and macro depth every consumer reads;
 //! * [`Design`] / [`BufferPlan`] / [`allocate_buffer`] — the planned
 //!   memory system every generator (ours + baselines) produces, priced
 //!   into the paper's metrics (SRAM KB, block counts, mm², mW).
@@ -20,10 +22,12 @@
 
 mod design;
 mod geometry;
+mod layout;
 mod spec;
 pub mod tech;
 
 pub use design::{allocate_buffer, BlockRole, BufferPlan, Design, DesignStyle, PhysBlock};
 pub use geometry::ImageGeometry;
+pub use layout::BlockLayout;
 pub use spec::{MemBackend, MemorySpec, StageMemConfig};
 pub use tech::{BramModel, DffModel, PeModel, SramConfig, SramModel, CLOCK_MHZ};

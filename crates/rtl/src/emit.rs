@@ -276,16 +276,18 @@ fn emit_expr(out: &mut String, e: &Expr, edges: &[NetEdge], acc: u32) {
 }
 
 /// Emits one line-buffer module: rotating banks of SRAM blocks plus the
-/// bank-select logic.
+/// bank-select logic, which prints the buffer's
+/// [`BlockLayout::block_of`](imagen_mem::BlockLayout::block_of) map.
 fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
     let pixel = net.widths.pixel_bits;
     let name = &net.structure.stages[buf.stage].sanitized;
-    let rows = buf.phys_rows.max(1);
+    let layout = buf.layout;
+    let rows = layout.phys_rows().max(1);
     let nblocks = buf.blocks;
     let ports = buf.ports;
-    let depth = buf.depth;
-    let aw = buf.aw;
-    let g = buf.rows_per_block.max(1);
+    let px = net.structure.geometry.pixel_bits;
+    let depth = layout.depth(buf.width, px);
+    let aw = layout.addr_width(buf.width, px);
 
     let _ = writeln!(v, "module linebuf_{name} (");
     let _ = writeln!(v, "    input  wire clk,");
@@ -298,29 +300,37 @@ fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
     let _ = writeln!(v, "    input  wire [31:0] rcol,");
     let _ = writeln!(v, "    output wire signed [{}:0] rdata", pixel - 1);
     let _ = writeln!(v, ");");
+    let (g, split, top) = (layout.rows_per_block(), layout.is_split(), aw - 1);
+    let (bpr, bits, width) = (layout.blocks_per_row(), layout.block_bits(), buf.width);
     let _ = writeln!(
         v,
-        "    // {rows} physical rows over {nblocks} blocks ({} rows/block, {} ports)",
-        buf.rows_per_block, ports
+        "    // {rows} physical rows over {nblocks} blocks ({g} rows/block, {ports} ports)"
     );
     let _ = writeln!(v, "    wire [31:0] wphys = wrow % {rows};");
     let _ = writeln!(v, "    wire [31:0] rphys = rrow % {rows};");
-    let _ = writeln!(v, "    wire [31:0] wblk = wphys / {g};");
-    let _ = writeln!(v, "    wire [31:0] rblk = rphys / {g};");
-    let _ = writeln!(
-        v,
-        "    wire [{}:0] waddr = (wphys % {}) * {} + wcol;",
-        aw - 1,
-        g,
-        buf.width
-    );
-    let _ = writeln!(
-        v,
-        "    wire [{}:0] raddr = (rphys % {}) * {} + rcol;",
-        aw - 1,
-        g,
-        buf.width
-    );
+    // A split row's block holds one column segment of `block_bits` bits;
+    // whole rows share a block `g` at a time.
+    for p in ['w', 'r'] {
+        let _ = match split {
+            true => writeln!(
+                v,
+                "    wire [31:0] {p}blk = {p}phys * {bpr} + ({p}col * {px}) / {bits};"
+            ),
+            false => writeln!(v, "    wire [31:0] {p}blk = {p}phys / {g};"),
+        };
+    }
+    for p in ['w', 'r'] {
+        let _ = match split {
+            true => writeln!(
+                v,
+                "    wire [{top}:0] {p}addr = (({p}col * {px}) % {bits}) / {px};"
+            ),
+            false => writeln!(
+                v,
+                "    wire [{top}:0] {p}addr = ({p}phys % {g}) * {width} + {p}col;"
+            ),
+        };
+    }
     let _ = writeln!(
         v,
         "    wire signed [{}:0] rdata_blk [0:{}];",

@@ -524,12 +524,14 @@ fn bank_template(rw_ports: u32) -> Instance {
     }
 }
 
-/// Builds one line-buffer module: the bank-select logic and one bank of
-/// SRAM blocks on `template`.
+/// Builds one line-buffer module: the bank-select logic, addressing
+/// macros of `aw` address bits, and one bank of SRAM blocks on
+/// `template`.
 fn linebuf_module(
     widths: &BitWidths,
     sanitized: &str,
     buf: &NetBuffer,
+    aw: u32,
     buffer: usize,
     template: &Arc<Instance>,
 ) -> Module {
@@ -549,8 +551,8 @@ fn linebuf_module(
     nets.push(scalar("rphys", 32));
     nets.push(scalar("wblk", 32));
     nets.push(scalar("rblk", 32));
-    nets.push(scalar("waddr", buf.aw));
-    nets.push(scalar("raddr", buf.aw));
+    nets.push(scalar("waddr", aw));
+    nets.push(scalar("raddr", aw));
     nets.push(Net {
         name: "rdata_blk".to_string(),
         width: p,
@@ -627,6 +629,8 @@ pub fn build_netlist(dag: &Dag, design: &Design, widths: &BitWidths) -> Netlist 
             widths,
             &stages[buf.stage].sanitized,
             buf,
+            buf.layout
+                .addr_width(buf.width, structure.geometry.pixel_bits),
             bi,
             template,
         ));

@@ -605,17 +605,6 @@ struct StageProg {
     n_vrows: usize,
 }
 
-/// Per-buffer metadata for the block sweep.
-#[derive(Clone, Debug)]
-struct BufMeta {
-    nb: NetBuffer,
-    /// Base-raster columns at which the bank segment changes (only
-    /// populated when `blocks_per_row > 1`), used as span cuts by the
-    /// block sweep. Participants address the producer's grid, so the
-    /// segment of producer column `c` starts at base column `c·pcx`.
-    seg_cuts: Vec<u64>,
-}
-
 /// Per-block SRAM access counters of one buffer, from its block sweep.
 #[derive(Debug)]
 struct BufferCounts {
@@ -642,9 +631,9 @@ impl BufferCounts {
 /// every start and gate taken relative to the writer's start. The sweep
 /// depends on cycles only through their differences, so two buffers with
 /// equal keys have equal counts. In order: the frame (`w`, `h`, pixels,
-/// pixel bits); the [`NetBuffer`] fields the sweep and
-/// [`NetBuffer::block_of`] read (row width, physical rows and blocks,
-/// rows per block, blocks per row, block capacity); the producer's scale;
+/// pixel bits); the [`NetBuffer`] fields the sweep reads (row width,
+/// physical rows and blocks, and the rows per block, blocks per row and
+/// block capacity of its layout's block map); the producer's scale;
 /// then per reader edge its start, row step, lag, height and gate
 /// (`0, 0, 0` ungated, else `1` and its ends). Starts and gates are
 /// wrapping differences from the writer's start: for a fixed writer that
@@ -717,8 +706,8 @@ struct Layout {
     stages: Vec<StageProg>,
     /// Consumer edges grouped per stage, in sorted-stage order.
     edges: Vec<EdgeProg>,
-    /// Netlist-buffer metadata, in netlist buffer order.
-    buffers: Vec<BufMeta>,
+    /// The netlist's buffers, in netlist buffer order.
+    buffers: Vec<NetBuffer>,
     /// Read-enable window per netlist buffer, `None` when ungated.
     gates: Vec<Option<(u64, u64)>>,
     /// Start cycle per netlist stage index (block-sweep writer lookup).
@@ -962,30 +951,6 @@ impl Layout {
             })
             .sum();
 
-        let buffers: Vec<BufMeta> = structure
-            .buffers
-            .iter()
-            .map(|nb| {
-                let pcx = scale_of[nb.stage].0;
-                let mut seg_cuts = Vec::new();
-                if nb.blocks_per_row > 1 {
-                    let cap = nb.block_capacity_bits.max(1);
-                    let mut prev_seg = 0u64;
-                    for c in 1..nb.width as u64 {
-                        let seg = c * geom.pixel_bits as u64 / cap;
-                        if seg != prev_seg {
-                            seg_cuts.push(c * pcx);
-                            prev_seg = seg;
-                        }
-                    }
-                }
-                BufMeta {
-                    nb: nb.clone(),
-                    seg_cuts,
-                }
-            })
-            .collect();
-
         Ok(Layout {
             w,
             h,
@@ -994,7 +959,7 @@ impl Layout {
             geom_pixel_bits: geom.pixel_bits,
             stages,
             edges,
-            buffers,
+            buffers: structure.buffers.clone(),
             gated_off_cycles: gates.iter().map(|&g| gated_off(g, end)).sum(),
             gates,
             start_of: structure.stages.iter().map(|s| s.start_cycle).collect(),
@@ -1055,10 +1020,9 @@ impl Layout {
     /// to it; without one, every buffer is swept.
     fn block_counts(&self, memo: Option<&BlockSweepMemo>) -> Vec<Arc<BufferCounts>> {
         let sweep = |bi: usize, rd: &[ReaderEdge]| {
-            let meta = &self.buffers[bi];
             // At unit stride every participant acts on every cycle of its
             // live rows, and the stride arithmetic compiles away.
-            if self.scale_of[meta.nb.stage] == (1, 1) && rd.iter().all(|r| r.1 == 1) {
+            if self.scale_of[self.buffers[bi].stage] == (1, 1) && rd.iter().all(|r| r.1 == 1) {
                 self.sweep::<true>(bi, rd)
             } else {
                 self.sweep::<false>(bi, rd)
@@ -1069,8 +1033,7 @@ impl Layout {
             .iter()
             .zip(&self.readers())
             .enumerate()
-            .map(|(bi, (meta, rd))| {
-                let nb = &meta.nb;
+            .map(|(bi, (nb, rd))| {
                 if nb.phys_blocks == 0 || nb.fifo {
                     return Arc::new(BufferCounts::zeroed(nb.phys_blocks));
                 }
@@ -1099,7 +1062,7 @@ impl Layout {
 
     /// Writes the [`SweepKey`] words of buffer `bi` read by `rd` into `key`.
     fn sweep_key(&self, bi: usize, rd: &[ReaderEdge], key: &mut Vec<u64>) {
-        let nb = &self.buffers[bi].nb;
+        let nb = &self.buffers[bi];
         let ws = self.start_of[nb.stage];
         let (pcx, pcy) = self.scale_of[nb.stage];
         key.clear();
@@ -1109,11 +1072,11 @@ impl Layout {
             self.frame,
             self.geom_pixel_bits.into(),
             nb.width.into(),
-            nb.phys_rows.into(),
+            nb.layout.phys_rows().into(),
             nb.phys_blocks as u64,
-            nb.rows_per_block.into(),
-            nb.blocks_per_row.into(),
-            nb.block_capacity_bits,
+            nb.layout.rows_per_block().into(),
+            nb.layout.blocks_per_row().into(),
+            nb.layout.block_bits(),
             pcx,
             pcy,
         ]);
@@ -1143,8 +1106,7 @@ impl Layout {
     fn sweep<const UNIT: bool>(&self, bi: usize, rd: &[ReaderEdge]) -> BufferCounts {
         let w = self.w as u64;
         let frame = self.frame;
-        let meta = &self.buffers[bi];
-        let nb = &meta.nb;
+        let nb = &self.buffers[bi];
         let (pcx, pcy) = self.scale_of[nb.stage];
         let classes = if UNIT { 1 } else { pcx as usize };
         let ph = self.h as u64 / pcy;
@@ -1159,7 +1121,7 @@ impl Layout {
 
         // The steady state `[from, to)` and its period `P` in base rows.
         let (mut from, mut to) = (ws, ws + frame);
-        let mut period_rows = pcy * u64::from(nb.phys_rows.max(1));
+        let mut period_rows = pcy * u64::from(nb.layout.phys_rows().max(1));
         for &(rs, ccy, lag, height, gate) in rd {
             let (gs, ge) = gate.unwrap_or((0, u64::MAX));
             let clamp = rs + w * pcy * (ph + 1).saturating_sub(lag + height);
@@ -1183,8 +1145,8 @@ impl Layout {
         let mut wcnt: Vec<u32> = vec![0; nb.phys_blocks];
         let mut touched: Vec<usize> = Vec::new();
         let mut loads: Vec<Vec<(u64, u64)>> = vec![Vec::new(); classes];
-        let split = nb.blocks_per_row > 1;
-        let block_of = |row: u64, xp: u64| nb.block_of(row, xp as u32, self.geom_pixel_bits);
+        let split = nb.layout.is_split();
+        let block_of = |row: u64, xp: u64| nb.layout.block_of(row, xp as u32, self.geom_pixel_bits);
 
         // Position of a participant active since `start` at cycle `t`,
         // shrinking the span end `se` to the next boundary at which its
@@ -1201,9 +1163,13 @@ impl Layout {
             let (y, x) = (k / w, k % w);
             *se = (*se).min(t + (w - x)).min(start + frame);
             if split {
-                let next = meta.seg_cuts.partition_point(|&c| c <= x);
-                let cut = meta.seg_cuts.get(next).copied().unwrap_or(w) - x;
-                *se = (*se).min(t + cut);
+                // The next bank segment starts at base column `c·pcx`:
+                // participants address the producer's grid.
+                let mut starts = nb.layout.segment_starts(self.geom_pixel_bits);
+                let cut = starts
+                    .find(|&c| c * pcx > x)
+                    .map_or(w, |c| (c * pcx).min(w));
+                *se = (*se).min(t + cut - x);
             }
             Some((y, x))
         };
@@ -1258,12 +1224,11 @@ impl Layout {
                     class_loads.sort_unstable();
                     class_loads.dedup();
                     for &(xp, row) in class_loads.iter() {
-                        if let Some(b) = block_of(row, xp) {
-                            if rcnt[b] == 0 && wcnt[b] == 0 {
-                                touched.push(b);
-                            }
-                            rcnt[b] += 1;
+                        let b = block_of(row, xp);
+                        if rcnt[b] == 0 && wcnt[b] == 0 {
+                            touched.push(b);
                         }
+                        rcnt[b] += 1;
                     }
                     if !class_loads.is_empty() {
                         loading += cycles;
@@ -1271,12 +1236,11 @@ impl Layout {
                     class_loads.clear();
                     if let Some((class, row, xp)) = writer {
                         if class == r {
-                            if let Some(b) = block_of(row, xp) {
-                                if rcnt[b] == 0 && wcnt[b] == 0 {
-                                    touched.push(b);
-                                }
-                                wcnt[b] += 1;
+                            let b = block_of(row, xp);
+                            if rcnt[b] == 0 && wcnt[b] == 0 {
+                                touched.push(b);
                             }
+                            wcnt[b] += 1;
                         }
                     }
                     for &b in &touched {
@@ -1308,8 +1272,7 @@ impl Layout {
             stages: vec![Default::default(); self.n_net_stages],
             sras: vec![Default::default(); self.n_net_edges],
         };
-        for ((meta, &gate), counts) in self.buffers.iter().zip(gates).zip(blocks) {
-            let nb = &meta.nb;
+        for ((nb, &gate), counts) in self.buffers.iter().zip(gates).zip(blocks) {
             let mut b = BufferActivity {
                 stage: nb.stage,
                 block_reads: counts.reads.clone(),
@@ -1447,7 +1410,7 @@ impl ScheduleActivity {
     /// the shared counts are exact.
     pub fn trace_gated(&self, plan: &GatingPlan) -> Result<ActivityTrace, GateGap> {
         let l = &self.layout;
-        let gates = gate_windows(Some(plan), l.buffers.iter().map(|b| b.nb.fifo));
+        let gates = gate_windows(Some(plan), l.buffers.iter().map(|b| b.fifo));
         if let Some(gap) = l.uncovered(&l.gates).or_else(|| l.uncovered(&gates)) {
             return Err(gap);
         }
@@ -1723,7 +1686,7 @@ impl EvalProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
+    use imagen_mem::{BlockLayout, DesignStyle, ImageGeometry, MemBackend, MemorySpec};
     use imagen_schedule::{plan_design, ScheduleOptions};
 
     /// A buffer's sweep key moves with every input the block sweep reads,
@@ -1750,9 +1713,20 @@ mod tests {
         let layout = Layout::new(&crate::describe(&plan.dag, &plan.design), None).unwrap();
         let readers = layout.readers();
         let bi = (0..layout.buffers.len())
-            .find(|&b| layout.buffers[b].nb.phys_blocks > 0 && !readers[b].is_empty())
+            .find(|&b| layout.buffers[b].phys_blocks > 0 && !readers[b].is_empty())
             .expect("a swept buffer");
-        let stage = layout.buffers[bi].nb.stage;
+        let stage = layout.buffers[bi].stage;
+        assert_eq!(
+            layout.buffers[bi].layout,
+            BlockLayout::new(1024, 2048, 1).with_phys_rows(layout.buffers[bi].layout.phys_rows()),
+            "64-pixel rows, one to a block"
+        );
+        /// `nb` with its rows repacked as rows of `row_bits` bits on
+        /// blocks of `block_bits` bits, `g` to a block.
+        fn relaid(nb: &mut NetBuffer, row_bits: u64, block_bits: u64, g: u32) {
+            nb.layout =
+                BlockLayout::new(row_bits, block_bits, g).with_phys_rows(nb.layout.phys_rows());
+        }
         let key = |l: &Layout, rd: &[ReaderEdge]| {
             let mut k = Vec::new();
             l.sweep_key(bi, rd, &mut k);
@@ -1778,14 +1752,19 @@ mod tests {
             |l, _| l.h += 1,
             |l, _| l.frame += 1,
             |l, _| l.geom_pixel_bits += 1,
-            |l, b| l.buffers[b].nb.width += 1,
-            |l, b| l.buffers[b].nb.phys_rows += 1,
-            |l, b| l.buffers[b].nb.phys_blocks += 1,
-            |l, b| l.buffers[b].nb.rows_per_block += 1,
-            |l, b| l.buffers[b].nb.blocks_per_row += 1,
-            |l, b| l.buffers[b].nb.block_capacity_bits += 1,
-            |l, b| l.scale_of[l.buffers[b].nb.stage].0 += 1,
-            |l, b| l.scale_of[l.buffers[b].nb.stage].1 += 1,
+            |l, b| l.buffers[b].width += 1,
+            |l, b| {
+                let nb = &mut l.buffers[b];
+                nb.layout = nb.layout.with_phys_rows(nb.layout.phys_rows() + 1);
+            },
+            |l, b| l.buffers[b].phys_blocks += 1,
+            // Two rows to a block, a row split over two blocks, one bit
+            // more a block.
+            |l, b| relaid(&mut l.buffers[b], 1024, 2048, 2),
+            |l, b| relaid(&mut l.buffers[b], 4096, 2048, 1),
+            |l, b| relaid(&mut l.buffers[b], 1024, 2049, 1),
+            |l, b| l.scale_of[l.buffers[b].stage].0 += 1,
+            |l, b| l.scale_of[l.buffers[b].stage].1 += 1,
         ];
         for (i, m) in layout_moves.iter().enumerate() {
             let mut l = layout.clone();

@@ -51,6 +51,7 @@ impl ResourceReport {
 /// elaborates to at `widths`.
 pub fn report_resources(structure: &Structure, widths: &BitWidths) -> ResourceReport {
     let pixel = widths.pixel_bits as u64;
+    let stored_bits = structure.geometry.pixel_bits;
     // The top module's cycle counter.
     let mut r = ResourceReport {
         flipflop_bits: 64,
@@ -60,7 +61,7 @@ pub fn report_resources(structure: &Structure, widths: &BitWidths) -> ResourceRe
         // `blocks` macros of depth × pixel words, plus the line-buffer
         // module's pipelined bank select (rblk_q).
         r.sram_blocks += buf.blocks;
-        r.sram_bits += buf.blocks as u64 * buf.depth * pixel;
+        r.sram_bits += buf.blocks as u64 * buf.layout.depth(buf.width, stored_bits) * pixel;
         r.flipflop_bits += 32;
     }
     for census in structure.stages.iter().filter_map(|s| s.census) {
@@ -154,9 +155,11 @@ mod tests {
                         .map(|p| p.copies as usize)
                         .sum();
                     r.sram_blocks += blocks;
-                    r.sram_bits += blocks as u64
-                        * net.structure.buffers[*b].depth
-                        * net.widths.pixel_bits as u64;
+                    let buf = &net.structure.buffers[*b];
+                    let depth = buf
+                        .layout
+                        .depth(buf.width, net.structure.geometry.pixel_bits);
+                    r.sram_bits += blocks as u64 * depth * net.widths.pixel_bits as u64;
                 }
                 ModuleKind::Stage(i) => {
                     let kernel = net.structure.stages[*i]

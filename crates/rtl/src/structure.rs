@@ -13,7 +13,7 @@
 //! design-space sweep describes each point and never elaborates it.
 
 use imagen_ir::{Dag, Expr, OpCensus, StageKind, Window};
-use imagen_mem::{Design, ImageGeometry};
+use imagen_mem::{BlockLayout, Design, ImageGeometry};
 use std::sync::Arc;
 
 /// Per-stage control/schedule information.
@@ -70,15 +70,16 @@ pub struct NetEdge {
 }
 
 /// One planned line buffer, sized on its producer's grid.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetBuffer {
     /// Producer stage index owning the buffer.
     pub stage: usize,
     /// Words per buffered row: the producer's own grid, `W / scale_x`
     /// (the frame width for rate-1 producers).
     pub width: u32,
-    /// Rows physically allocated by the plan.
-    pub phys_rows: u32,
+    /// The plan's block layout: its physical rows, the (row, column) →
+    /// block map, and the macros' depth and address width.
+    pub layout: BlockLayout,
     /// Rows required by the schedule.
     pub logical_rows: u32,
     /// Rows of rotating storage the hardware holds
@@ -93,43 +94,9 @@ pub struct NetBuffer {
     pub phys_blocks: usize,
     /// Ports per block.
     pub ports: u32,
-    /// Rows sharing one block (the coalescing factor `g`).
-    pub rows_per_block: u32,
-    /// Blocks one row spans when rows exceed block capacity.
-    pub blocks_per_row: u32,
-    /// Allocated capacity of one block, bits (the bank-select segment
-    /// size when rows split across blocks).
-    pub block_capacity_bits: u64,
     /// Whether the plan allocated FIFO segments (SODA-style) rather than
     /// rotating line stores.
     pub fifo: bool,
-    /// Words per SRAM macro (power of two).
-    pub depth: u64,
-    /// Address width of the macros.
-    pub aw: u32,
-}
-
-impl NetBuffer {
-    /// Maps an absolute image row (+ column for split rows) to the index
-    /// of the physical block serving it — the mirror of
-    /// `BufferPlan::block_of`, pinned equal by test so the interpreter's
-    /// activity accounting and the cycle simulator's agree on bank
-    /// attribution.
-    ///
-    /// Returns `None` for buffers with no allocated SRAM blocks.
-    pub fn block_of(&self, abs_row: u64, x: u32, pixel_bits: u32) -> Option<usize> {
-        if self.phys_blocks == 0 || self.phys_rows == 0 {
-            return None;
-        }
-        let phys_row = (abs_row % self.phys_rows as u64) as u32;
-        let idx = if self.blocks_per_row > 1 {
-            let seg = (x as u64 * pixel_bits as u64) / self.block_capacity_bits.max(1);
-            phys_row as u64 * self.blocks_per_row as u64 + seg
-        } else {
-            (phys_row / self.rows_per_block.max(1)) as u64
-        };
-        Some((idx as usize).min(self.phys_blocks - 1))
-    }
 }
 
 /// The structure of a scheduled design: what [`describe`] derives from
@@ -264,27 +231,19 @@ pub fn describe(dag: &Dag, design: &Design) -> Structure {
         .enumerate()
         .map(|(bi, plan)| {
             stages[plan.stage].buffer = Some(bi);
-            let width = (u64::from(geometry.width) / scales[plan.stage].0.max(1)) as u32;
-            // Macros are sized in whole powers of two.
-            let depth = (plan.rows_per_block as u64 * width as u64).next_power_of_two();
             NetBuffer {
                 stage: plan.stage,
-                width,
-                phys_rows: plan.phys_rows,
+                width: (u64::from(geometry.width) / scales[plan.stage].0.max(1)) as u32,
+                layout: plan.layout,
                 logical_rows: plan.logical_rows,
-                storage_rows: plan.phys_rows.max(plan.logical_rows).max(1),
+                storage_rows: plan.layout.phys_rows().max(plan.logical_rows).max(1),
                 blocks: plan.blocks.len().max(1),
                 phys_blocks: plan.blocks.len(),
                 ports: plan.blocks.first().map(|b| b.ports).unwrap_or(2),
-                rows_per_block: plan.rows_per_block,
-                blocks_per_row: plan.blocks_per_row,
-                block_capacity_bits: plan.blocks.first().map(|b| b.capacity_bits).unwrap_or(0),
                 fifo: plan
                     .blocks
                     .iter()
                     .any(|b| b.role == imagen_mem::BlockRole::FifoSegment),
-                depth,
-                aw: depth.trailing_zeros().max(1),
             }
         })
         .collect();
@@ -303,100 +262,5 @@ pub fn describe(dag: &Dag, design: &Design) -> Structure {
         stages,
         edges,
         buffers,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use imagen_ir::Expr;
-    use imagen_mem::{DesignStyle, MemBackend, MemorySpec};
-    use imagen_schedule::{plan_design, ScheduleOptions};
-
-    #[test]
-    fn netbuffer_block_mapping_matches_plan() {
-        // The structure's mirror of `BufferPlan::block_of` must agree with
-        // the plan's own mapping — the interpreter's activity accounting
-        // and the cycle simulator attribute accesses to banks through
-        // these two paths.
-        let geom = ImageGeometry {
-            width: 40,
-            height: 30,
-            pixel_bits: 16,
-        };
-        for alg in imagen_algos::Algorithm::all() {
-            for coalesce in [false, true] {
-                let mut spec = MemorySpec::new(
-                    MemBackend::Asic {
-                        block_bits: 2 * geom.row_bits(),
-                    },
-                    2,
-                );
-                if coalesce {
-                    spec = spec.with_coalescing();
-                }
-                let p = plan_design(
-                    &alg.build(),
-                    &geom,
-                    &spec,
-                    ScheduleOptions::default(),
-                    DesignStyle::Ours,
-                )
-                .unwrap();
-                let s = describe(&p.dag, &p.design);
-                for (bp, nb) in p.design.buffers.iter().zip(&s.buffers) {
-                    assert_eq!(bp.stage, nb.stage);
-                    for row in 0..2 * geom.height as u64 {
-                        for x in [0, geom.width / 2, geom.width - 1] {
-                            assert_eq!(
-                                nb.block_of(row, x, geom.pixel_bits),
-                                bp.block_of(row, x, &geom),
-                                "{} coalesce={coalesce} stage={} row={row} x={x}",
-                                alg.name(),
-                                bp.stage
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn netbuffer_block_mapping_matches_plan_on_split_rows() {
-        // Rows wider than a block span several macros (the 1080p
-        // regime); the column-segment decode must agree too.
-        let mut dag = Dag::new("split");
-        let k0 = dag.add_input("K0");
-        let k1 = dag
-            .add_stage("K1", &[k0], Expr::sum((0..3).map(|i| Expr::tap(0, 0, i))))
-            .unwrap();
-        dag.mark_output(k1);
-        let geom = ImageGeometry {
-            width: 120,
-            height: 20,
-            pixel_bits: 16,
-        };
-        let spec = MemorySpec::new(MemBackend::Asic { block_bits: 1024 }, 2);
-        let p = plan_design(
-            &dag,
-            &geom,
-            &spec,
-            ScheduleOptions::default(),
-            DesignStyle::Ours,
-        )
-        .unwrap();
-        let bp = &p.design.buffers[0];
-        let nb = &describe(&p.dag, &p.design).buffers[0];
-        assert!(nb.blocks_per_row > 1, "rows must split for this test");
-        for row in 0..2 * geom.height as u64 {
-            for x in 0..geom.width {
-                assert_eq!(
-                    nb.block_of(row, x, geom.pixel_bits),
-                    bp.block_of(row, x, &geom),
-                    "row={row} x={x}"
-                );
-            }
-        }
     }
 }

@@ -312,7 +312,7 @@ pub fn verify_all(net: &Netlist) -> RtlReport {
         // datapath width.
         let sram_params = match &m.kind {
             ModuleKind::LineBuffer(b) => st.buffers.get(*b).map(|b| SramParams {
-                aw: b.aw,
+                aw: b.layout.addr_width(b.width, st.geometry.pixel_bits),
                 data_bits: net.widths.pixel_bits,
             }),
             _ => None,

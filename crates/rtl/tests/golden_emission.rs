@@ -10,8 +10,11 @@
 //!   `denoise_m_40x30_gated.v` anchor the gating emitter path
 //!   (`imagen_power::gate_clocks` → `emit_verilog`) at the byte level;
 //! * `every_op_1p_40x30.v` pins the kernel printer on every `Expr` node
-//!   and the line-buffer printer on one-port macros smaller than each
-//!   buffer, so every buffer prints several `imagen_sram_1p` blocks.
+//!   and the line-buffer printer on one-port macros narrower than a row,
+//!   so every row splits over two `imagen_sram_1p` blocks. It was
+//!   re-blessed once when the macros came to be sized, and the bank
+//!   select printed, from the plan's block layout: each macro holds one
+//!   32-word column segment and the select reads the column.
 //!
 //! Regenerating any golden is a deliberate act, not a test-suite side
 //! effect.
@@ -223,10 +226,10 @@ fn every_operator_dag() -> Dag {
     dag
 }
 
-#[test]
-fn every_operator_on_one_port_blocks_is_byte_identical() {
-    // One-port macros of 512 bits hold less than a 640-bit row, so each
-    // buffer spans several `imagen_sram_1p` blocks.
+/// [`every_operator_dag`] on one-port macros of 512 bits, which hold
+/// less than a 640-bit row, so each buffer spans several
+/// `imagen_sram_1p` blocks.
+fn every_op_1p_40x30() -> Netlist {
     let geom = ImageGeometry {
         width: 40,
         height: 30,
@@ -241,7 +244,12 @@ fn every_operator_on_one_port_blocks_is_byte_identical() {
         DesignStyle::Ours,
     )
     .unwrap();
-    let net = build_netlist(&plan.dag, &plan.design, &BitWidths::default());
+    build_netlist(&plan.dag, &plan.design, &BitWidths::default())
+}
+
+#[test]
+fn every_operator_on_one_port_blocks_is_byte_identical() {
+    let net = every_op_1p_40x30();
     for buf in &net.structure.buffers {
         assert!(buf.ports == 1 && buf.blocks > 1, "{buf:?}");
     }
@@ -250,4 +258,113 @@ fn every_operator_on_one_port_blocks_is_byte_identical() {
         &net,
         include_str!("../golden/every_op_1p_40x30.v"),
     );
+}
+
+type Tokens<'a> = std::iter::Peekable<std::slice::Iter<'a, String>>;
+
+/// Evaluates a printed bank-select right-hand side: integers, nets whose
+/// values `net` gives, `+ - * / %` and parentheses, at Verilog's
+/// precedence.
+fn eval(expr: &str, net: &dyn Fn(&str) -> u64) -> u64 {
+    fn sum(t: &mut Tokens<'_>, net: &dyn Fn(&str) -> u64) -> u64 {
+        let mut v = product(t, net);
+        while let Some(op) = t.next_if(|o| *o == "+" || *o == "-") {
+            let rhs = product(t, net);
+            v = if op == "+" { v + rhs } else { v - rhs };
+        }
+        v
+    }
+    fn product(t: &mut Tokens<'_>, net: &dyn Fn(&str) -> u64) -> u64 {
+        let mut v = atom(t, net);
+        while let Some(op) = t.next_if(|o| ["*", "/", "%"].contains(&o.as_str())) {
+            let rhs = atom(t, net);
+            v = match op.as_str() {
+                "*" => v * rhs,
+                "/" => v / rhs,
+                _ => v % rhs,
+            };
+        }
+        v
+    }
+    fn atom(t: &mut Tokens<'_>, net: &dyn Fn(&str) -> u64) -> u64 {
+        match t.next().expect("an operand").as_str() {
+            "(" => {
+                let v = sum(t, net);
+                assert_eq!(t.next().map(String::as_str), Some(")"));
+                v
+            }
+            token => token.parse().unwrap_or_else(|_| net(token)),
+        }
+    }
+    // Words (nets and integers) and one-character operators.
+    let mut tokens: Vec<String> = Vec::new();
+    for c in expr.chars().filter(|c| !c.is_whitespace()) {
+        match tokens.last_mut() {
+            Some(word)
+                if c.is_ascii_alphanumeric()
+                    && word.ends_with(|l: char| l.is_ascii_alphanumeric()) =>
+            {
+                word.push(c)
+            }
+            _ => tokens.push(c.to_string()),
+        }
+    }
+    let mut t = tokens.iter().peekable();
+    let v = sum(&mut t, net);
+    assert!(t.next().is_none(), "trailing tokens in {expr}");
+    v
+}
+
+/// The printed bank select of every line buffer of the split-row
+/// `every_op_1p_40x30` design, evaluated at every row of the frame and
+/// every column of the buffer, selects the block the buffer's layout
+/// maps the pixel to, at an address below the macros' `DEPTH`, and no
+/// two pixels of one rotation share a block and address.
+#[test]
+fn every_op_bank_select_follows_the_layout() {
+    let net = every_op_1p_40x30();
+    let verilog = emit_verilog(&net);
+    let geom = net.structure.geometry;
+    for buf in &net.structure.buffers {
+        assert!(buf.layout.is_split(), "{buf:?}");
+        let name = format!(
+            "module linebuf_{} (",
+            net.structure.stages[buf.stage].sanitized
+        );
+        let module = verilog.split(&name).nth(1).expect("the buffer's module");
+        let module = &module[..module.find("endmodule").unwrap()];
+        let rhs = |net: &str| {
+            let at = module.find(&format!(" {net} = ")).unwrap() + net.len() + 4;
+            &module[at..at + module[at..].find(';').unwrap()]
+        };
+        let depth = module.split(".DEPTH(").nth(1).unwrap();
+        let depth: u64 = depth[..depth.find(')').unwrap()].parse().unwrap();
+        assert_eq!(depth, 32, "a 512-bit macro holds 32 pixels");
+        let mut seen = std::collections::HashSet::new();
+        for row in 0..u64::from(geom.height) {
+            for col in 0..buf.width {
+                let block = buf.layout.block_of(row, col, geom.pixel_bits) as u64;
+                // The write and read ports' nets, `phys` once it is known.
+                let nets = |phys: u64| {
+                    move |n: &str| match &n[1..] {
+                        "row" => row,
+                        "col" => u64::from(col),
+                        "phys" => phys,
+                        _ => panic!("unknown net {n}"),
+                    }
+                };
+                for p in ['w', 'r'] {
+                    let phys = eval(rhs(&format!("{p}phys")), &nets(0));
+                    let blk = eval(rhs(&format!("{p}blk")), &nets(phys));
+                    let addr = eval(rhs(&format!("{p}addr")), &nets(phys));
+                    let at = format!("row {row} column {col} of {buf:?}");
+                    assert_eq!(blk, block, "{p}blk at {at}");
+                    assert!(addr < depth, "{p}addr {addr} at {at}");
+                    if row < u64::from(buf.layout.phys_rows()) {
+                        assert!(seen.insert((p, blk, addr)), "{p} collides at {at}");
+                    }
+                }
+            }
+        }
+    }
 }

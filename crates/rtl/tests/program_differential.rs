@@ -210,7 +210,10 @@ fn program_matches_walker_on_corpus() {
             .unwrap();
             if *case == "coalesced" {
                 assert!(
-                    plan.design.buffers.iter().any(|b| b.rows_per_block == 2),
+                    plan.design
+                        .buffers
+                        .iter()
+                        .any(|b| b.layout.rows_per_block() == 2),
                     "{name}: two-row blocks"
                 );
             }
@@ -277,13 +280,16 @@ fn schedule_activity_matches_traced_run_across_backends() {
                 let net = build_netlist(&plan.dag, &plan.design, &widths);
                 if name.ends_with("split-row") {
                     assert!(
-                        net.structure.buffers.iter().any(|b| b.blocks_per_row > 1),
+                        net.structure.buffers.iter().any(|b| b.layout.is_split()),
                         "{tag}: rows span several blocks"
                     );
                 }
                 if *name == "coalesced" {
                     assert!(
-                        net.structure.buffers.iter().any(|b| b.rows_per_block == 2),
+                        net.structure
+                            .buffers
+                            .iter()
+                            .any(|b| b.layout.rows_per_block() == 2),
                         "{tag}: two-row blocks"
                     );
                 }

@@ -316,17 +316,15 @@ fn run(
                     if let Some(ts) = scratch.as_mut() {
                         if !gated_off {
                             ts.consumed[bufidx] = true;
-                            if !nb.fifo {
-                                if let Some(block) =
-                                    nb.block_of(row as u64, xp as u32, geom.pixel_bits)
-                                {
-                                    // Reads merge on identical (block,
-                                    // row, column) within one cycle —
-                                    // the cycle simulator's convention.
-                                    // Candidates are collected here and
-                                    // deduplicated once at end of cycle.
-                                    ts.cycle_reads[bufidx].push((block, row, xp));
-                                }
+                            if !nb.fifo && nb.phys_blocks > 0 {
+                                let block =
+                                    nb.layout.block_of(row as u64, xp as u32, geom.pixel_bits);
+                                // Reads merge on identical (block, row,
+                                // column) within one cycle — the cycle
+                                // simulator's convention. Candidates are
+                                // collected here and deduplicated once at
+                                // end of cycle.
+                                ts.cycle_reads[bufidx].push((block, row, xp));
                             }
                         }
                     }
@@ -400,11 +398,10 @@ fn run(
                 if let (Some(tr), Some(ts)) = (trace.as_deref_mut(), scratch.as_mut()) {
                     let bufidx = buf_of_stage[s.index].expect("writer owns a buffer");
                     let nb = &net.structure.buffers[bufidx];
-                    if !nb.fifo {
-                        if let Some(block) = nb.block_of(yc as u64, xc as u32, geom.pixel_bits) {
-                            tr.buffers[bufidx].block_writes[block] += 1;
-                            bump(&mut ts.cycle_counts[bufidx], &mut ts.touched[bufidx], block);
-                        }
+                    if !nb.fifo && nb.phys_blocks > 0 {
+                        let block = nb.layout.block_of(yc as u64, xc as u32, geom.pixel_bits);
+                        tr.buffers[bufidx].block_writes[block] += 1;
+                        bump(&mut ts.cycle_counts[bufidx], &mut ts.touched[bufidx], block);
                     }
                 }
             }

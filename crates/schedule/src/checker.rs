@@ -68,6 +68,7 @@
 //! The scanner stays as `imagen lint`'s replay, as the fallback, and as
 //! the reference the property tests hold the arithmetic to.
 
+use imagen_mem::BlockLayout;
 use std::fmt;
 
 /// A resolved access stream: start cycle plus row pattern.
@@ -123,19 +124,6 @@ impl ResolvedEntity {
     }
 }
 
-/// Physical layout of a buffer for aliasing checks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BufferLayout {
-    /// Physical rows allocated (rotation modulus).
-    pub phys_rows: u32,
-    /// Rows sharing one block (coalescing factor `g`).
-    pub rows_per_block: u32,
-    /// Blocks one row spans (1 unless rows exceed block capacity).
-    pub blocks_per_row: u32,
-    /// Capacity of one block, bits.
-    pub block_bits: u64,
-}
-
 /// A detected over-subscription of a memory block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PortViolation {
@@ -169,7 +157,8 @@ impl fmt::Display for PortViolation {
 ///
 /// With `layout = None` the check is at absolute-row granularity (the
 /// paper's constraint level); with a layout it is at physical-block
-/// granularity including rotation aliasing and column segmentation.
+/// granularity including rotation aliasing and column segmentation, on
+/// the layout's physical rows.
 ///
 /// # Errors
 ///
@@ -180,7 +169,7 @@ pub fn check_accesses(
     pixel_bits: u32,
     entities: &[ResolvedEntity],
     ports: u32,
-    layout: Option<&BufferLayout>,
+    layout: Option<&BlockLayout>,
 ) -> Result<(), PortViolation> {
     // Candidate row advances per entity. The naive set is `k in 0..h`,
     // but between the boundary regions the pattern is periodic: once
@@ -203,7 +192,7 @@ pub fn check_accesses(
         lcm(acc, stride)
     });
     let steady_period = layout
-        .map(|l| l.phys_rows as i64)
+        .map(|l| i64::from(l.phys_rows()))
         .unwrap_or(1)
         .saturating_mul(cadence);
     let min_start = entities.iter().map(|e| e.start).min().unwrap_or(0);
@@ -231,7 +220,7 @@ fn check_accesses_at(
     pixel_bits: u32,
     entities: &[ResolvedEntity],
     ports: u32,
-    layout: Option<&BufferLayout>,
+    layout: Option<&BlockLayout>,
     ks: &[i64],
 ) -> Result<(), PortViolation> {
     let w = width as i64;
@@ -245,16 +234,12 @@ fn check_accesses_at(
             cycles.push(e.start + k * w);
         }
         if let Some(l) = layout {
-            if l.blocks_per_row > 1 {
-                // Segment crossings happen at buffer columns; a buffer
-                // column spans `col_div` base columns.
-                let seg_px = (l.block_bits / pixel_bits as u64) as i64 * e.col_div as i64;
-                let mut x = seg_px;
-                while x < w {
-                    for &k in ks {
-                        cycles.push(e.start + k * w + x);
-                    }
-                    x += seg_px;
+            // Segment crossings happen at buffer columns; a buffer
+            // column spans `col_div` base columns.
+            for c in l.segment_starts(pixel_bits) {
+                let x = c as i64 * i64::from(e.col_div);
+                if x < w {
+                    cycles.extend(ks.iter().map(|&k| e.start + k * w + x));
                 }
             }
         }
@@ -305,7 +290,7 @@ impl CycleCount {
     fn violation(
         &mut self,
         s: &Streams<'_>,
-        layout: Option<&BufferLayout>,
+        layout: Option<&BlockLayout>,
         t: i64,
     ) -> Option<PortViolation> {
         let w = s.width as i64;
@@ -338,15 +323,7 @@ impl CycleCount {
             for row in lo..=hi {
                 let key = match layout {
                     None => row as u64,
-                    Some(l) => {
-                        let phys = (row as u64) % l.phys_rows as u64;
-                        if l.blocks_per_row > 1 {
-                            let seg = (xp as u64 * s.pixel_bits as u64) / l.block_bits;
-                            phys * l.blocks_per_row as u64 + seg
-                        } else {
-                            phys / l.rows_per_block as u64
-                        }
-                    }
+                    Some(l) => l.block_of(row as u64, xp as u32, s.pixel_bits) as u64,
                 };
                 let dup = !e.is_writer
                     && self
@@ -393,15 +370,15 @@ fn gcd(a: i64, b: i64) -> i64 {
 }
 
 /// Finds the minimal physical row count (≥ `logical_rows`) for which the
-/// buffer passes the physical check, trying up to `logical_rows + 2g + 2`
-/// rows.
+/// buffer, packed by `layout`, passes the physical check, trying up to
+/// `logical_rows + 2g + 2` rows. The layout's own physical rows are not
+/// read.
 ///
 /// # Errors
 ///
 /// Returns the stubborn violation if no slack in range fixes it — which
 /// indicates a schedule-level (absolute-row) conflict, not an aliasing
 /// artifact.
-#[allow(clippy::too_many_arguments)] // mirrors allocate_buffer's flat layout
 pub fn required_phys_rows(
     width: u32,
     height: u32,
@@ -409,19 +386,11 @@ pub fn required_phys_rows(
     entities: &[ResolvedEntity],
     ports: u32,
     logical_rows: u32,
-    rows_per_block: u32,
-    blocks_per_row: u32,
-    block_bits: u64,
+    layout: BlockLayout,
 ) -> Result<u32, PortViolation> {
-    let g = rows_per_block.max(1);
     let mut last = None;
-    for phys_rows in candidate_rows(logical_rows, g) {
-        let layout = BufferLayout {
-            phys_rows,
-            rows_per_block: g,
-            blocks_per_row,
-            block_bits,
-        };
+    for phys_rows in candidate_rows(logical_rows, layout.rows_per_block()) {
+        let layout = layout.with_phys_rows(phys_rows);
         match check_accesses(width, height, pixel_bits, entities, ports, Some(&layout)) {
             Ok(()) => return Ok(phys_rows),
             Err(v) => last = Some(v),
@@ -445,7 +414,7 @@ fn candidate_rows(logical_rows: u32, g: u32) -> impl Iterator<Item = u32> {
 }
 
 /// Everything the planner's two port checks read for one line buffer:
-/// its frame, ports, layout inputs and resolved access streams.
+/// its frame, ports, block layout and resolved access streams.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BufferCheck {
     /// Frame width, pixels.
@@ -458,12 +427,9 @@ pub struct BufferCheck {
     pub ports: u32,
     /// Rows the schedule keeps live (the physical search's floor).
     pub logical_rows: u32,
-    /// Rows sharing one block (coalescing factor `g`).
-    pub rows_per_block: u32,
-    /// Blocks one row spans.
-    pub blocks_per_row: u32,
-    /// Capacity of one block, bits.
-    pub block_bits: u64,
+    /// How the rows pack into blocks; the physical rows are the checks'
+    /// to find, so the layout holds none.
+    pub layout: BlockLayout,
     /// The writer's and readers' access streams.
     pub streams: Vec<ResolvedEntity>,
 }
@@ -503,9 +469,7 @@ impl BufferCheck {
             &self.streams,
             self.ports,
             self.logical_rows,
-            self.rows_per_block,
-            self.blocks_per_row,
-            self.block_bits,
+            self.layout,
         )
     }
 
@@ -516,7 +480,7 @@ impl BufferCheck {
         // A window taller than the frame always clamps, so the steady
         // count could never certify a reject, while listing its rows would
         // cost memory in its height; the scanner counts it clamped.
-        let covered = self.blocks_per_row == 1
+        let covered = !self.layout.is_split()
             && self
                 .streams
                 .iter()
@@ -536,7 +500,7 @@ impl BufferCheck {
         };
         let arithmetic = Arithmetic::new(&streams);
         let mut scratch = Scratch::default();
-        let scan = |layout: Option<&BufferLayout>| {
+        let scan = |layout: Option<&BlockLayout>| {
             check_accesses(
                 self.width,
                 self.height,
@@ -557,14 +521,9 @@ impl BufferCheck {
                 };
             }
         }
-        let mut layout = BufferLayout {
-            phys_rows: 0,
-            rows_per_block: self.rows_per_block.max(1),
-            blocks_per_row: 1,
-            block_bits: self.block_bits,
-        };
-        for phys_rows in candidate_rows(self.logical_rows, layout.rows_per_block) {
-            layout.phys_rows = phys_rows;
+        let mut layout = self.layout;
+        for phys_rows in candidate_rows(self.logical_rows, layout.rows_per_block()) {
+            layout = layout.with_phys_rows(phys_rows);
             let passes = match arithmetic.decide(&streams, Some(&layout), &mut scratch) {
                 Decision::Accept => true,
                 Decision::Reject => false,
@@ -583,7 +542,7 @@ impl BufferCheck {
         // No candidate passes: the error is the scanner's violation at
         // the last one.
         BufferVerdict {
-            phys_rows: scan(Some(&layout)).map(|()| layout.phys_rows),
+            phys_rows: scan(Some(&layout)).map(|()| layout.phys_rows()),
             scanned: true,
         }
     }
@@ -694,7 +653,7 @@ impl Arithmetic {
     fn decide(
         &self,
         s: &Streams<'_>,
-        layout: Option<&BufferLayout>,
+        layout: Option<&BlockLayout>,
         scratch: &mut Scratch,
     ) -> Decision {
         if self
@@ -707,11 +666,8 @@ impl Arithmetic {
         let ports = s.ports as usize;
         // With `g = 1` and no rotation a block is a row.
         let (g, nblocks) = layout.map_or((1, 0), |l| {
-            debug_assert_eq!(l.phys_rows % l.rows_per_block, 0, "whole blocks");
-            (
-                i64::from(l.rows_per_block),
-                i64::from(l.phys_rows / l.rows_per_block),
-            )
+            debug_assert_eq!(l.phys_rows() % l.rows_per_block(), 0, "whole blocks");
+            (i64::from(l.rows_per_block()), l.blocks() as i64)
         });
         let mut decision = Decision::Accept;
         for phase in &self.phases {
@@ -764,6 +720,12 @@ mod tests {
         ResolvedEntity::unit_rate(start, 0, h, false)
     }
 
+    /// `phys_rows` rows of `W` pixels on blocks of `block_bits` bits, `g`
+    /// rows to a block where a row fits one.
+    fn rows_on(block_bits: u64, g: u32, phys_rows: u32) -> BlockLayout {
+        BlockLayout::new((W * PX) as u64, block_bits, g).with_phys_rows(phys_rows)
+    }
+
     #[test]
     fn classic_line_buffer_passes_dual_port() {
         // Consumer at the dependency bound 2W+1 with a 3-row window:
@@ -771,12 +733,7 @@ mod tests {
         let ents = [writer(), reader(2 * W as i64 + 1, 3)];
         check_accesses(W, H, PX, &ents, 2, None).unwrap();
         // Physically: 3 rows rotate; writer+reader share a block: still 2.
-        let layout = BufferLayout {
-            phys_rows: 3,
-            rows_per_block: 1,
-            blocks_per_row: 1,
-            block_bits: (W * PX) as u64,
-        };
+        let layout = rows_on((W * PX) as u64, 1, 3);
         check_accesses(W, H, PX, &ents, 2, Some(&layout)).unwrap();
     }
 
@@ -794,16 +751,11 @@ mod tests {
         check_accesses(W, H, PX, &ents, 1, None).unwrap();
         // But with only 3 physical rows the writer aliases the oldest
         // reader row.
-        let layout = BufferLayout {
-            phys_rows: 3,
-            rows_per_block: 1,
-            blocks_per_row: 1,
-            block_bits: (W * PX) as u64,
-        };
+        let layout = rows_on((W * PX) as u64, 1, 3);
         let err = check_accesses(W, H, PX, &ents, 1, Some(&layout)).unwrap_err();
         assert!(err.physical);
         // One slack row fixes it.
-        let q = required_phys_rows(W, H, PX, &ents, 1, 3, 1, 1, (W * PX) as u64).unwrap();
+        let q = required_phys_rows(W, H, PX, &ents, 1, 3, layout).unwrap();
         assert_eq!(q, 4);
     }
 
@@ -811,16 +763,11 @@ mod tests {
     fn coalesced_fig7_needs_full_window_gap() {
         // g=2, P=2, 3-row window. At D = 2W+1 the writer lands on the
         // consumer's saturated block; at D = 3W it never does.
-        let g2 = BufferLayout {
-            phys_rows: 4,
-            rows_per_block: 2,
-            blocks_per_row: 1,
-            block_bits: 2 * (W * PX) as u64,
-        };
+        let g2 = rows_on(2 * (W * PX) as u64, 2, 4);
         let tight = [writer(), reader(2 * W as i64 + 1, 3)];
         assert!(check_accesses(W, H, PX, &tight, 2, Some(&g2)).is_err());
         let spaced = [writer(), reader(3 * W as i64, 3)];
-        let q = required_phys_rows(W, H, PX, &spaced, 2, 3, 2, 1, g2.block_bits);
+        let q = required_phys_rows(W, H, PX, &spaced, 2, 3, g2);
         assert!(q.is_ok(), "3W separation must be schedulable: {q:?}");
     }
 
@@ -832,12 +779,7 @@ mod tests {
             ResolvedEntity::unit_rate(3 * W as i64, 0, 2, false),
             ResolvedEntity::unit_rate(3 * W as i64, 2, 1, false),
         ];
-        let layout = BufferLayout {
-            phys_rows: 4,
-            rows_per_block: 2,
-            blocks_per_row: 1,
-            block_bits: 2 * (W * PX) as u64,
-        };
+        let layout = rows_on(2 * (W * PX) as u64, 2, 4);
         check_accesses(W, H, PX, &ents, 2, Some(&layout)).unwrap();
     }
 
@@ -848,12 +790,8 @@ mod tests {
         // on the segment. Same column -> same segment -> collision on 1
         // port.
         let ents = [writer(), reader(3 * W as i64, 3)];
-        let layout = BufferLayout {
-            phys_rows: 4,
-            rows_per_block: 1,
-            blocks_per_row: 2,
-            block_bits: ((W / 2) * PX) as u64,
-        };
+        let layout = rows_on(((W / 2) * PX) as u64, 1, 4);
+        assert_eq!(layout.blocks_per_row(), 2);
         // Dual-port: fine.
         check_accesses(W, H, PX, &ents, 2, Some(&layout)).unwrap();
     }
@@ -890,12 +828,14 @@ mod tests {
             let ports = 1 + (next() % 2) as u32;
             let layouts = [
                 None,
-                Some(BufferLayout {
-                    phys_rows: 2 + (next() % 6) as u32,
-                    rows_per_block: 1 + (next() % 2) as u32,
-                    blocks_per_row: 1,
-                    block_bits: 2 * (w * px) as u64,
-                }),
+                Some(
+                    BlockLayout::new(
+                        (w * px) as u64,
+                        2 * (w * px) as u64,
+                        1 + (next() % 2) as u32,
+                    )
+                    .with_phys_rows(2 + (next() % 6) as u32),
+                ),
             ];
             for layout in &layouts {
                 let pruned = check_accesses(w, h, px, &entities, ports, layout.as_ref());
@@ -954,15 +894,17 @@ mod tests {
             // (rows per block, blocks per row, block bits): rotating,
             // coalesced with g = 2, and split-row.
             let kinds = [(1, 1, row), (2, 1, 2 * row), (1, 2, row / 2)];
-            let layouts: Vec<Option<BufferLayout>> = std::iter::once(None)
-                .chain(kinds.iter().map(|&(g, blocks_per_row, block_bits)| {
-                    Some(BufferLayout {
-                        phys_rows: g * (1 + next(4) as u32),
-                        rows_per_block: g,
-                        blocks_per_row,
-                        block_bits,
-                    })
-                }))
+            let kinds = kinds.map(|(g, blocks_per_row, block_bits)| {
+                let layout = BlockLayout::new(row, block_bits, g);
+                assert_eq!(layout.blocks_per_row(), blocks_per_row);
+                layout
+            });
+            let layouts: Vec<Option<BlockLayout>> = std::iter::once(None)
+                .chain(
+                    kinds
+                        .iter()
+                        .map(|l| Some(l.with_phys_rows(l.rows_per_block() * (1 + next(4) as u32)))),
+                )
                 .collect();
             for d in [1, w as i64 - 1, w as i64, 7 * w as i64 + 3] {
                 let shifted: Vec<ResolvedEntity> = entities
@@ -985,25 +927,15 @@ mod tests {
                          layout={layout:?} height={h}"
                     );
                 }
-                for &(g, blocks_per_row, block_bits) in &kinds {
+                for &layout in &kinds {
                     let rows = |ents: &[ResolvedEntity]| {
-                        required_phys_rows(
-                            w,
-                            h,
-                            px,
-                            ents,
-                            ports,
-                            logical_rows,
-                            g,
-                            blocks_per_row,
-                            block_bits,
-                        )
+                        required_phys_rows(w, h, px, ents, ports, logical_rows, layout)
                     };
                     assert_eq!(
                         rows(&shifted),
                         rows(&entities).map_err(|v| moved(v, d)),
                         "shift {d} changed the physical rows for {entities:?} ports={ports} \
-                         g={g} blocks_per_row={blocks_per_row} height={h}"
+                         layout={layout:?} height={h}"
                     );
                 }
             }
@@ -1018,7 +950,7 @@ mod tests {
     /// slack as [`required_phys_rows`] always has.
     fn exhaustive_scan(c: &BufferCheck) -> Result<u32, PortViolation> {
         let every_row: Vec<i64> = (0..c.height as i64).collect();
-        let scan = |layout: Option<&BufferLayout>| {
+        let scan = |layout: Option<&BlockLayout>| {
             check_accesses_at(
                 c.width,
                 c.height,
@@ -1030,17 +962,14 @@ mod tests {
             )
         };
         scan(None)?;
-        let g = c.rows_per_block.max(1);
+        let g = c.layout.rows_per_block();
         let mut last = None;
         for slack in 0..=(2 * g + 2) {
-            let layout = BufferLayout {
-                phys_rows: (c.logical_rows + slack).div_ceil(g) * g,
-                rows_per_block: g,
-                blocks_per_row: c.blocks_per_row,
-                block_bits: c.block_bits,
-            };
+            let layout = c
+                .layout
+                .with_phys_rows((c.logical_rows + slack).div_ceil(g) * g);
             match scan(Some(&layout)) {
-                Ok(()) => return Ok(layout.phys_rows),
+                Ok(()) => return Ok(layout.phys_rows()),
                 Err(v) => last = Some(v),
             }
         }
@@ -1087,9 +1016,7 @@ mod tests {
                 pixel_bits: px,
                 ports: 1 + next(4) as u32,
                 logical_rows: 1 + next(6) as u32,
-                rows_per_block: g,
-                blocks_per_row: 1,
-                block_bits: u64::from(g * w * px),
+                layout: BlockLayout::new(u64::from(w * px), u64::from(g * w * px), g),
                 streams,
             };
             let exhaustive = exhaustive_scan(&check);
@@ -1111,14 +1038,8 @@ mod tests {
             let arithmetic = Arithmetic::new(&s);
             let mut scratch = Scratch::default();
             let every_row: Vec<i64> = (0..h as i64).collect();
-            let layouts = candidate_rows(check.logical_rows, g).map(|phys_rows| {
-                Some(BufferLayout {
-                    phys_rows,
-                    rows_per_block: g,
-                    blocks_per_row: 1,
-                    block_bits: check.block_bits,
-                })
-            });
+            let layouts = candidate_rows(check.logical_rows, g)
+                .map(|phys_rows| Some(check.layout.with_phys_rows(phys_rows)));
             for layout in std::iter::once(None).chain(layouts) {
                 let truth = check_accesses_at(
                     w,
@@ -1154,7 +1075,7 @@ mod tests {
         // Two unsynchronized readers overlapping on a single port can
         // never be fixed by slack.
         let ents = [reader(0, 2), reader(1, 2)];
-        let err = required_phys_rows(W, H, PX, &ents, 1, 2, 1, 1, (W * PX) as u64);
+        let err = required_phys_rows(W, H, PX, &ents, 1, 2, rows_on((W * PX) as u64, 1, 0));
         assert!(err.is_err());
     }
 }

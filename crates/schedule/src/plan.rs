@@ -27,7 +27,8 @@ use crate::entity::{buffer_entities, AccessEntity};
 use crate::solve::{solve_schedule, Schedule, ScheduleError};
 use imagen_ir::{apply_line_coalescing, CoalesceFactor, Dag, StageId, StageKind};
 use imagen_mem::{
-    allocate_buffer, Design, DesignStyle, ImageGeometry, MemorySpec, PeModel, CLOCK_MHZ,
+    allocate_buffer, BlockLayout, Design, DesignStyle, ImageGeometry, MemorySpec, PeModel,
+    CLOCK_MHZ,
 };
 use imagen_obs::Memo;
 use std::fmt;
@@ -316,10 +317,9 @@ fn streams(
 }
 
 /// The port check the planner runs on stage `p`'s buffer under
-/// `schedule`: the frame, the ports, the layout inputs and the streams
+/// `schedule`: the frame, the ports, the block layout and the streams
 /// [`resolve_entities`] resolves. The buffer stores producer-grid rows,
-/// so its row splits over blocks by the producer's scale, and a split row
-/// does not coalesce.
+/// so its row splits over blocks by the producer's scale.
 pub fn buffer_check(
     dag: &Dag,
     p: StageId,
@@ -340,26 +340,17 @@ fn check_of(
     geom: &ImageGeometry,
     spec: &MemorySpec,
 ) -> BufferCheck {
-    let block_bits = spec.backend().block_bits();
-    let row_bits = buffer_geometry(geom, scales[p.index()]).row_bits();
-    let blocks_per_row = if row_bits > block_bits {
-        row_bits.div_ceil(block_bits) as u32
-    } else {
-        1
-    };
     BufferCheck {
         width: geom.width,
         height: geom.height,
         pixel_bits: geom.pixel_bits,
         ports: spec.ports_for(p.index()),
         logical_rows: schedule.buffer_rows[p.index()],
-        rows_per_block: if blocks_per_row > 1 {
-            1
-        } else {
-            spec.coalesce_factor(p.index(), geom).max(1)
-        },
-        blocks_per_row,
-        block_bits,
+        layout: BlockLayout::new(
+            buffer_geometry(geom, scales[p.index()]).row_bits(),
+            spec.backend().block_bits(),
+            spec.coalesce_factor(p.index(), geom),
+        ),
         streams: streams(entities, p, scales, &schedule.starts),
     }
 }
@@ -484,17 +475,14 @@ fn realize_design(
 
         // The absolute-row discipline (must hold by construction), then
         // the minimal physical rows.
-        let (ports, logical_rows, rows_per_block) =
-            (check.ports, check.logical_rows, check.rows_per_block);
+        let (ports, logical_rows, layout) = (check.ports, check.logical_rows, check.layout);
         let phys_rows = memo.phys_rows(p, check)?;
 
         let mut plan = allocate_buffer(
             p.index(),
-            phys_rows,
             logical_rows,
-            rows_per_block,
+            layout.with_phys_rows(phys_rows),
             &buffer_geometry(geom, (pcx, pcy)),
-            spec.backend(),
             ports,
             0,
             false,
@@ -597,13 +585,14 @@ mod tests {
         // the rotation aliasing `checker` refines the check with).
         for b in &plan.design.buffers {
             assert!(
-                b.phys_rows - b.logical_rows <= 1,
+                b.layout.phys_rows() - b.logical_rows <= 1,
                 "slack bounded by one row on dual port"
             );
         }
         let k1_buffer = &plan.design.buffers[1];
         assert_eq!(
-            k1_buffer.phys_rows, k1_buffer.logical_rows,
+            k1_buffer.layout.phys_rows(),
+            k1_buffer.logical_rows,
             "single-consumer buffer needs no slack"
         );
         assert!(plan.design.sram_kb() > 0.0);
@@ -651,7 +640,7 @@ mod tests {
             .design
             .buffers
             .iter()
-            .any(|b| b.phys_rows > b.logical_rows));
+            .any(|b| b.layout.phys_rows() > b.logical_rows));
         // And single-port must use at least as much SRAM as dual-port.
         let dual = plan_design(
             &fig6(),
@@ -706,7 +695,11 @@ mod tests {
             DesignStyle::Ours,
         )
         .unwrap();
-        assert!(plan.design.buffers.iter().all(|b| b.blocks_per_row == 2));
+        assert!(plan
+            .design
+            .buffers
+            .iter()
+            .all(|b| b.layout.blocks_per_row() == 2));
     }
 
     #[test]
@@ -767,9 +760,7 @@ mod tests {
                 pixel_bits: px,
                 ports: 1 + next(2) as u32,
                 logical_rows: 1 + next(4) as u32,
-                rows_per_block: g,
-                blocks_per_row: 1,
-                block_bits: 2 * row,
+                layout: BlockLayout::new(row, 2 * row, g),
                 streams: (0..2 + next(3))
                     .map(|i| ResolvedEntity {
                         start: origin + next(5) as i64 * w as i64 + next(3) as i64,
@@ -791,13 +782,11 @@ mod tests {
                     ..base.clone()
                 },
                 BufferCheck {
-                    rows_per_block: 3 - g,
+                    layout: BlockLayout::new(row, 2 * row, 3 - g),
                     ..base.clone()
                 },
                 BufferCheck {
-                    rows_per_block: 1,
-                    blocks_per_row: 2,
-                    block_bits: row / 2,
+                    layout: BlockLayout::new(row, row / 2, 1),
                     ..base.clone()
                 },
                 {

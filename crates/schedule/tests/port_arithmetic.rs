@@ -4,7 +4,7 @@
 
 use imagen_ir::{Dag, StageId};
 use imagen_mem::{DesignStyle, ImageGeometry, MemBackend, MemorySpec};
-use imagen_schedule::checker::{check_accesses, BufferLayout};
+use imagen_schedule::checker::check_accesses;
 use imagen_schedule::{
     buffer_check, formulate_skeleton, plan_design, plan_design_with, PortCheckMemo, ScheduleOptions,
 };
@@ -100,7 +100,7 @@ fn arithmetic_agrees_with_the_scanner_on_planned_buffers() {
                         "{name} at {geom}, coalesce {coalesce}, buffer {}",
                         b.stage
                     );
-                    assert_eq!(verdict.phys_rows, Ok(b.phys_rows));
+                    assert_eq!(verdict.phys_rows, Ok(b.layout.phys_rows()));
                     buffers += 1;
                 }
                 if !name.starts_with("synthetic") && width >= 352 {
@@ -138,12 +138,7 @@ fn planned_rotations_are_minimal() {
                         let check =
                             buffer_check(&plan.dag, p, &scales, &plan.schedule, &geom, &spec);
                         let scan = |phys_rows: Option<u32>| {
-                            let layout = phys_rows.map(|phys_rows| BufferLayout {
-                                phys_rows,
-                                rows_per_block: b.rows_per_block,
-                                blocks_per_row: b.blocks_per_row,
-                                block_bits: backend.block_bits(),
-                            });
+                            let layout = phys_rows.map(|rows| b.layout.with_phys_rows(rows));
                             check_accesses(
                                 width,
                                 height,
@@ -158,19 +153,15 @@ fn planned_rotations_are_minimal() {
                             b.stage
                         );
                         assert_eq!(scan(None), Ok(()), "{what}: absolute rows");
-                        assert_eq!(
-                            scan(Some(b.phys_rows)),
-                            Ok(()),
-                            "{what}: {} rows",
-                            b.phys_rows
-                        );
-                        let g = b.rows_per_block.max(1);
-                        if b.phys_rows >= b.logical_rows.div_ceil(g) * g + g {
+                        let phys_rows = b.layout.phys_rows();
+                        assert_eq!(scan(Some(phys_rows)), Ok(()), "{what}: {phys_rows} rows");
+                        let g = b.layout.rows_per_block();
+                        if phys_rows >= b.logical_rows.div_ceil(g) * g + g {
                             tight += 1;
                             assert!(
-                                scan(Some(b.phys_rows - g)).is_err(),
+                                scan(Some(phys_rows - g)).is_err(),
                                 "{what}: {} rows would do",
-                                b.phys_rows - g
+                                phys_rows - g
                             );
                         }
                     }

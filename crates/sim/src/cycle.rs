@@ -32,7 +32,7 @@
 use crate::golden::{execute, GoldenError, GoldenRun};
 use crate::image::Image;
 use imagen_ir::{Dag, StageId, StageKind};
-use imagen_mem::{BlockRole, Design};
+use imagen_mem::{BlockLayout, BlockRole, Design};
 use std::fmt;
 
 /// Maximum violations recorded per category (the simulation continues to
@@ -148,6 +148,9 @@ impl From<GoldenError> for SimError {
 struct BufferState {
     /// Index into `design.buffers`, if this stage owns a planned buffer.
     plan: Option<usize>,
+    /// The plan's block layout, when accesses are counted per block: not
+    /// on FIFO segments, which count per live cycle, nor without blocks.
+    blocks: Option<BlockLayout>,
     phys_rows: u32,
     data: Vec<i64>,
     /// Per-block access counters for the current cycle: (block, count).
@@ -202,19 +205,22 @@ pub fn simulate(dag: &Dag, design: &Design, inputs: &[Image]) -> Result<SimRepor
     for (id, _) in dag.stages() {
         let (cx, _) = scales[id.index()];
         let plan_idx = design.buffers.iter().position(|b| b.stage == id.index());
-        let (phys_rows, nblocks, fifo) = match plan_idx {
+        let (phys_rows, nblocks, fifo, blocks) = match plan_idx {
             Some(i) => {
                 let p = &design.buffers[i];
+                let fifo = p.blocks.iter().any(|b| b.role == BlockRole::FifoSegment);
                 (
-                    p.phys_rows.max(p.logical_rows).max(1),
+                    p.layout.phys_rows().max(p.logical_rows).max(1),
                     p.blocks.len(),
-                    p.blocks.iter().any(|b| b.role == BlockRole::FifoSegment),
+                    fifo,
+                    (!fifo && !p.blocks.is_empty()).then_some(p.layout),
                 )
             }
-            None => (0, 0, false),
+            None => (0, 0, false, None),
         };
         buffers.push(BufferState {
             plan: plan_idx,
+            blocks,
             phys_rows,
             data: vec![0; (phys_rows as i64 * (w / cx)) as usize],
             cycle_counts: Vec::new(),
@@ -367,20 +373,15 @@ pub fn simulate(dag: &Dag, design: &Design, inputs: &[Image]) -> Result<SimRepor
                     let v = pb.data[slot];
                     sra.data[(j * sra.width + sra.width - 1) as usize] = v;
                     // Access accounting (reads merge on identical address).
-                    if !pb.fifo {
-                        if let Some(pi) = pb.plan {
-                            if let Some(block) =
-                                design.buffers[pi].block_of(row as u64, xp as u32, &geom)
-                            {
-                                let dup = pb
-                                    .cycle_reads
-                                    .iter()
-                                    .any(|&(bk, r2, x2)| bk == block && r2 == row && x2 == xp);
-                                if !dup {
-                                    pb.cycle_reads.push((block, row, xp));
-                                    bump(&mut pb.cycle_counts, block);
-                                }
-                            }
+                    if let Some(layout) = pb.blocks {
+                        let block = layout.block_of(row as u64, xp as u32, geom.pixel_bits);
+                        let dup = pb
+                            .cycle_reads
+                            .iter()
+                            .any(|&(bk, r2, x2)| bk == block && r2 == row && x2 == xp);
+                        if !dup {
+                            pb.cycle_reads.push((block, row, xp));
+                            bump(&mut pb.cycle_counts, block);
                         }
                     }
                 }
@@ -435,15 +436,10 @@ pub fn simulate(dag: &Dag, design: &Design, inputs: &[Image]) -> Result<SimRepor
             if sb.phys_rows > 0 {
                 let slot = (yc.rem_euclid(sb.phys_rows as i64) * (w / cx) + xc) as usize;
                 sb.data[slot] = value;
-                if !sb.fifo {
-                    if let Some(pi) = sb.plan {
-                        if let Some(block) =
-                            design.buffers[pi].block_of(yc as u64, xc as u32, &geom)
-                        {
-                            bump(&mut sb.cycle_counts, block);
-                            sb.totals_w[block] += 1;
-                        }
-                    }
+                if let Some(layout) = sb.blocks {
+                    let block = layout.block_of(yc as u64, xc as u32, geom.pixel_bits);
+                    bump(&mut sb.cycle_counts, block);
+                    sb.totals_w[block] += 1;
                 }
             }
 
@@ -759,7 +755,8 @@ mod tests {
             imagen_mem::DesignStyle::Ours,
         )
         .unwrap();
-        plan.design.buffers[0].phys_rows = 1;
+        let b = &mut plan.design.buffers[0];
+        b.layout = b.layout.with_phys_rows(1);
         plan.design.start_cycles[1] += 2 * geom.width as u64; // keep R1 ok
         let input = ramp(&geom);
         let r = simulate(&plan.dag, &plan.design, &[input]).unwrap();

@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:10} {} rows ({} physical) in {} block(s), {} rows/block",
             name,
             buf.logical_rows,
-            buf.phys_rows,
+            buf.layout.phys_rows(),
             buf.blocks.len(),
-            buf.rows_per_block
+            buf.layout.rows_per_block()
         );
     }
 

@@ -169,7 +169,10 @@ fn coalesced_and_tall_access_counts_match_simulator_annotations() {
                 let plan = Compiler::new(g, spec).compile_dag(&dag).unwrap().plan;
                 if coalesce {
                     assert!(
-                        plan.design.buffers.iter().any(|b| b.rows_per_block == 2),
+                        plan.design
+                            .buffers
+                            .iter()
+                            .any(|b| b.layout.rows_per_block() == 2),
                         "{} {g}: two-row blocks",
                         alg.name()
                     );

@@ -175,8 +175,9 @@ fn pyramid_buffer_sizing_is_minimal() {
             }
             shrunk_any = true;
             let mut design = out.plan.design.clone();
-            design.buffers[i].logical_rows -= 1;
-            design.buffers[i].phys_rows = design.buffers[i].logical_rows;
+            let b = &mut design.buffers[i];
+            b.logical_rows -= 1;
+            b.layout = b.layout.with_phys_rows(b.logical_rows);
             let r = simulate(&out.plan.dag, &design, std::slice::from_ref(&input)).unwrap();
             assert!(
                 r.residency_violations.iter().any(|v| !v.not_yet_produced),
