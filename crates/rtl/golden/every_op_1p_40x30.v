@@ -99,12 +99,12 @@ module linebuf_src (
     // 6 physical rows over 12 blocks (1 rows/block, 1 ports)
     wire [31:0] wphys = wrow % 6;
     wire [31:0] rphys = rrow % 6;
-    wire [31:0] wblk = wphys / 1;
-    wire [31:0] rblk = rphys / 1;
-    wire [5:0] waddr = (wphys % 1) * 40 + wcol;
-    wire [5:0] raddr = (rphys % 1) * 40 + rcol;
+    wire [31:0] wblk = wphys * 2 + (wcol * 16) / 512;
+    wire [31:0] rblk = rphys * 2 + (rcol * 16) / 512;
+    wire [4:0] waddr = ((wcol * 16) % 512) / 16;
+    wire [4:0] raddr = ((rcol * 16) % 512) / 16;
     wire signed [15:0] rdata_blk [0:11];
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk0 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk0 (
         .clk(clk),
         .en((wen && wblk == 0) || (ren && rblk == 0)),
         .we(wen && wblk == 0),
@@ -112,7 +112,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[0])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk1 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk1 (
         .clk(clk),
         .en((wen && wblk == 1) || (ren && rblk == 1)),
         .we(wen && wblk == 1),
@@ -120,7 +120,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[1])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk2 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk2 (
         .clk(clk),
         .en((wen && wblk == 2) || (ren && rblk == 2)),
         .we(wen && wblk == 2),
@@ -128,7 +128,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[2])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk3 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk3 (
         .clk(clk),
         .en((wen && wblk == 3) || (ren && rblk == 3)),
         .we(wen && wblk == 3),
@@ -136,7 +136,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[3])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk4 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk4 (
         .clk(clk),
         .en((wen && wblk == 4) || (ren && rblk == 4)),
         .we(wen && wblk == 4),
@@ -144,7 +144,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[4])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk5 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk5 (
         .clk(clk),
         .en((wen && wblk == 5) || (ren && rblk == 5)),
         .we(wen && wblk == 5),
@@ -152,7 +152,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[5])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk6 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk6 (
         .clk(clk),
         .en((wen && wblk == 6) || (ren && rblk == 6)),
         .we(wen && wblk == 6),
@@ -160,7 +160,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[6])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk7 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk7 (
         .clk(clk),
         .en((wen && wblk == 7) || (ren && rblk == 7)),
         .we(wen && wblk == 7),
@@ -168,7 +168,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[7])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk8 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk8 (
         .clk(clk),
         .en((wen && wblk == 8) || (ren && rblk == 8)),
         .we(wen && wblk == 8),
@@ -176,7 +176,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[8])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk9 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk9 (
         .clk(clk),
         .en((wen && wblk == 9) || (ren && rblk == 9)),
         .we(wen && wblk == 9),
@@ -184,7 +184,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[9])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk10 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk10 (
         .clk(clk),
         .en((wen && wblk == 10) || (ren && rblk == 10)),
         .we(wen && wblk == 10),
@@ -192,7 +192,7 @@ module linebuf_src (
         .wdata(wdata),
         .rdata(rdata_blk[10])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk11 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk11 (
         .clk(clk),
         .en((wen && wblk == 11) || (ren && rblk == 11)),
         .we(wen && wblk == 11),
@@ -219,12 +219,12 @@ module linebuf_smooth (
     // 6 physical rows over 12 blocks (1 rows/block, 1 ports)
     wire [31:0] wphys = wrow % 6;
     wire [31:0] rphys = rrow % 6;
-    wire [31:0] wblk = wphys / 1;
-    wire [31:0] rblk = rphys / 1;
-    wire [5:0] waddr = (wphys % 1) * 40 + wcol;
-    wire [5:0] raddr = (rphys % 1) * 40 + rcol;
+    wire [31:0] wblk = wphys * 2 + (wcol * 16) / 512;
+    wire [31:0] rblk = rphys * 2 + (rcol * 16) / 512;
+    wire [4:0] waddr = ((wcol * 16) % 512) / 16;
+    wire [4:0] raddr = ((rcol * 16) % 512) / 16;
     wire signed [15:0] rdata_blk [0:11];
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk0 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk0 (
         .clk(clk),
         .en((wen && wblk == 0) || (ren && rblk == 0)),
         .we(wen && wblk == 0),
@@ -232,7 +232,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[0])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk1 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk1 (
         .clk(clk),
         .en((wen && wblk == 1) || (ren && rblk == 1)),
         .we(wen && wblk == 1),
@@ -240,7 +240,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[1])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk2 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk2 (
         .clk(clk),
         .en((wen && wblk == 2) || (ren && rblk == 2)),
         .we(wen && wblk == 2),
@@ -248,7 +248,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[2])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk3 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk3 (
         .clk(clk),
         .en((wen && wblk == 3) || (ren && rblk == 3)),
         .we(wen && wblk == 3),
@@ -256,7 +256,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[3])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk4 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk4 (
         .clk(clk),
         .en((wen && wblk == 4) || (ren && rblk == 4)),
         .we(wen && wblk == 4),
@@ -264,7 +264,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[4])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk5 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk5 (
         .clk(clk),
         .en((wen && wblk == 5) || (ren && rblk == 5)),
         .we(wen && wblk == 5),
@@ -272,7 +272,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[5])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk6 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk6 (
         .clk(clk),
         .en((wen && wblk == 6) || (ren && rblk == 6)),
         .we(wen && wblk == 6),
@@ -280,7 +280,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[6])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk7 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk7 (
         .clk(clk),
         .en((wen && wblk == 7) || (ren && rblk == 7)),
         .we(wen && wblk == 7),
@@ -288,7 +288,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[7])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk8 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk8 (
         .clk(clk),
         .en((wen && wblk == 8) || (ren && rblk == 8)),
         .we(wen && wblk == 8),
@@ -296,7 +296,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[8])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk9 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk9 (
         .clk(clk),
         .en((wen && wblk == 9) || (ren && rblk == 9)),
         .we(wen && wblk == 9),
@@ -304,7 +304,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[9])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk10 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk10 (
         .clk(clk),
         .en((wen && wblk == 10) || (ren && rblk == 10)),
         .we(wen && wblk == 10),
@@ -312,7 +312,7 @@ module linebuf_smooth (
         .wdata(wdata),
         .rdata(rdata_blk[10])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk11 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk11 (
         .clk(clk),
         .en((wen && wblk == 11) || (ren && rblk == 11)),
         .we(wen && wblk == 11),
@@ -339,12 +339,12 @@ module linebuf_edge (
     // 4 physical rows over 8 blocks (1 rows/block, 1 ports)
     wire [31:0] wphys = wrow % 4;
     wire [31:0] rphys = rrow % 4;
-    wire [31:0] wblk = wphys / 1;
-    wire [31:0] rblk = rphys / 1;
-    wire [5:0] waddr = (wphys % 1) * 40 + wcol;
-    wire [5:0] raddr = (rphys % 1) * 40 + rcol;
+    wire [31:0] wblk = wphys * 2 + (wcol * 16) / 512;
+    wire [31:0] rblk = rphys * 2 + (rcol * 16) / 512;
+    wire [4:0] waddr = ((wcol * 16) % 512) / 16;
+    wire [4:0] raddr = ((rcol * 16) % 512) / 16;
     wire signed [15:0] rdata_blk [0:7];
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk0 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk0 (
         .clk(clk),
         .en((wen && wblk == 0) || (ren && rblk == 0)),
         .we(wen && wblk == 0),
@@ -352,7 +352,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[0])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk1 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk1 (
         .clk(clk),
         .en((wen && wblk == 1) || (ren && rblk == 1)),
         .we(wen && wblk == 1),
@@ -360,7 +360,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[1])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk2 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk2 (
         .clk(clk),
         .en((wen && wblk == 2) || (ren && rblk == 2)),
         .we(wen && wblk == 2),
@@ -368,7 +368,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[2])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk3 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk3 (
         .clk(clk),
         .en((wen && wblk == 3) || (ren && rblk == 3)),
         .we(wen && wblk == 3),
@@ -376,7 +376,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[3])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk4 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk4 (
         .clk(clk),
         .en((wen && wblk == 4) || (ren && rblk == 4)),
         .we(wen && wblk == 4),
@@ -384,7 +384,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[4])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk5 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk5 (
         .clk(clk),
         .en((wen && wblk == 5) || (ren && rblk == 5)),
         .we(wen && wblk == 5),
@@ -392,7 +392,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[5])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk6 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk6 (
         .clk(clk),
         .en((wen && wblk == 6) || (ren && rblk == 6)),
         .we(wen && wblk == 6),
@@ -400,7 +400,7 @@ module linebuf_edge (
         .wdata(wdata),
         .rdata(rdata_blk[6])
     );
-    imagen_sram_1p #(.DEPTH(64), .WIDTH(16), .AW(6)) u_blk7 (
+    imagen_sram_1p #(.DEPTH(32), .WIDTH(16), .AW(5)) u_blk7 (
         .clk(clk),
         .en((wen && wblk == 7) || (ren && rblk == 7)),
         .we(wen && wblk == 7),
