@@ -50,8 +50,8 @@ pub enum MinimizeError {
     /// The objective decreases without bound over the feasible set: the
     /// dual flow cannot route all of its demand.
     Unbounded,
-    /// An intermediate flow, cost, potential or objective value left the
-    /// `i64` range.
+    /// A longest path, or an intermediate flow, cost, potential or
+    /// objective value, left the `i64` range.
     Overflow,
 }
 
@@ -159,8 +159,10 @@ impl DiffSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`PositiveCycle`] if the system is infeasible.
-    pub fn minimal_solution(&self) -> Result<Vec<i64>, PositiveCycle> {
+    /// [`MinimizeError::Infeasible`] if the system is infeasible, and
+    /// [`MinimizeError::Overflow`] if a longest path leaves the `i64`
+    /// range, so that no `i64` point is feasible.
+    pub fn minimal_solution(&self) -> Result<Vec<i64>, MinimizeError> {
         self.raise(self.lower.clone(), &[])
     }
 
@@ -168,16 +170,18 @@ impl DiffSystem {
     /// feasible point, to the componentwise-minimal feasible point of the
     /// system with the constraints `extra` (in `(v, u, c)` edge form)
     /// added: the longest-path fixpoint from `x`, in at most n rounds of
-    /// relaxation and one more to detect positive cycles.
+    /// relaxation and one more to detect positive cycles. Every value
+    /// stays at or above its lower bound, which is at least zero, so a
+    /// relaxation can only leave the `i64` range upward: an overflow.
     fn raise(
         &self,
         mut x: Vec<i64>,
         extra: &[(usize, usize, i64)],
-    ) -> Result<Vec<i64>, PositiveCycle> {
+    ) -> Result<Vec<i64>, MinimizeError> {
         for round in 0..=self.n {
             let mut changed = false;
             for &(v, u, c) in self.edges.iter().chain(extra) {
-                let cand = x[v].saturating_add(c);
+                let cand = x[v].checked_add(c).ok_or(MinimizeError::Overflow)?;
                 if cand > x[u] {
                     x[u] = cand;
                     changed = true;
@@ -187,7 +191,7 @@ impl DiffSystem {
                 return Ok(x);
             }
             if round == self.n {
-                return Err(PositiveCycle);
+                return Err(MinimizeError::Infeasible(PositiveCycle));
             }
         }
         Ok(x)
@@ -269,9 +273,8 @@ impl DiffSystem {
         let (flow, pivots) = net.solve(&supply, &pot)?;
 
         // The face: every arc that carries flow is tight. It holds every
-        // optimum, each above x0, so its fixpoint can start from x0, and
-        // only saturated arithmetic can make it look empty. Without a
-        // pivot the flow rides arcs tight at x0 alone, so x0 is on the
+        // optimum, each above x0, so its fixpoint can start from x0. Without
+        // a pivot the flow rides arcs tight at x0 alone, so x0 is on the
         // face, and as the least feasible point it is the face's least.
         let x = if pivots == 0 {
             x0
@@ -283,8 +286,7 @@ impl DiffSystem {
                 .filter(|&(_, &f)| f > 0)
                 .map(|(&(v, u, c), _)| (u, v, -c))
                 .collect();
-            self.raise(x0, &tight)
-                .map_err(|_| MinimizeError::Overflow)?
+            self.raise(x0, &tight)?
         };
         let objective = x
             .iter()
@@ -336,7 +338,26 @@ mod tests {
         let mut s = DiffSystem::new(2);
         s.add_ge(1, 0, 1);
         s.add_ge(0, 1, 0);
-        assert_eq!(s.minimal_solution().unwrap_err(), PositiveCycle);
+        assert_eq!(
+            s.minimal_solution(),
+            Err(MinimizeError::Infeasible(PositiveCycle))
+        );
+    }
+
+    #[test]
+    fn longest_paths_past_i64_overflow() {
+        // min x0 − x1 over x0 >= x1 + i64::MAX and x1 >= 2^40: the least
+        // x0 is 2^40 + i64::MAX, so no i64 point is feasible.
+        let mut s = DiffSystem::new(2);
+        s.add_ge(0, 1, i64::MAX);
+        s.set_lower(1, 1 << 40);
+        assert_eq!(s.minimal_solution(), Err(MinimizeError::Overflow));
+        assert_eq!(s.minimize(&[1, -1]), Err(MinimizeError::Overflow));
+        // At the edge of the range the point is exact.
+        let mut edge = DiffSystem::new(2);
+        edge.add_ge(0, 1, i64::MAX - (1 << 40));
+        edge.set_lower(1, 1 << 40);
+        assert_eq!(edge.minimal_solution(), Ok(vec![i64::MAX, 1 << 40]));
     }
 
     #[test]

@@ -223,6 +223,15 @@ fn big_lp() -> impl Strategy<Value = BigLp> {
         })
 }
 
+/// Strategy: a gap or bound from ±2^62, or one of the `i64` extremes.
+fn wide() -> impl Strategy<Value = i64> {
+    (0u8..6, -(1i64 << 62)..(1i64 << 62)).prop_map(|(kind, v)| match kind {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        _ => v,
+    })
+}
+
 /// Strategy: a random difference system over `n` variables, biased toward
 /// feasible DAG-like systems (edges from lower to higher index).
 fn diff_system(n: usize) -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
@@ -443,6 +452,34 @@ proptest! {
             other => return Err(TestCaseError::fail(format!("routed the supply: {other:?}"))),
         }
         agrees_with_oracle(&sys, &costs)?;
+    }
+
+    /// Near the ends of the `i64` range a longest path can leave it: then
+    /// no `i64` point is feasible, and both solvers must say so rather
+    /// than return a clipped point. Every point they do return is
+    /// feasible.
+    #[test]
+    fn wide_systems_return_only_feasible_points(
+        n in 2usize..6,
+        edges in proptest::collection::vec((0usize..6, 0usize..6, wide()), 0..9),
+        lower in proptest::collection::vec((0usize..6, wide()), 0..4),
+        costs in proptest::collection::vec(-3i64..4, 6..7),
+    ) {
+        let mut sys = DiffSystem::new(n);
+        for &(u, v, k) in &edges {
+            if u % n != v % n {
+                sys.add_ge(u % n, v % n, k);
+            }
+        }
+        for &(i, b) in &lower {
+            sys.set_lower(i % n, b);
+        }
+        if let Ok(x) = sys.minimal_solution() {
+            prop_assert!(sys.is_feasible(&x), "minimal point {x:?} of {sys:?}");
+        }
+        if let Ok(opt) = sys.minimize(&costs[..n]) {
+            prop_assert!(sys.is_feasible(&opt.x), "optimum {opt:?} of {sys:?}");
+        }
     }
 
     /// A positive cycle makes the system infeasible, and that is the error

@@ -177,11 +177,12 @@ pub fn solve_schedule(
         let alt = groups[stack.len()].alternatives[0];
         stack.push(0);
         chosen.push(alt);
-        // Quick feasibility cut on the partial choice.
-        if to_diff_system(n, &set.hard, &chosen)
-            .minimal_solution()
-            .is_err()
-            && !advance(&mut stack, &mut chosen, &groups)
+        // Quick feasibility cut on the partial choice; an overflow is left
+        // for its leaves to report.
+        if matches!(
+            to_diff_system(n, &set.hard, &chosen).minimal_solution(),
+            Err(MinimizeError::Infeasible(_))
+        ) && !advance(&mut stack, &mut chosen, &groups)
         {
             break;
         }
@@ -343,9 +344,7 @@ pub fn asap_schedule(
     hard: &[DiffGe],
     chosen: &[DiffGe],
 ) -> Result<Vec<i64>, ScheduleError> {
-    to_diff_system(n, hard, chosen)
-        .minimal_solution()
-        .map_err(|_| ScheduleError::Infeasible)
+    Ok(to_diff_system(n, hard, chosen).minimal_solution()?)
 }
 
 #[cfg(test)]
