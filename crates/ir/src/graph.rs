@@ -911,11 +911,14 @@ impl Dag {
         !self.multi_consumer_stages().is_empty()
     }
 
-    /// Stages that own a line buffer (those with at least one consumer).
+    /// Stages that own a line buffer (those with at least one consumer),
+    /// in stage order: one pass over the edges marks the producers.
     pub fn buffered_stages(&self) -> Vec<StageId> {
-        self.stage_ids()
-            .filter(|&s| self.edges.iter().any(|e| e.producer == s))
-            .collect()
+        let mut buffered = vec![false; self.stages.len()];
+        for e in &self.edges {
+            buffered[e.producer.0] = true;
+        }
+        self.stage_ids().filter(|s| buffered[s.0]).collect()
     }
 
     /// Replaces the read ports of an edge (used by line coalescing).
