@@ -323,11 +323,8 @@ fn assign_reads(net: &Netlist, module: &Module, driven: &str) -> Vec<String> {
         ModuleKind::LineBuffer(b) => {
             // A split row's block is its column segment, addressed by
             // column alone.
-            let split = net
-                .structure
-                .buffers
-                .get(*b)
-                .is_some_and(|b| b.layout.is_split());
+            let buf = net.structure.buffers.get(*b);
+            let split = buf.is_some_and(|b| b.layout.is_split());
             let deps: &[&str] = match driven {
                 "wphys" => &["wrow"],
                 "rphys" => &["rrow"],

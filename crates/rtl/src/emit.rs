@@ -16,7 +16,12 @@
 //! rendered apart first. Each line buffer's SRAM blocks are printed from
 //! one text template per buffer, split where the block index goes, and
 //! each stage's window ports and arrays from its own run of
-//! [`Structure::edges`](crate::Structure::edges).
+//! [`Structure::edges`](crate::Structure::edges). A line buffer's bank
+//! select and address print its plan's
+//! [`BlockLayout`](imagen_mem::BlockLayout) map, and its macros take the
+//! layout's depth: `g` whole rows to a block, or on a row wider than a
+//! block one column segment of `block_bits` bits, selected by the
+//! column.
 //!
 //! Three inherited seed-emitter behaviors are kept for pin-compatibility,
 //! and the netlist — not the text — is the authoritative structure:
@@ -311,24 +316,26 @@ fn emit_linebuf_module(v: &mut String, net: &Netlist, buf: &NetBuffer) {
     // A split row's block holds one column segment of `block_bits` bits;
     // whole rows share a block `g` at a time.
     for p in ['w', 'r'] {
-        let _ = match split {
-            true => writeln!(
+        let _ = if split {
+            writeln!(
                 v,
                 "    wire [31:0] {p}blk = {p}phys * {bpr} + ({p}col * {px}) / {bits};"
-            ),
-            false => writeln!(v, "    wire [31:0] {p}blk = {p}phys / {g};"),
+            )
+        } else {
+            writeln!(v, "    wire [31:0] {p}blk = {p}phys / {g};")
         };
     }
     for p in ['w', 'r'] {
-        let _ = match split {
-            true => writeln!(
+        let _ = if split {
+            writeln!(
                 v,
                 "    wire [{top}:0] {p}addr = (({p}col * {px}) % {bits}) / {px};"
-            ),
-            false => writeln!(
+            )
+        } else {
+            writeln!(
                 v,
                 "    wire [{top}:0] {p}addr = ({p}phys % {g}) * {width} + {p}col;"
-            ),
+            )
         };
     }
     let _ = writeln!(
