@@ -43,13 +43,6 @@ impl CoalesceFactor {
     pub fn is_coalesced(&self) -> bool {
         self.0 > 1
     }
-
-    /// The legal factor for a block with `ports` ports and capacity for
-    /// `rows_fitting` rows of the target image, following Algo. 1's bound
-    /// `K = min(P, ·)`.
-    pub fn legal(ports: u32, rows_fitting: u32) -> CoalesceFactor {
-        CoalesceFactor(ports.min(rows_fitting).max(1))
-    }
 }
 
 /// Report of one rewritten edge.
@@ -127,10 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn factor_legality() {
-        assert_eq!(CoalesceFactor::legal(2, 4).rows_per_block(), 2);
-        assert_eq!(CoalesceFactor::legal(2, 1).rows_per_block(), 1);
-        assert_eq!(CoalesceFactor::legal(1, 4).rows_per_block(), 1);
+    fn factor_coalesces_above_one_row() {
+        assert_eq!(CoalesceFactor::new(2).rows_per_block(), 2);
+        assert!(CoalesceFactor::new(2).is_coalesced());
         assert!(!CoalesceFactor::NONE.is_coalesced());
     }
 
