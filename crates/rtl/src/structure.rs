@@ -3,10 +3,13 @@
 //! [`describe`] reads `(Dag, Design)` into a [`Structure`]: the stages
 //! with their start cycles, rate scales, input streams, kernels,
 //! operator census and line buffers, the stencil edges, and each line
-//! buffer's geometry on its producer's grid. It is the one per-stage
-//! record of a design: a stage's kernel, windows (its consumed edges),
-//! start cycle and buffer are read by stage index or in one grouping
-//! pass, never found by a scan per stage.
+//! buffer's geometry on its producer's grid. A buffer keeps its plan's
+//! [`BlockLayout`], a `Copy` value: the block map, macro depth and
+//! address width that the emitter, the block sweep and resource
+//! accounting read are the allocator's own, not copies of them. The
+//! structure is the one per-stage record of a design: a stage's kernel,
+//! windows (its consumed edges), start cycle and buffer are read by
+//! stage index or in one grouping pass, never found by a scan per stage.
 //! [`build_netlist`](crate::build_netlist) elaborates modules on top of
 //! it and keeps it; the emitter, the executor, resource accounting,
 //! clock gating and energy pricing read it instead of any module, so a
