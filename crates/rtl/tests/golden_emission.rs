@@ -357,11 +357,10 @@ fn every_op_bank_select_follows_the_layout() {
                     let phys = eval(rhs(&format!("{p}phys")), &nets(0));
                     let blk = eval(rhs(&format!("{p}blk")), &nets(phys));
                     let addr = eval(rhs(&format!("{p}addr")), &nets(phys));
-                    let at = format!("row {row} column {col} of {buf:?}");
-                    assert_eq!(blk, block, "{p}blk at {at}");
-                    assert!(addr < depth, "{p}addr {addr} at {at}");
+                    assert_eq!(blk, block, "{p}blk at row {row} column {col} of {buf:?}");
+                    assert!(addr < depth, "{p}addr {addr} at row {row} column {col}");
                     if row < u64::from(buf.layout.phys_rows()) {
-                        assert!(seen.insert((p, blk, addr)), "{p} collides at {at}");
+                        assert!(seen.insert((p, blk, addr)), "{p} row {row} column {col}");
                     }
                 }
             }
